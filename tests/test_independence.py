@@ -171,6 +171,54 @@ class TestBilinearChecks:
         assert mv.check_bilinear(gamma, bound=1, bimorphism=True).passed
 
 
+def planted_table(left, right, fn, cell=None, value=None):
+    """``fn`` materialized into the standard unit, with ``cell`` overwritten."""
+    unit = mv.standard_unit()
+
+    def entry(a, b):
+        if (a.payload, b.payload) == cell:
+            return mv.element(unit, value)
+        return mv.element(unit, fn(a, b))
+
+    return mv.bilinear_map(left, right, mv.identity_state(unit), entry, validate=False)
+
+
+def planted_defects():
+    s1, s2 = chain_state(mv.finite_chain(1)), chain_state(CH2)
+    uniform = mv.measure_state(BOOL2, mv.measure(("x", "y"), (F(1, 2), F(1, 2))))
+    dirac = mv.measure_state(BOOL2, mv.measure(("x", "y"), (F(1), F(0))))
+
+    def product(a, b):
+        return a.payload * b.payload
+
+    # (table, bound, bimorphism, checks, witness), all recorded before the
+    # checker's loops were folded.  A table that passes both linearity
+    # sweeps preserves meets wherever it preserves joins, so no table can
+    # make a meet check fail first.
+    yield "left-linearity", planted_table(s1, s2, product, (F(0), F(1, 2)), F(1, 4)), None, False, 2, (
+        "left-linearity", "0", "0", "1/2")
+    yield "right-linearity", planted_table(s1, s2, product, (F(1), F(1)), F(1, 2)), None, False, 19, (
+        "right-linearity", "1", "1/2", "1/2")
+    # linear, but it charges the atom the left state gives weight 0
+    yield "bound", planted_table(dirac, s1, lambda a, b: a.payload[1] * b.payload), 1, False, 34, (
+        "bound", "(0,1)", "1")
+    # linear in each slot, but integrating a slot does not preserve joins
+    yield "left-join", planted_table(
+        uniform, s1, lambda a, b: mv.eval_state(uniform, a) * b.payload
+    ), 1, True, 52, ("left-join", "(0,1)", "(1,0)", "1")
+    yield "right-join", planted_table(
+        s1, uniform, lambda a, b: a.payload * mv.eval_state(uniform, b)
+    ), 1, True, 68, ("right-join", "1", "(0,1)", "(1,0)")
+
+
+@pytest.mark.parametrize("kind, gamma, bound, bimorphism, checks, witness", list(planted_defects()))
+def test_planted_defect_is_found_at_its_pinned_check(kind, gamma, bound, bimorphism, checks, witness):
+    report = mv.check_bilinear(gamma, bound=bound, bimorphism=bimorphism)
+    assert not report.passed
+    assert report.checks == checks
+    assert report.witness == witness
+
+
 class TestLinearExtension:
     def test_identity_extends_to_the_identity(self):
         sigma = mv.linear_map(CH2, CH2, lambda a: a)
