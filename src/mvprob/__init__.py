@@ -2,16 +2,14 @@
 
 The package covers four carriers (the rational unit interval, finite
 chains, finite function algebras, and the Chang algebra), states and
-their pseudo-metrics, ideals and radicals, divisible hulls and measure
-representations, the classical moment condition with constructive
-reconstruction, and product couplings with a universal factorization.
+their pseudo-metrics, ideals and radicals, measure representations,
+the classical moment condition with constructive reconstruction, and
+product couplings with a universal factorization.
 Everything computes in exact rational arithmetic.
 """
 
 from .analysis import (
     DeltaTable,
-    FitResult,
-    HolderReport,
     MomentSequence,
     check_hausdorff,
     delta_table,
@@ -22,7 +20,7 @@ from .analysis import (
     moment_sequence,
     moments_of_measure,
 )
-from .axioms import AxiomReport, Exhaustive, Sample, TableAlgebra, check_axioms
+from .axioms import Exhaustive, Sample, TableAlgebra, check_axioms
 from .core import (
     Algebra,
     Chang,
@@ -76,12 +74,8 @@ from .independence import (
     verify_factorization,
 )
 from .representation import (
-    DivisibleHull,
     MeasureRepresentation,
-    divisible_hull,
     embed_l1,
-    hull_contains,
-    hull_embed,
     integral,
     kroupa_panti,
     represent,
@@ -113,5 +107,6 @@ from .states import (
     state_quotient,
     table_state,
 )
+from .verdict import Verdict
 
 __all__ = [name for name in dir() if not name.startswith("_")]

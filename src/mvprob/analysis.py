@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import core, representation, states
 from .core import Element, FunctionAlgebra, StandardUnit
 from .errors import InputError
 from .rationals import ONE, ZERO, format_rational, parse_rational, require_unit
 from .states import DiscreteMeasure, State
+from .verdict import Verdict
 
 MAX_FIT_MOMENTS = 6  # highest moment index the feasibility search accepts
 MAX_FIT_GRID = 64
@@ -89,27 +90,22 @@ def binomial_delta(m: MomentSequence, r: int, k: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class HausdorffReport:
-    ok: bool
-    reason: Optional[str] = None  # "m0" or "sign"
-    position: Optional[tuple[int, int]] = None
-
-
-def check_hausdorff(m: MomentSequence) -> HausdorffReport:
+def check_hausdorff(m: MomentSequence) -> Verdict:
     """Decide complete monotonicity: m0 = 1 and (-1)^r * delta >= 0.
 
-    Failures report the lexicographically first offending (r, k).
+    A failure gives its reason, "m0" or "sign"; a sign failure also
+    gives the lexicographically first offending position (r, k).
     """
+    entries = {"entries": (m.order + 1) * (m.order + 2) // 2}
     if m.values[0] != ONE:
-        return HausdorffReport(False, "m0", None)
+        return Verdict("fail", [{"reason": "m0"}], entries)
     table = delta_table(m)
     for r in range(m.order + 1):
         sign = 1 if r % 2 == 0 else -1
         for k in range(m.order - r + 1):
             if sign * table.entry(r, k) < 0:
-                return HausdorffReport(False, "sign", (r, k))
-    return HausdorffReport(True)
+                return Verdict("fail", [{"reason": "sign", "position": (r, k)}], entries)
+    return Verdict("pass", [], entries)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +139,14 @@ def moments_of_measure(mu: DiscreteMeasure, order: int) -> MomentSequence:
     return MomentSequence(values)
 
 
+def verify_measure_moments(mu: DiscreteMeasure, order: int) -> Verdict:
+    """The moments of ``mu`` up to ``order``, checked against the moment condition."""
+    m = moments_of_measure(mu, order)
+    check = check_hausdorff(m)
+    witnesses = [{"reason": w["reason"]} for w in check.witnesses]
+    return Verdict(check.verdict, witnesses, {"order": order}, None, {"moments": m.values})
+
+
 def hausdorff_reconstruct(m: MomentSequence, grid: int) -> DiscreteMeasure:
     """Binomial reconstruction of a measure on {0, 1/N, ..., 1}.
 
@@ -150,8 +154,7 @@ def hausdorff_reconstruct(m: MomentSequence, grid: int) -> DiscreteMeasure:
     moment condition they are nonnegative and sum to one exactly, and
     the zeroth and first moments of the result match the input exactly.
     """
-    report = check_hausdorff(m)
-    if not report.ok:
+    if not check_hausdorff(m).passed:
         raise InputError("sequence fails the moment condition")
     if grid < 1:
         raise InputError("grid size must be at least 1")
@@ -162,20 +165,25 @@ def hausdorff_reconstruct(m: MomentSequence, grid: int) -> DiscreteMeasure:
         Fraction(math.comb(grid, j)) * (-1) ** (grid - j) * table.entry(grid - j, j)
         for j in range(grid + 1)
     )
-    assert all(w >= 0 for w in masses) and sum(masses) == ONE
+    if any(w < 0 for w in masses) or sum(masses) != ONE:
+        raise AssertionError("reconstructed masses are a probability vector")
     return grid_measure([Fraction(j, grid) for j in range(grid + 1)], masses)
+
+
+def verify_reconstruction(m: MomentSequence, grid: int) -> Verdict:
+    """Reconstruct on the grid and check the zeroth and first moments survive."""
+    mu = hausdorff_reconstruct(m, grid)
+    recovered = moments_of_measure(mu, min(m.order, 1))
+    ok = recovered.values[0] == m.values[0] and (
+        m.order == 0 or recovered.values[1] == m.values[1]
+    )
+    witnesses = [] if ok else [{"moment": "first moments not preserved"}]
+    return Verdict("pass" if ok else "fail", witnesses, {"grid": grid}, None, mu)
 
 
 # ---------------------------------------------------------------------------
 # Exact feasibility search
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FitResult:
-    feasible: bool
-    measure: Optional[DiscreteMeasure]
-    certificate: Optional[tuple[Fraction, ...]]  # Farkas row multipliers
 
 
 def _phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]):
@@ -229,18 +237,21 @@ def _phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]):
                 solution[var] = tableau[i][-1]
         return solution, None
     yvec = tuple(ONE - obj[cols + i] for i in range(rows))
-    assert sum((y * b for y, b in zip(yvec, rhs)), ZERO) > 0
+    if sum((y * b for y, b in zip(yvec, rhs)), ZERO) <= 0:
+        raise AssertionError("a Farkas certificate has y.b > 0")
     for j in range(cols):
-        dot = sum((yvec[i] * matrix[i][j] for i in range(rows)), ZERO)
-        assert dot <= 0
+        if sum((yvec[i] * matrix[i][j] for i in range(rows)), ZERO) > 0:
+            raise AssertionError("a Farkas certificate has y.A <= 0")
     return None, yvec
 
 
-def moment_fit_lp(m: MomentSequence, grid: int) -> FitResult:
+def moment_fit_lp(m: MomentSequence, grid: int) -> Verdict:
     """Search a grid measure with the given moments, or certify none exists.
 
     Equality constraints: total mass one plus one row per moment index.
-    Solved by exact rational pivoting; no floating point anywhere.
+    Solved by exact rational pivoting; no floating point anywhere.  The
+    result is the measure; an infeasible verdict's witness is the Farkas
+    certificate (row multipliers).
     """
     if m.order > MAX_FIT_MOMENTS:
         raise InputError(f"at most {MAX_FIT_MOMENTS + 1} moments are supported")
@@ -254,10 +265,11 @@ def moment_fit_lp(m: MomentSequence, grid: int) -> FitResult:
         rhs.append(m.values[k])
     solution, certificate = _phase_one(matrix, rhs)
     if solution is None:
-        return FitResult(False, None, certificate)
+        return Verdict("infeasible", [{"certificate": certificate}], {"grid": grid})
     mu = grid_measure(points, solution)
-    assert moments_of_measure(mu, m.order).values == m.values
-    return FitResult(True, mu, None)
+    if moments_of_measure(mu, m.order).values != m.values:
+        raise AssertionError("the fitted measure has the given moments")
+    return Verdict("pass", [], {"grid": grid}, None, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +318,6 @@ def _interval_pow(iv: tuple[Fraction, Fraction], exponent: Fraction, bits: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HolderReport:
-    verdict: str  # "pass" | "fail" | "inconclusive"
-    mode: str  # "exact" | "interval"
-    lhs: Fraction
-    rhs_low: Fraction
-    rhs_high: Fraction
-
-
 def _pointwise_data(s: State, a: Element):
     carrier = s.algebra.carrier
     if isinstance(carrier, FunctionAlgebra):
@@ -347,14 +350,15 @@ def holder_check(
     p: Fraction,
     q: Fraction,
     precision: int = DEFAULT_PRECISION,
-) -> HolderReport:
+) -> Verdict:
     """Check s(a.b) <= s(a^p)^(1/p) * s(b^q)^(1/q).
 
     The conjugate pair must satisfy 1/p + 1/q = 1 exactly.  With
-    p = q = 2 both sides are squared and compared in rationals; any
-    other pair goes through outward enclosures of the fractional powers
-    and may come back inconclusive at the requested precision, which is
-    the honest answer when the enclosures overlap.
+    p = q = 2 both sides are squared and compared in rationals (mode
+    "exact"); any other pair goes through outward enclosures of the
+    fractional powers (mode "interval") and may come back inconclusive
+    at the requested precision, which is the honest answer when the
+    enclosures overlap.  The result holds lhs, rhs_low and rhs_high.
     """
     if a.algebra != s.algebra or b.algebra != s.algebra:
         raise InputError("elements must live on the state's algebra")
@@ -369,7 +373,7 @@ def holder_check(
         sa = states.eval_state(s, core.prod(a, a))
         sb = states.eval_state(s, core.prod(b, b))
         verdict = "pass" if lhs * lhs <= sa * sb else "fail"
-        return HolderReport(verdict, "exact", lhs, sa * sb, sa * sb)
+        return _holder_verdict(verdict, "exact", precision, lhs, sa * sb, sa * sb)
 
     sa_iv = _power_state_bounds(s, a, p, precision)
     sb_iv = _power_state_bounds(s, b, q, precision)
@@ -382,4 +386,15 @@ def holder_check(
         verdict = "fail"
     else:
         verdict = "inconclusive"
-    return HolderReport(verdict, "interval", lhs, rhs[0], rhs[1])
+    return _holder_verdict(verdict, "interval", precision, lhs, rhs[0], rhs[1])
+
+
+def _holder_verdict(verdict, mode, precision, lhs, rhs_low, rhs_high) -> Verdict:
+    witnesses = [{"lhs": lhs, "rhs_high": rhs_high}] if verdict == "fail" else []
+    return Verdict(
+        verdict,
+        witnesses,
+        {"mode": mode, "precision": precision},
+        None,
+        {"lhs": lhs, "rhs_low": rhs_low, "rhs_high": rhs_high},
+    )

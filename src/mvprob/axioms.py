@@ -19,6 +19,7 @@ from . import core
 from .core import Algebra, Chang, ChangPair, Element, FunctionAlgebra, StandardUnit
 from .errors import InputError
 from .rationals import ZERO, format_rational, random_unit
+from .verdict import Verdict
 
 LEVELS = ("MV", "PMV", "RMV", "fMV")
 
@@ -96,8 +97,15 @@ def random_element(
     raise InputError(f"cannot sample from carrier {carrier!r}")
 
 
+def seeded(seed: Optional[int]) -> Random:
+    """The generator of a sampled sweep; sampling without a seed is refused."""
+    if seed is None:
+        raise InputError("this sweep samples an infinite carrier and needs a seed")
+    return Random(seed)
+
+
 # ---------------------------------------------------------------------------
-# Modes and reports
+# Modes
 # ---------------------------------------------------------------------------
 
 
@@ -113,16 +121,6 @@ class Sample:
 
 
 Mode = Union[Exhaustive, Sample]
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    level: str
-    mode: str
-    passed: bool
-    checks: int
-    witness: Optional[tuple[str, tuple[str, ...]]]
-    seed: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +343,13 @@ def _laws_for(level: str, ops: _Ops) -> list:
 
 def check_axioms(
     target: AxiomTarget, level: str = "MV", mode: Mode = Exhaustive()
-) -> AxiomReport:
+) -> Verdict:
     """Verify the laws of ``level`` on ``target``.
 
     Exhaustive mode enumerates every element tuple (finite carriers
     only); sample mode draws seeded random tuples, which is also the
     only way to quantify over scalars.  The first violated law is
-    reported with the witness tuple that broke it.
+    reported with the element texts (then scalars) that broke it.
     """
     ops = _Ops(target)
     laws = _laws_for(level, ops)
@@ -359,10 +357,10 @@ def check_axioms(
 
     if isinstance(mode, Exhaustive):
         if ops.elements is None:
-            raise InputError("exhaustive mode needs a finite carrier")
+            raise InputError("exhaustive mode needs a finite carrier; use sample mode")
         if needs_scalars:
             raise InputError(f"level {level} quantifies over scalars; use sample mode")
-        mode_name, seed = "exhaustive", None
+        seed = None
 
         def cases_of(arity: int, _scalar_arity: int):
             return (
@@ -372,7 +370,7 @@ def check_axioms(
     elif isinstance(mode, Sample):
         if mode.count < 1:
             raise InputError("sample count must be positive")
-        mode_name, seed = "sample", mode.seed
+        seed = mode.seed
         rng = Random(mode.seed)
         pool = [
             (
@@ -393,8 +391,10 @@ def check_axioms(
         for elems, scalars in cases_of(arity, scalar_arity):
             checks += 1
             if not law(ops, elems, scalars):
-                witness = tuple(ops.describe(x) for x in elems) + tuple(
+                witness = [ops.describe(x) for x in elems] + [
                     format_rational(s) for s in scalars
+                ]
+                return Verdict(
+                    "fail", [{"axiom": name, "elements": witness}], {"checks": checks}, seed
                 )
-                return AxiomReport(level, mode_name, False, checks, (name, witness), seed)
-    return AxiomReport(level, mode_name, True, checks, None, seed)
+    return Verdict("pass", [], {"checks": checks}, seed)

@@ -1,61 +1,64 @@
 """Batch front-end.
 
-Every command loads a document, runs one verification or construction,
-and prints a report on standard output: command echo, verdict, witnesses
-(never empty on a fail), check counts, and the seed when sampling was
-involved.  Reports are canonical JSON with rationals rendered as p/q
-strings, so identical input and seed give byte-identical output.
-Diagnostics go to standard error.  Exit codes: 0 pass, 1 failed
-verification (fail, infeasible, or inconclusive verdicts), 2 input or
-schema errors.
+Every command loads a document, resolves the names it is given, calls
+one library function and prints the `Verdict` it returns as a report
+on standard output: command echo, verdict, witnesses (never empty on a
+fail), check counts, and the seed when sampling was involved.  Reports
+are canonical JSON with rationals rendered as p/q strings, so identical
+input and seed give byte-identical output.  Diagnostics go to standard
+error.  Exit codes: 0 pass, 1 failed verification (fail, infeasible, or
+inconclusive verdicts), 2 input or schema errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
-from random import Random
 from typing import Optional
 
 from . import analysis, axioms, core, documents, independence, representation, spectra, states
 from .axioms import Exhaustive, Sample, TableAlgebra
-from .core import Chang, Element
+from .core import Algebra, Element
 from .errors import InputError
-from .rationals import ZERO, format_rational, parse_rational
-from .states import State
-
-CHANG_SWEEP_BOUND = 16  # deterministic slice of infinitesimal indices
-
-
-@dataclass
-class Report:
-    command: str
-    verdict: str  # pass | fail | infeasible | inconclusive
-    witnesses: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
-    seed: Optional[int] = None
-    result: Optional[dict] = None
+from .rationals import format_rational, parse_rational
+from .states import DiscreteMeasure
+from .verdict import Verdict
 
 
-def render_report(report: Report) -> str:
+def _json_form(value):
+    # the JSON form of a value a verdict may hold that JSON has no type for
+    if isinstance(value, Element):
+        return core.format_element(value)
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, DiscreteMeasure):
+        return {"atoms": value.atoms, "weights": value.weights}
+    if isinstance(value, spectra.Ideal):
+        return spectra.listing(value)
+    if isinstance(value, Algebra):
+        return documents.serialize_algebra(value)
+    raise TypeError(f"a report cannot hold a {type(value).__name__}")
+
+
+def render_report(command: str, verdict: Verdict) -> str:
+    """The canonical JSON report of ``verdict`` under the echo ``command``."""
     payload = {
-        "command": report.command,
-        "verdict": report.verdict,
-        "witnesses": report.witnesses,
-        "metrics": report.metrics,
-        "seed": report.seed,
+        "command": command,
+        "verdict": verdict.verdict,
+        "witnesses": verdict.witnesses,
+        "metrics": verdict.metrics,
+        "seed": verdict.seed,
     }
-    if report.result is not None:
-        payload["result"] = report.result
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if verdict.result is not None:
+        payload["result"] = verdict.result
+    return json.dumps(payload, sort_keys=True, indent=2, default=_json_form) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Document plumbing
+# Name resolution
 # ---------------------------------------------------------------------------
 
 
@@ -66,7 +69,7 @@ def _load_document(path: str) -> documents.Document:
         raise InputError(f"cannot read document {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"document {path} is not valid JSON: {exc}") from exc
     return documents.parse_document(raw)
 
@@ -83,511 +86,129 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-# ---------------------------------------------------------------------------
-# check-axioms
-# ---------------------------------------------------------------------------
-
-
-def _cmd_check_axioms(doc: documents.Document, args) -> Report:
-    target = _named(doc.algebras, args.algebra, "algebra")
-    if args.mode == "exhaustive":
-        mode: axioms.Mode = Exhaustive()
-        echo = f"check-axioms {args.algebra} --level {args.level} --mode exhaustive"
-        seed = None
-    else:
-        seed = _require_seed(args)
-        mode = Sample(args.count, seed)
-        echo = (
-            f"check-axioms {args.algebra} --level {args.level}"
-            f" --mode sample --count {args.count}"
+def _bilinear_constructor(doc: documents.Document, name: str):
+    """How to build the named map from a product space and its representations."""
+    spec = _named(doc.bilinear, name, "bilinear map")
+    if spec.kind == "beta":
+        return independence.beta_bilinear
+    if spec.kind == "state-product":
+        return lambda space, rep_a, rep_b: independence.state_product_bilinear(
+            rep_a.state, rep_b.state
         )
-    if (
-        isinstance(mode, Exhaustive)
-        and not isinstance(target, TableAlgebra)
-        and not core.is_finite(target)
-    ):
-        raise InputError("exhaustive mode needs a finite carrier; use --mode sample")
-    report = axioms.check_axioms(target, args.level, mode)
-    witnesses = []
-    if report.witness is not None:
-        witnesses.append(
-            {"axiom": report.witness[0], "elements": list(report.witness[1])}
+    if spec.kind == "left-scaling":
+        return lambda space, rep_a, rep_b: independence.left_scaling_bilinear(
+            rep_a, rep_b.state
         )
-    return Report(
-        echo,
-        "pass" if report.passed else "fail",
-        witnesses,
-        {"checks": report.checks},
-        seed,
+    codomain = doc.states[spec.codomain]
+    return lambda space, rep_a, rep_b: independence.table_bilinear(
+        rep_a.state, rep_b.state, codomain, spec.entries, spec.bound
     )
 
 
 # ---------------------------------------------------------------------------
-# state subcommands
+# Commands
 # ---------------------------------------------------------------------------
 
 
-def _metric_cases(s: State, args):
-    algebra = s.algebra
-    if core.is_finite(algebra):
-        pool = core.enumerate_carrier(algebra)
-        return (
-            list(itertools.product(pool, repeat=2)),
-            list(itertools.product(pool, repeat=3)),
-            None,
-        )
-    seed = _require_seed(args)
-    rng = Random(seed)
-    pairs = [
-        (axioms.random_element(rng, algebra), axioms.random_element(rng, algebra))
-        for _ in range(args.samples)
-    ]
-    triples = [
-        (
-            axioms.random_element(rng, algebra),
-            axioms.random_element(rng, algebra),
-            axioms.random_element(rng, algebra),
-        )
-        for _ in range(args.samples)
-    ]
-    return pairs, triples, seed
+def _cmd_check_axioms(doc: documents.Document, args) -> Verdict:
+    target = _named(doc.algebras, args.algebra, "algebra")
+    if args.mode == "exhaustive":
+        return axioms.check_axioms(target, args.level, Exhaustive())
+    return axioms.check_axioms(target, args.level, Sample(args.count, _require_seed(args)))
 
 
-def _cmd_state(doc: documents.Document, args) -> Report:
+def _cmd_state(doc: documents.Document, args) -> Verdict:
     s = _named(doc.states, args.state, "state")
     if args.action == "eval":
         if args.element is None:
             raise InputError("state eval needs an element name")
-        e = _named(doc.elements, args.element, "element")
-        value = states.eval_state(s, e)
-        return Report(
-            f"state eval {args.state} {args.element}",
-            "pass",
-            [],
-            {"checks": 1},
-            None,
-            {"value": format_rational(value)},
-        )
+        value = states.eval_state(s, _named(doc.elements, args.element, "element"))
+        return Verdict("pass", [], {"checks": 1}, None, {"value": value})
     if args.action == "faithful":
-        report = states.is_faithful(s)
-        witnesses = []
-        if not report.faithful:
-            witnesses.append({"element": core.format_element(report.witness)})
-        return Report(
-            f"state faithful {args.state}",
-            "pass" if report.faithful else "fail",
-            witnesses,
-            {"checks": 1},
-            None,
-        )
+        return states.is_faithful(s)
     if args.action == "metric":
-        pairs, triples, seed = _metric_cases(s, args)
-        echo = f"state metric {args.state}"
-        for a, b in pairs:
-            if states.rho(s, a, b) != states.rho(s, b, a) or states.rho(s, a, a) != ZERO:
-                return Report(
-                    echo, "fail",
-                    [{"pair": [core.format_element(a), core.format_element(b)]}],
-                    {"pairs": len(pairs)}, seed,
-                )
-        for a, b, c in triples:
-            if states.rho(s, a, c) > states.rho(s, a, b) + states.rho(s, b, c):
-                return Report(
-                    echo, "fail",
-                    [{"triple": [core.format_element(x) for x in (a, b, c)]}],
-                    {"pairs": len(pairs), "triples": len(triples)}, seed,
-                )
-        faithful = states.is_faithful(s)
-        if faithful.faithful:
-            separating = all(
-                states.rho(s, a, b) > ZERO for a, b in pairs if a != b
-            )
-        else:
-            witness = faithful.witness
-            separating = states.rho(s, witness, core.zero(s.algebra)) > ZERO
-        if separating != faithful.faithful:
-            return Report(
-                echo, "fail",
-                [{"separation": "does not match faithfulness"}],
-                {"pairs": len(pairs), "triples": len(triples)}, seed,
-            )
-        return Report(
-            echo, "pass", [],
-            {
-                "pairs": len(pairs),
-                "triples": len(triples),
-                "faithful": faithful.faithful,
-                "separates": separating,
-            },
-            seed,
-        )
-    if args.action == "quotient":
-        quotient = states.state_quotient(s.algebra, s)
-        checks = 0
-        if core.is_finite(s.algebra):
-            for a in core.enumerate_carrier(s.algebra):
-                checks += 1
-                if states.eval_state(quotient.state, quotient.project(a)) != states.eval_state(s, a):
-                    return Report(
-                        f"state quotient {args.state}", "fail",
-                        [{"element": core.format_element(a)}], {"checks": checks}, None,
-                    )
-        elif isinstance(s.algebra.carrier, Chang):
-            for k in range(CHANG_SWEEP_BOUND + 1):
-                for e in (core.lower(s.algebra, k), core.upper(s.algebra, k)):
-                    checks += 1
-                    if states.eval_state(quotient.state, quotient.project(e)) != states.eval_state(s, e):
-                        return Report(
-                            f"state quotient {args.state}", "fail",
-                            [{"element": core.format_element(e)}], {"checks": checks}, None,
-                        )
-        faithful = states.is_faithful(quotient.state).faithful
-        return Report(
-            f"state quotient {args.state}",
-            "pass" if faithful else "fail",
-            [] if faithful else [{"quotient": "state is not faithful"}],
-            {"checks": checks, "complete": quotient.complete},
-            None,
-            {"algebra": documents.serialize_algebra(quotient.algebra)},
-        )
-    raise InputError(f"unknown state action {args.action!r}")
+        return states.verify_metric(s, args.samples, args.seed)
+    return states.verify_quotient(s)
 
 
-# ---------------------------------------------------------------------------
-# spectra subcommands
-# ---------------------------------------------------------------------------
-
-
-def _ideal_listing(i) -> object:
-    if isinstance(i.members, str):
-        return i.members
-    elements = sorted(
-        core.format_element(Element(i.algebra, p)) for p in i.members
-    )
-    return elements
-
-
-def _cmd_spectra(doc: documents.Document, args) -> Report:
+def _cmd_spectra(doc: documents.Document, args) -> Verdict:
     algebra = _named(doc.algebras, args.algebra, "algebra")
     if isinstance(algebra, TableAlgebra):
         raise InputError("spectra commands need a carrier algebra, not a table")
     if args.action == "ideals":
-        all_ideals = spectra.ideals(algebra)
-        maximal = spectra.maximal_ideals(algebra)
-        return Report(
-            f"spectra ideals {args.algebra}",
-            "pass",
-            [],
-            {"ideals": len(all_ideals), "maximal": len(maximal)},
-            None,
-            {
-                "ideals": [_ideal_listing(i) for i in all_ideals],
-                "maximal": [_ideal_listing(i) for i in maximal],
-            },
-        )
+        found, maximal = spectra.ideals(algebra), spectra.maximal_ideals(algebra)
+        counts = {"ideals": len(found), "maximal": len(maximal)}
+        return Verdict("pass", [], counts, None, {"ideals": found, "maximal": maximal})
     if args.action == "radical":
-        rad = spectra.radical(algebra)
-        return Report(
-            f"spectra radical {args.algebra}",
-            "pass",
-            [],
-            {"checks": 1},
-            None,
-            {"radical": _ideal_listing(rad)},
-        )
-    if args.action == "semisimple":
-        semisimple = spectra.is_semisimple(algebra)
-        witnesses = []
-        if not semisimple:
-            rad = spectra.radical(algebra)
-            witness = (
-                core.format_element(core.lower(algebra, 1))
-                if rad.members == spectra.CHANG_RADICAL
-                else sorted(
-                    core.format_element(Element(algebra, p)) for p in rad.members
-                )[1]
-            )
-            witnesses.append({"radical-element": witness})
-        return Report(
-            f"spectra semisimple {args.algebra}",
-            "pass" if semisimple else "fail",
-            witnesses,
-            {"checks": 1},
-            None,
-        )
-    raise InputError(f"unknown spectra action {args.action!r}")
+        return Verdict("pass", [], {"checks": 1}, None, {"radical": spectra.radical(algebra)})
+    return spectra.verify_semisimple(algebra)
 
 
-# ---------------------------------------------------------------------------
-# embed
-# ---------------------------------------------------------------------------
-
-
-def _integral_sweep(rep, s: State, args):
-    algebra = s.algebra
-    if core.is_finite(algebra):
-        return core.enumerate_carrier(algebra), None
-    if isinstance(algebra.carrier, Chang):
-        sweep = []
-        for k in range(CHANG_SWEEP_BOUND + 1):
-            sweep.append(core.lower(algebra, k))
-            sweep.append(core.upper(algebra, k))
-        return sweep, None
-    seed = _require_seed(args)
-    rng = Random(seed)
-    return [axioms.random_element(rng, algebra) for _ in range(args.samples)], seed
-
-
-def _cmd_embed(doc: documents.Document, args) -> Report:
+def _cmd_embed(doc: documents.Document, args) -> Verdict:
     algebra = _named(doc.algebras, args.algebra, "algebra")
-    if isinstance(algebra, TableAlgebra):
-        raise InputError("embed needs a carrier algebra, not a table")
     s = _named(doc.states, args.state, "state")
-    if s.algebra != algebra:
-        raise InputError(f"state {args.state!r} does not live on {args.algebra!r}")
-    rep = representation.embed_l1(algebra, s)
-    sweep, seed = _integral_sweep(rep, s, args)
-    echo = f"embed {args.algebra} {args.state}"
-    for a in sweep:
-        if representation.integral(rep, a) != states.eval_state(s, a):
-            return Report(
-                echo, "fail",
-                [{"element": core.format_element(a)}],
-                {"elements_checked": len(sweep)}, seed,
-            )
-    faithful = states.is_faithful(s).faithful
-    return Report(
-        echo,
-        "pass",
-        [],
-        {
-            "elements_checked": len(sweep),
-            "injective": rep.injective,
-            "faithful": faithful,
-        },
-        seed,
-        {
-            "atoms": list(rep.measure.atoms),
-            "weights": [format_rational(w) for w in rep.measure.weights],
-        },
-    )
+    return representation.verify_embedding(algebra, s, args.samples, args.seed)
 
 
-# ---------------------------------------------------------------------------
-# moments
-# ---------------------------------------------------------------------------
-
-
-def _moment_sequence(doc: documents.Document, name: str) -> analysis.MomentSequence:
-    return analysis.MomentSequence(_named(doc.moments, name, "moment sequence"))
-
-
-def _measure_result(mu) -> dict:
-    return {
-        "atoms": list(mu.atoms),
-        "weights": [format_rational(w) for w in mu.weights],
-    }
-
-
-def _cmd_moments(doc: documents.Document, args) -> Report:
-    if args.action == "check":
-        m = _moment_sequence(doc, args.name)
-        report = analysis.check_hausdorff(m)
-        witnesses = []
-        if not report.ok:
-            witness = {"reason": report.reason}
-            if report.position is not None:
-                witness["position"] = list(report.position)
-            witnesses.append(witness)
-        return Report(
-            f"moments check {args.name}",
-            "pass" if report.ok else "fail",
-            witnesses,
-            {"entries": (m.order + 1) * (m.order + 2) // 2},
-            None,
-        )
+def _cmd_moments(doc: documents.Document, args) -> Verdict:
     if args.action == "of-measure":
         mu = _named(doc.measures, args.name, "measure")
-        m = analysis.moments_of_measure(mu, args.order)
-        report = analysis.check_hausdorff(m)
-        return Report(
-            f"moments of-measure {args.name} --order {args.order}",
-            "pass" if report.ok else "fail",
-            [] if report.ok else [{"reason": report.reason}],
-            {"order": args.order},
-            None,
-            {"moments": [format_rational(v) for v in m.values]},
-        )
+        return analysis.verify_measure_moments(mu, args.order)
+    m = analysis.MomentSequence(_named(doc.moments, args.name, "moment sequence"))
+    if args.action == "check":
+        return analysis.check_hausdorff(m)
     if args.action == "reconstruct":
-        m = _moment_sequence(doc, args.name)
-        mu = analysis.hausdorff_reconstruct(m, args.grid)
-        recovered = analysis.moments_of_measure(mu, min(m.order, 1))
-        ok = recovered.values[0] == m.values[0] and (
-            m.order == 0 or recovered.values[1] == m.values[1]
-        )
-        return Report(
-            f"moments reconstruct {args.name} --grid {args.grid}",
-            "pass" if ok else "fail",
-            [] if ok else [{"moment": "first moments not preserved"}],
-            {"grid": args.grid},
-            None,
-            _measure_result(mu),
-        )
-    if args.action == "fit":
-        m = _moment_sequence(doc, args.name)
-        fit = analysis.moment_fit_lp(m, args.grid)
-        echo = f"moments fit {args.name} --grid {args.grid}"
-        if fit.feasible:
-            return Report(
-                echo, "pass", [], {"grid": args.grid}, None, _measure_result(fit.measure)
-            )
-        return Report(
-            echo,
-            "infeasible",
-            [{"certificate": [format_rational(y) for y in fit.certificate]}],
-            {"grid": args.grid},
-            None,
-        )
-    raise InputError(f"unknown moments action {args.action!r}")
+        return analysis.verify_reconstruction(m, args.grid)
+    return analysis.moment_fit_lp(m, args.grid)
 
 
-# ---------------------------------------------------------------------------
-# holder
-# ---------------------------------------------------------------------------
-
-
-def _cmd_holder(doc: documents.Document, args) -> Report:
+def _cmd_holder(doc: documents.Document, args) -> Verdict:
     s = _named(doc.states, args.state, "state")
     a = _named(doc.elements, args.left, "element")
     b = _named(doc.elements, args.right, "element")
-    p = parse_rational(args.p)
-    q = parse_rational(args.q)
-    report = analysis.holder_check(s, a, b, p, q, precision=args.precision)
-    echo = f"holder {args.state} {args.left} {args.right} --p {args.p} --q {args.q}"
-    witnesses = []
-    if report.verdict == "fail":
-        witnesses.append(
-            {"lhs": format_rational(report.lhs), "rhs_high": format_rational(report.rhs_high)}
-        )
-    return Report(
-        echo,
-        report.verdict,
-        witnesses,
-        {"mode": report.mode, "precision": args.precision},
-        None,
-        {
-            "lhs": format_rational(report.lhs),
-            "rhs_low": format_rational(report.rhs_low),
-            "rhs_high": format_rational(report.rhs_high),
-        },
-    )
+    p, q = parse_rational(args.p), parse_rational(args.q)
+    return analysis.holder_check(s, a, b, p, q, precision=args.precision)
 
 
-# ---------------------------------------------------------------------------
-# product
-# ---------------------------------------------------------------------------
-
-
-def _resolve_gamma(doc, spec_name, space, rep_a, rep_b):
-    spec = _named(doc.bilinear, spec_name, "bilinear map")
-    if spec.kind == "beta":
-        gamma = independence.beta_bilinear(space, rep_a, rep_b)
-    elif spec.kind == "state-product":
-        gamma = independence.state_product_bilinear(rep_a.state, rep_b.state)
-    elif spec.kind == "left-scaling":
-        gamma = independence.left_scaling_bilinear(rep_a, rep_b.state)
-    else:
-        cod_state = doc.states[spec.codomain]
-        lookup = dict(spec.entries)
-        missing = object()
-
-        def fn(a: Element, b: Element) -> Element:
-            payload = lookup.get((a.payload, b.payload), missing)
-            if payload is missing:
-                raise InputError(
-                    f"bilinear table misses ({core.format_element(a)}, "
-                    f"{core.format_element(b)})"
-                )
-            return Element(cod_state.algebra, payload)
-
-        gamma = independence.bilinear_map(
-            rep_a.state, rep_b.state, cod_state, fn, bound=spec.bound
-        )
-    if gamma.bound is None:
-        raise InputError("factorization needs a bounded bilinear map")
-    return gamma
-
-
-def _cmd_product(doc: documents.Document, args) -> Report:
+def _cmd_product(doc: documents.Document, args) -> Verdict:
     if args.action == "build":
         mu_a = _named(doc.measures, args.left, "measure")
         mu_b = _named(doc.measures, args.right, "measure")
-        space = independence.product_space(mu_a, mu_b)
-        left, right = independence.marginals(space)
-        ok = left == mu_a and right == mu_b
-        return Report(
-            f"product build {args.left} {args.right}",
-            "pass" if ok else "fail",
-            [] if ok else [{"marginals": "do not match the factors"}],
-            {"atoms": len(space.measure.atoms)},
-            None,
-            _measure_result(space.measure),
-        )
-
+        return independence.verify_marginals(mu_a, mu_b)
     s_a = _named(doc.states, args.left, "state")
     s_b = _named(doc.states, args.right, "state")
-    rep_a = representation.embed_l1(s_a.algebra, s_a)
-    rep_b = representation.embed_l1(s_b.algebra, s_b)
-    space = independence.space_of(rep_a, rep_b)
-
     if args.action == "verify-independence":
-        for s in (s_a, s_b):
-            if not core.is_finite(s.algebra):
-                raise InputError("the exhaustive independence sweep needs finite algebras")
-        echo = f"product verify-independence {args.left} {args.right}"
-        checked = 0
-        for a in core.enumerate_carrier(s_a.algebra):
-            for b in core.enumerate_carrier(s_b.algebra):
-                checked += 1
-                paired = states.eval_state(
-                    space.state, independence.beta(space, rep_a, rep_b, a, b)
-                )
-                expected = states.eval_state(s_a, a) * states.eval_state(s_b, b)
-                if paired != expected:
-                    return Report(
-                        echo, "fail",
-                        [{"pair": [core.format_element(a), core.format_element(b)]}],
-                        {"identities_checked": checked}, None,
-                    )
-        return Report(echo, "pass", [], {"identities_checked": checked}, None)
+        return independence.verify_independence(s_a, s_b)
+    if args.gamma is None:
+        raise InputError("product factorize needs a bilinear map name")
+    seed = _require_seed(args)
+    construct = _bilinear_constructor(doc, args.gamma)
+    return independence.verify_universal_factorization(s_a, s_b, construct, args.samples, seed)
 
-    if args.action == "factorize":
-        if args.gamma is None:
-            raise InputError("product factorize needs a bilinear map name")
-        seed = _require_seed(args)
-        gamma = _resolve_gamma(doc, args.gamma, space, rep_a, rep_b)
-        rep_c = representation.embed_l1(gamma.codomain.algebra, gamma.codomain)
-        fact = independence.factorize(gamma, space, rep_a, rep_b, rep_c)
-        report = independence.verify_factorization(
-            fact, gamma, rep_a, rep_b, rep_c, samples=args.samples, seed=seed
+
+def _echo(args) -> str:
+    """The command as the report echoes it: no document path, no global flags."""
+    if args.command == "check-axioms":
+        count = f" --count {args.count}" if args.mode == "sample" else ""
+        words = f"{args.algebra} --level {args.level} --mode {args.mode}{count}"
+    elif args.command == "state":
+        element = f" {args.element}" if args.action == "eval" else ""
+        words = f"{args.action} {args.state}{element}"
+    elif args.command == "spectra":
+        words = f"{args.action} {args.algebra}"
+    elif args.command == "embed":
+        words = f"{args.algebra} {args.state}"
+    elif args.command == "moments":
+        flag = {"of-measure": f" --order {args.order}", "check": ""}.get(
+            args.action, f" --grid {args.grid}"
         )
-        echo = f"product factorize {args.left} {args.right} {args.gamma}"
-        witnesses = []
-        if not report.passed:
-            witnesses.append({"check": list(report.witness)})
-        return Report(
-            echo,
-            "pass" if report.passed else "fail",
-            witnesses,
-            {
-                "pairs_checked": report.pairs_checked,
-                "linearity_checks": report.linearity_checks,
-                "bound_checks": report.bound_checks,
-                "uniqueness_checks": report.uniqueness_checks,
-            },
-            seed,
-        )
-    raise InputError(f"unknown product action {args.action!r}")
+        words = f"{args.action} {args.name}{flag}"
+    elif args.command == "holder":
+        words = f"{args.state} {args.left} {args.right} --p {args.p} --q {args.q}"
+    else:
+        gamma = f" {args.gamma}" if args.action == "factorize" else ""
+        words = f"{args.action} {args.left} {args.right}{gamma}"
+    return f"{args.command} {words}"
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +311,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         doc = _load_document(args.doc)
-        report = _HANDLERS[args.command](doc, args)
+        verdict = _HANDLERS[args.command](doc, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = render_report(report)
+    text = render_report(_echo(args), verdict)
     sys.stdout.write(text)
     if args.out:
         try:
@@ -702,4 +323,4 @@ def main(argv: Optional[list[str]] = None) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
-    return 0 if report.verdict == "pass" else 1
+    return 0 if verdict.passed else 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InputError, UnsupportedCarrierError
 from .rationals import ONE, ZERO, format_rational, parse_unit, require_unit
@@ -43,7 +43,7 @@ class FiniteChain:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InputError("chain parameter must be an integer >= 1")
 
 
@@ -84,7 +84,7 @@ class ChangPair:
     def __post_init__(self) -> None:
         if self.side not in (LOWER, UPPER):
             raise InputError(f"Chang side must be 'lower' or 'upper', got {self.side!r}")
-        if not isinstance(self.k, int) or self.k < 0:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise InputError("Chang index must be a natural number")
 
 
@@ -342,6 +342,14 @@ def partial_add(a: Element, b: Element) -> Optional[Element]:
     return oplus(a, b)
 
 
+def summable_pairs(elements: Sequence[Element]) -> Iterator[tuple[Element, Element]]:
+    """Every pair (a, b) of ``elements``, in order, whose partial sum is defined."""
+    for a in elements:
+        for b in elements:
+            if leq(a, neg(b)):
+                yield a, b
+
+
 def nat_mul(n: int, a: Element) -> Optional[Element]:
     """n-fold partial sum a + ... + a, undefined as soon as a step is."""
     if n < 1:
@@ -422,6 +430,26 @@ def enumerate_carrier(algebra: Algebra) -> list[Element]:
             for combo in itertools.product(levels, repeat=len(carrier.atoms))
         ]
     raise UnsupportedCarrierError(f"carrier {carrier} is not finite")
+
+
+CHANG_SWEEP_BOUND = 16  # deterministic slice of infinitesimal indices
+
+
+def sweep_elements(algebra: Algebra) -> Optional[list[Element]]:
+    """The elements a deterministic sweep covers, or ``None``.
+
+    That is the whole carrier when it is finite, and lower(k), upper(k)
+    for k up to `CHANG_SWEEP_BOUND` on the Chang algebra.
+    """
+    if is_finite(algebra):
+        return enumerate_carrier(algebra)
+    if isinstance(algebra.carrier, Chang):
+        return [
+            e
+            for k in range(CHANG_SWEEP_BOUND + 1)
+            for e in (lower(algebra, k), upper(algebra, k))
+        ]
+    return None
 
 
 # ---------------------------------------------------------------------------

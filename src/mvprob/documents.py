@@ -54,6 +54,8 @@ class Document:
 
 
 def parse_element_text(algebra: Algebra, text: str) -> Element:
+    if not isinstance(text, str):
+        raise InputError(f"element texts are strings, got {text!r}")
     carrier = algebra.carrier
     if isinstance(carrier, FunctionAlgebra):
         if not (text.startswith("(") and text.endswith(")")):
@@ -62,8 +64,9 @@ def parse_element_text(algebra: Algebra, text: str) -> Element:
         return core.element(algebra, [parse_unit(p) for p in parts])
     if isinstance(carrier, Chang):
         for side in (core.LOWER, core.UPPER):
-            if text.startswith(side + "(") and text.endswith(")"):
-                return Element(algebra, ChangPair(side, int(text[len(side) + 1 : -1])))
+            index = text[len(side) + 1 : -1]
+            if text == f"{side}({index})" and index.isascii() and index.isdigit():
+                return Element(algebra, ChangPair(side, int(index)))
         raise InputError(f"Chang elements look like lower(k)/upper(k), got {text!r}")
     return core.element(algebra, parse_unit(text))
 
@@ -73,10 +76,34 @@ def parse_element_text(algebra: Algebra, text: str) -> Element:
 # ---------------------------------------------------------------------------
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise InputError(f"{where}: missing field {key!r}")
-    return mapping[key]
+# (what a field must be, the test); a null field counts as absent
+_TEXT = ("a string", lambda v: isinstance(v, str))
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_FLAG = ("true or false", lambda v: isinstance(v, bool))
+_MAPPING = ("a mapping", lambda v: isinstance(v, dict))
+_TEXTS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+_ROWS = ("a list of lists of strings", lambda v: isinstance(v, list) and all(map(_TEXTS[1], v)))
+_REQUIRED = object()
+
+
+def _field(raw: dict, key: str, where: str, kind, default=_REQUIRED):
+    value = raw.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InputError(f"{where}: missing field {key!r}")
+        return default
+    if not kind[1](value):
+        raise InputError(f"{where}.{key} must be {kind[0]}")
+    return value
+
+
+def _section(raw: dict, key: str, kind=_MAPPING) -> dict:
+    """A document section: a mapping from names to values of ``kind``."""
+    section = _field(raw, key, "document", _MAPPING, {})
+    for name, value in section.items():
+        if not kind[1](value):
+            raise InputError(f"{key}.{name} must be {kind[0]}")
+    return section
 
 
 def _parse_value_carrier(raw, where: str):
@@ -89,30 +116,30 @@ def _parse_value_carrier(raw, where: str):
 
 def _parse_algebra(name: str, raw: dict) -> AlgebraLike:
     where = f"algebras.{name}"
-    kind = _require(raw, "kind", where)
+    kind = _field(raw, "kind", where, _TEXT)
     if kind == "standard":
         return Algebra(
             StandardUnit(),
-            internal_product=raw.get("product", True),
-            scalar_action=raw.get("scalars", True),
+            internal_product=_field(raw, "product", where, _FLAG, True),
+            scalar_action=_field(raw, "scalars", where, _FLAG, True),
         )
     if kind == "chain":
-        n = _require(raw, "n", where)
+        n = _field(raw, "n", where, _INTEGER)
         carrier = FiniteChain(n)
-        return Algebra(carrier, internal_product=raw.get("product", n == 1))
+        return Algebra(carrier, internal_product=_field(raw, "product", where, _FLAG, n == 1))
     if kind == "function":
-        atoms = tuple(_require(raw, "atoms", where))
+        atoms = tuple(_field(raw, "atoms", where, _TEXTS))
         value = _parse_value_carrier(raw.get("value"), where)
         return core.function_algebra(
             atoms,
             value,
-            internal_product=raw.get("product"),
-            scalar_action=raw.get("scalars"),
+            internal_product=_field(raw, "product", where, _FLAG, None),
+            scalar_action=_field(raw, "scalars", where, _FLAG, None),
         )
     if kind == "chang":
         return core.chang()
     if kind == "table":
-        names = tuple(_require(raw, "elements", where))
+        names = tuple(_field(raw, "elements", where, _TEXTS))
         index = {n: i for i, n in enumerate(names)}
 
         def resolve(entry: str) -> int:
@@ -121,30 +148,30 @@ def _parse_algebra(name: str, raw: dict) -> AlgebraLike:
             return index[entry]
 
         oplus = tuple(
-            tuple(resolve(v) for v in row) for row in _require(raw, "oplus", where)
+            tuple(resolve(v) for v in row) for row in _field(raw, "oplus", where, _ROWS)
         )
-        neg = tuple(resolve(v) for v in _require(raw, "neg", where))
-        prod = raw.get("prod")
+        neg = tuple(resolve(v) for v in _field(raw, "neg", where, _TEXTS))
+        prod = _field(raw, "prod", where, _ROWS, None)
         if prod is not None:
             prod = tuple(tuple(resolve(v) for v in row) for row in prod)
+        zero = _field(raw, "zero", where, _TEXT, None)
         return TableAlgebra(
-            names, oplus, neg, zero=resolve(raw.get("zero", names[0])), prod_table=prod
+            names, oplus, neg, zero=0 if zero is None else resolve(zero), prod_table=prod
         )
     raise InputError(f"{where}: unknown kind {kind!r}")
 
 
 def _parse_element(name: str, raw: dict, algebras: dict) -> Element:
     where = f"elements.{name}"
-    algebra = _resolve_algebra(_require(raw, "algebra", where), algebras, where)
+    algebra = _resolve_algebra(_field(raw, "algebra", where, _TEXT), algebras, where)
     carrier = algebra.carrier
     if isinstance(carrier, Chang):
-        return Element(
-            algebra, ChangPair(_require(raw, "side", where), _require(raw, "k", where))
-        )
+        side = _field(raw, "side", where, _TEXT)
+        return Element(algebra, ChangPair(side, _field(raw, "k", where, _INTEGER)))
     if isinstance(carrier, FunctionAlgebra):
-        values = [parse_unit(v) for v in _require(raw, "values", where)]
+        values = [parse_unit(v) for v in _field(raw, "values", where, _TEXTS)]
         return core.element(algebra, values)
-    return core.element(algebra, parse_unit(_require(raw, "value", where)))
+    return core.element(algebra, parse_unit(_field(raw, "value", where, _TEXT)))
 
 
 def _resolve_algebra(name: str, algebras: dict, where: str) -> Algebra:
@@ -158,17 +185,17 @@ def _resolve_algebra(name: str, algebras: dict, where: str) -> Algebra:
 
 def _parse_measure(name: str, raw: dict) -> DiscreteMeasure:
     where = f"measures.{name}"
-    atoms = tuple(_require(raw, "atoms", where))
-    weights = tuple(parse_unit(w) for w in _require(raw, "weights", where))
+    atoms = tuple(_field(raw, "atoms", where, _TEXTS))
+    weights = tuple(parse_unit(w) for w in _field(raw, "weights", where, _TEXTS))
     return DiscreteMeasure(atoms, weights)
 
 
 def _parse_state(name: str, raw: dict, algebras: dict, measures: dict) -> State:
     where = f"states.{name}"
-    algebra = _resolve_algebra(_require(raw, "algebra", where), algebras, where)
-    rule = _require(raw, "rule", where)
+    algebra = _resolve_algebra(_field(raw, "algebra", where, _TEXT), algebras, where)
+    rule = _field(raw, "rule", where, _TEXT)
     if rule == "measure":
-        measure_name = _require(raw, "measure", where)
+        measure_name = _field(raw, "measure", where, _TEXT)
         if measure_name not in measures:
             raise InputError(f"{where}: unknown measure {measure_name!r}")
         return states.measure_state(algebra, measures[measure_name])
@@ -179,7 +206,7 @@ def _parse_state(name: str, raw: dict, algebras: dict, measures: dict) -> State:
     if rule == "table":
         table = {
             parse_element_text(algebra, key).payload: parse_unit(value)
-            for key, value in _require(raw, "values", where).items()
+            for key, value in _field(raw, "values", where, _MAPPING).items()
         }
         return states.table_state(algebra, table)
     raise InputError(f"{where}: unknown rule {rule!r}")
@@ -187,23 +214,23 @@ def _parse_state(name: str, raw: dict, algebras: dict, measures: dict) -> State:
 
 def _parse_bilinear(name: str, raw: dict, doc_states: dict, algebras: dict) -> BilinearSpec:
     where = f"bilinear.{name}"
-    kind = _require(raw, "kind", where)
-    left = _require(raw, "left", where)
-    right = _require(raw, "right", where)
+    kind = _field(raw, "kind", where, _TEXT)
+    left = _field(raw, "left", where, _TEXT)
+    right = _field(raw, "right", where, _TEXT)
     for ref in (left, right):
         if ref not in doc_states:
             raise InputError(f"{where}: unknown state {ref!r}")
     if kind in ("beta", "state-product", "left-scaling"):
         return BilinearSpec(kind, left, right)
     if kind == "table":
-        codomain = _require(raw, "codomain", where)
+        codomain = _field(raw, "codomain", where, _TEXT)
         if codomain not in doc_states:
             raise InputError(f"{where}: unknown state {codomain!r}")
         left_algebra = doc_states[left].algebra
         right_algebra = doc_states[right].algebra
         cod_algebra = doc_states[codomain].algebra
         entries = []
-        for key, value in _require(raw, "entries", where).items():
+        for key, value in _field(raw, "entries", where, _MAPPING).items():
             try:
                 a_text, b_text = key.split(";")
             except ValueError:
@@ -218,7 +245,12 @@ def _parse_bilinear(name: str, raw: dict, doc_states: dict, algebras: dict) -> B
                 )
             )
         return BilinearSpec(
-            kind, left, right, codomain, raw.get("bound"), tuple(sorted(entries, key=repr))
+            kind,
+            left,
+            right,
+            codomain,
+            _field(raw, "bound", where, _INTEGER, None),
+            tuple(sorted(entries, key=repr)),
         )
     raise InputError(f"{where}: unknown kind {kind!r}")
 
@@ -234,28 +266,26 @@ def parse_document(raw: dict) -> Document:
         if key not in known:
             raise InputError(f"unknown document section {key!r}")
     algebras = {
-        name: _parse_algebra(name, spec)
-        for name, spec in raw.get("algebras", {}).items()
+        name: _parse_algebra(name, spec) for name, spec in _section(raw, "algebras").items()
     }
     measures = {
-        name: _parse_measure(name, spec)
-        for name, spec in raw.get("measures", {}).items()
+        name: _parse_measure(name, spec) for name, spec in _section(raw, "measures").items()
     }
     elements = {
         name: _parse_element(name, spec, algebras)
-        for name, spec in raw.get("elements", {}).items()
+        for name, spec in _section(raw, "elements").items()
     }
     doc_states = {
         name: _parse_state(name, spec, algebras, measures)
-        for name, spec in raw.get("states", {}).items()
+        for name, spec in _section(raw, "states").items()
     }
     moments = {
         name: tuple(parse_unit(v) for v in values)
-        for name, values in raw.get("moments", {}).items()
+        for name, values in _section(raw, "moments", _TEXTS).items()
     }
     bilinear = {
         name: _parse_bilinear(name, spec, doc_states, algebras)
-        for name, spec in raw.get("bilinear", {}).items()
+        for name, spec in _section(raw, "bilinear").items()
     }
     return Document(version, algebras, elements, measures, doc_states, moments, bilinear)
 

@@ -23,6 +23,7 @@ from .errors import InputError, NoLimitError
 from .rationals import ONE, ZERO, random_unit
 from .representation import MeasureRepresentation
 from .states import DiscreteMeasure, State
+from .verdict import Verdict
 
 # ---------------------------------------------------------------------------
 # Product spaces
@@ -71,6 +72,19 @@ def marginals(space: ProductSpace) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     )
 
 
+def verify_marginals(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure) -> Verdict:
+    """Build the product measure and check that its marginals are the factors."""
+    space = product_space(mu_a, mu_b)
+    ok = marginals(space) == (mu_a, mu_b)
+    return Verdict(
+        "pass" if ok else "fail",
+        [] if ok else [{"marginals": "do not match the factors"}],
+        {"atoms": len(space.measure.atoms)},
+        None,
+        space.measure,
+    )
+
+
 def tensor(space: ProductSpace, f: Element, g: Element) -> Element:
     """The pairing (f, g) -> f(x) * g(y) on atom pairs."""
     if core.atoms_of(f.algebra) != space.left.atoms:
@@ -98,6 +112,24 @@ def beta(
     return tensor(
         space, representation.represent(rep_a, a), representation.represent(rep_b, b)
     )
+
+
+def verify_independence(left: State, right: State) -> Verdict:
+    """Check s(beta(a, b)) = s_A(a) * s_B(b) for every pair of two finite algebras."""
+    for s in (left, right):
+        if not core.is_finite(s.algebra):
+            raise InputError("the exhaustive independence sweep needs finite algebras")
+    rep_a = representation.embed_l1(left.algebra, left)
+    rep_b = representation.embed_l1(right.algebra, right)
+    space = space_of(rep_a, rep_b)
+    checked = 0
+    for a in core.enumerate_carrier(left.algebra):
+        for b in core.enumerate_carrier(right.algebra):
+            checked += 1
+            paired = states.eval_state(space.state, beta(space, rep_a, rep_b, a, b))
+            if paired != states.eval_state(left, a) * states.eval_state(right, b):
+                return Verdict("fail", [{"pair": [a, b]}], {"identities_checked": checked})
+    return Verdict("pass", [], {"identities_checked": checked})
 
 
 # ---------------------------------------------------------------------------
@@ -160,116 +192,71 @@ def bilinear_map(
     if validate:
         report = check_bilinear(gamma, bound=bound)
         if not report.passed:
-            raise InputError(f"not bilinear: {report.witness}")
+            raise InputError(f"not bilinear: {report.witnesses[0]['check']}")
     return gamma
-
-
-@dataclass(frozen=True)
-class BilinearReport:
-    passed: bool
-    checks: int
-    witness: Optional[tuple[str, ...]]
 
 
 def check_bilinear(
     gamma: BilinearMap,
     bound: Optional[int] = None,
     bimorphism: bool = False,
-) -> BilinearReport:
-    """Verify slotwise linearity, optionally the bound and lattice laws."""
-    lookup = _lookup(gamma)
+) -> Verdict:
+    """Verify slotwise linearity, optionally the bound and lattice laws.
+
+    Each slotwise law is swept over the left slot, then the right.  A
+    failure's witness is ``{"check": (law, *element texts)}`` with the
+    arguments in (left, right) order.
+    """
+    table = _lookup(gamma)
     lefts = core.enumerate_carrier(gamma.left.algebra)
     rights = core.enumerate_carrier(gamma.right.algebra)
+    # a slot sweeps (x, x2) in it against every y in the other slot,
+    # looking values up by (x, y)
+    slots = (
+        ("left", lefts, rights, table),
+        ("right", rights, lefts, {(b, a): v for (a, b), v in table.items()}),
+    )
     checks = 0
 
-    def value(a, b):
-        return lookup[(a.payload, b.payload)]
+    def fail(*witness) -> Verdict:
+        return Verdict("fail", [{"check": witness}], {"checks": checks})
 
-    for a, a2 in itertools.product(lefts, repeat=2):
-        if not core.leq(a, core.neg(a2)):
-            continue
-        for b in rights:
-            checks += 1
-            total = value(core.oplus(a, a2), b)
-            parts = core.partial_add(value(a, b), value(a2, b))
-            if parts is None or parts != total:
-                return BilinearReport(
-                    False,
-                    checks,
-                    (
-                        "left-linearity",
-                        core.format_element(a),
-                        core.format_element(a2),
-                        core.format_element(b),
-                    ),
+    def slot_fail(law: str, slot: str, x: Element, x2: Element, y: Element) -> Verdict:
+        args = (x, x2, y) if slot == "left" else (y, x, x2)
+        return fail(f"{slot}-{law}", *(core.format_element(e) for e in args))
+
+    for slot, varying, fixed, lookup in slots:
+        for x, x2 in core.summable_pairs(varying):
+            for y in fixed:
+                checks += 1
+                total = lookup[(core.oplus(x, x2).payload, y.payload)]
+                parts = core.partial_add(
+                    lookup[(x.payload, y.payload)], lookup[(x2.payload, y.payload)]
                 )
-    for b, b2 in itertools.product(rights, repeat=2):
-        if not core.leq(b, core.neg(b2)):
-            continue
-        for a in lefts:
-            checks += 1
-            total = value(a, core.oplus(b, b2))
-            parts = core.partial_add(value(a, b), value(a, b2))
-            if parts is None or parts != total:
-                return BilinearReport(
-                    False,
-                    checks,
-                    (
-                        "right-linearity",
-                        core.format_element(a),
-                        core.format_element(b),
-                        core.format_element(b2),
-                    ),
-                )
+                if parts is None or parts != total:
+                    return slot_fail("linearity", slot, x, x2, y)
     if bound is not None:
         if bound < 1:
-            return BilinearReport(False, checks, ("bound", str(bound)))
+            return fail("bound", str(bound))
         for a in lefts:
             sa = states.eval_state(gamma.left, a)
             for b in rights:
                 checks += 1
-                level = states.eval_state(
-                    gamma.codomain, value(a, b)
-                )
+                level = states.eval_state(gamma.codomain, table[(a.payload, b.payload)])
                 cap = min(bound * sa * states.eval_state(gamma.right, b), ONE)
                 if level > cap:
-                    return BilinearReport(
-                        False,
-                        checks,
-                        ("bound", core.format_element(a), core.format_element(b)),
-                    )
+                    return fail("bound", core.format_element(a), core.format_element(b))
     if bimorphism:
-        for a, a2 in itertools.product(lefts, repeat=2):
-            for b in rights:
-                checks += 1
-                if value(core.join(a, a2), b) != core.join(value(a, b), value(a2, b)):
-                    return BilinearReport(
-                        False, checks,
-                        ("left-join", core.format_element(a), core.format_element(a2),
-                         core.format_element(b)),
-                    )
-                if value(core.meet(a, a2), b) != core.meet(value(a, b), value(a2, b)):
-                    return BilinearReport(
-                        False, checks,
-                        ("left-meet", core.format_element(a), core.format_element(a2),
-                         core.format_element(b)),
-                    )
-        for b, b2 in itertools.product(rights, repeat=2):
-            for a in lefts:
-                checks += 1
-                if value(a, core.join(b, b2)) != core.join(value(a, b), value(a, b2)):
-                    return BilinearReport(
-                        False, checks,
-                        ("right-join", core.format_element(a), core.format_element(b),
-                         core.format_element(b2)),
-                    )
-                if value(a, core.meet(b, b2)) != core.meet(value(a, b), value(a, b2)):
-                    return BilinearReport(
-                        False, checks,
-                        ("right-meet", core.format_element(a), core.format_element(b),
-                         core.format_element(b2)),
-                    )
-    return BilinearReport(True, checks, None)
+        for slot, varying, fixed, lookup in slots:
+            for x, x2 in itertools.product(varying, repeat=2):
+                for y in fixed:
+                    checks += 1
+                    v, v2 = lookup[(x.payload, y.payload)], lookup[(x2.payload, y.payload)]
+                    if lookup[(core.join(x, x2).payload, y.payload)] != core.join(v, v2):
+                        return slot_fail("join", slot, x, x2, y)
+                    if lookup[(core.meet(x, x2).payload, y.payload)] != core.meet(v, v2):
+                        return slot_fail("meet", slot, x, x2, y)
+    return Verdict("pass", [], {"checks": checks})
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +277,26 @@ def beta_bilinear(
         lambda a, b: beta(space, rep_a, rep_b, a, b),
         bound=1,
     )
+
+
+def table_bilinear(
+    left: State,
+    right: State,
+    codomain: State,
+    entries: tuple[tuple[tuple[core.Payload, core.Payload], core.Payload], ...],
+    bound: Optional[int],
+) -> BilinearMap:
+    """The map given by explicit ((left, right), value) payload entries."""
+    lookup = dict(entries)
+
+    def fn(a: Element, b: Element) -> Element:
+        if (a.payload, b.payload) not in lookup:
+            raise InputError(
+                f"bilinear table misses ({core.format_element(a)}, {core.format_element(b)})"
+            )
+        return Element(codomain.algebra, lookup[(a.payload, b.payload)])
+
+    return bilinear_map(left, right, codomain, fn, bound=bound)
 
 
 def state_product_bilinear(left: State, right: State) -> BilinearMap:
@@ -351,15 +358,12 @@ def linear_map(
     table = tuple((a.payload, fn(a)) for a in elements)
     lookup = dict(table)
     if validate:
-        for a in elements:
-            for b in elements:
-                if core.leq(a, core.neg(b)):
-                    image = core.partial_add(lookup[a.payload], lookup[b.payload])
-                    if image is None or image != lookup[core.oplus(a, b).payload]:
-                        raise InputError(
-                            "not linear at "
-                            f"{core.format_element(a)} + {core.format_element(b)}"
-                        )
+        for a, b in core.summable_pairs(elements):
+            image = core.partial_add(lookup[a.payload], lookup[b.payload])
+            if image is None or image != lookup[core.oplus(a, b).payload]:
+                raise InputError(
+                    f"not linear at {core.format_element(a)} + {core.format_element(b)}"
+                )
     return LinearMap(domain, codomain, table)
 
 
@@ -393,13 +397,19 @@ def extend_linear_divisible(sigma: LinearMap) -> HullLinearMap:
 def apply_hull_linear(ext: HullLinearMap, f: Element) -> Element:
     if f.algebra != ext.domain:
         raise InputError("argument does not live on the extension's domain")
-    width = len(ext.columns[0])
-    acc = [ZERO] * width
-    for coefficient, column in zip(f.payload, ext.columns):
-        for i in range(width):
-            acc[i] += coefficient * column[i]
-    assert all(v <= ONE for v in acc)
-    return Element(ext.codomain, tuple(acc))
+    return _combine(ext.codomain, ext.columns, f.payload)
+
+
+def _combine(codomain: Algebra, columns, coefficients) -> Element:
+    """The exact combination sum_j coefficients[j] * columns[j] in ``codomain``."""
+    acc = [ZERO] * len(columns[0])
+    for coefficient, column in zip(coefficients, columns):
+        if coefficient != ZERO:
+            for i, v in enumerate(column):
+                acc[i] += coefficient * v
+    if any(v > ONE for v in acc):
+        raise AssertionError("a linear image of a unit vector stays in the unit cube")
+    return Element(codomain, tuple(acc))
 
 
 @dataclass(frozen=True)
@@ -442,19 +452,11 @@ def extend_bilinear_divisible(gamma: BilinearMap) -> HullBilinearMap:
 def apply_hull_bilinear(ext: HullBilinearMap, f: Element, g: Element) -> Element:
     if f.algebra != ext.left or g.algebra != ext.right:
         raise InputError("arguments do not live on the extension's domains")
-    width = len(ext.grid[0][0])
-    acc = [ZERO] * width
-    for cf, row in zip(f.payload, ext.grid):
-        if cf == ZERO:
-            continue
-        for cg, cell in zip(g.payload, row):
-            if cg == ZERO:
-                continue
-            scale = cf * cg
-            for i in range(width):
-                acc[i] += scale * cell[i]
-    assert all(v <= ONE for v in acc)
-    return Element(ext.codomain, tuple(acc))
+    return _combine(
+        ext.codomain,
+        [cell for row in ext.grid for cell in row],
+        [cf * cg for cf in f.payload for cg in g.payload],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +464,12 @@ def apply_hull_bilinear(ext: HullBilinearMap, f: Element, g: Element) -> Element
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
-    passed: bool
-    checks: int
-    witness: Optional[tuple[str, ...]]
-
-
-def lipschitz_check(gamma: BilinearMap, samples: int, seed: int) -> LipschitzReport:
+def lipschitz_check(gamma: BilinearMap, samples: int, seed: int) -> Verdict:
     """Exactly verify the continuity estimate on sampled quadruples.
 
     The codomain pseudo-distance of a pair of values is bounded by the
     truncated K-multiple of the truncated sum of the argument
-    pseudo-distances.
+    pseudo-distances.  A failure names the quadruple (a, a2, b, b2).
     """
     if gamma.bound is None:
         raise InputError("the Lipschitz estimate needs a bound")
@@ -496,14 +491,9 @@ def lipschitz_check(gamma: BilinearMap, samples: int, seed: int) -> LipschitzRep
         )
         rhs = min(gamma.bound * inner, ONE)
         if lhs > rhs:
-            return LipschitzReport(
-                False,
-                checks,
-                tuple(
-                    core.format_element(e) for e in (a, a2, b, b2)
-                ),
-            )
-    return LipschitzReport(True, checks, None)
+            witness = tuple(core.format_element(e) for e in (a, a2, b, b2))
+            return Verdict("fail", [{"quadruple": witness}], {"checks": checks}, seed)
+    return Verdict("pass", [], {"checks": checks}, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +513,7 @@ class AtomLinearMap:
 def apply_atom_linear(omega: AtomLinearMap, h: Element) -> Element:
     if h.algebra != omega.domain:
         raise InputError("argument does not live on the map's domain")
-    width = len(omega.images[0])
-    acc = [ZERO] * width
-    for coefficient, image in zip(h.payload, omega.images):
-        if coefficient == ZERO:
-            continue
-        for i in range(width):
-            acc[i] += coefficient * image[i]
-    assert all(v <= ONE for v in acc)
-    return Element(omega.codomain, tuple(acc))
+    return _combine(omega.codomain, omega.images, h.payload)
 
 
 @dataclass(frozen=True)
@@ -577,16 +559,6 @@ def factorize(
     return Factorization(omega, space, gamma.bound)
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    passed: bool
-    pairs_checked: int
-    linearity_checks: int
-    bound_checks: int
-    uniqueness_checks: int
-    witness: Optional[tuple[str, ...]]
-
-
 def _random_product_element(rng: Random, algebra: Algebra) -> Element:
     return Element(
         algebra, tuple(random_unit(rng) for _ in core.atoms_of(algebra))
@@ -601,31 +573,38 @@ def verify_factorization(
     rep_c: MeasureRepresentation,
     samples: int = 200,
     seed: int = 0,
-) -> FactorizationReport:
+) -> Verdict:
     """Certify the factorization: triangle, linearity, bound, uniqueness.
 
     Uniqueness is certified on the rational span: an independently
     constructed candidate (through the divisible extension of gamma,
     a different computation route) must agree on every atom indicator
-    and then on sampled rational combinations.
+    and then on sampled rational combinations.  A failure's witness is
+    ``{"check": (stage, *texts)}``.
     """
     omega, space = fact.omega, fact.space
     sc = states.measure_state(rep_c.target, rep_c.measure)
+    pairs = linearity = bound_checks = uniqueness = 0
 
-    pairs = 0
+    def verdict(*witness) -> Verdict:
+        counts = {
+            "pairs_checked": pairs,
+            "linearity_checks": linearity,
+            "bound_checks": bound_checks,
+            "uniqueness_checks": uniqueness,
+        }
+        witnesses = [{"check": witness}] if witness else []
+        return Verdict("fail" if witness else "pass", witnesses, counts, seed)
+
     for a in core.enumerate_carrier(gamma.left.algebra):
         for b in core.enumerate_carrier(gamma.right.algebra):
             pairs += 1
             through = apply_atom_linear(omega, beta(space, rep_a, rep_b, a, b))
             direct = representation.represent(rep_c, apply_bilinear(gamma, a, b))
             if through != direct:
-                return FactorizationReport(
-                    False, pairs, 0, 0, 0,
-                    ("triangle", core.format_element(a), core.format_element(b)),
-                )
+                return verdict("triangle", core.format_element(a), core.format_element(b))
 
     rng = Random(seed)
-    linearity = bound_checks = 0
     for _ in range(samples):
         h = _random_product_element(rng, space.algebra)
         room = core.neg(h)
@@ -639,18 +618,12 @@ def verify_factorization(
             apply_atom_linear(omega, h), apply_atom_linear(omega, h2)
         )
         if parts is None or parts != total:
-            return FactorizationReport(
-                False, pairs, linearity, 0, 0,
-                ("linearity", core.format_element(h), core.format_element(h2)),
-            )
+            return verdict("linearity", core.format_element(h), core.format_element(h2))
         bound_checks += 1
         level = states.eval_state(sc, apply_atom_linear(omega, h))
         cap = min(fact.bound * states.eval_state(space.state, h), ONE)
         if level > cap:
-            return FactorizationReport(
-                False, pairs, linearity, bound_checks, 0,
-                ("bound", core.format_element(h)),
-            )
+            return verdict("bound", core.format_element(h))
 
     ext = extend_bilinear_divisible(gamma)
     alternate = tuple(
@@ -665,24 +638,38 @@ def verify_factorization(
         for x in core.atoms_of(ext.left)
         for y in core.atoms_of(ext.right)
     )
-    uniqueness = 0
     candidate = AtomLinearMap(omega.domain, omega.codomain, alternate)
     for i in range(len(omega.images)):
         uniqueness += 1
         if omega.images[i] != candidate.images[i]:
-            return FactorizationReport(
-                False, pairs, linearity, bound_checks, uniqueness,
-                ("indicator-agreement", space.measure.atoms[i]),
-            )
+            return verdict("indicator-agreement", space.measure.atoms[i])
     for _ in range(samples):
         h = _random_product_element(rng, space.algebra)
         uniqueness += 1
         if apply_atom_linear(omega, h) != apply_atom_linear(candidate, h):
-            return FactorizationReport(
-                False, pairs, linearity, bound_checks, uniqueness,
-                ("span-agreement", core.format_element(h)),
-            )
-    return FactorizationReport(True, pairs, linearity, bound_checks, uniqueness, None)
+            return verdict("span-agreement", core.format_element(h))
+    return verdict()
+
+
+def verify_universal_factorization(
+    left: State,
+    right: State,
+    make_gamma: Callable[[ProductSpace, MeasureRepresentation, MeasureRepresentation], BilinearMap],
+    samples: int,
+    seed: int,
+) -> Verdict:
+    """Factor a bounded bilinear map through the pairing and certify it.
+
+    ``make_gamma`` builds the map on ``left`` and ``right`` from their
+    product space and representations, which the pairing itself needs.
+    """
+    rep_a = representation.embed_l1(left.algebra, left)
+    rep_b = representation.embed_l1(right.algebra, right)
+    space = space_of(rep_a, rep_b)
+    gamma = make_gamma(space, rep_a, rep_b)
+    rep_c = representation.embed_l1(gamma.codomain.algebra, gamma.codomain)
+    fact = factorize(gamma, space, rep_a, rep_b, rep_c)
+    return verify_factorization(fact, gamma, rep_a, rep_b, rep_c, samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Divisible hulls and the integral representation pipeline.
+"""The integral representation pipeline.
 
 The pipeline sends an algebra with a state through the radical quotient,
 into the divisible hull, and then through the state quotient; the result
@@ -15,49 +15,13 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
 
-from . import core, spectra, states
+from . import core, states
+from .axioms import random_element, seeded
 from .core import Algebra, Chang, Element, FunctionAlgebra
 from .errors import InputError, UnsupportedCarrierError
 from .rationals import ONE, ZERO
 from .states import DiscreteMeasure, State
-
-# ---------------------------------------------------------------------------
-# Divisible hulls
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DivisibleHull:
-    """A semisimple base inside its rational function-algebra ambient.
-
-    Because 1 belongs to the base, averages of base elements reach every
-    rational grid: sums k/m are m-fold averages of 0/1 elements, and the
-    same argument works per atom.  Membership therefore coincides with
-    membership in the ambient carrier, which is what `hull_contains`
-    decides (exact denominator arithmetic, nothing approximate).
-    """
-
-    base: Algebra
-    ambient: Algebra
-
-
-def divisible_hull(algebra: Algebra) -> DivisibleHull:
-    if not spectra.is_semisimple(algebra):
-        raise InputError("only semisimple algebras embed in their divisible hull")
-    return DivisibleHull(algebra, core.divisible_ambient(algebra))
-
-
-def hull_embed(hull: DivisibleHull, a: Element) -> Element:
-    if a.algebra != hull.base:
-        raise InputError("element does not belong to the hull's base")
-    return core.embed_in_ambient(a)
-
-
-def hull_contains(hull: DivisibleHull, e: Element) -> bool:
-    if e.algebra != hull.ambient:
-        raise InputError("membership is asked of ambient elements")
-    return True
-
+from .verdict import Verdict
 
 # ---------------------------------------------------------------------------
 # States <-> measures on finite function algebras
@@ -154,7 +118,8 @@ def embed_l1(algebra: Algebra, s: State) -> MeasureRepresentation:
         collapse_chang=collapse,
         keep=keep,
     )
-    assert injective == states.is_faithful(s).faithful
+    if injective != states.is_faithful(s).passed:
+        raise AssertionError("the representation is injective iff the state is faithful")
     return rep
 
 
@@ -166,17 +131,33 @@ def integral(rep: MeasureRepresentation, a: Element) -> Fraction:
     )
 
 
+def verify_embedding(
+    algebra: Algebra, s: State, samples: int, seed: Optional[int] = None
+) -> Verdict:
+    """Check the integral identity of ``embed_l1(algebra, s)``.
+
+    It is checked on `core.sweep_elements`, or on ``samples`` seeded
+    elements of the other infinite carriers.  The result is the
+    representing measure.
+    """
+    rep = embed_l1(algebra, s)
+    sweep = core.sweep_elements(algebra)
+    if sweep is None:
+        rng = seeded(seed)
+        sweep = [random_element(rng, algebra) for _ in range(samples)]
+    else:
+        seed = None
+    counts = {"elements_checked": len(sweep)}
+    for a in sweep:
+        if integral(rep, a) != states.eval_state(s, a):
+            return Verdict("fail", [{"element": a}], counts, seed)
+    counts.update(injective=rep.injective, faithful=states.is_faithful(s).passed)
+    return Verdict("pass", [], counts, seed, rep.measure)
+
+
 # ---------------------------------------------------------------------------
 # Morphism checks for the richer signatures
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MorphismReport:
-    level: str
-    passed: bool
-    checks: int
-    witness: Optional[tuple[str, ...]]
 
 
 def verify_morphism_extras(
@@ -185,14 +166,12 @@ def verify_morphism_extras(
     mapper: Optional[Callable[[Element], Element]] = None,
     samples: int = 200,
     seed: int = 0,
-) -> MorphismReport:
+) -> Verdict:
     """Confirm the map preserves products (PMV) and scalars (fMV).
 
     ``mapper`` overrides the representation map; fixtures use it to
     inject corrupted maps as negative controls.
     """
-    from .axioms import random_element  # local import to keep module layering flat
-
     if level not in ("PMV", "fMV"):
         raise InputError("level must be PMV or fMV")
     if not rep.source.internal_product:
@@ -213,12 +192,8 @@ def verify_morphism_extras(
     for a, b in pairs:
         checks += 1
         if f(core.prod(a, b)) != core.prod(f(a), f(b)):
-            return MorphismReport(
-                level,
-                False,
-                checks,
-                ("product", core.format_element(a), core.format_element(b)),
-            )
+            witness = ("product", core.format_element(a), core.format_element(b))
+            return Verdict("fail", [{"check": witness}], {"checks": checks}, seed)
     if level == "fMV":
         if not rep.source.scalar_action:
             raise InputError("fMV check needs a scalar action on the source")
@@ -228,10 +203,6 @@ def verify_morphism_extras(
             alpha = Fraction(rng.randint(0, 60), 60)
             checks += 1
             if f(core.scalar_mul(alpha, a)) != core.scalar_mul(alpha, f(a)):
-                return MorphismReport(
-                    level,
-                    False,
-                    checks,
-                    ("scalar", str(alpha), core.format_element(a)),
-                )
-    return MorphismReport(level, True, checks, None)
+                witness = ("scalar", str(alpha), core.format_element(a))
+                return Verdict("fail", [{"check": witness}], {"checks": checks}, seed)
+    return Verdict("pass", [], {"checks": checks}, seed)

@@ -20,6 +20,7 @@ from . import core
 from .core import Algebra, Chang, Element, FiniteChain, FunctionAlgebra
 from .errors import InputError, UnsupportedCarrierError
 from .rationals import ZERO
+from .verdict import Verdict
 
 MAX_ENUMERABLE = 64  # size guard for carrier-wide enumeration
 
@@ -75,6 +76,13 @@ def ideal_contains(i: Ideal, e: Element) -> bool:
     if i.members == CHANG_ALL:
         return True
     return e.payload in i.members
+
+
+def listing(i: Ideal) -> Union[str, list[str]]:
+    """The members as sorted element texts, or the structural tag."""
+    if isinstance(i.members, str):
+        return i.members
+    return sorted(core.format_element(Element(i.algebra, p)) for p in i.members)
 
 
 def _is_proper(i: Ideal) -> bool:
@@ -142,6 +150,15 @@ def is_semisimple(algebra: Algebra) -> bool:
     return True
 
 
+def verify_semisimple(algebra: Algebra) -> Verdict:
+    """Semisimplicity; a failure names a nonzero element of the radical."""
+    if is_semisimple(algebra):
+        return Verdict("pass", [], {"checks": 1})
+    rad = radical(algebra)
+    witness = core.lower(algebra, 1) if rad.members == CHANG_RADICAL else listing(rad)[1]
+    return Verdict("fail", [{"radical-element": witness}], {"checks": 1})
+
+
 # ---------------------------------------------------------------------------
 # Quotients
 # ---------------------------------------------------------------------------
@@ -184,7 +201,8 @@ def quotient(algebra: Algebra, i: Ideal) -> QuotientResult:
         e for e in core.enumerate_carrier(algebra) if e.payload in i.members
     ]
     top = functools.reduce(core.join, member_elements)
-    assert core.oplus(top, top) == top
+    if core.oplus(top, top) != top:
+        raise AssertionError("the join of an ideal is idempotent")
     keep = tuple(
         idx for idx, v in enumerate(top.payload) if v == ZERO
     )

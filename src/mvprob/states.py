@@ -16,15 +16,18 @@ machinery accepts only sequences that stabilize.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from . import core, spectra
+from .axioms import random_element, seeded
 from .core import Algebra, Chang, Element, FunctionAlgebra, StandardUnit
 from .errors import InputError
 from .rationals import ONE, ZERO, require_unit
+from .verdict import Verdict
 
 # ---------------------------------------------------------------------------
 # Measures
@@ -133,15 +136,11 @@ def table_state(algebra: Algebra, values: dict) -> State:
         raise InputError(f"table misses {core.format_element(missing[0])}")
     if table[core.one(algebra).payload] != ONE:
         raise InputError("a state must send 1 to 1")
-    for a in elements:
-        for b in elements:
-            if core.leq(a, core.neg(b)):
-                total = table[core.oplus(a, b).payload]
-                if total != table[a.payload] + table[b.payload]:
-                    raise InputError(
-                        "table is not linear at "
-                        f"{core.format_element(a)} + {core.format_element(b)}"
-                    )
+    for a, b in core.summable_pairs(elements):
+        if table[core.oplus(a, b).payload] != table[a.payload] + table[b.payload]:
+            raise InputError(
+                f"table is not linear at {core.format_element(a)} + {core.format_element(b)}"
+            )
     canonical = tuple(sorted(table.items()))
     return State(algebra, TableRule(canonical))
 
@@ -166,33 +165,76 @@ def eval_state(s: State, a: Element) -> Fraction:
     return _table_dict(rule)[a.payload]
 
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
-    faithful: bool
-    witness: Optional[Element]  # a nonzero element sent to 0, if any
+def _unfaithful(witness: Element) -> Verdict:
+    return Verdict("fail", [{"element": witness}], {"checks": 1})
 
 
-def is_faithful(s: State) -> FaithfulnessReport:
+def is_faithful(s: State) -> Verdict:
+    """Pass iff only 0 has state 0; a failure names a nonzero null element."""
     rule = s.rule
     if isinstance(rule, MeasureRule):
         for atom, w in zip(rule.measure.atoms, rule.measure.weights):
             if w == ZERO:
-                return FaithfulnessReport(False, core.indicator(s.algebra, atom))
-        return FaithfulnessReport(True, None)
-    if isinstance(rule, IdentityRule):
-        return FaithfulnessReport(True, None)
-    if isinstance(rule, FirstCoordinateRule):
-        return FaithfulnessReport(False, core.lower(s.algebra, 1))
-    z = core.zero(s.algebra)
-    for a in core.enumerate_carrier(s.algebra):
-        if a != z and eval_state(s, a) == ZERO:
-            return FaithfulnessReport(False, a)
-    return FaithfulnessReport(True, None)
+                return _unfaithful(core.indicator(s.algebra, atom))
+    elif isinstance(rule, FirstCoordinateRule):
+        return _unfaithful(core.lower(s.algebra, 1))
+    elif isinstance(rule, TableRule):
+        z = core.zero(s.algebra)
+        for a in core.enumerate_carrier(s.algebra):
+            if a != z and eval_state(s, a) == ZERO:
+                return _unfaithful(a)
+    return Verdict("pass", [], {"checks": 1})
 
 
 def rho(s: State, a: Element, b: Element) -> Fraction:
     """The state pseudo-metric: the state of the distance term."""
     return eval_state(s, core.dist(a, b))
+
+
+def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict:
+    """Check that ``rho`` is a pseudo-metric that separates iff ``s`` is faithful.
+
+    Finite carriers are swept over every pair and triple; others over
+    ``samples`` seeded pairs and triples.
+    """
+    algebra = s.algebra
+    if core.is_finite(algebra):
+        pool = core.enumerate_carrier(algebra)
+        pairs = list(itertools.product(pool, repeat=2))
+        triples = list(itertools.product(pool, repeat=3))
+        seed = None
+    else:
+        rng = seeded(seed)
+        pairs = [
+            (random_element(rng, algebra), random_element(rng, algebra))
+            for _ in range(samples)
+        ]
+        triples = [
+            (
+                random_element(rng, algebra),
+                random_element(rng, algebra),
+                random_element(rng, algebra),
+            )
+            for _ in range(samples)
+        ]
+    counts = {"pairs": len(pairs)}
+    for a, b in pairs:
+        if rho(s, a, b) != rho(s, b, a) or rho(s, a, a) != ZERO:
+            return Verdict("fail", [{"pair": [a, b]}], counts, seed)
+    counts["triples"] = len(triples)
+    for a, b, c in triples:
+        if rho(s, a, c) > rho(s, a, b) + rho(s, b, c):
+            return Verdict("fail", [{"triple": [a, b, c]}], counts, seed)
+    faithful = is_faithful(s)
+    if faithful.passed:
+        separating = all(rho(s, a, b) > ZERO for a, b in pairs if a != b)
+    else:
+        witness = faithful.witnesses[0]["element"]
+        separating = rho(s, witness, core.zero(algebra)) > ZERO
+    if separating != faithful.passed:
+        return Verdict("fail", [{"separation": "does not match faithfulness"}], counts, seed)
+    counts.update(faithful=faithful.passed, separates=separating)
+    return Verdict("pass", [], counts, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +259,8 @@ def extend_state_divisible(s: State) -> State:
         return measure_state(ambient, mu)
     scale, basis = core.scaled_atom_basis(s.algebra)
     weights = tuple(scale * eval_state(s, u) for u in basis)
-    assert sum(weights) == ONE
+    if sum(weights) != ONE:
+        raise AssertionError("the extended weights sum to 1")
     ambient = core.divisible_ambient(s.algebra)
     return measure_state(ambient, DiscreteMeasure(core.atoms_of(ambient), weights))
 
@@ -295,6 +338,28 @@ def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
             raise AssertionError("state does not factor through the null ideal")
     quotient_state = table_state(result.algebra, values)
     return StateQuotient(result.algebra, quotient_state, result.project, True)
+
+
+def verify_quotient(s: State) -> Verdict:
+    """Check that ``s`` factors through its quotient, which is faithful.
+
+    The factoring is checked on `core.sweep_elements`; on the other
+    infinite carriers it holds by construction and is not swept.
+    """
+    quotient = state_quotient(s.algebra, s)
+    checks = 0
+    for a in core.sweep_elements(s.algebra) or ():
+        checks += 1
+        if eval_state(quotient.state, quotient.project(a)) != eval_state(s, a):
+            return Verdict("fail", [{"element": a}], {"checks": checks})
+    faithful = is_faithful(quotient.state).passed
+    return Verdict(
+        "pass" if faithful else "fail",
+        [] if faithful else [{"quotient": "state is not faithful"}],
+        {"checks": checks, "complete": quotient.complete},
+        None,
+        {"algebra": quotient.algebra},
+    )
 
 
 # ---------------------------------------------------------------------------

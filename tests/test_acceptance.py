@@ -53,10 +53,10 @@ def test_criterion_1_axiom_suite():
     for n in range(1, 9):
         report = mv.check_axioms(mv.finite_chain(n), "MV", Exhaustive())
         if not report.passed:
-            failures.append(f"chain {n}: {report.witness}")
+            failures.append(f"chain {n}: {report.witnesses}")
     chang_report = mv.check_axioms(mv.chang(), "MV", Sample(3000, seed=101))
     if not chang_report.passed:
-        failures.append(f"chang: {chang_report.witness}")
+        failures.append(f"chang: {chang_report.witnesses}")
 
     from test_axioms import (
         max_oplus_table,
@@ -68,7 +68,7 @@ def test_criterion_1_axiom_suite():
     for make in (modular_addition_table, swapped_negation_table, max_oplus_table):
         table = make(3)
         report = mv.check_axioms(table, "MV", Exhaustive())
-        if report.passed or report.witness is None:
+        if report.passed or not report.witnesses:
             failures.append(f"{make.__name__} not rejected")
         elif not replay_witness(table, report):
             failures.append(f"{make.__name__} witness does not replay")
@@ -102,10 +102,10 @@ def test_criterion_3_metric_iff_faithful():
             for a, b in itertools.product(pool, repeat=2)
             if a != b
         )
-        if separates != faithful.faithful:
+        if separates != faithful.passed:
             failures.append(f"{mu.weights}: separation != faithfulness")
-        if not faithful.faithful:
-            witness = faithful.witness
+        if not faithful.passed:
+            witness = faithful.witnesses[0]["element"]
             if witness == mv.zero(algebra) or mv.rho(s, witness, mv.zero(algebra)) != 0:
                 failures.append(f"{mu.weights}: bad degeneracy witness")
     _conclude(3, "metric iff faithful", failures)
@@ -139,7 +139,7 @@ def test_criterion_4_measure_representation():
     for algebra, s in _embedding_instances():
         count += 1
         rep = mv.embed_l1(algebra, s)
-        faithful = mv.is_faithful(s).faithful
+        faithful = mv.is_faithful(s).passed
         if rep.injective != faithful:
             failures.append(f"instance {count}: injectivity != faithfulness")
         for a in mv.core.enumerate_carrier(algebra):
@@ -188,7 +188,8 @@ def test_criterion_5_holder_squares():
             break
         if trial % 10 == 0:
             diagonal = analysis.holder_check(s, a, a, F(2), F(2))
-            if diagonal.verdict != "pass" or diagonal.lhs**2 != diagonal.rhs_low:
+            squared = diagonal.result["lhs"] ** 2
+            if diagonal.verdict != "pass" or squared != diagonal.result["rhs_low"]:
                 failures.append(f"trial {trial}: diagonal equality")
                 break
     _conclude(5, "holder p=q=2", failures)
@@ -217,7 +218,7 @@ def test_criterion_6_hausdorff_suite():
         mu = random_measure(rng, [str(p) for p in points])
         grid_mu = analysis.grid_measure(points, mu.weights)
         m = analysis.moments_of_measure(grid_mu, rng.randint(0, 6))
-        if not analysis.check_hausdorff(m).ok:
+        if not analysis.check_hausdorff(m).passed:
             failures.append(f"(ii) trial {trial}")
 
     # (iii) reconstruction values and preserved moments
@@ -246,9 +247,9 @@ def test_criterion_6_hausdorff_suite():
     grids = [2, 1, 4]
     for m, grid in zip(feasible_fixtures, grids):
         fit = analysis.moment_fit_lp(m, grid)
-        if not fit.feasible:
+        if not fit.passed:
             failures.append(f"(iv) feasible fixture on grid {grid} rejected")
-        elif analysis.moments_of_measure(fit.measure, m.order).values != m.values:
+        elif analysis.moments_of_measure(fit.result, m.order).values != m.values:
             failures.append(f"(iv) moments drift on grid {grid}")
     violating = [
         analysis.moment_sequence(("1", "1/5", "9/10")),
@@ -257,7 +258,7 @@ def test_criterion_6_hausdorff_suite():
     ]
     for idx, m in enumerate(violating):
         for grid in (1, 3, 6):
-            if analysis.moment_fit_lp(m, grid).feasible:
+            if analysis.moment_fit_lp(m, grid).passed:
                 failures.append(f"(iv) violating fixture {idx} accepted on grid {grid}")
     _conclude(
         6, "hausdorff suite", failures, time.perf_counter() - start, budget=30.0
@@ -318,10 +319,10 @@ def test_criterion_8_factorization():
             fact, gamma, rep_a, rep_b, rep_c, samples=150, seed=808
         )
         if not report.passed:
-            failures.append(f"{name}: {report.witness}")
+            failures.append(f"{name}: {report.witnesses}")
         lipschitz = mv.lipschitz_check(gamma, samples=1000, seed=809)
         if not lipschitz.passed:
-            failures.append(f"{name} continuity: {lipschitz.witness}")
+            failures.append(f"{name} continuity: {lipschitz.witnesses}")
     _conclude(8, "factorization and continuity", failures)
 
 

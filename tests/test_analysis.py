@@ -73,16 +73,16 @@ class TestDeltaTable:
 
 class TestHausdorffCondition:
     def test_lebesgue_passes(self):
-        assert analysis.check_hausdorff(lebesgue_moments(3)).ok
+        assert analysis.check_hausdorff(lebesgue_moments(3)).passed
 
     def test_sign_violation_position(self):
         report = analysis.check_hausdorff(analysis.moment_sequence(("1", "1/5", "9/10")))
-        assert not report.ok
-        assert report.reason == "sign" and report.position == (1, 1)
+        assert not report.passed
+        assert report.witnesses == [{"reason": "sign", "position": (1, 1)}]
 
     def test_wrong_mass_fails(self):
         report = analysis.check_hausdorff(analysis.moment_sequence(("9/10", "1/2")))
-        assert not report.ok and report.reason == "m0"
+        assert not report.passed and report.witnesses == [{"reason": "m0"}]
 
     def test_moments_of_random_grid_measures_pass(self):
         rng = Random(12)
@@ -95,7 +95,7 @@ class TestHausdorffCondition:
             total = sum(raw)
             mu = analysis.grid_measure(points, [F(w, total) for w in raw])
             m = analysis.moments_of_measure(mu, rng.randint(0, 8))
-            assert analysis.check_hausdorff(m).ok
+            assert analysis.check_hausdorff(m).passed
 
 
 class TestMomentsOfMeasure:
@@ -158,24 +158,24 @@ class TestFeasibilitySearch:
         mu = analysis.grid_measure([F(0), F(1, 2), F(1)], [F(1, 4), F(1, 2), F(1, 4)])
         m = analysis.moments_of_measure(mu, 3)
         fit = analysis.moment_fit_lp(m, 2)
-        assert fit.feasible
-        assert analysis.moments_of_measure(fit.measure, 3).values == m.values
+        assert fit.passed
+        assert analysis.moments_of_measure(fit.result, 3).values == m.values
 
     def test_variance_maximal_pair(self):
         fit = analysis.moment_fit_lp(analysis.moment_sequence(("1", "1/2", "1/2")), 1)
-        assert fit.feasible
-        assert fit.measure.weights == (F(1, 2), F(1, 2))
+        assert fit.passed
+        assert fit.result.weights == (F(1, 2), F(1, 2))
 
     def test_condition_violation_is_infeasible_on_every_grid(self):
         bad = analysis.moment_sequence(("1", "1/5", "9/10"))
         for grid in (1, 2, 5, 9):
             fit = analysis.moment_fit_lp(bad, grid)
-            assert not fit.feasible
+            assert not fit.passed
 
     def test_certificate_is_checkable(self):
         bad = analysis.moment_sequence(("1", "1/5", "9/10"))
         fit = analysis.moment_fit_lp(bad, 4)
-        y = fit.certificate
+        y = fit.witnesses[0]["certificate"]
         points = [F(j, 4) for j in range(5)]
         rows = [[F(1)] * 5] + [[p**k for p in points] for k in range(3)]
         rhs = [F(1), F(1), F(1, 5), F(9, 10)]
@@ -187,21 +187,21 @@ class TestFeasibilitySearch:
         m = analysis.moment_sequence(("1", "1/2", "1/3"))
         reconstructed = analysis.hausdorff_reconstruct(m, 2)
         fit = analysis.moment_fit_lp(m, 2)
-        assert fit.feasible
-        assert analysis.moments_of_measure(fit.measure, 2).values == m.values
+        assert fit.passed
+        assert analysis.moments_of_measure(fit.result, 2).values == m.values
         assert analysis.moments_of_measure(reconstructed, 2).values[:2] == m.values[:2]
 
     def test_wrong_total_mass_is_infeasible(self):
         fit = analysis.moment_fit_lp(analysis.moment_sequence(("9/10", "1/2")), 3)
-        assert not fit.feasible
+        assert not fit.passed
 
     def test_off_grid_point_mass_is_infeasible(self):
         # the moments pin the support to {1/3}, which grid 4 misses
         point = analysis.grid_measure([F(1, 3)], [F(1)])
         m = analysis.moments_of_measure(point, 4)
-        assert analysis.check_hausdorff(m).ok  # the condition itself holds
+        assert analysis.check_hausdorff(m).passed  # the condition itself holds
         fit = analysis.moment_fit_lp(m, 4)
-        assert not fit.feasible and fit.certificate is not None
+        assert fit.verdict == "infeasible" and fit.witnesses[0]["certificate"]
 
     def test_size_guards(self):
         with pytest.raises(InputError):
@@ -240,10 +240,10 @@ class TestHolder:
         a = mv.element(self.FA, ("1/2", "1/2"))
         b = mv.element(self.FA, ("1", "0"))
         report = analysis.holder_check(s, a, b, F(2), F(2))
-        assert report.verdict == "pass" and report.mode == "exact"
-        assert report.lhs == F(1, 4)
-        assert report.rhs_low == F(1, 8)  # the squared bound
-        assert report.lhs**2 <= report.rhs_low
+        assert report.verdict == "pass" and report.metrics["mode"] == "exact"
+        assert report.result["lhs"] == F(1, 4)
+        assert report.result["rhs_low"] == F(1, 8)  # the squared bound
+        assert report.result["lhs"] ** 2 <= report.result["rhs_low"]
 
     def test_diagonal_attains_equality(self):
         s = self.state("1/3", "2/3")
@@ -251,7 +251,7 @@ class TestHolder:
         report = analysis.holder_check(s, a, a, F(2), F(2))
         assert report.verdict == "pass"
         # lhs = s(a^2) and the squared bound is s(a^2) * s(a^2)
-        assert report.lhs**2 == report.rhs_low
+        assert report.result["lhs"] ** 2 == report.result["rhs_low"]
 
     def test_fractional_exponents_against_exact_oracle(self):
         # values are perfect squares, so b^(3/2) is rational and the
@@ -266,7 +266,7 @@ class TestHolder:
         lhs = mv.eval_state(s, mv.prod(a, b))
         assert lhs**3 <= s_ap * s_bq**2  # the exact cubed comparison
         assert report.verdict == "pass"
-        assert report.rhs_low**3 <= s_ap * s_bq**2 <= report.rhs_high**3
+        assert report.result["rhs_low"] ** 3 <= s_ap * s_bq**2 <= report.result["rhs_high"] ** 3
 
     def test_random_pairs_pass_at_default_precision(self):
         rng = Random(9)
@@ -282,7 +282,7 @@ class TestHolder:
         a = mv.element(self.FA, ("1/3", "1/3"))
         report = analysis.holder_check(s, a, a, F(3), F(3, 2))
         assert report.verdict == "inconclusive"
-        assert report.rhs_low < report.lhs <= report.rhs_high
+        assert report.result["rhs_low"] < report.result["lhs"] <= report.result["rhs_high"]
 
     def test_conjugate_exponent_validation(self):
         s = self.state("1/2", "1/2")

@@ -1,11 +1,19 @@
 """End-to-end command tests: verdicts, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvprob import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOC = str(FIXTURES / "basic.json")
@@ -187,3 +195,89 @@ class TestCommandBehaviour:
         result = run("holder", str(path), "s", "third", "third", "--p", "3", "--q", "3/2")
         assert result.returncode == 1
         assert report_of(result)["verdict"] == "inconclusive"
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"algebras": []},
+            {
+                "algebras": {"C": {"kind": "chang"}},
+                "states": {"t": {"algebra": "C", "rule": "table", "values": {"lower(x)": "0"}}},
+            },
+            {"algebras": {"F": {"kind": "function", "atoms": "xy"}}},
+            {"algebras": {"c": {"kind": "chain", "n": True}}},
+            {
+                "algebras": {"C": {"kind": "chang"}},
+                "elements": {"e": {"algebra": "C", "side": "lower", "k": True}},
+            },
+        ],
+    )
+    def test_malformed_document_is_an_input_error(self, doc, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = run("moments", str(path), "check", "leb")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+    def test_too_deeply_nested_document_is_an_input_error(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        result = run("moments", str(path), "check", "leb")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+BASIC = json.loads(Path(DOC).read_text())
+WRONG_VALUES = [
+    None, True, False, 0, 1, -1, 2.5, "", "x", "lower(x)", [], ["x"], [["x"]], {}, {"x": "1"},
+]
+CHEAP_COMMANDS = [
+    ("check-axioms", "@", "chain3"),
+    ("state", "@", "metric", "schain"),
+    ("state", "@", "quotient", "sc"),
+    ("state", "@", "faithful", "s"),
+    ("spectra", "@", "semisimple", "B"),
+    ("embed", "@", "C", "sc"),
+    ("moments", "@", "of-measure", "grid"),
+    ("moments", "@", "fit", "leb", "--grid", "3"),
+    ("holder", "@", "s", "f1", "f2", "--p", "2", "--q", "2"),
+    ("product", "@", "verify-independence", "sB", "schain"),
+    ("--seed", "1", "product", "@", "factorize", "sB", "schain", "gbeta", "--samples", "5"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    path=st.sampled_from(list(_paths(BASIC))),
+    value=st.sampled_from(WRONG_VALUES),
+    command=st.sampled_from(CHEAP_COMMANDS),
+)
+def test_wrong_typed_values_never_escape_the_exit_code_contract(path, value, command):
+    doc = copy.deepcopy(BASIC)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    with tempfile.TemporaryDirectory() as directory:
+        target = Path(directory) / "doc.json"
+        target.write_text(json.dumps(doc))
+        argv = [str(target) if word == "@" else word for word in command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)

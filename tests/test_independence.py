@@ -119,6 +119,24 @@ class TestIndependenceIdentity:
             paired = mv.beta(space, rep_a, rep_b, a, mv.one(CH2))
             assert mv.eval_state(space.state, paired) == mv.eval_state(s_a, a)
 
+    def test_verify_independence_counts_every_pair(self):
+        s_a, s_b, *_ = coupling()
+        verdict = independence.verify_independence(s_a, s_b)
+        assert verdict.passed
+        assert verdict.metrics == {"identities_checked": 4 * 3}
+
+    def test_verify_independence_needs_finite_algebras(self):
+        s_a, *_ = coupling()
+        with pytest.raises(InputError):
+            independence.verify_independence(s_a, mv.identity_state(mv.standard_unit()))
+
+    def test_verify_marginals(self):
+        mu = mv.measure(("x", "y"), (F(1, 4), F(3, 4)))
+        nu = mv.measure(("p",), (F(1),))
+        verdict = independence.verify_marginals(mu, nu)
+        assert verdict.passed and verdict.metrics == {"atoms": 2}
+        assert verdict.result == mv.measure(("(x,p)", "(y,p)"), mu.weights)
+
 
 class TestBilinearChecks:
     def test_beta_is_bilinear_with_bound_one(self):
@@ -137,7 +155,7 @@ class TestBilinearChecks:
         gamma = mv.bilinear_map(s, s, s, mv.join, bound=None, validate=False)
         report = mv.check_bilinear(gamma)
         assert not report.passed
-        assert report.witness[0] in ("left-linearity", "right-linearity")
+        assert report.witnesses[0]["check"][0] in ("left-linearity", "right-linearity")
 
     def test_construction_rejects_non_bilinear(self):
         s = chain_state(CH2)
@@ -195,28 +213,36 @@ def planted_defects():
     # checker's loops were folded.  A table that passes both linearity
     # sweeps preserves meets wherever it preserves joins, so no table can
     # make a meet check fail first.
-    yield "left-linearity", planted_table(s1, s2, product, (F(0), F(1, 2)), F(1, 4)), None, False, 2, (
-        "left-linearity", "0", "0", "1/2")
-    yield "right-linearity", planted_table(s1, s2, product, (F(1), F(1)), F(1, 2)), None, False, 19, (
-        "right-linearity", "1", "1/2", "1/2")
+    yield pytest.param(
+        planted_table(s1, s2, product, (F(0), F(1, 2)), F(1, 4)), None, False,
+        2, ("left-linearity", "0", "0", "1/2"), id="left-linearity",
+    )
+    yield pytest.param(
+        planted_table(s1, s2, product, (F(1), F(1)), F(1, 2)), None, False,
+        19, ("right-linearity", "1", "1/2", "1/2"), id="right-linearity",
+    )
     # linear, but it charges the atom the left state gives weight 0
-    yield "bound", planted_table(dirac, s1, lambda a, b: a.payload[1] * b.payload), 1, False, 34, (
-        "bound", "(0,1)", "1")
+    yield pytest.param(
+        planted_table(dirac, s1, lambda a, b: a.payload[1] * b.payload), 1, False,
+        34, ("bound", "(0,1)", "1"), id="bound",
+    )
     # linear in each slot, but integrating a slot does not preserve joins
-    yield "left-join", planted_table(
-        uniform, s1, lambda a, b: mv.eval_state(uniform, a) * b.payload
-    ), 1, True, 52, ("left-join", "(0,1)", "(1,0)", "1")
-    yield "right-join", planted_table(
-        s1, uniform, lambda a, b: a.payload * mv.eval_state(uniform, b)
-    ), 1, True, 68, ("right-join", "1", "(0,1)", "(1,0)")
+    yield pytest.param(
+        planted_table(uniform, s1, lambda a, b: mv.eval_state(uniform, a) * b.payload), 1, True,
+        52, ("left-join", "(0,1)", "(1,0)", "1"), id="left-join",
+    )
+    yield pytest.param(
+        planted_table(s1, uniform, lambda a, b: a.payload * mv.eval_state(uniform, b)), 1, True,
+        68, ("right-join", "1", "(0,1)", "(1,0)"), id="right-join",
+    )
 
 
-@pytest.mark.parametrize("kind, gamma, bound, bimorphism, checks, witness", list(planted_defects()))
-def test_planted_defect_is_found_at_its_pinned_check(kind, gamma, bound, bimorphism, checks, witness):
+@pytest.mark.parametrize("gamma, bound, bimorphism, checks, witness", list(planted_defects()))
+def test_planted_defect_is_found_at_its_pinned_check(gamma, bound, bimorphism, checks, witness):
     report = mv.check_bilinear(gamma, bound=bound, bimorphism=bimorphism)
     assert not report.passed
-    assert report.checks == checks
-    assert report.witness == witness
+    assert report.metrics == {"checks": checks}
+    assert report.witnesses == [{"check": witness}]
 
 
 class TestLinearExtension:
@@ -341,7 +367,7 @@ class TestLipschitz:
         s_a, s_b, rep_a, rep_b, space = coupling()
         gamma = mv.beta_bilinear(space, rep_a, rep_b)
         report = mv.lipschitz_check(gamma, samples=500, seed=8)
-        assert report.passed and report.checks == 500
+        assert report.passed and report.metrics == {"checks": 500}
 
     def test_state_product_quadruples(self):
         s_a, s_b, *_ = coupling()

@@ -1,4 +1,4 @@
-"""Divisible hulls, measure recovery, and the representation pipeline."""
+"""Divisible ambients, measure recovery, and the representation pipeline."""
 
 import itertools
 from fractions import Fraction as F
@@ -23,51 +23,52 @@ def chain_state(algebra):
 
 
 class TestDivisibleHull:
+    """The divisible ambient a semisimple carrier embeds into."""
+
     def test_contains_rationals_beyond_the_chain(self):
-        hull = mv.divisible_hull(CH2)
-        third = mv.element(hull.ambient, ("1/3",))
-        assert mv.hull_contains(hull, third)
+        ambient = mv.core.divisible_ambient(CH2)
+        assert mv.element(ambient, ("1/3",)).payload == (F(1, 3),)
+        with pytest.raises(InputError):
+            mv.element(CH2, "1/3")
 
     def test_contains_every_embedded_base_element(self):
-        hull = mv.divisible_hull(CH2)
+        ambient = mv.core.divisible_ambient(CH2)
         for a in mv.core.enumerate_carrier(CH2):
-            assert mv.hull_contains(hull, mv.hull_embed(hull, a))
+            image = mv.core.embed_in_ambient(a)
+            assert image.algebra == ambient and image.payload == (a.payload,)
 
     def test_arbitrary_rationals_are_members(self):
-        hull = mv.divisible_hull(CH2)
+        ambient = mv.core.divisible_ambient(CH2)
         for p, q in ((1, 7), (3, 5), (12, 13)):
-            assert mv.hull_contains(hull, mv.element(hull.ambient, (F(p, q),)))
+            assert mv.element(ambient, (F(p, q),)).payload == (F(p, q),)
 
     def test_embedding_preserves_operations(self):
-        hull = mv.divisible_hull(BOOL2)
+        embed = mv.core.embed_in_ambient
         pool = mv.core.enumerate_carrier(BOOL2)
         for a, b in itertools.product(pool, repeat=2):
-            assert mv.hull_embed(hull, mv.oplus(a, b)) == mv.oplus(
-                mv.hull_embed(hull, a), mv.hull_embed(hull, b)
-            )
-            assert mv.hull_embed(hull, mv.neg(a)) == mv.neg(mv.hull_embed(hull, a))
+            assert embed(mv.oplus(a, b)) == mv.oplus(embed(a), embed(b))
+            assert embed(mv.neg(a)) == mv.neg(embed(a))
 
     def test_embedding_preserves_products_on_pmv_bases(self):
-        hull = mv.divisible_hull(BOOL2)
+        embed = mv.core.embed_in_ambient
         pool = mv.core.enumerate_carrier(BOOL2)
         for a, b in itertools.product(pool, repeat=2):
-            assert mv.hull_embed(hull, mv.prod(a, b)) == mv.prod(
-                mv.hull_embed(hull, a), mv.hull_embed(hull, b)
-            )
+            assert embed(mv.prod(a, b)) == mv.prod(embed(a), embed(b))
 
     def test_membership_closed_under_operations(self):
-        hull = mv.divisible_hull(CH2)
+        ambient = mv.core.divisible_ambient(CH2)
         rng = Random(3)
         for _ in range(100):
-            f = random_element(rng, hull.ambient)
-            g = random_element(rng, hull.ambient)
-            assert mv.hull_contains(hull, mv.oplus(f, g))
-            assert mv.hull_contains(hull, mv.neg(f))
-            assert mv.hull_contains(hull, mv.scalar_mul(F(2, 7), f))
+            f = random_element(rng, ambient)
+            g = random_element(rng, ambient)
+            for result in (mv.oplus(f, g), mv.neg(f), mv.scalar_mul(F(2, 7), f)):
+                assert result.algebra == ambient
 
     def test_non_semisimple_rejected(self):
+        # the Chang algebra has no divisible ambient; spectra tests cover
+        # that it is not semisimple
         with pytest.raises(InputError):
-            mv.divisible_hull(C)
+            mv.core.divisible_ambient(C)
 
 
 class TestMeasureRecovery:
@@ -169,7 +170,7 @@ class TestPipeline:
         degenerate = mv.measure_state(algebra, mv.measure(("x", "y"), (F(1), F(0))))
         rep = mv.embed_l1(algebra, degenerate)
         assert not rep.injective
-        witness = mv.is_faithful(degenerate).witness
+        witness = mv.is_faithful(degenerate).witnesses[0]["element"]
         assert mv.represent(rep, witness) == mv.represent(rep, mv.zero(algebra))
 
         faithful = mv.measure_state(algebra, mv.measure(("x", "y"), (F(1, 2), F(1, 2))))
@@ -193,6 +194,22 @@ class TestPipeline:
     def test_standard_unit_rejected(self):
         with pytest.raises(InputError):
             mv.embed_l1(mv.standard_unit(), mv.identity_state(mv.standard_unit()))
+
+
+class TestVerifyEmbedding:
+    def test_chang_slice_with_its_measure(self):
+        verdict = mv.representation.verify_embedding(C, mv.chang_state(C), samples=0)
+        assert verdict.passed and verdict.seed is None
+        assert verdict.metrics == {"elements_checked": 34, "injective": False, "faithful": False}
+        assert verdict.result == mv.measure(("x0",), (F(1),))
+
+    def test_rational_carrier_is_sampled_with_a_seed(self):
+        s = mv.measure_state(FA, mv.measure(("x", "y"), (F(1, 3), F(2, 3))))
+        with pytest.raises(InputError):
+            mv.representation.verify_embedding(FA, s, samples=5)
+        verdict = mv.representation.verify_embedding(FA, s, samples=5, seed=1)
+        assert verdict.passed and verdict.seed == 1
+        assert verdict.metrics["elements_checked"] == 5
 
 
 class TestMorphismExtras:
@@ -223,4 +240,4 @@ class TestMorphismExtras:
             return mv.neg(image) if a.payload[0] == F(1, 2) else image
 
         report = mv.verify_morphism_extras(rep, "PMV", mapper=corrupted, samples=100, seed=3)
-        assert not report.passed and report.witness is not None
+        assert not report.passed and report.witnesses

@@ -110,19 +110,20 @@ class TestStateLaws:
 class TestFaithfulness:
     def test_positive_measure_is_faithful(self):
         s = mv.measure_state(FA, mv.measure(("x", "y"), (F(1, 2), F(1, 2))))
-        assert mv.is_faithful(s).faithful
+        assert mv.is_faithful(s).passed
 
     def test_zero_weight_witness(self):
         s = mv.measure_state(FA, mv.measure(("x", "y"), (F(1), F(0))))
         report = mv.is_faithful(s)
-        assert not report.faithful
-        assert report.witness.payload == (F(0), F(1))
-        assert mv.eval_state(s, report.witness) == 0
+        assert not report.passed
+        witness = report.witnesses[0]["element"]
+        assert witness.payload == (F(0), F(1))
+        assert mv.eval_state(s, witness) == 0
 
     def test_chang_state_witness(self):
         report = mv.is_faithful(mv.chang_state(C))
-        assert not report.faithful
-        assert report.witness == mv.lower(C, 1)
+        assert not report.passed
+        assert report.witnesses == [{"element": mv.lower(C, 1)}]
 
 
 class TestPseudoMetric:
@@ -152,7 +153,7 @@ class TestPseudoMetric:
             for a, b in itertools.product(pool, repeat=2)
             if a != b
         )
-        assert separates == mv.is_faithful(s).faithful
+        assert separates == mv.is_faithful(s).passed
 
     def test_triangle_inequality_exhaustive(self):
         algebra = mv.function_algebra(("x",), mv.FiniteChain(3))
@@ -160,6 +161,31 @@ class TestPseudoMetric:
         pool = mv.core.enumerate_carrier(algebra)
         for a, b, c in itertools.product(pool, repeat=3):
             assert mv.rho(s, a, c) <= mv.rho(s, a, b) + mv.rho(s, b, c)
+
+
+class TestVerifyMetric:
+    def test_chain_sweep_counts_every_pair_and_triple(self):
+        verdict = mv.states.verify_metric(chain_state(CH2), samples=0)
+        assert verdict.passed and verdict.seed is None
+        assert verdict.metrics == {"pairs": 9, "triples": 27, "faithful": True, "separates": True}
+
+    def test_unchecked_table_breaks_the_triangle(self):
+        # built past table_state's linearity check: s(1/2) = 0 but s(1) = 1
+        values = ((F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1)))
+        s = mv.State(CH2, mv.states.TableRule(values))
+        verdict = mv.states.verify_metric(s, samples=0)
+        assert verdict.verdict == "fail"
+        triple = [mv.element(CH2, v) for v in ("0", "1/2", "1")]
+        assert verdict.witnesses == [{"triple": triple}]
+        assert verdict.metrics == {"pairs": 9, "triples": 27}
+
+    def test_sampling_needs_a_seed(self):
+        s = mv.identity_state(U)
+        with pytest.raises(InputError):
+            mv.states.verify_metric(s, samples=10)
+        verdict = mv.states.verify_metric(s, samples=10, seed=3)
+        assert verdict.passed and verdict.seed == 3
+        assert verdict.metrics["pairs"] == verdict.metrics["triples"] == 10
 
 
 class TestDivisibleExtension:
@@ -194,9 +220,9 @@ class TestDivisibleExtension:
     def test_faithfulness_is_preserved(self):
         algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(1))
         faithful = mv.measure_state(algebra, mv.measure(("x", "y"), (F(1, 2), F(1, 2))))
-        assert mv.is_faithful(mv.extend_state_divisible(faithful)).faithful
+        assert mv.is_faithful(mv.extend_state_divisible(faithful)).passed
         degenerate = mv.measure_state(algebra, mv.measure(("x", "y"), (F(1), F(0))))
-        assert not mv.is_faithful(mv.extend_state_divisible(degenerate)).faithful
+        assert not mv.is_faithful(mv.extend_state_divisible(degenerate)).passed
 
     def test_chang_rejected(self):
         with pytest.raises(InputError):
@@ -208,7 +234,7 @@ class TestStateQuotient:
         result = mv.state_quotient(C, mv.chang_state(C))
         assert result.algebra == mv.finite_chain(1)
         assert result.complete
-        assert mv.is_faithful(result.state).faithful
+        assert mv.is_faithful(result.state).passed
         assert result.project(mv.lower(C, 5)) == mv.zero(result.algebra)
         assert result.project(mv.upper(C, 5)) == mv.one(result.algebra)
 
@@ -224,7 +250,7 @@ class TestStateQuotient:
         result = mv.state_quotient(FA, s)
         assert mv.core.atoms_of(result.algebra) == ("x",)
         assert result.project(fa("2/3", "1/9")).payload == (F(2, 3),)
-        assert mv.is_faithful(result.state).faithful
+        assert mv.is_faithful(result.state).passed
         # infinite carrier: the quotient is not metrically complete
         assert not result.complete
 
@@ -253,7 +279,7 @@ class TestStateQuotient:
                 for a, b in itertools.product(pool, repeat=2)
                 if a != b
             )
-            assert injective == mv.is_faithful(s).faithful
+            assert injective == mv.is_faithful(s).passed
 
     def test_table_state_quotient(self):
         algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(1))
@@ -265,10 +291,23 @@ class TestStateQuotient:
         }
         s = mv.table_state(algebra, table)
         result = mv.state_quotient(algebra, s)
-        assert mv.is_faithful(result.state).faithful
+        assert mv.is_faithful(result.state).passed
         for payload, value in table.items():
             a = mv.element(algebra, payload)
             assert mv.eval_state(result.state, result.project(a)) == value
+
+    def test_verify_quotient_sweeps_the_carrier(self):
+        algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(1))
+        s = mv.measure_state(algebra, mv.measure(("x", "y"), (F(1), F(0))))
+        verdict = mv.states.verify_quotient(s)
+        assert verdict.passed
+        assert verdict.metrics == {"checks": 4, "complete": True}
+        assert verdict.result == {"algebra": mv.function_algebra(("x",), mv.FiniteChain(1))}
+
+    def test_verify_quotient_on_the_chang_slice(self):
+        verdict = mv.states.verify_quotient(mv.chang_state(C))
+        assert verdict.passed
+        assert verdict.metrics["checks"] == 2 * (mv.core.CHANG_SWEEP_BOUND + 1)
 
 
 class TestSequenceLimit:
