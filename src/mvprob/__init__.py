@@ -20,7 +20,7 @@ from .analysis import (
     moment_sequence,
     moments_of_measure,
 )
-from .axioms import Exhaustive, Sample, TableAlgebra, check_axioms
+from .axioms import Exhaustive, Sample, check_axioms
 from .core import (
     Algebra,
     Chang,
@@ -29,6 +29,7 @@ from .core import (
     FiniteChain,
     FunctionAlgebra,
     StandardUnit,
+    TableAlgebra,
     chang,
     const,
     dist,

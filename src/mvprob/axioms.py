@@ -1,8 +1,10 @@
 """Axiom verification with counterexample search.
 
-The checker treats its target abstractly (a value set plus the primitive
-operations), so the stock carriers and explicit-table fixtures run
-through the same code path.  Corrupted operation tables are how negative
+The laws are written once against a value set plus the primitive
+operations.  Exhaustive sweeps run on operation tables, so a finite
+carrier is first compiled by `core.compile_table` and runs through the
+same code as the explicit-table fixtures; sampled sweeps of an algebra
+run on its `Element`s.  Corrupted operation tables are how negative
 controls enter: enumeration or sampling finds a witness tuple naming the
 violated law.
 """
@@ -16,7 +18,7 @@ from random import Random
 from typing import Optional, Union
 
 from . import core
-from .core import Algebra, Chang, ChangPair, Element, FunctionAlgebra, StandardUnit
+from .core import Algebra, Chang, ChangPair, Element, FunctionAlgebra, StandardUnit, TableAlgebra
 from .errors import InputError
 from .rationals import ZERO, format_rational, random_unit
 from .verdict import Verdict
@@ -25,42 +27,6 @@ LEVELS = ("MV", "PMV", "RMV", "fMV")
 
 DEFAULT_SAMPLE_COUNT = 10_000
 CHANG_SAMPLE_BOUND = 40
-
-
-# ---------------------------------------------------------------------------
-# Explicit-table algebras (axiom fixtures)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TableAlgebra:
-    """A finite algebra given by explicit operation tables.
-
-    Used for corrupted fixtures; nothing guarantees the tables satisfy
-    any law, that is exactly what `check_axioms` decides.
-    """
-
-    names: tuple[str, ...]
-    oplus_table: tuple[tuple[int, ...], ...]
-    neg_table: tuple[int, ...]
-    zero: int = 0
-    prod_table: Optional[tuple[tuple[int, ...], ...]] = None
-
-    def __post_init__(self) -> None:
-        n = len(self.names)
-        if n == 0 or len(set(self.names)) != n:
-            raise InputError("table algebra needs distinct element names")
-        for label, table in (("oplus", self.oplus_table), ("prod", self.prod_table)):
-            if table is None:
-                continue
-            if len(table) != n or any(len(row) != n for row in table):
-                raise InputError(f"{label} table must be {n}x{n}")
-            if any(v < 0 or v >= n for row in table for v in row):
-                raise InputError(f"{label} table has out-of-range entries")
-        if len(self.neg_table) != n or any(v < 0 or v >= n for v in self.neg_table):
-            raise InputError("neg table has out-of-range entries")
-        if not 0 <= self.zero < n:
-            raise InputError("zero index out of range")
 
 
 AxiomTarget = Union[Algebra, TableAlgebra]
@@ -97,8 +63,10 @@ def random_element(
     raise InputError(f"cannot sample from carrier {carrier!r}")
 
 
-def seeded(seed: Optional[int]) -> Random:
-    """The generator of a sampled sweep; sampling without a seed is refused."""
+def seeded(seed: Optional[int], samples: int) -> Random:
+    """The generator of a sweep of ``samples`` draws; no seed or no draws is refused."""
+    if samples < 1:
+        raise InputError("sample count must be positive")
     if seed is None:
         raise InputError("this sweep samples an infinite carrier and needs a seed")
     return Random(seed)
@@ -128,62 +96,14 @@ Mode = Union[Exhaustive, Sample]
 # ---------------------------------------------------------------------------
 
 
-class _Ops:
-    """Uniform view of an axiom target: opaque values plus operations."""
+class _ElementOps:
+    """The core ops on an algebra's `Element`s, under a table's method names."""
 
-    def __init__(self, target: AxiomTarget):
-        self.target = target
-        if isinstance(target, TableAlgebra):
-            self.zero = target.zero
-            self.one = target.neg_table[target.zero]
-            self.has_prod = target.prod_table is not None
-            self.has_scalar = False
-            self.elements: Optional[list] = list(range(len(target.names)))
-        else:
-            self.zero = core.zero(target)
-            self.one = core.one(target)
-            self.has_prod = target.internal_product
-            self.has_scalar = target.scalar_action
-            self.elements = (
-                core.enumerate_carrier(target) if core.is_finite(target) else None
-            )
-
-    def oplus(self, a, b):
-        if isinstance(self.target, TableAlgebra):
-            return self.target.oplus_table[a][b]
-        return core.oplus(a, b)
-
-    def neg(self, a):
-        if isinstance(self.target, TableAlgebra):
-            return self.target.neg_table[a]
-        return core.neg(a)
-
-    def prod(self, a, b):
-        if isinstance(self.target, TableAlgebra):
-            return self.target.prod_table[a][b]
-        return core.prod(a, b)
-
-    def scalar(self, alpha, a):
-        return core.scalar_mul(alpha, a)
-
-    def odot(self, a, b):
-        return self.neg(self.oplus(self.neg(a), self.neg(b)))
-
-    def join(self, a, b):
-        return self.oplus(self.neg(self.oplus(self.neg(a), b)), b)
-
-    def meet(self, a, b):
-        return self.neg(self.join(self.neg(a), self.neg(b)))
-
-    def sample(self, rng: Random):
-        if isinstance(self.target, TableAlgebra):
-            return rng.randrange(len(self.target.names))
-        return random_element(rng, self.target)
-
-    def describe(self, a) -> str:
-        if isinstance(self.target, TableAlgebra):
-            return self.target.names[a]
-        return core.format_element(a)
+    def __init__(self, algebra: Algebra):
+        self.zero, self.one = core.zero(algebra), core.one(algebra)
+        self.oplus, self.neg, self.prod = core.oplus, core.neg, core.prod
+        self.odot, self.join, self.meet = core.odot, core.join, core.meet
+        self.scalar = core.scalar_mul
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +239,20 @@ _FMV_LAWS = [
 ]
 
 
-def _laws_for(level: str, ops: _Ops) -> list:
+def _laws_for(level: str, target: AxiomTarget) -> list:
     if level not in LEVELS:
         raise InputError(f"unknown level {level!r}; expected one of {LEVELS}")
+    if isinstance(target, TableAlgebra):
+        has_prod, has_scalar = target.prod_table is not None, False
+    else:
+        has_prod, has_scalar = target.internal_product, target.scalar_action
     laws = list(_MV_LAWS)
     if level in ("PMV", "fMV"):
-        if not ops.has_prod:
+        if not has_prod:
             raise InputError(f"level {level} needs an internal product")
         laws += _PMV_LAWS
     if level in ("RMV", "fMV"):
-        if not ops.has_scalar:
+        if not has_scalar:
             raise InputError(f"level {level} needs a scalar action")
         laws += _RMV_LAWS
     if level == "fMV":
@@ -347,25 +271,30 @@ def check_axioms(
     """Verify the laws of ``level`` on ``target``.
 
     Exhaustive mode enumerates every element tuple (finite carriers
-    only); sample mode draws seeded random tuples, which is also the
-    only way to quantify over scalars.  The first violated law is
-    reported with the element texts (then scalars) that broke it.
+    only) on the operation tables, compiled by `core.compile_table` for
+    a finite algebra; sample mode draws seeded random tuples, which is
+    also the only way to quantify over scalars.  The first violated law
+    is reported with the element texts (then scalars) that broke it.
     """
-    ops = _Ops(target)
-    laws = _laws_for(level, ops)
-    needs_scalars = any(s > 0 for _, _, s, _ in laws)
+    laws = _laws_for(level, target)
+    # only infinite carriers have scalars, so this also refuses scalar levels
+    if isinstance(mode, Exhaustive) and isinstance(target, Algebra):
+        if not core.is_finite(target):
+            raise InputError("exhaustive mode needs a finite carrier; use sample mode")
+        target = core.compile_table(target)
+    if isinstance(target, TableAlgebra):
+        ops, describe = target, target.names.__getitem__
+        draw = lambda rng: rng.randrange(len(target.names))
+    else:
+        ops, describe = _ElementOps(target), core.format_element
+        draw = lambda rng: random_element(rng, target)
 
     if isinstance(mode, Exhaustive):
-        if ops.elements is None:
-            raise InputError("exhaustive mode needs a finite carrier; use sample mode")
-        if needs_scalars:
-            raise InputError(f"level {level} quantifies over scalars; use sample mode")
         seed = None
+        elements = range(len(target.names))
 
         def cases_of(arity: int, _scalar_arity: int):
-            return (
-                (t, ()) for t in itertools.product(ops.elements, repeat=arity)
-            )
+            return ((t, ()) for t in itertools.product(elements, repeat=arity))
 
     elif isinstance(mode, Sample):
         if mode.count < 1:
@@ -373,10 +302,7 @@ def check_axioms(
         seed = mode.seed
         rng = Random(mode.seed)
         pool = [
-            (
-                tuple(ops.sample(rng) for _ in range(3)),
-                (random_unit(rng), random_unit(rng)),
-            )
+            (tuple(draw(rng) for _ in range(3)), (random_unit(rng), random_unit(rng)))
             for _ in range(mode.count)
         ]
 
@@ -391,7 +317,7 @@ def check_axioms(
         for elems, scalars in cases_of(arity, scalar_arity):
             checks += 1
             if not law(ops, elems, scalars):
-                witness = [ops.describe(x) for x in elems] + [
+                witness = [describe(x) for x in elems] + [
                     format_rational(s) for s in scalars
                 ]
                 return Verdict(

@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import analysis, axioms, core, documents, independence, representation, spectra, states
-from .axioms import Exhaustive, Sample, TableAlgebra
-from .core import Algebra, Element
+from .axioms import Exhaustive, Sample
+from .core import Algebra, Element, TableAlgebra
 from .errors import InputError
 from .rationals import format_rational, parse_rational
 from .states import DiscreteMeasure
@@ -86,9 +86,14 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _bilinear_constructor(doc: documents.Document, name: str):
-    """How to build the named map from a product space and its representations."""
+def _bilinear_constructor(doc: documents.Document, name: str, left: str, right: str):
+    """How to build the named map, declared on ``left``, ``right``, from their product space."""
     spec = _named(doc.bilinear, name, "bilinear map")
+    if (spec.left, spec.right) != (left, right):
+        raise InputError(
+            f"bilinear map {name!r} is declared on ({spec.left}, {spec.right}), "
+            f"not on ({left}, {right})"
+        )
     if spec.kind == "beta":
         return independence.beta_bilinear
     if spec.kind == "state-product":
@@ -182,7 +187,7 @@ def _cmd_product(doc: documents.Document, args) -> Verdict:
     if args.gamma is None:
         raise InputError("product factorize needs a bilinear map name")
     seed = _require_seed(args)
-    construct = _bilinear_constructor(doc, args.gamma)
+    construct = _bilinear_constructor(doc, args.gamma, args.left, args.right)
     return independence.verify_universal_factorization(s_a, s_b, construct, args.samples, seed)
 
 

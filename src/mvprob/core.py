@@ -342,14 +342,6 @@ def partial_add(a: Element, b: Element) -> Optional[Element]:
     return oplus(a, b)
 
 
-def summable_pairs(elements: Sequence[Element]) -> Iterator[tuple[Element, Element]]:
-    """Every pair (a, b) of ``elements``, in order, whose partial sum is defined."""
-    for a in elements:
-        for b in elements:
-            if leq(a, neg(b)):
-                yield a, b
-
-
 def nat_mul(n: int, a: Element) -> Optional[Element]:
     """n-fold partial sum a + ... + a, undefined as soon as a step is."""
     if n < 1:
@@ -430,6 +422,105 @@ def enumerate_carrier(algebra: Algebra) -> list[Element]:
             for combo in itertools.product(levels, repeat=len(carrier.atoms))
         ]
     raise UnsupportedCarrierError(f"carrier {carrier} is not finite")
+
+
+@dataclass(frozen=True)
+class TableAlgebra:
+    """A finite algebra as operation tables on indices, derived ops as in core.
+
+    `compile_table` builds one from a carrier; a document may give one
+    directly, and then nothing guarantees a law: `check_axioms` decides.
+    """
+
+    names: tuple[str, ...]
+    oplus_table: tuple[tuple[int, ...], ...]
+    neg_table: tuple[int, ...]
+    zero: int = 0
+    prod_table: Optional[tuple[tuple[int, ...], ...]] = None
+
+    def __post_init__(self) -> None:
+        n = len(self.names)
+        if n == 0 or len(set(self.names)) != n:
+            raise InputError("table algebra needs distinct element names")
+        for label, table in (("oplus", self.oplus_table), ("prod", self.prod_table)):
+            if table is None:
+                continue
+            if len(table) != n or any(len(row) != n for row in table):
+                raise InputError(f"{label} table must be {n}x{n}")
+            if any(v < 0 or v >= n for row in table for v in row):
+                raise InputError(f"{label} table has out-of-range entries")
+        if len(self.neg_table) != n or any(v < 0 or v >= n for v in self.neg_table):
+            raise InputError("neg table has out-of-range entries")
+        if not 0 <= self.zero < n:
+            raise InputError("zero index out of range")
+
+    @property
+    def one(self) -> int:
+        return self.neg_table[self.zero]
+
+    def oplus(self, a: int, b: int) -> int:
+        return self.oplus_table[a][b]
+
+    def neg(self, a: int) -> int:
+        return self.neg_table[a]
+
+    def prod(self, a: int, b: int) -> int:
+        return self.prod_table[a][b]
+
+    def odot(self, a: int, b: int) -> int:
+        return self.neg(self.oplus(self.neg(a), self.neg(b)))
+
+    def join(self, a: int, b: int) -> int:
+        return self.oplus(self.neg(self.oplus(self.neg(a), b)), b)
+
+    def meet(self, a: int, b: int) -> int:
+        return self.neg(self.join(self.neg(a), self.neg(b)))
+
+    def dist(self, a: int, b: int) -> int:
+        return self.oplus(self.odot(a, self.neg(b)), self.odot(b, self.neg(a)))
+
+
+def rank(algebra: Algebra, payload: Payload) -> int:
+    """The position of ``payload`` in `enumerate_carrier`, by mixed radix."""
+    if not is_finite(algebra):
+        raise UnsupportedCarrierError(f"carrier {algebra.carrier} is not finite")
+    carrier = algebra.carrier
+    n = carrier.n if isinstance(carrier, FiniteChain) else carrier.value.n
+    position = 0
+    for v in payload if isinstance(payload, tuple) else (payload,):
+        position = position * (n + 1) + v.numerator * (n // v.denominator)
+    return position
+
+
+def compile_table(algebra: Algebra) -> TableAlgebra:
+    """The tables of a finite algebra: index i is ``enumerate_carrier(algebra)[i]``.
+
+    Every entry is the rank of a core op's result, so a sweep over the
+    tables still checks the core ops; building them costs n^2 of those.
+    """
+    elements = enumerate_carrier(algebra)
+
+    def table(op) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(rank(algebra, op(a, b).payload) for b in elements) for a in elements
+        )
+
+    return TableAlgebra(
+        tuple(format_element(e) for e in elements),
+        table(oplus),
+        tuple(rank(algebra, neg(a).payload) for a in elements),
+        prod_table=table(prod) if algebra.internal_product else None,
+    )
+
+
+def summable_pairs(table: TableAlgebra) -> Iterator[tuple[int, int]]:
+    """Every index pair (a, b), in order, whose partial sum is defined: a <= neg(b)."""
+    neg_table, one = table.neg_table, table.one
+    for a in range(len(table.names)):
+        row = table.oplus_table[neg_table[a]]
+        for b in range(len(table.names)):
+            if row[neg_table[b]] == one:
+                yield a, b
 
 
 CHANG_SWEEP_BOUND = 16  # deterministic slice of infinitesimal indices

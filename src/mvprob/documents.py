@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import core, states
-from .axioms import TableAlgebra
 from .core import Algebra, Chang, ChangPair, Element, FiniteChain, FunctionAlgebra, StandardUnit
 from .errors import InputError
 from .rationals import format_rational, parse_unit
@@ -22,7 +21,7 @@ from .states import DiscreteMeasure, State
 
 FORMAT_VERSION = "1"
 
-AlgebraLike = Union[Algebra, TableAlgebra]
+AlgebraLike = Union[Algebra, core.TableAlgebra]
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ def _parse_algebra(name: str, raw: dict) -> AlgebraLike:
         if prod is not None:
             prod = tuple(tuple(resolve(v) for v in row) for row in prod)
         zero = _field(raw, "zero", where, _TEXT, None)
-        return TableAlgebra(
+        return core.TableAlgebra(
             names, oplus, neg, zero=0 if zero is None else resolve(zero), prod_table=prod
         )
     raise InputError(f"{where}: unknown kind {kind!r}")
@@ -178,7 +177,7 @@ def _resolve_algebra(name: str, algebras: dict, where: str) -> Algebra:
     if name not in algebras:
         raise InputError(f"{where}: unknown algebra {name!r}")
     algebra = algebras[name]
-    if isinstance(algebra, TableAlgebra):
+    if isinstance(algebra, core.TableAlgebra):
         raise InputError(f"{where}: table algebras only support axiom checks")
     return algebra
 
@@ -300,7 +299,7 @@ def _serialize_value_carrier(carrier) -> Union[str, int]:
 
 
 def serialize_algebra(algebra: AlgebraLike) -> dict:
-    if isinstance(algebra, TableAlgebra):
+    if isinstance(algebra, core.TableAlgebra):
         spec = {
             "kind": "table",
             "elements": list(algebra.names),
@@ -345,13 +344,6 @@ def _algebra_name(algebra: Algebra, algebras: dict) -> str:
         if candidate == algebra:
             return name
     raise InputError("element refers to an algebra missing from the document")
-
-
-def _state_name(state: State, doc: Document) -> str:
-    for name, candidate in doc.states.items():
-        if candidate == state:
-            return name
-    raise InputError("bilinear spec refers to a state missing from the document")
 
 
 def _serialize_state(s: State, doc: Document) -> dict:

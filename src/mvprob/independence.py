@@ -18,6 +18,7 @@ from random import Random
 from typing import Callable, Optional
 
 from . import core, representation, states
+from .axioms import seeded
 from .core import Algebra, Element
 from .errors import InputError, NoLimitError
 from .rationals import ONE, ZERO, random_unit
@@ -141,6 +142,8 @@ def verify_independence(left: State, right: State) -> Verdict:
 class BilinearMap:
     """A bilinear table on a pair of finite domains.
 
+    ``table[i][j]`` is the value at the left domain's element of rank i
+    and the right domain's element of rank j (see `core.rank`).
     ``bound`` is the claimed constant K of the state inequality
     s_C(gamma(a, b)) <= min(K * s_A(a) * s_B(b), 1).
     """
@@ -148,18 +151,15 @@ class BilinearMap:
     left: State
     right: State
     codomain: State
-    table: tuple[tuple[tuple[core.Payload, core.Payload], Element], ...]
+    table: tuple[tuple[Element, ...], ...]
     bound: Optional[int]
-
-
-def _lookup(gamma: BilinearMap) -> dict:
-    return dict(gamma.table)
 
 
 def apply_bilinear(gamma: BilinearMap, a: Element, b: Element) -> Element:
     if a.algebra != gamma.left.algebra or b.algebra != gamma.right.algebra:
         raise InputError("arguments do not match the bilinear map's domains")
-    return _lookup(gamma)[(a.payload, b.payload)]
+    row = gamma.table[core.rank(a.algebra, a.payload)]
+    return row[core.rank(b.algebra, b.payload)]
 
 
 def bilinear_map(
@@ -180,14 +180,12 @@ def bilinear_map(
     for s in (left, right):
         if not core.is_finite(s.algebra):
             raise InputError("bilinear tables need finite domains")
+    rights = core.enumerate_carrier(right.algebra)
     table = tuple(
-        ((a.payload, b.payload), fn(a, b))
-        for a in core.enumerate_carrier(left.algebra)
-        for b in core.enumerate_carrier(right.algebra)
+        tuple(fn(a, b) for b in rights) for a in core.enumerate_carrier(left.algebra)
     )
-    for (_, _), value in table:
-        if value.algebra != codomain.algebra:
-            raise InputError("bilinear values must land in the codomain algebra")
+    if any(value.algebra != codomain.algebra for row in table for value in row):
+        raise InputError("bilinear values must land in the codomain algebra")
     gamma = BilinearMap(left, right, codomain, table, bound)
     if validate:
         report = check_bilinear(gamma, bound=bound)
@@ -203,58 +201,59 @@ def check_bilinear(
 ) -> Verdict:
     """Verify slotwise linearity, optionally the bound and lattice laws.
 
-    Each slotwise law is swept over the left slot, then the right.  A
-    failure's witness is ``{"check": (law, *element texts)}`` with the
-    arguments in (left, right) order.
+    Each slotwise law is swept over the left slot, then the right, on
+    the compiled tables of the domains.  A failure's witness is
+    ``{"check": (law, *element texts)}`` with the arguments in (left,
+    right) order.
     """
-    table = _lookup(gamma)
-    lefts = core.enumerate_carrier(gamma.left.algebra)
-    rights = core.enumerate_carrier(gamma.right.algebra)
-    # a slot sweeps (x, x2) in it against every y in the other slot,
-    # looking values up by (x, y)
+    left = core.compile_table(gamma.left.algebra)
+    right = core.compile_table(gamma.right.algebra)
+    # a slot sweeps index pairs (x, x2) in it against every index y in
+    # the other slot, looking values up as lookup[x][y]
     slots = (
-        ("left", lefts, rights, table),
-        ("right", rights, lefts, {(b, a): v for (a, b), v in table.items()}),
+        ("left", left, right, gamma.table),
+        ("right", right, left, tuple(zip(*gamma.table))),
     )
     checks = 0
 
     def fail(*witness) -> Verdict:
         return Verdict("fail", [{"check": witness}], {"checks": checks})
 
-    def slot_fail(law: str, slot: str, x: Element, x2: Element, y: Element) -> Verdict:
-        args = (x, x2, y) if slot == "left" else (y, x, x2)
-        return fail(f"{slot}-{law}", *(core.format_element(e) for e in args))
+    def slot_fail(law: str, slot: str, x: int, x2: int, y: int) -> Verdict:
+        if slot == "left":
+            return fail(f"left-{law}", left.names[x], left.names[x2], right.names[y])
+        return fail(f"right-{law}", left.names[y], right.names[x], right.names[x2])
 
     for slot, varying, fixed, lookup in slots:
         for x, x2 in core.summable_pairs(varying):
-            for y in fixed:
+            totals = lookup[varying.oplus(x, x2)]
+            for y in range(len(fixed.names)):
                 checks += 1
-                total = lookup[(core.oplus(x, x2).payload, y.payload)]
-                parts = core.partial_add(
-                    lookup[(x.payload, y.payload)], lookup[(x2.payload, y.payload)]
-                )
-                if parts is None or parts != total:
+                parts = core.partial_add(lookup[x][y], lookup[x2][y])
+                if parts is None or parts != totals[y]:
                     return slot_fail("linearity", slot, x, x2, y)
     if bound is not None:
         if bound < 1:
             return fail("bound", str(bound))
-        for a in lefts:
+        rights = core.enumerate_carrier(gamma.right.algebra)
+        for a, row in zip(core.enumerate_carrier(gamma.left.algebra), gamma.table):
             sa = states.eval_state(gamma.left, a)
-            for b in rights:
+            for b, value in zip(rights, row):
                 checks += 1
-                level = states.eval_state(gamma.codomain, table[(a.payload, b.payload)])
+                level = states.eval_state(gamma.codomain, value)
                 cap = min(bound * sa * states.eval_state(gamma.right, b), ONE)
                 if level > cap:
                     return fail("bound", core.format_element(a), core.format_element(b))
     if bimorphism:
         for slot, varying, fixed, lookup in slots:
-            for x, x2 in itertools.product(varying, repeat=2):
-                for y in fixed:
+            for x, x2 in itertools.product(range(len(varying.names)), repeat=2):
+                joins, meets = lookup[varying.join(x, x2)], lookup[varying.meet(x, x2)]
+                for y in range(len(fixed.names)):
                     checks += 1
-                    v, v2 = lookup[(x.payload, y.payload)], lookup[(x2.payload, y.payload)]
-                    if lookup[(core.join(x, x2).payload, y.payload)] != core.join(v, v2):
+                    v, v2 = lookup[x][y], lookup[x2][y]
+                    if joins[y] != core.join(v, v2):
                         return slot_fail("join", slot, x, x2, y)
-                    if lookup[(core.meet(x, x2).payload, y.payload)] != core.meet(v, v2):
+                    if meets[y] != core.meet(v, v2):
                         return slot_fail("meet", slot, x, x2, y)
     return Verdict("pass", [], {"checks": checks})
 
@@ -337,13 +336,13 @@ def left_scaling_bilinear(rep_a: MeasureRepresentation, right: State) -> Bilinea
 class LinearMap:
     domain: Algebra
     codomain: Algebra
-    table: tuple[tuple[core.Payload, Element], ...]
+    table: tuple[Element, ...]  # the image of the domain element of rank i
 
 
 def apply_linear(sigma: LinearMap, a: Element) -> Element:
     if a.algebra != sigma.domain:
         raise InputError("argument does not match the linear map's domain")
-    return dict(sigma.table)[a.payload]
+    return sigma.table[core.rank(a.algebra, a.payload)]
 
 
 def linear_map(
@@ -354,16 +353,13 @@ def linear_map(
 ) -> LinearMap:
     if not core.is_finite(domain):
         raise InputError("linear tables need a finite domain")
-    elements = core.enumerate_carrier(domain)
-    table = tuple((a.payload, fn(a)) for a in elements)
-    lookup = dict(table)
+    table = tuple(fn(a) for a in core.enumerate_carrier(domain))
     if validate:
-        for a, b in core.summable_pairs(elements):
-            image = core.partial_add(lookup[a.payload], lookup[b.payload])
-            if image is None or image != lookup[core.oplus(a, b).payload]:
-                raise InputError(
-                    f"not linear at {core.format_element(a)} + {core.format_element(b)}"
-                )
+        compiled = core.compile_table(domain)
+        for a, b in core.summable_pairs(compiled):
+            image = core.partial_add(table[a], table[b])
+            if image is None or image != table[compiled.oplus(a, b)]:
+                raise InputError(f"not linear at {compiled.names[a]} + {compiled.names[b]}")
     return LinearMap(domain, codomain, table)
 
 
@@ -473,7 +469,7 @@ def lipschitz_check(gamma: BilinearMap, samples: int, seed: int) -> Verdict:
     """
     if gamma.bound is None:
         raise InputError("the Lipschitz estimate needs a bound")
-    rng = Random(seed)
+    rng = seeded(seed, samples)
     lefts = core.enumerate_carrier(gamma.left.algebra)
     rights = core.enumerate_carrier(gamma.right.algebra)
     checks = 0
@@ -582,6 +578,7 @@ def verify_factorization(
     and then on sampled rational combinations.  A failure's witness is
     ``{"check": (stage, *texts)}``.
     """
+    rng = seeded(seed, samples)
     omega, space = fact.omega, fact.space
     sc = states.measure_state(rep_c.target, rep_c.measure)
     pairs = linearity = bound_checks = uniqueness = 0
@@ -604,7 +601,6 @@ def verify_factorization(
             if through != direct:
                 return verdict("triangle", core.format_element(a), core.format_element(b))
 
-    rng = Random(seed)
     for _ in range(samples):
         h = _random_product_element(rng, space.algebra)
         room = core.neg(h)

@@ -143,7 +143,7 @@ def verify_embedding(
     rep = embed_l1(algebra, s)
     sweep = core.sweep_elements(algebra)
     if sweep is None:
-        rng = seeded(seed)
+        rng = seeded(seed, samples)
         sweep = [random_element(rng, algebra) for _ in range(samples)]
     else:
         seed = None

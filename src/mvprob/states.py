@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from . import core, spectra
@@ -82,7 +81,7 @@ class FirstCoordinateRule:
 
 @dataclass(frozen=True)
 class TableRule:
-    values: tuple[tuple[core.Payload, Fraction], ...]
+    values: tuple[tuple[core.Payload, Fraction], ...]  # [core.rank(a)] is (a's payload, s(a))
 
 
 Rule = Union[MeasureRule, IdentityRule, FirstCoordinateRule, TableRule]
@@ -136,18 +135,12 @@ def table_state(algebra: Algebra, values: dict) -> State:
         raise InputError(f"table misses {core.format_element(missing[0])}")
     if table[core.one(algebra).payload] != ONE:
         raise InputError("a state must send 1 to 1")
-    for a, b in core.summable_pairs(elements):
-        if table[core.oplus(a, b).payload] != table[a.payload] + table[b.payload]:
-            raise InputError(
-                f"table is not linear at {core.format_element(a)} + {core.format_element(b)}"
-            )
-    canonical = tuple(sorted(table.items()))
-    return State(algebra, TableRule(canonical))
-
-
-@lru_cache(maxsize=None)
-def _table_dict(rule: TableRule) -> dict:
-    return dict(rule.values)
+    ranked = [table[e.payload] for e in elements]
+    compiled = core.compile_table(algebra)
+    for a, b in core.summable_pairs(compiled):
+        if ranked[compiled.oplus(a, b)] != ranked[a] + ranked[b]:
+            raise InputError(f"table is not linear at {compiled.names[a]} + {compiled.names[b]}")
+    return State(algebra, TableRule(tuple(zip((e.payload for e in elements), ranked))))
 
 
 def eval_state(s: State, a: Element) -> Fraction:
@@ -162,7 +155,7 @@ def eval_state(s: State, a: Element) -> Fraction:
         return a.payload
     if isinstance(rule, FirstCoordinateRule):
         return ZERO if a.payload.side == core.LOWER else ONE
-    return _table_dict(rule)[a.payload]
+    return rule.values[core.rank(s.algebra, a.payload)][1]
 
 
 def _unfaithful(witness: Element) -> Verdict:
@@ -179,10 +172,9 @@ def is_faithful(s: State) -> Verdict:
     elif isinstance(rule, FirstCoordinateRule):
         return _unfaithful(core.lower(s.algebra, 1))
     elif isinstance(rule, TableRule):
-        z = core.zero(s.algebra)
-        for a in core.enumerate_carrier(s.algebra):
-            if a != z and eval_state(s, a) == ZERO:
-                return _unfaithful(a)
+        for payload, value in rule.values[1:]:  # index 0 is the zero
+            if value == ZERO:
+                return _unfaithful(Element(s.algebra, payload))
     return Verdict("pass", [], {"checks": 1})
 
 
@@ -194,40 +186,38 @@ def rho(s: State, a: Element, b: Element) -> Fraction:
 def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict:
     """Check that ``rho`` is a pseudo-metric that separates iff ``s`` is faithful.
 
-    Finite carriers are swept over every pair and triple; others over
-    ``samples`` seeded pairs and triples.
+    Finite carriers are swept over every pair and triple, with rho read
+    from an n x n table of state values at the compiled distances;
+    others over ``samples`` seeded pairs and triples.
     """
     algebra = s.algebra
     if core.is_finite(algebra):
         pool = core.enumerate_carrier(algebra)
-        pairs = list(itertools.product(pool, repeat=2))
-        triples = list(itertools.product(pool, repeat=3))
+        table, indices = core.compile_table(algebra), range(len(pool))
+        values = [eval_state(s, a) for a in pool]
+        matrix = [[values[table.dist(a, b)] for b in indices] for a in indices]
+        metric, element = (lambda a, b: matrix[a][b]), pool.__getitem__
+        pairs = list(itertools.product(indices, repeat=2))
+        triples = list(itertools.product(indices, repeat=3))
         seed = None
     else:
-        rng = seeded(seed)
-        pairs = [
-            (random_element(rng, algebra), random_element(rng, algebra))
-            for _ in range(samples)
-        ]
-        triples = [
-            (
-                random_element(rng, algebra),
-                random_element(rng, algebra),
-                random_element(rng, algebra),
-            )
-            for _ in range(samples)
-        ]
+        rng = seeded(seed, samples)
+        metric, element = (lambda a, b: rho(s, a, b)), (lambda a: a)
+        draw = lambda k: tuple(random_element(rng, algebra) for _ in range(k))
+        pairs = [draw(2) for _ in range(samples)]
+        triples = [draw(3) for _ in range(samples)]
     counts = {"pairs": len(pairs)}
     for a, b in pairs:
-        if rho(s, a, b) != rho(s, b, a) or rho(s, a, a) != ZERO:
-            return Verdict("fail", [{"pair": [a, b]}], counts, seed)
+        if metric(a, b) != metric(b, a) or metric(a, a) != ZERO:
+            return Verdict("fail", [{"pair": [element(a), element(b)]}], counts, seed)
     counts["triples"] = len(triples)
     for a, b, c in triples:
-        if rho(s, a, c) > rho(s, a, b) + rho(s, b, c):
-            return Verdict("fail", [{"triple": [a, b, c]}], counts, seed)
+        if metric(a, c) > metric(a, b) + metric(b, c):
+            witness = [element(a), element(b), element(c)]
+            return Verdict("fail", [{"triple": witness}], counts, seed)
     faithful = is_faithful(s)
     if faithful.passed:
-        separating = all(rho(s, a, b) > ZERO for a, b in pairs if a != b)
+        separating = all(metric(a, b) > ZERO for a, b in pairs if a != b)
     else:
         witness = faithful.witnesses[0]["element"]
         separating = rho(s, witness, core.zero(algebra)) > ZERO
@@ -322,18 +312,13 @@ def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
         return StateQuotient(target, quotient_state, project, True)
 
     # explicit table on a finite carrier: quotient by the null ideal
-    null = frozenset(
-        a.payload
-        for a in core.enumerate_carrier(algebra)
-        if eval_state(s, a) == ZERO
-    )
+    null = frozenset(payload for payload, value in rule.values if value == ZERO)
     if null == frozenset({core.zero(algebra).payload}):
         return _identity_quotient(algebra, s)
     result = spectra.quotient(algebra, spectra.ideal(algebra, null))
     values: dict[core.Payload, Fraction] = {}
-    for a in core.enumerate_carrier(algebra):
-        image = result.project(a)
-        value = eval_state(s, a)
+    for payload, value in rule.values:
+        image = result.project(Element(algebra, payload))
         if values.setdefault(image.payload, value) != value:
             raise AssertionError("state does not factor through the null ideal")
     quotient_state = table_state(result.algebra, values)

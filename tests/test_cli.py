@@ -222,6 +222,30 @@ class TestInputBoundary:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--seed", "1", "state", DOC, "metric", "s", "--samples", "0"),
+            ("--seed", "1", "embed", DOC, "F", "s", "--samples", "-3"),
+            ("--seed", "1", "product", DOC, "factorize", "sB", "schain", "gbeta", "--samples", "0"),
+        ],
+        ids=["state-metric", "embed", "product-factorize"],
+    )
+    def test_non_positive_sample_count_is_an_input_error(self, argv):
+        result = run(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: sample count must be positive\n"
+
+    def test_factorize_refuses_states_the_map_is_not_declared_on(self):
+        # gbeta is declared on (sB, schain)
+        result = run("--seed", "2", "product", DOC, "factorize", "schain", "sB", "gbeta")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "(sB, schain)" in result.stderr and "(schain, sB)" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_too_deeply_nested_document_is_an_input_error(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

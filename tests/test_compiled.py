@@ -1,0 +1,77 @@
+"""Compiled carriers against the core ops they are built from.
+
+Every stock finite carrier of at most 25 elements is compiled, and each
+table entry is checked against the core op on the enumerated elements,
+so the index sweeps of the axiom, state and bilinear checkers see the
+same algebra as the `Element` operations.
+"""
+
+import pytest
+
+import mvprob as mv
+from mvprob import core
+from mvprob.axioms import Exhaustive, check_axioms
+
+
+def stock_carriers():
+    for n in range(1, 25):
+        yield pytest.param(mv.finite_chain(n), id=f"chain{n}")
+    for n in range(1, 5):
+        yield pytest.param(mv.function_algebra(("x", "y"), mv.FiniteChain(n)), id=f"2x{n}")
+    for k in range(2, 5):
+        atoms = tuple(f"b{i}" for i in range(k))
+        yield pytest.param(mv.function_algebra(atoms, mv.FiniteChain(1)), id=f"boolean{k}")
+
+
+CARRIERS = list(stock_carriers())
+
+
+@pytest.mark.parametrize("algebra", CARRIERS)
+def test_rank_inverts_enumeration(algebra):
+    elements = core.enumerate_carrier(algebra)
+    assert len(elements) <= 25
+    assert [core.rank(algebra, e.payload) for e in elements] == list(range(len(elements)))
+
+
+@pytest.mark.parametrize("algebra", CARRIERS)
+def test_every_table_entry_is_the_rank_of_the_core_op(algebra):
+    elements = core.enumerate_carrier(algebra)
+    table = core.compile_table(algebra)
+    position = {e: i for i, e in enumerate(elements)}
+    assert table.names == tuple(core.format_element(e) for e in elements)
+    assert table.zero == position[core.zero(algebra)]
+    assert table.one == position[core.one(algebra)]
+    for i, a in enumerate(elements):
+        assert table.neg_table[i] == position[core.neg(a)]
+        for j, b in enumerate(elements):
+            assert table.oplus_table[i][j] == position[core.oplus(a, b)]
+            if algebra.internal_product:
+                assert table.prod_table[i][j] == position[core.prod(a, b)]
+    assert (table.prod_table is None) == (not algebra.internal_product)
+
+
+@pytest.mark.parametrize("algebra", CARRIERS)
+def test_mv_laws_are_checked_on_every_tuple(algebra):
+    n = core.carrier_size(algebra)
+    report = check_axioms(algebra, "MV", Exhaustive())
+    assert report.passed
+    assert report.metrics == {"checks": n**3 + 2 * n**2 + 3 * n}
+    if algebra.internal_product:
+        assert check_axioms(algebra, "PMV", Exhaustive()).passed
+
+
+@pytest.mark.parametrize("algebra", CARRIERS[:6] + CARRIERS[-7:])
+def test_summable_pairs_are_the_defined_partial_sums(algebra):
+    elements = core.enumerate_carrier(algebra)
+    expected = [
+        (i, j)
+        for i, a in enumerate(elements)
+        for j, b in enumerate(elements)
+        if core.partial_add(a, b) is not None
+    ]
+    assert list(core.summable_pairs(core.compile_table(algebra))) == expected
+
+
+def test_rank_refuses_infinite_carriers():
+    with pytest.raises(mv.UnsupportedCarrierError):
+        core.rank(mv.standard_unit(), mv.one(mv.standard_unit()).payload)

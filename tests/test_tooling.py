@@ -1,11 +1,15 @@
 """Source-level checks on the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mvprob"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mvprob"
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
@@ -14,3 +18,16 @@ def test_no_assert_statements(module):
     tree = ast.parse((PACKAGE / module).read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{module} asserts at lines {lines}"
+
+
+def test_golden_reports_hold_under_optimized_python():
+    # `python -O` drops assert statements and `__debug__` blocks from the
+    # library; pytest still rewrites the asserts of the test module itself
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_golden.py")],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
