@@ -25,6 +25,7 @@ from .verdict import Verdict
 MAX_FIT_MOMENTS = 6  # highest moment index the feasibility search accepts
 MAX_FIT_GRID = 64
 DEFAULT_PRECISION = 64  # enclosure width 2**-64
+MAX_PRECISION = 4096  # bisection steps per root; 4096 takes about a second
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +360,14 @@ def holder_check(
     fractional powers (mode "interval") and may come back inconclusive
     at the requested precision, which is the honest answer when the
     enclosures overlap.  The result holds lhs, rhs_low and rhs_high.
+    A precision outside 1 to `MAX_PRECISION` bits is refused.
     """
     if a.algebra != s.algebra or b.algebra != s.algebra:
         raise InputError("elements must live on the state's algebra")
     if not s.algebra.internal_product:
         raise InputError("the inequality needs an internal product")
+    if not 1 <= precision <= MAX_PRECISION:
+        raise InputError(f"precision must be between 1 and {MAX_PRECISION} bits")
     p, q = Fraction(p), Fraction(q)
     if p < 1 or q < 1 or Fraction(1, 1) / p + Fraction(1, 1) / q != ONE:
         raise InputError("exponents must be conjugate: 1/p + 1/q = 1 with p, q >= 1")

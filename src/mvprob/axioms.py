@@ -37,15 +37,10 @@ AxiomTarget = Union[Algebra, TableAlgebra]
 # ---------------------------------------------------------------------------
 
 
-def random_element(
-    rng: Random,
-    algebra: Algebra,
-    max_denominator: int = 60,
-    chang_bound: int = CHANG_SAMPLE_BOUND,
-) -> Element:
+def random_element(rng: Random, algebra: Algebra) -> Element:
     carrier = algebra.carrier
     if isinstance(carrier, StandardUnit):
-        return Element(algebra, random_unit(rng, max_denominator))
+        return Element(algebra, random_unit(rng))
     if isinstance(carrier, core.FiniteChain):
         return Element(algebra, Fraction(rng.randint(0, carrier.n), carrier.n))
     if isinstance(carrier, FunctionAlgebra):
@@ -55,11 +50,11 @@ def random_element(
                 Fraction(rng.randint(0, n), n) for _ in carrier.atoms
             )
         else:
-            values = tuple(random_unit(rng, max_denominator) for _ in carrier.atoms)
+            values = tuple(random_unit(rng) for _ in carrier.atoms)
         return Element(algebra, values)
     if isinstance(carrier, Chang):
         side = core.LOWER if rng.random() < 0.5 else core.UPPER
-        return Element(algebra, ChangPair(side, rng.randint(0, chang_bound)))
+        return Element(algebra, ChangPair(side, rng.randint(0, CHANG_SAMPLE_BOUND)))
     raise InputError(f"cannot sample from carrier {carrier!r}")
 
 

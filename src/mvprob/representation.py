@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Callable, Optional
 
 from . import core, states
 from .axioms import random_element, seeded
 from .core import Algebra, Chang, Element, FunctionAlgebra
-from .errors import InputError, UnsupportedCarrierError
+from .errors import InputError
 from .rationals import ONE, ZERO
 from .states import DiscreteMeasure, State
 from .verdict import Verdict
@@ -54,26 +53,31 @@ def kroupa_panti(s: State) -> DiscreteMeasure:
 
 @dataclass(frozen=True)
 class MeasureRepresentation:
+    """The pipeline's steps, and the sources of the target's atom indicators."""
+
     source: Algebra
     state: State
-    measure: DiscreteMeasure  # strictly positive weights
-    target: Algebra  # function algebra over the rational interval
-    atom_elements: tuple[Element, ...]  # sources of the atom indicators
-    injective: bool
-    collapse_chang: bool
-    keep: tuple[int, ...]  # surviving ambient coordinates
+    radical: states.StateQuotient  # onto a semisimple algebra; the identity off Chang
+    hull: Algebra  # the divisible hull of the radical quotient
+    quotient: states.StateQuotient  # of the hull by the extended state's null ideal
+    atom_elements: tuple[Element, ...]
+    injective: bool  # both quotients are identities
+
+    @property
+    def measure(self) -> DiscreteMeasure:  # strictly positive weights
+        return self.quotient.state.rule.measure
+
+    @property
+    def target(self) -> Algebra:  # function algebra over the rational interval
+        return self.quotient.algebra
 
 
 def represent(rep: MeasureRepresentation, a: Element) -> Element:
     """Apply the representation map."""
     if a.algebra != rep.source:
         raise InputError("element does not belong to the represented algebra")
-    if rep.collapse_chang:
-        flat = ZERO if a.payload.side == core.LOWER else ONE
-        vector: tuple[Fraction, ...] = (flat,)
-    else:
-        vector = core.ambient_vector(a)
-    return Element(rep.target, tuple(vector[i] for i in rep.keep))
+    placed = Element(rep.hull, core.ambient_vector(rep.radical.project(a)))
+    return rep.quotient.project(placed)
 
 
 def embed_l1(algebra: Algebra, s: State) -> MeasureRepresentation:
@@ -85,40 +89,29 @@ def embed_l1(algebra: Algebra, s: State) -> MeasureRepresentation:
     """
     if s.algebra != algebra:
         raise InputError("state does not live on the given algebra")
-    carrier = algebra.carrier
+    if isinstance(algebra.carrier, Chang):
+        # the null ideal of the first-coordinate state is the radical
+        radical = states.state_quotient(algebra, s)
+        sources = [core.one(algebra)]
+    else:  # chains and function algebras are semisimple; no other carrier has atoms
+        radical = states.identity_quotient(algebra, s)
+        sources = core.atom_indicator_elements(algebra)
 
-    if isinstance(carrier, Chang):
-        # radical quotient first: the two-element algebra with the factored state
-        base = core.finite_chain(1)
-        factored = states.table_state(base, {ZERO: ZERO, ONE: ONE})
-        collapse = True
-        injective_so_far = False
-    elif isinstance(carrier, (core.FiniteChain, FunctionAlgebra)):
-        base, factored, collapse, injective_so_far = algebra, s, False, True
-    else:
-        raise UnsupportedCarrierError(f"no representation for carrier {carrier!r}")
-
-    extended = states.extend_state_divisible(factored)
-    full = extended.rule.measure
-    keep = tuple(i for i, w in enumerate(full.weights) if w != ZERO)
-    injective = injective_so_far and len(keep) == len(full.atoms)
-
-    atoms = tuple(full.atoms[i] for i in keep)
-    mu = DiscreteMeasure(atoms, tuple(full.weights[i] for i in keep))
-    target = core.function_algebra(atoms)
-    sources = [core.one(algebra)] if collapse else core.atom_indicator_elements(base)
-
+    # on the hull every state is a measure, so its quotient drops null atoms
+    extended = states.extend_state_divisible(radical.state)
+    hull = extended.algebra
+    quotient = states.state_quotient(hull, extended)
+    source_of = dict(zip(core.atoms_of(hull), sources))
     rep = MeasureRepresentation(
         source=algebra,
         state=s,
-        measure=mu,
-        target=target,
-        atom_elements=tuple(sources[i] for i in keep),
-        injective=injective,
-        collapse_chang=collapse,
-        keep=keep,
+        radical=radical,
+        hull=hull,
+        quotient=quotient,
+        atom_elements=tuple(source_of[x] for x in core.atoms_of(quotient.algebra)),
+        injective=radical.algebra == algebra and quotient.algebra == hull,
     )
-    if injective != states.is_faithful(s).passed:
+    if rep.injective != states.is_faithful(s).passed:
         raise AssertionError("the representation is injective iff the state is faithful")
     return rep
 
@@ -182,7 +175,7 @@ def verify_morphism_extras(
         pool = core.enumerate_carrier(rep.source)
         pairs = [(a, b) for a in pool for b in pool]
     else:
-        rng = Random(seed)
+        rng = seeded(seed, samples)
         pairs = [
             (random_element(rng, rep.source), random_element(rng, rep.source))
             for _ in range(samples)
@@ -197,7 +190,7 @@ def verify_morphism_extras(
     if level == "fMV":
         if not rep.source.scalar_action:
             raise InputError("fMV check needs a scalar action on the source")
-        rng = Random(seed + 1)
+        rng = seeded(seed + 1, samples)
         for _ in range(samples):
             a = random_element(rng, rep.source)
             alpha = Fraction(rng.randint(0, 60), 60)

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Union
 
 from . import core
 from .core import Algebra, Chang, Element, FiniteChain, FunctionAlgebra
 from .errors import InputError, UnsupportedCarrierError
-from .rationals import ZERO
+from .rationals import ONE, ZERO
 from .verdict import Verdict
 
 MAX_ENUMERABLE = 64  # size guard for carrier-wide enumeration
@@ -187,7 +186,7 @@ def quotient(algebra: Algebra, i: Ideal) -> QuotientResult:
         target = core.finite_chain(1)
 
         def project(a: Element) -> Element:
-            return Element(target, ZERO if a.payload.side == core.LOWER else Fraction(1))
+            return Element(target, ZERO if a.payload.side == core.LOWER else ONE)
 
         return QuotientResult(target, project)
 
@@ -241,21 +240,15 @@ def semisimple_embedding(algebra: Algebra) -> EmbeddingResult:
     map is injective exactly when the radical is trivial, so the Chang
     algebra comes out non-injective.
     """
-    carrier = algebra.carrier
+    carrier, collapse = algebra.carrier, lambda a: a
     if isinstance(carrier, Chang):
-        target = core.function_algebra(("M0",), FiniteChain(1))
-
-        def embed(a: Element) -> Element:
-            return Element(
-                target, (ZERO if a.payload.side == core.LOWER else Fraction(1),)
-            )
-
-        return EmbeddingResult(algebra, target, embed)
+        result = quotient(algebra, radical(algebra))
+        carrier, collapse = result.algebra.carrier, result.project
     if isinstance(carrier, FiniteChain):
         target = core.function_algebra(("M0",), carrier)
 
         def embed(a: Element) -> Element:
-            return Element(target, (a.payload,))
+            return Element(target, (collapse(a).payload,))
 
         return EmbeddingResult(algebra, target, embed)
     if isinstance(carrier, FunctionAlgebra) and core.is_finite(algebra):

@@ -268,7 +268,8 @@ class StateQuotient:
     complete: bool  # the quotient is rho-complete iff its carrier is finite
 
 
-def _identity_quotient(algebra: Algebra, s: State) -> StateQuotient:
+def identity_quotient(algebra: Algebra, s: State) -> StateQuotient:
+    """The quotient that collapses nothing, as of a faithful state."""
     return StateQuotient(algebra, s, lambda a: a, core.is_finite(algebra))
 
 
@@ -276,7 +277,7 @@ def _restrict_measure_quotient(s: State, mu: DiscreteMeasure) -> StateQuotient:
     carrier = s.algebra.carrier
     keep = tuple(i for i, w in enumerate(mu.weights) if w != ZERO)
     if len(keep) == len(mu.atoms):
-        return _identity_quotient(s.algebra, s)
+        return identity_quotient(s.algebra, s)
     atoms = tuple(mu.atoms[i] for i in keep)
     target = core.function_algebra(atoms, carrier.value)
     restricted = DiscreteMeasure(atoms, tuple(mu.weights[i] for i in keep))
@@ -301,20 +302,16 @@ def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
     if isinstance(rule, MeasureRule):
         return _restrict_measure_quotient(s, rule.measure)
     if isinstance(rule, IdentityRule):
-        return _identity_quotient(algebra, s)
-    if isinstance(rule, FirstCoordinateRule):
-        target = core.finite_chain(1)
-        quotient_state = table_state(target, {ZERO: ZERO, ONE: ONE})
-
-        def project(a: Element) -> Element:
-            return Element(target, ZERO if a.payload.side == core.LOWER else ONE)
-
-        return StateQuotient(target, quotient_state, project, True)
+        return identity_quotient(algebra, s)
+    if isinstance(rule, FirstCoordinateRule):  # its null ideal is the radical
+        result = spectra.quotient(algebra, spectra.radical(algebra))
+        quotient_state = table_state(result.algebra, {ZERO: ZERO, ONE: ONE})
+        return StateQuotient(result.algebra, quotient_state, result.project, True)
 
     # explicit table on a finite carrier: quotient by the null ideal
     null = frozenset(payload for payload, value in rule.values if value == ZERO)
     if null == frozenset({core.zero(algebra).payload}):
-        return _identity_quotient(algebra, s)
+        return identity_quotient(algebra, s)
     result = spectra.quotient(algebra, spectra.ideal(algebra, null))
     values: dict[core.Payload, Fraction] = {}
     for payload, value in rule.values:

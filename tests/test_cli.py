@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvprob import cli
+from mvprob import analysis, cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOC = str(FIXTURES / "basic.json")
@@ -236,6 +236,16 @@ class TestInputBoundary:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: sample count must be positive\n"
+
+    @pytest.mark.parametrize("precision", [-3, 0, analysis.MAX_PRECISION + 1])
+    def test_precision_outside_its_budget_is_an_input_error(self, precision):
+        result = run("holder", DOC, "s", "f1", "f2", "--p", "3", "--q", "3/2",
+                     "--precision", str(precision))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: precision must be between 1 and {analysis.MAX_PRECISION} bits\n"
+        )
 
     def test_factorize_refuses_states_the_map_is_not_declared_on(self):
         # gbeta is declared on (sB, schain)

@@ -1,5 +1,6 @@
 """Product couplings, bounded bilinear maps, extensions, factorization."""
 
+import itertools
 from fractions import Fraction as F
 from random import Random
 
@@ -245,17 +246,82 @@ def test_planted_defect_is_found_at_its_pinned_check(gamma, bound, bimorphism, c
     assert report.witnesses == [{"check": witness}]
 
 
+def check_bilinear_comparing_meets(gamma):
+    """The linearity and lattice sweeps of `check_bilinear` with a meet
+    comparison after each join comparison: the reference for the sweep
+    that compares joins only."""
+    left = mv.core.compile_table(gamma.left.algebra)
+    right = mv.core.compile_table(gamma.right.algebra)
+    slots = (
+        ("left", left, right, gamma.table),
+        ("right", right, left, tuple(zip(*gamma.table))),
+    )
+    checks = 0
+
+    def fail(law, slot, x, x2, y):
+        if slot == "left":
+            names = (left.names[x], left.names[x2], right.names[y])
+        else:
+            names = (left.names[y], right.names[x], right.names[x2])
+        return mv.Verdict("fail", [{"check": (f"{slot}-{law}", *names)}], {"checks": checks})
+
+    for slot, varying, fixed, lookup in slots:
+        for x, x2 in mv.core.summable_pairs(varying):
+            totals = lookup[varying.oplus(x, x2)]
+            for y in range(len(fixed.names)):
+                checks += 1
+                parts = mv.core.partial_add(lookup[x][y], lookup[x2][y])
+                if parts is None or parts != totals[y]:
+                    return fail("linearity", slot, x, x2, y)
+    for slot, varying, fixed, lookup in slots:
+        for x, x2 in itertools.product(range(len(varying.names)), repeat=2):
+            joins, meets = lookup[varying.join(x, x2)], lookup[varying.meet(x, x2)]
+            for y in range(len(fixed.names)):
+                checks += 1
+                v, v2 = lookup[x][y], lookup[x2][y]
+                if joins[y] != mv.core.join(v, v2):
+                    return fail("join", slot, x, x2, y)
+                if meets[y] != mv.core.meet(v, v2):
+                    return fail("meet", slot, x, x2, y)
+    return mv.Verdict("pass", [], {"checks": checks})
+
+
+def test_bimorphism_check_without_meets_matches_the_one_with_meets():
+    # every map from chain1 x chain2 into {0, 1/2, 1}
+    s1, s2 = chain_state(mv.finite_chain(1)), chain_state(CH2)
+    unit = mv.standard_unit()
+    cells = [
+        (a.payload, b.payload)
+        for a in mv.core.enumerate_carrier(s1.algebra)
+        for b in mv.core.enumerate_carrier(s2.algebra)
+    ]
+    passed = 0
+    for values in itertools.product((F(0), F(1, 2), F(1)), repeat=len(cells)):
+        lookup = dict(zip(cells, values))
+        gamma = mv.bilinear_map(
+            s1, s2, mv.identity_state(unit),
+            lambda a, b: mv.element(unit, lookup[a.payload, b.payload]), validate=False,
+        )
+        got = mv.check_bilinear(gamma, bimorphism=True)
+        want = check_bilinear_comparing_meets(gamma)
+        assert (got.verdict, got.metrics, got.witnesses) == (
+            want.verdict, want.metrics, want.witnesses
+        ), values
+        passed += got.passed
+    assert passed == 2  # the zero map and (a, b) -> a * b
+
+
 class TestLinearExtension:
     def test_identity_extends_to_the_identity(self):
         sigma = mv.linear_map(CH2, CH2, lambda a: a)
         ext = mv.extend_linear_divisible(sigma)
         third = mv.element(ext.domain, ("1/3",))
-        assert independence.apply_hull_linear(ext, third).payload == (F(1, 3),)
+        assert independence.apply_atom_linear(ext, third).payload == (F(1, 3),)
 
     def test_zero_maps_to_zero(self):
         sigma = mv.linear_map(CH2, CH2, lambda a: a)
         ext = mv.extend_linear_divisible(sigma)
-        assert independence.apply_hull_linear(ext, mv.zero(ext.domain)) == mv.zero(
+        assert independence.apply_atom_linear(ext, mv.zero(ext.domain)) == mv.zero(
             ext.codomain
         )
 
@@ -266,7 +332,7 @@ class TestLinearExtension:
         sigma = mv.linear_map(CH2, CH2, lambda a: a)
         ext = mv.extend_linear_divisible(sigma)
         half = mv.element(ext.domain, ("1/2",))
-        image = independence.apply_hull_linear(ext, half).payload
+        image = independence.apply_atom_linear(ext, half).payload
 
         def average(parts):
             vectors = [
@@ -287,7 +353,7 @@ class TestLinearExtension:
         sigma = mv.linear_map(source, CH2, lambda a: mv.element(CH2, a.payload[0]))
         ext = mv.extend_linear_divisible(sigma)
         for a in mv.core.enumerate_carrier(source):
-            assert independence.apply_hull_linear(
+            assert independence.apply_atom_linear(
                 ext, mv.core.embed_in_ambient(a)
             ) == mv.core.embed_in_ambient(mv.independence.apply_linear(sigma, a))
 

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction as F
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -195,6 +196,82 @@ class TestPipeline:
         with pytest.raises(InputError):
             mv.embed_l1(mv.standard_unit(), mv.identity_state(mv.standard_unit()))
 
+    def test_non_faithful_table_state_above_the_ideal_guard(self):
+        # the state quotient is taken on the hull, where the state is a
+        # measure, so the size guard of the ideal machinery never applies
+        algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(8))
+        assert mv.core.carrier_size(algebra) == 81 > mv.spectra.MAX_ENUMERABLE
+        s = mv.table_state(
+            algebra, {a.payload: a.payload[0] for a in mv.core.enumerate_carrier(algebra)}
+        )
+        with pytest.raises(InputError):
+            mv.state_quotient(algebra, s)
+        rep = mv.embed_l1(algebra, s)
+        assert not rep.injective
+        assert rep.measure == mv.measure(("x",), (F(1),))
+        assert rep.atom_elements == (mv.core.indicator(algebra, "x"),)
+        for a in mv.core.enumerate_carrier(algebra):
+            assert representation.integral(rep, a) == mv.eval_state(s, a)
+
+
+def reference_representation(algebra, s):
+    """The representation by direct formulas, without the pipeline's steps.
+
+    On Chang every element goes to (0,) or (1,); on the other carriers the
+    map is the ambient vector restricted to the atoms of positive weight,
+    and an atom's weight is the state of its indicator's source.
+    """
+    carrier = algebra.carrier
+    if isinstance(carrier, mv.FunctionAlgebra):
+        atoms = carrier.atoms
+        sources = tuple(mv.core.indicator(algebra, x) for x in atoms)
+    else:
+        atoms, sources = ("x0",), (mv.one(algebra),)
+    if isinstance(carrier, mv.Chang):
+        def vector(a):
+            return (F(0) if a.payload.side == mv.core.LOWER else F(1),)
+    else:
+        vector = mv.core.ambient_vector
+    weights = tuple(mv.eval_state(s, e) for e in sources)
+    keep = [i for i, w in enumerate(weights) if w != 0]
+    target = mv.function_algebra([atoms[i] for i in keep])
+    return SimpleNamespace(
+        measure=mv.measure([atoms[i] for i in keep], [weights[i] for i in keep]),
+        target=target,
+        atom_elements=tuple(sources[i] for i in keep),
+        injective=not isinstance(carrier, mv.Chang) and len(keep) == len(atoms),
+        represent=lambda a: mv.element(target, [vector(a)[i] for i in keep]),
+    )
+
+
+def pipeline_cases():
+    yield pytest.param(C, mv.chang_state(C), id="chang")
+    for n in range(1, 7):
+        chain = mv.finite_chain(n)
+        yield pytest.param(chain, chain_state(chain), id=f"chain{n}")
+    for n in (1, 2, 3):
+        algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(n))
+        for weights in ((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)), (F(1), F(0)), (F(0), F(1))):
+            s = mv.measure_state(algebra, mv.measure(("x", "y"), weights))
+            table = mv.table_state(
+                algebra, {a.payload: mv.eval_state(s, a) for a in mv.core.enumerate_carrier(algebra)}
+            )
+            label = f"{n}-{weights[0]}"
+            yield pytest.param(algebra, s, id=f"measure-{label}")
+            yield pytest.param(algebra, table, id=f"table-{label}")
+
+
+@pytest.mark.parametrize("algebra, state", list(pipeline_cases()))
+def test_pipeline_matches_the_direct_formulas(algebra, state):
+    rep = mv.embed_l1(algebra, state)
+    expected = reference_representation(algebra, state)
+    assert rep.measure == expected.measure
+    assert rep.target == expected.target
+    assert rep.atom_elements == expected.atom_elements
+    assert rep.injective == expected.injective
+    for a in mv.core.sweep_elements(algebra):
+        assert mv.represent(rep, a) == expected.represent(a)
+
 
 class TestVerifyEmbedding:
     def test_chang_slice_with_its_measure(self):
@@ -241,3 +318,40 @@ class TestMorphismExtras:
 
         report = mv.verify_morphism_extras(rep, "PMV", mapper=corrupted, samples=100, seed=3)
         assert not report.passed and report.witnesses
+
+    @pytest.mark.parametrize("level", ["PMV", "fMV"])
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_sampled_sweep_refuses_a_non_positive_count(self, level, samples):
+        # a constant map preserves products and scalars; with no draws,
+        # nothing would tell it from the representation map
+        rep = mv.embed_l1(FA, mv.measure_state(FA, mv.measure(("x", "y"), (F(1, 2), F(1, 2)))))
+        with pytest.raises(InputError, match="sample count must be positive"):
+            mv.verify_morphism_extras(
+                rep, level, mapper=lambda a: mv.zero(rep.target), samples=samples, seed=1
+            )
+
+    def test_finite_product_sweep_is_not_sized_by_the_count(self):
+        chain1 = mv.finite_chain(1)
+        rep = mv.embed_l1(chain1, chain_state(chain1))
+        report = mv.verify_morphism_extras(rep, "PMV", samples=0)
+        assert report.passed and report.metrics == {"checks": 4}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_draws_are_those_of_the_seed(self, seed):
+        rep = mv.embed_l1(FA, mv.measure_state(FA, mv.measure(("x", "y"), (F(1, 3), F(2, 3)))))
+        seen = []
+
+        def recording(a):
+            seen.append(a)
+            return mv.represent(rep, a)
+
+        report = mv.verify_morphism_extras(rep, "fMV", mapper=recording, samples=5, seed=seed)
+        assert report.passed and report.metrics == {"checks": 10}
+        rng = Random(seed)
+        pairs = [(random_element(rng, FA), random_element(rng, FA)) for _ in range(5)]
+        expected = [x for a, b in pairs for x in (mv.prod(a, b), a, b)]
+        rng = Random(seed + 1)
+        for _ in range(5):
+            a = random_element(rng, FA)
+            expected += [mv.scalar_mul(F(rng.randint(0, 60), 60), a), a]
+        assert seen == expected

@@ -1,6 +1,7 @@
 """Source-level checks on the package itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -31,3 +32,18 @@ def test_golden_reports_hold_under_optimized_python():
         capture_output=True, text=True, env=env, cwd=ROOT,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_benchmark_function_metrics_name_library_functions():
+    # a name that no longer resolves would make its per-layer metric read 0
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    (metrics,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "FUNCTION_METRICS" for t in node.targets)
+    ]
+    names = sorted({key for key, _ in ast.literal_eval(metrics)})
+    assert names
+    for name in names:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"mvprob.{module}"), function, None)), name
