@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import core, representation, states
-from .core import Element, FunctionAlgebra, StandardUnit
+from . import core, states
+from .core import Element
 from .errors import InputError
 from .rationals import ONE, ZERO, format_rational, parse_rational, require_unit
 from .states import DiscreteMeasure, State
@@ -26,6 +26,7 @@ MAX_FIT_MOMENTS = 6  # highest moment index the feasibility search accepts
 MAX_FIT_GRID = 64
 DEFAULT_PRECISION = 64  # enclosure width 2**-64
 MAX_PRECISION = 4096  # bisection steps per root; 4096 takes about a second
+MAX_ORDER = 512  # highest moment order; 512 takes about a second
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +130,9 @@ def grid_points(mu: DiscreteMeasure) -> tuple[Fraction, ...]:
 
 
 def moments_of_measure(mu: DiscreteMeasure, order: int) -> MomentSequence:
-    """Power moments of a grid measure, exactly."""
-    if order < 0:
-        raise InputError("order must be nonnegative")
+    """Power moments of a grid measure, exactly, up to `MAX_ORDER`."""
+    if not 0 <= order <= MAX_ORDER:
+        raise InputError(f"order must be between 0 and {MAX_ORDER}")
     points = grid_points(mu)
     values = tuple(
         sum((p**k * w for p, w in zip(points, mu.weights)), ZERO)
@@ -319,15 +320,6 @@ def _interval_pow(iv: tuple[Fraction, Fraction], exponent: Fraction, bits: int):
 # ---------------------------------------------------------------------------
 
 
-def _pointwise_data(s: State, a: Element):
-    carrier = s.algebra.carrier
-    if isinstance(carrier, FunctionAlgebra):
-        return list(a.payload), list(representation.kroupa_panti(s).weights)
-    if isinstance(carrier, StandardUnit):
-        return [a.payload], [ONE]
-    raise InputError("pointwise evaluation needs a function algebra carrier")
-
-
 def _power_state_bounds(s: State, a: Element, exponent: Fraction, bits: int):
     if exponent.denominator == 1:
         power = a
@@ -335,9 +327,9 @@ def _power_state_bounds(s: State, a: Element, exponent: Fraction, bits: int):
             power = core.prod(power, a)
         exact = states.eval_state(s, power)
         return exact, exact
-    values, weights = _pointwise_data(s, a)
+    weights = states.extend_state_divisible(s).rule.measure.weights
     lo = hi = ZERO
-    for v, w in zip(values, weights):
+    for v, w in zip(core.ambient_vector(a), weights):
         b_lo, b_hi = pow_bounds(v, exponent, bits)
         lo += w * b_lo
         hi += w * b_hi

@@ -553,25 +553,20 @@ CHAIN_HULL_ATOM = "x0"
 def divisible_ambient(algebra: Algebra) -> Algebra:
     """The rational function algebra a semisimple carrier embeds into.
 
-    Chains get a single synthetic atom; function algebras keep theirs.
+    Chains and the standard algebra get a single synthetic atom;
+    function algebras keep theirs.
     """
     carrier = algebra.carrier
-    if isinstance(carrier, FiniteChain):
+    if isinstance(carrier, (FiniteChain, StandardUnit)):
         return function_algebra((CHAIN_HULL_ATOM,))
     if isinstance(carrier, FunctionAlgebra):
         return function_algebra(carrier.atoms)
-    if isinstance(carrier, StandardUnit):
-        return function_algebra((CHAIN_HULL_ATOM,))
     raise UnsupportedCarrierError(f"carrier {carrier} has no divisible ambient")
 
 
 def embed_in_ambient(a: Element) -> Element:
     """Value-preserving retyping of ``a`` into its divisible ambient."""
-    ambient = divisible_ambient(a.algebra)
-    p = a.payload
-    if isinstance(p, tuple):
-        return Element(ambient, p)
-    return Element(ambient, (p,))
+    return Element(divisible_ambient(a.algebra), ambient_vector(a))
 
 
 def ambient_vector(a: Element) -> tuple[Fraction, ...]:
@@ -583,34 +578,15 @@ def ambient_vector(a: Element) -> tuple[Fraction, ...]:
     raise InputError("Chang elements have no ambient vector")
 
 
-def scaled_atom_basis(algebra: Algebra) -> tuple[int, list[Element]]:
-    """The elements (1/n) * indicator_x together with the scale n.
+def atom_indicator_elements(algebra: Algebra) -> list[Element]:
+    """Source elements whose ambient images are the atom indicators.
 
-    Every element of the carrier is an exact partial sum of these, which
-    is what the divisible-extension formulas reduce to.
+    They are the basis of the divisible ambient: every element there is
+    f = sum_x f(x) * 1_x, so a rational-linear map off the ambient is
+    fixed by its values at these elements.
     """
     carrier = algebra.carrier
-    if isinstance(carrier, FiniteChain):
-        n = carrier.n
-        return n, [Element(algebra, Fraction(1, n))]
-    if isinstance(carrier, FunctionAlgebra):
-        n = carrier.value.n if isinstance(carrier.value, FiniteChain) else 1
-        unit = Fraction(1, n)
-        basis = [
-            Element(
-                algebra,
-                tuple(unit if a == atom else ZERO for a in carrier.atoms),
-            )
-            for atom in carrier.atoms
-        ]
-        return n, basis
-    raise UnsupportedCarrierError(f"carrier {carrier} has no atom basis")
-
-
-def atom_indicator_elements(algebra: Algebra) -> list[Element]:
-    """Source elements whose ambient images are the atom indicators."""
-    carrier = algebra.carrier
-    if isinstance(carrier, FiniteChain):
+    if isinstance(carrier, (FiniteChain, StandardUnit)):
         return [one(algebra)]
     if isinstance(carrier, FunctionAlgebra):
         return [indicator(algebra, atom) for atom in carrier.atoms]

@@ -4,9 +4,12 @@ Two represented algebras are coupled through the product of their
 measures: the pairing sends (f, g) to the pointwise product function on
 atom pairs, and integrating a pairing against the product measure
 factors into the product of the integrals, which is the independence
-identity.  Bounded bilinear maps extend to the divisible hulls by
-averaging, satisfy an exact Lipschitz bound, and factor uniquely
-through the pairing by a linear map determined on atom indicators.
+identity.  Every hull element is f = sum_x f(x) * 1_x, so linear and
+bounded bilinear maps extend to the divisible hulls through their
+values at the atom indicators (pairs of them, for a bilinear map, whose
+extension is a linear map off the pair atoms).  Bounded bilinear maps
+satisfy an exact Lipschitz bound and factor uniquely through the
+pairing by a linear map determined on atom indicators.
 """
 
 from __future__ import annotations
@@ -380,13 +383,12 @@ class AtomLinearMap:
 def extend_linear_divisible(sigma: LinearMap) -> AtomLinearMap:
     """The unique rational-linear extension of a linear map to the hulls.
 
-    The image of an indicator is n times the image of the scaled atom
-    base element (1/n) * 1_x.
+    The image of the indicator 1_x is the ambient image of sigma at
+    its source in `core.atom_indicator_elements`.
     """
-    scale, basis = core.scaled_atom_basis(sigma.domain)
     images = tuple(
-        tuple(scale * v for v in core.ambient_vector(apply_linear(sigma, u)))
-        for u in basis
+        core.ambient_vector(apply_linear(sigma, u))
+        for u in core.atom_indicator_elements(sigma.domain)
     )
     return AtomLinearMap(
         core.divisible_ambient(sigma.domain),
@@ -398,66 +400,39 @@ def extend_linear_divisible(sigma: LinearMap) -> AtomLinearMap:
 def apply_atom_linear(omega: AtomLinearMap, h: Element) -> Element:
     if h.algebra != omega.domain:
         raise InputError("argument does not live on the map's domain")
-    return _combine(omega.codomain, omega.images, h.payload)
-
-
-def _combine(codomain: Algebra, columns, coefficients) -> Element:
-    """The exact combination sum_j coefficients[j] * columns[j] in ``codomain``."""
-    acc = [ZERO] * len(columns[0])
-    for coefficient, column in zip(coefficients, columns):
+    acc = [ZERO] * len(omega.images[0])
+    for coefficient, column in zip(h.payload, omega.images):
         if coefficient != ZERO:
             for i, v in enumerate(column):
                 acc[i] += coefficient * v
     if any(v > ONE for v in acc):
         raise AssertionError("a linear image of a unit vector stays in the unit cube")
-    return Element(codomain, tuple(acc))
+    return Element(omega.codomain, tuple(acc))
 
 
-@dataclass(frozen=True)
-class HullBilinearMap:
-    """Divisible extension of a bounded bilinear map, on indicator grids.
+def extend_bilinear_divisible(gamma: BilinearMap) -> AtomLinearMap:
+    """The divisible extension of a bounded bilinear map, as a linear map.
 
-    ``grid[x][y]`` is the ambient image of the map at the indicator
-    pair; bilinearity makes the extension the double rational
-    combination of those images, and it keeps the same bound.
+    Bilinearity fixes the extension at the indicator pairs: (f, g) goes
+    to sum_{x,y} f(x) g(y) * gamma(1_x, 1_y), which is the linear map
+    off the function algebra on the pair atoms (x,y) of the two hulls
+    whose image at the indicator of (x,y) is the ambient image of gamma
+    at the sources in `core.atom_indicator_elements`.  The extension
+    keeps the bound of gamma.
     """
-
-    left: Algebra
-    right: Algebra
-    codomain: Algebra
-    grid: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    bound: int
-
-
-def extend_bilinear_divisible(gamma: BilinearMap) -> HullBilinearMap:
     if gamma.bound is None:
         raise InputError("only bounded bilinear maps extend to the hulls")
-    left_units = core.atom_indicator_elements(gamma.left.algebra)
-    right_units = core.atom_indicator_elements(gamma.right.algebra)
-    grid = tuple(
-        tuple(
-            core.ambient_vector(apply_bilinear(gamma, ex, ey))
-            for ey in right_units
-        )
-        for ex in left_units
+    left = core.divisible_ambient(gamma.left.algebra)
+    right = core.divisible_ambient(gamma.right.algebra)
+    images = tuple(
+        core.ambient_vector(apply_bilinear(gamma, ex, ey))
+        for ex in core.atom_indicator_elements(gamma.left.algebra)
+        for ey in core.atom_indicator_elements(gamma.right.algebra)
     )
-    return HullBilinearMap(
-        core.divisible_ambient(gamma.left.algebra),
-        core.divisible_ambient(gamma.right.algebra),
-        core.divisible_ambient(gamma.codomain.algebra),
-        grid,
-        gamma.bound,
+    domain = core.function_algebra(
+        tuple(pair_atom(x, y) for x in core.atoms_of(left) for y in core.atoms_of(right))
     )
-
-
-def apply_hull_bilinear(ext: HullBilinearMap, f: Element, g: Element) -> Element:
-    if f.algebra != ext.left or g.algebra != ext.right:
-        raise InputError("arguments do not live on the extension's domains")
-    return _combine(
-        ext.codomain,
-        [cell for row in ext.grid for cell in row],
-        [cf * cg for cf in f.payload for cg in g.payload],
-    )
+    return AtomLinearMap(domain, core.divisible_ambient(gamma.codomain.algebra), images)
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +588,8 @@ def verify_factorization(
 
     ext = extend_bilinear_divisible(gamma)
     alternate = tuple(
-        rep_c.quotient.project(
-            apply_hull_bilinear(
-                ext,
-                core.indicator(ext.left, x),
-                core.indicator(ext.right, y),
-            )
-        ).payload
-        for x in core.atoms_of(ext.left)
-        for y in core.atoms_of(ext.right)
+        rep_c.quotient.project(Element(ext.codomain, image)).payload
+        for image in ext.images
     )
     candidate = AtomLinearMap(omega.domain, omega.codomain, alternate)
     for i in range(len(omega.images)):

@@ -18,7 +18,7 @@ from . import core, states
 from .axioms import random_element, seeded
 from .core import Algebra, Chang, Element, FunctionAlgebra
 from .errors import InputError
-from .rationals import ONE, ZERO
+from .rationals import ZERO
 from .states import DiscreteMeasure, State
 from .verdict import Verdict
 
@@ -32,18 +32,11 @@ def kroupa_panti(s: State) -> DiscreteMeasure:
 
     Atom indicators are 0/1-valued, hence carrier members for every value
     chain, and linearity forces the weight of an atom to be the state of
-    its indicator.
+    its indicator, which is the measure of the divisible extension.
     """
-    carrier = s.algebra.carrier
-    if not isinstance(carrier, FunctionAlgebra):
+    if not isinstance(s.algebra.carrier, FunctionAlgebra):
         raise InputError("measure recovery needs a function algebra")
-    weights = tuple(
-        states.eval_state(s, core.indicator(s.algebra, atom))
-        for atom in carrier.atoms
-    )
-    if sum(weights) != ONE:
-        raise AssertionError("a linear state assigns total weight 1 to the atoms")
-    return DiscreteMeasure(carrier.atoms, weights)
+    return states.extend_state_divisible(s).rule.measure
 
 
 # ---------------------------------------------------------------------------

@@ -235,22 +235,16 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
 def extend_state_divisible(s: State) -> State:
     """Extend a state to the rational function algebra over the carrier.
 
-    The extension is rationally homogeneous, so it is forced on the
-    scaled atom basis and is integration against the measure
-    mu(x) = n * s((1/n) * indicator_x).  Restricting it along the ambient
-    embedding recovers ``s`` exactly.
+    The extension is rationally linear and every hull element is
+    f = sum_x f(x) * 1_x, so it is integration against the measure
+    mu(x) = s(1_x), read at `core.atom_indicator_elements`.  Restricting
+    it along the ambient embedding recovers ``s`` exactly.
     """
-    carrier = s.algebra.carrier
-    if isinstance(carrier, Chang):
+    if isinstance(s.algebra.carrier, Chang):
         raise InputError("the Chang algebra is not semisimple; extend its quotient")
-    if isinstance(carrier, StandardUnit):
-        ambient = core.divisible_ambient(s.algebra)
-        mu = DiscreteMeasure(core.atoms_of(ambient), (ONE,))
-        return measure_state(ambient, mu)
-    scale, basis = core.scaled_atom_basis(s.algebra)
-    weights = tuple(scale * eval_state(s, u) for u in basis)
+    weights = tuple(eval_state(s, u) for u in core.atom_indicator_elements(s.algebra))
     if sum(weights) != ONE:
-        raise AssertionError("the extended weights sum to 1")
+        raise AssertionError("a linear state assigns total weight 1 to the atoms")
     ambient = core.divisible_ambient(s.algebra)
     return measure_state(ambient, DiscreteMeasure(core.atoms_of(ambient), weights))
 
@@ -265,12 +259,15 @@ class StateQuotient:
     algebra: Algebra
     state: State
     project: Callable[[Element], Element]
-    complete: bool  # the quotient is rho-complete iff its carrier is finite
+
+    @property
+    def complete(self) -> bool:  # the quotient is rho-complete iff its carrier is finite
+        return core.is_finite(self.algebra)
 
 
 def identity_quotient(algebra: Algebra, s: State) -> StateQuotient:
     """The quotient that collapses nothing, as of a faithful state."""
-    return StateQuotient(algebra, s, lambda a: a, core.is_finite(algebra))
+    return StateQuotient(algebra, s, lambda a: a)
 
 
 def _restrict_measure_quotient(s: State, mu: DiscreteMeasure) -> StateQuotient:
@@ -285,9 +282,7 @@ def _restrict_measure_quotient(s: State, mu: DiscreteMeasure) -> StateQuotient:
     def project(a: Element) -> Element:
         return Element(target, tuple(a.payload[i] for i in keep))
 
-    return StateQuotient(
-        target, measure_state(target, restricted), project, core.is_finite(target)
-    )
+    return StateQuotient(target, measure_state(target, restricted), project)
 
 
 def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
@@ -306,7 +301,7 @@ def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
     if isinstance(rule, FirstCoordinateRule):  # its null ideal is the radical
         result = spectra.quotient(algebra, spectra.radical(algebra))
         quotient_state = table_state(result.algebra, {ZERO: ZERO, ONE: ONE})
-        return StateQuotient(result.algebra, quotient_state, result.project, True)
+        return StateQuotient(result.algebra, quotient_state, result.project)
 
     # explicit table on a finite carrier: quotient by the null ideal
     null = frozenset(payload for payload, value in rule.values if value == ZERO)
@@ -319,7 +314,7 @@ def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
         if values.setdefault(image.payload, value) != value:
             raise AssertionError("state does not factor through the null ideal")
     quotient_state = table_state(result.algebra, values)
-    return StateQuotient(result.algebra, quotient_state, result.project, True)
+    return StateQuotient(result.algebra, quotient_state, result.project)
 
 
 def verify_quotient(s: State) -> Verdict:

@@ -292,6 +292,16 @@ class TestHolder:
         with pytest.raises(InputError):
             analysis.holder_check(s, a, a, F(1, 2), F(-1))
 
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 0)])
+    def test_fractional_exponents_on_the_two_element_chain(self, a, b):
+        # the 1-chain is the only chain with a product; its state reaches
+        # the power bounds through the divisible extension's one atom
+        chain = mv.finite_chain(1)
+        s = mv.table_state(chain, {F(0): F(0), F(1): F(1)})
+        report = analysis.holder_check(s, mv.element(chain, a), mv.element(chain, b), F(3, 2), F(3))
+        assert report.verdict == "pass" and report.metrics["mode"] == "interval"
+        assert report.result == {"lhs": F(a * b), "rhs_low": F(a * b), "rhs_high": F(a * b)}
+
     def test_needs_internal_product(self):
         chain = mv.finite_chain(2)
         s = mv.table_state(chain, {F(0): F(0), F(1, 2): F(1, 2), F(1): F(1)})

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvprob import analysis, cli
+from mvprob import analysis, axioms, cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOC = str(FIXTURES / "basic.json")
@@ -154,6 +154,15 @@ class TestCommandBehaviour:
         assert report["metrics"]["injective"] is False
         assert report["metrics"]["faithful"] is False
 
+    def test_embed_standard_unit(self):
+        result = run("--seed", "1", "embed", DOC, "U", "su")
+        assert result.returncode == 0, result.stderr
+        report = report_of(result)
+        assert report["result"] == {"atoms": ["x0"], "weights": ["1"]}
+        assert report["metrics"] == {
+            "elements_checked": 500, "faithful": True, "injective": True
+        }
+
     def test_independence_identity_count(self):
         result = run("product", DOC, "verify-independence", "sB", "schain")
         report = report_of(result)
@@ -236,6 +245,30 @@ class TestInputBoundary:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: sample count must be positive\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--seed", "1", "check-axioms", DOC, "U", "--level", "MV", "--mode", "sample",
+             "--count", str(axioms.MAX_SAMPLES + 1)),
+            ("--seed", "1", "state", DOC, "metric", "s", "--samples", str(axioms.MAX_SAMPLES + 1)),
+            ("--seed", "1", "embed", DOC, "F", "s", "--samples", str(axioms.MAX_SAMPLES + 1)),
+            ("--seed", "1", "product", DOC, "factorize", "sB", "schain", "gbeta",
+             "--samples", str(axioms.MAX_SAMPLES + 1)),
+        ],
+        ids=["check-axioms", "state-metric", "embed", "product-factorize"],
+    )
+    def test_sample_count_above_its_budget_is_an_input_error(self, argv):
+        result = run(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: sample count must be at most {axioms.MAX_SAMPLES}\n"
+
+    def test_moment_order_above_its_budget_is_an_input_error(self):
+        result = run("moments", DOC, "of-measure", "grid", "--order", str(analysis.MAX_ORDER + 1))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: order must be between 0 and {analysis.MAX_ORDER}\n"
 
     @pytest.mark.parametrize("precision", [-3, 0, analysis.MAX_PRECISION + 1])
     def test_precision_outside_its_budget_is_an_input_error(self, precision):

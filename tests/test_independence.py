@@ -362,6 +362,12 @@ class TestLinearExtension:
             mv.linear_map(CH2, CH2, lambda a: mv.odot(a, a))
 
 
+def apply_extension(ext, f, g):
+    # the extension is linear off the pair atoms; (f, g) enters as f(x) * g(y)
+    pair = mv.element(ext.domain, tuple(vf * vg for vf in f.payload for vg in g.payload))
+    return independence.apply_atom_linear(ext, pair)
+
+
 class TestBilinearExtension:
     def test_degenerate_decomposition_restricts_to_the_map(self):
         s_a, s_b, rep_a, rep_b, space = coupling()
@@ -369,7 +375,7 @@ class TestBilinearExtension:
         ext = mv.extend_bilinear_divisible(gamma)
         for a in mv.core.enumerate_carrier(BOOL2):
             for b in mv.core.enumerate_carrier(CH2):
-                extended = independence.apply_hull_bilinear(
+                extended = apply_extension(
                     ext, mv.core.embed_in_ambient(a), mv.core.embed_in_ambient(b)
                 )
                 direct = mv.core.embed_in_ambient(mv.independence.apply_bilinear(gamma, a, b))
@@ -380,10 +386,9 @@ class TestBilinearExtension:
         s = chain_state(chain1)
         gamma = mv.bilinear_map(s, s, s, mv.prod, bound=1)
         ext = mv.extend_bilinear_divisible(gamma)
-        half = mv.element(ext.left, ("1/2",))
-        assert independence.apply_hull_bilinear(
-            ext, half, mv.element(ext.right, ("1/2",))
-        ).payload == (F(1, 4),)
+        hull = mv.core.divisible_ambient(chain1)
+        half = mv.element(hull, ("1/2",))
+        assert apply_extension(ext, half, half).payload == (F(1, 4),)
 
     def test_bound_preserved_on_random_hull_pairs(self):
         s_a, s_b, rep_a, rep_b, space = coupling()
@@ -394,9 +399,9 @@ class TestBilinearExtension:
         cod_state = space.state
         rng = Random(33)
         for _ in range(1000):
-            f = random_element(rng, ext.left)
-            g = random_element(rng, ext.right)
-            value = independence.apply_hull_bilinear(ext, f, g)
+            f = random_element(rng, extended_left.algebra)
+            g = random_element(rng, extended_right.algebra)
+            value = apply_extension(ext, f, g)
             level = mv.eval_state(cod_state, value)
             cap = min(
                 gamma.bound
@@ -415,6 +420,56 @@ class TestBilinearExtension:
         )
         with pytest.raises(InputError):
             mv.extend_bilinear_divisible(gamma)
+
+
+def scaled_atom_basis(algebra):
+    # the reference basis (1/n) * 1_x with its scale n: linearity gives n * f((1/n) * 1_x) = f(1_x)
+    carrier = algebra.carrier
+    if isinstance(carrier, mv.FiniteChain):
+        return carrier.n, [mv.element(algebra, F(1, carrier.n))]
+    unit = F(1, carrier.value.n)
+    basis = [
+        mv.element(algebra, tuple(unit if y == x else F(0) for y in carrier.atoms))
+        for x in carrier.atoms
+    ]
+    return carrier.value.n, basis
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [mv.finite_chain(n) for n in range(1, 5)]
+    + [mv.function_algebra(("x", "y"), mv.FiniteChain(n)) for n in range(1, 4)],
+    ids=[f"chain{n}" for n in range(1, 5)] + [f"two-atoms-chain{n}" for n in range(1, 4)],
+)
+def test_indicator_values_equal_the_scaled_basis_values(algebra):
+    n, basis = scaled_atom_basis(algebra)
+    vector = mv.core.ambient_vector
+    weights = (F(1),) if len(basis) == 1 else (F(1, 3), F(2, 3))
+    s = mv.table_state(algebra, {
+        a.payload: sum(w * v for w, v in zip(weights, vector(a)))
+        for a in mv.core.enumerate_carrier(algebra)
+    })
+    assert mv.extend_state_divisible(s).rule.measure.weights == tuple(
+        n * mv.eval_state(s, u) for u in basis
+    )
+
+    halves = mv.finite_chain(2 * n)
+    sigma = mv.linear_map(algebra, halves, lambda a: mv.element(halves, sum(vector(a)) / 2))
+    assert mv.extend_linear_divisible(sigma).images == tuple(
+        tuple(n * v for v in vector(independence.apply_linear(sigma, u))) for u in basis
+    )
+
+    codomain = mv.finite_chain(2 * n * n)
+    gamma = mv.bilinear_map(
+        s, s, chain_state(codomain),
+        lambda a, b: mv.element(codomain, vector(a)[0] * sum(vector(b)) / 2),  # not symmetric
+        bound=5,
+    )
+    assert mv.extend_bilinear_divisible(gamma).images == tuple(
+        tuple(n * n * v for v in vector(independence.apply_bilinear(gamma, u, w)))
+        for u in basis
+        for w in basis
+    )
 
 
 class TestLipschitz:

@@ -192,9 +192,19 @@ class TestPipeline:
             )
             assert mv.represent(rep, mv.neg(a)) == mv.neg(mv.represent(rep, a))
 
-    def test_standard_unit_rejected(self):
-        with pytest.raises(InputError):
-            mv.embed_l1(mv.standard_unit(), mv.identity_state(mv.standard_unit()))
+    def test_standard_unit_embeds(self):
+        U = mv.standard_unit()
+        s = mv.identity_state(U)
+        rep = mv.embed_l1(U, s)
+        assert rep.injective
+        assert rep.measure == mv.measure((mv.core.CHAIN_HULL_ATOM,), (F(1),))
+        assert rep.atom_elements == (mv.one(U),)
+        for value in ("0", "1/3", "5/7", "1"):
+            a = mv.element(U, value)
+            assert mv.represent(rep, a).payload == (a.payload,)
+            assert representation.integral(rep, a) == mv.eval_state(s, a)
+        verdict = representation.verify_embedding(U, s, samples=50, seed=4)
+        assert verdict.passed and verdict.metrics["elements_checked"] == 50
 
     def test_non_faithful_table_state_above_the_ideal_guard(self):
         # the state quotient is taken on the hull, where the state is a

@@ -47,3 +47,19 @@ def test_benchmark_function_metrics_name_library_functions():
     for name in names:
         module, function = name.split(".")
         assert callable(getattr(importlib.import_module(f"mvprob.{module}"), function, None)), name
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((PACKAGE / module).read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used)
+    assert not unused, f"{module} imports {unused} and never uses them"
