@@ -2,8 +2,9 @@
 
 Everything here is exact: difference tables and reconstruction masses
 are rational arithmetic, the feasibility search is a phase-one simplex
-pivoting on fractions (Bland's rule, so it terminates), and fractional
-powers are handled by outward rational enclosures rather than floats.
+pivoting on integers over one common denominator (Bland's rule, so it
+terminates), and fractional powers are handled by outward rational
+enclosures, from integer n-th roots, rather than floats.
 A comparison that cannot be decided at the requested enclosure width is
 reported as inconclusive, never guessed.
 """
@@ -25,7 +26,11 @@ from .verdict import Verdict
 MAX_FIT_MOMENTS = 6  # highest moment index the feasibility search accepts
 MAX_FIT_GRID = 64
 DEFAULT_PRECISION = 64  # enclosure width 2**-64
-MAX_PRECISION = 4096  # bisection steps per root; 4096 takes about a second
+# Enclosure bits per root.  A root's integers have about n * bits bits, so its
+# cost grows with both budgets: at 4096 bits and an exponent term of 64, one
+# root takes up to half a second, about what one 4096-step bisection cost.
+MAX_PRECISION = 4096
+MAX_EXPONENT = 64  # largest numerator or denominator of the exponents p and q
 MAX_ORDER = 512  # highest moment order; 512 takes about a second
 
 
@@ -193,52 +198,62 @@ def _phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]):
 
     Returns ``(solution, None)`` on feasibility or ``(None, y)`` with a
     verified Farkas certificate: y.A <= 0 componentwise and y.b > 0.
+
+    The tableau T, objective row last, is held as integers M over one
+    positive denominator d, T = M / d, and pivots fraction-free (Bareiss
+    1968): each update divides exactly by the previous pivot.  With D the
+    common denominator of the input, d starts at D**rows, the determinant
+    of the initial basis D*I of the integer system D*[A | I | b].  Every
+    entry of M is then a minor of that system with its cost row, which
+    makes the divisions exact; starting from d = D they are not.
     """
     rows, cols = len(matrix), len(matrix[0])
-    tableau = [matrix[i] + [ONE if j == i else ZERO for j in range(rows)] + [rhs[i]]
-               for i in range(rows)]
+    common = math.lcm(*(v.denominator for v in rhs), *(v.denominator for r in matrix for v in r))
+    d = common**rows
+    tableau = [[int(v * d) for v in matrix[i]] + [d if j == i else 0 for j in range(rows)]
+               + [int(rhs[i] * d)] for i in range(rows)]
     basis = list(range(cols, cols + rows))
     # phase-one costs: 0 on structurals, 1 on artificials, priced out
-    obj = [ZERO] * cols + [ONE] * rows + [ZERO]
-    for i in range(rows):
-        obj = [o - t for o, t in zip(obj, tableau[i])]
+    obj = [0] * cols + [d] * rows + [0]
+    for row in tableau:
+        obj = [o - t for o, t in zip(obj, row)]
+    tableau.append(obj)
 
     while True:
-        entering = next((j for j in range(cols + rows) if obj[j] < 0), None)
+        entering = next((j for j in range(cols + rows) if tableau[rows][j] < 0), None)
         if entering is None:
             break
-        best_ratio, leaving = None, None
+        leaving = None
         for i in range(rows):
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio, leaving = ratio, i
+                if leaving is None:
+                    leaving = i
+                    continue
+                # the ratios rhs / coeff, cross-multiplied: both coefficients are positive
+                ratio = tableau[i][-1] * tableau[leaving][entering]
+                best = tableau[leaving][-1] * coeff
+                if ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    leaving = i
         if leaving is None:
             raise AssertionError("phase one is bounded below by zero")
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
-        for i in range(rows):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [v - factor * p for v, p in zip(tableau[i], tableau[leaving])]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [v - factor * p for v, p in zip(obj, tableau[leaving])]
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        for i, row in enumerate(tableau):
+            if i != leaving:
+                factor = row[entering]
+                tableau[i] = [(v * pivot - factor * p) // d for v, p in zip(row, pivot_row)]
+        d = pivot
         basis[leaving] = entering
 
-    optimum = -obj[-1]
-    if optimum == 0:
+    obj = tableau[rows]
+    if obj[-1] == 0:
         solution = [ZERO] * cols
         for i, var in enumerate(basis):
             if var < cols:
-                solution[var] = tableau[i][-1]
+                solution[var] = Fraction(tableau[i][-1], d)
         return solution, None
-    yvec = tuple(ONE - obj[cols + i] for i in range(rows))
+    yvec = tuple(ONE - Fraction(obj[cols + i], d) for i in range(rows))
     if sum((y * b for y, b in zip(yvec, rhs)), ZERO) <= 0:
         raise AssertionError("a Farkas certificate has y.b > 0")
     for j in range(cols):
@@ -280,17 +295,23 @@ def moment_fit_lp(m: MomentSequence, grid: int) -> Verdict:
 
 
 def _root_bounds(y: Fraction, n: int, bits: int) -> tuple[Fraction, Fraction]:
-    # dyadic bisection for the n-th root of y in [0, 1]
+    """The dyadic interval [r, r + 1] / 2**bits that holds the n-th root of y.
+
+    r is the integer floor root of y * 2**(n*bits), found by Newton's
+    iteration from a power of two at or above it; the iterate falls
+    until it reaches r.  For y in (0, 1) the interval keeps its width
+    even when the root is dyadic, so lo**n <= y < hi**n.
+    """
     if y in (ZERO, ONE):
         return y, y
-    lo, hi = ZERO, ONE
-    for _ in range(bits):
-        mid = (lo + hi) / 2
-        if mid**n <= y:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    target = (y.numerator << (n * bits)) // y.denominator
+    root = 1 << -(-target.bit_length() // n)
+    while root:  # only a zero target takes the iterate to 0
+        below = ((n - 1) * root + target // root ** (n - 1)) // n
+        if below >= root:
+            break
+        root = below
+    return Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits)
 
 
 def pow_bounds(x: Fraction, exponent: Fraction, bits: int = DEFAULT_PRECISION):
@@ -352,7 +373,8 @@ def holder_check(
     fractional powers (mode "interval") and may come back inconclusive
     at the requested precision, which is the honest answer when the
     enclosures overlap.  The result holds lhs, rhs_low and rhs_high.
-    A precision outside 1 to `MAX_PRECISION` bits is refused.
+    A precision outside 1 to `MAX_PRECISION` bits, or an exponent with a
+    numerator or denominator above `MAX_EXPONENT`, is refused.
     """
     if a.algebra != s.algebra or b.algebra != s.algebra:
         raise InputError("elements must live on the state's algebra")
@@ -363,6 +385,10 @@ def holder_check(
     p, q = Fraction(p), Fraction(q)
     if p < 1 or q < 1 or Fraction(1, 1) / p + Fraction(1, 1) / q != ONE:
         raise InputError("exponents must be conjugate: 1/p + 1/q = 1 with p, q >= 1")
+    if max(p.numerator, p.denominator, q.numerator, q.denominator) > MAX_EXPONENT:
+        raise InputError(
+            f"exponent numerators and denominators must be at most {MAX_EXPONENT}"
+        )
 
     lhs = states.eval_state(s, core.prod(a, b))
     if p == 2 and q == 2:

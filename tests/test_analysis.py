@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import mvprob as mv
 from mvprob import analysis
 from mvprob.errors import InputError
-from mvprob.rationals import ZERO
+from mvprob.rationals import ONE, ZERO
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=40)
 
@@ -34,6 +34,91 @@ def beta_integral(k, r):
         ),
         ZERO,
     )
+
+
+def bisection_root_bounds(y, n, bits):
+    """Reference for `analysis._root_bounds`: dyadic bisection on fractions."""
+    if y in (ZERO, ONE):
+        return y, y
+    lo, hi = ZERO, ONE
+    for _ in range(bits):
+        mid = (lo + hi) / 2
+        if mid**n <= y:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def fraction_phase_one(matrix, rhs):
+    """Reference for `analysis._phase_one`: the same Bland pivots on fractions."""
+    rows, cols = len(matrix), len(matrix[0])
+    tableau = [matrix[i] + [ONE if j == i else ZERO for j in range(rows)] + [rhs[i]]
+               for i in range(rows)]
+    basis = list(range(cols, cols + rows))
+    obj = [ZERO] * cols + [ONE] * rows + [ZERO]
+    for i in range(rows):
+        obj = [o - t for o, t in zip(obj, tableau[i])]
+    while True:
+        entering = next((j for j in range(cols + rows) if obj[j] < 0), None)
+        if entering is None:
+            break
+        best_ratio, leaving = None, None
+        for i in range(rows):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio, leaving = ratio, i
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        for i in range(rows):
+            if i != leaving and tableau[i][entering] != 0:
+                factor = tableau[i][entering]
+                tableau[i] = [v - factor * p for v, p in zip(tableau[i], tableau[leaving])]
+        factor = obj[entering]
+        obj = [v - factor * p for v, p in zip(obj, tableau[leaving])]
+        basis[leaving] = entering
+    if obj[-1] == 0:
+        solution = [ZERO] * cols
+        for i, var in enumerate(basis):
+            if var < cols:
+                solution[var] = tableau[i][-1]
+        return solution, None
+    return None, tuple(ONE - obj[cols + i] for i in range(rows))
+
+
+def fit_system(values, grid):
+    """The equality rows `moment_fit_lp` builds: total mass, then one per moment."""
+    points = [F(j, grid) for j in range(grid + 1)]
+    matrix = [[F(1)] * len(points)] + [[p**k for p in points] for k in range(len(values))]
+    return matrix, [F(1), *values]
+
+
+def moments_of(points, weights, order):
+    total = sum(weights)
+    return [sum(w * p**k for p, w in zip(points, weights)) / total for k in range(order + 1)]
+
+
+def seeded_fit_case(seed):
+    """Grid seed + 1 and order seed % 7, with four kinds of sequence in turn."""
+    rng = Random(seed)
+    grid, order = seed + 1, seed % 7
+    weights = [F(rng.randint(1, 9)) for _ in range(3)]
+    kind = seed % 4
+    if kind == 0:  # a three-point measure on the grid: feasible
+        points = [F(rng.randint(0, grid), grid) for _ in range(3)]
+    elif kind == 1:  # a three-point measure on the 96-grid, mostly off the fitted one
+        points = [F(rng.randint(0, 96), 96) for _ in range(3)]
+    elif kind == 2:  # a Dirac mass off every grid up to 64
+        points, weights = [F(rng.randint(1, 96), 97)], [F(1)]
+    else:  # a random sequence of unit values: almost always infeasible
+        return grid, [F(1)] + [F(rng.randint(0, 12), 12) for _ in range(order)]
+    return grid, moments_of(points, weights, order)
 
 
 class TestDeltaTable:
@@ -208,6 +293,91 @@ class TestFeasibilitySearch:
             analysis.moment_fit_lp(analysis.moment_sequence(["1"] * 8), 4)
         with pytest.raises(InputError):
             analysis.moment_fit_lp(analysis.moment_sequence(("1", "1/2")), 65)
+
+
+class TestPhaseOneAgainstFractionPivoting:
+    """The integer pivots against the fraction pivots they replaced."""
+
+    def assert_same(self, grid, values):
+        matrix, rhs = fit_system(values, grid)
+        assert analysis._phase_one(matrix, rhs) == fraction_phase_one(matrix, rhs)
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_seeded_sequences(self, seed):
+        self.assert_same(*seeded_fit_case(seed))
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 7, 16, 64])
+    def test_negative_variance(self, grid):
+        # m2 < m1 ** 2: no measure at all, so a certificate on every grid
+        self.assert_same(grid, [F(1), F(1, 2), F(1, 5)])
+
+    @pytest.mark.parametrize(
+        "grid,points,order",
+        [(3, [F(1, 2)], 2), (3, [F(1, 2)], 5), (2, [F(0), F(1, 3), F(2, 3)], 4),
+         (2, [F(0), F(1, 2), F(1)], 4), (12, [F(0), F(1, 2), F(1)], 4)],
+    )
+    def test_ratio_ties_go_to_the_smallest_basis_index(self, grid, points, order):
+        # the first pivot enters point 0, whose column is 1 in the mass row
+        # and the m0 row and 0 below; with m0 = 1 both rows have ratio 1,
+        # so Bland's tie-break picks the mass row's artificial.  On the
+        # first three cases the certificate depends on that choice.
+        values = moments_of(points, [F(1)] * len(points), order)
+        matrix, rhs = fit_system(values, grid)
+        assert matrix[0][0] == matrix[1][0] == 1 and rhs[0] == rhs[1] == 1
+        self.assert_same(grid, values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.lists(unit_fractions, min_size=0, max_size=5),
+        st.booleans(),
+    )
+    def test_random_sequences(self, grid, tail, unit_mass):
+        self.assert_same(grid, [F(1) if unit_mass else F(1, 2), *tail])
+
+
+class TestRootAgainstBisection:
+    """The integer n-th root against the bisection it replaced."""
+
+    def assert_enclosure(self, y, n, bits):
+        lo, hi = analysis._root_bounds(y, n, bits)
+        assert (lo, hi) == bisection_root_bounds(y, n, bits)
+        if y not in (ZERO, ONE):
+            assert lo**n <= y < hi**n
+            assert hi - lo == F(1, 2**bits)
+
+    @pytest.mark.parametrize(
+        "y,n,bits",
+        [
+            (F(1, 4), 2, 1), (F(1, 4), 2, 64), (F(1, 4), 2, 4096),  # dyadic roots
+            (F(1, 8), 3, 1), (F(1, 8), 3, 2), (F(1, 8), 3, 1024),
+            (F(1, 2**64), 2, 64), (F(1, 2**64), 64, 64), (F(1, 2**4096), 2, 4096),
+            (1 - F(1, 2**64), 2, 64), (1 - F(1, 2**4096), 3, 4096), (1 - F(1, 2**10), 64, 1024),
+            (F(1, 3 * 2**128), 2, 64), (F(1, 2**4097), 64, 64),  # floor root 0
+            (F(2, 3), 64, 1), (F(2, 3), 2, 4096), (F(1, 10**9), 7, 2048), (F(5, 7), 64, 256),
+            (ZERO, 5, 64), (ONE, 5, 64),
+        ],
+    )
+    def test_edge_cases(self, y, n, bits):
+        self.assert_enclosure(y, n, bits)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_draws(self, seed):
+        rng = Random(seed)
+        bits = rng.choice([1, 2, 3, 17, 64, 200, 1024, 4096])
+        n = rng.randint(2, 64 if bits <= 1024 else 4)
+        den = rng.randint(2, 2 ** rng.randint(1, 200))
+        self.assert_enclosure(F(rng.randint(1, den - 1), den), n, bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_draws(self, data):
+        # the reference costs about bits**2 * n; keep each draw under 0.3 s
+        bits = data.draw(st.integers(min_value=1, max_value=4096))
+        n = data.draw(st.integers(min_value=2, max_value=max(2, min(64, 2**26 // bits**2))))
+        den = data.draw(st.integers(min_value=2, max_value=2**300))
+        num = data.draw(st.integers(min_value=1, max_value=den - 1))
+        self.assert_enclosure(F(num, den), n, bits)
 
 
 class TestPowerBounds:

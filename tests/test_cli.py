@@ -280,6 +280,27 @@ class TestInputBoundary:
             f"error: precision must be between 1 and {analysis.MAX_PRECISION} bits\n"
         )
 
+    @pytest.mark.parametrize(
+        "p,q", [("65/64", "65"), ("65", "65/64"), ("200001/200000", "200001")]
+    )
+    def test_exponent_above_its_budget_is_an_input_error(self, p, q):
+        # unrefused, the last pair took over a minute of root-finding
+        result = run("holder", DOC, "s", "f1", "f2", "--p", p, "--q", q)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: exponent numerators and denominators must be at most "
+            f"{analysis.MAX_EXPONENT}\n"
+        )
+
+    def test_exponent_at_its_budget_runs(self):
+        result = run("--precision", "8", "holder", DOC, "s", "f1", "f2",
+                     "--p", f"{analysis.MAX_EXPONENT}/{analysis.MAX_EXPONENT - 1}",
+                     "--q", str(analysis.MAX_EXPONENT))
+        assert result.returncode == 0
+        report = report_of(result)
+        assert report["verdict"] == "pass" and report["metrics"]["precision"] == 8
+
     def test_factorize_refuses_states_the_map_is_not_declared_on(self):
         # gbeta is declared on (sB, schain)
         result = run("--seed", "2", "product", DOC, "factorize", "schain", "sB", "gbeta")
