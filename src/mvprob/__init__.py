@@ -91,7 +91,6 @@ from .spectra import (
     maximal_ideals,
     quotient,
     radical,
-    semisimple_embedding,
 )
 from .states import (
     DiscreteMeasure,

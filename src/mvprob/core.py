@@ -252,7 +252,10 @@ def upper(algebra: Algebra, k: int) -> Element:
 
 
 def format_element(e: Element) -> str:
-    p = e.payload
+    return format_payload(e.payload)
+
+
+def format_payload(p: Payload) -> str:
     if isinstance(p, ChangPair):
         return f"{p.side}({p.k})"
     if isinstance(p, tuple):

@@ -304,10 +304,10 @@ def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
         return StateQuotient(result.algebra, quotient_state, result.project)
 
     # explicit table on a finite carrier: quotient by the null ideal
-    null = frozenset(payload for payload, value in rule.values if value == ZERO)
-    if null == frozenset({core.zero(algebra).payload}):
+    null = spectra.ideal(algebra, [payload for payload, value in rule.values if value == ZERO])
+    if not null.support:
         return identity_quotient(algebra, s)
-    result = spectra.quotient(algebra, spectra.ideal(algebra, null))
+    result = spectra.quotient(algebra, null)
     values: dict[core.Payload, Fraction] = {}
     for payload, value in rule.values:
         image = result.project(Element(algebra, payload))

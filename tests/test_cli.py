@@ -7,13 +7,14 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvprob import analysis, axioms, cli
+from mvprob import analysis, axioms, cli, spectra
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOC = str(FIXTURES / "basic.json")
@@ -142,6 +143,23 @@ class TestCommandBehaviour:
         assert report["verdict"] == "pass"
         assert report["metrics"]["complete"] is True
         assert report["result"]["algebra"]["kind"] == "chain"
+
+    def test_quotient_of_a_non_faithful_table_state_above_64_elements(self, tmp_path):
+        # the 8-chain squared has 81 elements; s(a) = a(x) is null on y
+        levels = [str(F(j, 8)) for j in range(9)]
+        values = {f"({a},{b})": a for a in levels for b in levels}
+        doc = {
+            "algebras": {"Q": {"kind": "function", "atoms": ["x", "y"], "value": 8}},
+            "states": {"t": {"algebra": "Q", "rule": "table", "values": values}},
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = run("state", str(path), "quotient", "t")
+        assert result.returncode == 0, result.stderr
+        report = report_of(result)
+        assert report["metrics"] == {"checks": 81, "complete": True}
+        assert report["result"]["algebra"]["kind"] == "chain"
+        assert report["result"]["algebra"]["n"] == 8
 
     def test_spectra_semisimple_chang_fails(self):
         result = run("spectra", DOC, "semisimple", "C")
@@ -300,6 +318,18 @@ class TestInputBoundary:
         assert result.returncode == 0
         report = report_of(result)
         assert report["verdict"] == "pass" and report["metrics"]["precision"] == 8
+
+    def test_ideal_listing_above_its_budget_is_an_input_error(self, tmp_path):
+        n = spectra.MAX_LISTED - 1  # the ideals of the n-chain take n + 2 member texts
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"algebras": {"c": {"kind": "chain", "n": n}}}))
+        result = run("spectra", str(path), "ideals", "c")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: listing every ideal takes {n + 2} member texts; "
+            f"the budget is {spectra.MAX_LISTED}\n"
+        )
 
     def test_factorize_refuses_states_the_map_is_not_declared_on(self):
         # gbeta is declared on (sB, schain)

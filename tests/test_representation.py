@@ -207,15 +207,18 @@ class TestPipeline:
         assert verdict.passed and verdict.metrics["elements_checked"] == 50
 
     def test_non_faithful_table_state_above_the_ideal_guard(self):
-        # the state quotient is taken on the hull, where the state is a
-        # measure, so the size guard of the ideal machinery never applies
+        # 81 elements, above the 64-element guard the ideal machinery had;
+        # the null ideal is read off its support, at any carrier size
         algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(8))
-        assert mv.core.carrier_size(algebra) == 81 > mv.spectra.MAX_ENUMERABLE
-        s = mv.table_state(
-            algebra, {a.payload: a.payload[0] for a in mv.core.enumerate_carrier(algebra)}
-        )
-        with pytest.raises(InputError):
-            mv.state_quotient(algebra, s)
+        assert mv.core.carrier_size(algebra) == 81
+        pool = mv.core.enumerate_carrier(algebra)
+        s = mv.table_state(algebra, {a.payload: a.payload[0] for a in pool})
+        quotient = mv.state_quotient(algebra, s)
+        assert quotient.algebra == mv.finite_chain(8)
+        for a in pool:
+            assert mv.eval_state(quotient.state, quotient.project(a)) == mv.eval_state(s, a)
+        assert mv.is_faithful(quotient.state).passed
+        assert mv.states.verify_quotient(s).passed
         rep = mv.embed_l1(algebra, s)
         assert not rep.injective
         assert rep.measure == mv.measure(("x",), (F(1),))

@@ -1,12 +1,21 @@
-"""Ideal enumeration against a brute-force oracle, quotients, embeddings."""
+"""Ideals against a brute-force oracle and the enumerating reference, quotients."""
 
+import contextlib
+import functools
+import io
 import itertools
+import json
+import tempfile
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvprob as mv
-from mvprob import spectra
+from mvprob import cli, spectra
 from mvprob.errors import InputError, UnsupportedCarrierError
 
 C = mv.chang()
@@ -38,20 +47,42 @@ def brute_force_ideals(algebra):
     return sorted(found, key=lambda s: (len(s), sorted(repr(p) for p in s)))
 
 
-@pytest.mark.parametrize(
-    "algebra",
-    [
-        mv.finite_chain(1),
-        mv.finite_chain(3),
-        BOOL2,
-        mv.function_algebra(("p", "q"), mv.FiniteChain(2)),
-        mv.function_algebra(("p", "q", "r"), mv.FiniteChain(1)),
-    ],
-)
+def members(i):
+    """The member payloads of ``i``, by `ideal_contains` over the carrier."""
+    return frozenset(
+        e.payload for e in mv.core.enumerate_carrier(i.algebra) if mv.ideal_contains(i, e)
+    )
+
+
+SMALL = [
+    mv.finite_chain(1),
+    mv.finite_chain(3),
+    BOOL2,
+    mv.function_algebra(("p", "q"), mv.FiniteChain(2)),
+    mv.function_algebra(("p", "q", "r"), mv.FiniteChain(1)),
+]
+
+
+@pytest.mark.parametrize("algebra", SMALL)
 def test_enumeration_matches_brute_force(algebra):
     expected = brute_force_ideals(algebra)
-    actual = [i.members for i in mv.ideals(algebra)]
+    actual = [members(i) for i in mv.ideals(algebra)]
     assert actual == expected
+
+
+@pytest.mark.parametrize("algebra", SMALL)
+def test_constructor_accepts_exactly_the_ideals(algebra):
+    expected = {members(i): i for i in mv.ideals(algebra)}
+    assert set(expected) == set(brute_force_ideals(algebra))
+    pool = [e.payload for e in mv.core.enumerate_carrier(algebra)]
+    zero, rest = pool[0], pool[1:]
+    for mask in range(2 ** len(rest)):
+        subset = [zero] + [p for j, p in enumerate(rest) if mask >> j & 1]
+        if frozenset(subset) in expected:
+            assert mv.ideal(algebra, subset) == expected[frozenset(subset)]
+        else:
+            with pytest.raises(InputError, match="not an ideal"):
+                mv.ideal(algebra, subset)
 
 
 class TestIdealExamples:
@@ -61,7 +92,7 @@ class TestIdealExamples:
         assert len(found) == 2  # the zero ideal and the whole chain
         maximal = mv.maximal_ideals(algebra)
         assert len(maximal) == 1
-        assert maximal[0].members == frozenset({F(0)})
+        assert spectra.listing(maximal[0]) == ["0"]
 
     def test_boolean_square_has_two_maximal_ideals(self):
         assert len(mv.maximal_ideals(BOOL2)) == 2
@@ -70,7 +101,8 @@ class TestIdealExamples:
         found = mv.ideals(C)
         assert len(found) == 3
         maximal = mv.maximal_ideals(C)
-        assert len(maximal) == 1 and maximal[0].members == spectra.CHANG_RADICAL
+        assert len(maximal) == 1 and maximal[0].support == spectra.CHANG_RADICAL
+        assert spectra.listing(found[0]) == ["lower(0)"]
         assert mv.ideal_contains(maximal[0], mv.lower(C, 123))
         assert not mv.ideal_contains(maximal[0], mv.upper(C, 123))
 
@@ -84,9 +116,14 @@ class TestIdealExamples:
             mv.ideal(chain, [F(1, 3)])
 
     def test_size_guard(self):
-        big = mv.function_algebra(tuple("abcdefg"), mv.FiniteChain(1))
-        with pytest.raises(InputError):
-            mv.ideals(big)
+        # listing every ideal of the n-chain renders n + 2 member texts
+        at_ceiling = mv.finite_chain(spectra.MAX_LISTED - 2)
+        assert len(mv.ideals(at_ceiling)) == 2
+        assert len(mv.ideals(mv.function_algebra(("a",), at_ceiling.carrier))) == 2
+        with pytest.raises(InputError, match="the budget is"):
+            mv.ideals(mv.finite_chain(spectra.MAX_LISTED - 1))
+        with pytest.raises(InputError, match="the budget is"):
+            mv.ideals(mv.function_algebra(tuple("abcdefghijkl"), mv.FiniteChain(1)))
 
     def test_unsupported_carrier(self):
         with pytest.raises(UnsupportedCarrierError):
@@ -96,24 +133,24 @@ class TestIdealExamples:
 class TestRadical:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_chains_are_simple(self, n):
-        assert mv.radical(mv.finite_chain(n)).members == frozenset({F(0)})
+        assert members(mv.radical(mv.finite_chain(n))) == frozenset({F(0)})
 
     def test_function_algebras_are_semisimple(self):
         algebra = mv.function_algebra(("p", "q"), mv.FiniteChain(3))
         zero = mv.zero(algebra).payload
-        assert mv.radical(algebra).members == frozenset({zero})
+        assert members(mv.radical(algebra)) == frozenset({zero})
         assert mv.is_semisimple(algebra)
 
     def test_chang_radical_is_the_lower_part(self):
-        assert mv.radical(C).members == spectra.CHANG_RADICAL
+        assert mv.radical(C).support == spectra.CHANG_RADICAL
         assert not mv.is_semisimple(C)
 
     def test_radical_is_intersection_of_maximal(self):
         for algebra in (BOOL2, mv.function_algebra(("p", "q"), mv.FiniteChain(2))):
             expected = frozenset.intersection(
-                *[i.members for i in mv.maximal_ideals(algebra)]
+                *[members(i) for i in mv.maximal_ideals(algebra)]
             )
-            assert mv.radical(algebra).members == expected
+            assert members(mv.radical(algebra)) == expected
 
 
 class TestQuotient:
@@ -172,39 +209,153 @@ class TestQuotient:
             assert mv.is_semisimple(result.algebra)
 
 
-class TestSemisimpleEmbedding:
-    def test_chain_embeds_as_its_own_levels(self):
-        algebra = mv.finite_chain(3)
-        result = mv.semisimple_embedding(algebra)
-        assert mv.core.atoms_of(result.target) == ("M0",)
-        for a in mv.core.enumerate_carrier(algebra):
-            assert result.embed(a).payload == (a.payload,)
+# ---------------------------------------------------------------------------
+# Differential gate: the enumerating implementation as the reference
+# ---------------------------------------------------------------------------
 
-    def test_boolean_square_is_an_isomorphism(self):
-        result = mv.semisimple_embedding(BOOL2)
-        assert result.target == BOOL2
-        pool = mv.core.enumerate_carrier(BOOL2)
-        images = {result.embed(a) for a in pool}
-        assert len(images) == len(pool)
 
-    def test_embedding_is_a_homomorphism(self):
-        algebra = mv.function_algebra(("p", "q"), mv.FiniteChain(2))
-        result = mv.semisimple_embedding(algebra)
-        pool = mv.core.enumerate_carrier(algebra)
-        for a, b in itertools.product(pool, repeat=2):
-            assert result.embed(mv.oplus(a, b)) == mv.oplus(
-                result.embed(a), result.embed(b)
-            )
-            assert result.embed(mv.neg(a)) == mv.neg(result.embed(a))
-        assert result.embed(mv.zero(algebra)) == mv.zero(result.target)
+def reference_ideals(algebra):
+    """Every ideal as a member set: the lower set of each idempotent.
 
-    def test_injective_iff_semisimple(self):
-        chain = mv.finite_chain(2)
-        result = mv.semisimple_embedding(chain)
-        pool = mv.core.enumerate_carrier(chain)
-        assert len({result.embed(a) for a in pool}) == len(pool)
+    In a finite algebra the join of an ideal is a member and idempotent,
+    so the ideals are exactly the principal ideals of idempotents.
+    """
+    elements = mv.core.enumerate_carrier(algebra)
+    found = [
+        frozenset(x.payload for x in elements if mv.leq(x, e))
+        for e in elements
+        if mv.oplus(e, e) == e
+    ]
+    return sorted(found, key=lambda m: (len(m), sorted(repr(p) for p in m)))
 
-        chang_result = mv.semisimple_embedding(C)
-        assert chang_result.embed(mv.lower(C, 1)) == chang_result.embed(
-            mv.lower(C, 0)
+
+def reference_maximal(algebra, found):
+    proper = [m for m in found if mv.one(algebra).payload not in m]
+    return [m for m in proper if not any(m < other for other in proper)]
+
+
+def reference_quotient(algebra, ideal_members):
+    """The quotient algebra and projection, the kept atoms read off the join."""
+    if ideal_members == frozenset({mv.zero(algebra).payload}):
+        return algebra, lambda a: a
+    pool = [e for e in mv.core.enumerate_carrier(algebra) if e.payload in ideal_members]
+    top = functools.reduce(mv.join, pool)
+    keep = [x for x, v in enumerate(top.payload) if v == 0]
+    carrier = algebra.carrier
+    if len(keep) == 1:
+        target = mv.finite_chain(carrier.value.n)
+        return target, lambda a: mv.element(target, a.payload[keep[0]])
+    target = mv.function_algebra(tuple(carrier.atoms[x] for x in keep), carrier.value)
+    return target, lambda a: mv.element(target, tuple(a.payload[x] for x in keep))
+
+
+def render(algebra, ideal_members):
+    return sorted(mv.core.format_element(mv.element(algebra, p)) for p in ideal_members)
+
+
+def carriers_up_to(size):
+    """Every chain and every k-atom function algebra over an n-chain of at most ``size`` elements."""
+    found = [(f"chain{n}", mv.finite_chain(n)) for n in range(1, size)]
+    for k in range(1, size.bit_length()):
+        n = 1
+        while (n + 1) ** k <= size:
+            atoms = tuple(f"a{x}" for x in range(k))
+            found.append((f"{k}x{n}", mv.function_algebra(atoms, mv.FiniteChain(n))))
+            n += 1
+    return found
+
+
+CARRIERS_UP_TO_64 = carriers_up_to(64)
+
+
+def test_differential_gate_covers_139_carriers():
+    assert len(CARRIERS_UP_TO_64) == 139
+
+
+@pytest.mark.parametrize(
+    "algebra", [a for _, a in CARRIERS_UP_TO_64], ids=[name for name, _ in CARRIERS_UP_TO_64]
+)
+def test_supports_match_the_enumerating_reference(algebra):
+    expected = reference_ideals(algebra)
+    found = mv.ideals(algebra)
+    assert [spectra.listing(i) for i in found] == [render(algebra, m) for m in expected]
+    assert [spectra.listing(i) for i in mv.maximal_ideals(algebra)] == [
+        render(algebra, m) for m in reference_maximal(algebra, expected)
+    ]
+    assert spectra.listing(mv.radical(algebra)) == render(
+        algebra, frozenset.intersection(*reference_maximal(algebra, expected))
+    )
+    pool = mv.core.enumerate_carrier(algebra)
+    for i, m in zip(found, expected):
+        assert mv.ideal(algebra, m) == i
+        assert [mv.ideal_contains(i, a) for a in pool] == [a.payload in m for a in pool]
+        if mv.one(algebra).payload in m:
+            continue
+        result = mv.quotient(algebra, i)
+        target, project = reference_quotient(algebra, m)
+        assert result.algebra == target
+        assert [result.project(a) for a in pool] == [project(a) for a in pool]
+
+
+# ---------------------------------------------------------------------------
+# The CLI beyond the old 64-element enumeration guard
+# ---------------------------------------------------------------------------
+
+
+def spectra_cli(tmp_dir, k, n, action):
+    """Run ``spectra <action>`` on k atoms over the n-chain: (code, stdout, stderr)."""
+    doc = {"algebras": {"A": {"kind": "function", "atoms": [f"a{x}" for x in range(k)],
+                              "value": n}}}
+    path = Path(tmp_dir) / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["spectra", str(path), action, "A"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_ideals_of_125_elements(tmp_path):
+    code, out, _ = spectra_cli(tmp_path, 3, 4, "ideals")
+    assert code == 0
+    report = json.loads(out)
+    assert report["metrics"] == {"ideals": 8, "maximal": 3}
+    assert report["result"]["maximal"][0] == render(
+        mv.function_algebra(("a0", "a1", "a2"), mv.FiniteChain(4)),
+        [(F(0), F(j, 4), F(k, 4)) for j in range(5) for k in range(5)],
+    )
+
+
+@pytest.mark.parametrize("action", ["radical", "semisimple"])
+def test_twenty_atom_boolean_algebra_in_under_a_second(tmp_path, action):
+    start = time.perf_counter()
+    code, out, _ = spectra_cli(tmp_path, 20, 1, action)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    if action == "radical":
+        assert report["result"]["radical"] == ["(" + ",".join("0" * 20) + ")"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 24),
+    n=st.integers(1, 24),
+    action=st.sampled_from(["ideals", "radical", "semisimple"]),
+)
+def test_spectra_fuzz_keeps_the_exit_code_contract(k, n, action):
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, err = spectra_cli(directory, k, n, action)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if action == "ideals" and (n + 2) ** k > spectra.MAX_LISTED:
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: listing every ideal takes {(n + 2) ** k} member texts; "
+            f"the budget is {spectra.MAX_LISTED}\n"
         )
+        return
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    if action == "ideals":
+        assert report["metrics"] == {"ideals": 2**k, "maximal": k}
