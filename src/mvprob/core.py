@@ -18,6 +18,7 @@ immutable data: elements can be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,7 +191,7 @@ def _coerce_payload(carrier: Carrier, raw) -> Payload:
 
 @dataclass(frozen=True)
 class Element:
-    """A carrier-tagged value."""
+    """A carrier-tagged value; building one checks the payload (ops skip it: `_trusted`)."""
 
     algebra: Algebra
     payload: Payload
@@ -205,22 +206,35 @@ def element(algebra: Algebra, payload) -> Element:
     return Element(algebra, payload)
 
 
+def _trusted(algebra: Algebra, payload: Payload) -> Element:
+    """An element whose payload lies in the carrier by construction, unchecked.
+
+    Only op results and fixed constants come through here: truncated sum,
+    involution, product and the scalar action keep [0, 1] and the chain
+    levels.  Values from outside go through `Element`, which checks them.
+    """
+    e = object.__new__(Element)
+    object.__setattr__(e, "algebra", algebra)
+    object.__setattr__(e, "payload", payload)
+    return e
+
+
 def zero(algebra: Algebra) -> Element:
     carrier = algebra.carrier
     if isinstance(carrier, FunctionAlgebra):
-        return Element(algebra, (ZERO,) * len(carrier.atoms))
+        return _trusted(algebra, (ZERO,) * len(carrier.atoms))
     if isinstance(carrier, Chang):
-        return Element(algebra, ChangPair(LOWER, 0))
-    return Element(algebra, ZERO)
+        return _trusted(algebra, ChangPair(LOWER, 0))
+    return _trusted(algebra, ZERO)
 
 
 def one(algebra: Algebra) -> Element:
     carrier = algebra.carrier
     if isinstance(carrier, FunctionAlgebra):
-        return Element(algebra, (ONE,) * len(carrier.atoms))
+        return _trusted(algebra, (ONE,) * len(carrier.atoms))
     if isinstance(carrier, Chang):
-        return Element(algebra, ChangPair(UPPER, 0))
-    return Element(algebra, ONE)
+        return _trusted(algebra, ChangPair(UPPER, 0))
+    return _trusted(algebra, ONE)
 
 
 def const(algebra: Algebra, value) -> Element:
@@ -238,9 +252,7 @@ def indicator(algebra: Algebra, atom: str) -> Element:
         raise InputError("indicator elements need a function algebra")
     if atom not in carrier.atoms:
         raise InputError(f"unknown atom {atom!r}")
-    return Element(
-        algebra, tuple(ONE if a == atom else ZERO for a in carrier.atoms)
-    )
+    return _trusted(algebra, tuple(ONE if a == atom else ZERO for a in carrier.atoms))
 
 
 def lower(algebra: Algebra, k: int) -> Element:
@@ -296,20 +308,20 @@ def oplus(a: Element, b: Element) -> Element:
     algebra = _same_algebra(a, b)
     pa, pb = a.payload, b.payload
     if isinstance(pa, ChangPair):
-        return Element(algebra, _chang_oplus(pa, pb))
+        return _trusted(algebra, _chang_oplus(pa, pb))
     if isinstance(pa, tuple):
-        return Element(algebra, tuple(min(x + y, ONE) for x, y in zip(pa, pb)))
-    return Element(algebra, min(pa + pb, ONE))
+        return _trusted(algebra, tuple(min(x + y, ONE) for x, y in zip(pa, pb)))
+    return _trusted(algebra, min(pa + pb, ONE))
 
 
 def neg(a: Element) -> Element:
     p = a.payload
     if isinstance(p, ChangPair):
         flipped = UPPER if p.side == LOWER else LOWER
-        return Element(a.algebra, ChangPair(flipped, p.k))
+        return _trusted(a.algebra, ChangPair(flipped, p.k))
     if isinstance(p, tuple):
-        return Element(a.algebra, tuple(ONE - v for v in p))
-    return Element(a.algebra, ONE - p)
+        return _trusted(a.algebra, tuple(ONE - v for v in p))
+    return _trusted(a.algebra, ONE - p)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +384,8 @@ def scalar_mul(alpha: Fraction, a: Element) -> Element:
     alpha = require_unit(alpha if isinstance(alpha, Fraction) else Fraction(alpha))
     p = a.payload
     if isinstance(p, tuple):
-        return Element(a.algebra, tuple(alpha * v for v in p))
-    return Element(a.algebra, alpha * p)
+        return _trusted(a.algebra, tuple(alpha * v for v in p))
+    return _trusted(a.algebra, alpha * p)
 
 
 def prod(a: Element, b: Element) -> Element:
@@ -382,8 +394,8 @@ def prod(a: Element, b: Element) -> Element:
         raise InputError("algebra has no internal product")
     pa, pb = a.payload, b.payload
     if isinstance(pa, tuple):
-        return Element(algebra, tuple(x * y for x, y in zip(pa, pb)))
-    return Element(algebra, pa * pb)
+        return _trusted(algebra, tuple(x * y for x, y in zip(pa, pb)))
+    return _trusted(algebra, pa * pb)
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +507,15 @@ def rank(algebra: Algebra, payload: Payload) -> int:
     return position
 
 
+@functools.lru_cache(maxsize=8)
 def compile_table(algebra: Algebra) -> TableAlgebra:
     """The tables of a finite algebra: index i is ``enumerate_carrier(algebra)[i]``.
 
     Every entry is the rank of a core op's result, so a sweep over the
     tables still checks the core ops; building them costs n^2 of those.
+    The last few builds are kept, keyed on the frozen algebra value (the
+    tables are immutable), so a document's parse and the sweep after it
+    share one build.
     """
     elements = enumerate_carrier(algebra)
 

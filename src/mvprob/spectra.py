@@ -12,6 +12,8 @@ enumerates an ideal, to render it, and `ideals` refuses a carrier whose
 ideals would take more than `MAX_LISTED` member texts to render.  The
 Chang algebra is handled structurally: its ideals are {0} (the empty
 support), the radical of all lower elements, and the whole carrier.
+The radical is the one ideal given on the infinite carriers as well:
+they are semisimple, so it is {0}, the empty support.
 """
 
 from __future__ import annotations
@@ -134,11 +136,8 @@ def maximal_ideals(algebra: Algebra) -> list[Ideal]:
 
 
 def radical(algebra: Algebra) -> Ideal:
-    """The intersection of all maximal ideals."""
-    if isinstance(algebra.carrier, Chang):
-        return Ideal(algebra, CHANG_RADICAL)
-    _shape(algebra)  # refuses the infinite carriers
-    return Ideal(algebra, frozenset())
+    """The intersection of all maximal ideals: {0}, the empty support, but on Chang."""
+    return Ideal(algebra, frozenset() if is_semisimple(algebra) else CHANG_RADICAL)
 
 
 def is_semisimple(algebra: Algebra) -> bool:

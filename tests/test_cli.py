@@ -165,6 +165,21 @@ class TestCommandBehaviour:
         result = run("spectra", DOC, "semisimple", "C")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("algebra, zero", [("F", "(0,0)"), ("U", "0")])
+    def test_spectra_radical_of_an_infinite_semisimple_carrier_is_zero(self, algebra, zero):
+        result = run("spectra", DOC, "radical", algebra)
+        assert (result.returncode, result.stderr) == (0, "")
+        report = report_of(result)
+        assert report["verdict"] == "pass"
+        assert report["result"]["radical"] == [zero]
+        assert run("spectra", DOC, "semisimple", algebra).returncode == 0
+
+    @pytest.mark.parametrize("algebra", ["F", "U"])
+    def test_spectra_ideals_still_refuse_infinite_carriers(self, algebra):
+        result = run("spectra", DOC, "ideals", algebra)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: ideal machinery needs a finite carrier\n"
+
     def test_embed_notes_injectivity(self):
         result = run("embed", DOC, "C", "sc")
         report = report_of(result)

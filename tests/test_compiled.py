@@ -6,10 +6,16 @@ so the index sweeps of the axiom, state and bilinear checkers see the
 same algebra as the `Element` operations.
 """
 
+import collections
+import contextlib
+import io
+import json
+import sys
+
 import pytest
 
 import mvprob as mv
-from mvprob import core
+from mvprob import cli, core
 from mvprob.axioms import Exhaustive, check_axioms
 
 
@@ -75,3 +81,52 @@ def test_summable_pairs_are_the_defined_partial_sums(algebra):
 def test_rank_refuses_infinite_carriers():
     with pytest.raises(mv.UnsupportedCarrierError):
         core.rank(mv.standard_unit(), mv.one(mv.standard_unit()).payload)
+
+
+# two table states on distinct chains, a measure state and a beta map:
+# parsing compiles both table states' carriers, and `state metric t`
+# and `product factorize` sweep tables of carriers parsing compiled
+COMPILE_DOC = {
+    "algebras": {
+        "T": {"kind": "chain", "n": 9},
+        "PA": {"kind": "function", "atoms": ["p0", "p1"], "value": 1},
+        "PB": {"kind": "chain", "n": 4},
+    },
+    "measures": {"mu": {"atoms": ["p0", "p1"], "weights": ["1/3", "2/3"]}},
+    "states": {
+        "t": {"algebra": "T", "rule": "table",
+              "values": {f"{k}/9": f"{k}/9" for k in range(10)}},
+        "pa": {"algebra": "PA", "rule": "measure", "measure": "mu"},
+        "pb": {"algebra": "PB", "rule": "table",
+               "values": {f"{k}/4": f"{k}/4" for k in range(5)}},
+    },
+    "bilinear": {"gbeta": {"kind": "beta", "left": "pa", "right": "pb"}},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state", "@doc", "metric", "t"),
+        ("--seed", "2", "product", "@doc", "factorize", "pa", "pb", "gbeta", "--samples", "5"),
+    ],
+    ids=["metric-t", "factorize-gbeta"],
+)
+def test_each_carrier_is_compiled_once_per_command(tmp_path, monkeypatch, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(COMPILE_DOC))
+    builds = collections.Counter()
+    enumerate_carrier = core.enumerate_carrier
+
+    def counting(algebra):
+        if sys._getframe(1).f_code.co_name == "compile_table":
+            builds[algebra] += 1
+        return enumerate_carrier(algebra)
+
+    monkeypatch.setattr(core, "enumerate_carrier", counting)
+    core.compile_table.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([str(path) if a == "@doc" else a for a in argv])
+    assert code == 0
+    assert set(builds) >= {mv.finite_chain(9), mv.finite_chain(4)}
+    assert set(builds.values()) == {1}, builds

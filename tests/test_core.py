@@ -2,14 +2,18 @@
 
 import itertools
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvprob as mv
+from mvprob import core
+from mvprob.axioms import random_element
 from mvprob.core import ChangPair
 from mvprob.errors import InputError
+from mvprob.rationals import random_unit
 
 U = mv.standard_unit()
 C = mv.chang()
@@ -297,3 +301,79 @@ class TestErrors:
     def test_negative_literals_rejected(self):
         with pytest.raises(InputError):
             mv.element(U, "-1/2")
+
+
+# ---------------------------------------------------------------------------
+# Trusted construction: op results and constants skip the payload check,
+# so each must come out exactly as the boundary check would leave it
+# ---------------------------------------------------------------------------
+
+
+def stock_algebras():
+    for n in range(1, 7):
+        yield pytest.param(mv.finite_chain(n), id=f"chain{n}")
+    yield pytest.param(U, id="standard")
+    for n in (1, 2, 3):
+        yield pytest.param(mv.function_algebra(("x", "y"), mv.FiniteChain(n)), id=f"2x{n}")
+    yield pytest.param(mv.function_algebra(("x", "y", "z")), id="3xstandard")
+    yield pytest.param(
+        mv.function_algebra(("x",), internal_product=False, scalar_action=False),
+        id="1xstandard-plain",
+    )
+    yield pytest.param(C, id="chang")
+
+
+def trusted_results(algebra, rng):
+    """Every kind of trusted result, on one seeded draw."""
+    a, b = random_element(rng, algebra), random_element(rng, algebra)
+    results = [mv.oplus(a, b), mv.neg(a), mv.odot(a, b), mv.join(a, b), mv.meet(a, b),
+               mv.dist(a, b), mv.nat_oplus(3, a), mv.zero(algebra), mv.one(algebra)]
+    if algebra.internal_product:
+        results.append(mv.prod(a, b))
+    if algebra.scalar_action:
+        results.append(mv.scalar_mul(random_unit(rng), a))
+    if isinstance(algebra.carrier, mv.FunctionAlgebra):
+        results.extend(mv.indicator(algebra, atom) for atom in algebra.carrier.atoms)
+    return results
+
+
+@pytest.mark.parametrize("algebra", list(stock_algebras()))
+def test_trusted_results_pass_the_boundary_check_unchanged(algebra):
+    rng = Random(8)
+    for _ in range(150):
+        for r in trusted_results(algebra, rng):
+            assert r.algebra is algebra
+            assert core._coerce_payload(algebra.carrier, r.payload) == r.payload
+            if isinstance(algebra.carrier, mv.Chang):
+                assert type(r.payload) is ChangPair
+            elif isinstance(algebra.carrier, mv.FunctionAlgebra):
+                assert type(r.payload) is tuple
+                assert all(type(v) is F for v in r.payload)
+            else:
+                assert type(r.payload) is F
+            assert r == core.element(r.algebra, r.payload)
+
+
+CHAIN2 = mv.finite_chain(2)
+FA2 = mv.function_algebra(("x", "y"))
+
+
+@pytest.mark.parametrize("build", [mv.Element, mv.element], ids=["Element", "element"])
+@pytest.mark.parametrize(
+    "algebra, payload, message",
+    [
+        (U, F(3, 2), "value 3/2 outside [0, 1]"),
+        (U, F(-1, 2), "value -1/2 outside [0, 1]"),
+        (FA2, (F(1, 2), F(2)), "value 2 outside [0, 1]"),
+        (CHAIN2, F(1, 3), "1/3 is not a level of the 2-chain"),
+        (mv.function_algebra(("x",), mv.FiniteChain(3)), (F(1, 2),),
+         "1/2 is not a level of the 3-chain"),
+        (FA2, (F(1, 2),), "expected 2 values, got 1"),
+        (FA2, (F(0),) * 3, "expected 2 values, got 3"),
+    ],
+    ids=["above", "below", "pointwise", "chain-level", "pointwise-level", "short", "long"],
+)
+def test_boundary_constructors_still_check(build, algebra, payload, message):
+    with pytest.raises(InputError) as excinfo:
+        build(algebra, payload)
+    assert str(excinfo.value) == message

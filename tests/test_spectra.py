@@ -141,6 +141,20 @@ class TestRadical:
         assert members(mv.radical(algebra)) == frozenset({zero})
         assert mv.is_semisimple(algebra)
 
+    @pytest.mark.parametrize(
+        "algebra", [mv.standard_unit(), mv.function_algebra(("p", "q"))], ids=["U", "F"]
+    )
+    def test_infinite_semisimple_carriers_have_radical_zero(self, algebra):
+        r = mv.radical(algebra)
+        assert r.support == frozenset()
+        assert spectra.listing(r) == [mv.core.format_element(mv.zero(algebra))]
+        assert mv.ideal_contains(r, mv.zero(algebra))
+        assert not mv.ideal_contains(r, mv.one(algebra))
+        assert mv.quotient(algebra, r).algebra == algebra
+        for refused in (mv.ideals, mv.maximal_ideals):
+            with pytest.raises(UnsupportedCarrierError):
+                refused(algebra)
+
     def test_chang_radical_is_the_lower_part(self):
         assert mv.radical(C).support == spectra.CHANG_RADICAL
         assert not mv.is_semisimple(C)

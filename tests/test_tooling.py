@@ -63,3 +63,36 @@ def test_every_imported_name_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, f"{module} imports {unused} and never uses them"
+
+
+TRUSTED_CONSTRUCTOR = "_trusted"  # core's unchecked Element builder
+
+
+def _mentions(tree: ast.AST, name: str) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+        or (isinstance(node, ast.Constant) and node.value == name)
+    ]
+
+
+def test_trusted_constructor_is_defined_in_core():
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    defined = [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == TRUSTED_CONSTRUCTOR
+    ]
+    assert defined == [TRUSTED_CONSTRUCTOR]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "core.py")
+)
+def test_only_core_builds_unchecked_elements(module):
+    # every Element made outside core.py goes through the payload check,
+    # so nothing read from a document or argv can skip it
+    lines = _mentions(ast.parse((PACKAGE / module).read_text()), TRUSTED_CONSTRUCTOR)
+    assert lines == [], f"{module} uses {TRUSTED_CONSTRUCTOR} at lines {lines}"
