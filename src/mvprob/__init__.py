@@ -31,7 +31,6 @@ from .core import (
     StandardUnit,
     TableAlgebra,
     chang,
-    const,
     dist,
     element,
     finite_chain,

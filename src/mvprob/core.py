@@ -22,10 +22,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InputError, UnsupportedCarrierError
-from .rationals import ONE, ZERO, format_rational, parse_unit, require_unit
+from .rationals import ONE, ZERO, format_rational, parse_unit, random_unit, require_unit
 
 # ---------------------------------------------------------------------------
 # Carriers
@@ -237,15 +238,6 @@ def one(algebra: Algebra) -> Element:
     return _trusted(algebra, ONE)
 
 
-def const(algebra: Algebra, value) -> Element:
-    """The constant function (or plain value on scalar carriers)."""
-    carrier = algebra.carrier
-    if isinstance(carrier, FunctionAlgebra):
-        v = _coerce_value(carrier.value, value)
-        return Element(algebra, (v,) * len(carrier.atoms))
-    return Element(algebra, value)
-
-
 def indicator(algebra: Algebra, atom: str) -> Element:
     carrier = algebra.carrier
     if not isinstance(carrier, FunctionAlgebra):
@@ -253,6 +245,28 @@ def indicator(algebra: Algebra, atom: str) -> Element:
     if atom not in carrier.atoms:
         raise InputError(f"unknown atom {atom!r}")
     return _trusted(algebra, tuple(ONE if a == atom else ZERO for a in carrier.atoms))
+
+
+CHANG_SAMPLE_BOUND = 40  # draws take lower(k) and upper(k) for k up to this
+
+
+def random_element(rng: Random, algebra: Algebra) -> Element:
+    """A seeded draw: a `random_unit` or a uniform chain level per atom, or a Chang index.
+
+    Every value lies in the carrier by construction, so it is built unchecked.
+    """
+    carrier = algebra.carrier
+    if isinstance(carrier, Chang):
+        side = LOWER if rng.random() < 0.5 else UPPER
+        return _trusted(algebra, ChangPair(side, rng.randint(0, CHANG_SAMPLE_BOUND)))
+    value = carrier.value if isinstance(carrier, FunctionAlgebra) else carrier
+    if isinstance(value, FiniteChain):
+        draw = lambda: Fraction(rng.randint(0, value.n), value.n)
+    else:
+        draw = lambda: random_unit(rng)
+    if isinstance(carrier, FunctionAlgebra):
+        return _trusted(algebra, tuple(draw() for _ in carrier.atoms))
+    return _trusted(algebra, draw())
 
 
 def lower(algebra: Algebra, k: int) -> Element:

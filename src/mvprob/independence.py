@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Callable, Optional
 
 from . import core, representation, states
-from .axioms import seeded
+from .axioms import random_element, seeded
 from .core import Algebra, Element
 from .errors import InputError, NoLimitError
 from .rationals import ONE, ZERO, random_unit
@@ -126,9 +125,9 @@ def verify_independence(left: State, right: State) -> Verdict:
     rep_a = representation.embed_l1(left.algebra, left)
     rep_b = representation.embed_l1(right.algebra, right)
     space = space_of(rep_a, rep_b)
-    checked = 0
+    checked, rights = 0, core.enumerate_carrier(right.algebra)
     for a in core.enumerate_carrier(left.algebra):
-        for b in core.enumerate_carrier(right.algebra):
+        for b in rights:
             checked += 1
             paired = states.eval_state(space.state, beta(space, rep_a, rep_b, a, b))
             if paired != states.eval_state(left, a) * states.eval_state(right, b):
@@ -520,12 +519,6 @@ def factorize(
     return Factorization(omega, space, gamma.bound)
 
 
-def _random_product_element(rng: Random, algebra: Algebra) -> Element:
-    return Element(
-        algebra, tuple(random_unit(rng) for _ in core.atoms_of(algebra))
-    )
-
-
 def verify_factorization(
     fact: Factorization,
     gamma: BilinearMap,
@@ -558,8 +551,9 @@ def verify_factorization(
         witnesses = [{"check": witness}] if witness else []
         return Verdict("fail" if witness else "pass", witnesses, counts, seed)
 
+    rights = core.enumerate_carrier(gamma.right.algebra)
     for a in core.enumerate_carrier(gamma.left.algebra):
-        for b in core.enumerate_carrier(gamma.right.algebra):
+        for b in rights:
             pairs += 1
             through = apply_atom_linear(omega, beta(space, rep_a, rep_b, a, b))
             direct = representation.represent(rep_c, apply_bilinear(gamma, a, b))
@@ -567,7 +561,7 @@ def verify_factorization(
                 return verdict("triangle", core.format_element(a), core.format_element(b))
 
     for _ in range(samples):
-        h = _random_product_element(rng, space.algebra)
+        h = random_element(rng, space.algebra)
         room = core.neg(h)
         h2 = Element(
             space.algebra,
@@ -597,7 +591,7 @@ def verify_factorization(
         if omega.images[i] != candidate.images[i]:
             return verdict("indicator-agreement", space.measure.atoms[i])
     for _ in range(samples):
-        h = _random_product_element(rng, space.algebra)
+        h = random_element(rng, space.algebra)
         uniqueness += 1
         if apply_atom_linear(omega, h) != apply_atom_linear(candidate, h):
             return verdict("span-agreement", core.format_element(h))

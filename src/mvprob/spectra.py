@@ -7,7 +7,9 @@ set of the indicator 1_S (Cignoli, D'Ottaviano and Mundici 2000).  So a
 finite `Ideal` is its support S, a set of atom indices: there are 2^k
 ideals, the maximal ones are the k supports of size k - 1, the radical
 is the empty support, membership is pointwise, and the quotient keeps
-the atoms off S.  Nothing sweeps the carrier.  Only `listing`
+the atoms off S.  `quotient` takes a support on a rational function
+algebra too: it is the one quotient, and `states.state_quotient` drops
+a state's null atoms through it.  Nothing sweeps the carrier.  Only `listing`
 enumerates an ideal, to render it, and `ideals` refuses a carrier whose
 ideals would take more than `MAX_LISTED` member texts to render.  The
 Chang algebra is handled structurally: its ideals are {0} (the empty
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from . import core
-from .core import Algebra, Chang, Element, FiniteChain
+from .core import Algebra, Chang, Element, FiniteChain, FunctionAlgebra
 from .errors import InputError, UnsupportedCarrierError
 from .rationals import ONE, ZERO
 from .verdict import Verdict
@@ -169,7 +171,12 @@ class QuotientResult:
 
 
 def quotient(algebra: Algebra, i: Ideal) -> QuotientResult:
-    """Quotient by a proper ideal: a ~ b iff their distance lies in it."""
+    """Quotient by a proper ideal: a ~ b iff their distance lies in it.
+
+    A support S keeps the atoms off S.  The quotient of a chain-valued
+    function algebra that keeps one atom is that atom's n-chain; a
+    rational-valued one stays a function algebra.
+    """
     if i.algebra != algebra:
         raise InputError("ideal does not belong to the algebra")
     if i.support == CHANG_RADICAL:
@@ -179,15 +186,17 @@ def quotient(algebra: Algebra, i: Ideal) -> QuotientResult:
             return Element(target, ZERO if a.payload.side == core.LOWER else ONE)
 
         return QuotientResult(target, project)
-    if i.support == CHANG_ALL or (i.support and len(i.support) == _shape(algebra)[0]):
+    if i.support == CHANG_ALL:
         raise InputError("cannot quotient by the improper ideal")
     if not i.support:
         return QuotientResult(algebra, lambda a: a)
+    carrier = algebra.carrier  # a chain or the rational interval is one atom
+    count = len(carrier.atoms) if isinstance(carrier, FunctionAlgebra) else 1
+    keep = tuple(x for x in range(count) if x not in i.support)
+    if not keep:
+        raise InputError("cannot quotient by the improper ideal")
 
-    # a proper nonempty support leaves some atoms of a function algebra
-    carrier = algebra.carrier
-    keep = tuple(x for x in range(len(carrier.atoms)) if x not in i.support)
-    if len(keep) == 1:
+    if len(keep) == 1 and isinstance(carrier.value, FiniteChain):
         target = core.finite_chain(carrier.value.n)
 
         def project(a: Element) -> Element:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 
 from . import core, spectra
 from .axioms import random_element, seeded
-from .core import Algebra, Chang, Element, FunctionAlgebra, StandardUnit
+from .core import Algebra, Chang, Element, FiniteChain, FunctionAlgebra, StandardUnit
 from .errors import InputError
 from .rationals import ONE, ZERO, require_unit
 from .verdict import Verdict
@@ -103,8 +103,9 @@ def measure_state(algebra: Algebra, mu: DiscreteMeasure) -> State:
 
 
 def identity_state(algebra: Algebra) -> State:
-    if not isinstance(algebra.carrier, StandardUnit):
-        raise InputError("the identity state lives on the standard carrier")
+    """a |-> a on the rational interval, and k/n |-> k/n, the n-chain's only state."""
+    if not isinstance(algebra.carrier, (StandardUnit, FiniteChain)):
+        raise InputError("the identity state lives on the standard carrier or a chain")
     return State(algebra, IdentityRule())
 
 
@@ -149,7 +150,7 @@ def eval_state(s: State, a: Element) -> Fraction:
     rule = s.rule
     if isinstance(rule, MeasureRule):
         return sum(
-            (v * w for v, w in zip(a.payload, rule.measure.weights)), ZERO
+            (v * w for v, w in zip(a.payload, rule.measure.weights) if v), ZERO
         )
     if isinstance(rule, IdentityRule):
         return a.payload
@@ -186,9 +187,10 @@ def rho(s: State, a: Element, b: Element) -> Fraction:
 def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict:
     """Check that ``rho`` is a pseudo-metric that separates iff ``s`` is faithful.
 
-    Finite carriers are swept over every pair and triple, with rho read
-    from an n x n table of state values at the compiled distances;
-    others over ``samples`` seeded pairs and triples.
+    Finite carriers are swept over every pair and triple, drawn lazily
+    from `itertools.product`, with rho read from an n x n table of state
+    values at the compiled distances; others over ``samples`` seeded
+    pairs, then as many seeded triples.
     """
     algebra = s.algebra
     if core.is_finite(algebra):
@@ -197,8 +199,9 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         values = [eval_state(s, a) for a in pool]
         matrix = [[values[table.dist(a, b)] for b in indices] for a in indices]
         metric, element = (lambda a, b: matrix[a][b]), pool.__getitem__
-        pairs = list(itertools.product(indices, repeat=2))
-        triples = list(itertools.product(indices, repeat=3))
+        pairs = itertools.product(indices, repeat=2)
+        triples = itertools.product(indices, repeat=3)
+        sizes = len(pool) ** 2, len(pool) ** 3
         seed = None
     else:
         rng = seeded(seed, samples)
@@ -206,18 +209,22 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         draw = lambda k: tuple(random_element(rng, algebra) for _ in range(k))
         pairs = [draw(2) for _ in range(samples)]
         triples = [draw(3) for _ in range(samples)]
-    counts = {"pairs": len(pairs)}
+        sizes = samples, samples
+    counts = {"pairs": sizes[0]}
+    positive = True  # rho(a, b) > 0 at every swept pair a != b
     for a, b in pairs:
-        if metric(a, b) != metric(b, a) or metric(a, a) != ZERO:
+        distance = metric(a, b)
+        if distance != metric(b, a) or metric(a, a) != ZERO:
             return Verdict("fail", [{"pair": [element(a), element(b)]}], counts, seed)
-    counts["triples"] = len(triples)
+        positive = positive and (a == b or distance > ZERO)
+    counts["triples"] = sizes[1]
     for a, b, c in triples:
         if metric(a, c) > metric(a, b) + metric(b, c):
             witness = [element(a), element(b), element(c)]
             return Verdict("fail", [{"triple": witness}], counts, seed)
     faithful = is_faithful(s)
     if faithful.passed:
-        separating = all(metric(a, b) > ZERO for a, b in pairs if a != b)
+        separating = positive
     else:
         witness = faithful.witnesses[0]["element"]
         separating = rho(s, witness, core.zero(algebra)) > ZERO
@@ -270,51 +277,32 @@ def identity_quotient(algebra: Algebra, s: State) -> StateQuotient:
     return StateQuotient(algebra, s, lambda a: a)
 
 
-def _restrict_measure_quotient(s: State, mu: DiscreteMeasure) -> StateQuotient:
-    carrier = s.algebra.carrier
-    keep = tuple(i for i, w in enumerate(mu.weights) if w != ZERO)
-    if len(keep) == len(mu.atoms):
-        return identity_quotient(s.algebra, s)
-    atoms = tuple(mu.atoms[i] for i in keep)
-    target = core.function_algebra(atoms, carrier.value)
-    restricted = DiscreteMeasure(atoms, tuple(mu.weights[i] for i in keep))
-
-    def project(a: Element) -> Element:
-        return Element(target, tuple(a.payload[i] for i in keep))
-
-    return StateQuotient(target, measure_state(target, restricted), project)
-
-
 def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
     """Collapse pairs at pseudo-distance zero; the result is faithful.
 
+    The null ideal of the first-coordinate state is the radical.  Every
+    other state is integration against mu(x) = s(1_x) on the divisible
+    hull, so its null ideal is the lower set of 1_S, S the atoms of
+    weight 0, and `spectra.quotient` drops them; the state restricts to
+    the surviving atoms, or is the identity when one chain survives.
     The original state factors through the projection exactly, and the
     projection is injective iff the state was already faithful.
     """
     if s.algebra != algebra:
         raise InputError("state does not live on the given algebra")
-    rule = s.rule
-    if isinstance(rule, MeasureRule):
-        return _restrict_measure_quotient(s, rule.measure)
-    if isinstance(rule, IdentityRule):
-        return identity_quotient(algebra, s)
-    if isinstance(rule, FirstCoordinateRule):  # its null ideal is the radical
-        result = spectra.quotient(algebra, spectra.radical(algebra))
-        quotient_state = table_state(result.algebra, {ZERO: ZERO, ONE: ONE})
-        return StateQuotient(result.algebra, quotient_state, result.project)
-
-    # explicit table on a finite carrier: quotient by the null ideal
-    null = spectra.ideal(algebra, [payload for payload, value in rule.values if value == ZERO])
-    if not null.support:
-        return identity_quotient(algebra, s)
-    result = spectra.quotient(algebra, null)
-    values: dict[core.Payload, Fraction] = {}
-    for payload, value in rule.values:
-        image = result.project(Element(algebra, payload))
-        if values.setdefault(image.payload, value) != value:
-            raise AssertionError("state does not factor through the null ideal")
-    quotient_state = table_state(result.algebra, values)
-    return StateQuotient(result.algebra, quotient_state, result.project)
+    if isinstance(s.rule, FirstCoordinateRule):
+        result = spectra.quotient(algebra, spectra.radical(algebra))  # onto the 1-chain
+    else:
+        weights = extend_state_divisible(s).rule.measure.weights
+        null = frozenset(x for x, w in enumerate(weights) if w == ZERO)
+        if not null:
+            return identity_quotient(algebra, s)
+        result = spectra.quotient(algebra, spectra.Ideal(algebra, null))
+    target = result.algebra
+    if isinstance(target.carrier, FunctionAlgebra):
+        restricted = DiscreteMeasure(target.carrier.atoms, tuple(w for w in weights if w))
+        return StateQuotient(target, measure_state(target, restricted), result.project)
+    return StateQuotient(target, identity_state(target), result.project)
 
 
 def verify_quotient(s: State) -> Verdict:

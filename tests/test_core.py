@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import mvprob as mv
 from mvprob import core
-from mvprob.axioms import random_element
-from mvprob.core import ChangPair
+from mvprob.core import ChangPair, random_element
 from mvprob.errors import InputError
 from mvprob.rationals import random_unit
 
@@ -324,9 +323,9 @@ def stock_algebras():
 
 
 def trusted_results(algebra, rng):
-    """Every kind of trusted result, on one seeded draw."""
+    """Every kind of trusted result, on one seeded draw, the draw included."""
     a, b = random_element(rng, algebra), random_element(rng, algebra)
-    results = [mv.oplus(a, b), mv.neg(a), mv.odot(a, b), mv.join(a, b), mv.meet(a, b),
+    results = [a, b, mv.oplus(a, b), mv.neg(a), mv.odot(a, b), mv.join(a, b), mv.meet(a, b),
                mv.dist(a, b), mv.nat_oplus(3, a), mv.zero(algebra), mv.one(algebra)]
     if algebra.internal_product:
         results.append(mv.prod(a, b))

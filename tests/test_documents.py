@@ -79,6 +79,21 @@ class TestParsing:
         one = mv.one(doc.algebras["b"])
         assert mv.eval_state(doc.states["s"], one) == 1
 
+    def test_identity_rule_on_a_chain(self):
+        # k/n |-> k/n is the n-chain's only state
+        raw = {
+            "algebras": {"c": {"kind": "chain", "n": 3}},
+            "states": {"s": {"algebra": "c", "rule": "identity"}},
+        }
+        doc = documents.parse_document(raw)
+        chain = doc.algebras["c"]
+        assert doc.states["s"] == mv.identity_state(chain)
+        for e in mv.core.enumerate_carrier(chain):
+            assert mv.eval_state(doc.states["s"], e) == e.payload
+        serialized = documents.serialize_document(doc)
+        assert serialized["states"]["s"] == {"algebra": "c", "rule": "identity"}
+        assert documents.parse_document(serialized) == doc
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_is_identity(self):

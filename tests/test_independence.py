@@ -540,7 +540,7 @@ class TestFactorization:
         fact = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
         rng = Random(14)
         for _ in range(200):
-            h = independence._random_product_element(rng, space.algebra)
+            h = random_element(rng, space.algebra)
             value = independence.apply_atom_linear(fact.omega, h)
             assert value.payload == (mv.eval_state(space.state, h),)
 

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -169,6 +170,18 @@ class TestVerifyMetric:
         assert verdict.passed and verdict.seed is None
         assert verdict.metrics == {"pairs": 9, "triples": 27, "faithful": True, "separates": True}
 
+    def test_125_elements_count_every_pair_and_triple(self):
+        # 3 atoms over the 4-chain: the sweep iterates n^2 pairs and n^3
+        # triples without building either list
+        atoms = ("x", "y", "z")
+        algebra = mv.function_algebra(atoms, mv.FiniteChain(4))
+        s = mv.measure_state(algebra, mv.measure(atoms, (F(1, 2), F(1, 3), F(1, 6))))
+        verdict = mv.states.verify_metric(s, samples=0)
+        assert verdict.passed and verdict.seed is None
+        assert verdict.metrics == {
+            "pairs": 125**2, "triples": 125**3, "faithful": True, "separates": True
+        }
+
     def test_unchecked_table_breaks_the_triangle(self):
         # built past table_state's linearity check: s(1/2) = 0 but s(1) = 1
         values = ((F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1)))
@@ -259,7 +272,9 @@ class TestStateQuotient:
         s = mv.measure_state(algebra, mv.measure(("x", "y"), (F(0), F(1))))
         result = mv.state_quotient(algebra, s)
         assert result.complete
-        assert mv.core.atoms_of(result.algebra) == ("y",)
+        # one chain-valued atom survives, so the quotient is its chain
+        assert result.algebra == mv.finite_chain(2)
+        assert result.state == mv.identity_state(result.algebra)
 
     def test_state_factors_through_projection(self):
         algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(2))
@@ -302,7 +317,29 @@ class TestStateQuotient:
         verdict = mv.states.verify_quotient(s)
         assert verdict.passed
         assert verdict.metrics == {"checks": 4, "complete": True}
-        assert verdict.result == {"algebra": mv.function_algebra(("x",), mv.FiniteChain(1))}
+        assert verdict.result == {"algebra": mv.finite_chain(1)}
+
+    def test_measure_and_table_states_with_equal_values_share_the_quotient(self):
+        # the quotient depends only on the algebra and the null atoms,
+        # not on the rule the state was given by
+        cases = [
+            (("x", "y"), 2, (F(0), F(1))),
+            (("x", "y"), 1, (F(1), F(0))),
+            (("x", "y", "z"), 1, (F(0), F(1), F(0))),
+            (("x", "y", "z"), 1, (F(1, 3), F(0), F(2, 3))),
+        ]
+        for atoms, n, weights in cases:
+            algebra = mv.function_algebra(atoms, mv.FiniteChain(n))
+            by_measure = mv.measure_state(algebra, mv.measure(atoms, weights))
+            pool = mv.core.enumerate_carrier(algebra)
+            by_table = mv.table_state(
+                algebra, {a.payload: mv.eval_state(by_measure, a) for a in pool}
+            )
+            m = mv.state_quotient(algebra, by_measure)
+            t = mv.state_quotient(algebra, by_table)
+            assert m.algebra == t.algebra, (atoms, n, weights)
+            assert m.state == t.state
+            assert [m.project(a) for a in pool] == [t.project(a) for a in pool]
 
     def test_verify_quotient_on_the_chang_slice(self):
         verdict = mv.states.verify_quotient(mv.chang_state(C))
@@ -356,3 +393,125 @@ class TestSequenceLimit:
         assert mv.sequence_limit(s, products) == mv.prod(
             mv.sequence_limit(s, xs), mv.sequence_limit(s, ys)
         )
+
+
+# ---------------------------------------------------------------------------
+# Differential gate: the one null-ideal quotient against the two routes it
+# replaced, a measure restriction and a table rebuild, kept here as references
+# ---------------------------------------------------------------------------
+
+
+def reference_measure_quotient(s):
+    """Drop the weight-0 atoms of a measure state; the target stays a function algebra."""
+    mu, carrier = s.rule.measure, s.algebra.carrier
+    keep = tuple(i for i, w in enumerate(mu.weights) if w != 0)
+    if len(keep) == len(mu.atoms):
+        return mv.states.identity_quotient(s.algebra, s)
+    atoms = tuple(mu.atoms[i] for i in keep)
+    target = mv.function_algebra(atoms, carrier.value)
+    restricted = mv.states.DiscreteMeasure(atoms, tuple(mu.weights[i] for i in keep))
+
+    def project(a):
+        return mv.Element(target, tuple(a.payload[i] for i in keep))
+
+    return mv.states.StateQuotient(target, mv.measure_state(target, restricted), project)
+
+
+def reference_table_quotient(s):
+    """Quotient a table state by the ideal of its null elements and rebuild its table."""
+    algebra = s.algebra
+    null = mv.spectra.ideal(algebra, [p for p, v in s.rule.values if v == 0])
+    if not null.support:
+        return mv.states.identity_quotient(algebra, s)
+    result = mv.spectra.quotient(algebra, null)
+    values = {}
+    for payload, value in s.rule.values:
+        image = result.project(mv.Element(algebra, payload))
+        assert values.setdefault(image.payload, value) == value
+    quotient_state = mv.table_state(result.algebra, values)
+    return mv.states.StateQuotient(result.algebra, quotient_state, result.project)
+
+
+def reference_chang_quotient(s):
+    """Quotient the first-coordinate state by the radical onto a table state on the 1-chain."""
+    result = mv.spectra.quotient(s.algebra, mv.spectra.radical(s.algebra))
+    quotient_state = mv.table_state(result.algebra, {F(0): F(0), F(1): F(1)})
+    return mv.states.StateQuotient(result.algebra, quotient_state, result.project)
+
+
+def null_weights(k):
+    """Weight vectors on k atoms: each Dirac mass, the uniform one, and on 3 atoms
+    every way to put a zero among positive weights."""
+    dirac = [tuple(F(int(i == j)) for j in range(k)) for i in range(k)]
+    spread = [tuple(F(1, k) for _ in range(k))]
+    if k == 2:
+        return dirac + spread + [(F(1, 3), F(2, 3))]
+    return dirac + spread + [
+        (F(1, 2), F(1, 2), F(0)), (F(1, 2), F(0), F(1, 2)),
+        (F(0), F(1, 2), F(1, 2)), (F(1, 6), F(0), F(5, 6)),
+    ]
+
+
+def gate_cases():
+    """(state, reference quotient, elements swept) for the carriers the gate covers."""
+    for n in range(1, 7):
+        chain = mv.finite_chain(n)
+        table = mv.table_state(chain, {F(j, n): F(j, n) for j in range(n + 1)})
+        pool = mv.core.enumerate_carrier(chain)
+        yield f"chain{n}-table", table, reference_table_quotient(table), pool
+        yield f"chain{n}-identity", mv.identity_state(chain), reference_table_quotient(table), pool
+    finite = [(("x", "y"), n) for n in (1, 2, 3)] + [(("x", "y", "z"), 1)]
+    for atoms, n in finite:
+        algebra = mv.function_algebra(atoms, mv.FiniteChain(n))
+        pool = mv.core.enumerate_carrier(algebra)
+        for weights in null_weights(len(atoms)):
+            s = mv.measure_state(algebra, mv.measure(atoms, weights))
+            table = mv.table_state(algebra, {a.payload: mv.eval_state(s, a) for a in pool})
+            name = f"{len(atoms)}x{n}-{'-'.join(map(str, weights))}"
+            yield f"{name}-measure", s, reference_measure_quotient(s), pool
+            yield f"{name}-table", table, reference_table_quotient(table), pool
+    for atoms in (("x", "y"), ("x", "y", "z")):
+        algebra = mv.function_algebra(atoms)
+        rng = Random(len(atoms))
+        pool = mv.core.atom_indicator_elements(algebra) + [
+            mv.core.random_element(rng, algebra) for _ in range(40)
+        ]
+        for weights in null_weights(len(atoms)):
+            s = mv.measure_state(algebra, mv.measure(atoms, weights))
+            name = f"{len(atoms)}xstandard-{'-'.join(map(str, weights))}"
+            yield f"{name}-measure", s, reference_measure_quotient(s), pool
+    chang = mv.chang_state(C)
+    yield "chang", chang, reference_chang_quotient(chang), mv.core.sweep_elements(C)
+
+
+GATE = list(gate_cases())
+
+
+def test_differential_gate_size():
+    # chains 1-6 (table and identity), 20 finite measure states and their
+    # tables, 12 rational measure states, and Chang
+    assert len(GATE) == 12 + 2 * 20 + 12 + 1
+
+
+@pytest.mark.parametrize("s, reference, pool", [c[1:] for c in GATE], ids=[c[0] for c in GATE])
+def test_quotient_matches_the_routes_it_replaced(s, reference, pool):
+    result = mv.state_quotient(s.algebra, s)
+    one_survivor = (
+        isinstance(reference.algebra.carrier, mv.FunctionAlgebra)
+        and len(reference.algebra.carrier.atoms) == 1
+        and isinstance(reference.algebra.carrier.value, mv.FiniteChain)
+    )
+    if one_survivor:  # the measure route kept a one-atom function algebra
+        assert isinstance(s.rule, mv.states.MeasureRule)
+        assert result.algebra == mv.finite_chain(reference.algebra.carrier.value.n)
+    else:
+        assert result.algebra == reference.algebra
+    assert mv.is_faithful(result.state).passed
+    for a in pool:
+        image, expected = result.project(a), reference.project(a)
+        if one_survivor:
+            assert (image.payload,) == expected.payload
+        else:
+            assert image == expected
+        value = mv.eval_state(result.state, image)
+        assert value == mv.eval_state(reference.state, expected) == mv.eval_state(s, a)
