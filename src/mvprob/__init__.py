@@ -6,106 +6,67 @@ their pseudo-metrics, ideals and radicals, measure representations,
 the classical moment condition with constructive reconstruction, and
 product couplings with a universal factorization.
 Everything computes in exact rational arithmetic.
+
+The namespace is lazy (PEP 562): ``import mvprob`` loads no submodule,
+and a public name imports its defining module on first access.  Without
+a bytecode cache every process compiles each module it imports, so
+loading only what is used keeps a CLI command's start-up short.
 """
 
-from .analysis import (
-    DeltaTable,
-    MomentSequence,
-    check_hausdorff,
-    delta_table,
-    grid_measure,
-    hausdorff_reconstruct,
-    holder_check,
-    moment_fit_lp,
-    moment_sequence,
-    moments_of_measure,
-)
-from .axioms import Exhaustive, Sample, check_axioms
-from .core import (
-    Algebra,
-    Chang,
-    ChangPair,
-    Element,
-    FiniteChain,
-    FunctionAlgebra,
-    StandardUnit,
-    TableAlgebra,
-    chang,
-    dist,
-    element,
-    finite_chain,
-    function_algebra,
-    indicator,
-    join,
-    leq,
-    lower,
-    meet,
-    nat_mul,
-    nat_oplus,
-    neg,
-    odot,
-    one,
-    oplus,
-    partial_add,
-    prod,
-    scalar_mul,
-    standard_unit,
-    upper,
-    zero,
-)
-from .errors import InputError, NoLimitError, UnsupportedCarrierError
-from .independence import (
-    BilinearMap,
-    ProductSpace,
-    beta,
-    beta_bilinear,
-    bilinear_map,
-    check_bilinear,
-    extend_bilinear_divisible,
-    extend_bilinear_stabilizing,
-    extend_linear_divisible,
-    factorize,
-    left_scaling_bilinear,
-    linear_map,
-    lipschitz_check,
-    product_space,
-    state_product_bilinear,
-    tensor,
-    verify_factorization,
-)
-from .representation import (
-    MeasureRepresentation,
-    embed_l1,
-    integral,
-    kroupa_panti,
-    represent,
-    verify_morphism_extras,
-)
-from .spectra import (
-    Ideal,
-    ideal,
-    ideal_contains,
-    ideals,
-    is_semisimple,
-    maximal_ideals,
-    quotient,
-    radical,
-)
-from .states import (
-    DiscreteMeasure,
-    State,
-    chang_state,
-    eval_state,
-    extend_state_divisible,
-    identity_state,
-    is_faithful,
-    measure,
-    measure_state,
-    rho,
-    sequence_limit,
-    state_quotient,
-    table_state,
-)
-from .verdict import Verdict
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# defining module -> the public names it contributes; every module is public too
+_EXPORTS = {
+    "analysis": (
+        "DeltaTable", "MomentSequence", "check_hausdorff", "delta_table", "grid_measure",
+        "hausdorff_reconstruct", "holder_check", "moment_fit_lp", "moment_sequence",
+        "moments_of_measure",
+    ),
+    "axioms": ("Exhaustive", "Sample", "check_axioms"),
+    "core": (
+        "Algebra", "Chang", "ChangPair", "Element", "FiniteChain", "FunctionAlgebra",
+        "StandardUnit", "TableAlgebra", "chang", "dist", "element", "finite_chain",
+        "function_algebra", "indicator", "join", "leq", "lower", "meet", "nat_mul", "nat_oplus",
+        "neg", "odot", "one", "oplus", "partial_add", "prod", "scalar_mul", "standard_unit",
+        "upper", "zero",
+    ),
+    "errors": ("InputError", "NoLimitError", "UnsupportedCarrierError"),
+    "independence": (
+        "BilinearMap", "ProductSpace", "beta", "beta_bilinear", "bilinear_map", "check_bilinear",
+        "extend_bilinear_divisible", "extend_bilinear_stabilizing", "extend_linear_divisible",
+        "factorize", "left_scaling_bilinear", "linear_map", "lipschitz_check", "product_space",
+        "state_product_bilinear", "tensor", "verify_factorization",
+    ),
+    "rationals": (),
+    "representation": (
+        "MeasureRepresentation", "embed_l1", "integral", "kroupa_panti", "represent",
+        "verify_morphism_extras",
+    ),
+    "spectra": (
+        "Ideal", "ideal", "ideal_contains", "ideals", "is_semisimple", "maximal_ideals",
+        "quotient", "radical",
+    ),
+    "states": (
+        "DiscreteMeasure", "State", "chang_state", "eval_state", "extend_state_divisible",
+        "identity_state", "is_faithful", "measure", "measure_state", "rho", "sequence_limit",
+        "state_quotient", "table_state",
+    ),
+    "verdict": ("Verdict",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # importing a submodule binds it in this namespace
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

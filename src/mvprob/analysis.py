@@ -19,13 +19,12 @@ from typing import Sequence
 from . import core, states
 from .core import Element
 from .errors import InputError
-from .rationals import ONE, ZERO, format_rational, parse_rational, require_unit
+from .rationals import DEFAULT_PRECISION, ONE, ZERO, format_rational, parse_rational, require_unit
 from .states import DiscreteMeasure, State
 from .verdict import Verdict
 
 MAX_FIT_MOMENTS = 6  # highest moment index the feasibility search accepts
 MAX_FIT_GRID = 64
-DEFAULT_PRECISION = 64  # enclosure width 2**-64
 # Enclosure bits per root.  A root's integers have about n * bits bits, so its
 # cost grows with both budgets: at 4096 bits and an exponent term of 64, one
 # root takes up to half a second, about what one 4096-step bisection cost.

@@ -19,11 +19,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import analysis, axioms, core, documents, independence, representation, spectra, states
+# every command needs this closure (documents pulls in states, spectra and
+# axioms); a handler imports what only it runs, so a process compiles no
+# module its command does not use
+from . import axioms, core, documents, spectra, states
 from .axioms import Exhaustive, Sample
 from .core import Algebra, Element, TableAlgebra
 from .errors import InputError
-from .rationals import format_rational, parse_rational
+from .rationals import DEFAULT_PRECISION, format_rational, parse_rational
 from .states import DiscreteMeasure
 from .verdict import Verdict
 
@@ -64,13 +67,19 @@ def render_report(command: str, verdict: Verdict) -> str:
 
 def _load_document(path: str) -> documents.Document:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read document {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"document {path} is not UTF-8: {exc}") from exc
     try:
         raw = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"document {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer beyond the interpreter's int/str digit limit
+        raise InputError(
+            f"document {path} has an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     return documents.parse_document(raw)
 
 
@@ -88,6 +97,8 @@ def _require_seed(args) -> int:
 
 def _bilinear_constructor(doc: documents.Document, name: str, left: str, right: str):
     """How to build the named map, declared on ``left``, ``right``, from their product space."""
+    from . import independence
+
     spec = _named(doc.bilinear, name, "bilinear map")
     if (spec.left, spec.right) != (left, right):
         raise InputError(
@@ -150,12 +161,16 @@ def _cmd_spectra(doc: documents.Document, args) -> Verdict:
 
 
 def _cmd_embed(doc: documents.Document, args) -> Verdict:
+    from . import representation
+
     algebra = _named(doc.algebras, args.algebra, "algebra")
     s = _named(doc.states, args.state, "state")
     return representation.verify_embedding(algebra, s, args.samples, args.seed)
 
 
 def _cmd_moments(doc: documents.Document, args) -> Verdict:
+    from . import analysis
+
     if args.action == "of-measure":
         mu = _named(doc.measures, args.name, "measure")
         return analysis.verify_measure_moments(mu, args.order)
@@ -168,6 +183,8 @@ def _cmd_moments(doc: documents.Document, args) -> Verdict:
 
 
 def _cmd_holder(doc: documents.Document, args) -> Verdict:
+    from . import analysis
+
     s = _named(doc.states, args.state, "state")
     a = _named(doc.elements, args.left, "element")
     b = _named(doc.elements, args.right, "element")
@@ -176,6 +193,8 @@ def _cmd_holder(doc: documents.Document, args) -> Verdict:
 
 
 def _cmd_product(doc: documents.Document, args) -> Verdict:
+    from . import independence
+
     if args.action == "build":
         mu_a = _named(doc.measures, args.left, "measure")
         mu_b = _named(doc.measures, args.right, "measure")
@@ -232,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--precision",
         type=int,
-        default=analysis.DEFAULT_PRECISION,
+        default=DEFAULT_PRECISION,
         help="enclosure width in bits for interval comparisons",
     )
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
@@ -317,10 +336,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         doc = _load_document(args.doc)
         verdict = _HANDLERS[args.command](doc, args)
+        text = render_report(_echo(args), verdict)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = render_report(_echo(args), verdict)
     sys.stdout.write(text)
     if args.out:
         try:

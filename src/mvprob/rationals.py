@@ -9,6 +9,7 @@ helpers add parsing, range checks, and bounded random sampling.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -16,6 +17,9 @@ from .errors import InputError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# default enclosure width 2**-64 of analysis's interval comparisons; defined
+# here so the CLI parser reads it without importing analysis
+DEFAULT_PRECISION = 64
 
 # integer or integer/positive-integer, nothing else (no decimals, no spaces)
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
@@ -25,7 +29,12 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` with q > 0."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # a term beyond the interpreter's int/str digit limit
+        raise InputError(
+            f"rational literal has a term of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def parse_unit(text: str) -> Fraction:
@@ -42,8 +51,17 @@ def require_unit(value: Fraction) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as ``p`` or ``p/q``, never as a decimal."""
-    return str(value)
+    """Render as ``p`` or ``p/q``, never as a decimal.
+
+    A term beyond the interpreter's int/str digit limit is refused as an
+    input error: the parameters that made it, such as a moment order,
+    must be lowered.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"cannot render a rational with a term of more than {limit} digits") from exc
 
 
 def random_unit(rng: Random, max_denominator: int = 60) -> Fraction:

@@ -18,6 +18,7 @@ from mvprob import analysis, axioms, cli, spectra
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOC = str(FIXTURES / "basic.json")
+DIGIT_LIMIT = sys.get_int_max_str_digits()  # CPython's int/str conversion limit
 
 
 def run(*args):
@@ -361,6 +362,59 @@ class TestInputBoundary:
         result = run("moments", str(path), "check", "leb")
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+    def test_non_utf8_document_is_an_input_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))  # a UTF-16 byte-order mark
+        result = run("state", str(path), "eval", "s", "x")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: document {path} is not UTF-8: ")
+        assert "Traceback" not in result.stderr
+
+    def test_document_integer_beyond_the_digit_limit_is_an_input_error(self, tmp_path):
+        # json.loads refuses to convert it; json.dumps could not write it either
+        path = tmp_path / "doc.json"
+        path.write_text('{"algebras": {"c": {"kind": "chain", "n": 1' + "0" * DIGIT_LIMIT + "}}}")
+        result = run("spectra", str(path), "ideals", "c")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: document {path} has an integer of more than {DIGIT_LIMIT} digits\n"
+        )
+
+    @pytest.mark.parametrize("where", ["document", "argv"])
+    def test_rational_literal_beyond_the_digit_limit_is_an_input_error(self, where, tmp_path):
+        huge = "1" + "0" * DIGIT_LIMIT
+        if where == "document":
+            path = tmp_path / "doc.json"
+            measure = {"atoms": ["x"], "weights": ["1/" + huge]}
+            path.write_text(json.dumps({"measures": {"m": measure}}))
+            argv = ("moments", str(path), "check", "m")
+        else:
+            argv = ("holder", DOC, "s", "f1", "f2", "--p", huge, "--q", "2")
+        result = run(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: rational literal has a term of more than {DIGIT_LIMIT} digits\n"
+        )
+
+    @pytest.mark.parametrize("order,code", [(40, 0), (50, 2)])
+    def test_result_beyond_the_digit_limit_is_refused(self, order, code, tmp_path):
+        # the moment m_k has a denominator of 99k + 1 digits: 3,961 at order 40, 4,951 at 50
+        path = tmp_path / "doc.json"
+        measure = {"atoms": ["0", "1/1" + "0" * 99], "weights": ["1/2", "1/2"]}
+        path.write_text(json.dumps({"measures": {"g": measure}}))
+        result = run("moments", str(path), "of-measure", "g", "--order", str(order))
+        assert result.returncode == code
+        if code == 0:
+            assert report_of(result)["verdict"] == "pass"
+        else:
+            assert result.stdout == ""
+            assert result.stderr == (
+                f"error: cannot render a rational with a term of more than {DIGIT_LIMIT} digits\n"
+            )
 
 
 def _paths(node, prefix=()):

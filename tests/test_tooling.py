@@ -3,11 +3,14 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import mvprob
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mvprob"
@@ -96,3 +99,129 @@ def test_only_core_builds_unchecked_elements(module):
     # so nothing read from a document or argv can skip it
     lines = _mentions(ast.parse((PACKAGE / module).read_text()), TRUSTED_CONSTRUCTOR)
     assert lines == [], f"{module} uses {TRUSTED_CONSTRUCTOR} at lines {lines}"
+
+
+# the public namespace before it became lazy; it must not change
+PUBLIC_NAMES = [
+    "Algebra", "BilinearMap", "Chang", "ChangPair", "DeltaTable", "DiscreteMeasure", "Element",
+    "Exhaustive", "FiniteChain", "FunctionAlgebra", "Ideal", "InputError",
+    "MeasureRepresentation", "MomentSequence", "NoLimitError", "ProductSpace", "Sample",
+    "StandardUnit", "State", "TableAlgebra", "UnsupportedCarrierError", "Verdict", "analysis",
+    "axioms", "beta", "beta_bilinear", "bilinear_map", "chang", "chang_state", "check_axioms",
+    "check_bilinear", "check_hausdorff", "core", "delta_table", "dist", "element", "embed_l1",
+    "errors", "eval_state", "extend_bilinear_divisible", "extend_bilinear_stabilizing",
+    "extend_linear_divisible", "extend_state_divisible", "factorize", "finite_chain",
+    "function_algebra", "grid_measure", "hausdorff_reconstruct", "holder_check", "ideal",
+    "ideal_contains", "ideals", "identity_state", "independence", "indicator", "integral",
+    "is_faithful", "is_semisimple", "join", "kroupa_panti", "left_scaling_bilinear", "leq",
+    "linear_map", "lipschitz_check", "lower", "maximal_ideals", "measure", "measure_state",
+    "meet", "moment_fit_lp", "moment_sequence", "moments_of_measure", "nat_mul", "nat_oplus",
+    "neg", "odot", "one", "oplus", "partial_add", "prod", "product_space", "quotient", "radical",
+    "rationals", "represent", "representation", "rho", "scalar_mul", "sequence_limit", "spectra",
+    "standard_unit", "state_product_bilinear", "state_quotient", "states", "table_state",
+    "tensor", "upper", "verdict", "verify_factorization", "verify_morphism_extras", "zero",
+]
+SUBMODULES = [
+    "analysis", "axioms", "core", "errors", "independence", "rationals", "representation",
+    "spectra", "states", "verdict",
+]
+FIXTURE = str(ROOT / "tests" / "fixtures" / "basic.json")
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The mvprob modules a fresh interpreter holds after running ``code``."""
+    result = _python(
+        code + "\nimport sys\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mvprob'))"
+    )
+    assert result.returncode == 0, result.stderr
+    return set(ast.literal_eval(result.stdout.splitlines()[-1]))
+
+
+def _cli_loads(*argv: str) -> set[str]:
+    code = (
+        "import contextlib, io\n"
+        "from mvprob import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    exit_code = cli.main({list(argv)!r})\n"
+        "if exit_code:\n"
+        "    raise SystemExit(exit_code)\n"
+    )
+    return {name.removeprefix("mvprob.") for name in _loaded_after(code)}
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_after("import mvprob") == {"mvprob"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state", FIXTURE, "eval", "s", "f1"),
+        ("state", FIXTURE, "metric", "schain"),
+        ("spectra", FIXTURE, "ideals", "B"),
+        ("check-axioms", FIXTURE, "chain3", "--level", "MV"),
+    ],
+    ids=["state-eval", "state-metric", "spectra-ideals", "check-axioms"],
+)
+def test_core_commands_load_no_analysis_layer(argv):
+    loaded = _cli_loads(*argv)
+    assert "cli" in loaded and "documents" in loaded
+    assert not loaded & {"analysis", "independence", "representation"}, sorted(loaded)
+
+
+def test_a_moments_command_loads_analysis_alone():
+    loaded = _cli_loads("moments", FIXTURE, "check", "leb")
+    assert "analysis" in loaded
+    assert not loaded & {"independence", "representation"}, sorted(loaded)
+
+
+def test_the_precision_default_is_the_analysis_constant():
+    from mvprob import analysis, cli
+
+    args = cli.build_parser().parse_args(["state", FIXTURE, "eval", "s", "f1"])
+    assert args.precision == analysis.DEFAULT_PRECISION == 64
+
+
+class TestNamespace:
+    def test_all_is_the_pinned_public_namespace(self):
+        assert sorted(mvprob.__all__) == PUBLIC_NAMES
+        assert len(PUBLIC_NAMES) == 101
+
+    def test_every_name_resolves(self):
+        for name in PUBLIC_NAMES:
+            value = getattr(mvprob, name)
+            if name in SUBMODULES:
+                assert value is importlib.import_module(f"mvprob.{name}")
+            else:
+                assert value.__module__.startswith("mvprob."), name
+                assert value is getattr(sys.modules[value.__module__], name)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(PUBLIC_NAMES) <= set(dir(mvprob))
+
+    def test_an_unknown_attribute_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mvprob.no_such_name  # noqa: B018
+        assert not hasattr(mvprob, "no_such_name")
+
+    def test_star_import_binds_every_public_name(self):
+        namespace: dict = {}
+        exec("from mvprob import *", namespace)
+        assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    (example,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    result = _python(example)
+    assert result.returncode == 0, result.stderr
