@@ -30,17 +30,15 @@ _EXPORTS = {
         "neg", "odot", "one", "oplus", "partial_add", "prod", "scalar_mul", "standard_unit",
         "upper", "zero",
     ),
-    "errors": ("InputError", "NoLimitError", "UnsupportedCarrierError"),
+    "errors": ("InputError", "UnsupportedCarrierError"),
     "independence": (
         "BilinearMap", "ProductSpace", "beta", "beta_bilinear", "bilinear_map", "check_bilinear",
-        "extend_bilinear_divisible", "extend_bilinear_stabilizing", "extend_linear_divisible",
-        "factorize", "left_scaling_bilinear", "linear_map", "lipschitz_check", "product_space",
+        "extend_bilinear_divisible", "factorize", "left_scaling_bilinear", "product_space",
         "state_product_bilinear", "tensor", "verify_factorization",
     ),
     "rationals": (),
     "representation": (
-        "MeasureRepresentation", "embed_l1", "integral", "kroupa_panti", "represent",
-        "verify_morphism_extras",
+        "MeasureRepresentation", "embed_l1", "integral", "represent", "verify_morphism_extras",
     ),
     "spectra": (
         "Ideal", "ideal", "ideal_contains", "ideals", "is_semisimple", "maximal_ideals",
@@ -48,8 +46,8 @@ _EXPORTS = {
     ),
     "states": (
         "DiscreteMeasure", "State", "chang_state", "eval_state", "extend_state_divisible",
-        "identity_state", "is_faithful", "measure", "measure_state", "rho", "sequence_limit",
-        "state_quotient", "table_state",
+        "identity_state", "is_faithful", "measure", "measure_state", "rho", "state_quotient",
+        "table_state",
     ),
     "verdict": ("Verdict",),
 }

@@ -30,7 +30,10 @@ MAX_FIT_GRID = 64
 # root takes up to half a second, about what one 4096-step bisection cost.
 MAX_PRECISION = 4096
 MAX_EXPONENT = 64  # largest numerator or denominator of the exponents p and q
-MAX_ORDER = 512  # highest moment order; 512 takes about a second
+# Highest moment order.  It bounds the length of a sequence, not its cost:
+# with atoms of large denominator, order 512 runs for tens of seconds and
+# can then be refused for a report term past the integer-string digit limit.
+MAX_ORDER = 512
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,3 @@ class InputError(ValueError):
 
 class UnsupportedCarrierError(InputError):
     """An operation was asked for on a carrier it does not support."""
-
-
-class NoLimitError(InputError):
-    """A sequence handed to a limit-taking operation does not stabilize."""

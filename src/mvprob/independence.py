@@ -4,12 +4,11 @@ Two represented algebras are coupled through the product of their
 measures: the pairing sends (f, g) to the pointwise product function on
 atom pairs, and integrating a pairing against the product measure
 factors into the product of the integrals, which is the independence
-identity.  Every hull element is f = sum_x f(x) * 1_x, so linear and
-bounded bilinear maps extend to the divisible hulls through their
-values at the atom indicators (pairs of them, for a bilinear map, whose
-extension is a linear map off the pair atoms).  Bounded bilinear maps
-satisfy an exact Lipschitz bound and factor uniquely through the
-pairing by a linear map determined on atom indicators.
+identity.  Every hull element is f = sum_x f(x) * 1_x, so a bounded
+bilinear map extends to the divisible hulls through its values at pairs
+of atom indicators, as a linear map off the pair atoms.  Bounded
+bilinear maps factor uniquely through the pairing by a linear map
+determined on atom indicators.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Callable, Optional
 from . import core, representation, states
 from .axioms import random_element, seeded
 from .core import Algebra, Element
-from .errors import InputError, NoLimitError
+from .errors import InputError
 from .rationals import ONE, ZERO, random_unit
 from .representation import MeasureRepresentation
 from .states import DiscreteMeasure, State
@@ -190,18 +189,14 @@ def bilinear_map(
         raise InputError("bilinear values must land in the codomain algebra")
     gamma = BilinearMap(left, right, codomain, table, bound)
     if validate:
-        report = check_bilinear(gamma, bound=bound)
+        report = check_bilinear(gamma)
         if not report.passed:
             raise InputError(f"not bilinear: {report.witnesses[0]['check']}")
     return gamma
 
 
-def check_bilinear(
-    gamma: BilinearMap,
-    bound: Optional[int] = None,
-    bimorphism: bool = False,
-) -> Verdict:
-    """Verify slotwise linearity, optionally the bound and lattice laws.
+def check_bilinear(gamma: BilinearMap, bimorphism: bool = False) -> Verdict:
+    """Verify slotwise linearity, the map's bound if it has one, optionally lattice laws.
 
     Each slotwise law is swept over the left slot, then the right, on
     the compiled tables of the domains.  A failure's witness is
@@ -234,6 +229,7 @@ def check_bilinear(
                 parts = core.partial_add(lookup[x][y], lookup[x2][y])
                 if parts is None or parts != totals[y]:
                     return slot_fail("linearity", slot, x, x2, y)
+    bound = gamma.bound
     if bound is not None:
         if bound < 1:
             return fail("bound", str(bound))
@@ -331,39 +327,8 @@ def left_scaling_bilinear(rep_a: MeasureRepresentation, right: State) -> Bilinea
 
 
 # ---------------------------------------------------------------------------
-# Linear maps and divisible extensions
+# Divisible extensions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    domain: Algebra
-    codomain: Algebra
-    table: tuple[Element, ...]  # the image of the domain element of rank i
-
-
-def apply_linear(sigma: LinearMap, a: Element) -> Element:
-    if a.algebra != sigma.domain:
-        raise InputError("argument does not match the linear map's domain")
-    return sigma.table[core.rank(a.algebra, a.payload)]
-
-
-def linear_map(
-    domain: Algebra,
-    codomain: Algebra,
-    fn: Callable[[Element], Element],
-    validate: bool = True,
-) -> LinearMap:
-    if not core.is_finite(domain):
-        raise InputError("linear tables need a finite domain")
-    table = tuple(fn(a) for a in core.enumerate_carrier(domain))
-    if validate:
-        compiled = core.compile_table(domain)
-        for a, b in core.summable_pairs(compiled):
-            image = core.partial_add(table[a], table[b])
-            if image is None or image != table[compiled.oplus(a, b)]:
-                raise InputError(f"not linear at {compiled.names[a]} + {compiled.names[b]}")
-    return LinearMap(domain, codomain, table)
 
 
 @dataclass(frozen=True)
@@ -377,23 +342,6 @@ class AtomLinearMap:
     domain: Algebra
     codomain: Algebra
     images: tuple[tuple[Fraction, ...], ...]
-
-
-def extend_linear_divisible(sigma: LinearMap) -> AtomLinearMap:
-    """The unique rational-linear extension of a linear map to the hulls.
-
-    The image of the indicator 1_x is the ambient image of sigma at
-    its source in `core.atom_indicator_elements`.
-    """
-    images = tuple(
-        core.ambient_vector(apply_linear(sigma, u))
-        for u in core.atom_indicator_elements(sigma.domain)
-    )
-    return AtomLinearMap(
-        core.divisible_ambient(sigma.domain),
-        core.divisible_ambient(sigma.codomain),
-        images,
-    )
 
 
 def apply_atom_linear(omega: AtomLinearMap, h: Element) -> Element:
@@ -432,43 +380,6 @@ def extend_bilinear_divisible(gamma: BilinearMap) -> AtomLinearMap:
         tuple(pair_atom(x, y) for x in core.atoms_of(left) for y in core.atoms_of(right))
     )
     return AtomLinearMap(domain, core.divisible_ambient(gamma.codomain.algebra), images)
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz continuity of bounded bilinear maps
-# ---------------------------------------------------------------------------
-
-
-def lipschitz_check(gamma: BilinearMap, samples: int, seed: int) -> Verdict:
-    """Exactly verify the continuity estimate on sampled quadruples.
-
-    The codomain pseudo-distance of a pair of values is bounded by the
-    truncated K-multiple of the truncated sum of the argument
-    pseudo-distances.  A failure names the quadruple (a, a2, b, b2).
-    """
-    if gamma.bound is None:
-        raise InputError("the Lipschitz estimate needs a bound")
-    rng = seeded(seed, samples)
-    lefts = core.enumerate_carrier(gamma.left.algebra)
-    rights = core.enumerate_carrier(gamma.right.algebra)
-    checks = 0
-    for _ in range(samples):
-        a, a2 = rng.choice(lefts), rng.choice(lefts)
-        b, b2 = rng.choice(rights), rng.choice(rights)
-        checks += 1
-        lhs = states.rho(
-            gamma.codomain,
-            apply_bilinear(gamma, a, b),
-            apply_bilinear(gamma, a2, b2),
-        )
-        inner = min(
-            states.rho(gamma.left, a, a2) + states.rho(gamma.right, b, b2), ONE
-        )
-        rhs = min(gamma.bound * inner, ONE)
-        if lhs > rhs:
-            witness = tuple(core.format_element(e) for e in (a, a2, b, b2))
-            return Verdict("fail", [{"quadruple": witness}], {"checks": checks}, seed)
-    return Verdict("pass", [], {"checks": checks}, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -617,19 +528,3 @@ def verify_universal_factorization(
     rep_c = representation.embed_l1(gamma.codomain.algebra, gamma.codomain)
     fact = factorize(gamma, space, rep_a, rep_b, rep_c)
     return verify_factorization(fact, gamma, rep_a, rep_b, rep_c, samples=samples, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Extension along stabilizing sequences
-# ---------------------------------------------------------------------------
-
-
-def extend_bilinear_stabilizing(
-    gamma: BilinearMap, seq_a: list[Element], seq_b: list[Element]
-) -> Element:
-    """Value of the map on a pair of stabilizing sequences."""
-    limit_a = states.sequence_limit(gamma.left, seq_a)
-    limit_b = states.sequence_limit(gamma.right, seq_b)
-    if limit_a is None or limit_b is None:
-        raise NoLimitError("a sequence does not stabilize under its state metric")
-    return apply_bilinear(gamma, limit_a, limit_b)

@@ -3,7 +3,9 @@
 The pipeline sends an algebra with a state through the radical quotient,
 into the divisible hull, and then through the state quotient; the result
 is a function algebra with a strictly positive measure in which the
-state is integration.  The map it produces is injective exactly when the
+state is integration.  On a function algebra that measure is the one
+`states.extend_state_divisible` gives, restricted to its atoms of
+positive weight.  The map it produces is injective exactly when the
 state is faithful, and it preserves products and scalars whenever the
 source signature has them.
 """
@@ -12,32 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import core, states
 from .axioms import random_element, seeded
-from .core import Algebra, Chang, Element, FunctionAlgebra
+from .core import Algebra, Chang, Element
 from .errors import InputError
 from .rationals import ZERO
 from .states import DiscreteMeasure, State
 from .verdict import Verdict
-
-# ---------------------------------------------------------------------------
-# States <-> measures on finite function algebras
-# ---------------------------------------------------------------------------
-
-
-def kroupa_panti(s: State) -> DiscreteMeasure:
-    """Recover the unique measure representing a state on a function algebra.
-
-    Atom indicators are 0/1-valued, hence carrier members for every value
-    chain, and linearity forces the weight of an atom to be the state of
-    its indicator, which is the measure of the divisible extension.
-    """
-    if not isinstance(s.algebra.carrier, FunctionAlgebra):
-        raise InputError("measure recovery needs a function algebra")
-    return states.extend_state_divisible(s).rule.measure
-
 
 # ---------------------------------------------------------------------------
 # The measure representation
@@ -149,20 +134,17 @@ def verify_embedding(
 def verify_morphism_extras(
     rep: MeasureRepresentation,
     level: str,
-    mapper: Optional[Callable[[Element], Element]] = None,
     samples: int = 200,
     seed: int = 0,
 ) -> Verdict:
-    """Confirm the map preserves products (PMV) and scalars (fMV).
-
-    ``mapper`` overrides the representation map; fixtures use it to
-    inject corrupted maps as negative controls.
-    """
+    """Confirm the map preserves products (PMV) and scalars (fMV)."""
     if level not in ("PMV", "fMV"):
         raise InputError("level must be PMV or fMV")
     if not rep.source.internal_product:
         raise InputError("source algebra has no internal product")
-    f = mapper if mapper is not None else (lambda a: represent(rep, a))
+
+    def f(a: Element) -> Element:
+        return represent(rep, a)
 
     if core.is_finite(rep.source):
         pool = core.enumerate_carrier(rep.source)

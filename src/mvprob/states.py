@@ -10,8 +10,7 @@ never repaired.
 The quotient operation collapses pairs at pseudo-distance zero.  A
 genuine metric completion can leave the rational carrier, so instead of
 approximating limits the quotient result carries a completeness flag
-(true exactly when the quotient carrier is finite) and the sequence
-machinery accepts only sequences that stabilize.
+(true exactly when the quotient carrier is finite).
 """
 
 from __future__ import annotations
@@ -325,30 +324,3 @@ def verify_quotient(s: State) -> Verdict:
         None,
         {"algebra": quotient.algebra},
     )
-
-
-# ---------------------------------------------------------------------------
-# Stabilizing sequences
-# ---------------------------------------------------------------------------
-
-
-def sequence_limit(s: State, seq: list[Element]) -> Optional[Element]:
-    """The stable tail value of a sequence, or ``None``.
-
-    A sequence stabilizes when its last two or more entries sit at
-    pseudo-distance zero from each other; the first entry of that tail
-    is returned.  Anything else (including a single-entry list, which
-    shows no repetition) yields ``None``.
-    """
-    if len(seq) < 2:
-        return None
-    for a in seq:
-        if a.algebra != s.algebra:
-            raise InputError("sequence entries must live on the state's algebra")
-    anchor = seq[-1]
-    start = len(seq) - 1
-    while start > 0 and rho(s, seq[start - 1], anchor) == ZERO:
-        start -= 1
-    if start > len(seq) - 2:
-        return None
-    return seq[start]

@@ -301,6 +301,7 @@ def test_criterion_7_independence_identity():
 
 def test_criterion_8_factorization():
     failures = []
+    quadruples = 0
     bool2 = mv.function_algebra(("x", "y"), mv.FiniteChain(1))
     ch2 = mv.finite_chain(2)
     s_a = mv.measure_state(bool2, mv.measure(("x", "y"), (F(1, 4), F(3, 4))))
@@ -312,6 +313,7 @@ def test_criterion_8_factorization():
         ("state-product", mv.state_product_bilinear(s_a, s_b)),
         ("left-scaling", mv.left_scaling_bilinear(rep_a, s_b)),
     ]
+    pairs = list(itertools.product(mv.core.enumerate_carrier(bool2), mv.core.enumerate_carrier(ch2)))
     for name, gamma in gammas:
         rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
         fact = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
@@ -320,10 +322,21 @@ def test_criterion_8_factorization():
         )
         if not report.passed:
             failures.append(f"{name}: {report.witnesses}")
-        lipschitz = mv.lipschitz_check(gamma, samples=1000, seed=809)
-        if not lipschitz.passed:
-            failures.append(f"{name} continuity: {lipschitz.witnesses}")
-    _conclude(8, "factorization and continuity", failures)
+        # continuity: rho_C(gamma(a, b), gamma(a2, b2)) <= min(K * min(rho_A + rho_B, 1), 1)
+        # on every quadruple, which slot linearity and the bound K imply
+        for (a, b), (a2, b2) in itertools.product(pairs, repeat=2):
+            quadruples += 1
+            lhs = mv.rho(
+                gamma.codomain,
+                independence.apply_bilinear(gamma, a, b),
+                independence.apply_bilinear(gamma, a2, b2),
+            )
+            inner = min(mv.rho(gamma.left, a, a2) + mv.rho(gamma.right, b, b2), ONE)
+            if lhs > min(gamma.bound * inner, ONE):
+                failures.append(f"{name} continuity at {(a, a2, b, b2)}")
+    if quadruples != 3 * 144:
+        failures.append(f"{quadruples} continuity quadruples, not {3 * 144}")
+    _conclude(8, f"factorization and continuity ({quadruples} quadruples)", failures)
 
 
 def test_criterion_9_cli_end_to_end():

@@ -347,54 +347,6 @@ class TestStateQuotient:
         assert verdict.metrics["checks"] == 2 * (mv.core.CHANG_SWEEP_BOUND + 1)
 
 
-class TestSequenceLimit:
-    S = mv.measure_state(FA, mv.measure(("x", "y"), (F(1, 2), F(1, 2))))
-
-    def test_constant_sequence(self):
-        a = fa("1/3", "2/3")
-        assert mv.sequence_limit(self.S, [a, a, a]) == a
-
-    def test_tail_stabilization(self):
-        a, b = fa("0", "0"), fa("1", "0")
-        assert mv.rho(self.S, a, b) > 0
-        assert mv.sequence_limit(self.S, [a, b, b, b]) == b
-
-    def test_alternating_has_no_limit(self):
-        a, b = fa("0", "0"), fa("1", "0")
-        assert mv.sequence_limit(self.S, [a, b, a, b]) is None
-
-    def test_single_entry_is_not_evidence(self):
-        assert mv.sequence_limit(self.S, [fa("1", "1")]) is None
-
-    def test_null_pair_tail_under_nonfaithful_state(self):
-        s = mv.measure_state(FA, mv.measure(("x", "y"), (F(1), F(0))))
-        a, b = fa("1/2", "0"), fa("1/2", "1")
-        limit = mv.sequence_limit(s, [fa("0", "0"), a, b])
-        assert limit is not None and mv.rho(s, limit, b) == 0
-
-    def test_product_of_limits_on_product_carrier(self):
-        # pointwise products of stabilizing sequences stabilize to the
-        # product of the limits, up to pseudo-distance zero
-        s = mv.measure_state(FA, mv.measure(("x", "y"), (F(1), F(0))))
-        xs = [fa("0", "0"), fa("1/2", "0"), fa("1/2", "1")]
-        ys = [fa("1", "1"), fa("1", "1"), fa("1", "0")]
-        lim_x = mv.sequence_limit(s, xs)
-        lim_y = mv.sequence_limit(s, ys)
-        products = [mv.prod(a, b) for a, b in zip(xs, ys)]
-        lim_prod = mv.sequence_limit(s, products)
-        assert lim_prod is not None
-        assert mv.rho(s, lim_prod, mv.prod(lim_x, lim_y)) == 0
-
-    def test_product_of_limits_faithful_case(self):
-        s = mv.measure_state(FA, mv.measure(("x", "y"), (F(1, 2), F(1, 2))))
-        xs = [fa("0", "0"), fa("1/2", "1/3"), fa("1/2", "1/3")]
-        ys = [fa("1", "1"), fa("3/4", "1"), fa("3/4", "1")]
-        products = [mv.prod(a, b) for a, b in zip(xs, ys)]
-        assert mv.sequence_limit(s, products) == mv.prod(
-            mv.sequence_limit(s, xs), mv.sequence_limit(s, ys)
-        )
-
-
 # ---------------------------------------------------------------------------
 # Differential gate: the one null-ideal quotient against the two routes it
 # replaced, a measure restriction and a table rebuild, kept here as references
