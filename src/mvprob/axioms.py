@@ -52,7 +52,7 @@ def seeded(seed: Optional[int], samples: int) -> Random:
     if samples > MAX_SAMPLES:
         raise InputError(f"sample count must be at most {MAX_SAMPLES}")
     if seed is None:
-        raise InputError("this sweep samples an infinite carrier and needs a seed")
+        raise InputError("this command samples; pass --seed")
     return Random(seed)
 
 
@@ -69,7 +69,7 @@ class Exhaustive:
 @dataclass(frozen=True)
 class Sample:
     count: int
-    seed: int
+    seed: Optional[int]  # `seeded` refuses None
 
 
 Mode = Union[Exhaustive, Sample]

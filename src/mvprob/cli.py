@@ -89,12 +89,6 @@ def _named(section: dict, name: str, what: str):
     return section[name]
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise InputError("this command samples; pass --seed")
-    return args.seed
-
-
 def _bilinear_constructor(doc: documents.Document, name: str, left: str, right: str):
     """How to build the named map, declared on ``left``, ``right``, from their product space."""
     from . import independence
@@ -130,7 +124,7 @@ def _cmd_check_axioms(doc: documents.Document, args) -> Verdict:
     target = _named(doc.algebras, args.algebra, "algebra")
     if args.mode == "exhaustive":
         return axioms.check_axioms(target, args.level, Exhaustive())
-    return axioms.check_axioms(target, args.level, Sample(args.count, _require_seed(args)))
+    return axioms.check_axioms(target, args.level, Sample(args.count, args.seed))
 
 
 def _cmd_state(doc: documents.Document, args) -> Verdict:
@@ -205,9 +199,8 @@ def _cmd_product(doc: documents.Document, args) -> Verdict:
         return independence.verify_independence(s_a, s_b)
     if args.gamma is None:
         raise InputError("product factorize needs a bilinear map name")
-    seed = _require_seed(args)
     construct = _bilinear_constructor(doc, args.gamma, args.left, args.right)
-    return independence.verify_universal_factorization(s_a, s_b, construct, args.samples, seed)
+    return independence.verify_universal_factorization(s_a, s_b, construct, args.samples, args.seed)
 
 
 def _echo(args) -> str:

@@ -426,15 +426,6 @@ def is_finite(algebra: Algebra) -> bool:
     return False
 
 
-def carrier_size(algebra: Algebra) -> Optional[int]:
-    carrier = algebra.carrier
-    if isinstance(carrier, FiniteChain):
-        return carrier.n + 1
-    if isinstance(carrier, FunctionAlgebra) and isinstance(carrier.value, FiniteChain):
-        return (carrier.value.n + 1) ** len(carrier.atoms)
-    return None
-
-
 def _chain_levels(chain: FiniteChain) -> list[Fraction]:
     return [Fraction(k, chain.n) for k in range(chain.n + 1)]
 
@@ -595,11 +586,6 @@ def divisible_ambient(algebra: Algebra) -> Algebra:
     if isinstance(carrier, FunctionAlgebra):
         return function_algebra(carrier.atoms)
     raise UnsupportedCarrierError(f"carrier {carrier} has no divisible ambient")
-
-
-def embed_in_ambient(a: Element) -> Element:
-    """Value-preserving retyping of ``a`` into its divisible ambient."""
-    return Element(divisible_ambient(a.algebra), ambient_vector(a))
 
 
 def ambient_vector(a: Element) -> tuple[Fraction, ...]:

@@ -2,9 +2,9 @@
 moment sequences, and bilinear-map specifications.
 
 One JSON-shaped structure serves every command.  Rational literals are
-``p`` or ``p/q`` strings (decimals are rejected), every reference is
-resolved at load time, and serialization is canonical so that a parsed
-document survives a round trip byte-for-byte.
+``p`` or ``p/q`` strings (decimals are rejected), and every reference is
+resolved at load time.  Commands read documents and never write one;
+`serialize_algebra` gives the document spec of an algebra a report holds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional, Union
 from . import core, states
 from .core import Algebra, Chang, ChangPair, Element, FiniteChain, FunctionAlgebra, StandardUnit
 from .errors import InputError
-from .rationals import format_rational, parse_unit
+from .rationals import parse_unit
 from .states import DiscreteMeasure, State
 
 FORMAT_VERSION = "1"
@@ -290,26 +290,12 @@ def parse_document(raw: dict) -> Document:
 
 
 # ---------------------------------------------------------------------------
-# Canonical serialization
+# The report form of an algebra
 # ---------------------------------------------------------------------------
 
 
-def _serialize_value_carrier(carrier) -> Union[str, int]:
-    return "standard" if isinstance(carrier, StandardUnit) else carrier.n
-
-
-def serialize_algebra(algebra: AlgebraLike) -> dict:
-    if isinstance(algebra, core.TableAlgebra):
-        spec = {
-            "kind": "table",
-            "elements": list(algebra.names),
-            "zero": algebra.names[algebra.zero],
-            "oplus": [[algebra.names[v] for v in row] for row in algebra.oplus_table],
-            "neg": [algebra.names[v] for v in algebra.neg_table],
-        }
-        if algebra.prod_table is not None:
-            spec["prod"] = [[algebra.names[v] for v in row] for row in algebra.prod_table]
-        return spec
+def serialize_algebra(algebra: Algebra) -> dict:
+    """The document spec of ``algebra``, as a report renders a quotient carrier."""
     carrier = algebra.carrier
     if isinstance(carrier, StandardUnit):
         return {
@@ -323,80 +309,8 @@ def serialize_algebra(algebra: AlgebraLike) -> dict:
         return {
             "kind": "function",
             "atoms": list(carrier.atoms),
-            "value": _serialize_value_carrier(carrier.value),
+            "value": "standard" if isinstance(carrier.value, StandardUnit) else carrier.value.n,
             "product": algebra.internal_product,
             "scalars": algebra.scalar_action,
         }
     return {"kind": "chang"}
-
-
-def _serialize_element(e: Element, algebras: dict) -> dict:
-    name = _algebra_name(e.algebra, algebras)
-    if isinstance(e.payload, ChangPair):
-        return {"algebra": name, "side": e.payload.side, "k": e.payload.k}
-    if isinstance(e.payload, tuple):
-        return {"algebra": name, "values": [format_rational(v) for v in e.payload]}
-    return {"algebra": name, "value": format_rational(e.payload)}
-
-
-def _algebra_name(algebra: Algebra, algebras: dict) -> str:
-    for name, candidate in algebras.items():
-        if candidate == algebra:
-            return name
-    raise InputError("element refers to an algebra missing from the document")
-
-
-def _serialize_state(s: State, doc: Document) -> dict:
-    name = _algebra_name(s.algebra, doc.algebras)
-    rule = s.rule
-    if isinstance(rule, states.MeasureRule):
-        for measure_name, candidate in doc.measures.items():
-            if candidate == rule.measure:
-                return {"algebra": name, "rule": "measure", "measure": measure_name}
-        raise InputError("state refers to a measure missing from the document")
-    if isinstance(rule, states.IdentityRule):
-        return {"algebra": name, "rule": "identity"}
-    if isinstance(rule, states.FirstCoordinateRule):
-        return {"algebra": name, "rule": "first-coordinate"}
-    values = {
-        core.format_element(Element(s.algebra, payload)): format_rational(v)
-        for payload, v in rule.values
-    }
-    return {"algebra": name, "rule": "table", "values": values}
-
-
-def _serialize_bilinear(spec: BilinearSpec, doc: Document) -> dict:
-    raw: dict = {"kind": spec.kind, "left": spec.left, "right": spec.right}
-    if spec.kind == "table":
-        raw["codomain"] = spec.codomain
-        raw["bound"] = spec.bound
-        left_algebra = doc.states[spec.left].algebra
-        right_algebra = doc.states[spec.right].algebra
-        cod_algebra = doc.states[spec.codomain].algebra
-        raw["entries"] = {
-            ";".join(
-                (
-                    core.format_element(Element(left_algebra, pa)),
-                    core.format_element(Element(right_algebra, pb)),
-                )
-            ): core.format_element(Element(cod_algebra, pc))
-            for (pa, pb), pc in spec.entries
-        }
-    return raw
-
-
-def serialize_document(doc: Document) -> dict:
-    return {
-        "version": doc.version,
-        "algebras": {n: serialize_algebra(a) for n, a in doc.algebras.items()},
-        "elements": {n: _serialize_element(e, doc.algebras) for n, e in doc.elements.items()},
-        "measures": {
-            n: {"atoms": list(m.atoms), "weights": [format_rational(w) for w in m.weights]}
-            for n, m in doc.measures.items()
-        },
-        "states": {n: _serialize_state(s, doc) for n, s in doc.states.items()},
-        "moments": {
-            n: [format_rational(v) for v in values] for n, values in doc.moments.items()
-        },
-        "bilinear": {n: _serialize_bilinear(s, doc) for n, s in doc.bilinear.items()},
-    }

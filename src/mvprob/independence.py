@@ -13,7 +13,6 @@ determined on atom indicators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -97,10 +96,6 @@ def tensor(space: ProductSpace, f: Element, g: Element) -> Element:
     return Element(space.algebra, values)
 
 
-def space_of(rep_a: MeasureRepresentation, rep_b: MeasureRepresentation) -> ProductSpace:
-    return product_space(rep_a.measure, rep_b.measure)
-
-
 def beta(
     space: ProductSpace,
     rep_a: MeasureRepresentation,
@@ -123,7 +118,7 @@ def verify_independence(left: State, right: State) -> Verdict:
             raise InputError("the exhaustive independence sweep needs finite algebras")
     rep_a = representation.embed_l1(left.algebra, left)
     rep_b = representation.embed_l1(right.algebra, right)
-    space = space_of(rep_a, rep_b)
+    space = product_space(rep_a.measure, rep_b.measure)
     checked, rights = 0, core.enumerate_carrier(right.algebra)
     for a in core.enumerate_carrier(left.algebra):
         for b in rights:
@@ -169,14 +164,13 @@ def bilinear_map(
     codomain: State,
     fn: Callable[[Element, Element], Element],
     bound: Optional[int] = None,
-    validate: bool = True,
 ) -> BilinearMap:
-    """Materialize ``fn`` over the finite domains.
+    """Materialize ``fn`` over the finite domains and validate it.
 
-    With ``validate`` the linearity of both slots (on every defined
-    partial sum) and the claimed bound are verified up front; fixtures
-    that are meant to be broken pass ``validate=False`` and go through
-    `check_bilinear` instead.
+    The linearity of both slots (on every defined partial sum) and the
+    claimed bound are verified by `check_bilinear`; a map that fails is
+    refused.  A table meant to be broken is a `BilinearMap` built
+    directly, which `check_bilinear` then judges.
     """
     for s in (left, right):
         if not core.is_finite(s.algebra):
@@ -188,18 +182,17 @@ def bilinear_map(
     if any(value.algebra != codomain.algebra for row in table for value in row):
         raise InputError("bilinear values must land in the codomain algebra")
     gamma = BilinearMap(left, right, codomain, table, bound)
-    if validate:
-        report = check_bilinear(gamma)
-        if not report.passed:
-            raise InputError(f"not bilinear: {report.witnesses[0]['check']}")
+    report = check_bilinear(gamma)
+    if not report.passed:
+        raise InputError(f"not bilinear: {report.witnesses[0]['check']}")
     return gamma
 
 
-def check_bilinear(gamma: BilinearMap, bimorphism: bool = False) -> Verdict:
-    """Verify slotwise linearity, the map's bound if it has one, optionally lattice laws.
+def check_bilinear(gamma: BilinearMap) -> Verdict:
+    """Verify slotwise linearity and the map's bound if it has one.
 
-    Each slotwise law is swept over the left slot, then the right, on
-    the compiled tables of the domains.  A failure's witness is
+    Linearity is swept over the left slot, then the right, on the
+    compiled tables of the domains.  A failure's witness is
     ``{"check": (law, *element texts)}`` with the arguments in (left,
     right) order.
     """
@@ -216,11 +209,6 @@ def check_bilinear(gamma: BilinearMap, bimorphism: bool = False) -> Verdict:
     def fail(*witness) -> Verdict:
         return Verdict("fail", [{"check": witness}], {"checks": checks})
 
-    def slot_fail(law: str, slot: str, x: int, x2: int, y: int) -> Verdict:
-        if slot == "left":
-            return fail(f"left-{law}", left.names[x], left.names[x2], right.names[y])
-        return fail(f"right-{law}", left.names[y], right.names[x], right.names[x2])
-
     for slot, varying, fixed, lookup in slots:
         for x, x2 in core.summable_pairs(varying):
             totals = lookup[varying.oplus(x, x2)]
@@ -228,7 +216,9 @@ def check_bilinear(gamma: BilinearMap, bimorphism: bool = False) -> Verdict:
                 checks += 1
                 parts = core.partial_add(lookup[x][y], lookup[x2][y])
                 if parts is None or parts != totals[y]:
-                    return slot_fail("linearity", slot, x, x2, y)
+                    if slot == "left":
+                        return fail("left-linearity", left.names[x], left.names[x2], right.names[y])
+                    return fail("right-linearity", left.names[y], right.names[x], right.names[x2])
     bound = gamma.bound
     if bound is not None:
         if bound < 1:
@@ -242,18 +232,6 @@ def check_bilinear(gamma: BilinearMap, bimorphism: bool = False) -> Verdict:
                 cap = min(bound * sa * states.eval_state(gamma.right, b), ONE)
                 if level > cap:
                     return fail("bound", core.format_element(a), core.format_element(b))
-    if bimorphism:
-        # meets need no check of their own: x = meet(x, x2) + odot(x, neg x2)
-        # and join(x, x2) = odot(x, neg x2) + x2, so slot linearity and the
-        # preserved join give f(odot(x, neg x2)) = odot(f(x), neg f(x2)) by
-        # cancellation, and then f(meet(x, x2)) = meet(f(x), f(x2))
-        for slot, varying, fixed, lookup in slots:
-            for x, x2 in itertools.product(range(len(varying.names)), repeat=2):
-                joins = lookup[varying.join(x, x2)]
-                for y in range(len(fixed.names)):
-                    checks += 1
-                    if joins[y] != core.join(lookup[x][y], lookup[x2][y]):
-                        return slot_fail("join", slot, x, x2, y)
     return Verdict("pass", [], {"checks": checks})
 
 
@@ -387,26 +365,20 @@ def extend_bilinear_divisible(gamma: BilinearMap) -> AtomLinearMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
-    omega: AtomLinearMap
-    space: ProductSpace
-    bound: int
-
-
 def factorize(
     gamma: BilinearMap,
     space: ProductSpace,
     rep_a: MeasureRepresentation,
     rep_b: MeasureRepresentation,
     rep_c: MeasureRepresentation,
-) -> Factorization:
-    """Produce the linear map completing the pairing triangle.
+) -> AtomLinearMap:
+    """The linear map omega off ``space.algebra`` completing the pairing triangle.
 
-    On the indicator of an atom pair the map must take the represented
-    value of gamma at the indicator sources; rational linearity then
+    On the indicator of an atom pair omega takes the represented value
+    of gamma at the indicator sources; rational linearity then
     determines it on the whole product algebra, and composing with the
-    pairing recovers gamma exactly.
+    pairing recovers gamma exactly.  The bound omega must keep is
+    gamma's, which `verify_factorization` reads from gamma.
     """
     if gamma.bound is None:
         raise InputError("factorization needs a bounded map")
@@ -426,12 +398,12 @@ def factorize(
         for ex in rep_a.atom_elements
         for ey in rep_b.atom_elements
     )
-    omega = AtomLinearMap(space.algebra, rep_c.target, images)
-    return Factorization(omega, space, gamma.bound)
+    return AtomLinearMap(space.algebra, rep_c.target, images)
 
 
 def verify_factorization(
-    fact: Factorization,
+    omega: AtomLinearMap,
+    space: ProductSpace,
     gamma: BilinearMap,
     rep_a: MeasureRepresentation,
     rep_b: MeasureRepresentation,
@@ -439,16 +411,15 @@ def verify_factorization(
     samples: int = 200,
     seed: int = 0,
 ) -> Verdict:
-    """Certify the factorization: triangle, linearity, bound, uniqueness.
+    """Certify ``omega = factorize(gamma, space, ...)``: triangle, linearity, bound, uniqueness.
 
-    Uniqueness is certified on the rational span: an independently
-    constructed candidate (through the divisible extension of gamma,
-    a different computation route) must agree on every atom indicator
-    and then on sampled rational combinations.  A failure's witness is
+    The bound is gamma's.  Uniqueness is certified on the rational span:
+    an independently constructed candidate (through the divisible
+    extension of gamma, a different computation route) must agree on
+    every atom indicator and then on sampled rational combinations.  A failure's witness is
     ``{"check": (stage, *texts)}``.
     """
     rng = seeded(seed, samples)
-    omega, space = fact.omega, fact.space
     sc = states.measure_state(rep_c.target, rep_c.measure)
     pairs = linearity = bound_checks = uniqueness = 0
 
@@ -487,7 +458,7 @@ def verify_factorization(
             return verdict("linearity", core.format_element(h), core.format_element(h2))
         bound_checks += 1
         level = states.eval_state(sc, apply_atom_linear(omega, h))
-        cap = min(fact.bound * states.eval_state(space.state, h), ONE)
+        cap = min(gamma.bound * states.eval_state(space.state, h), ONE)
         if level > cap:
             return verdict("bound", core.format_element(h))
 
@@ -520,11 +491,14 @@ def verify_universal_factorization(
 
     ``make_gamma`` builds the map on ``left`` and ``right`` from their
     product space and representations, which the pairing itself needs.
+    A missing seed or an out-of-range ``samples`` is refused before any
+    of that work.
     """
+    seeded(seed, samples)
     rep_a = representation.embed_l1(left.algebra, left)
     rep_b = representation.embed_l1(right.algebra, right)
-    space = space_of(rep_a, rep_b)
+    space = product_space(rep_a.measure, rep_b.measure)
     gamma = make_gamma(space, rep_a, rep_b)
     rep_c = representation.embed_l1(gamma.codomain.algebra, gamma.codomain)
-    fact = factorize(gamma, space, rep_a, rep_b, rep_c)
-    return verify_factorization(fact, gamma, rep_a, rep_b, rep_c, samples=samples, seed=seed)
+    omega = factorize(gamma, space, rep_a, rep_b, rep_c)
+    return verify_factorization(omega, space, gamma, rep_a, rep_b, rep_c, samples, seed)

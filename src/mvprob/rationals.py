@@ -21,6 +21,8 @@ ONE = Fraction(1)
 # here so the CLI parser reads it without importing analysis
 DEFAULT_PRECISION = 64
 
+MAX_DRAW_DENOMINATOR = 60  # of a `random_unit` draw; every seeded report depends on it
+
 # integer or integer/positive-integer, nothing else (no decimals, no spaces)
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
@@ -64,7 +66,7 @@ def format_rational(value: Fraction) -> str:
         raise InputError(f"cannot render a rational with a term of more than {limit} digits") from exc
 
 
-def random_unit(rng: Random, max_denominator: int = 60) -> Fraction:
-    """Random rational in [0, 1] with denominator at most ``max_denominator``."""
-    q = rng.randint(1, max_denominator)
+def random_unit(rng: Random) -> Fraction:
+    """Random rational in [0, 1] with denominator at most `MAX_DRAW_DENOMINATOR`."""
+    q = rng.randint(1, MAX_DRAW_DENOMINATOR)
     return Fraction(rng.randint(0, q), q)

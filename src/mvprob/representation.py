@@ -137,18 +137,27 @@ def verify_morphism_extras(
     samples: int = 200,
     seed: int = 0,
 ) -> Verdict:
-    """Confirm the map preserves products (PMV) and scalars (fMV)."""
+    """Confirm the map preserves products (PMV) and scalars (fMV).
+
+    Products are checked on every pair of a finite source, and the
+    verdict then carries no seed, or on ``samples`` seeded pairs of an
+    infinite one; scalars on ``samples`` seeded draws.  Every argument
+    is checked before the first product.
+    """
     if level not in ("PMV", "fMV"):
         raise InputError("level must be PMV or fMV")
     if not rep.source.internal_product:
         raise InputError("source algebra has no internal product")
+    if level == "fMV" and not rep.source.scalar_action:
+        raise InputError("fMV check needs a scalar action on the source")
 
     def f(a: Element) -> Element:
         return represent(rep, a)
 
-    if core.is_finite(rep.source):
+    if core.is_finite(rep.source):  # no finite carrier has a scalar action
         pool = core.enumerate_carrier(rep.source)
         pairs = [(a, b) for a in pool for b in pool]
+        seed = None
     else:
         rng = seeded(seed, samples)
         pairs = [
@@ -163,8 +172,6 @@ def verify_morphism_extras(
             witness = ("product", core.format_element(a), core.format_element(b))
             return Verdict("fail", [{"check": witness}], {"checks": checks}, seed)
     if level == "fMV":
-        if not rep.source.scalar_action:
-            raise InputError("fMV check needs a scalar action on the source")
         rng = seeded(seed + 1, samples)
         for _ in range(samples):
             a = random_element(rng, rep.source)

@@ -16,7 +16,7 @@ from random import Random
 import mvprob as mv
 from mvprob import analysis, independence, representation
 from mvprob.axioms import Exhaustive, Sample
-from mvprob.rationals import ONE, random_unit
+from mvprob.rationals import ONE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,6 +33,12 @@ def _conclude(number, name, failures, elapsed=None, budget=None):
 def chain_state(algebra):
     n = algebra.carrier.n
     return mv.table_state(algebra, {F(k, n): F(k, n) for k in range(n + 1)})
+
+
+def random_unit(rng, max_denominator):
+    """A rational in [0, 1] with denominator at most ``max_denominator``."""
+    q = rng.randint(1, max_denominator)
+    return F(rng.randint(0, q), q)
 
 
 def random_measure(rng, atoms, allow_zero=False):
@@ -287,7 +293,7 @@ def test_criterion_7_independence_identity():
 
         s_a, s_b = state_for(left), state_for(right)
         rep_a, rep_b = mv.embed_l1(left, s_a), mv.embed_l1(right, s_b)
-        space = independence.space_of(rep_a, rep_b)
+        space = mv.product_space(rep_a.measure, rep_b.measure)
         for a in mv.core.enumerate_carrier(left):
             for b in mv.core.enumerate_carrier(right):
                 pairs_total += 1
@@ -307,7 +313,7 @@ def test_criterion_8_factorization():
     s_a = mv.measure_state(bool2, mv.measure(("x", "y"), (F(1, 4), F(3, 4))))
     s_b = chain_state(ch2)
     rep_a, rep_b = mv.embed_l1(bool2, s_a), mv.embed_l1(ch2, s_b)
-    space = independence.space_of(rep_a, rep_b)
+    space = mv.product_space(rep_a.measure, rep_b.measure)
     gammas = [
         ("beta", mv.beta_bilinear(space, rep_a, rep_b)),
         ("state-product", mv.state_product_bilinear(s_a, s_b)),
@@ -316,9 +322,9 @@ def test_criterion_8_factorization():
     pairs = list(itertools.product(mv.core.enumerate_carrier(bool2), mv.core.enumerate_carrier(ch2)))
     for name, gamma in gammas:
         rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
-        fact = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
+        omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
         report = mv.verify_factorization(
-            fact, gamma, rep_a, rep_b, rep_c, samples=150, seed=808
+            omega, space, gamma, rep_a, rep_b, rep_c, samples=150, seed=808
         )
         if not report.passed:
             failures.append(f"{name}: {report.witnesses}")

@@ -71,6 +71,40 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "--seed" in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [  # check-axioms: test_sampling_without_seed_is_two
+            ("state", DOC, "metric", "s", "--samples", "5"),
+            ("embed", DOC, "F", "s", "--samples", "5"),
+            ("product", DOC, "factorize", "sB", "schain", "gbeta", "--samples", "5"),
+        ],
+        ids=["state-metric", "embed", "product-factorize"],
+    )
+    def test_a_sampling_command_without_a_seed_names_the_flag(self, argv, capsys):
+        assert cli.main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: this command samples; pass --seed\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--seed", "1", "--samples", "0"), "sample count must be positive"),
+            (("--samples", "5"), "this command samples; pass --seed"),
+        ],
+        ids=["bad-samples", "no-seed"],
+    )
+    def test_factorize_refuses_its_sampling_arguments_before_any_work(
+        self, flags, message, monkeypatch, capsys
+    ):
+        from mvprob import representation
+
+        def no_work(*args):
+            raise AssertionError("embed_l1 ran before the arguments were checked")
+
+        monkeypatch.setattr(representation, "embed_l1", no_work)
+        assert cli.main(["product", DOC, "factorize", "sB", "schain", "gbeta", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_infeasible_is_one(self):
         result = run("moments", DOC, "fit", "bad", "--grid", "4")
         assert result.returncode == 1

@@ -58,7 +58,7 @@ def test_every_table_entry_is_the_rank_of_the_core_op(algebra):
 
 @pytest.mark.parametrize("algebra", CARRIERS)
 def test_mv_laws_are_checked_on_every_tuple(algebra):
-    n = core.carrier_size(algebra)
+    n = len(core.enumerate_carrier(algebra))
     report = check_axioms(algebra, "MV", Exhaustive())
     assert report.passed
     assert report.metrics == {"checks": n**3 + 2 * n**2 + 3 * n}

@@ -1,4 +1,4 @@
-"""Document parsing, validation, and round-trip serialization."""
+"""Document parsing and validation."""
 
 import json
 from fractions import Fraction as F
@@ -90,28 +90,9 @@ class TestParsing:
         assert doc.states["s"] == mv.identity_state(chain)
         for e in mv.core.enumerate_carrier(chain):
             assert mv.eval_state(doc.states["s"], e) == e.payload
-        serialized = documents.serialize_document(doc)
-        assert serialized["states"]["s"] == {"algebra": "c", "rule": "identity"}
-        assert documents.parse_document(serialized) == doc
 
 
 class TestRoundTrip:
-    def test_parse_serialize_parse_is_identity(self):
-        doc = documents.parse_document(load_fixture())
-        again = documents.parse_document(documents.serialize_document(doc))
-        assert again == doc
-
-    def test_serialized_form_is_json_stable(self):
-        doc = documents.parse_document(load_fixture())
-        first = json.dumps(documents.serialize_document(doc), sort_keys=True)
-        second = json.dumps(
-            documents.serialize_document(
-                documents.parse_document(documents.serialize_document(doc))
-            ),
-            sort_keys=True,
-        )
-        assert first == second
-
     def test_table_bilinear_round_trip(self):
         raw = {
             "algebras": {"c1": {"kind": "chain", "n": 1}},
@@ -138,7 +119,10 @@ class TestRoundTrip:
                 }
             },
         }
-        doc = documents.parse_document(raw)
-        again = documents.parse_document(documents.serialize_document(doc))
-        assert again == doc
-        assert len(doc.bilinear["g"].entries) == 4
+        spec = documents.parse_document(raw).bilinear["g"]
+        assert (spec.kind, spec.left, spec.right, spec.codomain, spec.bound) == (
+            "table", "s1", "s1", "s1", 1
+        )
+        assert dict(spec.entries) == {
+            (F(0), F(0)): F(0), (F(0), F(1)): F(0), (F(1), F(0)): F(0), (F(1), F(1)): F(1)
+        }

@@ -22,12 +22,27 @@ def chain_state(algebra):
     return mv.table_state(algebra, {F(k, n): F(k, n) for k in range(n + 1)})
 
 
+def in_ambient(a):
+    """``a`` retyped, values unchanged, into its divisible ambient."""
+    return mv.Element(mv.core.divisible_ambient(a.algebra), mv.core.ambient_vector(a))
+
+
+def unchecked_map(left, right, codomain, fn, bound=None):
+    """``fn`` materialized over the finite domains without validation,
+    for the tables `check_bilinear` must reject."""
+    rights = mv.core.enumerate_carrier(right.algebra)
+    table = tuple(
+        tuple(fn(a, b) for b in rights) for a in mv.core.enumerate_carrier(left.algebra)
+    )
+    return mv.BilinearMap(left, right, codomain, table, bound)
+
+
 def coupling(weights_a=(F(1, 2), F(1, 2))):
     s_a = mv.measure_state(BOOL2, mv.measure(("x", "y"), weights_a))
     s_b = chain_state(CH2)
     rep_a = mv.embed_l1(BOOL2, s_a)
     rep_b = mv.embed_l1(CH2, s_b)
-    space = independence.space_of(rep_a, rep_b)
+    space = mv.product_space(rep_a.measure, rep_b.measure)
     return s_a, s_b, rep_a, rep_b, space
 
 
@@ -155,7 +170,7 @@ class TestBilinearChecks:
 
     def test_join_fixture_fails_additivity(self):
         s = chain_state(CH2)
-        gamma = mv.bilinear_map(s, s, s, mv.join, bound=None, validate=False)
+        gamma = unchecked_map(s, s, s, mv.join)
         report = mv.check_bilinear(gamma)
         assert not report.passed
         assert report.witnesses[0]["check"][0] in ("left-linearity", "right-linearity")
@@ -173,24 +188,10 @@ class TestBilinearChecks:
         skew = mv.measure_state(
             space.algebra, mv.measure(space.measure.atoms, weights)
         )
-        gamma = mv.bilinear_map(
-            s_a,
-            s_b,
-            skew,
-            lambda a, b: mv.beta(space, rep_a, rep_b, a, b),
-            bound=None,
-            validate=False,
-        )
+        gamma = unchecked_map(s_a, s_b, skew, lambda a, b: mv.beta(space, rep_a, rep_b, a, b))
         assert mv.check_bilinear(gamma).passed
         assert not mv.check_bilinear(dataclasses.replace(gamma, bound=1)).passed
         assert mv.check_bilinear(dataclasses.replace(gamma, bound=2)).passed
-
-    def test_bimorphism_option(self):
-        # the one-dimensional product is a bimorphism; the pairing need not be
-        chain1 = mv.finite_chain(1)
-        s = chain_state(chain1)
-        gamma = mv.bilinear_map(s, s, s, mv.prod, bound=1)
-        assert mv.check_bilinear(gamma, bimorphism=True).passed
 
 
 def planted_table(left, right, fn, cell=None, value=None):
@@ -202,116 +203,39 @@ def planted_table(left, right, fn, cell=None, value=None):
             return mv.element(unit, value)
         return mv.element(unit, fn(a, b))
 
-    return mv.bilinear_map(left, right, mv.identity_state(unit), entry, validate=False)
+    return unchecked_map(left, right, mv.identity_state(unit), entry)
 
 
 def planted_defects():
     s1, s2 = chain_state(mv.finite_chain(1)), chain_state(CH2)
-    uniform = mv.measure_state(BOOL2, mv.measure(("x", "y"), (F(1, 2), F(1, 2))))
     dirac = mv.measure_state(BOOL2, mv.measure(("x", "y"), (F(1), F(0))))
 
     def product(a, b):
         return a.payload * b.payload
 
-    # (table, bound, bimorphism, checks, witness), all recorded before the
-    # checker's loops were folded.  A table that passes both linearity
-    # sweeps preserves meets wherever it preserves joins, so no table can
-    # make a meet check fail first.
+    # (table, bound, checks, witness), all recorded before the checker's
+    # loops were folded
     yield pytest.param(
-        planted_table(s1, s2, product, (F(0), F(1, 2)), F(1, 4)), None, False,
+        planted_table(s1, s2, product, (F(0), F(1, 2)), F(1, 4)), None,
         2, ("left-linearity", "0", "0", "1/2"), id="left-linearity",
     )
     yield pytest.param(
-        planted_table(s1, s2, product, (F(1), F(1)), F(1, 2)), None, False,
+        planted_table(s1, s2, product, (F(1), F(1)), F(1, 2)), None,
         19, ("right-linearity", "1", "1/2", "1/2"), id="right-linearity",
     )
     # linear, but it charges the atom the left state gives weight 0
     yield pytest.param(
-        planted_table(dirac, s1, lambda a, b: a.payload[1] * b.payload), 1, False,
+        planted_table(dirac, s1, lambda a, b: a.payload[1] * b.payload), 1,
         34, ("bound", "(0,1)", "1"), id="bound",
     )
-    # linear in each slot, but integrating a slot does not preserve joins
-    yield pytest.param(
-        planted_table(uniform, s1, lambda a, b: mv.eval_state(uniform, a) * b.payload), 1, True,
-        52, ("left-join", "(0,1)", "(1,0)", "1"), id="left-join",
-    )
-    yield pytest.param(
-        planted_table(s1, uniform, lambda a, b: a.payload * mv.eval_state(uniform, b)), 1, True,
-        68, ("right-join", "1", "(0,1)", "(1,0)"), id="right-join",
-    )
 
 
-@pytest.mark.parametrize("gamma, bound, bimorphism, checks, witness", list(planted_defects()))
-def test_planted_defect_is_found_at_its_pinned_check(gamma, bound, bimorphism, checks, witness):
-    report = mv.check_bilinear(dataclasses.replace(gamma, bound=bound), bimorphism=bimorphism)
+@pytest.mark.parametrize("gamma, bound, checks, witness", list(planted_defects()))
+def test_planted_defect_is_found_at_its_pinned_check(gamma, bound, checks, witness):
+    report = mv.check_bilinear(dataclasses.replace(gamma, bound=bound))
     assert not report.passed
     assert report.metrics == {"checks": checks}
     assert report.witnesses == [{"check": witness}]
-
-
-def check_bilinear_comparing_meets(gamma):
-    """The linearity and lattice sweeps of `check_bilinear` with a meet
-    comparison after each join comparison: the reference for the sweep
-    that compares joins only."""
-    left = mv.core.compile_table(gamma.left.algebra)
-    right = mv.core.compile_table(gamma.right.algebra)
-    slots = (
-        ("left", left, right, gamma.table),
-        ("right", right, left, tuple(zip(*gamma.table))),
-    )
-    checks = 0
-
-    def fail(law, slot, x, x2, y):
-        if slot == "left":
-            names = (left.names[x], left.names[x2], right.names[y])
-        else:
-            names = (left.names[y], right.names[x], right.names[x2])
-        return mv.Verdict("fail", [{"check": (f"{slot}-{law}", *names)}], {"checks": checks})
-
-    for slot, varying, fixed, lookup in slots:
-        for x, x2 in mv.core.summable_pairs(varying):
-            totals = lookup[varying.oplus(x, x2)]
-            for y in range(len(fixed.names)):
-                checks += 1
-                parts = mv.core.partial_add(lookup[x][y], lookup[x2][y])
-                if parts is None or parts != totals[y]:
-                    return fail("linearity", slot, x, x2, y)
-    for slot, varying, fixed, lookup in slots:
-        for x, x2 in itertools.product(range(len(varying.names)), repeat=2):
-            joins, meets = lookup[varying.join(x, x2)], lookup[varying.meet(x, x2)]
-            for y in range(len(fixed.names)):
-                checks += 1
-                v, v2 = lookup[x][y], lookup[x2][y]
-                if joins[y] != mv.core.join(v, v2):
-                    return fail("join", slot, x, x2, y)
-                if meets[y] != mv.core.meet(v, v2):
-                    return fail("meet", slot, x, x2, y)
-    return mv.Verdict("pass", [], {"checks": checks})
-
-
-def test_bimorphism_check_without_meets_matches_the_one_with_meets():
-    # every map from chain1 x chain2 into {0, 1/2, 1}
-    s1, s2 = chain_state(mv.finite_chain(1)), chain_state(CH2)
-    unit = mv.standard_unit()
-    cells = [
-        (a.payload, b.payload)
-        for a in mv.core.enumerate_carrier(s1.algebra)
-        for b in mv.core.enumerate_carrier(s2.algebra)
-    ]
-    passed = 0
-    for values in itertools.product((F(0), F(1, 2), F(1)), repeat=len(cells)):
-        lookup = dict(zip(cells, values))
-        gamma = mv.bilinear_map(
-            s1, s2, mv.identity_state(unit),
-            lambda a, b: mv.element(unit, lookup[a.payload, b.payload]), validate=False,
-        )
-        got = mv.check_bilinear(gamma, bimorphism=True)
-        want = check_bilinear_comparing_meets(gamma)
-        assert (got.verdict, got.metrics, got.witnesses) == (
-            want.verdict, want.metrics, want.witnesses
-        ), values
-        passed += got.passed
-    assert passed == 2  # the zero map and (a, b) -> a * b
 
 
 def apply_extension(ext, f, g):
@@ -328,9 +252,9 @@ class TestBilinearExtension:
         for a in mv.core.enumerate_carrier(BOOL2):
             for b in mv.core.enumerate_carrier(CH2):
                 extended = apply_extension(
-                    ext, mv.core.embed_in_ambient(a), mv.core.embed_in_ambient(b)
+                    ext, in_ambient(a), in_ambient(b)
                 )
-                direct = mv.core.embed_in_ambient(mv.independence.apply_bilinear(gamma, a, b))
+                direct = in_ambient(mv.independence.apply_bilinear(gamma, a, b))
                 assert extended == direct
 
     def test_boolean_product_at_half(self):
@@ -504,9 +428,9 @@ class TestFactorization:
     def test_triangle_and_uniqueness_for_three_fixtures(self):
         for name, gamma, rep_a, rep_b, space in self.gammas():
             rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
-            fact = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
+            omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
             report = mv.verify_factorization(
-                fact, gamma, rep_a, rep_b, rep_c, samples=120, seed=5
+                omega, space, gamma, rep_a, rep_b, rep_c, samples=120, seed=5
             )
             assert report.passed, name
 
@@ -514,20 +438,20 @@ class TestFactorization:
         _, _, rep_a, rep_b, space = coupling()
         gamma = mv.beta_bilinear(space, rep_a, rep_b)
         rep_c = mv.embed_l1(space.algebra, space.state)
-        fact = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
+        omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
         size = len(space.measure.atoms)
-        for i, image in enumerate(fact.omega.images):
+        for i, image in enumerate(omega.images):
             assert image == tuple(ONE if j == i else F(0) for j in range(size))
 
     def test_state_product_factors_through_integration(self):
         s_a, s_b, rep_a, rep_b, space = coupling()
         gamma = mv.state_product_bilinear(s_a, s_b)
         rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
-        fact = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
+        omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
         rng = Random(14)
         for _ in range(200):
             h = random_element(rng, space.algebra)
-            value = independence.apply_atom_linear(fact.omega, h)
+            value = independence.apply_atom_linear(omega, h)
             assert value.payload == (mv.eval_state(space.state, h),)
 
     def test_non_faithful_states_rejected(self):

@@ -1,7 +1,9 @@
 """Divisible ambients, measure recovery, and the representation pipeline."""
 
 import itertools
+import json
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
@@ -10,8 +12,10 @@ import pytest
 import mvprob as mv
 from mvprob import representation
 from mvprob.axioms import random_element
+from mvprob.documents import parse_document
 from mvprob.errors import InputError
 
+FIXTURES = Path(__file__).parent / "fixtures"
 C = mv.chang()
 CH2 = mv.finite_chain(2)
 FA = mv.function_algebra(("x", "y"))
@@ -21,6 +25,11 @@ BOOL2 = mv.function_algebra(("p", "q"), mv.FiniteChain(1))
 def chain_state(algebra):
     n = algebra.carrier.n
     return mv.table_state(algebra, {F(k, n): F(k, n) for k in range(n + 1)})
+
+
+def in_ambient(a):
+    """``a`` retyped, values unchanged, into its divisible ambient."""
+    return mv.Element(mv.core.divisible_ambient(a.algebra), mv.core.ambient_vector(a))
 
 
 class TestDivisibleHull:
@@ -35,7 +44,7 @@ class TestDivisibleHull:
     def test_contains_every_embedded_base_element(self):
         ambient = mv.core.divisible_ambient(CH2)
         for a in mv.core.enumerate_carrier(CH2):
-            image = mv.core.embed_in_ambient(a)
+            image = in_ambient(a)
             assert image.algebra == ambient and image.payload == (a.payload,)
 
     def test_arbitrary_rationals_are_members(self):
@@ -44,14 +53,14 @@ class TestDivisibleHull:
             assert mv.element(ambient, (F(p, q),)).payload == (F(p, q),)
 
     def test_embedding_preserves_operations(self):
-        embed = mv.core.embed_in_ambient
+        embed = in_ambient
         pool = mv.core.enumerate_carrier(BOOL2)
         for a, b in itertools.product(pool, repeat=2):
             assert embed(mv.oplus(a, b)) == mv.oplus(embed(a), embed(b))
             assert embed(mv.neg(a)) == mv.neg(embed(a))
 
     def test_embedding_preserves_products_on_pmv_bases(self):
-        embed = mv.core.embed_in_ambient
+        embed = in_ambient
         pool = mv.core.enumerate_carrier(BOOL2)
         for a, b in itertools.product(pool, repeat=2):
             assert embed(mv.prod(a, b)) == mv.prod(embed(a), embed(b))
@@ -216,8 +225,8 @@ class TestPipeline:
         # 81 elements, above the 64-element guard the ideal machinery had;
         # the null ideal is read off its support, at any carrier size
         algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(8))
-        assert mv.core.carrier_size(algebra) == 81
         pool = mv.core.enumerate_carrier(algebra)
+        assert len(pool) == 81
         s = mv.table_state(algebra, {a.payload: a.payload[0] for a in pool})
         quotient = mv.state_quotient(algebra, s)
         assert quotient.algebra == mv.finite_chain(8)
@@ -355,6 +364,27 @@ class TestMorphismExtras:
         rep = mv.embed_l1(chain1, chain_state(chain1))
         report = mv.verify_morphism_extras(rep, "PMV", samples=0)
         assert report.passed and report.metrics == {"checks": 4}
+
+    def test_fmv_without_a_scalar_action_is_refused_before_any_product(self, monkeypatch):
+        # the Boolean algebra has an internal product and no scalar action
+        rep = mv.embed_l1(BOOL2, mv.measure_state(BOOL2, mv.measure(("p", "q"), (F(1, 2),) * 2)))
+        represent, calls = mv.representation.represent, []
+
+        def counting(rep, a):
+            calls.append(a)
+            return represent(rep, a)
+
+        monkeypatch.setattr(mv.representation, "represent", counting)
+        with pytest.raises(InputError, match="scalar action"):
+            mv.verify_morphism_extras(rep, "fMV", samples=5, seed=1)
+        assert calls == []
+
+    def test_an_exhaustive_sweep_reports_no_seed(self):
+        doc = parse_document(json.loads((FIXTURES / "basic.json").read_text()))
+        rep = mv.embed_l1(doc.algebras["B"], doc.states["sB"])
+        report = mv.verify_morphism_extras(rep, "PMV", seed=5)
+        assert report.passed and report.metrics == {"checks": 16}
+        assert report.seed is None
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_draws_are_those_of_the_seed(self, seed, monkeypatch):

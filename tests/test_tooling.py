@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -228,20 +229,29 @@ LIBRARY_ONLY = {
     "standard_unit": "builds the rational interval for library callers; documents name it",
     "verify_morphism_extras": "the fMV half of the main theorem, before its CLI route exists",
 }
+# unexported definitions that no src code references, each with the reason it stays
+REFERENCE_ONLY = {
+    "binomial_delta": "the closed form of each difference, the independent cross-check of "
+    "delta_table's recursion",
+}
 
 
-def _unreferenced_public_functions(package: Path) -> set[str]:
-    """Public functions that ``package`` never references outside their own
-    definition and ``__init__``.
+def _modules(package: Path) -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+
+
+def _unreferenced_definitions(package: Path) -> set[tuple[str, str]]:
+    """``(module, name)`` of each top-level ``def`` and ``class`` of
+    ``package`` that it never references outside the definition itself.
 
     A reference is a ``from .m import name`` import, an ``m.name``
     attribute on the module ``m`` that defines the name, or the bare name
-    in ``m`` outside its own ``def``; a field such as ``rule.measure`` is
-    none of these.
+    in ``m`` outside its own definition; a field such as ``rule.measure``
+    is none of these.  ``__init__`` holds the lazy namespace: its hooks
+    are the module protocol's, and its export table names no caller.
     """
-    trees = {
-        p.stem: ast.parse(p.read_text()) for p in package.glob("*.py") if p.name != "__init__.py"
-    }
+    trees = _modules(package)
+    del trees["__init__"]
     referenced = set()
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -250,7 +260,7 @@ def _unreferenced_public_functions(package: Path) -> set[str]:
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 referenced.add((node.value.id, node.attr))
         for definition in tree.body:
-            if isinstance(definition, ast.FunctionDef):
+            if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
                 inside = {id(node) for node in ast.walk(definition)}
                 if any(
                     isinstance(node, ast.Name) and node.id == definition.name
@@ -258,22 +268,117 @@ def _unreferenced_public_functions(package: Path) -> set[str]:
                     for node in ast.walk(tree)
                 ):
                     referenced.add((module, definition.name))
+    defined = {
+        (module, definition.name)
+        for module, tree in trees.items()
+        for definition in tree.body
+        if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+    }
+    return defined - referenced
+
+
+def _exported(package: Path) -> set[tuple[str, str]]:
     exports = ast.literal_eval(next(
         node.value for node in ast.parse((package / "__init__.py").read_text()).body
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_EXPORTS"
     ))
-    public = {
-        (module, definition.name)
-        for module, names in exports.items()
-        for definition in trees[module].body
-        if isinstance(definition, ast.FunctionDef) and definition.name in names
-    }
-    return {name for module, name in public - referenced}
+    return {(module, name) for module, names in exports.items() for name in names}
 
 
 def test_every_public_function_is_used_in_src_or_named_library_only():
     # a public function only tests call is a second route no command reaches
-    assert _unreferenced_public_functions(PACKAGE) == set(LIBRARY_ONLY)
+    unreferenced = _unreferenced_definitions(PACKAGE) & _exported(PACKAGE)
+    assert {name for _, name in unreferenced} == set(LIBRARY_ONLY)
+
+
+def test_every_unexported_definition_is_used_in_src_or_named_reference_only():
+    # a private helper only tests call is src code that serves no command
+    unreferenced = _unreferenced_definitions(PACKAGE) - _exported(PACKAGE)
+    assert {name for _, name in unreferenced} == set(REFERENCE_ONLY)
+
+
+def _defaulted_parameters(definition: ast.FunctionDef, method: bool) -> list:
+    """``(position, name)`` of each parameter with a default; a
+    keyword-only one has no position, and a method's position does not
+    count ``self``."""
+    args = definition.args
+    positional = (args.posonlyargs + args.args)[1 if method else 0:]
+    first = len(positional) - len(args.defaults)
+    found = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _sets(call: ast.Call, position, parameter: str) -> bool:
+    if any(k.arg in (parameter, None) for k in call.keywords):  # None: **mapping
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unset_defaults(package: Path) -> set[tuple[str, str, str]]:
+    """``(module, function, parameter)`` of each defaulted parameter of a
+    ``def`` in ``package`` that no call in ``package`` sets, by position
+    or by keyword.
+
+    A top-level function ``f`` of ``m`` is called as bare ``f`` in ``m``
+    or in a module that imports it with ``from .m import f``, or as
+    ``m.f``; a method or nested function as ``x.f`` or bare ``f`` in
+    ``m``.
+    """
+    trees = _modules(package)
+    imported = {
+        (importer, node.module, alias.name)
+        for importer, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unset = set()
+    for module, tree in trees.items():
+        top = {id(node) for node in tree.body}
+        methods = {
+            id(node)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for definition in ast.walk(tree):
+            if not isinstance(definition, ast.FunctionDef):
+                continue
+            name = definition.name
+
+            def calls_it(caller: str, func: ast.expr) -> bool:
+                if isinstance(func, ast.Name):
+                    return func.id == name and (
+                        caller == module or (caller, module, name) in imported
+                    )
+                return isinstance(func, ast.Attribute) and func.attr == name and (
+                    id(definition) not in top
+                    or isinstance(func.value, ast.Name) and func.value.id == module
+                )
+
+            calls = [
+                node
+                for caller, caller_tree in trees.items()
+                for node in ast.walk(caller_tree)
+                if isinstance(node, ast.Call) and calls_it(caller, node.func)
+            ]
+            for position, parameter in _defaulted_parameters(definition, id(definition) in methods):
+                if not any(_sets(call, position, parameter) for call in calls):
+                    unset.add((module, name, parameter))
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_some_src_call():
+    # a default that every caller keeps is a knob only tests turn; the
+    # console entry point reads sys.argv when argv is not given, and the
+    # library-only functions have no src caller at all
+    unset = {
+        entry for entry in _unset_defaults(PACKAGE)
+        if entry[:2] != ("cli", "main") and entry[1] not in LIBRARY_ONLY
+    }
+    assert unset == set()
 
 
 def test_readme_library_example_runs():
@@ -282,3 +387,17 @@ def test_readme_library_example_runs():
     (example,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
     result = _python(example)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_cli_examples_run_on_the_fixture(capsys):
+    from mvprob import cli
+
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    lines = [line for line in block.splitlines() if line.startswith("mvprob ")]
+    assert len(lines) == 19
+    for line in lines:
+        argv = [FIXTURE if word == "doc.json" else word for word in shlex.split(line)[1:]]
+        code = cli.main(argv)
+        assert code in (0, 1), (line, capsys.readouterr().err)
+
