@@ -9,9 +9,12 @@ Four carriers are supported:
 * ``Chang`` -- the algebra of infinitesimals k*eps and co-infinitesimals
   1 - k*eps, the standard example with a nonzero radical.
 
-Only truncated addition and the involution are defined per carrier; the
-lattice, distance, and partial-addition operations are derived from them
-by the usual term definitions, so every carrier shares one code path.
+Each carrier kind has one payload op set (`payload_ops`) that defines
+truncated addition, the involution, and the product and scalar action
+where they exist; the lattice and distance operations are their term
+definitions, written once for the op sets and `TableAlgebra`.  The
+`Element` ops, the sampled sweeps and `compile_table` all compute
+through it, so the package has one arithmetic.
 All values are exact rationals and every operation is a pure function on
 immutable data: elements can be shared freely between threads.
 """
@@ -221,21 +224,11 @@ def _trusted(algebra: Algebra, payload: Payload) -> Element:
 
 
 def zero(algebra: Algebra) -> Element:
-    carrier = algebra.carrier
-    if isinstance(carrier, FunctionAlgebra):
-        return _trusted(algebra, (ZERO,) * len(carrier.atoms))
-    if isinstance(carrier, Chang):
-        return _trusted(algebra, ChangPair(LOWER, 0))
-    return _trusted(algebra, ZERO)
+    return _trusted(algebra, payload_ops(algebra).zero)
 
 
 def one(algebra: Algebra) -> Element:
-    carrier = algebra.carrier
-    if isinstance(carrier, FunctionAlgebra):
-        return _trusted(algebra, (ONE,) * len(carrier.atoms))
-    if isinstance(carrier, Chang):
-        return _trusted(algebra, ChangPair(UPPER, 0))
-    return _trusted(algebra, ONE)
+    return _trusted(algebra, payload_ops(algebra).one)
 
 
 def indicator(algebra: Algebra, atom: str) -> Element:
@@ -296,8 +289,99 @@ def atoms_of(algebra: Algebra) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Primitive operations: truncated addition and involution
+# Payload op sets and the Element operations that call them
 # ---------------------------------------------------------------------------
+
+
+class _TermOps:
+    """The derived operations by their term definitions over ``oplus`` and
+    ``neg`` (Cignoli, D'Ottaviano and Mundici 2000), written once: the
+    payload op sets and `TableAlgebra` inherit them."""
+
+    def odot(self, a, b):
+        return self.neg(self.oplus(self.neg(a), self.neg(b)))
+
+    def join(self, a, b):
+        return self.oplus(self.neg(self.oplus(self.neg(a), b)), b)
+
+    def meet(self, a, b):
+        return self.neg(self.join(self.neg(a), self.neg(b)))
+
+    def dist(self, a, b):
+        return self.oplus(self.odot(a, self.neg(b)), self.odot(b, self.neg(a)))
+
+
+class _UnitOps(_TermOps):
+    """`Fraction` payloads: the rational interval and the chains."""
+
+    zero, one = ZERO, ONE
+
+    def oplus(self, a, b):
+        return min(a + b, ONE)
+
+    def neg(self, a):
+        return ONE - a
+
+    def prod(self, a, b):
+        return a * b
+
+    def scalar(self, alpha, a):
+        return alpha * a
+
+
+class _TupleOps(_TermOps):
+    """Tuple payloads of a function algebra: the unit ops, pointwise."""
+
+    def __init__(self, atoms: int):
+        self.zero, self.one = (ZERO,) * atoms, (ONE,) * atoms
+
+    def oplus(self, a, b):
+        return tuple(min(x + y, ONE) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(ONE - v for v in a)
+
+    def prod(self, a, b):
+        return tuple(x * y for x, y in zip(a, b))
+
+    def scalar(self, alpha, a):
+        return tuple(alpha * v for v in a)
+
+
+def _pair(side: str, k: int) -> ChangPair:
+    """A Chang op result, valid by construction, built unchecked as `_trusted` builds elements."""
+    pair = object.__new__(ChangPair)
+    pair.__dict__.update(side=side, k=k)
+    return pair
+
+
+class _ChangOps(_TermOps):
+    zero, one = ChangPair(LOWER, 0), ChangPair(UPPER, 0)
+
+    def oplus(self, x, y):
+        # truncated sum in the lexicographic group Z x Z with unit (1, 0)
+        if x.side == LOWER and y.side == LOWER:
+            return _pair(LOWER, x.k + y.k)
+        if x.side == UPPER and y.side == UPPER:
+            return self.one
+        low, up = (x, y) if x.side == LOWER else (y, x)
+        return _pair(UPPER, max(up.k - low.k, 0))
+
+    def neg(self, x):
+        return _pair(UPPER if x.side == LOWER else LOWER, x.k)
+
+
+_UNIT_OPS, _CHANG_OPS = _UnitOps(), _ChangOps()
+
+
+def payload_ops(algebra: Algebra) -> _TermOps:
+    """The op set of ``algebra``'s payloads, with its ``zero`` and ``one``; a sweep
+    chooses it once.  Its ``prod`` and ``scalar`` exist where the carrier can
+    have them: the `Algebra` flags say whether the signature does."""
+    carrier = algebra.carrier
+    if isinstance(carrier, FunctionAlgebra):
+        return _TupleOps(len(carrier.atoms))
+    return _CHANG_OPS if isinstance(carrier, Chang) else _UNIT_OPS
 
 
 def _same_algebra(a: Element, b: Element) -> Algebra:
@@ -308,43 +392,18 @@ def _same_algebra(a: Element, b: Element) -> Algebra:
     return a.algebra
 
 
-def _chang_oplus(x: ChangPair, y: ChangPair) -> ChangPair:
-    # truncated sum in the lexicographic group Z x Z with unit (1, 0)
-    if x.side == LOWER and y.side == LOWER:
-        return ChangPair(LOWER, x.k + y.k)
-    if x.side == UPPER and y.side == UPPER:
-        return ChangPair(UPPER, 0)
-    low, up = (x, y) if x.side == LOWER else (y, x)
-    return ChangPair(UPPER, max(up.k - low.k, 0))
-
-
 def oplus(a: Element, b: Element) -> Element:
     algebra = _same_algebra(a, b)
-    pa, pb = a.payload, b.payload
-    if isinstance(pa, ChangPair):
-        return _trusted(algebra, _chang_oplus(pa, pb))
-    if isinstance(pa, tuple):
-        return _trusted(algebra, tuple(min(x + y, ONE) for x, y in zip(pa, pb)))
-    return _trusted(algebra, min(pa + pb, ONE))
+    return _trusted(algebra, payload_ops(algebra).oplus(a.payload, b.payload))
 
 
 def neg(a: Element) -> Element:
-    p = a.payload
-    if isinstance(p, ChangPair):
-        flipped = UPPER if p.side == LOWER else LOWER
-        return _trusted(a.algebra, ChangPair(flipped, p.k))
-    if isinstance(p, tuple):
-        return _trusted(a.algebra, tuple(ONE - v for v in p))
-    return _trusted(a.algebra, ONE - p)
-
-
-# ---------------------------------------------------------------------------
-# Derived operations
-# ---------------------------------------------------------------------------
+    return _trusted(a.algebra, payload_ops(a.algebra).neg(a.payload))
 
 
 def odot(a: Element, b: Element) -> Element:
-    return neg(oplus(neg(a), neg(b)))
+    algebra = _same_algebra(a, b)
+    return _trusted(algebra, payload_ops(algebra).odot(a.payload, b.payload))
 
 
 def leq(a: Element, b: Element) -> bool:
@@ -353,15 +412,18 @@ def leq(a: Element, b: Element) -> bool:
 
 
 def join(a: Element, b: Element) -> Element:
-    return oplus(neg(oplus(neg(a), b)), b)
+    algebra = _same_algebra(a, b)
+    return _trusted(algebra, payload_ops(algebra).join(a.payload, b.payload))
 
 
 def meet(a: Element, b: Element) -> Element:
-    return neg(join(neg(a), neg(b)))
+    algebra = _same_algebra(a, b)
+    return _trusted(algebra, payload_ops(algebra).meet(a.payload, b.payload))
 
 
 def dist(a: Element, b: Element) -> Element:
-    return oplus(odot(a, neg(b)), odot(b, neg(a)))
+    algebra = _same_algebra(a, b)
+    return _trusted(algebra, payload_ops(algebra).dist(a.payload, b.payload))
 
 
 def partial_add(a: Element, b: Element) -> Optional[Element]:
@@ -396,20 +458,14 @@ def scalar_mul(alpha: Fraction, a: Element) -> Element:
     if not a.algebra.scalar_action:
         raise InputError("algebra has no scalar action")
     alpha = require_unit(alpha if isinstance(alpha, Fraction) else Fraction(alpha))
-    p = a.payload
-    if isinstance(p, tuple):
-        return _trusted(a.algebra, tuple(alpha * v for v in p))
-    return _trusted(a.algebra, alpha * p)
+    return _trusted(a.algebra, payload_ops(a.algebra).scalar(alpha, a.payload))
 
 
 def prod(a: Element, b: Element) -> Element:
     algebra = _same_algebra(a, b)
     if not algebra.internal_product:
         raise InputError("algebra has no internal product")
-    pa, pb = a.payload, b.payload
-    if isinstance(pa, tuple):
-        return _trusted(algebra, tuple(x * y for x, y in zip(pa, pb)))
-    return _trusted(algebra, pa * pb)
+    return _trusted(algebra, payload_ops(algebra).prod(a.payload, b.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +501,8 @@ def enumerate_carrier(algebra: Algebra) -> list[Element]:
 
 
 @dataclass(frozen=True)
-class TableAlgebra:
-    """A finite algebra as operation tables on indices, derived ops as in core.
+class TableAlgebra(_TermOps):
+    """A finite algebra as operation tables on indices, derived ops inherited.
 
     `compile_table` builds one from a carrier; a document may give one
     directly, and then nothing guarantees a law: `check_axioms` decides.
@@ -487,18 +543,6 @@ class TableAlgebra:
     def prod(self, a: int, b: int) -> int:
         return self.prod_table[a][b]
 
-    def odot(self, a: int, b: int) -> int:
-        return self.neg(self.oplus(self.neg(a), self.neg(b)))
-
-    def join(self, a: int, b: int) -> int:
-        return self.oplus(self.neg(self.oplus(self.neg(a), b)), b)
-
-    def meet(self, a: int, b: int) -> int:
-        return self.neg(self.join(self.neg(a), self.neg(b)))
-
-    def dist(self, a: int, b: int) -> int:
-        return self.oplus(self.odot(a, self.neg(b)), self.odot(b, self.neg(a)))
-
 
 def rank(algebra: Algebra, payload: Payload) -> int:
     """The position of ``payload`` in `enumerate_carrier`, by mixed radix."""
@@ -516,24 +560,24 @@ def rank(algebra: Algebra, payload: Payload) -> int:
 def compile_table(algebra: Algebra) -> TableAlgebra:
     """The tables of a finite algebra: index i is ``enumerate_carrier(algebra)[i]``.
 
-    Every entry is the rank of a core op's result, so a sweep over the
-    tables still checks the core ops; building them costs n^2 of those.
+    Every entry is the rank of a `payload_ops` result, the arithmetic of
+    the `Element` ops, so a sweep over the tables still checks it;
+    building them costs n^2 payload ops.
     The last few builds are kept, keyed on the frozen algebra value (the
     tables are immutable), so a document's parse and the sweep after it
     share one build.
     """
-    elements = enumerate_carrier(algebra)
+    payloads = [e.payload for e in enumerate_carrier(algebra)]
+    ops = payload_ops(algebra)
 
     def table(op) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(rank(algebra, op(a, b).payload) for b in elements) for a in elements
-        )
+        return tuple(tuple(rank(algebra, op(a, b)) for b in payloads) for a in payloads)
 
     return TableAlgebra(
-        tuple(format_element(e) for e in elements),
-        table(oplus),
-        tuple(rank(algebra, neg(a).payload) for a in elements),
-        prod_table=table(prod) if algebra.internal_product else None,
+        tuple(map(format_payload, payloads)),
+        table(ops.oplus),
+        tuple(rank(algebra, ops.neg(a)) for a in payloads),
+        prod_table=table(ops.prod) if algebra.internal_product else None,
     )
 
 

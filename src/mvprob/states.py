@@ -5,7 +5,10 @@ integration against a discrete measure, the identity on the rational
 interval, the first lexicographic coordinate on the Chang algebra, or an
 explicit value table on a finite carrier.  Table rules are checked for
 linearity exhaustively when constructed; invalid tables are rejected,
-never repaired.
+never repaired.  One payload evaluator gives every state value:
+`eval_state` calls it after its algebra check, and the sampled metric
+sweep calls it on distances computed on raw payloads by
+`core.payload_ops`.
 
 The quotient operation collapses pairs at pseudo-distance zero.  A
 genuine metric completion can leave the rational carrier, so instead of
@@ -143,19 +146,22 @@ def table_state(algebra: Algebra, values: dict) -> State:
     return State(algebra, TableRule(tuple(zip((e.payload for e in elements), ranked))))
 
 
+def _evaluate(s: State, p: core.Payload) -> Fraction:
+    """The state's value at a payload of its algebra, which the caller vouches for."""
+    rule = s.rule
+    if isinstance(rule, MeasureRule):
+        return sum((v * w for v, w in zip(p, rule.measure.weights) if v), ZERO)
+    if isinstance(rule, IdentityRule):
+        return p
+    if isinstance(rule, FirstCoordinateRule):
+        return ZERO if p.side == core.LOWER else ONE
+    return rule.values[core.rank(s.algebra, p)][1]
+
+
 def eval_state(s: State, a: Element) -> Fraction:
     if a.algebra != s.algebra:
         raise InputError("element does not belong to the state's algebra")
-    rule = s.rule
-    if isinstance(rule, MeasureRule):
-        return sum(
-            (v * w for v, w in zip(a.payload, rule.measure.weights) if v), ZERO
-        )
-    if isinstance(rule, IdentityRule):
-        return a.payload
-    if isinstance(rule, FirstCoordinateRule):
-        return ZERO if a.payload.side == core.LOWER else ONE
-    return rule.values[core.rank(s.algebra, a.payload)][1]
+    return _evaluate(s, a.payload)
 
 
 def _unfaithful(witness: Element) -> Verdict:
@@ -189,7 +195,8 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
     Finite carriers are swept over every pair and triple, drawn lazily
     from `itertools.product`, with rho read from an n x n table of state
     values at the compiled distances; others over ``samples`` seeded
-    pairs, then as many seeded triples.
+    pairs, then as many seeded triples, with rho computed on their
+    payloads by `core.payload_ops`.
     """
     algebra = s.algebra
     if core.is_finite(algebra):
@@ -204,8 +211,10 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         seed = None
     else:
         rng = seeded(seed, samples)
-        metric, element = (lambda a, b: rho(s, a, b)), (lambda a: a)
-        draw = lambda k: tuple(random_element(rng, algebra) for _ in range(k))
+        ops = core.payload_ops(algebra)
+        metric = lambda a, b: _evaluate(s, ops.dist(a, b))
+        element = lambda p: Element(algebra, p)
+        draw = lambda k: tuple(random_element(rng, algebra).payload for _ in range(k))
         pairs = [draw(2) for _ in range(samples)]
         triples = [draw(3) for _ in range(samples)]
         sizes = samples, samples

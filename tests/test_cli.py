@@ -450,6 +450,27 @@ class TestInputBoundary:
                 f"error: cannot render a rational with a term of more than {DIGIT_LIMIT} digits\n"
             )
 
+    def test_an_unrenderable_moment_is_refused_before_the_difference_table(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # m_454 is the first moment past the digit limit; the O(order^2)
+        # table of the moment check would take tens of seconds to build
+        path = tmp_path / "doc.json"
+        measure = {"atoms": ["999999999/1000000000", "1/3"], "weights": ["1/2", "1/2"]}
+        path.write_text(json.dumps({"measures": {"g": measure}}))
+
+        def no_table(m):
+            raise AssertionError("the difference table was built")
+
+        monkeypatch.setattr(analysis, "delta_table", no_table)
+        code = cli.main(["moments", str(path), "of-measure", "g", "--order", "512"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot render a rational with a term of more than {DIGIT_LIMIT} digits\n"
+        )
+
 
 def _paths(node, prefix=()):
     yield prefix

@@ -3,7 +3,9 @@
 Every stock finite carrier of at most 25 elements is compiled, and each
 table entry is checked against the core op on the enumerated elements,
 so the index sweeps of the axiom, state and bilinear checkers see the
-same algebra as the `Element` operations.
+same algebra as the `Element` operations.  The derived operations a
+table inherits are checked against the reference definitions of
+`element_reference`.
 """
 
 import collections
@@ -14,6 +16,7 @@ import sys
 
 import pytest
 
+import element_reference as reference
 import mvprob as mv
 from mvprob import cli, core
 from mvprob.axioms import Exhaustive, check_axioms
@@ -54,6 +57,18 @@ def test_every_table_entry_is_the_rank_of_the_core_op(algebra):
             if algebra.internal_product:
                 assert table.prod_table[i][j] == position[core.prod(a, b)]
     assert (table.prod_table is None) == (not algebra.internal_product)
+
+
+@pytest.mark.parametrize("algebra", CARRIERS[:8] + [c for c in CARRIERS if c.id.startswith("2x")])
+def test_inherited_derived_ops_are_the_ranks_of_the_reference_results(algebra):
+    elements = core.enumerate_carrier(algebra)
+    table = core.compile_table(algebra)
+    indices = range(len(elements))
+    for name in ("odot", "join", "meet", "dist"):
+        op, expected = getattr(table, name), getattr(reference, name)
+        assert [[op(i, j) for j in indices] for i in indices] == [
+            [core.rank(algebra, expected(a, b).payload) for b in elements] for a in elements
+        ], name
 
 
 @pytest.mark.parametrize("algebra", CARRIERS)

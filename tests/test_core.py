@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvprob as mv
-from mvprob import core
+import element_reference as reference
+from mvprob import core, states
+from mvprob.axioms import Sample, check_axioms
 from mvprob.core import ChangPair, random_element
 from mvprob.errors import InputError
 from mvprob.rationals import random_unit
@@ -344,7 +346,9 @@ def test_trusted_results_pass_the_boundary_check_unchanged(algebra):
             assert r.algebra is algebra
             assert core._coerce_payload(algebra.carrier, r.payload) == r.payload
             if isinstance(algebra.carrier, mv.Chang):
-                assert type(r.payload) is ChangPair
+                # op results are built unchecked too: the checked build agrees
+                assert type(r.payload) is ChangPair and type(r.payload.k) is int
+                assert ChangPair(r.payload.side, r.payload.k) == r.payload
             elif isinstance(algebra.carrier, mv.FunctionAlgebra):
                 assert type(r.payload) is tuple
                 assert all(type(v) is F for v in r.payload)
@@ -376,3 +380,66 @@ def test_boundary_constructors_still_check(build, algebra, payload, message):
     with pytest.raises(InputError) as excinfo:
         build(algebra, payload)
     assert str(excinfo.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Payload op sets against the reference Element definitions: the sweeps,
+# the public Element ops and the compiled tables all compute through them
+# ---------------------------------------------------------------------------
+
+
+def differential_algebras():
+    yield pytest.param(U, id="standard")
+    for n in range(1, 7):
+        yield pytest.param(mv.finite_chain(n), id=f"chain{n}")
+    for k, n in ((1, 2), (2, 1), (2, 3), (3, 2)):
+        atoms = tuple(f"x{i}" for i in range(k))
+        yield pytest.param(mv.function_algebra(atoms, mv.FiniteChain(n)), id=f"{k}x{n}")
+    for k in (1, 3):
+        atoms = tuple(f"x{i}" for i in range(k))
+        yield pytest.param(mv.function_algebra(atoms), id=f"{k}xstandard")
+    yield pytest.param(C, id="chang-slice")
+
+
+@pytest.mark.parametrize("algebra", list(differential_algebras()))
+def test_payload_and_element_ops_match_the_reference(algebra):
+    ops = core.payload_ops(algebra)
+    assert (ops.zero, ops.one) == (reference.zero(algebra).payload, reference.one(algebra).payload)
+    assert (mv.zero(algebra), mv.one(algebra)) == (reference.zero(algebra), reference.one(algebra))
+    binary = ["oplus", "odot", "join", "meet", "dist"]
+    binary += ["prod"] if algebra.internal_product else []
+    chang_slice = core.sweep_elements(algebra) if algebra == C else None
+    rng = Random(13)
+    for _ in range(300):
+        if chang_slice:
+            a, b = rng.choice(chang_slice), rng.choice(chang_slice)
+        else:
+            a, b = random_element(rng, algebra), random_element(rng, algebra)
+        for name in binary:
+            expected = getattr(reference, name)(a, b)
+            assert getattr(ops, name)(a.payload, b.payload) == expected.payload, name
+            assert getattr(mv, name)(a, b) == expected, name
+        expected = reference.neg(a)
+        assert ops.neg(a.payload) == expected.payload
+        assert mv.neg(a) == expected
+        if algebra.scalar_action:
+            alpha = random_unit(rng)
+            expected = reference.scalar_mul(alpha, a)
+            assert ops.scalar(alpha, a.payload) == expected.payload
+            assert mv.scalar_mul(alpha, a) == expected
+
+
+def test_the_sweeps_check_the_library_arithmetic(monkeypatch):
+    # a unit-interval involution wrong at 1/3 alone: the Element op, the
+    # sampled law sweep and the sampled metric sweep all see it
+    neg = core._UnitOps.neg
+    wrong = lambda self, a: F(1, 7) if a == F(1, 3) else neg(self, a)
+    monkeypatch.setattr(core._UnitOps, "neg", wrong)
+    assert mv.neg(u("1/3")) == u("1/7")
+    assert mv.neg(u("1/4")) == u("3/4")
+    report = check_axioms(U, "fMV", Sample(200, 0))
+    assert not report.passed
+    assert report.witnesses == [{"axiom": "involution", "elements": ["1/3"]}]
+    metric = states.verify_metric(states.identity_state(U), 200, 0)
+    assert not metric.passed
+    assert metric.witnesses == [{"pair": [u("2/3"), u("31/33")]}]

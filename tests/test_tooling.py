@@ -223,9 +223,12 @@ class TestNamespace:
 LIBRARY_ONLY = {
     "ideal": "checks that given members form an ideal; commands build ideals from supports",
     "ideal_contains": "membership in an ideal given by its atom support; reports list members",
+    "join": "the lattice join of the signature on Elements; sweeps run core.payload_ops",
+    "meet": "the lattice meet of the signature on Elements; sweeps run core.payload_ops",
     "moment_sequence": "parses Python values into a MomentSequence; documents build it directly",
     "nat_mul": "the partial n-fold sum n.a of the signature; no law sweep uses it",
     "nat_oplus": "the truncated n-fold sum of the signature; no law sweep uses it",
+    "odot": "the truncated product of the signature on Elements; sweeps run core.payload_ops",
     "standard_unit": "builds the rational interval for library callers; documents name it",
     "verify_morphism_extras": "the fMV half of the main theorem, before its CLI route exists",
 }
