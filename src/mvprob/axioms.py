@@ -4,8 +4,8 @@ The laws are written once against a value set plus the primitive
 operations.  Exhaustive sweeps run on operation tables, so a finite
 carrier is first compiled by `core.compile_table` and runs through the
 same code as the explicit-table fixtures; sampled sweeps of an algebra
-run on the raw payloads of its draws, through `core.payload_ops`, the
-arithmetic of the `Element` ops.  Corrupted operation tables are how
+run on the encoded payloads of its draws, through `core.payload_ops`,
+the arithmetic of the `Element` ops.  Corrupted operation tables are how
 negative controls enter: enumeration or sampling finds a witness tuple
 naming the violated law.
 """
@@ -27,7 +27,7 @@ from .verdict import Verdict
 LEVELS = ("MV", "PMV", "RMV", "fMV")
 
 DEFAULT_SAMPLE_COUNT = 10_000
-# draws per sampled sweep; 10,000 fMV draws on [0, 1] take about 3 s on a 2-vCPU Xeon
+# draws per sampled sweep; 10,000 fMV draws on [0, 1] take 2.1-2.4 s on one core of a 2-vCPU Xeon
 MAX_SAMPLES = 100_000
 
 
@@ -82,8 +82,8 @@ Mode = Union[Exhaustive, Sample]
 # ---------------------------------------------------------------------------
 #
 # Each law is (name, arity, scalar arity, predicate); predicates receive
-# the op set (a table or a payload op set), the element tuple, and the
-# scalar tuple.
+# the op set (a table or a payload op set), the element tuple (indices or
+# encoded payloads), and the scalar tuple (`Fraction`s).
 
 
 def _law_assoc(ops, e, _):
@@ -257,8 +257,9 @@ def check_axioms(
         ops, describe = target, target.names.__getitem__
         draw = lambda rng: rng.randrange(len(target.names))
     else:
-        ops, describe = core.payload_ops(target), core.format_payload
-        draw = lambda rng: random_element(rng, target).payload
+        ops = core.payload_ops(target)
+        describe = lambda x: core.format_payload(ops.decode(x))
+        draw = lambda rng: ops.encode(random_element(rng, target).payload)
 
     if isinstance(mode, Exhaustive):
         seed = None

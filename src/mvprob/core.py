@@ -9,12 +9,12 @@ Four carriers are supported:
 * ``Chang`` -- the algebra of infinitesimals k*eps and co-infinitesimals
   1 - k*eps, the standard example with a nonzero radical.
 
-Each carrier kind has one payload op set (`payload_ops`) that defines
-truncated addition, the involution, and the product and scalar action
-where they exist; the lattice and distance operations are their term
-definitions, written once for the op sets and `TableAlgebra`.  The
-`Element` ops, the sampled sweeps and `compile_table` all compute
-through it, so the package has one arithmetic.
+Payloads have two op sets (`payload_ops`): one for Chang pairs, and one for
+the `Fraction` values of the other carriers, encoded as integers over one
+denominator.  Each has ``encode``, ``decode``, truncated addition, the
+involution, and the product and scalar action where they exist; the derived
+ops are term definitions, written once for the op sets and `TableAlgebra`.
+The `Element` ops, sampled sweeps and `compile_table` all compute through them.
 All values are exact rationals and every operation is a pure function on
 immutable data: elements can be shared freely between threads.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -213,8 +214,8 @@ def element(algebra: Algebra, payload) -> Element:
 def _trusted(algebra: Algebra, payload: Payload) -> Element:
     """An element whose payload lies in the carrier by construction, unchecked.
 
-    Only op results and fixed constants come through here: truncated sum,
-    involution, product and the scalar action keep [0, 1] and the chain
+    Only op results, constants, seeded draws and the ambient images of
+    checked elements come through here: the ops keep [0, 1] and the chain
     levels.  Values from outside go through `Element`, which checks them.
     """
     e = object.__new__(Element)
@@ -224,11 +225,13 @@ def _trusted(algebra: Algebra, payload: Payload) -> Element:
 
 
 def zero(algebra: Algebra) -> Element:
-    return _trusted(algebra, payload_ops(algebra).zero)
+    ops = payload_ops(algebra)
+    return _trusted(algebra, ops.decode(ops.zero))
 
 
 def one(algebra: Algebra) -> Element:
-    return _trusted(algebra, payload_ops(algebra).one)
+    ops = payload_ops(algebra)
+    return _trusted(algebra, ops.decode(ops.one))
 
 
 def indicator(algebra: Algebra, atom: str) -> Element:
@@ -310,42 +313,64 @@ class _TermOps:
     def dist(self, a, b):
         return self.oplus(self.odot(a, self.neg(b)), self.odot(b, self.neg(a)))
 
+    def leq(self, a, b):
+        return self.oplus(self.neg(a), b) == self.one
 
-class _UnitOps(_TermOps):
-    """`Fraction` payloads: the rational interval and the chains."""
 
-    zero, one = ZERO, ONE
+Encoded = tuple[tuple[int, ...], int]
+
+
+def _reduced(numerators: tuple[int, ...], d: int) -> Encoded:
+    g = math.gcd(d, *numerators)
+    return (numerators, d) if g == 1 else (tuple([x // g for x in numerators]), d // g)
+
+
+class _IntOps(_TermOps):
+    """`Fraction` payloads of the interval, the chains and function algebras over them,
+    encoded as ``(numerators, d)``: integers 0 <= x <= d with gcd(d, *numerators) == 1,
+    so equal values have equal encodings.  A unit value is a 1-tuple."""
+
+    def __init__(self, atoms: Optional[int], levels: Optional[int]):
+        # atoms None: unit payloads; levels: the n of chain values
+        self.unit, self.levels = atoms is None, levels
+        self.zero, self.one = ((0,) * (atoms or 1), 1), ((1,) * (atoms or 1), 1)
+
+    def encode(self, payload: Payload) -> Encoded:
+        if self.unit:
+            return (payload.numerator,), payload.denominator
+        d = math.lcm(*[v.denominator for v in payload])
+        return tuple([v.numerator * (d // v.denominator) for v in payload]), d
+
+    def decode(self, encoded: Encoded) -> Payload:
+        xs, d = encoded
+        return Fraction(xs[0], d) if self.unit else tuple([Fraction(x, d) for x in xs])
 
     def oplus(self, a, b):
-        return min(a + b, ONE)
+        (xs, d), (ys, e) = a, b
+        if d != e:
+            m = math.lcm(d, e)
+            xs, ys, d = [x * (m // d) for x in xs], [y * (m // e) for y in ys], m
+        return _reduced(tuple([min(x + y, d) for x, y in zip(xs, ys)]), d)
 
     def neg(self, a):
-        return ONE - a
+        xs, d = a
+        return tuple([d - x for x in xs]), d
 
     def prod(self, a, b):
-        return a * b
+        (xs, d), (ys, e) = a, b
+        return _reduced(tuple([x * y for x, y in zip(xs, ys)]), d * e)
 
     def scalar(self, alpha, a):
-        return alpha * a
+        xs, d = a
+        return _reduced(tuple([alpha.numerator * x for x in xs]), alpha.denominator * d)
 
-
-class _TupleOps(_TermOps):
-    """Tuple payloads of a function algebra: the unit ops, pointwise."""
-
-    def __init__(self, atoms: int):
-        self.zero, self.one = (ZERO,) * atoms, (ONE,) * atoms
-
-    def oplus(self, a, b):
-        return tuple(min(x + y, ONE) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(ONE - v for v in a)
-
-    def prod(self, a, b):
-        return tuple(x * y for x, y in zip(a, b))
-
-    def scalar(self, alpha, a):
-        return tuple(alpha * v for v in a)
+    def index(self, encoded: Encoded) -> int:
+        """The `rank` of an encoded chain-valued payload: its level digits are x * (n // d)."""
+        (xs, d), n = encoded, self.levels
+        step, position = n // d, 0
+        for x in xs:
+            position = position * (n + 1) + x * step
+        return position
 
 
 def _pair(side: str, k: int) -> ChangPair:
@@ -370,18 +395,22 @@ class _ChangOps(_TermOps):
     def neg(self, x):
         return _pair(UPPER if x.side == LOWER else LOWER, x.k)
 
+    encode = decode = staticmethod(lambda payload: payload)  # a pair is its own encoding
 
-_UNIT_OPS, _CHANG_OPS = _UnitOps(), _ChangOps()
+
+_CHANG_OPS = _ChangOps()
 
 
 def payload_ops(algebra: Algebra) -> _TermOps:
-    """The op set of ``algebra``'s payloads, with its ``zero`` and ``one``; a sweep
-    chooses it once.  Its ``prod`` and ``scalar`` exist where the carrier can
+    """The op set of ``algebra``'s payloads, with its encoded ``zero`` and ``one``; a
+    sweep chooses it once.  Its ``prod`` and ``scalar`` exist where the carrier can
     have them: the `Algebra` flags say whether the signature does."""
     carrier = algebra.carrier
-    if isinstance(carrier, FunctionAlgebra):
-        return _TupleOps(len(carrier.atoms))
-    return _CHANG_OPS if isinstance(carrier, Chang) else _UNIT_OPS
+    if isinstance(carrier, Chang):
+        return _CHANG_OPS
+    atoms = len(carrier.atoms) if isinstance(carrier, FunctionAlgebra) else None
+    value = carrier.value if isinstance(carrier, FunctionAlgebra) else carrier
+    return _IntOps(atoms, value.n if isinstance(value, FiniteChain) else None)
 
 
 def _same_algebra(a: Element, b: Element) -> Algebra:
@@ -392,45 +421,46 @@ def _same_algebra(a: Element, b: Element) -> Algebra:
     return a.algebra
 
 
+def _apply(algebra: Algebra, op: str, *payloads: Payload) -> Element:
+    """The op set's ``op`` on ``payloads``: each is encoded once, the result decoded once."""
+    ops = payload_ops(algebra)
+    return _trusted(algebra, ops.decode(getattr(ops, op)(*map(ops.encode, payloads))))
+
+
 def oplus(a: Element, b: Element) -> Element:
-    algebra = _same_algebra(a, b)
-    return _trusted(algebra, payload_ops(algebra).oplus(a.payload, b.payload))
+    return _apply(_same_algebra(a, b), "oplus", a.payload, b.payload)
 
 
 def neg(a: Element) -> Element:
-    return _trusted(a.algebra, payload_ops(a.algebra).neg(a.payload))
+    return _apply(a.algebra, "neg", a.payload)
 
 
 def odot(a: Element, b: Element) -> Element:
-    algebra = _same_algebra(a, b)
-    return _trusted(algebra, payload_ops(algebra).odot(a.payload, b.payload))
+    return _apply(_same_algebra(a, b), "odot", a.payload, b.payload)
 
 
 def leq(a: Element, b: Element) -> bool:
-    algebra = _same_algebra(a, b)
-    return oplus(neg(a), b) == one(algebra)
+    ops = payload_ops(_same_algebra(a, b))
+    return ops.leq(ops.encode(a.payload), ops.encode(b.payload))
 
 
 def join(a: Element, b: Element) -> Element:
-    algebra = _same_algebra(a, b)
-    return _trusted(algebra, payload_ops(algebra).join(a.payload, b.payload))
+    return _apply(_same_algebra(a, b), "join", a.payload, b.payload)
 
 
 def meet(a: Element, b: Element) -> Element:
-    algebra = _same_algebra(a, b)
-    return _trusted(algebra, payload_ops(algebra).meet(a.payload, b.payload))
+    return _apply(_same_algebra(a, b), "meet", a.payload, b.payload)
 
 
 def dist(a: Element, b: Element) -> Element:
-    algebra = _same_algebra(a, b)
-    return _trusted(algebra, payload_ops(algebra).dist(a.payload, b.payload))
+    return _apply(_same_algebra(a, b), "dist", a.payload, b.payload)
 
 
 def partial_add(a: Element, b: Element) -> Optional[Element]:
     """Truncation-free sum; ``None`` marks the undefined case a > b*."""
-    if not leq(a, neg(b)):
-        return None
-    return oplus(a, b)
+    ops = payload_ops(_same_algebra(a, b))
+    x, y = ops.encode(a.payload), ops.encode(b.payload)
+    return _trusted(a.algebra, ops.decode(ops.oplus(x, y))) if ops.leq(x, ops.neg(y)) else None
 
 
 def nat_mul(n: int, a: Element) -> Optional[Element]:
@@ -458,14 +488,15 @@ def scalar_mul(alpha: Fraction, a: Element) -> Element:
     if not a.algebra.scalar_action:
         raise InputError("algebra has no scalar action")
     alpha = require_unit(alpha if isinstance(alpha, Fraction) else Fraction(alpha))
-    return _trusted(a.algebra, payload_ops(a.algebra).scalar(alpha, a.payload))
+    ops = payload_ops(a.algebra)
+    return _trusted(a.algebra, ops.decode(ops.scalar(alpha, ops.encode(a.payload))))
 
 
 def prod(a: Element, b: Element) -> Element:
     algebra = _same_algebra(a, b)
     if not algebra.internal_product:
         raise InputError("algebra has no internal product")
-    return _trusted(algebra, payload_ops(algebra).prod(a.payload, b.payload))
+    return _apply(algebra, "prod", a.payload, b.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -548,35 +579,32 @@ def rank(algebra: Algebra, payload: Payload) -> int:
     """The position of ``payload`` in `enumerate_carrier`, by mixed radix."""
     if not is_finite(algebra):
         raise UnsupportedCarrierError(f"carrier {algebra.carrier} is not finite")
-    carrier = algebra.carrier
-    n = carrier.n if isinstance(carrier, FiniteChain) else carrier.value.n
-    position = 0
-    for v in payload if isinstance(payload, tuple) else (payload,):
-        position = position * (n + 1) + v.numerator * (n // v.denominator)
-    return position
+    ops = payload_ops(algebra)
+    return ops.index(ops.encode(payload))
 
 
 @functools.lru_cache(maxsize=8)
 def compile_table(algebra: Algebra) -> TableAlgebra:
     """The tables of a finite algebra: index i is ``enumerate_carrier(algebra)[i]``.
 
-    Every entry is the rank of a `payload_ops` result, the arithmetic of
-    the `Element` ops, so a sweep over the tables still checks it;
-    building them costs n^2 payload ops.
+    Every entry is the index of a `payload_ops` result on the payloads
+    encoded once, the arithmetic of the `Element` ops, so a sweep over the
+    tables still checks it; building them costs n^2 integer payload ops.
     The last few builds are kept, keyed on the frozen algebra value (the
     tables are immutable), so a document's parse and the sweep after it
     share one build.
     """
     payloads = [e.payload for e in enumerate_carrier(algebra)]
     ops = payload_ops(algebra)
+    encoded, index = [ops.encode(p) for p in payloads], ops.index
 
     def table(op) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(rank(algebra, op(a, b)) for b in payloads) for a in payloads)
+        return tuple(tuple([index(op(a, b)) for b in encoded]) for a in encoded)
 
     return TableAlgebra(
         tuple(map(format_payload, payloads)),
         table(ops.oplus),
-        tuple(rank(algebra, ops.neg(a)) for a in payloads),
+        tuple(index(ops.neg(a)) for a in encoded),
         prod_table=table(ops.prod) if algebra.internal_product else None,
     )
 
@@ -639,6 +667,11 @@ def ambient_vector(a: Element) -> tuple[Fraction, ...]:
     if isinstance(p, Fraction):
         return (p,)
     raise InputError("Chang elements have no ambient vector")
+
+
+def ambient_element(a: Element) -> Element:
+    """``a`` in its `divisible_ambient`, values unchanged; ``a``'s check covers them."""
+    return _trusted(divisible_ambient(a.algebra), ambient_vector(a))
 
 
 def atom_indicator_elements(algebra: Algebra) -> list[Element]:

@@ -54,8 +54,7 @@ def represent(rep: MeasureRepresentation, a: Element) -> Element:
     """Apply the representation map."""
     if a.algebra != rep.source:
         raise InputError("element does not belong to the represented algebra")
-    placed = Element(rep.hull, core.ambient_vector(rep.radical.project(a)))
-    return rep.quotient.project(placed)
+    return rep.quotient.project(core.ambient_element(rep.radical.project(a)))
 
 
 def embed_l1(algebra: Algebra, s: State) -> MeasureRepresentation:

@@ -5,10 +5,10 @@ integration against a discrete measure, the identity on the rational
 interval, the first lexicographic coordinate on the Chang algebra, or an
 explicit value table on a finite carrier.  Table rules are checked for
 linearity exhaustively when constructed; invalid tables are rejected,
-never repaired.  One payload evaluator gives every state value:
-`eval_state` calls it after its algebra check, and the sampled metric
-sweep calls it on distances computed on raw payloads by
-`core.payload_ops`.
+never repaired.  One evaluator gives every state value, on payloads
+encoded by `core.payload_ops`: `eval_state` encodes after its algebra
+check, and the sampled metric sweep calls it on distances computed on
+encoded payloads.
 
 The quotient operation collapses pairs at pseudo-distance zero.  A
 genuine metric completion can leave the rational carrier, so instead of
@@ -18,6 +18,7 @@ approximating limits the quotient result carries a completeness flag
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,6 +95,11 @@ class State:
     algebra: Algebra
     rule: Rule
 
+    @functools.cached_property
+    def encoded_weights(self) -> core.Encoded:
+        """A measure rule's weights as a payload encoded: integers over one denominator."""
+        return core.payload_ops(self.algebra).encode(self.rule.measure.weights)
+
 
 def measure_state(algebra: Algebra, mu: DiscreteMeasure) -> State:
     carrier = algebra.carrier
@@ -146,22 +152,23 @@ def table_state(algebra: Algebra, values: dict) -> State:
     return State(algebra, TableRule(tuple(zip((e.payload for e in elements), ranked))))
 
 
-def _evaluate(s: State, p: core.Payload) -> Fraction:
-    """The state's value at a payload of its algebra, which the caller vouches for."""
+def _evaluate(s: State, p) -> Fraction:
+    """The state's value at an encoded payload of its algebra, which the caller vouches for."""
     rule = s.rule
     if isinstance(rule, MeasureRule):
-        return sum((v * w for v, w in zip(p, rule.measure.weights) if v), ZERO)
+        (xs, d), (weights, common) = p, s.encoded_weights
+        return Fraction(sum([w * x for w, x in zip(weights, xs)]), common * d)
     if isinstance(rule, IdentityRule):
-        return p
+        return Fraction(p[0][0], p[1])
     if isinstance(rule, FirstCoordinateRule):
         return ZERO if p.side == core.LOWER else ONE
-    return rule.values[core.rank(s.algebra, p)][1]
+    return rule.values[core.payload_ops(s.algebra).index(p)][1]
 
 
 def eval_state(s: State, a: Element) -> Fraction:
     if a.algebra != s.algebra:
         raise InputError("element does not belong to the state's algebra")
-    return _evaluate(s, a.payload)
+    return _evaluate(s, core.payload_ops(s.algebra).encode(a.payload))
 
 
 def _unfaithful(witness: Element) -> Verdict:
@@ -196,7 +203,7 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
     from `itertools.product`, with rho read from an n x n table of state
     values at the compiled distances; others over ``samples`` seeded
     pairs, then as many seeded triples, with rho computed on their
-    payloads by `core.payload_ops`.
+    encoded payloads by `core.payload_ops`.
     """
     algebra = s.algebra
     if core.is_finite(algebra):
@@ -213,8 +220,8 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         rng = seeded(seed, samples)
         ops = core.payload_ops(algebra)
         metric = lambda a, b: _evaluate(s, ops.dist(a, b))
-        element = lambda p: Element(algebra, p)
-        draw = lambda k: tuple(random_element(rng, algebra).payload for _ in range(k))
+        element = lambda p: Element(algebra, ops.decode(p))
+        draw = lambda k: tuple(ops.encode(random_element(rng, algebra).payload) for _ in range(k))
         pairs = [draw(2) for _ in range(samples)]
         triples = [draw(3) for _ in range(samples)]
         sizes = samples, samples

@@ -59,6 +59,37 @@ def test_every_table_entry_is_the_rank_of_the_core_op(algebra):
     assert (table.prod_table is None) == (not algebra.internal_product)
 
 
+def larger_carriers():
+    for k, n in ((3, 2), (2, 8), (3, 3), (2, 13), (3, 4), (3, 5)):
+        atoms = tuple(f"x{i}" for i in range(k))
+        yield pytest.param(mv.function_algebra(atoms, mv.FiniteChain(n)), id=f"{k}x{n}")
+    for k in range(5, 8):
+        atoms = tuple(f"b{i}" for i in range(k))
+        yield pytest.param(mv.function_algebra(atoms, mv.FiniteChain(1)), id=f"boolean{k}")
+    yield pytest.param(mv.finite_chain(215), id="chain215")
+
+
+@pytest.mark.parametrize("algebra", CARRIERS + list(larger_carriers()))
+def test_integer_tables_are_the_fraction_tables(algebra):
+    # the tables built on encoded payloads, against a build in Fraction
+    # arithmetic through the reference ops, on carriers up to 216 elements;
+    # a result's index is its enumeration position, not `core.rank`, which
+    # shares the table build's digit arithmetic
+    elements = core.enumerate_carrier(algebra)
+    assert len(elements) <= 216
+    table = core.compile_table(algebra)
+    positions = {e.payload: i for i, e in enumerate(elements)}
+    position = lambda e: positions[e.payload]
+
+    def fraction_table(op):
+        return tuple(tuple(position(op(a, b)) for b in elements) for a in elements)
+
+    assert table.oplus_table == fraction_table(reference.oplus)
+    assert table.neg_table == tuple(position(reference.neg(a)) for a in elements)
+    if algebra.internal_product:
+        assert table.prod_table == fraction_table(reference.prod)
+
+
 @pytest.mark.parametrize("algebra", CARRIERS[:8] + [c for c in CARRIERS if c.id.startswith("2x")])
 def test_inherited_derived_ops_are_the_ranks_of_the_reference_results(algebra):
     elements = core.enumerate_carrier(algebra)

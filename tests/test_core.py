@@ -1,6 +1,7 @@
 """Operation semantics on every carrier, checked against independent oracles."""
 
 import itertools
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -357,6 +358,19 @@ def test_trusted_results_pass_the_boundary_check_unchanged(algebra):
             assert r == core.element(r.algebra, r.payload)
 
 
+@pytest.mark.parametrize(
+    "algebra", [p for p in stock_algebras() if not isinstance(p.values[0].carrier, mv.Chang)]
+)
+def test_ambient_images_pass_the_boundary_check_unchanged(algebra):
+    # `represent` places images in the hull through this unchecked route
+    rng, ambient = Random(9), core.divisible_ambient(algebra)
+    for _ in range(100):
+        a = random_element(rng, algebra)
+        image = core.ambient_element(a)
+        assert image == mv.Element(ambient, core.ambient_vector(a))
+        assert type(image.payload) is tuple and all(type(v) is F for v in image.payload)
+
+
 CHAIN2 = mv.finite_chain(2)
 FA2 = mv.function_algebra(("x", "y"))
 
@@ -404,7 +418,9 @@ def differential_algebras():
 @pytest.mark.parametrize("algebra", list(differential_algebras()))
 def test_payload_and_element_ops_match_the_reference(algebra):
     ops = core.payload_ops(algebra)
-    assert (ops.zero, ops.one) == (reference.zero(algebra).payload, reference.one(algebra).payload)
+    assert (ops.decode(ops.zero), ops.decode(ops.one)) == (
+        reference.zero(algebra).payload, reference.one(algebra).payload
+    )
     assert (mv.zero(algebra), mv.one(algebra)) == (reference.zero(algebra), reference.one(algebra))
     binary = ["oplus", "odot", "join", "meet", "dist"]
     binary += ["prod"] if algebra.internal_product else []
@@ -415,26 +431,30 @@ def test_payload_and_element_ops_match_the_reference(algebra):
             a, b = rng.choice(chang_slice), rng.choice(chang_slice)
         else:
             a, b = random_element(rng, algebra), random_element(rng, algebra)
+        x, y = ops.encode(a.payload), ops.encode(b.payload)
         for name in binary:
             expected = getattr(reference, name)(a, b)
-            assert getattr(ops, name)(a.payload, b.payload) == expected.payload, name
+            assert ops.decode(getattr(ops, name)(x, y)) == expected.payload, name
             assert getattr(mv, name)(a, b) == expected, name
         expected = reference.neg(a)
-        assert ops.neg(a.payload) == expected.payload
+        assert ops.decode(ops.neg(x)) == expected.payload
         assert mv.neg(a) == expected
+        assert mv.leq(a, b) == (reference.oplus(reference.neg(a), b) == reference.one(algebra))
+        summable = reference.oplus(reference.neg(a), reference.neg(b)) == reference.one(algebra)
+        assert mv.partial_add(a, b) == (reference.oplus(a, b) if summable else None)
         if algebra.scalar_action:
             alpha = random_unit(rng)
             expected = reference.scalar_mul(alpha, a)
-            assert ops.scalar(alpha, a.payload) == expected.payload
+            assert ops.decode(ops.scalar(alpha, x)) == expected.payload
             assert mv.scalar_mul(alpha, a) == expected
 
 
 def test_the_sweeps_check_the_library_arithmetic(monkeypatch):
     # a unit-interval involution wrong at 1/3 alone: the Element op, the
     # sampled law sweep and the sampled metric sweep all see it
-    neg = core._UnitOps.neg
-    wrong = lambda self, a: F(1, 7) if a == F(1, 3) else neg(self, a)
-    monkeypatch.setattr(core._UnitOps, "neg", wrong)
+    neg = core._IntOps.neg
+    wrong = lambda self, a: ((1,), 7) if a == ((1,), 3) else neg(self, a)
+    monkeypatch.setattr(core._IntOps, "neg", wrong)
     assert mv.neg(u("1/3")) == u("1/7")
     assert mv.neg(u("1/4")) == u("3/4")
     report = check_axioms(U, "fMV", Sample(200, 0))
@@ -443,3 +463,60 @@ def test_the_sweeps_check_the_library_arithmetic(monkeypatch):
     metric = states.verify_metric(states.identity_state(U), 200, 0)
     assert not metric.passed
     assert metric.witnesses == [{"pair": [u("2/3"), u("31/33")]}]
+
+
+# ---------------------------------------------------------------------------
+# The integer op set's encoding: canonical, invertible, and the reference
+# arithmetic on mixed denominators and on the nested terms of the laws
+# ---------------------------------------------------------------------------
+
+wide_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+
+def canonical(encoded):
+    xs, d = encoded
+    return (
+        type(xs) is tuple and type(d) is int and d >= 1
+        and all(type(x) is int and 0 <= x <= d for x in xs)
+        and math.gcd(d, *xs) == 1
+    )
+
+
+@st.composite
+def encoded_case(draw):
+    atoms = draw(st.sampled_from([None, 1, 2, 4]))
+    algebra = U if atoms is None else mv.function_algebra(tuple(f"x{i}" for i in range(atoms)))
+    payload = lambda: draw(wide_fractions) if atoms is None else tuple(
+        draw(wide_fractions) for _ in range(atoms)
+    )
+    return algebra, [payload() for _ in range(3)], [draw(wide_fractions) for _ in range(2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(encoded_case())
+def test_encoded_payloads_are_canonical_and_match_the_reference(case):
+    algebra, payloads, (alpha, beta) = case
+    ops = core.payload_ops(algebra)
+    x, y, z = encoded = [ops.encode(p) for p in payloads]
+    for p, e in zip(payloads, encoded):
+        assert canonical(e) and ops.decode(e) == p and ops.encode(ops.decode(e)) == e
+    assert canonical(ops.zero) and canonical(ops.one)
+    a, b, c = (mv.element(algebra, p) for p in payloads)
+    r = reference
+    cases = [
+        (ops.oplus(x, y), r.oplus(a, b)),
+        (ops.neg(x), r.neg(a)),
+        (ops.dist(x, y), r.dist(a, b)),
+        # the product-left-distribution, scalar-odot-homogeneity and
+        # compatibility terms, three deep
+        (ops.prod(z, ops.odot(x, ops.neg(ops.meet(x, y)))),
+         r.prod(c, r.odot(a, r.neg(r.meet(a, b))))),
+        (ops.scalar(alpha, ops.odot(ops.scalar(beta, x), ops.neg(ops.scalar(alpha, y)))),
+         r.scalar_mul(alpha, r.odot(r.scalar_mul(beta, a), r.neg(r.scalar_mul(alpha, b))))),
+        (ops.scalar(alpha, ops.prod(x, ops.prod(y, ops.scalar(beta, z)))),
+         r.scalar_mul(alpha, r.prod(a, r.prod(b, r.scalar_mul(beta, c))))),
+    ]
+    for result, expected in cases:
+        assert canonical(result)
+        assert ops.decode(result) == expected.payload
+        assert result == ops.encode(expected.payload)

@@ -224,6 +224,8 @@ LIBRARY_ONLY = {
     "ideal": "checks that given members form an ideal; commands build ideals from supports",
     "ideal_contains": "membership in an ideal given by its atom support; reports list members",
     "join": "the lattice join of the signature on Elements; sweeps run core.payload_ops",
+    "leq": "the order of the signature on Elements; partial_add and the sweeps compare "
+    "encoded payloads through core.payload_ops",
     "meet": "the lattice meet of the signature on Elements; sweeps run core.payload_ops",
     "moment_sequence": "parses Python values into a MomentSequence; documents build it directly",
     "nat_mul": "the partial n-fold sum n.a of the signature; no law sweep uses it",
