@@ -1,10 +1,12 @@
 """Finite-difference moment analysis and power-mean inequality checks.
 
-Everything here is exact: difference tables and reconstruction masses
-are rational arithmetic, the feasibility search is a phase-one simplex
-pivoting on integers over one common denominator (Bland's rule, so it
-terminates), and fractional powers are handled by outward rational
-enclosures, from integer n-th roots, rather than floats.
+Everything here is exact.  A difference table is integers over one
+denominator, the lcm of its sequence's, so the moment condition is read
+off integer signs and a reconstruction mass is one integer over it.  The
+feasibility search is a phase-one simplex pivoting on integers over one
+common denominator (Bland's rule, so it terminates) that holds only the
+artificial block of its tableau.  Fractional powers are handled by
+outward rational enclosures, from integer n-th roots, rather than floats.
 A comparison that cannot be decided at the requested enclosure width is
 reported as inconclusive, never guessed.
 """
@@ -12,6 +14,7 @@ reported as inconclusive, never guessed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,9 +33,12 @@ MAX_FIT_GRID = 64
 # root takes up to half a second, about what one 4096-step bisection cost.
 MAX_PRECISION = 4096
 MAX_EXPONENT = 64  # largest numerator or denominator of the exponents p and q
-# Highest moment order.  It bounds the length of a sequence, not its cost:
-# moments past the integer-string digit limit are refused before the
-# O(order^2) difference table (order 512 on 999999999/10^9 and 1/3: m_454).
+# Highest moment order; a sequence holds at most MAX_ORDER + 1 values.  It
+# bounds the length of a sequence, not its cost: moments past the
+# integer-string digit limit are refused before the O(order^2) difference
+# table (order 512 on 999999999/10^9 and 1/3: m_454).  On those atoms the
+# integer table and its sign scan take 0.05-0.08 s at order 300 (the CLI
+# command 0.35 s; 4.4-5.0 s with Fraction rows), on one 2-vCPU Xeon core.
 MAX_ORDER = 512
 
 
@@ -48,6 +54,8 @@ class MomentSequence:
     def __post_init__(self) -> None:
         if not self.values:
             raise InputError("a moment sequence needs at least one entry")
+        if len(self.values) > MAX_ORDER + 1:
+            raise InputError(f"a moment sequence has at most {MAX_ORDER + 1} entries")
         for v in self.values:
             require_unit(v)
 
@@ -69,20 +77,27 @@ def moment_sequence(raw: Sequence) -> MomentSequence:
 
 @dataclass(frozen=True)
 class DeltaTable:
-    """The full forward-difference triangle of a moment sequence."""
+    """The full forward-difference triangle of a moment sequence, on integers.
 
-    rows: tuple[tuple[Fraction, ...], ...]  # rows[r][k] for r + k <= order
+    Every difference is an integer combination of the sequence's values,
+    so one denominator D, the lcm of theirs, serves the whole table:
+    ``rows[r][k]`` is D times the r-th difference at k, for r + k <= order.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    denominator: int
 
     def entry(self, r: int, k: int) -> Fraction:
-        return self.rows[r][k]
+        return Fraction(self.rows[r][k], self.denominator)
 
 
 def delta_table(m: MomentSequence) -> DeltaTable:
-    rows = [tuple(m.values)]
+    d = math.lcm(*[v.denominator for v in m.values])
+    rows = [tuple([v.numerator * (d // v.denominator) for v in m.values])]
     while len(rows[-1]) > 1:
         prev = rows[-1]
-        rows.append(tuple(prev[k + 1] - prev[k] for k in range(len(prev) - 1)))
-    return DeltaTable(tuple(rows))
+        rows.append(tuple(map(operator.sub, prev[1:], prev)))
+    return DeltaTable(tuple(rows), d)
 
 
 def binomial_delta(m: MomentSequence, r: int, k: int) -> Fraction:
@@ -103,17 +118,17 @@ def check_hausdorff(m: MomentSequence) -> Verdict:
     """Decide complete monotonicity: m0 = 1 and (-1)^r * delta >= 0.
 
     A failure gives its reason, "m0" or "sign"; a sign failure also
-    gives the lexicographically first offending position (r, k).
+    gives the lexicographically first offending position (r, k).  The
+    signs are read off the table's integers, whose denominator is positive.
     """
     entries = {"entries": (m.order + 1) * (m.order + 2) // 2}
     if m.values[0] != ONE:
         return Verdict("fail", [{"reason": "m0"}], entries)
-    table = delta_table(m)
-    for r in range(m.order + 1):
-        sign = 1 if r % 2 == 0 else -1
-        for k in range(m.order - r + 1):
-            if sign * table.entry(r, k) < 0:
-                return Verdict("fail", [{"reason": "sign", "position": (r, k)}], entries)
+    for r, row in enumerate(delta_table(m).rows):
+        wrong = operator.gt if r % 2 else operator.lt
+        k = next((k for k, x in enumerate(row) if wrong(x, 0)), None)
+        if k is not None:
+            return Verdict("fail", [{"reason": "sign", "position": (r, k)}], entries)
     return Verdict("pass", [], entries)
 
 
@@ -172,12 +187,12 @@ def hausdorff_reconstruct(m: MomentSequence, grid: int) -> DiscreteMeasure:
     if grid + 1 > len(m.values):
         raise InputError(f"grid {grid} needs at least {grid + 1} moments")
     table = delta_table(m)
-    masses = tuple(
-        Fraction(math.comb(grid, j)) * (-1) ** (grid - j) * table.entry(grid - j, j)
-        for j in range(grid + 1)
-    )
-    if any(w < 0 for w in masses) or sum(masses) != ONE:
+    numerators = [
+        math.comb(grid, j) * (-1) ** (grid - j) * table.rows[grid - j][j] for j in range(grid + 1)
+    ]
+    if any(x < 0 for x in numerators) or sum(numerators) != table.denominator:
         raise AssertionError("reconstructed masses are a probability vector")
+    masses = [Fraction(x, table.denominator) for x in numerators]
     return grid_measure([Fraction(j, grid) for j in range(grid + 1)], masses)
 
 
@@ -197,72 +212,89 @@ def verify_reconstruction(m: MomentSequence, grid: int) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]):
+def _phase_one(columns: list[list[int]], rhs: list[int], common: int):
     """Minimize the artificial total for A w = b, w >= 0 (all b >= 0).
 
-    Returns ``(solution, None)`` on feasibility or ``(None, y)`` with a
-    verified Farkas certificate: y.A <= 0 componentwise and y.b > 0.
+    The system comes as integers: the columns of common * A and common * b,
+    for a positive common denominator of A and b.  Returns ``(solution,
+    None)`` on feasibility or ``(None, y)`` with a verified Farkas
+    certificate: y.A <= 0 componentwise and y.b > 0.
 
-    The tableau T, objective row last, is held as integers M over one
-    positive denominator d, T = M / d, and pivots fraction-free (Bareiss
-    1968): each update divides exactly by the previous pivot.  With D the
-    common denominator of the input, d starts at D**rows, the determinant
-    of the initial basis D*I of the integer system D*[A | I | b].  Every
-    entry of M is then a minor of that system with its cost row, which
-    makes the divisions exact; starting from d = D they are not.
+    The tableau [B^-1 A | B^-1 | B^-1 b], objective row last, is integers
+    M over one positive d and pivots fraction-free (Bareiss 1968): each
+    update divides exactly by the previous pivot.  d starts at
+    common**rows, the determinant of the initial basis of the integer
+    system common**rows * [A | I | b], so every entry of M is a minor of
+    that system with its cost row and the divisions are exact (from
+    d = common they are not).
+
+    Bland's rule (Bland 1977) needs only the artificial block d * B^-1,
+    the rhs and the objective row: (rows + 1)**2 integers.  Structural
+    column j of M is that block times common * A_j, divided exactly by
+    common, and its objective entry is the same sum with the weights
+    obj_k - d, obj_k the objective row's artificial entries.  The columns
+    are priced in index order up to the first negative entry and only the
+    entering column is formed, so the pivots are those of the full tableau.
     """
-    rows, cols = len(matrix), len(matrix[0])
-    common = math.lcm(*(v.denominator for v in rhs), *(v.denominator for r in matrix for v in r))
+    rows, cols = len(rhs), len(columns)
     d = common**rows
-    tableau = [[int(v * d) for v in matrix[i]] + [d if j == i else 0 for j in range(rows)]
-               + [int(rhs[i] * d)] for i in range(rows)]
+    # [artificial block | rhs] per row, then the objective row: the costs,
+    # 1 on each artificial, priced out
+    lift = d // common  # from common * b to d * b
+    tableau = [[d if k == i else 0 for k in range(rows)] + [b * lift] for i, b in enumerate(rhs)]
+    tableau.append([0] * rows + [-sum(rhs) * lift])
+    body, obj = tableau[:rows], tableau[rows]
     basis = list(range(cols, cols + rows))
-    # phase-one costs: 0 on structurals, 1 on artificials, priced out
-    obj = [0] * cols + [d] * rows + [0]
-    for row in tableau:
-        obj = [o - t for o, t in zip(obj, row)]
-    tableau.append(obj)
 
     while True:
-        entering = next((j for j in range(cols + rows) if tableau[rows][j] < 0), None)
-        if entering is None:
-            break
+        weights = [o - d for o in obj[:rows]]
+        entering = next(
+            (j for j, a in enumerate(columns) if sum(map(operator.mul, weights, a)) < 0), None
+        )
+        if entering is not None:
+            a = columns[entering]
+            column = [sum(map(operator.mul, row, a)) // common for row in body]
+            column.append(sum(map(operator.mul, weights, a)) // common)
+        else:
+            k = next((k for k in range(rows) if obj[k] < 0), None)
+            if k is None:
+                break
+            entering, column = cols + k, [row[k] for row in tableau]
         leaving = None
         for i in range(rows):
-            coeff = tableau[i][entering]
+            coeff = column[i]
             if coeff > 0:
                 if leaving is None:
                     leaving = i
                     continue
                 # the ratios rhs / coeff, cross-multiplied: both coefficients are positive
-                ratio = tableau[i][-1] * tableau[leaving][entering]
-                best = tableau[leaving][-1] * coeff
+                ratio = body[i][-1] * column[leaving]
+                best = body[leaving][-1] * coeff
                 if ratio < best or (ratio == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             raise AssertionError("phase one is bounded below by zero")
-        pivot_row = tableau[leaving]
-        pivot = pivot_row[entering]
+        pivot_row, pivot = tableau[leaving], column[leaving]
         for i, row in enumerate(tableau):
             if i != leaving:
-                factor = row[entering]
-                tableau[i] = [(v * pivot - factor * p) // d for v, p in zip(row, pivot_row)]
+                factor = column[i]
+                row[:] = [(v * pivot - factor * p) // d for v, p in zip(row, pivot_row)]
         d = pivot
         basis[leaving] = entering
 
-    obj = tableau[rows]
     if obj[-1] == 0:
         solution = [ZERO] * cols
         for i, var in enumerate(basis):
             if var < cols:
-                solution[var] = Fraction(tableau[i][-1], d)
+                solution[var] = Fraction(body[i][-1], d)
         return solution, None
-    yvec = tuple(ONE - Fraction(obj[cols + i], d) for i in range(rows))
-    if sum((y * b for y, b in zip(yvec, rhs)), ZERO) <= 0:
+    yvec = tuple(ONE - Fraction(o, d) for o in obj[:rows])
+    scale = math.lcm(*[y.denominator for y in yvec])
+    ys = [y.numerator * (scale // y.denominator) for y in yvec]
+    if sum(map(operator.mul, ys, rhs)) <= 0:
         raise AssertionError("a Farkas certificate has y.b > 0")
-    for j in range(cols):
-        if sum((yvec[i] * matrix[i][j] for i in range(rows)), ZERO) > 0:
-            raise AssertionError("a Farkas certificate has y.A <= 0")
+    if any(sum(map(operator.mul, ys, a)) > 0 for a in columns):
+        raise AssertionError("a Farkas certificate has y.A <= 0")
     return None, yvec
 
 
@@ -270,7 +302,7 @@ def moment_fit_lp(m: MomentSequence, grid: int) -> Verdict:
     """Search a grid measure with the given moments, or certify none exists.
 
     Equality constraints: total mass one plus one row per moment index.
-    Solved by exact rational pivoting; no floating point anywhere.  The
+    Solved by exact integer pivoting; no floating point anywhere.  The
     result is the measure; an infeasible verdict's witness is the Farkas
     certificate (row multipliers).
     """
@@ -278,16 +310,15 @@ def moment_fit_lp(m: MomentSequence, grid: int) -> Verdict:
         raise InputError(f"at most {MAX_FIT_MOMENTS + 1} moments are supported")
     if not 1 <= grid <= MAX_FIT_GRID:
         raise InputError(f"grid size must be between 1 and {MAX_FIT_GRID}")
-    points = [Fraction(j, grid) for j in range(grid + 1)]
-    matrix = [[ONE] * len(points)]
-    rhs = [ONE]
-    for k in range(m.order + 1):
-        matrix.append([p**k for p in points])
-        rhs.append(m.values[k])
-    solution, certificate = _phase_one(matrix, rhs)
+    # the row of moment k holds (j / grid)**k, whose denominators divide grid**k
+    common = math.lcm(grid**m.order, *[v.denominator for v in m.values])
+    scales = [common // grid**k for k in range(m.order + 1)]
+    columns = [[common] + [j**k * s for k, s in enumerate(scales)] for j in range(grid + 1)]
+    rhs = [common] + [v.numerator * (common // v.denominator) for v in m.values]
+    solution, certificate = _phase_one(columns, rhs, common)
     if solution is None:
         return Verdict("infeasible", [{"certificate": certificate}], {"grid": grid})
-    mu = grid_measure(points, solution)
+    mu = grid_measure([Fraction(j, grid) for j in range(grid + 1)], solution)
     if moments_of_measure(mu, m.order).values != m.values:
         raise AssertionError("the fitted measure has the given moments")
     return Verdict("pass", [], {"grid": grid}, None, mu)

@@ -20,7 +20,6 @@ from . import core, states
 from .axioms import random_element, seeded
 from .core import Algebra, Chang, Element
 from .errors import InputError
-from .rationals import ZERO
 from .states import DiscreteMeasure, State
 from .verdict import Verdict
 
@@ -94,11 +93,8 @@ def embed_l1(algebra: Algebra, s: State) -> MeasureRepresentation:
 
 
 def integral(rep: MeasureRepresentation, a: Element) -> Fraction:
-    """Integrate the represented element against the measure."""
-    image = represent(rep, a)
-    return sum(
-        (v * w for v, w in zip(image.payload, rep.measure.weights)), ZERO
-    )
+    """Integrate the represented element against the measure: the target's state."""
+    return states.eval_state(rep.quotient.state, represent(rep, a))
 
 
 def verify_embedding(

@@ -50,8 +50,9 @@ def bisection_root_bounds(y, n, bits):
     return lo, hi
 
 
-def fraction_phase_one(matrix, rhs):
-    """Reference for `analysis._phase_one`: the same Bland pivots on fractions."""
+def fraction_phase_one(matrix, rhs, pivots=None):
+    """Reference for `analysis._phase_one`: the same Bland pivots on the full
+    tableau of fractions.  ``pivots``, if given, collects the entering columns."""
     rows, cols = len(matrix), len(matrix[0])
     tableau = [matrix[i] + [ONE if j == i else ZERO for j in range(rows)] + [rhs[i]]
                for i in range(rows)]
@@ -83,6 +84,8 @@ def fraction_phase_one(matrix, rhs):
         factor = obj[entering]
         obj = [v - factor * p for v, p in zip(obj, tableau[leaving])]
         basis[leaving] = entering
+        if pivots is not None:
+            pivots.append(entering)
     if obj[-1] == 0:
         solution = [ZERO] * cols
         for i, var in enumerate(basis):
@@ -90,6 +93,34 @@ def fraction_phase_one(matrix, rhs):
                 solution[var] = tableau[i][-1]
         return solution, None
     return None, tuple(ONE - obj[cols + i] for i in range(rows))
+
+
+def integer_system(matrix, rhs):
+    """The arguments of `analysis._phase_one`: the columns of common * matrix,
+    common * rhs and common, the lcm of every denominator."""
+    common = math.lcm(*(v.denominator for v in rhs), *(v.denominator for r in matrix for v in r))
+    columns = [[int(row[j] * common) for row in matrix] for j in range(len(matrix[0]))]
+    return columns, [int(b * common) for b in rhs], common
+
+
+def fraction_delta_rows(values):
+    """Reference for `analysis.delta_table`: the forward differences as fractions."""
+    rows = [list(values)]
+    while len(rows[-1]) > 1:
+        prev = rows[-1]
+        rows.append([prev[k + 1] - prev[k] for k in range(len(prev) - 1)])
+    return rows
+
+
+def hausdorff_witnesses(rows):
+    """Reference for `analysis.check_hausdorff`'s witnesses, scanned on the fraction rows."""
+    if rows[0][0] != 1:
+        return [{"reason": "m0"}]
+    for r, row in enumerate(rows):
+        for k, value in enumerate(row):
+            if (-1) ** r * value < 0:
+                return [{"reason": "sign", "position": (r, k)}]
+    return []
 
 
 def fit_system(values, grid):
@@ -104,12 +135,10 @@ def moments_of(points, weights, order):
     return [sum(w * p**k for p, w in zip(points, weights)) / total for k in range(order + 1)]
 
 
-def seeded_fit_case(seed):
-    """Grid seed + 1 and order seed % 7, with four kinds of sequence in turn."""
+def fit_case(seed, kind, grid, order):
+    """A moment sequence of the given order to fit on the given grid, of one of four kinds."""
     rng = Random(seed)
-    grid, order = seed + 1, seed % 7
     weights = [F(rng.randint(1, 9)) for _ in range(3)]
-    kind = seed % 4
     if kind == 0:  # a three-point measure on the grid: feasible
         points = [F(rng.randint(0, grid), grid) for _ in range(3)]
     elif kind == 1:  # a three-point measure on the 96-grid, mostly off the fitted one
@@ -119,6 +148,11 @@ def seeded_fit_case(seed):
     else:  # a random sequence of unit values: almost always infeasible
         return grid, [F(1)] + [F(rng.randint(0, 12), 12) for _ in range(order)]
     return grid, moments_of(points, weights, order)
+
+
+def seeded_fit_case(seed):
+    """Grid seed + 1 and order seed % 7, with the four kinds in turn."""
+    return fit_case(seed, seed % 4, seed + 1, seed % 7)
 
 
 class TestDeltaTable:
@@ -156,6 +190,92 @@ class TestDeltaTable:
                 assert (-1) ** r * table.entry(r, k) == analysis.binomial_delta(m, r, k)
 
 
+class TestDeltaTableAgainstFractionRecursion:
+    """The integer table against the fraction recursion it replaced."""
+
+    def assert_same(self, values):
+        m = analysis.MomentSequence(tuple(values))
+        table = analysis.delta_table(m)
+        expected = fraction_delta_rows(values)
+        assert table.denominator == math.lcm(*(v.denominator for v in values))
+        assert [len(row) for row in table.rows] == [len(row) for row in expected]
+        for r, row in enumerate(expected):
+            assert [table.entry(r, k) for k in range(len(row))] == row
+        verdict = analysis.check_hausdorff(m)
+        assert verdict.witnesses == hausdorff_witnesses(expected)
+        return verdict
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=10**9), min_size=1, max_size=60
+        ),
+        st.booleans(),
+    )
+    def test_random_sequences(self, values, unit_mass):
+        if unit_mass:
+            values[0] = F(1)
+        self.assert_same(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=0, max_value=1, max_denominator=10**9),
+                st.integers(min_value=1, max_value=10**9),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(min_value=0, max_value=59),
+    )
+    def test_moments_of_measures(self, atoms, order):
+        points, weights = zip(*atoms)
+        values = moments_of(points, [F(w) for w in weights], order)
+        assert self.assert_same(values).passed
+        if order:  # the masses on a grid of about half the order
+            grid, rows = order // 2 + 1, fraction_delta_rows(values)
+            mu = analysis.hausdorff_reconstruct(analysis.MomentSequence(tuple(values)), grid)
+            assert mu.weights == tuple(
+                math.comb(grid, j) * (-1) ** (grid - j) * rows[grid - j][j]
+                for j in range(grid + 1)
+            )
+
+
+class TestPlantedSignDefects:
+    """A lowered or raised moment makes the first failure land where it is planted."""
+
+    def assert_witness(self, values, position):
+        m = analysis.MomentSequence(tuple(values))
+        verdict = analysis.check_hausdorff(m)
+        assert verdict.witnesses == [{"reason": "sign", "position": position}]
+        assert verdict.witnesses == hausdorff_witnesses(fraction_delta_rows(values))
+
+    def test_first_position(self):
+        # (0, k) are the values and (1, 0) is 1 - m1: (1, 1) is the first
+        # position a unit sequence with m0 = 1 can fail at
+        values = list(lebesgue_moments(40).values)
+        values[2] = values[1] + F(1, 10**9)
+        self.assert_witness(values, (1, 1))
+
+    def test_middle_position(self):
+        # lowering the last moment lowers its anti-diagonal (r, n - r) alone;
+        # the Lebesgue entries there, r! (n - r)! / (n + 1)!, are least at r = n / 2
+        n = 40
+        values = list(lebesgue_moments(n).values)
+        least = F(math.factorial(n // 2) ** 2, math.factorial(n + 1))
+        values[n] -= least + least / 10**6
+        self.assert_witness(values, (n // 2, n // 2))
+
+    def test_last_position(self):
+        # the Dirac mass at 3/4: the anti-diagonal entries (3/4)^(n-r) (1/4)^r
+        # are least at r = n, where the scan ends
+        n = 40
+        values = [F(3, 4) ** k for k in range(n + 1)]
+        values[n] -= 2 * F(1, 4) ** n
+        self.assert_witness(values, (n, 0))
+
+
 class TestHausdorffCondition:
     def test_lebesgue_passes(self):
         assert analysis.check_hausdorff(lebesgue_moments(3)).passed
@@ -164,6 +284,11 @@ class TestHausdorffCondition:
         report = analysis.check_hausdorff(analysis.moment_sequence(("1", "1/5", "9/10")))
         assert not report.passed
         assert report.witnesses == [{"reason": "sign", "position": (1, 1)}]
+
+    def test_sequence_length_budget(self):
+        assert analysis.MomentSequence((F(1),) * (analysis.MAX_ORDER + 1)).order == analysis.MAX_ORDER
+        with pytest.raises(InputError, match=f"at most {analysis.MAX_ORDER + 1} entries"):
+            analysis.MomentSequence((F(1),) * (analysis.MAX_ORDER + 2))
 
     def test_wrong_mass_fails(self):
         report = analysis.check_hausdorff(analysis.moment_sequence(("9/10", "1/2")))
@@ -296,15 +421,52 @@ class TestFeasibilitySearch:
 
 
 class TestPhaseOneAgainstFractionPivoting:
-    """The integer pivots against the fraction pivots they replaced."""
+    """The narrow integer tableau against the full fraction tableau it replaced."""
 
     def assert_same(self, grid, values):
         matrix, rhs = fit_system(values, grid)
-        assert analysis._phase_one(matrix, rhs) == fraction_phase_one(matrix, rhs)
+        expected = fraction_phase_one(matrix, rhs)
+        assert analysis._phase_one(*integer_system(matrix, rhs)) == expected
+        # moment_fit_lp builds its integer system from j**k and grid itself
+        fit = analysis.moment_fit_lp(analysis.MomentSequence(tuple(values)), grid)
+        solution, certificate = expected
+        if solution is None:
+            assert fit.verdict == "infeasible"
+            assert fit.witnesses == [{"certificate": certificate}]
+        else:
+            assert fit.passed and fit.result.weights == tuple(solution)
 
     @pytest.mark.parametrize("seed", range(64))
     def test_seeded_sequences(self, seed):
         self.assert_same(*seeded_fit_case(seed))
+
+    @pytest.mark.parametrize("kind", range(4))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_workload_shape(self, seed, kind):
+        # grid 64 and order 6, the largest fit the budgets allow
+        self.assert_same(*fit_case(seed, kind, analysis.MAX_FIT_GRID, analysis.MAX_FIT_MOMENTS))
+
+    def test_an_artificial_column_reenters(self):
+        # seed 4: grid 5, order 4, a three-point measure on the grid; the
+        # artificial of row 2, basic at the start, leaves and enters again
+        grid, values = seeded_fit_case(4)
+        matrix, rhs = fit_system(values, grid)
+        pivots = []
+        solution, _ = fraction_phase_one(matrix, rhs, pivots)
+        assert solution is not None and grid + 1 + 2 in pivots
+        self.assert_same(grid, values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_general_systems(self, data):
+        # A of mixed sign and b >= 0: phase one has a finite optimum on any such system
+        rows = data.draw(st.integers(min_value=1, max_value=4))
+        cols = data.draw(st.integers(min_value=1, max_value=6))
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+        matrix = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+        rhs = data.draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=12),
+                                 min_size=rows, max_size=rows))
+        assert analysis._phase_one(*integer_system(matrix, rhs)) == fraction_phase_one(matrix, rhs)
 
     @pytest.mark.parametrize("grid", [1, 2, 3, 7, 16, 64])
     def test_negative_variance(self, grid):

@@ -338,6 +338,33 @@ class TestInputBoundary:
         assert result.stdout == ""
         assert result.stderr == f"error: order must be between 0 and {analysis.MAX_ORDER}\n"
 
+    def test_moment_sequence_at_its_length_budget_runs(self, tmp_path):
+        # the moments of the Dirac mass at 1/2, m_0 to m_512
+        path = tmp_path / "doc.json"
+        values = ["1"] + [f"1/{2**k}" for k in range(1, analysis.MAX_ORDER + 1)]
+        path.write_text(json.dumps({"moments": {"m": values}}))
+        result = run("moments", str(path), "check", "m")
+        assert result.returncode == 0
+        assert report_of(result)["verdict"] == "pass"
+
+    def test_moment_sequence_above_its_length_budget_is_an_input_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"moments": {"m": ["1"] * (analysis.MAX_ORDER + 2)}}))
+
+        def no_table(m):
+            raise AssertionError("the difference table was built")
+
+        monkeypatch.setattr(analysis, "delta_table", no_table)
+        code = cli.main(["moments", str(path), "check", "m"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a moment sequence has at most {analysis.MAX_ORDER + 1} entries\n"
+        )
+
     @pytest.mark.parametrize("precision", [-3, 0, analysis.MAX_PRECISION + 1])
     def test_precision_outside_its_budget_is_an_input_error(self, precision):
         result = run("holder", DOC, "s", "f1", "f2", "--p", "3", "--q", "3/2",

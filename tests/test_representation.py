@@ -301,6 +301,28 @@ def test_pipeline_matches_the_direct_formulas(algebra, state):
         assert mv.represent(rep, a) == expected.represent(a)
 
 
+def stock_measure_states():
+    """The fixture document's measure states, then the pipeline cases' measure states."""
+    doc = parse_document(json.loads((FIXTURES / "basic.json").read_text()))
+    for name, s in sorted(doc.states.items()):
+        if isinstance(s.rule, mv.states.MeasureRule):
+            yield pytest.param(s, id=name)
+    for p in pipeline_cases():
+        if isinstance(p.values[1].rule, mv.states.MeasureRule):
+            yield pytest.param(p.values[1], id=p.id)
+
+
+@pytest.mark.parametrize("state", list(stock_measure_states()))
+def test_integral_is_the_fraction_sum_over_the_measure(state):
+    rep = mv.embed_l1(state.algebra, state)
+    rng = Random(17)
+    for _ in range(100):
+        a = random_element(rng, state.algebra)
+        image = mv.represent(rep, a)
+        expected = sum((v * w for v, w in zip(image.payload, rep.measure.weights)), F(0))
+        assert representation.integral(rep, a) == expected == mv.eval_state(state, a)
+
+
 class TestVerifyEmbedding:
     def test_chang_slice_with_its_measure(self):
         verdict = mv.representation.verify_embedding(C, mv.chang_state(C), samples=0)
