@@ -18,17 +18,15 @@ import importlib
 # defining module -> the public names it contributes; every module is public too
 _EXPORTS = {
     "analysis": (
-        "DeltaTable", "MomentSequence", "check_hausdorff", "delta_table", "grid_measure",
-        "hausdorff_reconstruct", "holder_check", "moment_fit_lp", "moment_sequence",
-        "moments_of_measure",
+        "MomentSequence", "check_hausdorff", "grid_measure", "hausdorff_reconstruct",
+        "holder_check", "moment_fit_lp", "moment_sequence", "moments_of_measure",
     ),
     "axioms": ("Exhaustive", "Sample", "check_axioms"),
     "core": (
         "Algebra", "Chang", "ChangPair", "Element", "FiniteChain", "FunctionAlgebra",
         "StandardUnit", "TableAlgebra", "chang", "dist", "element", "finite_chain",
-        "function_algebra", "indicator", "join", "leq", "lower", "meet", "nat_mul", "nat_oplus",
-        "neg", "odot", "one", "oplus", "partial_add", "prod", "scalar_mul", "standard_unit",
-        "upper", "zero",
+        "function_algebra", "indicator", "join", "leq", "lower", "meet", "neg", "odot", "one",
+        "oplus", "partial_add", "prod", "scalar_mul", "standard_unit", "upper", "zero",
     ),
     "errors": ("InputError", "UnsupportedCarrierError"),
     "independence": (

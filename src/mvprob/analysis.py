@@ -1,8 +1,9 @@
 """Finite-difference moment analysis and power-mean inequality checks.
 
-Everything here is exact.  A difference table is integers over one
-denominator, the lcm of its sequence's, so the moment condition is read
-off integer signs and a reconstruction mass is one integer over it.  The
+Everything here is exact.  The forward differences of a sequence are
+integers over one denominator, the lcm of its sequence's, built one row
+at a time: the moment condition is read off each row's integer signs,
+and a reconstruction mass is one integer over it.  The
 feasibility search is a phase-one simplex pivoting on integers over one
 common denominator (Bland's rule, so it terminates) that holds only the
 artificial block of its tableau.  Fractional powers are handled by
@@ -17,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import core, states
 from .core import Element
@@ -36,14 +37,16 @@ MAX_EXPONENT = 64  # largest numerator or denominator of the exponents p and q
 # Highest moment order; a sequence holds at most MAX_ORDER + 1 values.  It
 # bounds the length of a sequence, not its cost: moments past the
 # integer-string digit limit are refused before the O(order^2) difference
-# table (order 512 on 999999999/10^9 and 1/3: m_454).  On those atoms the
-# integer table and its sign scan take 0.05-0.08 s at order 300 (the CLI
-# command 0.35 s; 4.4-5.0 s with Fraction rows), on one 2-vCPU Xeon core.
+# rows (order 512 on 999999999/10^9 and 1/3: m_454).  On those atoms the
+# sign scan takes 0.04-0.06 s at order 300 (the CLI command 0.32-0.42 s;
+# 4.4-5.0 s with Fraction rows) and 0.17-0.22 s at order 453, on one
+# 2-vCPU Xeon core.  It holds one row, not the table: a traced peak of
+# 0.8 MB at order 300 and 1.8 MB at 453 (57 and 196 MB for the table).
 MAX_ORDER = 512
 
 
 # ---------------------------------------------------------------------------
-# Moment sequences and difference tables
+# Moment sequences and their differences
 # ---------------------------------------------------------------------------
 
 
@@ -63,6 +66,11 @@ class MomentSequence:
     def order(self) -> int:
         return len(self.values) - 1
 
+    @property
+    def denominator(self) -> int:
+        """The lcm of the values' denominators, a denominator of every difference."""
+        return math.lcm(*[v.denominator for v in self.values])
+
 
 def moment_sequence(raw: Sequence) -> MomentSequence:
     values = []
@@ -75,35 +83,25 @@ def moment_sequence(raw: Sequence) -> MomentSequence:
     return MomentSequence(tuple(values))
 
 
-@dataclass(frozen=True)
-class DeltaTable:
-    """The full forward-difference triangle of a moment sequence, on integers.
+def _delta_rows(m: MomentSequence) -> Iterator[list[int]]:
+    """The rows D * delta^r m for r = 0, 1, ..., order, one at a time.
 
     Every difference is an integer combination of the sequence's values,
-    so one denominator D, the lcm of theirs, serves the whole table:
-    ``rows[r][k]`` is D times the r-th difference at k, for r + k <= order.
+    so D = ``m.denominator`` makes each row integers; row r holds the
+    r-th differences at k = 0, ..., order - r.  Only the current row is
+    kept: a caller that stops early never builds the rest of the table.
     """
-
-    rows: tuple[tuple[int, ...], ...]
-    denominator: int
-
-    def entry(self, r: int, k: int) -> Fraction:
-        return Fraction(self.rows[r][k], self.denominator)
-
-
-def delta_table(m: MomentSequence) -> DeltaTable:
-    d = math.lcm(*[v.denominator for v in m.values])
-    rows = [tuple([v.numerator * (d // v.denominator) for v in m.values])]
-    while len(rows[-1]) > 1:
-        prev = rows[-1]
-        rows.append(tuple(map(operator.sub, prev[1:], prev)))
-    return DeltaTable(tuple(rows), d)
+    d = m.denominator
+    row = [v.numerator * (d // v.denominator) for v in m.values]
+    while row:
+        yield row
+        row = list(map(operator.sub, row[1:], row))
 
 
 def binomial_delta(m: MomentSequence, r: int, k: int) -> Fraction:
     """(-1)^r times the r-th difference at k, via the binomial expansion.
 
-    Kept separate from the recursive table so the two can cross-check.
+    Kept separate from the recursive rows so the two can cross-check.
     """
     return sum(
         (
@@ -119,12 +117,13 @@ def check_hausdorff(m: MomentSequence) -> Verdict:
 
     A failure gives its reason, "m0" or "sign"; a sign failure also
     gives the lexicographically first offending position (r, k).  The
-    signs are read off the table's integers, whose denominator is positive.
+    signs are read off each row's integers, whose denominator is positive,
+    and the scan stops at the first failing row.
     """
     entries = {"entries": (m.order + 1) * (m.order + 2) // 2}
     if m.values[0] != ONE:
         return Verdict("fail", [{"reason": "m0"}], entries)
-    for r, row in enumerate(delta_table(m).rows):
+    for r, row in enumerate(_delta_rows(m)):
         wrong = operator.gt if r % 2 else operator.lt
         k = next((k for k, x in enumerate(row) if wrong(x, 0)), None)
         if k is not None:
@@ -166,7 +165,7 @@ def moments_of_measure(mu: DiscreteMeasure, order: int) -> MomentSequence:
 def verify_measure_moments(mu: DiscreteMeasure, order: int) -> Verdict:
     """The moments of ``mu`` up to ``order``, checked against the moment condition."""
     m = moments_of_measure(mu, order)
-    for value in m.values:  # the report renders each: refuse before the O(order^2) table
+    for value in m.values:  # the report renders each: refuse before the O(order^2) scan
         format_rational(value)
     check = check_hausdorff(m)
     witnesses = [{"reason": w["reason"]} for w in check.witnesses]
@@ -180,19 +179,21 @@ def hausdorff_reconstruct(m: MomentSequence, grid: int) -> DiscreteMeasure:
     moment condition they are nonnegative and sum to one exactly, and
     the zeroth and first moments of the result match the input exactly.
     """
-    if not check_hausdorff(m).passed:
-        raise InputError("sequence fails the moment condition")
     if grid < 1:
         raise InputError("grid size must be at least 1")
     if grid + 1 > len(m.values):
         raise InputError(f"grid {grid} needs at least {grid + 1} moments")
-    table = delta_table(m)
+    if not check_hausdorff(m).passed:
+        raise InputError("sequence fails the moment condition")
+    # the mass at j reads row r = grid - j: only the first grid + 1 rows are built
     numerators = [
-        math.comb(grid, j) * (-1) ** (grid - j) * table.rows[grid - j][j] for j in range(grid + 1)
-    ]
-    if any(x < 0 for x in numerators) or sum(numerators) != table.denominator:
+        math.comb(grid, r) * (-1) ** r * row[grid - r]
+        for r, row in zip(range(grid + 1), _delta_rows(m))
+    ][::-1]
+    d = m.denominator
+    if any(x < 0 for x in numerators) or sum(numerators) != d:
         raise AssertionError("reconstructed masses are a probability vector")
-    masses = [Fraction(x, table.denominator) for x in numerators]
+    masses = [Fraction(x, d) for x in numerators]
     return grid_measure([Fraction(j, grid) for j in range(grid + 1)], masses)
 
 

@@ -463,27 +463,6 @@ def partial_add(a: Element, b: Element) -> Optional[Element]:
     return _trusted(a.algebra, ops.decode(ops.oplus(x, y))) if ops.leq(x, ops.neg(y)) else None
 
 
-def nat_mul(n: int, a: Element) -> Optional[Element]:
-    """n-fold partial sum a + ... + a, undefined as soon as a step is."""
-    if n < 1:
-        raise InputError("nat_mul needs n >= 1")
-    acc: Optional[Element] = a
-    for _ in range(n - 1):
-        acc = partial_add(acc, a)
-        if acc is None:
-            return None
-    return acc
-
-
-def nat_oplus(n: int, a: Element) -> Element:
-    if n < 1:
-        raise InputError("nat_oplus needs n >= 1")
-    acc = a
-    for _ in range(n - 1):
-        acc = oplus(acc, a)
-    return acc
-
-
 def scalar_mul(alpha: Fraction, a: Element) -> Element:
     if not a.algebra.scalar_action:
         raise InputError("algebra has no scalar action")

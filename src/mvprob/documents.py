@@ -96,6 +96,18 @@ def _field(raw: dict, key: str, where: str, kind, default=_REQUIRED):
     return value
 
 
+def _keyed(mapping: dict, where: str, what: str, parse_key, parse_value) -> dict:
+    """``mapping`` with its keys and values parsed; two spellings of one key are refused."""
+    spelled, parsed = {}, {}
+    for text, value in mapping.items():
+        key = parse_key(text)
+        if key in spelled:
+            raise InputError(f"{where}: keys {spelled[key]!r} and {text!r} name the same {what}")
+        spelled[key] = text
+        parsed[key] = parse_value(value)
+    return parsed
+
+
 def _section(raw: dict, key: str, kind=_MAPPING) -> dict:
     """A document section: a mapping from names to values of ``kind``."""
     section = _field(raw, key, "document", _MAPPING, {})
@@ -203,10 +215,13 @@ def _parse_state(name: str, raw: dict, algebras: dict, measures: dict) -> State:
     if rule == "first-coordinate":
         return states.chang_state(algebra)
     if rule == "table":
-        table = {
-            parse_element_text(algebra, key).payload: parse_unit(value)
-            for key, value in _field(raw, "values", where, _MAPPING).items()
-        }
+        table = _keyed(
+            _field(raw, "values", where, _MAPPING),
+            where,
+            "element",
+            lambda key: parse_element_text(algebra, key).payload,
+            parse_unit,
+        )
         return states.table_state(algebra, table)
     raise InputError(f"{where}: unknown rule {rule!r}")
 
@@ -228,28 +243,31 @@ def _parse_bilinear(name: str, raw: dict, doc_states: dict, algebras: dict) -> B
         left_algebra = doc_states[left].algebra
         right_algebra = doc_states[right].algebra
         cod_algebra = doc_states[codomain].algebra
-        entries = []
-        for key, value in _field(raw, "entries", where, _MAPPING).items():
+
+        def pair(key: str) -> tuple[core.Payload, core.Payload]:
             try:
                 a_text, b_text = key.split(";")
             except ValueError:
                 raise InputError(f"{where}: entry keys look like '<a>;<b>'") from None
-            entries.append(
-                (
-                    (
-                        parse_element_text(left_algebra, a_text).payload,
-                        parse_element_text(right_algebra, b_text).payload,
-                    ),
-                    parse_element_text(cod_algebra, value).payload,
-                )
+            return (
+                parse_element_text(left_algebra, a_text).payload,
+                parse_element_text(right_algebra, b_text).payload,
             )
+
+        entries = _keyed(
+            _field(raw, "entries", where, _MAPPING),
+            where,
+            "pair",
+            pair,
+            lambda value: parse_element_text(cod_algebra, value).payload,
+        )
         return BilinearSpec(
             kind,
             left,
             right,
             codomain,
             _field(raw, "bound", where, _INTEGER, None),
-            tuple(sorted(entries, key=repr)),
+            tuple(sorted(entries.items(), key=repr)),
         )
     raise InputError(f"{where}: unknown kind {kind!r}")
 

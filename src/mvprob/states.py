@@ -53,9 +53,6 @@ class DiscreteMeasure:
         if sum(self.weights) != ONE:
             raise InputError(f"weights sum to {sum(self.weights)}, not 1")
 
-    def weight(self, atom: str) -> Fraction:
-        return self.weights[self.atoms.index(atom)]
-
 
 def measure(atoms, weights) -> DiscreteMeasure:
     ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in weights)
@@ -127,13 +124,18 @@ def table_state(algebra: Algebra, values: dict) -> State:
     """Build a state from an explicit table, verifying linearity.
 
     ``values`` maps payloads (or anything `element` coerces) to unit
-    rationals; every element of the finite carrier must be covered.
+    rationals; every element of the finite carrier must be covered, and
+    two keys that coerce to one element are refused.
     """
     if not core.is_finite(algebra):
         raise InputError("table states need a finite carrier")
     table: dict[core.Payload, Fraction] = {}
+    spelled = {}
     for raw_key, raw_value in values.items():
         key = core.element(algebra, raw_key).payload
+        if key in spelled:
+            raise InputError(f"table keys {spelled[key]!r} and {raw_key!r} name the same element")
+        spelled[key] = raw_key
         value = require_unit(
             raw_value if isinstance(raw_value, Fraction) else Fraction(raw_value)
         )

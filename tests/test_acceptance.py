@@ -210,10 +210,9 @@ def test_criterion_6_hausdorff_suite():
     for trial in range(1000):
         length = rng.randint(1, 12)
         m = analysis.MomentSequence(tuple(random_unit(rng, 24) for _ in range(length)))
-        table = analysis.delta_table(m)
-        for r in range(m.order + 1):
-            for k in range(m.order - r + 1):
-                if (-1) ** r * table.entry(r, k) != analysis.binomial_delta(m, r, k):
+        for r, row in enumerate(analysis._delta_rows(m)):
+            for k, x in enumerate(row):
+                if (-1) ** r * F(x, m.denominator) != analysis.binomial_delta(m, r, k):
                     failures.append(f"(i) trial {trial} at ({r},{k})")
                     break
 

@@ -1,6 +1,7 @@
 """Difference tables, the moment condition, reconstruction, LP, inequalities."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 from random import Random
 
@@ -104,7 +105,7 @@ def integer_system(matrix, rhs):
 
 
 def fraction_delta_rows(values):
-    """Reference for `analysis.delta_table`: the forward differences as fractions."""
+    """Reference for `analysis._delta_rows`: the forward differences as fractions."""
     rows = [list(values)]
     while len(rows[-1]) > 1:
         prev = rows[-1]
@@ -155,25 +156,26 @@ def seeded_fit_case(seed):
     return fit_case(seed, seed % 4, seed + 1, seed % 7)
 
 
+def delta_entries(m):
+    """`analysis._delta_rows` as fractions over the sequence's denominator."""
+    return [[F(x, m.denominator) for x in row] for row in analysis._delta_rows(m)]
+
+
 class TestDeltaTable:
     def test_worked_example(self):
-        table = analysis.delta_table(analysis.moment_sequence(("1", "1/2", "1/3")))
-        assert table.entry(1, 0) == F(-1, 2)
-        assert table.entry(2, 0) == F(1, 3)
+        rows = delta_entries(analysis.moment_sequence(("1", "1/2", "1/3")))
+        assert rows == [[1, F(1, 2), F(1, 3)], [F(-1, 2), F(-1, 6)], [F(1, 3)]]
 
     def test_constant_sequence_vanishes(self):
-        table = analysis.delta_table(analysis.moment_sequence(["1"] * 6))
-        for r in range(1, 6):
-            for k in range(6 - r):
-                assert table.entry(r, k) == 0
+        rows = delta_entries(analysis.moment_sequence(["1"] * 6))
+        assert rows[1:] == [[0] * (6 - r) for r in range(1, 6)]
 
     def test_lebesgue_entries_match_the_quadrature_oracle(self):
-        m = lebesgue_moments(8)
-        table = analysis.delta_table(m)
+        rows = delta_entries(lebesgue_moments(8))
         for r in range(9):
             for k in range(9 - r):
                 expected = beta_integral(k, r)
-                assert (-1) ** r * table.entry(r, k) == expected
+                assert (-1) ** r * rows[r][k] == expected
                 # closed form of the same integral
                 assert expected == F(
                     math.factorial(k) * math.factorial(r),
@@ -184,23 +186,21 @@ class TestDeltaTable:
     @given(st.lists(unit_fractions, min_size=1, max_size=12))
     def test_recursion_agrees_with_binomial_identity(self, values):
         m = analysis.MomentSequence(tuple(values))
-        table = analysis.delta_table(m)
+        rows = delta_entries(m)
+        assert [len(row) for row in rows] == list(range(len(values), 0, -1))
         for r in range(m.order + 1):
             for k in range(m.order - r + 1):
-                assert (-1) ** r * table.entry(r, k) == analysis.binomial_delta(m, r, k)
+                assert (-1) ** r * rows[r][k] == analysis.binomial_delta(m, r, k)
 
 
 class TestDeltaTableAgainstFractionRecursion:
-    """The integer table against the fraction recursion it replaced."""
+    """The integer rows against the fraction recursion they replaced."""
 
     def assert_same(self, values):
         m = analysis.MomentSequence(tuple(values))
-        table = analysis.delta_table(m)
         expected = fraction_delta_rows(values)
-        assert table.denominator == math.lcm(*(v.denominator for v in values))
-        assert [len(row) for row in table.rows] == [len(row) for row in expected]
-        for r, row in enumerate(expected):
-            assert [table.entry(r, k) for k in range(len(row))] == row
+        assert m.denominator == math.lcm(*(v.denominator for v in values))
+        assert delta_entries(m) == expected
         verdict = analysis.check_hausdorff(m)
         assert verdict.witnesses == hausdorff_witnesses(expected)
         return verdict
@@ -240,6 +240,49 @@ class TestDeltaTableAgainstFractionRecursion:
                 math.comb(grid, j) * (-1) ** (grid - j) * rows[grid - j][j]
                 for j in range(grid + 1)
             )
+
+
+class TestOneRowAtATime:
+    """The scans keep one difference row alive and stop where they can."""
+
+    def count_rows(self, monkeypatch):
+        built, rows = [], analysis._delta_rows
+
+        def counted(m):
+            for row in rows(m):
+                built.append(len(row))
+                yield row
+
+        monkeypatch.setattr(analysis, "_delta_rows", counted)
+        return built
+
+    def test_a_failure_at_row_one_builds_at_most_two_rows(self, monkeypatch):
+        built = self.count_rows(monkeypatch)
+        m = analysis.moment_sequence(["1", "1/5", "9/10", *["1/2"] * 60])
+        verdict = analysis.check_hausdorff(m)
+        assert verdict.witnesses == [{"reason": "sign", "position": (1, 1)}]
+        assert verdict.metrics == {"entries": 63 * 64 // 2}  # the whole triangle
+        assert len(built) <= 2
+
+    def test_reconstruction_reads_the_first_grid_plus_one_rows(self, monkeypatch):
+        built = self.count_rows(monkeypatch)
+        mu = analysis.hausdorff_reconstruct(lebesgue_moments(20), 4)
+        assert mu.weights == (F(1, 5),) * 5
+        # the full scan of the moment check, then the anti-diagonal's rows
+        assert built == [*range(21, 0, -1), *range(21, 16, -1)]
+
+    def test_the_moment_check_holds_one_row(self):
+        # the atoms 999999999/10^9 and 1/3: the denominator of m_k has about 9.5 k digits
+        measure = analysis.grid_measure([F(999999999, 10**9), F(1, 3)], [F(1, 2), F(1, 2)])
+        m = analysis.moments_of_measure(measure, 300)
+        tracemalloc.start()
+        try:
+            assert analysis.check_hausdorff(m).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole triangle takes about 57 MB; one row of 301 about 0.4 MB
+        assert peak < 4 * 10**6
 
 
 class TestPlantedSignDefects:

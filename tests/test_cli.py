@@ -353,10 +353,10 @@ class TestInputBoundary:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"moments": {"m": ["1"] * (analysis.MAX_ORDER + 2)}}))
 
-        def no_table(m):
-            raise AssertionError("the difference table was built")
+        def no_rows(m):
+            raise AssertionError("a difference row was built")
 
-        monkeypatch.setattr(analysis, "delta_table", no_table)
+        monkeypatch.setattr(analysis, "_delta_rows", no_rows)
         code = cli.main(["moments", str(path), "check", "m"])
         captured = capsys.readouterr()
         assert code == 2
@@ -480,16 +480,16 @@ class TestInputBoundary:
     def test_an_unrenderable_moment_is_refused_before_the_difference_table(
         self, tmp_path, monkeypatch, capsys
     ):
-        # m_454 is the first moment past the digit limit; the O(order^2)
-        # table of the moment check would take tens of seconds to build
+        # m_454 is the first moment past the digit limit, so the report
+        # cannot render it: the O(order^2) moment check never starts
         path = tmp_path / "doc.json"
         measure = {"atoms": ["999999999/1000000000", "1/3"], "weights": ["1/2", "1/2"]}
         path.write_text(json.dumps({"measures": {"g": measure}}))
 
-        def no_table(m):
-            raise AssertionError("the difference table was built")
+        def no_rows(m):
+            raise AssertionError("a difference row was built")
 
-        monkeypatch.setattr(analysis, "delta_table", no_table)
+        monkeypatch.setattr(analysis, "_delta_rows", no_rows)
         code = cli.main(["moments", str(path), "of-measure", "g", "--order", "512"])
         captured = capsys.readouterr()
         assert code == 2
@@ -497,6 +497,70 @@ class TestInputBoundary:
         assert captured.err == (
             f"error: cannot render a rational with a term of more than {DIGIT_LIMIT} digits\n"
         )
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("0", "grid size must be at least 1"), ("4", "grid 4 needs at least 5 moments")],
+    )
+    def test_a_grid_outside_the_sequence_is_refused_before_any_row(
+        self, grid, message, monkeypatch, capsys
+    ):
+        def no_rows(m):
+            raise AssertionError("a difference row was built")
+
+        monkeypatch.setattr(analysis, "_delta_rows", no_rows)
+        code = cli.main(["moments", DOC, "reconstruct", "leb", "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, argv, message",
+        [
+            (
+                {
+                    "algebras": {"c": {"kind": "chain", "n": 2}},
+                    "states": {
+                        "t": {
+                            "algebra": "c",
+                            "rule": "table",
+                            "values": {"0": "0", "1/2": "1/2", "2/4": "1/3", "1": "1"},
+                        }
+                    },
+                },
+                ["state", "@", "metric", "t"],
+                "states.t: keys '1/2' and '2/4' name the same element",
+            ),
+            (
+                {
+                    "algebras": {"c": {"kind": "chain", "n": 1}},
+                    "states": {
+                        "t": {"algebra": "c", "rule": "table", "values": {"0": "0", "1": "1"}}
+                    },
+                    "bilinear": {
+                        "g": {
+                            "kind": "table", "left": "t", "right": "t", "codomain": "t",
+                            "bound": 1,
+                            "entries": {
+                                "0;0": "0", "0;1": "0", "1;0": "0", "1;1": "1", "2/2;1": "0",
+                            },
+                        }
+                    },
+                },
+                ["--seed", "1", "product", "@", "factorize", "t", "t", "g"],
+                "bilinear.g: keys '1;1' and '2/2;1' name the same pair",
+            ),
+        ],
+    )
+    def test_two_spellings_of_one_key_are_refused(self, doc, argv, message, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([str(path) if arg == "@" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def _paths(node, prefix=()):

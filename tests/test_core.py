@@ -124,16 +124,6 @@ class TestStandardUnit:
         a = u("4/9")
         assert mv.partial_add(a, mv.zero(U)) == a
 
-    def test_nat_mul(self):
-        assert mv.nat_mul(3, u("1/4")).payload == F(3, 4)
-        assert mv.nat_mul(4, u("1/4")).payload == F(1)
-        assert mv.nat_mul(5, u("1/4")) is None
-
-    def test_nat_oplus(self):
-        assert mv.nat_oplus(5, u("1/4")).payload == F(1)
-        a = u("2/7")
-        assert mv.nat_oplus(1, a) == a
-
     def test_scalar_mul(self):
         a = u("5/7")
         assert mv.scalar_mul(F(1), a) == a
@@ -183,12 +173,6 @@ def test_dist_triangle(x, y, z):
 
 
 @settings(max_examples=300)
-@given(unit_fractions, st.integers(min_value=1, max_value=9))
-def test_nat_oplus_truncates(x, n):
-    assert mv.nat_oplus(n, u(x)).payload == min(n * x, F(1))
-
-
-@settings(max_examples=300)
 @given(unit_fractions)
 def test_involution(x):
     assert mv.neg(mv.neg(u(x))) == u(x)
@@ -219,16 +203,6 @@ class TestChainExhaustive:
             for c in pool:
                 if mv.leq(a, c) and mv.leq(b, c):
                     assert mv.leq(j, c)
-
-    def test_nat_mul_agrees_with_scaling(self, n):
-        algebra = mv.finite_chain(n)
-        for a in mv.core.enumerate_carrier(algebra):
-            for m in range(1, 2 * n + 2):
-                result = mv.nat_mul(m, a)
-                if m * a.payload <= 1:
-                    assert result is not None and result.payload == m * a.payload
-                else:
-                    assert result is None
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +303,7 @@ def trusted_results(algebra, rng):
     """Every kind of trusted result, on one seeded draw, the draw included."""
     a, b = random_element(rng, algebra), random_element(rng, algebra)
     results = [a, b, mv.oplus(a, b), mv.neg(a), mv.odot(a, b), mv.join(a, b), mv.meet(a, b),
-               mv.dist(a, b), mv.nat_oplus(3, a), mv.zero(algebra), mv.one(algebra)]
+               mv.dist(a, b), mv.zero(algebra), mv.one(algebra)]
     if algebra.internal_product:
         results.append(mv.prod(a, b))
     if algebra.scalar_action:

@@ -79,6 +79,38 @@ class TestParsing:
         one = mv.one(doc.algebras["b"])
         assert mv.eval_state(doc.states["s"], one) == 1
 
+    def test_table_state_keys_naming_one_element_rejected(self):
+        raw = {
+            "algebras": {"b": {"kind": "function", "atoms": ["x"], "value": 2}},
+            "states": {
+                "s": {
+                    "algebra": "b",
+                    "rule": "table",
+                    "values": {"(0)": "0", "(1/2)": "1/2", "(1)": "1", "(2/4)": "1/3"},
+                }
+            },
+        }
+        with pytest.raises(
+            InputError, match=r"^states\.s: keys '\(1/2\)' and '\(2/4\)' name the same element$"
+        ):
+            documents.parse_document(raw)
+
+    def test_table_bilinear_keys_naming_one_pair_rejected(self):
+        raw = {
+            "algebras": {"c1": {"kind": "chain", "n": 1}},
+            "states": {"s1": {"algebra": "c1", "rule": "table", "values": {"0": "0", "1": "1"}}},
+            "bilinear": {
+                "g": {
+                    "kind": "table", "left": "s1", "right": "s1", "codomain": "s1",
+                    "entries": {"0;0": "0", "0;1": "0", "1;0": "0", "1;1": "1", "1;2/2": "0"},
+                }
+            },
+        }
+        with pytest.raises(
+            InputError, match=r"^bilinear\.g: keys '1;1' and '1;2/2' name the same pair$"
+        ):
+            documents.parse_document(raw)
+
     def test_identity_rule_on_a_chain(self):
         # k/n |-> k/n is the n-chain's only state
         raw = {

@@ -70,6 +70,14 @@ class TestTableValidation:
         with pytest.raises(InputError):
             mv.table_state(CH2, {F(0): F(0), F(1): F(1)})
 
+    def test_two_spellings_of_one_element_rejected(self):
+        # the later spelling would win silently: s(1/2) = 1/2 is linear
+        table = {F(0): F(0), "1/2": F(1, 3), F(1, 2): F(1, 2), F(1): F(1)}
+        with pytest.raises(
+            InputError, match=r"^table keys '1/2' and Fraction\(1, 2\) name the same element$"
+        ):
+            mv.table_state(CH2, table)
+
 
 class TestStateLaws:
     """Linearity and monotonicity, exhaustively on finite carriers."""

@@ -109,22 +109,21 @@ def test_only_core_builds_unchecked_elements(module):
 
 # the public namespace; a name leaves it only with the code behind it
 PUBLIC_NAMES = [
-    "Algebra", "BilinearMap", "Chang", "ChangPair", "DeltaTable", "DiscreteMeasure", "Element",
-    "Exhaustive", "FiniteChain", "FunctionAlgebra", "Ideal", "InputError",
-    "MeasureRepresentation", "MomentSequence", "ProductSpace", "Sample", "StandardUnit", "State",
-    "TableAlgebra", "UnsupportedCarrierError", "Verdict", "analysis", "axioms", "beta",
-    "beta_bilinear", "bilinear_map", "chang", "chang_state", "check_axioms", "check_bilinear",
-    "check_hausdorff", "core", "delta_table", "dist", "element", "embed_l1", "errors",
-    "eval_state", "extend_bilinear_divisible", "extend_state_divisible", "factorize",
-    "finite_chain", "function_algebra", "grid_measure", "hausdorff_reconstruct", "holder_check",
-    "ideal", "ideal_contains", "ideals", "identity_state", "independence", "indicator",
-    "integral", "is_faithful", "is_semisimple", "join", "left_scaling_bilinear", "leq", "lower",
-    "maximal_ideals", "measure", "measure_state", "meet", "moment_fit_lp", "moment_sequence",
-    "moments_of_measure", "nat_mul", "nat_oplus", "neg", "odot", "one", "oplus", "partial_add",
-    "prod", "product_space", "quotient", "radical", "rationals", "represent", "representation",
-    "rho", "scalar_mul", "spectra", "standard_unit", "state_product_bilinear", "state_quotient",
-    "states", "table_state", "tensor", "upper", "verdict", "verify_factorization",
-    "verify_morphism_extras", "zero",
+    "Algebra", "BilinearMap", "Chang", "ChangPair", "DiscreteMeasure", "Element", "Exhaustive",
+    "FiniteChain", "FunctionAlgebra", "Ideal", "InputError", "MeasureRepresentation",
+    "MomentSequence", "ProductSpace", "Sample", "StandardUnit", "State", "TableAlgebra",
+    "UnsupportedCarrierError", "Verdict", "analysis", "axioms", "beta", "beta_bilinear",
+    "bilinear_map", "chang", "chang_state", "check_axioms", "check_bilinear", "check_hausdorff",
+    "core", "dist", "element", "embed_l1", "errors", "eval_state", "extend_bilinear_divisible",
+    "extend_state_divisible", "factorize", "finite_chain", "function_algebra", "grid_measure",
+    "hausdorff_reconstruct", "holder_check", "ideal", "ideal_contains", "ideals", "identity_state",
+    "independence", "indicator", "integral", "is_faithful", "is_semisimple", "join",
+    "left_scaling_bilinear", "leq", "lower", "maximal_ideals", "measure", "measure_state", "meet",
+    "moment_fit_lp", "moment_sequence", "moments_of_measure", "neg", "odot", "one", "oplus",
+    "partial_add", "prod", "product_space", "quotient", "radical", "rationals", "represent",
+    "representation", "rho", "scalar_mul", "spectra", "standard_unit", "state_product_bilinear",
+    "state_quotient", "states", "table_state", "tensor", "upper", "verdict",
+    "verify_factorization", "verify_morphism_extras", "zero",
 ]
 SUBMODULES = [
     "analysis", "axioms", "core", "errors", "independence", "rationals", "representation",
@@ -199,7 +198,7 @@ def test_the_precision_default_is_the_analysis_constant():
 class TestNamespace:
     def test_all_is_the_pinned_public_namespace(self):
         assert sorted(mvprob.__all__) == PUBLIC_NAMES
-        assert len(PUBLIC_NAMES) == 94
+        assert len(PUBLIC_NAMES) == 90
 
     def test_every_name_resolves(self):
         for name in PUBLIC_NAMES:
@@ -233,8 +232,6 @@ LIBRARY_ONLY = {
     "encoded payloads through core.payload_ops",
     "meet": "the lattice meet of the signature on Elements; sweeps run core.payload_ops",
     "moment_sequence": "parses Python values into a MomentSequence; documents build it directly",
-    "nat_mul": "the partial n-fold sum n.a of the signature; no law sweep uses it",
-    "nat_oplus": "the truncated n-fold sum of the signature; no law sweep uses it",
     "odot": "the truncated product of the signature on Elements; sweeps run core.payload_ops",
     "standard_unit": "builds the rational interval for library callers; documents name it",
     "verify_morphism_extras": "the fMV half of the main theorem, before its CLI route exists",
@@ -242,7 +239,7 @@ LIBRARY_ONLY = {
 # unexported definitions that no src code references, each with the reason it stays
 REFERENCE_ONLY = {
     "binomial_delta": "the closed form of each difference, the independent cross-check of "
-    "delta_table's recursion",
+    "_delta_rows' recursion",
 }
 
 
