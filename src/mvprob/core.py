@@ -9,6 +9,10 @@ Four carriers are supported:
 * ``Chang`` -- the algebra of infinitesimals k*eps and co-infinitesimals
   1 - k*eps, the standard example with a nonzero radical.
 
+Every carrier but Chang has a `Shape` (atoms, levels): the atom count, ``None``
+for one-value payloads, and the n of the n-chain's levels, ``None`` for rational
+values.  Code reads it to tell carriers apart; only Chang is told by its type.
+
 Payloads have two op sets (`payload_ops`): one for Chang pairs, and one for
 the `Fraction` values of the other carriers, encoded as integers over one
 denominator.  Each has ``encode``, ``decode``, truncated addition, the
@@ -41,6 +45,8 @@ from .rationals import ONE, ZERO, format_rational, parse_unit, random_unit, requ
 class StandardUnit:
     """The rational unit interval [0, 1]."""
 
+    shape = (None, None)
+
 
 @dataclass(frozen=True)
 class FiniteChain:
@@ -51,6 +57,10 @@ class FiniteChain:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InputError("chain parameter must be an integer >= 1")
+
+    @property
+    def shape(self) -> Shape:
+        return None, self.n
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,10 @@ class FunctionAlgebra:
         if not isinstance(self.value, (StandardUnit, FiniteChain)):
             raise InputError("value carrier must be StandardUnit or FiniteChain")
 
+    @property
+    def shape(self) -> Shape:
+        return len(self.atoms), self.value.shape[1]
+
 
 @dataclass(frozen=True)
 class Chang:
@@ -75,6 +89,7 @@ class Chang:
 
 
 Carrier = Union[StandardUnit, FiniteChain, FunctionAlgebra, Chang]
+Shape = tuple[Optional[int], Optional[int]]  # (atoms, levels)
 
 LOWER = "lower"
 UPPER = "upper"
@@ -97,23 +112,21 @@ class ChangPair:
 Payload = Union[Fraction, tuple[Fraction, ...], ChangPair]
 
 
+def _shape(carrier) -> Shape:
+    """The carrier's `Shape`; Chang and objects that are no carrier have none."""
+    shape = getattr(carrier, "shape", None)
+    if shape is None:
+        raise UnsupportedCarrierError(f"carrier {carrier!r} has no (atoms, levels) shape")
+    return shape
+
+
 def _product_closed(carrier: Carrier) -> bool:
     # pointwise multiplication leaves the carrier iff the values do
-    if isinstance(carrier, StandardUnit):
-        return True
-    if isinstance(carrier, FiniteChain):
-        return carrier.n == 1
-    if isinstance(carrier, FunctionAlgebra):
-        return _product_closed(carrier.value)
-    return False
+    return not isinstance(carrier, Chang) and _shape(carrier)[1] in (None, 1)
 
 
 def _divisible(carrier: Carrier) -> bool:
-    if isinstance(carrier, StandardUnit):
-        return True
-    if isinstance(carrier, FunctionAlgebra):
-        return isinstance(carrier.value, StandardUnit)
-    return False
+    return not isinstance(carrier, Chang) and _shape(carrier)[1] is None
 
 
 @dataclass(frozen=True)
@@ -164,34 +177,31 @@ def chang() -> Algebra:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_value(carrier: Union[StandardUnit, FiniteChain], raw) -> Fraction:
+def _coerce_value(levels: Optional[int], raw) -> Fraction:
     if isinstance(raw, str):
         raw = parse_unit(raw)
     elif isinstance(raw, int):
         raw = Fraction(raw)
     value = require_unit(raw)
-    if isinstance(carrier, FiniteChain) and (value * carrier.n).denominator != 1:
-        raise InputError(f"{value} is not a level of the {carrier.n}-chain")
+    if levels is not None and (value * levels).denominator != 1:
+        raise InputError(f"{value} is not a level of the {levels}-chain")
     return value
 
 
 def _coerce_payload(carrier: Carrier, raw) -> Payload:
-    if isinstance(carrier, (StandardUnit, FiniteChain)):
-        return _coerce_value(carrier, raw)
-    if isinstance(carrier, FunctionAlgebra):
-        if isinstance(raw, (str, Fraction, int, ChangPair)):
-            raise InputError("function algebra elements need one value per atom")
-        values = tuple(_coerce_value(carrier.value, v) for v in raw)
-        if len(values) != len(carrier.atoms):
-            raise InputError(
-                f"expected {len(carrier.atoms)} values, got {len(values)}"
-            )
-        return values
     if isinstance(carrier, Chang):
         if not isinstance(raw, ChangPair):
             raise InputError("Chang elements are ChangPair payloads")
         return raw
-    raise UnsupportedCarrierError(f"unknown carrier {carrier!r}")
+    atoms, levels = _shape(carrier)
+    if atoms is None:
+        return _coerce_value(levels, raw)
+    if isinstance(raw, (str, Fraction, int, ChangPair)):
+        raise InputError("function algebra elements need one value per atom")
+    values = tuple(_coerce_value(levels, v) for v in raw)
+    if len(values) != atoms:
+        raise InputError(f"expected {atoms} values, got {len(values)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -235,12 +245,10 @@ def one(algebra: Algebra) -> Element:
 
 
 def indicator(algebra: Algebra, atom: str) -> Element:
-    carrier = algebra.carrier
-    if not isinstance(carrier, FunctionAlgebra):
-        raise InputError("indicator elements need a function algebra")
-    if atom not in carrier.atoms:
+    atoms = atoms_of(algebra)
+    if atom not in atoms:
         raise InputError(f"unknown atom {atom!r}")
-    return _trusted(algebra, tuple(ONE if a == atom else ZERO for a in carrier.atoms))
+    return _trusted(algebra, tuple(ONE if a == atom else ZERO for a in atoms))
 
 
 CHANG_SAMPLE_BOUND = 40  # draws take lower(k) and upper(k) for k up to this
@@ -255,14 +263,11 @@ def random_element(rng: Random, algebra: Algebra) -> Element:
     if isinstance(carrier, Chang):
         side = LOWER if rng.random() < 0.5 else UPPER
         return _trusted(algebra, ChangPair(side, rng.randint(0, CHANG_SAMPLE_BOUND)))
-    value = carrier.value if isinstance(carrier, FunctionAlgebra) else carrier
-    if isinstance(value, FiniteChain):
-        draw = lambda: Fraction(rng.randint(0, value.n), value.n)
-    else:
-        draw = lambda: random_unit(rng)
-    if isinstance(carrier, FunctionAlgebra):
-        return _trusted(algebra, tuple(draw() for _ in carrier.atoms))
-    return _trusted(algebra, draw())
+    atoms, n = _shape(carrier)
+    draw = (lambda: random_unit(rng)) if n is None else (lambda: Fraction(rng.randint(0, n), n))
+    if atoms is None:
+        return _trusted(algebra, draw())
+    return _trusted(algebra, tuple(draw() for _ in range(atoms)))
 
 
 def lower(algebra: Algebra, k: int) -> Element:
@@ -330,8 +335,7 @@ class _IntOps(_TermOps):
     encoded as ``(numerators, d)``: integers 0 <= x <= d with gcd(d, *numerators) == 1,
     so equal values have equal encodings.  A unit value is a 1-tuple."""
 
-    def __init__(self, atoms: Optional[int], levels: Optional[int]):
-        # atoms None: unit payloads; levels: the n of chain values
+    def __init__(self, atoms: Optional[int], levels: Optional[int]):  # a `Shape`
         self.unit, self.levels = atoms is None, levels
         self.zero, self.one = ((0,) * (atoms or 1), 1), ((1,) * (atoms or 1), 1)
 
@@ -408,9 +412,7 @@ def payload_ops(algebra: Algebra) -> _TermOps:
     carrier = algebra.carrier
     if isinstance(carrier, Chang):
         return _CHANG_OPS
-    atoms = len(carrier.atoms) if isinstance(carrier, FunctionAlgebra) else None
-    value = carrier.value if isinstance(carrier, FunctionAlgebra) else carrier
-    return _IntOps(atoms, value.n if isinstance(value, FiniteChain) else None)
+    return _IntOps(*_shape(carrier))
 
 
 def _same_algebra(a: Element, b: Element) -> Algebra:
@@ -484,30 +486,17 @@ def prod(a: Element, b: Element) -> Element:
 
 
 def is_finite(algebra: Algebra) -> bool:
-    carrier = algebra.carrier
-    if isinstance(carrier, FiniteChain):
-        return True
-    if isinstance(carrier, FunctionAlgebra):
-        return isinstance(carrier.value, FiniteChain)
-    return False
-
-
-def _chain_levels(chain: FiniteChain) -> list[Fraction]:
-    return [Fraction(k, chain.n) for k in range(chain.n + 1)]
+    return getattr(algebra.carrier, "shape", (None, None))[1] is not None
 
 
 def enumerate_carrier(algebra: Algebra) -> list[Element]:
     """All elements of a finite carrier, in lexicographic payload order."""
-    carrier = algebra.carrier
-    if isinstance(carrier, FiniteChain):
-        return [Element(algebra, v) for v in _chain_levels(carrier)]
-    if isinstance(carrier, FunctionAlgebra) and isinstance(carrier.value, FiniteChain):
-        levels = _chain_levels(carrier.value)
-        return [
-            Element(algebra, combo)
-            for combo in itertools.product(levels, repeat=len(carrier.atoms))
-        ]
-    raise UnsupportedCarrierError(f"carrier {carrier} is not finite")
+    if not is_finite(algebra):
+        raise UnsupportedCarrierError(f"carrier {algebra.carrier} is not finite")
+    atoms, n = algebra.carrier.shape
+    levels = [Fraction(k, n) for k in range(n + 1)]
+    payloads = levels if atoms is None else itertools.product(levels, repeat=atoms)
+    return [Element(algebra, p) for p in payloads]
 
 
 @dataclass(frozen=True)
@@ -570,8 +559,8 @@ def compile_table(algebra: Algebra) -> TableAlgebra:
     encoded once, the arithmetic of the `Element` ops, so a sweep over the
     tables still checks it; building them costs n^2 integer payload ops.
     The last few builds are kept, keyed on the frozen algebra value (the
-    tables are immutable), so a document's parse and the sweep after it
-    share one build.
+    tables are immutable), so later sweeps of a carrier in one process
+    reuse its build.
     """
     payloads = [e.payload for e in enumerate_carrier(algebra)]
     ops = payload_ops(algebra)
@@ -631,12 +620,9 @@ def divisible_ambient(algebra: Algebra) -> Algebra:
     Chains and the standard algebra get a single synthetic atom;
     function algebras keep theirs.
     """
-    carrier = algebra.carrier
-    if isinstance(carrier, (FiniteChain, StandardUnit)):
+    if _shape(algebra.carrier)[0] is None:
         return function_algebra((CHAIN_HULL_ATOM,))
-    if isinstance(carrier, FunctionAlgebra):
-        return function_algebra(carrier.atoms)
-    raise UnsupportedCarrierError(f"carrier {carrier} has no divisible ambient")
+    return function_algebra(algebra.carrier.atoms)
 
 
 def ambient_vector(a: Element) -> tuple[Fraction, ...]:
@@ -660,9 +646,6 @@ def atom_indicator_elements(algebra: Algebra) -> list[Element]:
     f = sum_x f(x) * 1_x, so a rational-linear map off the ambient is
     fixed by its values at these elements.
     """
-    carrier = algebra.carrier
-    if isinstance(carrier, (FiniteChain, StandardUnit)):
+    if _shape(algebra.carrier)[0] is None:
         return [one(algebra)]
-    if isinstance(carrier, FunctionAlgebra):
-        return [indicator(algebra, atom) for atom in carrier.atoms]
-    raise UnsupportedCarrierError(f"carrier {carrier} has no atom indicators")
+    return [indicator(algebra, atom) for atom in algebra.carrier.atoms]

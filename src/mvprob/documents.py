@@ -315,20 +315,13 @@ def parse_document(raw: dict) -> Document:
 def serialize_algebra(algebra: Algebra) -> dict:
     """The document spec of ``algebra``, as a report renders a quotient carrier."""
     carrier = algebra.carrier
-    if isinstance(carrier, StandardUnit):
-        return {
-            "kind": "standard",
-            "product": algebra.internal_product,
-            "scalars": algebra.scalar_action,
-        }
-    if isinstance(carrier, FiniteChain):
-        return {"kind": "chain", "n": carrier.n, "product": algebra.internal_product}
-    if isinstance(carrier, FunctionAlgebra):
-        return {
-            "kind": "function",
-            "atoms": list(carrier.atoms),
-            "value": "standard" if isinstance(carrier.value, StandardUnit) else carrier.value.n,
-            "product": algebra.internal_product,
-            "scalars": algebra.scalar_action,
-        }
-    return {"kind": "chang"}
+    if isinstance(carrier, Chang):
+        return {"kind": "chang"}
+    atoms, n = carrier.shape
+    flags = {"product": algebra.internal_product, "scalars": algebra.scalar_action}
+    if atoms is not None:
+        value = "standard" if n is None else n
+        return {"kind": "function", "atoms": list(carrier.atoms), "value": value, **flags}
+    if n is None:
+        return {"kind": "standard", **flags}
+    return {"kind": "chain", "n": n, "product": algebra.internal_product}

@@ -1,32 +1,32 @@
 """Ideals, radicals and quotients.
 
 Every finite carrier here is a product of chains, the product over k
-atoms of the n-chain (a chain is the one-atom case), and each of its
-ideals is the set of elements that vanish off an atom set S, the lower
-set of the indicator 1_S (Cignoli, D'Ottaviano and Mundici 2000).  So a
-finite `Ideal` is its support S, a set of atom indices: there are 2^k
-ideals, the maximal ones are the k supports of size k - 1, the radical
-is the empty support, membership is pointwise, and the quotient keeps
-the atoms off S.  `quotient` takes a support on a rational function
-algebra too: it is the one quotient, and `states.state_quotient` drops
-a state's null atoms through it.  Nothing sweeps the carrier.  Only `listing`
-enumerates an ideal, to render it, and `ideals` refuses a carrier whose
-ideals would take more than `MAX_LISTED` member texts to render.  The
-Chang algebra is handled structurally: its ideals are {0} (the empty
-support), the radical of all lower elements, and the whole carrier.
-The radical is the one ideal given on the infinite carriers as well:
-they are semisimple, so it is {0}, the empty support.
+atoms of the n-chain (a chain is the one-atom case), and its ``shape``
+gives k and n.  Each of its ideals is the set of elements that vanish
+off an atom set S, the lower set of the indicator 1_S (Cignoli,
+D'Ottaviano and Mundici 2000).  So a finite `Ideal` is its support S, a
+set of atom indices: there are 2^k ideals, the maximal ones are the k
+supports of size k - 1, the radical is the empty support, membership is
+pointwise, and the quotient keeps the atoms off S.  `quotient` takes a
+support on a rational function algebra too: it is the one quotient, and
+`states.state_quotient` drops a state's null atoms through it.  Nothing
+sweeps the carrier.  Only `listing` enumerates an ideal, to render it,
+on the levels `core.enumerate_carrier` gives the n-chain, and `ideals`
+refuses a carrier whose ideals would take more than `MAX_LISTED` member
+texts to render.  The Chang algebra is handled structurally: its ideals
+are {0} (the empty support), the radical of all lower elements, and the
+whole carrier.  The radical is the one ideal given on the infinite
+carriers as well: they are semisimple, so it is {0}, the empty support.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Union
 
 from . import core
-from .core import Algebra, Chang, Element, FiniteChain, FunctionAlgebra
+from .core import Algebra, Chang, Element
 from .errors import InputError, UnsupportedCarrierError
 from .rationals import ONE, ZERO
 from .verdict import Verdict
@@ -35,6 +35,7 @@ from .verdict import Verdict
 # `spectra ideals` at this ceiling takes about a second
 MAX_LISTED = 200_000
 
+FINITE_ONLY = "ideal machinery needs a finite carrier"
 CHANG_RADICAL = "chang_radical"
 CHANG_ALL = "chang_all"
 
@@ -45,16 +46,6 @@ class Ideal:
 
     algebra: Algebra
     support: Union[frozenset, str]
-
-
-def _shape(algebra: Algebra) -> tuple[int, int]:
-    """(k, n) for the product over k atoms of the n-chain; a chain has one atom."""
-    carrier = algebra.carrier
-    if isinstance(carrier, FiniteChain):
-        return 1, carrier.n
-    if core.is_finite(algebra):
-        return len(carrier.atoms), carrier.value.n
-    raise UnsupportedCarrierError("ideal machinery needs a finite carrier")
 
 
 def _support(payload: core.Payload) -> frozenset:
@@ -70,7 +61,9 @@ def ideal(algebra: Algebra, payloads) -> Ideal:
     the members form an ideal iff 0 is one of them and they number
     (n+1)^|S|, all of the elements vanishing off S.
     """
-    _, n = _shape(algebra)
+    if not core.is_finite(algebra):
+        raise UnsupportedCarrierError(FINITE_ONLY)
+    n = algebra.carrier.shape[1]
     members = frozenset(core.element(algebra, p).payload for p in payloads)
     if core.zero(algebra).payload not in members:
         raise InputError("an ideal must contain 0")
@@ -103,12 +96,11 @@ def listing(i: Ideal) -> Union[str, list[str]]:
     algebra = i.algebra
     if not i.support:
         return [core.format_element(core.zero(algebra))]
-    k, n = _shape(algebra)
-    levels = [Fraction(j, n) for j in range(n + 1)]
-    if isinstance(algebra.carrier, FiniteChain):  # the support is its one atom
-        return sorted(map(core.format_payload, levels))
-    choices = [levels if x in i.support else [ZERO] for x in range(k)]
-    return sorted(map(core.format_payload, itertools.product(*choices)))
+    atoms, n = algebra.carrier.shape
+    members = levels = [e.payload for e in core.enumerate_carrier(core.finite_chain(n))]
+    if atoms is not None:  # on a chain the support is its one atom: every level
+        members = itertools.product(*[levels if x in i.support else [ZERO] for x in range(atoms)])
+    return sorted(map(core.format_payload, members))
 
 
 def _supports(k: int, size: int) -> list[frozenset]:
@@ -120,7 +112,10 @@ def ideals(algebra: Algebra) -> list[Ideal]:
     """Every ideal, the improper one included, in the order of `_supports` by size."""
     if isinstance(algebra.carrier, Chang):
         return [Ideal(algebra, s) for s in (frozenset(), CHANG_RADICAL, CHANG_ALL)]
-    k, n = _shape(algebra)
+    if not core.is_finite(algebra):
+        raise UnsupportedCarrierError(FINITE_ONLY)
+    atoms, n = algebra.carrier.shape
+    k = atoms or 1  # a chain is one atom
     listed = (n + 2) ** k  # the sum over supports S of (n+1)^|S|
     if listed > MAX_LISTED:
         raise InputError(
@@ -133,7 +128,9 @@ def maximal_ideals(algebra: Algebra) -> list[Ideal]:
     """Maximal proper ideals under inclusion: all atoms but one."""
     if isinstance(algebra.carrier, Chang):
         return [Ideal(algebra, CHANG_RADICAL)]
-    k, _ = _shape(algebra)
+    if not core.is_finite(algebra):
+        raise UnsupportedCarrierError(FINITE_ONLY)
+    k = algebra.carrier.shape[0] or 1
     return [Ideal(algebra, s) for s in _supports(k, k - 1)]
 
 
@@ -190,14 +187,14 @@ def quotient(algebra: Algebra, i: Ideal) -> QuotientResult:
         raise InputError("cannot quotient by the improper ideal")
     if not i.support:
         return QuotientResult(algebra, lambda a: a)
-    carrier = algebra.carrier  # a chain or the rational interval is one atom
-    count = len(carrier.atoms) if isinstance(carrier, FunctionAlgebra) else 1
-    keep = tuple(x for x in range(count) if x not in i.support)
+    carrier = algebra.carrier
+    atoms, levels = carrier.shape  # a chain or the rational interval is one atom
+    keep = tuple(x for x in range(atoms or 1) if x not in i.support)
     if not keep:
         raise InputError("cannot quotient by the improper ideal")
 
-    if len(keep) == 1 and isinstance(carrier.value, FiniteChain):
-        target = core.finite_chain(carrier.value.n)
+    if len(keep) == 1 and levels is not None:
+        target = core.finite_chain(levels)
 
         def project(a: Element) -> Element:
             return Element(target, a.payload[keep[0]])

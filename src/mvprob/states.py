@@ -3,12 +3,12 @@
 A state is a normalized linear functional given by one of four rules:
 integration against a discrete measure, the identity on the rational
 interval, the first lexicographic coordinate on the Chang algebra, or an
-explicit value table on a finite carrier.  Table rules are checked for
-linearity exhaustively when constructed; invalid tables are rejected,
-never repaired.  One evaluator gives every state value, on payloads
-encoded by `core.payload_ops`: `eval_state` encodes after its algebra
-check, and the sampled metric sweep calls it on distances computed on
-encoded payloads.
+explicit value table on a finite carrier.  A table is checked when
+constructed to be linear in its atom weights s(1_x) at every element;
+invalid tables are rejected, never repaired.  One evaluator gives every
+state value, on payloads encoded by `core.payload_ops`: `eval_state`
+encodes after its algebra check, and the sampled metric sweep calls it
+on distances computed on encoded payloads.
 
 The quotient operation collapses pairs at pseudo-distance zero.  A
 genuine metric completion can leave the rational carrier, so instead of
@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 
 from . import core, spectra
 from .axioms import random_element, seeded
-from .core import Algebra, Chang, Element, FiniteChain, FunctionAlgebra, StandardUnit
+from .core import Algebra, Chang, Element, FunctionAlgebra
 from .errors import InputError
 from .rationals import ONE, ZERO, require_unit
 from .verdict import Verdict
@@ -109,7 +109,7 @@ def measure_state(algebra: Algebra, mu: DiscreteMeasure) -> State:
 
 def identity_state(algebra: Algebra) -> State:
     """a |-> a on the rational interval, and k/n |-> k/n, the n-chain's only state."""
-    if not isinstance(algebra.carrier, (StandardUnit, FiniteChain)):
+    if isinstance(algebra.carrier, Chang) or algebra.carrier.shape[0] is not None:
         raise InputError("the identity state lives on the standard carrier or a chain")
     return State(algebra, IdentityRule())
 
@@ -121,37 +121,40 @@ def chang_state(algebra: Algebra) -> State:
 
 
 def table_state(algebra: Algebra, values: dict) -> State:
-    """Build a state from an explicit table, verifying linearity.
+    """Build a state from an explicit table, checked for linearity at each element.
 
     ``values`` maps payloads (or anything `element` coerces) to unit
     rationals; every element of the finite carrier must be covered, and
-    two keys that coerce to one element are refused.
+    two keys that coerce to one element are refused.  On a product of
+    chains a table is additive iff s(a) = sum_x a(x) * s(1_x) at every a,
+    s(1_x) read at `core.atom_indicator_elements`: a sums n * a(x) summable
+    copies of (1/n) * 1_x, and such a form, weights >= 0, is additive.
     """
     if not core.is_finite(algebra):
         raise InputError("table states need a finite carrier")
-    table: dict[core.Payload, Fraction] = {}
-    spelled = {}
+    table, spelled = {}, {}
     for raw_key, raw_value in values.items():
         key = core.element(algebra, raw_key).payload
         if key in spelled:
             raise InputError(f"table keys {spelled[key]!r} and {raw_key!r} name the same element")
         spelled[key] = raw_key
-        value = require_unit(
-            raw_value if isinstance(raw_value, Fraction) else Fraction(raw_value)
-        )
-        table[key] = value
+        value = raw_value if isinstance(raw_value, Fraction) else Fraction(raw_value)
+        table[key] = require_unit(value)
     elements = core.enumerate_carrier(algebra)
     missing = [e for e in elements if e.payload not in table]
     if missing:
         raise InputError(f"table misses {core.format_element(missing[0])}")
     if table[core.one(algebra).payload] != ONE:
         raise InputError("a state must send 1 to 1")
-    ranked = [table[e.payload] for e in elements]
-    compiled = core.compile_table(algebra)
-    for a, b in core.summable_pairs(compiled):
-        if ranked[compiled.oplus(a, b)] != ranked[a] + ranked[b]:
-            raise InputError(f"table is not linear at {compiled.names[a]} + {compiled.names[b]}")
-    return State(algebra, TableRule(tuple(zip((e.payload for e in elements), ranked))))
+    weights = [table[u.payload] for u in core.atom_indicator_elements(algebra)]
+    for e in elements:
+        linear = sum(v * w for v, w in zip(core.ambient_vector(e), weights))
+        if table[e.payload] != linear:
+            raise InputError(
+                f"table is not linear at {core.format_element(e)}: it gives "
+                f"{table[e.payload]}, the atom weights give {linear}"
+            )
+    return State(algebra, TableRule(tuple((e.payload, table[e.payload]) for e in elements)))
 
 
 def _evaluate(s: State, p) -> Fraction:

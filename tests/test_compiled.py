@@ -18,7 +18,7 @@ import pytest
 
 import element_reference as reference
 import mvprob as mv
-from mvprob import cli, core
+from mvprob import cli, core, documents
 from mvprob.axioms import Exhaustive, check_axioms
 
 
@@ -130,8 +130,8 @@ def test_rank_refuses_infinite_carriers():
 
 
 # two table states on distinct chains, a measure state and a beta map:
-# parsing compiles both table states' carriers, and `state metric t`
-# and `product factorize` sweep tables of carriers parsing compiled
+# parsing compiles no carrier, and `state metric t` and `product
+# factorize` each compile the carriers they sweep once
 COMPILE_DOC = {
     "algebras": {
         "T": {"kind": "chain", "n": 9},
@@ -150,17 +150,8 @@ COMPILE_DOC = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("state", "@doc", "metric", "t"),
-        ("--seed", "2", "product", "@doc", "factorize", "pa", "pb", "gbeta", "--samples", "5"),
-    ],
-    ids=["metric-t", "factorize-gbeta"],
-)
-def test_each_carrier_is_compiled_once_per_command(tmp_path, monkeypatch, argv):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(COMPILE_DOC))
+def counted_builds(monkeypatch) -> collections.Counter:
+    """The `compile_table` builds from here on, by algebra, with the cache emptied."""
     builds = collections.Counter()
     enumerate_carrier = core.enumerate_carrier
 
@@ -171,8 +162,32 @@ def test_each_carrier_is_compiled_once_per_command(tmp_path, monkeypatch, argv):
 
     monkeypatch.setattr(core, "enumerate_carrier", counting)
     core.compile_table.cache_clear()
+    return builds
+
+
+def test_parsing_compiles_no_carrier(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    document = documents.parse_document(COMPILE_DOC)
+    assert sorted(document.states) == ["pa", "pb", "t"]
+    assert builds == {}
+
+
+@pytest.mark.parametrize(
+    "argv, swept",
+    [
+        (("state", "@doc", "metric", "t"), [mv.finite_chain(9)]),
+        (
+            ("--seed", "2", "product", "@doc", "factorize", "pa", "pb", "gbeta", "--samples", "5"),
+            [mv.function_algebra(("p0", "p1"), mv.FiniteChain(1)), mv.finite_chain(4)],
+        ),
+    ],
+    ids=["metric-t", "factorize-gbeta"],
+)
+def test_each_carrier_is_compiled_once_per_command(tmp_path, monkeypatch, argv, swept):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(COMPILE_DOC))
+    builds = counted_builds(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([str(path) if a == "@doc" else a for a in argv])
     assert code == 0
-    assert set(builds) >= {mv.finite_chain(9), mv.finite_chain(4)}
-    assert set(builds.values()) == {1}, builds
+    assert builds == {algebra: 1 for algebra in swept}

@@ -5,9 +5,12 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvprob as mv
 from mvprob.errors import InputError
+from mvprob.rationals import require_unit
 
 U = mv.standard_unit()
 C = mv.chang()
@@ -77,6 +80,132 @@ class TestTableValidation:
             InputError, match=r"^table keys '1/2' and Fraction\(1, 2\) name the same element$"
         ):
             mv.table_state(CH2, table)
+
+
+def reference_table_state(algebra, values: dict):
+    """`table_state` as it checked a table before: additivity on every
+    summable pair of the compiled carrier, a reference for the check at
+    the atom weights that replaced it."""
+    if not mv.core.is_finite(algebra):
+        raise InputError("table states need a finite carrier")
+    table, spelled = {}, {}
+    for raw_key, raw_value in values.items():
+        key = mv.element(algebra, raw_key).payload
+        if key in spelled:
+            raise InputError(f"table keys {spelled[key]!r} and {raw_key!r} name the same element")
+        spelled[key] = raw_key
+        table[key] = require_unit(
+            raw_value if isinstance(raw_value, F) else F(raw_value)
+        )
+    elements = mv.core.enumerate_carrier(algebra)
+    missing = [e for e in elements if e.payload not in table]
+    if missing:
+        raise InputError(f"table misses {mv.core.format_element(missing[0])}")
+    if table[mv.one(algebra).payload] != 1:
+        raise InputError("a state must send 1 to 1")
+    ranked = [table[e.payload] for e in elements]
+    compiled = mv.core.compile_table(algebra)
+    for a, b in mv.core.summable_pairs(compiled):
+        if ranked[compiled.oplus(a, b)] != ranked[a] + ranked[b]:
+            raise InputError(f"table is not linear at {compiled.names[a]} + {compiled.names[b]}")
+    return mv.State(algebra, mv.states.TableRule(tuple(zip((e.payload for e in elements), ranked))))
+
+
+def both_checks(algebra, values: dict):
+    """Each check's state, or ``None`` where it refuses the table."""
+    results = []
+    for build in (mv.table_state, reference_table_state):
+        try:
+            results.append(build(algebra, values))
+        except InputError:
+            results.append(None)
+    return results
+
+
+def measure_tables():
+    """(id, algebra, the table of a state on it) for the differential gate."""
+    for n in (1, 2, 3, 5):
+        chain = mv.finite_chain(n)
+        s = mv.identity_state(chain)
+        yield f"chain{n}", chain, s
+    for atoms, n, weight_sets in (
+        (("x", "y"), 2, [(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(0), F(1)), (F(1), F(0))]),
+        (("x", "y", "z"), 1, [(F(1, 3),) * 3, (F(1, 2), F(1, 3), F(1, 6)), (F(0), F(1, 4), F(3, 4))]),
+    ):
+        algebra = mv.function_algebra(atoms, mv.FiniteChain(n))
+        for weights in weight_sets:
+            name = f"{len(atoms)}x{n}-{'-'.join(map(str, weights))}"
+            yield name, algebra, mv.measure_state(algebra, mv.measure(atoms, weights))
+
+
+MEASURE_TABLES = [
+    pytest.param(algebra, {a.payload: mv.eval_state(s, a) for a in mv.core.enumerate_carrier(algebra)},
+                 id=name)
+    for name, algebra, s in measure_tables()
+]
+
+
+def planted(table: dict, position: int) -> dict:
+    """``table`` with the entry at rank ``position`` moved by 1/7 inside [0, 1]."""
+    keys = list(table)
+    key = keys[position]
+    value = table[key]
+    return {**table, key: value + F(1, 7) if value + F(1, 7) <= 1 else value - F(1, 7)}
+
+
+class TestTableCheckAgainstSummablePairs:
+    """The check at the atom weights accepts exactly the tables the
+    summable-pair sweep accepts: on a product of chains, additivity
+    forces the linear form, and a linear form with weights >= 0 summing
+    to 1 is additive."""
+
+    @pytest.mark.parametrize("algebra, table", MEASURE_TABLES)
+    def test_measure_tables_are_accepted_by_both(self, algebra, table):
+        found, expected = both_checks(algebra, table)
+        assert expected is not None
+        assert found == expected
+        assert found.rule.values == expected.rule.values
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("algebra, table", MEASURE_TABLES)
+    def test_a_planted_entry_is_refused_by_both(self, algebra, table, where):
+        size = len(table)
+        position = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+        found, expected = both_checks(algebra, planted(table, position))
+        assert found is None and expected is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([(1, 4), (2, 2), (2, 3), (3, 1), (3, 2)]),
+        st.lists(st.integers(min_value=0, max_value=6), min_size=3, max_size=3),
+        st.data(),
+    )
+    def test_random_weights_with_one_entry_perturbed(self, shape, raw_weights, data):
+        k, n = shape
+        atoms = tuple(f"a{x}" for x in range(k))
+        algebra = mv.function_algebra(atoms, mv.FiniteChain(n))
+        raw = raw_weights[:k] if sum(raw_weights[:k]) else [1] * k
+        weights = tuple(F(w, sum(raw)) for w in raw)
+        s = mv.measure_state(algebra, mv.measure(atoms, weights))
+        table = {a.payload: mv.eval_state(s, a) for a in mv.core.enumerate_carrier(algebra)}
+        key = data.draw(st.sampled_from(sorted(table)))
+        table[key] = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+        found, expected = both_checks(algebra, table)
+        assert (found is None) == (expected is None)
+        assert found == expected
+
+    def test_the_refusal_names_the_first_failing_element_and_both_values(self):
+        # 3 atoms over the 1-chain, weights 1/2, 1/3, 1/6; (0,1,1) and (1,1,0)
+        # both break the linear form, and (0,1,1) comes first in rank order
+        algebra = mv.function_algebra(("x", "y", "z"), mv.FiniteChain(1))
+        s = mv.measure_state(algebra, mv.measure(("x", "y", "z"), (F(1, 2), F(1, 3), F(1, 6))))
+        table = {a.payload: mv.eval_state(s, a) for a in mv.core.enumerate_carrier(algebra)}
+        table[(F(0), F(1), F(1))] = F(1, 3)
+        table[(F(1), F(1), F(0))] = F(1, 2)
+        with pytest.raises(
+            InputError, match=r"^table is not linear at \(0,1,1\): it gives 1/3, the atom weights give 1/2$"
+        ):
+            mv.table_state(algebra, table)
 
 
 class TestStateLaws:

@@ -107,6 +107,40 @@ def test_only_core_builds_unchecked_elements(module):
     assert lines == [], f"{module} uses {TRUSTED_CONSTRUCTOR} at lines {lines}"
 
 
+# core gives each carrier its shape; every other module reads the shape
+# and names no carrier class but Chang in an isinstance test of a carrier
+SHAPE_CLASSES = {"FiniteChain", "StandardUnit"}
+
+
+def _class_tests(tree: ast.AST) -> list[int]:
+    """Lines of the ``isinstance`` calls in ``tree`` that name a `SHAPE_CLASSES` class."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and any(
+            (isinstance(n, ast.Name) and n.id in SHAPE_CLASSES)
+            or (isinstance(n, ast.Attribute) and n.attr in SHAPE_CLASSES)
+            for n in ast.walk(node.args[1])
+        )
+    ]
+
+
+def test_the_gate_finds_a_class_test():
+    assert _class_tests(ast.parse("if isinstance(c, (core.FiniteChain, Chang)):\n    pass\n")) == [1]
+    assert _class_tests(ast.parse("isinstance(c, Chang)")) == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "core.py")
+)
+def test_only_core_tests_for_the_interval_or_a_chain(module):
+    # the shape decision stays in one place, as `_trusted` stays in core
+    lines = _class_tests(ast.parse((PACKAGE / module).read_text()))
+    assert lines == [], f"{module} tests a carrier's class at lines {lines}"
+
+
 # the public namespace; a name leaves it only with the code behind it
 PUBLIC_NAMES = [
     "Algebra", "BilinearMap", "Chang", "ChangPair", "DiscreteMeasure", "Element", "Exhaustive",
