@@ -384,7 +384,7 @@ def _power_state_bounds(s: State, a: Element, exponent: Fraction, bits: int):
             power = core.prod(power, a)
         exact = states.eval_state(s, power)
         return exact, exact
-    weights = states.extend_state_divisible(s).rule.measure.weights
+    weights = s.measure.weights
     lo = hi = ZERO
     for v, w in zip(core.ambient_vector(a), weights):
         b_lo, b_hi = pow_bounds(v, exponent, bits)

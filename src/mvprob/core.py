@@ -224,9 +224,10 @@ def element(algebra: Algebra, payload) -> Element:
 def _trusted(algebra: Algebra, payload: Payload) -> Element:
     """An element whose payload lies in the carrier by construction, unchecked.
 
-    Only op results, constants, seeded draws and the ambient images of
-    checked elements come through here: the ops keep [0, 1] and the chain
-    levels.  Values from outside go through `Element`, which checks them.
+    Only op results, constants, seeded draws, a finite carrier's
+    enumeration and the ambient images of checked elements come through
+    here: the ops keep [0, 1] and the chain levels.  Values from outside
+    go through `Element`, which checks them.
     """
     e = object.__new__(Element)
     object.__setattr__(e, "algebra", algebra)
@@ -490,13 +491,13 @@ def is_finite(algebra: Algebra) -> bool:
 
 
 def enumerate_carrier(algebra: Algebra) -> list[Element]:
-    """All elements of a finite carrier, in lexicographic payload order."""
+    """All elements of a finite carrier, in lexicographic payload order, built unchecked."""
     if not is_finite(algebra):
         raise UnsupportedCarrierError(f"carrier {algebra.carrier} is not finite")
     atoms, n = algebra.carrier.shape
     levels = [Fraction(k, n) for k in range(n + 1)]
     payloads = levels if atoms is None else itertools.product(levels, repeat=atoms)
-    return [Element(algebra, p) for p in payloads]
+    return [_trusted(algebra, p) for p in payloads]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ class MeasureRepresentation:
 
     @property
     def measure(self) -> DiscreteMeasure:  # strictly positive weights
-        return self.quotient.state.rule.measure
+        return self.quotient.state.measure
 
     @property
     def target(self) -> Algebra:  # function algebra over the rational interval

@@ -1,14 +1,15 @@
 """States, the state pseudo-metric, and the null-ideal quotient.
 
-A state is a normalized linear functional given by one of four rules:
-integration against a discrete measure, the identity on the rational
-interval, the first lexicographic coordinate on the Chang algebra, or an
-explicit value table on a finite carrier.  A table is checked when
-constructed to be linear in its atom weights s(1_x) at every element;
-invalid tables are rejected, never repaired.  One evaluator gives every
-state value, on payloads encoded by `core.payload_ops`: `eval_state`
-encodes after its algebra check, and the sampled metric sweep calls it
-on distances computed on encoded payloads.
+A state is a normalized linear functional, held as its atom measure:
+integration against the weights s(1_x) on the atoms of the divisible
+ambient (Kroupa 2006; Panti 2008), or on the Chang algebra the first
+lexicographic coordinate, which has no measure.  A measure, the identity
+on the interval or a chain, and a value table on a finite carrier all
+give such weights; a table is checked when constructed to be linear in
+its atom weights at every element, and invalid tables are rejected,
+never repaired.  One evaluator, a dot product on payloads encoded by
+`core.payload_ops`, gives every value: `eval_state` encodes after its
+algebra check; the sampled metric sweep calls it on encoded distances.
 
 The quotient operation collapses pairs at pseudo-distance zero.  A
 genuine metric completion can leave the rational carrier, so instead of
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import core, spectra
 from .axioms import random_element, seeded
@@ -65,37 +67,22 @@ def measure(atoms, weights) -> DiscreteMeasure:
 
 
 @dataclass(frozen=True)
-class MeasureRule:
-    measure: DiscreteMeasure
-
-
-@dataclass(frozen=True)
-class IdentityRule:
-    pass
-
-
-@dataclass(frozen=True)
-class FirstCoordinateRule:
-    pass
-
-
-@dataclass(frozen=True)
-class TableRule:
-    values: tuple[tuple[core.Payload, Fraction], ...]  # [core.rank(a)] is (a's payload, s(a))
-
-
-Rule = Union[MeasureRule, IdentityRule, FirstCoordinateRule, TableRule]
-
-
-@dataclass(frozen=True)
 class State:
+    """Integration against ``measure`` on `core.divisible_ambient`'s atoms; ``None`` on Chang."""
+
     algebra: Algebra
-    rule: Rule
+    measure: Optional[DiscreteMeasure]
 
     @functools.cached_property
     def encoded_weights(self) -> core.Encoded:
-        """A measure rule's weights as a payload encoded: integers over one denominator."""
-        return core.payload_ops(self.algebra).encode(self.rule.measure.weights)
+        """The weights as an ambient payload encoded: integers over one denominator."""
+        return core.payload_ops(core.divisible_ambient(self.algebra)).encode(self.measure.weights)
+
+
+def _on_ambient(algebra: Algebra, weights) -> State:
+    """The state of ``weights`` on the atoms of ``algebra``'s divisible ambient."""
+    atoms = core.atoms_of(core.divisible_ambient(algebra))
+    return State(algebra, DiscreteMeasure(atoms, tuple(weights)))
 
 
 def measure_state(algebra: Algebra, mu: DiscreteMeasure) -> State:
@@ -104,20 +91,20 @@ def measure_state(algebra: Algebra, mu: DiscreteMeasure) -> State:
         raise InputError("measure states live on function algebras")
     if carrier.atoms != mu.atoms:
         raise InputError(f"measure atoms {mu.atoms} do not match {carrier.atoms}")
-    return State(algebra, MeasureRule(mu))
+    return State(algebra, mu)
 
 
 def identity_state(algebra: Algebra) -> State:
-    """a |-> a on the rational interval, and k/n |-> k/n, the n-chain's only state."""
+    """a |-> a on the interval and k/n |-> k/n on the n-chain, its only state: weight 1 on x0."""
     if isinstance(algebra.carrier, Chang) or algebra.carrier.shape[0] is not None:
         raise InputError("the identity state lives on the standard carrier or a chain")
-    return State(algebra, IdentityRule())
+    return _on_ambient(algebra, (ONE,))
 
 
 def chang_state(algebra: Algebra) -> State:
     if not isinstance(algebra.carrier, Chang):
         raise InputError("the first-coordinate state lives on the Chang algebra")
-    return State(algebra, FirstCoordinateRule())
+    return State(algebra, None)
 
 
 def table_state(algebra: Algebra, values: dict) -> State:
@@ -129,6 +116,7 @@ def table_state(algebra: Algebra, values: dict) -> State:
     chains a table is additive iff s(a) = sum_x a(x) * s(1_x) at every a,
     s(1_x) read at `core.atom_indicator_elements`: a sums n * a(x) summable
     copies of (1/n) * 1_x, and such a form, weights >= 0, is additive.
+    The state is those atom weights.
     """
     if not core.is_finite(algebra):
         raise InputError("table states need a finite carrier")
@@ -154,20 +142,15 @@ def table_state(algebra: Algebra, values: dict) -> State:
                 f"table is not linear at {core.format_element(e)}: it gives "
                 f"{table[e.payload]}, the atom weights give {linear}"
             )
-    return State(algebra, TableRule(tuple((e.payload, table[e.payload]) for e in elements)))
+    return _on_ambient(algebra, weights)
 
 
 def _evaluate(s: State, p) -> Fraction:
     """The state's value at an encoded payload of its algebra, which the caller vouches for."""
-    rule = s.rule
-    if isinstance(rule, MeasureRule):
-        (xs, d), (weights, common) = p, s.encoded_weights
-        return Fraction(sum([w * x for w, x in zip(weights, xs)]), common * d)
-    if isinstance(rule, IdentityRule):
-        return Fraction(p[0][0], p[1])
-    if isinstance(rule, FirstCoordinateRule):
+    if s.measure is None:  # Chang's first coordinate
         return ZERO if p.side == core.LOWER else ONE
-    return rule.values[core.payload_ops(s.algebra).index(p)][1]
+    (xs, d), (weights, common) = p, s.encoded_weights
+    return Fraction(sum(map(operator.mul, weights, xs)), common * d)
 
 
 def eval_state(s: State, a: Element) -> Fraction:
@@ -181,19 +164,20 @@ def _unfaithful(witness: Element) -> Verdict:
 
 
 def is_faithful(s: State) -> Verdict:
-    """Pass iff only 0 has state 0; a failure names a nonzero null element."""
-    rule = s.rule
-    if isinstance(rule, MeasureRule):
-        for atom, w in zip(rule.measure.atoms, rule.measure.weights):
-            if w == ZERO:
-                return _unfaithful(core.indicator(s.algebra, atom))
-    elif isinstance(rule, FirstCoordinateRule):
+    """Pass iff only 0 has state 0; a failure names a nonzero null element:
+    lower(1) on Chang, else one on the atoms of weight 0, the first in
+    `enumerate_carrier` order (1/n at the last null atom) on a finite
+    carrier, and the first null atom's indicator on a rational one."""
+    if s.measure is None:
         return _unfaithful(core.lower(s.algebra, 1))
-    elif isinstance(rule, TableRule):
-        for payload, value in rule.values[1:]:  # index 0 is the zero
-            if value == ZERO:
-                return _unfaithful(Element(s.algebra, payload))
-    return Verdict("pass", [], {"checks": 1})
+    weights = s.measure.weights
+    null = [x for x, w in enumerate(weights) if w == ZERO]
+    if not null:
+        return Verdict("pass", [], {"checks": 1})
+    n = s.algebra.carrier.shape[1]
+    atom, level = (null[0], ONE) if n is None else (null[-1], Fraction(1, n))
+    witness = tuple(level if x == atom else ZERO for x in range(len(weights)))
+    return _unfaithful(Element(s.algebra, witness))
 
 
 def rho(s: State, a: Element, b: Element) -> Fraction:
@@ -264,16 +248,12 @@ def extend_state_divisible(s: State) -> State:
 
     The extension is rationally linear and every hull element is
     f = sum_x f(x) * 1_x, so it is integration against the measure
-    mu(x) = s(1_x), read at `core.atom_indicator_elements`.  Restricting
-    it along the ambient embedding recovers ``s`` exactly.
+    mu(x) = s(1_x): the state's own measure.  Restricting it along the
+    ambient embedding recovers ``s`` exactly.
     """
-    if isinstance(s.algebra.carrier, Chang):
+    if s.measure is None:
         raise InputError("the Chang algebra is not semisimple; extend its quotient")
-    weights = tuple(eval_state(s, u) for u in core.atom_indicator_elements(s.algebra))
-    if sum(weights) != ONE:
-        raise AssertionError("a linear state assigns total weight 1 to the atoms")
-    ambient = core.divisible_ambient(s.algebra)
-    return measure_state(ambient, DiscreteMeasure(core.atoms_of(ambient), weights))
+    return State(core.divisible_ambient(s.algebra), s.measure)
 
 
 # ---------------------------------------------------------------------------
@@ -300,29 +280,27 @@ def identity_quotient(algebra: Algebra, s: State) -> StateQuotient:
 def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
     """Collapse pairs at pseudo-distance zero; the result is faithful.
 
-    The null ideal of the first-coordinate state is the radical.  Every
-    other state is integration against mu(x) = s(1_x) on the divisible
-    hull, so its null ideal is the lower set of 1_S, S the atoms of
-    weight 0, and `spectra.quotient` drops them; the state restricts to
-    the surviving atoms, or is the identity when one chain survives.
+    The null ideal of the first-coordinate state is the radical, onto
+    the 1-chain.  Every other state is integration against its measure,
+    so its null ideal is the lower set of 1_S, S the atoms of weight 0,
+    and `spectra.quotient` drops them; the weights restrict to the
+    surviving atoms, the target's ambient atoms (``x0`` on a chain).
     The original state factors through the projection exactly, and the
     projection is injective iff the state was already faithful.
     """
     if s.algebra != algebra:
         raise InputError("state does not live on the given algebra")
-    if isinstance(s.rule, FirstCoordinateRule):
+    if s.measure is None:
+        weights = (ONE,)
         result = spectra.quotient(algebra, spectra.radical(algebra))  # onto the 1-chain
     else:
-        weights = extend_state_divisible(s).rule.measure.weights
+        weights = s.measure.weights
         null = frozenset(x for x, w in enumerate(weights) if w == ZERO)
         if not null:
             return identity_quotient(algebra, s)
         result = spectra.quotient(algebra, spectra.Ideal(algebra, null))
     target = result.algebra
-    if isinstance(target.carrier, FunctionAlgebra):
-        restricted = DiscreteMeasure(target.carrier.atoms, tuple(w for w in weights if w))
-        return StateQuotient(target, measure_state(target, restricted), result.project)
-    return StateQuotient(target, identity_state(target), result.project)
+    return StateQuotient(target, _on_ambient(target, [w for w in weights if w]), result.project)
 
 
 def verify_quotient(s: State) -> Verdict:

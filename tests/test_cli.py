@@ -172,6 +172,22 @@ class TestCommandBehaviour:
         assert report["verdict"] == "fail"
         assert report["witnesses"][0]["element"] == "(0,1)"
 
+    def test_faithful_witness_of_a_finite_measure_state(self, tmp_path):
+        # 3 atoms over the 2-chain, weights (1, 0, 0): the first null element
+        # in rank order, not the indicator of the first null atom
+        doc = {
+            "algebras": {"T": {"kind": "function", "atoms": ["x", "y", "z"], "value": 2}},
+            "measures": {"d": {"atoms": ["x", "y", "z"], "weights": ["1", "0", "0"]}},
+            "states": {"t": {"algebra": "T", "rule": "measure", "measure": "d"}},
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = run("state", str(path), "faithful", "t")
+        assert result.returncode == 1, result.stderr
+        report = report_of(result)
+        assert report["verdict"] == "fail"
+        assert report["witnesses"] == [{"element": "(0,0,1/2)"}]
+
     def test_quotient_reports_completeness(self):
         result = run("state", DOC, "quotient", "sc")
         report = report_of(result)

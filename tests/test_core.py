@@ -15,7 +15,7 @@ from mvprob import core, states
 from mvprob.axioms import Sample, check_axioms
 from mvprob.core import ChangPair, random_element
 from mvprob.errors import InputError
-from mvprob.rationals import random_unit
+from mvprob.rationals import random_unit, require_unit
 
 U = mv.standard_unit()
 C = mv.chang()
@@ -343,6 +343,26 @@ def test_ambient_images_pass_the_boundary_check_unchanged(algebra):
         image = core.ambient_element(a)
         assert image == mv.Element(ambient, core.ambient_vector(a))
         assert type(image.payload) is tuple and all(type(v) is F for v in image.payload)
+
+
+def test_enumeration_builds_its_elements_unchecked(monkeypatch):
+    # the payloads are chain levels by construction: enumerating 3 atoms over
+    # the 5-chain (216 elements) makes no `require_unit` call
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return require_unit(value)
+
+    monkeypatch.setattr(core, "require_unit", counting)
+    monkeypatch.setattr(mv.rationals, "require_unit", counting)
+    algebra = mv.function_algebra(("x", "y", "z"), mv.FiniteChain(5))
+    pool = core.enumerate_carrier(algebra)
+    assert len(pool) == 216 and calls == []
+    monkeypatch.undo()
+    for a in pool + core.enumerate_carrier(mv.finite_chain(5)):
+        assert a == mv.Element(a.algebra, a.payload)
+        assert core._coerce_payload(a.algebra.carrier, a.payload) == a.payload
 
 
 CHAIN2 = mv.finite_chain(2)

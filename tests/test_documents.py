@@ -23,7 +23,7 @@ class TestParsing:
         assert doc.algebras["chain3"] == mv.finite_chain(3)
         assert doc.elements["half"].payload == F(1, 2)
         assert doc.measures["mu"].weights == (F(1, 2), F(1, 2))
-        assert doc.states["sc"].rule == mv.states.FirstCoordinateRule()
+        assert doc.states["sc"].measure is None
         assert doc.moments["leb"] == (F(1), F(1, 2), F(1, 3), F(1, 4))
         assert doc.bilinear["gbeta"].kind == "beta"
 

@@ -325,7 +325,7 @@ def test_indicator_values_equal_the_scaled_basis_values(algebra):
         a.payload: sum(w * v for w, v in zip(weights, vector(a)))
         for a in mv.core.enumerate_carrier(algebra)
     })
-    assert mv.extend_state_divisible(s).rule.measure.weights == tuple(
+    assert mv.extend_state_divisible(s).measure.weights == tuple(
         n * mv.eval_state(s, u) for u in basis
     )
 

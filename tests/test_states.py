@@ -85,7 +85,7 @@ class TestTableValidation:
 def reference_table_state(algebra, values: dict):
     """`table_state` as it checked a table before: additivity on every
     summable pair of the compiled carrier, a reference for the check at
-    the atom weights that replaced it."""
+    the atom weights that replaced it.  It returns the table by payload."""
     if not mv.core.is_finite(algebra):
         raise InputError("table states need a finite carrier")
     table, spelled = {}, {}
@@ -108,17 +108,21 @@ def reference_table_state(algebra, values: dict):
     for a, b in mv.core.summable_pairs(compiled):
         if ranked[compiled.oplus(a, b)] != ranked[a] + ranked[b]:
             raise InputError(f"table is not linear at {compiled.names[a]} + {compiled.names[b]}")
-    return mv.State(algebra, mv.states.TableRule(tuple(zip((e.payload for e in elements), ranked))))
+    return dict(zip((e.payload for e in elements), ranked))
 
 
 def both_checks(algebra, values: dict):
-    """Each check's state, or ``None`` where it refuses the table."""
+    """Each check's values by payload on every element, or ``None`` where it refuses the table."""
     results = []
     for build in (mv.table_state, reference_table_state):
         try:
-            results.append(build(algebra, values))
+            built = build(algebra, values)
         except InputError:
             results.append(None)
+            continue
+        if isinstance(built, mv.State):
+            built = {a.payload: mv.eval_state(built, a) for a in mv.core.enumerate_carrier(algebra)}
+        results.append(built)
     return results
 
 
@@ -163,8 +167,7 @@ class TestTableCheckAgainstSummablePairs:
     def test_measure_tables_are_accepted_by_both(self, algebra, table):
         found, expected = both_checks(algebra, table)
         assert expected is not None
-        assert found == expected
-        assert found.rule.values == expected.rule.values
+        assert found == expected == table
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     @pytest.mark.parametrize("algebra, table", MEASURE_TABLES)
@@ -324,10 +327,12 @@ class TestVerifyMetric:
             "pairs": 125**2, "triples": 125**3, "faithful": True, "separates": True
         }
 
-    def test_unchecked_table_breaks_the_triangle(self):
-        # built past table_state's linearity check: s(1/2) = 0 but s(1) = 1
-        values = ((F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1)))
-        s = mv.State(CH2, mv.states.TableRule(values))
+    def test_unchecked_table_breaks_the_triangle(self, monkeypatch):
+        # planted past table_state's linearity check: s(1/2) = 0 but s(1) = 1
+        values = {F(0): F(0), F(1, 2): F(0), F(1): F(1)}
+        s = chain_state(CH2)
+        ops = mv.core.payload_ops(CH2)
+        monkeypatch.setattr(mv.states, "_evaluate", lambda state, p: values[ops.decode(p)])
         verdict = mv.states.verify_metric(s, samples=0)
         assert verdict.verdict == "fail"
         triple = [mv.element(CH2, v) for v in ("0", "1/2", "1")]
@@ -497,7 +502,7 @@ class TestStateQuotient:
 
 def reference_measure_quotient(s):
     """Drop the weight-0 atoms of a measure state; the target stays a function algebra."""
-    mu, carrier = s.rule.measure, s.algebra.carrier
+    mu, carrier = s.measure, s.algebra.carrier
     keep = tuple(i for i, w in enumerate(mu.weights) if w != 0)
     if len(keep) == len(mu.atoms):
         return mv.states.identity_quotient(s.algebra, s)
@@ -514,13 +519,14 @@ def reference_measure_quotient(s):
 def reference_table_quotient(s):
     """Quotient a table state by the ideal of its null elements and rebuild its table."""
     algebra = s.algebra
-    null = mv.spectra.ideal(algebra, [p for p, v in s.rule.values if v == 0])
+    table = [(a, mv.eval_state(s, a)) for a in mv.core.enumerate_carrier(algebra)]
+    null = mv.spectra.ideal(algebra, [a.payload for a, v in table if v == 0])
     if not null.support:
         return mv.states.identity_quotient(algebra, s)
     result = mv.spectra.quotient(algebra, null)
     values = {}
-    for payload, value in s.rule.values:
-        image = result.project(mv.Element(algebra, payload))
+    for a, value in table:
+        image = result.project(a)
         assert values.setdefault(image.payload, value) == value
     quotient_state = mv.table_state(result.algebra, values)
     return mv.states.StateQuotient(result.algebra, quotient_state, result.project)
@@ -596,7 +602,8 @@ def test_quotient_matches_the_routes_it_replaced(s, reference, pool):
         and isinstance(reference.algebra.carrier.value, mv.FiniteChain)
     )
     if one_survivor:  # the measure route kept a one-atom function algebra
-        assert isinstance(s.rule, mv.states.MeasureRule)
+        kept = tuple(x for x, w in zip(s.measure.atoms, s.measure.weights) if w)
+        assert reference.algebra.carrier.atoms == kept
         assert result.algebra == mv.finite_chain(reference.algebra.carrier.value.n)
     else:
         assert result.algebra == reference.algebra
@@ -609,3 +616,141 @@ def test_quotient_matches_the_routes_it_replaced(s, reference, pool):
             assert image == expected
         value = mv.eval_state(result.state, image)
         assert value == mv.eval_state(reference.state, expected) == mv.eval_state(s, a)
+
+
+# ---------------------------------------------------------------------------
+# Differential gate: the atom-measure evaluator against the four rules it
+# replaced, and the faithfulness witnesses those rules gave
+# ---------------------------------------------------------------------------
+
+
+def reference_rule_value(algebra, rule, p):
+    """The four-rule `_evaluate` that the dot product replaced, at an encoded payload.
+
+    ``rule`` is ("measure", mu), ("identity", None), ("first-coordinate", None)
+    or ("table", values), values[rank] being (payload, s(payload)).
+    """
+    kind, data = rule
+    ops = mv.core.payload_ops(algebra)
+    if kind == "measure":
+        (xs, d), (weights, common) = p, ops.encode(data.weights)
+        return F(sum([w * x for w, x in zip(weights, xs)]), common * d)
+    if kind == "identity":
+        return F(p[0][0], p[1])
+    if kind == "first-coordinate":
+        return F(0) if p.side == mv.core.LOWER else F(1)
+    return data[ops.index(p)][1]
+
+
+def table_rule(algebra, table: dict):
+    """The removed `TableRule`'s data: every element's value, in `enumerate_carrier` order."""
+    return "table", tuple((a.payload, table[a.payload]) for a in mv.core.enumerate_carrier(algebra))
+
+
+def evaluation_cases():
+    """(id, state, its four-rule reference, elements compared)."""
+    for n in range(1, 6):
+        chain = mv.finite_chain(n)
+        pool = mv.core.enumerate_carrier(chain)
+        table = {a.payload: a.payload for a in pool}
+        yield f"chain{n}-identity", mv.identity_state(chain), ("identity", None), pool
+        yield f"chain{n}-table", mv.table_state(chain, table), table_rule(chain, table), pool
+    finite = [(k, n) for k in (2, 3) for n in (1, 2, 3)] + [(3, 5)]
+    for k, n in finite:
+        atoms = ("x", "y", "z")[:k]
+        algebra = mv.function_algebra(atoms, mv.FiniteChain(n))
+        pool = mv.core.enumerate_carrier(algebra)
+        weight_sets = [(F(1, 3), F(2, 3)), (F(0), F(1))] if k == 2 else [
+            (F(1, 2), F(1, 3), F(1, 6)), (F(1), F(0), F(0)), (F(1, 4), F(0), F(3, 4))
+        ]
+        for weights in weight_sets:
+            mu = mv.measure(atoms, weights)
+            s = mv.measure_state(algebra, mu)
+            table = {a.payload: mv.eval_state(s, a) for a in pool}
+            name = f"{k}x{n}-{'-'.join(map(str, weights))}"
+            yield f"{name}-measure", s, ("measure", mu), pool
+            yield f"{name}-table", mv.table_state(algebra, table), table_rule(algebra, table), pool
+    rng = Random(19)
+    yield "standard-identity", mv.identity_state(U), ("identity", None), [
+        mv.core.random_element(rng, U) for _ in range(200)
+    ]
+    mu = mv.measure(("x", "y", "z"), (F(2, 7), F(0), F(5, 7)))
+    algebra = mv.function_algebra(mu.atoms)
+    yield "rational-measure", mv.measure_state(algebra, mu), ("measure", mu), [
+        mv.core.random_element(rng, algebra) for _ in range(200)
+    ]
+    yield "chang", mv.chang_state(C), ("first-coordinate", None), [
+        mv.core.random_element(rng, C) for _ in range(200)
+    ]
+
+
+EVALUATION = list(evaluation_cases())
+
+
+def test_evaluation_gate_size():
+    # chains 1-5 (identity and table); 2 weight sets on 2 atoms and 3 on
+    # 3 atoms over chains 1-3, and 3 on the 216-element carrier, each as a
+    # measure and a table; 3 seeded infinite cases
+    assert len(EVALUATION) == 10 + 2 * (3 * 2 + 3 * 3 + 3) + 3
+    assert max(len(pool) for _, _, _, pool in EVALUATION) == 216
+
+
+@pytest.mark.parametrize(
+    "s, rule, pool", [c[1:] for c in EVALUATION], ids=[c[0] for c in EVALUATION]
+)
+def test_evaluation_matches_the_four_rules(s, rule, pool):
+    ops = mv.core.payload_ops(s.algebra)
+    for a in pool:
+        assert mv.eval_state(s, a) == reference_rule_value(s.algebra, rule, ops.encode(a.payload)), a
+
+
+def reference_table_witness(s):
+    """The removed `TableRule`'s witness scan: the first nonzero element of state 0 in rank order."""
+    for a in mv.core.enumerate_carrier(s.algebra)[1:]:
+        if mv.eval_state(s, a) == 0:
+            return a
+    return None
+
+
+WITNESS_WEIGHTS = {
+    "first": (F(0), F(1, 3), F(2, 3)),
+    "middle": (F(1, 3), F(0), F(2, 3)),
+    "last": (F(1, 3), F(2, 3), F(0)),
+    "two": (F(1), F(0), F(0)),
+}
+
+
+class TestFaithfulnessWitnesses:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("where", sorted(WITNESS_WEIGHTS))
+    def test_a_table_state_names_the_first_null_element(self, where, n):
+        atoms = ("x", "y", "z")
+        algebra = mv.function_algebra(atoms, mv.FiniteChain(n))
+        s = mv.measure_state(algebra, mv.measure(atoms, WITNESS_WEIGHTS[where]))
+        table = mv.table_state(
+            algebra, {a.payload: mv.eval_state(s, a) for a in mv.core.enumerate_carrier(algebra)}
+        )
+        expected = reference_table_witness(table)
+        assert expected is not None
+        assert mv.is_faithful(table).witnesses == [{"element": expected}]
+        assert mv.is_faithful(s).witnesses == [{"element": expected}]
+
+    @pytest.mark.parametrize("where", sorted(WITNESS_WEIGHTS))
+    def test_a_rational_measure_state_names_the_first_null_indicator(self, where):
+        atoms = ("x", "y", "z")
+        weights = WITNESS_WEIGHTS[where]
+        algebra = mv.function_algebra(atoms)
+        s = mv.measure_state(algebra, mv.measure(atoms, weights))
+        first = atoms[weights.index(0)]
+        assert mv.is_faithful(s).witnesses == [{"element": mv.core.indicator(algebra, first)}]
+
+    def test_a_finite_measure_state_names_its_first_null_element(self):
+        # 3 atoms over the 2-chain, weights (1, 0, 0): the first null element
+        # in rank order is (0,0,1/2), before the indicator (0,1,0) of the
+        # first null atom, as for the table state with the same values
+        atoms = ("x", "y", "z")
+        algebra = mv.function_algebra(atoms, mv.FiniteChain(2))
+        s = mv.measure_state(algebra, mv.measure(atoms, (F(1), F(0), F(0))))
+        report = mv.is_faithful(s)
+        assert report.verdict == "fail"
+        assert report.witnesses == [{"element": mv.element(algebra, ("0", "0", "1/2"))}]

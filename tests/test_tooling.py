@@ -107,6 +107,35 @@ def test_only_core_builds_unchecked_elements(module):
     assert lines == [], f"{module} uses {TRUSTED_CONSTRUCTOR} at lines {lines}"
 
 
+STATE_CONSTRUCTOR = "State"  # a state is its measure on the ambient's atoms, or None on Chang
+
+
+def _calls(tree: ast.AST, name: str) -> list[int]:
+    """Lines of the calls in ``tree`` to ``name``, bare or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ((isinstance(node.func, ast.Name) and node.func.id == name)
+             or (isinstance(node.func, ast.Attribute) and node.func.attr == name))
+    ]
+
+
+def test_the_gate_finds_a_state_call():
+    tree = ast.parse("s = State(a, None)\nt = states.State(a, mu)\nState\nStateQuotient(a, s, p)\n")
+    assert _calls(tree, STATE_CONSTRUCTOR) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "states.py")
+)
+def test_only_states_builds_a_state(module):
+    # the invariant of a state, its measure on the divisible ambient's atoms
+    # or None on Chang, is kept by the constructors in one module
+    lines = _calls(ast.parse((PACKAGE / module).read_text()), STATE_CONSTRUCTOR)
+    assert lines == [], f"{module} calls {STATE_CONSTRUCTOR} at lines {lines}"
+
+
 # core gives each carrier its shape; every other module reads the shape
 # and names no carrier class but Chang in an isinstance test of a carrier
 SHAPE_CLASSES = {"FiniteChain", "StandardUnit"}
