@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import InputError, UnsupportedCarrierError
 from .rationals import ONE, ZERO, format_rational, parse_unit, random_unit, require_unit
@@ -576,16 +576,6 @@ def compile_table(algebra: Algebra) -> TableAlgebra:
         tuple(index(ops.neg(a)) for a in encoded),
         prod_table=table(ops.prod) if algebra.internal_product else None,
     )
-
-
-def summable_pairs(table: TableAlgebra) -> Iterator[tuple[int, int]]:
-    """Every index pair (a, b), in order, whose partial sum is defined: a <= neg(b)."""
-    neg_table, one = table.neg_table, table.one
-    for a in range(len(table.names)):
-        row = table.oplus_table[neg_table[a]]
-        for b in range(len(table.names)):
-            if row[neg_table[b]] == one:
-                yield a, b
 
 
 CHANG_SWEEP_BOUND = 16  # deterministic slice of infinitesimal indices

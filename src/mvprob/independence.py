@@ -4,15 +4,16 @@ Two represented algebras are coupled through the product of their
 measures: the pairing sends (f, g) to the pointwise product function on
 atom pairs, and integrating a pairing against the product measure
 factors into the product of the integrals, which is the independence
-identity.  Every hull element is f = sum_x f(x) * 1_x, so a bounded
-bilinear map extends to the divisible hulls through its values at pairs
-of atom indicators, as a linear map off the pair atoms.  Bounded
-bilinear maps factor uniquely through the pairing by a linear map
-determined on atom indicators.
+identity.  Every hull element is f = sum_x f(x) * 1_x, so a bilinear
+map is checked against its values at pairs of atom indicators, and a
+bounded one extends through them to the divisible hulls, as a linear map
+off the pair atoms.  Bounded bilinear maps factor uniquely through the
+pairing by a linear map determined on atom indicators.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -35,42 +36,39 @@ def pair_atom(x: str, y: str) -> str:
     return f"({x},{y})"
 
 
+def _pair_atoms(xs: tuple[str, ...], ys: tuple[str, ...]) -> tuple[str, ...]:
+    """The atoms (x,y) of a product, lexicographic; two pairs spelled alike are refused."""
+    sources: dict[str, tuple[str, str]] = {}
+    for pair in ((x, y) for x in xs for y in ys):
+        atom = pair_atom(*pair)
+        if sources.setdefault(atom, pair) != pair:
+            raise InputError(f"pair atoms {sources[atom]} and {pair} are both spelled {atom!r}")
+    return tuple(sources)
+
+
 @dataclass(frozen=True)
 class ProductSpace:
+    """Two measures and their product, held once as ``state``: its algebra is the
+    function algebra on the lexicographic pair atoms, its measure the weights w_x * w_y."""
+
     left: DiscreteMeasure
     right: DiscreteMeasure
-    algebra: Algebra  # function algebra on the lexicographic atom pairs
-    measure: DiscreteMeasure  # product weights
-    state: State  # integration against the product weights
+    state: State
 
 
 def product_space(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure) -> ProductSpace:
-    atoms = tuple(
-        pair_atom(x, y) for x in mu_a.atoms for y in mu_b.atoms
-    )
-    weights = tuple(
-        wx * wy for wx in mu_a.weights for wy in mu_b.weights
-    )
-    algebra = core.function_algebra(atoms)
+    atoms = _pair_atoms(mu_a.atoms, mu_b.atoms)
+    weights = tuple(wx * wy for wx in mu_a.weights for wy in mu_b.weights)
     lam = DiscreteMeasure(atoms, weights)
-    return ProductSpace(mu_a, mu_b, algebra, lam, states.measure_state(algebra, lam))
+    return ProductSpace(mu_a, mu_b, states.measure_state(core.function_algebra(atoms), lam))
 
 
 def marginals(space: ProductSpace) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """Recompute both marginals of the product measure from scratch."""
-    nb = len(space.right.atoms)
-    left = tuple(
-        sum(space.measure.weights[i * nb : (i + 1) * nb], ZERO)
-        for i in range(len(space.left.atoms))
-    )
-    right = tuple(
-        sum((space.measure.weights[i * nb + j] for i in range(len(space.left.atoms))), ZERO)
-        for j in range(nb)
-    )
-    return (
-        DiscreteMeasure(space.left.atoms, left),
-        DiscreteMeasure(space.right.atoms, right),
-    )
+    """Recompute both marginals of the product measure from scratch: its row and column sums."""
+    nb, weights = len(space.right.atoms), space.state.measure.weights
+    left = tuple(sum(weights[i : i + nb], ZERO) for i in range(0, len(weights), nb))
+    right = tuple(sum(weights[j::nb], ZERO) for j in range(nb))
+    return DiscreteMeasure(space.left.atoms, left), DiscreteMeasure(space.right.atoms, right)
 
 
 def verify_marginals(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure) -> Verdict:
@@ -80,9 +78,9 @@ def verify_marginals(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure) -> Verdict:
     return Verdict(
         "pass" if ok else "fail",
         [] if ok else [{"marginals": "do not match the factors"}],
-        {"atoms": len(space.measure.atoms)},
+        {"atoms": len(space.state.measure.atoms)},
         None,
-        space.measure,
+        space.state.measure,
     )
 
 
@@ -93,7 +91,7 @@ def tensor(space: ProductSpace, f: Element, g: Element) -> Element:
     if core.atoms_of(g.algebra) != space.right.atoms:
         raise InputError("right factor does not live on the right component space")
     values = tuple(vx * vy for vx in f.payload for vy in g.payload)
-    return Element(space.algebra, values)
+    return Element(space.state.algebra, values)
 
 
 def beta(
@@ -167,14 +165,19 @@ def bilinear_map(
 ) -> BilinearMap:
     """Materialize ``fn`` over the finite domains and validate it.
 
-    The linearity of both slots (on every defined partial sum) and the
-    claimed bound are verified by `check_bilinear`; a map that fails is
-    refused.  A table meant to be broken is a `BilinearMap` built
-    directly, which `check_bilinear` then judges.
+    The linearity of both slots and the claimed bound are verified by
+    `check_bilinear`; a map that fails is refused.  A table meant to be
+    broken is a `BilinearMap` built directly, which `check_bilinear`
+    then judges.
     """
     for s in (left, right):
         if not core.is_finite(s.algebra):
             raise InputError("bilinear tables need finite domains")
+    if codomain.measure is None:
+        raise InputError(
+            "a bilinear map's codomain needs a state with an atom measure; "
+            "Chang's first coordinate has none"
+        )
     rights = core.enumerate_carrier(right.algebra)
     table = tuple(
         tuple(fn(a, b) for b in rights) for a in core.enumerate_carrier(left.algebra)
@@ -188,49 +191,58 @@ def bilinear_map(
     return gamma
 
 
+def _atom_images(gamma: BilinearMap) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The ambient vectors of gamma(1_x, 1_y), read at `core.atom_indicator_elements`:
+    one row per left atom x, one entry per right atom y."""
+    rights = core.atom_indicator_elements(gamma.right.algebra)
+    return tuple(
+        tuple(core.ambient_vector(apply_bilinear(gamma, ex, ey)) for ey in rights)
+        for ex in core.atom_indicator_elements(gamma.left.algebra)
+    )
+
+
+def _combine(coefficients, vectors) -> tuple[Fraction, ...]:
+    """sum_k coefficients[k] * vectors[k], coordinatewise."""
+    return tuple(sum(map(operator.mul, coefficients, column), ZERO) for column in zip(*vectors))
+
+
 def check_bilinear(gamma: BilinearMap) -> Verdict:
     """Verify slotwise linearity and the map's bound if it has one.
 
-    Linearity is swept over the left slot, then the right, on the
-    compiled tables of the domains.  A failure's witness is
+    On a product of chains a table is linear in each slot iff, at every
+    pair (a, b), gamma(a, b) = sum_{x,y} a(x) * b(y) * gamma(1_x, 1_y) in
+    the codomain's ambient: a sums n * a(x) summable copies of
+    (1/n) * 1_x in either slot, and such a form, its images >= 0, adds
+    every defined partial sum.  The pairs are checked in rank order,
+    then the bound at each pair.  A failure's witness is
     ``{"check": (law, *element texts)}`` with the arguments in (left,
     right) order.
     """
-    left = core.compile_table(gamma.left.algebra)
-    right = core.compile_table(gamma.right.algebra)
-    # a slot sweeps index pairs (x, x2) in it against every index y in
-    # the other slot, looking values up as lookup[x][y]
-    slots = (
-        ("left", left, right, gamma.table),
-        ("right", right, left, tuple(zip(*gamma.table))),
-    )
+    columns = list(zip(*_atom_images(gamma)))  # gamma(1_x, 1_y) over x, for each y
+    lefts = core.enumerate_carrier(gamma.left.algebra)
+    rights = core.enumerate_carrier(gamma.right.algebra)
     checks = 0
 
     def fail(*witness) -> Verdict:
         return Verdict("fail", [{"check": witness}], {"checks": checks})
 
-    for slot, varying, fixed, lookup in slots:
-        for x, x2 in core.summable_pairs(varying):
-            totals = lookup[varying.oplus(x, x2)]
-            for y in range(len(fixed.names)):
-                checks += 1
-                parts = core.partial_add(lookup[x][y], lookup[x2][y])
-                if parts is None or parts != totals[y]:
-                    if slot == "left":
-                        return fail("left-linearity", left.names[x], left.names[x2], right.names[y])
-                    return fail("right-linearity", left.names[y], right.names[x], right.names[x2])
+    for a, row in zip(lefts, gamma.table):
+        at_a = [_combine(core.ambient_vector(a), column) for column in columns]  # gamma(a, 1_y)
+        for b, value in zip(rights, row):
+            checks += 1
+            if core.ambient_vector(value) != _combine(core.ambient_vector(b), at_a):
+                return fail("linearity", core.format_element(a), core.format_element(b))
     bound = gamma.bound
     if bound is not None:
         if bound < 1:
             return fail("bound", str(bound))
-        rights = core.enumerate_carrier(gamma.right.algebra)
-        for a, row in zip(core.enumerate_carrier(gamma.left.algebra), gamma.table):
+        right_levels = [states.eval_state(gamma.right, b) for b in rights]
+        for a, row in zip(lefts, gamma.table):
             sa = states.eval_state(gamma.left, a)
-            for b, value in zip(rights, row):
+            for b, sb, value in zip(rights, right_levels, row):
                 checks += 1
                 level = states.eval_state(gamma.codomain, value)
-                cap = min(bound * sa * states.eval_state(gamma.right, b), ONE)
-                if level > cap:
+                if level > min(bound * sa * sb, ONE):
                     return fail("bound", core.format_element(a), core.format_element(b))
     return Verdict("pass", [], {"checks": checks})
 
@@ -292,11 +304,10 @@ def state_product_bilinear(left: State, right: State) -> BilinearMap:
 
 def left_scaling_bilinear(rep_a: MeasureRepresentation, right: State) -> BilinearMap:
     """(a, b) -> s_B(b) scaled copy of the represented left element."""
-    cod = states.measure_state(rep_a.target, rep_a.measure)
     return bilinear_map(
         rep_a.state,
         right,
-        cod,
+        rep_a.quotient.state,
         lambda a, b: core.scalar_mul(
             states.eval_state(right, b), representation.represent(rep_a, a)
         ),
@@ -342,21 +353,16 @@ def extend_bilinear_divisible(gamma: BilinearMap) -> AtomLinearMap:
     to sum_{x,y} f(x) g(y) * gamma(1_x, 1_y), which is the linear map
     off the function algebra on the pair atoms (x,y) of the two hulls
     whose image at the indicator of (x,y) is the ambient image of gamma
-    at the sources in `core.atom_indicator_elements`.  The extension
-    keeps the bound of gamma.
+    at the sources in `core.atom_indicator_elements`: the atom images
+    `check_bilinear` checks the table against, so the extension agrees
+    with gamma at every pair of its domains.  It keeps the bound of gamma.
     """
     if gamma.bound is None:
         raise InputError("only bounded bilinear maps extend to the hulls")
     left = core.divisible_ambient(gamma.left.algebra)
     right = core.divisible_ambient(gamma.right.algebra)
-    images = tuple(
-        core.ambient_vector(apply_bilinear(gamma, ex, ey))
-        for ex in core.atom_indicator_elements(gamma.left.algebra)
-        for ey in core.atom_indicator_elements(gamma.right.algebra)
-    )
-    domain = core.function_algebra(
-        tuple(pair_atom(x, y) for x in core.atoms_of(left) for y in core.atoms_of(right))
-    )
+    domain = core.function_algebra(_pair_atoms(core.atoms_of(left), core.atoms_of(right)))
+    images = tuple(image for row in _atom_images(gamma) for image in row)
     return AtomLinearMap(domain, core.divisible_ambient(gamma.codomain.algebra), images)
 
 
@@ -372,7 +378,7 @@ def factorize(
     rep_b: MeasureRepresentation,
     rep_c: MeasureRepresentation,
 ) -> AtomLinearMap:
-    """The linear map omega off ``space.algebra`` completing the pairing triangle.
+    """The linear map omega off ``space.state.algebra`` completing the pairing triangle.
 
     On the indicator of an atom pair omega takes the represented value
     of gamma at the indicator sources; rational linearity then
@@ -398,7 +404,7 @@ def factorize(
         for ex in rep_a.atom_elements
         for ey in rep_b.atom_elements
     )
-    return AtomLinearMap(space.algebra, rep_c.target, images)
+    return AtomLinearMap(space.state.algebra, rep_c.target, images)
 
 
 def verify_factorization(
@@ -420,7 +426,7 @@ def verify_factorization(
     ``{"check": (stage, *texts)}``.
     """
     rng = seeded(seed, samples)
-    sc = states.measure_state(rep_c.target, rep_c.measure)
+    sc = rep_c.quotient.state
     pairs = linearity = bound_checks = uniqueness = 0
 
     def verdict(*witness) -> Verdict:
@@ -443,10 +449,10 @@ def verify_factorization(
                 return verdict("triangle", core.format_element(a), core.format_element(b))
 
     for _ in range(samples):
-        h = random_element(rng, space.algebra)
+        h = random_element(rng, space.state.algebra)
         room = core.neg(h)
         h2 = Element(
-            space.algebra,
+            space.state.algebra,
             tuple(random_unit(rng) * v for v in room.payload),
         )
         linearity += 1
@@ -471,9 +477,9 @@ def verify_factorization(
     for i in range(len(omega.images)):
         uniqueness += 1
         if omega.images[i] != candidate.images[i]:
-            return verdict("indicator-agreement", space.measure.atoms[i])
+            return verdict("indicator-agreement", space.state.measure.atoms[i])
     for _ in range(samples):
-        h = random_element(rng, space.algebra)
+        h = random_element(rng, space.state.algebra)
         uniqueness += 1
         if apply_atom_linear(omega, h) != apply_atom_linear(candidate, h):
             return verdict("span-agreement", core.format_element(h))

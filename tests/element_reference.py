@@ -5,7 +5,9 @@ through the checked `mvprob.element`; each derived operation is its term
 definition (Cignoli, D'Ottaviano and Mundici 2000) over these
 primitives.  Nothing here calls `core.payload_ops`, so the op sets, the
 public `Element` ops and the compiled tables are checked against an
-arithmetic they do not share.
+arithmetic they do not share.  `summable_pairs` reads a compiled table,
+for the summable-pair sweeps the table-state and bilinear checks ran
+before they were checked at their atom images.
 """
 
 from fractions import Fraction
@@ -90,3 +92,14 @@ def meet(a, b):
 
 def dist(a, b):
     return oplus(odot(a, neg(b)), odot(b, neg(a)))
+
+
+def summable_pairs(table):
+    """Every index pair (a, b) of a `TableAlgebra`, in order, whose partial sum is defined:
+    a <= neg(b)."""
+    neg_table, one = table.neg_table, table.one
+    for a in range(len(table.names)):
+        row = table.oplus_table[neg_table[a]]
+        for b in range(len(table.names)):
+            if row[neg_table[b]] == one:
+                yield a, b

@@ -433,6 +433,53 @@ class TestInputBoundary:
         assert "(sB, schain)" in result.stderr and "(schain, sB)" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "doc, argv, message",
+        [
+            (
+                {
+                    "algebras": {"c": {"kind": "chain", "n": 1}, "C": {"kind": "chang"}},
+                    "states": {
+                        "t": {"algebra": "c", "rule": "table", "values": {"0": "0", "1": "1"}},
+                        "sc": {"algebra": "C", "rule": "first-coordinate"},
+                    },
+                    "bilinear": {
+                        "g": {
+                            "kind": "table", "left": "t", "right": "t", "codomain": "sc",
+                            "bound": 1,
+                            "entries": {
+                                "0;0": "lower(0)", "0;1": "lower(0)",
+                                "1;0": "lower(0)", "1;1": "upper(0)",
+                            },
+                        }
+                    },
+                },
+                ["--seed", "1", "product", "@", "factorize", "t", "t", "g"],
+                "a bilinear map's codomain needs a state with an atom measure; "
+                "Chang's first coordinate has none",
+            ),
+            (
+                {
+                    "measures": {
+                        "mu": {"atoms": ["a,b", "a"], "weights": ["1/2", "1/2"]},
+                        "nu": {"atoms": ["c", "b,c"], "weights": ["1/2", "1/2"]},
+                    }
+                },
+                ["product", "@", "build", "mu", "nu"],
+                "pair atoms ('a,b', 'c') and ('a', 'b,c') are both spelled '(a,b,c)'",
+            ),
+        ],
+        ids=["chang-codomain", "colliding-pair-atoms"],
+    )
+    def test_a_product_without_atom_pairs_is_refused(self, doc, argv, message, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([str(path) if arg == "@" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_too_deeply_nested_document_is_an_input_error(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

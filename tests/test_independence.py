@@ -6,8 +6,11 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvprob as mv
+from element_reference import summable_pairs
 from mvprob import independence
 from mvprob.axioms import random_element
 from mvprob.errors import InputError
@@ -51,8 +54,9 @@ class TestProductSpace:
         mu = mv.measure(("x", "y"), (F(1, 2), F(1, 2)))
         nu = mv.measure(("p", "q"), (F(1, 3), F(2, 3)))
         space = mv.product_space(mu, nu)
-        assert space.measure.atoms == ("(x,p)", "(x,q)", "(y,p)", "(y,q)")
-        assert space.measure.weights == (F(1, 6), F(1, 3), F(1, 6), F(1, 3))
+        assert space.state.measure.atoms == ("(x,p)", "(x,q)", "(y,p)", "(y,q)")
+        assert space.state.measure.weights == (F(1, 6), F(1, 3), F(1, 6), F(1, 3))
+        assert space.state.algebra == mv.function_algebra(space.state.measure.atoms)
 
     def test_marginals_recover_the_factors(self):
         mu = mv.measure(("x", "y"), (F(1, 4), F(3, 4)))
@@ -65,12 +69,12 @@ class TestProductSpace:
         mu = mv.measure(("x", "y"), (F(1, 4), F(3, 4)))
         point = mv.measure(("p",), (F(1),))
         space = mv.product_space(mu, point)
-        assert space.measure.weights == mu.weights
+        assert space.state.measure.weights == mu.weights
 
     def test_uniform_times_uniform(self):
         uniform2 = mv.measure(("a", "b"), (F(1, 2), F(1, 2)))
         space = mv.product_space(uniform2, uniform2)
-        assert space.measure.weights == tuple([F(1, 4)] * 4)
+        assert space.state.measure.weights == tuple([F(1, 4)] * 4)
 
 
 class TestTensor:
@@ -90,7 +94,7 @@ class TestTensor:
     def test_unit_tensor_unit(self):
         assert mv.tensor(
             self.space, mv.one(self.left), mv.one(self.right)
-        ) == mv.one(self.space.algebra)
+        ) == mv.one(self.space.state.algebra)
 
     def test_integral_identity(self):
         f = mv.element(self.left, ("1", "0"))
@@ -173,7 +177,7 @@ class TestBilinearChecks:
         gamma = unchecked_map(s, s, s, mv.join)
         report = mv.check_bilinear(gamma)
         assert not report.passed
-        assert report.witnesses[0]["check"][0] in ("left-linearity", "right-linearity")
+        assert report.witnesses[0]["check"][0] == "linearity"
 
     def test_construction_rejects_non_bilinear(self):
         s = chain_state(CH2)
@@ -184,10 +188,9 @@ class TestBilinearChecks:
         # same pairing, but integrated against a lopsided state: the
         # claimed K = 1 is too small, K = 2 is enough
         s_a, s_b, rep_a, rep_b, space = coupling()
-        weights = (F(1),) + (F(0),) * (len(space.measure.atoms) - 1)
-        skew = mv.measure_state(
-            space.algebra, mv.measure(space.measure.atoms, weights)
-        )
+        atoms = space.state.measure.atoms
+        weights = (F(1),) + (F(0),) * (len(atoms) - 1)
+        skew = mv.measure_state(space.state.algebra, mv.measure(atoms, weights))
         gamma = unchecked_map(s_a, s_b, skew, lambda a, b: mv.beta(space, rep_a, rep_b, a, b))
         assert mv.check_bilinear(gamma).passed
         assert not mv.check_bilinear(dataclasses.replace(gamma, bound=1)).passed
@@ -213,20 +216,22 @@ def planted_defects():
     def product(a, b):
         return a.payload * b.payload
 
-    # (table, bound, checks, witness), all recorded before the checker's
-    # loops were folded
+    # (table, bound, checks, witness): one check per pair in rank order,
+    # linearity at every pair before the bound at any
     yield pytest.param(
         planted_table(s1, s2, product, (F(0), F(1, 2)), F(1, 4)), None,
-        2, ("left-linearity", "0", "0", "1/2"), id="left-linearity",
+        2, ("linearity", "0", "1/2"), id="left-linearity",
     )
+    # the planted entry is the atom image gamma(1, 1), so the first pair
+    # it contradicts is (1, 1/2)
     yield pytest.param(
         planted_table(s1, s2, product, (F(1), F(1)), F(1, 2)), None,
-        19, ("right-linearity", "1", "1/2", "1/2"), id="right-linearity",
+        5, ("linearity", "1", "1/2"), id="right-linearity",
     )
     # linear, but it charges the atom the left state gives weight 0
     yield pytest.param(
         planted_table(dirac, s1, lambda a, b: a.payload[1] * b.payload), 1,
-        34, ("bound", "(0,1)", "1"), id="bound",
+        12, ("bound", "(0,1)", "1"), id="bound",
     )
 
 
@@ -236,6 +241,170 @@ def test_planted_defect_is_found_at_its_pinned_check(gamma, bound, checks, witne
     assert not report.passed
     assert report.metrics == {"checks": checks}
     assert report.witnesses == [{"check": witness}]
+
+
+def reference_check_bilinear(gamma):
+    """`check_bilinear` as it checked a table before: additivity of each slot
+    on every summable pair of its compiled domain, against every element of
+    the other slot, then the bound.  A reference for the check at the atom
+    images that replaced it."""
+    left = mv.core.compile_table(gamma.left.algebra)
+    right = mv.core.compile_table(gamma.right.algebra)
+    slots = (
+        ("left", left, right, gamma.table),
+        ("right", right, left, tuple(zip(*gamma.table))),
+    )
+    checks = 0
+
+    def fail(*witness):
+        return mv.Verdict("fail", [{"check": witness}], {"checks": checks})
+
+    for slot, varying, fixed, lookup in slots:
+        for x, x2 in summable_pairs(varying):
+            totals = lookup[varying.oplus(x, x2)]
+            for y in range(len(fixed.names)):
+                checks += 1
+                parts = mv.partial_add(lookup[x][y], lookup[x2][y])
+                if parts is None or parts != totals[y]:
+                    if slot == "left":
+                        return fail("left-linearity", left.names[x], left.names[x2], right.names[y])
+                    return fail("right-linearity", left.names[y], right.names[x], right.names[x2])
+    bound = gamma.bound
+    if bound is not None:
+        if bound < 1:
+            return fail("bound", str(bound))
+        rights = mv.core.enumerate_carrier(gamma.right.algebra)
+        for a, row in zip(mv.core.enumerate_carrier(gamma.left.algebra), gamma.table):
+            sa = mv.eval_state(gamma.left, a)
+            for b, value in zip(rights, row):
+                checks += 1
+                level = mv.eval_state(gamma.codomain, value)
+                cap = min(bound * sa * mv.eval_state(gamma.right, b), ONE)
+                if level > cap:
+                    return fail("bound", mv.core.format_element(a), mv.core.format_element(b))
+    return mv.Verdict("pass", [], {"checks": checks})
+
+
+def gate_domains():
+    """(id, state) on the chains 1-4, 2 atoms over chains 1-2 and 3 atoms over the 1-chain."""
+    for n in range(1, 5):
+        yield f"chain{n}", mv.identity_state(mv.finite_chain(n))
+    for atoms, n, weights in (
+        (("x", "y"), 1, (F(1, 2), F(1, 2))),
+        (("x", "y"), 2, (F(1, 3), F(2, 3))),
+        (("x", "y", "z"), 1, (F(1, 2), F(0), F(1, 2))),
+    ):
+        algebra = mv.function_algebra(atoms, mv.FiniteChain(n))
+        yield f"{len(atoms)}x{n}", mv.measure_state(algebra, mv.measure(atoms, weights))
+
+
+GATE_DOMAINS = dict(gate_domains())
+# (state, the grid step of its atom images: 12-chain values need multiples of
+# n_A * n_B / 12, and the others take any rational) per codomain
+GATE_CODOMAINS = {
+    "interval": (mv.identity_state(mv.standard_unit()), lambda na, nb: F(1, 7)),
+    "chain12": (mv.identity_state(mv.finite_chain(12)), lambda na, nb: F(na * nb, 12)),
+    "rational2": (
+        mv.measure_state(mv.function_algebra(("u", "v")), mv.measure(("u", "v"), (F(1, 3), F(2, 3)))),
+        lambda na, nb: F(1, 5),
+    ),
+}
+
+
+def atom_image_table(left, right, codomain, step, rng):
+    """A linear table, gamma(a, b) = sum a(x) * b(y) * I(x, y), its atom images I
+    seeded multiples of ``step`` whose sum stays within 1 in each coordinate
+    (all 0 when ``step`` > 1)."""
+    pairs = len(mv.core.ambient_vector(mv.one(left.algebra))) * len(
+        mv.core.ambient_vector(mv.one(right.algebra))
+    )
+    coordinates = len(mv.core.ambient_vector(mv.one(codomain.algebra)))
+    images = []
+    for _ in range(coordinates):
+        counts = [0] * pairs
+        for _ in range(int(1 / step)):  # a unit that falls on index `pairs` is unused
+            spot = rng.randrange(pairs + 1)
+            if spot < pairs:
+                counts[spot] += 1
+        images.append([c * step for c in counts])
+
+    def entry(a, b):
+        weights = [u * v for u in mv.core.ambient_vector(a) for v in mv.core.ambient_vector(b)]
+        vector = tuple(sum(w * i for w, i in zip(weights, column)) for column in images)
+        return mv.element(codomain.algebra, vector if coordinates > 1 else vector[0])
+
+    return unchecked_map(left, right, codomain, entry)
+
+
+def planted(gamma, cell, bound=None):
+    """``gamma`` with the entry at the ``cell``-th pair in rank order changed, and ``bound``."""
+    width = len(gamma.table[0])
+    rows = [list(row) for row in gamma.table]
+    value = rows[cell // width][cell % width]
+    zero = mv.zero(value.algebra)
+    rows[cell // width][cell % width] = mv.one(value.algebra) if value == zero else zero
+    return dataclasses.replace(gamma, table=tuple(map(tuple, rows)), bound=bound)
+
+
+class TestCheckBilinearAgainstSummablePairs:
+    """`check_bilinear` at the atom images gives the summable-pair sweep's verdict."""
+
+    @staticmethod
+    def agree(gamma):
+        verdict = mv.check_bilinear(gamma).passed
+        assert verdict == reference_check_bilinear(gamma).passed
+        return verdict
+
+    @pytest.mark.parametrize("weights", [(F(1, 2), F(1, 2)), (F(1), F(0))], ids=["uniform", "dirac"])
+    def test_every_built_in_map_on_the_coupling(self, weights):
+        s_a, s_b, rep_a, rep_b, space = coupling(weights)
+        maps = [
+            mv.beta_bilinear(space, rep_a, rep_b),
+            mv.state_product_bilinear(s_a, s_b),
+            mv.left_scaling_bilinear(rep_a, s_b),
+        ]
+        for gamma in maps:
+            for bound in (gamma.bound, None, 0):
+                self.agree(dataclasses.replace(gamma, bound=bound))
+        atoms = space.state.measure.atoms
+        skew = mv.measure_state(
+            space.state.algebra, mv.measure(atoms, (F(1),) + (F(0),) * (len(atoms) - 1))
+        )
+        for bound in (None, 1, 2):  # K = 1 is too small for the uniform coupling
+            self.agree(dataclasses.replace(maps[0], codomain=skew, bound=bound))
+
+    @pytest.mark.parametrize("left", GATE_DOMAINS)
+    @pytest.mark.parametrize("right", GATE_DOMAINS)
+    def test_linear_tables_and_planted_entries(self, left, right):
+        s_a, s_b = GATE_DOMAINS[left], GATE_DOMAINS[right]
+        na, nb = s_a.algebra.carrier.shape[1], s_b.algebra.carrier.shape[1]
+        for name, (codomain, step) in GATE_CODOMAINS.items():
+            rng = Random(f"{left} {right} {name}")
+            gamma = atom_image_table(s_a, s_b, codomain, step(na, nb), rng)
+            assert self.agree(gamma), name
+            size = len(gamma.table) * len(gamma.table[0])
+            for cell in (0, size // 2, size - 1):
+                self.agree(planted(gamma, cell))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        left=st.sampled_from(sorted(GATE_DOMAINS)),
+        right=st.sampled_from(sorted(GATE_DOMAINS)),
+        codomain=st.sampled_from(sorted(GATE_CODOMAINS)),
+        seed=st.integers(0, 2**32),
+        cell=st.none() | st.integers(0, 80),
+        bound=st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    def test_random_tables(self, left, right, codomain, seed, cell, bound):
+        s_a, s_b = GATE_DOMAINS[left], GATE_DOMAINS[right]
+        state, step = GATE_CODOMAINS[codomain]
+        na, nb = s_a.algebra.carrier.shape[1], s_b.algebra.carrier.shape[1]
+        gamma = atom_image_table(s_a, s_b, state, step(na, nb), Random(seed))
+        size = len(gamma.table) * len(gamma.table[0])
+        if cell is None:
+            self.agree(dataclasses.replace(gamma, bound=bound))
+        else:
+            self.agree(planted(gamma, cell % size, bound))
 
 
 def apply_extension(ext, f, g):
@@ -437,9 +606,9 @@ class TestFactorization:
     def test_pairing_factors_through_the_identity(self):
         _, _, rep_a, rep_b, space = coupling()
         gamma = mv.beta_bilinear(space, rep_a, rep_b)
-        rep_c = mv.embed_l1(space.algebra, space.state)
+        rep_c = mv.embed_l1(space.state.algebra, space.state)
         omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
-        size = len(space.measure.atoms)
+        size = len(space.state.measure.atoms)
         for i, image in enumerate(omega.images):
             assert image == tuple(ONE if j == i else F(0) for j in range(size))
 
@@ -450,7 +619,7 @@ class TestFactorization:
         omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
         rng = Random(14)
         for _ in range(200):
-            h = random_element(rng, space.algebra)
+            h = random_element(rng, space.state.algebra)
             value = independence.apply_atom_linear(omega, h)
             assert value.payload == (mv.eval_state(space.state, h),)
 
@@ -468,6 +637,6 @@ class TestFactorization:
             lambda a, b: mv.beta(space, rep_a, rep_b, a, b),
             bound=None,
         )
-        rep_c = mv.embed_l1(space.algebra, space.state)
+        rep_c = mv.embed_l1(space.state.algebra, space.state)
         with pytest.raises(InputError):
             mv.factorize(gamma, space, rep_a, rep_b, rep_c)

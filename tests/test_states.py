@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvprob as mv
+from element_reference import summable_pairs
 from mvprob.errors import InputError
 from mvprob.rationals import require_unit
 
@@ -105,7 +106,7 @@ def reference_table_state(algebra, values: dict):
         raise InputError("a state must send 1 to 1")
     ranked = [table[e.payload] for e in elements]
     compiled = mv.core.compile_table(algebra)
-    for a, b in mv.core.summable_pairs(compiled):
+    for a, b in summable_pairs(compiled):
         if ranked[compiled.oplus(a, b)] != ranked[a] + ranked[b]:
             raise InputError(f"table is not linear at {compiled.names[a]} + {compiled.names[b]}")
     return dict(zip((e.payload for e in elements), ranked))

@@ -28,16 +28,19 @@ def test_no_assert_statements(module):
 def test_golden_reports_hold_under_optimized_python():
     # `python -O` drops assert statements and `__debug__` blocks from the
     # library; pytest still rewrites the asserts of the test modules
-    # themselves.  The exact-analysis differential classes run there too.
+    # themselves.  The exact-analysis and bilinear differential classes run
+    # there too.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     analysis_tests = str(ROOT / "tests" / "test_analysis.py")
+    independence_tests = str(ROOT / "tests" / "test_independence.py")
     result = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_golden.py"),
          f"{analysis_tests}::TestPhaseOneAgainstFractionPivoting",
          f"{analysis_tests}::TestDeltaTableAgainstFractionRecursion",
-         f"{analysis_tests}::TestPlantedSignDefects"],
+         f"{analysis_tests}::TestPlantedSignDefects",
+         f"{independence_tests}::TestCheckBilinearAgainstSummablePairs"],
         capture_output=True, text=True, env=env, cwd=ROOT,
     )
     assert result.returncode == 0, result.stdout + result.stderr
