@@ -21,7 +21,7 @@ _EXPORTS = {
         "MomentSequence", "check_hausdorff", "grid_measure", "hausdorff_reconstruct",
         "holder_check", "moment_fit_lp", "moment_sequence", "moments_of_measure",
     ),
-    "axioms": ("Exhaustive", "Sample", "check_axioms"),
+    "axioms": ("check_axioms",),
     "core": (
         "Algebra", "Chang", "ChangPair", "Element", "FiniteChain", "FunctionAlgebra",
         "StandardUnit", "TableAlgebra", "chang", "dist", "element", "finite_chain",

@@ -7,13 +7,13 @@ same code as the explicit-table fixtures; sampled sweeps of an algebra
 run on the encoded payloads of its draws, through `core.payload_ops`,
 the arithmetic of the `Element` ops.  Corrupted operation tables are how
 negative controls enter: enumeration or sampling finds a witness tuple
-naming the violated law.
+naming the violated law.  Each law is one `verdict.sweep` stage under
+the one counter ``checks``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Optional, Union
@@ -22,7 +22,7 @@ from . import core
 from .core import Algebra, Element, TableAlgebra
 from .errors import InputError
 from .rationals import ZERO, format_rational, random_unit
-from .verdict import Verdict
+from .verdict import Verdict, sweep
 
 LEVELS = ("MV", "PMV", "RMV", "fMV")
 
@@ -56,25 +56,6 @@ def seeded(seed: Optional[int], samples: int) -> Random:
     if seed is None:
         raise InputError("this command samples; pass --seed")
     return Random(seed)
-
-
-# ---------------------------------------------------------------------------
-# Modes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Exhaustive:
-    pass
-
-
-@dataclass(frozen=True)
-class Sample:
-    count: int
-    seed: Optional[int]  # `seeded` refuses None
-
-
-Mode = Union[Exhaustive, Sample]
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +217,32 @@ def _laws_for(level: str, target: AxiomTarget) -> list:
 # ---------------------------------------------------------------------------
 
 
-def check_axioms(
-    target: AxiomTarget, level: str = "MV", mode: Mode = Exhaustive()
-) -> Verdict:
-    """Verify the laws of ``level`` on ``target``.
+def _failures(ops, name, law, cases, describe):
+    """(position, witness) of each case in ``cases`` that breaks ``law``, lazily."""
+    for position, (elems, scalars) in enumerate(cases):
+        if not law(ops, elems, scalars):
+            witness = [describe(x) for x in elems] + [format_rational(s) for s in scalars]
+            yield position, {"axiom": name, "elements": witness}
 
-    Exhaustive mode enumerates every element tuple (finite carriers
-    only) on the operation tables, compiled by `core.compile_table` for
-    a finite algebra; sample mode draws seeded random tuples, which is
-    also the only way to quantify over scalars.  The first violated law
-    is reported with the element texts (then scalars) that broke it.
+
+def check_axioms(
+    target: AxiomTarget,
+    level: str = "MV",
+    samples: Optional[int] = None,
+    seed: Optional[int] = None,
+) -> Verdict:
+    """Verify the laws of ``level`` on ``target``, one `verdict.sweep` stage per law.
+
+    With ``samples`` None every element tuple is enumerated (finite
+    carriers only, no seed) on the operation tables, compiled by
+    `core.compile_table` for a finite algebra; otherwise ``samples``
+    seeded random tuples are drawn, which is also the only way to
+    quantify over scalars.  The first violated law is reported with the
+    element texts (then scalars) that broke it.
     """
     laws = _laws_for(level, target)
     # only infinite carriers have scalars, so this also refuses scalar levels
-    if isinstance(mode, Exhaustive) and isinstance(target, Algebra):
+    if samples is None and isinstance(target, Algebra):
         if not core.is_finite(target):
             raise InputError("exhaustive mode needs a finite carrier; use sample mode")
         target = core.compile_table(target)
@@ -261,36 +254,25 @@ def check_axioms(
         describe = lambda x: core.format_payload(ops.decode(x))
         draw = lambda rng: ops.encode(random_element(rng, target).payload)
 
-    if isinstance(mode, Exhaustive):
-        seed = None
-        elements = range(len(target.names))
+    if samples is None:
+        seed, elements = None, range(len(target.names))
 
         def cases_of(arity: int, _scalar_arity: int):
-            return ((t, ()) for t in itertools.product(elements, repeat=arity))
+            cases = ((t, ()) for t in itertools.product(elements, repeat=arity))
+            return len(elements) ** arity, cases
 
-    elif isinstance(mode, Sample):
-        seed = mode.seed
-        rng = seeded(mode.seed, mode.count)
+    else:
+        rng = seeded(seed, samples)
         pool = [
             (tuple(draw(rng) for _ in range(3)), (random_unit(rng), random_unit(rng)))
-            for _ in range(mode.count)
+            for _ in range(samples)
         ]
 
         def cases_of(arity: int, scalar_arity: int):
-            return ((t[:arity], s[:scalar_arity]) for t, s in pool)
+            return samples, ((t[:arity], s[:scalar_arity]) for t, s in pool)
 
-    else:
-        raise InputError(f"unknown mode {mode!r}")
-
-    checks = 0
+    stages = []
     for name, arity, scalar_arity, law in laws:
-        for elems, scalars in cases_of(arity, scalar_arity):
-            checks += 1
-            if not law(ops, elems, scalars):
-                witness = [describe(x) for x in elems] + [
-                    format_rational(s) for s in scalars
-                ]
-                return Verdict(
-                    "fail", [{"axiom": name, "elements": witness}], {"checks": checks}, seed
-                )
-    return Verdict("pass", [], {"checks": checks}, seed)
+        size, cases = cases_of(arity, scalar_arity)
+        stages.append(("checks", size, _failures(ops, name, law, cases, describe)))
+    return sweep(stages, seed)

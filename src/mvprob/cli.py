@@ -7,7 +7,9 @@ fail), check counts, and the seed when sampling was involved.  Reports
 are canonical JSON with rationals rendered as p/q strings, so identical
 input and seed give byte-identical output.  Diagnostics go to standard
 error.  Exit codes: 0 pass, 1 failed verification (fail, infeasible, or
-inconclusive verdicts), 2 input or schema errors.
+inconclusive verdicts), 2 input or schema errors or an unwritable
+``--out`` (the file is written first), 3 an internal error: one
+``internal error:`` line and no report.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Optional
 # axioms); a handler imports what only it runs, so a process compiles no
 # module its command does not use
 from . import axioms, core, documents, spectra, states
-from .axioms import Exhaustive, Sample
 from .core import Algebra, Element, TableAlgebra
 from .errors import InputError
 from .rationals import DEFAULT_PRECISION, format_rational, parse_rational
@@ -122,9 +123,8 @@ def _bilinear_constructor(doc: documents.Document, name: str, left: str, right: 
 
 def _cmd_check_axioms(doc: documents.Document, args) -> Verdict:
     target = _named(doc.algebras, args.algebra, "algebra")
-    if args.mode == "exhaustive":
-        return axioms.check_axioms(target, args.level, Exhaustive())
-    return axioms.check_axioms(target, args.level, Sample(args.count, args.seed))
+    samples = args.count if args.mode == "sample" else None
+    return axioms.check_axioms(target, args.level, samples, args.seed)
 
 
 def _cmd_state(doc: documents.Document, args) -> Verdict:
@@ -333,11 +333,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    except Exception as exc:  # a crash must never pass for a verdict or a bad input
+        import traceback  # a command that does not crash does not pay for this import
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{Path(frame.filename).name}:{frame.lineno}"
+        print(f"internal error: {exc!r} at {where}", file=sys.stderr)
+        return 3
     if args.out:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
+    sys.stdout.write(text)
     return 0 if verdict.passed else 1

@@ -13,6 +13,7 @@ pairing by a linear map determined on atom indicators.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import InputError
 from .rationals import ONE, ZERO, random_unit
 from .representation import MeasureRepresentation
 from .states import DiscreteMeasure, State
-from .verdict import Verdict
+from .verdict import Verdict, sweep
 
 # ---------------------------------------------------------------------------
 # Product spaces
@@ -117,14 +118,15 @@ def verify_independence(left: State, right: State) -> Verdict:
     rep_a = representation.embed_l1(left.algebra, left)
     rep_b = representation.embed_l1(right.algebra, right)
     space = product_space(rep_a.measure, rep_b.measure)
-    checked, rights = 0, core.enumerate_carrier(right.algebra)
-    for a in core.enumerate_carrier(left.algebra):
-        for b in rights:
-            checked += 1
-            paired = states.eval_state(space.state, beta(space, rep_a, rep_b, a, b))
-            if paired != states.eval_state(left, a) * states.eval_state(right, b):
-                return Verdict("fail", [{"pair": [a, b]}], {"identities_checked": checked})
-    return Verdict("pass", [], {"identities_checked": checked})
+    lefts = core.enumerate_carrier(left.algebra)
+    rights = core.enumerate_carrier(right.algebra)
+    failures = (
+        (position, {"pair": [a, b]})
+        for position, (a, b) in enumerate(itertools.product(lefts, rights))
+        if states.eval_state(space.state, beta(space, rep_a, rep_b, a, b))
+        != states.eval_state(left, a) * states.eval_state(right, b)
+    )
+    return sweep([("identities_checked", len(lefts) * len(rights), failures)])
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +208,10 @@ def _combine(coefficients, vectors) -> tuple[Fraction, ...]:
     return tuple(sum(map(operator.mul, coefficients, column), ZERO) for column in zip(*vectors))
 
 
+def _witness(check: str, *elements: Element) -> dict:
+    return {"check": (check, *map(core.format_element, elements))}
+
+
 def check_bilinear(gamma: BilinearMap) -> Verdict:
     """Verify slotwise linearity and the map's bound if it has one.
 
@@ -213,38 +219,38 @@ def check_bilinear(gamma: BilinearMap) -> Verdict:
     pair (a, b), gamma(a, b) = sum_{x,y} a(x) * b(y) * gamma(1_x, 1_y) in
     the codomain's ambient: a sums n * a(x) summable copies of
     (1/n) * 1_x in either slot, and such a form, its images >= 0, adds
-    every defined partial sum.  The pairs are checked in rank order,
-    then the bound at each pair.  A failure's witness is
-    ``{"check": (law, *element texts)}`` with the arguments in (left,
-    right) order.
+    every defined partial sum.  Two `verdict.sweep` stages, both counted
+    as ``checks``, take the pairs in rank order: linearity, then the
+    bound.  A failure's witness is ``{"check": (law, *element texts)}``
+    with the arguments in (left, right) order.
     """
-    columns = list(zip(*_atom_images(gamma)))  # gamma(1_x, 1_y) over x, for each y
     lefts = core.enumerate_carrier(gamma.left.algebra)
     rights = core.enumerate_carrier(gamma.right.algebra)
-    checks = 0
+    bound, width = gamma.bound, len(rights)
+    if len(gamma.table) != len(lefts) or any(len(row) != width for row in gamma.table):
+        raise InputError(f"a bilinear table needs {len(lefts)} rows of {width} values")
+    columns = list(zip(*_atom_images(gamma)))  # gamma(1_x, 1_y) over x, for each y
 
-    def fail(*witness) -> Verdict:
-        return Verdict("fail", [{"check": witness}], {"checks": checks})
+    def nonlinear():
+        for i, (a, row) in enumerate(zip(lefts, gamma.table)):
+            at_a = [_combine(core.ambient_vector(a), column) for column in columns]  # gamma(a, 1_y)
+            for j, (b, value) in enumerate(zip(rights, row)):
+                if core.ambient_vector(value) != _combine(core.ambient_vector(b), at_a):
+                    yield i * width + j, _witness("linearity", a, b)
 
-    for a, row in zip(lefts, gamma.table):
-        at_a = [_combine(core.ambient_vector(a), column) for column in columns]  # gamma(a, 1_y)
-        for b, value in zip(rights, row):
-            checks += 1
-            if core.ambient_vector(value) != _combine(core.ambient_vector(b), at_a):
-                return fail("linearity", core.format_element(a), core.format_element(b))
-    bound = gamma.bound
-    if bound is not None:
-        if bound < 1:
-            return fail("bound", str(bound))
+    def over_bound():
         right_levels = [states.eval_state(gamma.right, b) for b in rights]
-        for a, row in zip(lefts, gamma.table):
+        for i, (a, row) in enumerate(zip(lefts, gamma.table)):
             sa = states.eval_state(gamma.left, a)
-            for b, sb, value in zip(rights, right_levels, row):
-                checks += 1
-                level = states.eval_state(gamma.codomain, value)
-                if level > min(bound * sa * sb, ONE):
-                    return fail("bound", core.format_element(a), core.format_element(b))
-    return Verdict("pass", [], {"checks": checks})
+            for j, (b, sb, value) in enumerate(zip(rights, right_levels, row)):
+                if states.eval_state(gamma.codomain, value) > min(bound * sa * sb, ONE):
+                    yield i * width + j, _witness("bound", a, b)
+
+    stages = [("checks", len(lefts) * width, nonlinear())]
+    if bound is not None:
+        below_one = [(-1, {"check": ("bound", str(bound))})]
+        stages.append(("checks", len(lefts) * width, below_one if bound < 1 else over_bound()))
+    return sweep(stages)
 
 
 # ---------------------------------------------------------------------------
@@ -422,68 +428,62 @@ def verify_factorization(
     The bound is gamma's.  Uniqueness is certified on the rational span:
     an independently constructed candidate (through the divisible
     extension of gamma, a different computation route) must agree on
-    every atom indicator and then on sampled rational combinations.  A failure's witness is
-    ``{"check": (stage, *texts)}``.
+    every atom indicator and then on sampled rational combinations.
+    Each check is a `verdict.sweep` stage, linearity and the bound on the
+    same seeded sums h + h2.  A failure's witness is ``{"check": (stage, *texts)}``.
     """
     rng = seeded(seed, samples)
-    sc = rep_c.quotient.state
-    pairs = linearity = bound_checks = uniqueness = 0
-
-    def verdict(*witness) -> Verdict:
-        counts = {
-            "pairs_checked": pairs,
-            "linearity_checks": linearity,
-            "bound_checks": bound_checks,
-            "uniqueness_checks": uniqueness,
-        }
-        witnesses = [{"check": witness}] if witness else []
-        return Verdict("fail" if witness else "pass", witnesses, counts, seed)
-
+    sc, product = rep_c.quotient.state, space.state.algebra
+    lefts = core.enumerate_carrier(gamma.left.algebra)
     rights = core.enumerate_carrier(gamma.right.algebra)
-    for a in core.enumerate_carrier(gamma.left.algebra):
-        for b in rights:
-            pairs += 1
-            through = apply_atom_linear(omega, beta(space, rep_a, rep_b, a, b))
-            direct = representation.represent(rep_c, apply_bilinear(gamma, a, b))
-            if through != direct:
-                return verdict("triangle", core.format_element(a), core.format_element(b))
-
+    draws = []  # (h, h2) with h2 <= not h, so h + h2 is a defined partial sum
     for _ in range(samples):
-        h = random_element(rng, space.state.algebra)
-        room = core.neg(h)
-        h2 = Element(
-            space.state.algebra,
-            tuple(random_unit(rng) * v for v in room.payload),
-        )
-        linearity += 1
-        total = apply_atom_linear(omega, core.oplus(h, h2))
-        parts = core.partial_add(
-            apply_atom_linear(omega, h), apply_atom_linear(omega, h2)
-        )
-        if parts is None or parts != total:
-            return verdict("linearity", core.format_element(h), core.format_element(h2))
-        bound_checks += 1
-        level = states.eval_state(sc, apply_atom_linear(omega, h))
-        cap = min(gamma.bound * states.eval_state(space.state, h), ONE)
-        if level > cap:
-            return verdict("bound", core.format_element(h))
-
+        h = random_element(rng, product)
+        room = core.neg(h).payload
+        draws.append((h, Element(product, tuple(random_unit(rng) * v for v in room))))
+    spans = [random_element(rng, product) for _ in range(samples)]
     ext = extend_bilinear_divisible(gamma)
     alternate = tuple(
-        rep_c.quotient.project(Element(ext.codomain, image)).payload
-        for image in ext.images
+        rep_c.quotient.project(Element(ext.codomain, image)).payload for image in ext.images
     )
     candidate = AtomLinearMap(omega.domain, omega.codomain, alternate)
-    for i in range(len(omega.images)):
-        uniqueness += 1
-        if omega.images[i] != candidate.images[i]:
-            return verdict("indicator-agreement", space.state.measure.atoms[i])
-    for _ in range(samples):
-        h = random_element(rng, space.state.algebra)
-        uniqueness += 1
-        if apply_atom_linear(omega, h) != apply_atom_linear(candidate, h):
-            return verdict("span-agreement", core.format_element(h))
-    return verdict()
+    triangle = (
+        (position, _witness("triangle", a, b))
+        for position, (a, b) in enumerate(itertools.product(lefts, rights))
+        if apply_atom_linear(omega, beta(space, rep_a, rep_b, a, b))
+        != representation.represent(rep_c, apply_bilinear(gamma, a, b))
+    )
+    nonlinear = (
+        (position, _witness("linearity", h, h2))
+        for position, (h, h2) in enumerate(draws)
+        if core.partial_add(apply_atom_linear(omega, h), apply_atom_linear(omega, h2))
+        != apply_atom_linear(omega, core.oplus(h, h2))
+    )
+    over_bound = (
+        (position, _witness("bound", h))
+        for position, (h, _) in enumerate(draws)
+        if states.eval_state(sc, apply_atom_linear(omega, h))
+        > min(gamma.bound * states.eval_state(space.state, h), ONE)
+    )
+    indicators = zip(space.state.measure.atoms, omega.images, candidate.images)
+    disagreements = (
+        (i, {"check": ("indicator-agreement", atom)})
+        for i, (atom, image, other) in enumerate(indicators)
+        if image != other
+    )
+    span_disagreements = (
+        (position, _witness("span-agreement", h))
+        for position, h in enumerate(spans)
+        if apply_atom_linear(omega, h) != apply_atom_linear(candidate, h)
+    )
+    stages = [
+        ("pairs_checked", len(lefts) * len(rights), triangle),
+        ("linearity_checks", samples, nonlinear),
+        ("bound_checks", samples, over_bound),
+        ("uniqueness_checks", len(omega.images), disagreements),
+        ("uniqueness_checks", samples, span_disagreements),
+    ]
+    return sweep(stages, seed)
 
 
 def verify_universal_factorization(

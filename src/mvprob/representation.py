@@ -21,7 +21,7 @@ from .axioms import random_element, seeded
 from .core import Algebra, Chang, Element
 from .errors import InputError
 from .states import DiscreteMeasure, State
-from .verdict import Verdict
+from .verdict import Verdict, sweep
 
 # ---------------------------------------------------------------------------
 # The measure representation
@@ -107,18 +107,22 @@ def verify_embedding(
     representing measure.
     """
     rep = embed_l1(algebra, s)
-    sweep = core.sweep_elements(algebra)
-    if sweep is None:
+    elements = core.sweep_elements(algebra)
+    if elements is None:
         rng = seeded(seed, samples)
-        sweep = [random_element(rng, algebra) for _ in range(samples)]
+        elements = [random_element(rng, algebra) for _ in range(samples)]
     else:
         seed = None
-    counts = {"elements_checked": len(sweep)}
-    for a in sweep:
-        if integral(rep, a) != states.eval_state(s, a):
-            return Verdict("fail", [{"element": a}], counts, seed)
-    counts.update(injective=rep.injective, faithful=states.is_faithful(s).passed)
-    return Verdict("pass", [], counts, seed, rep.measure)
+    failures = (
+        (position, {"element": a})
+        for position, a in enumerate(elements)
+        if integral(rep, a) != states.eval_state(s, a)
+    )
+    verdict = sweep([("elements_checked", len(elements), failures)], seed)
+    if not verdict.passed:
+        return verdict
+    verdict.metrics.update(injective=rep.injective, faithful=states.is_faithful(s).passed)
+    return Verdict("pass", [], verdict.metrics, seed, rep.measure)
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +164,22 @@ def verify_morphism_extras(
             for _ in range(samples)
         ]
 
-    checks = 0
-    for a, b in pairs:
-        checks += 1
-        if f(core.prod(a, b)) != core.prod(f(a), f(b)):
-            witness = ("product", core.format_element(a), core.format_element(b))
-            return Verdict("fail", [{"check": witness}], {"checks": checks}, seed)
+    products = (
+        (position, {"check": ("product", core.format_element(a), core.format_element(b))})
+        for position, (a, b) in enumerate(pairs)
+        if f(core.prod(a, b)) != core.prod(f(a), f(b))
+    )
+    stages = [("checks", len(pairs), products)]
     if level == "fMV":
-        rng = seeded(seed + 1, samples)
-        for _ in range(samples):
-            a = random_element(rng, rep.source)
-            alpha = Fraction(rng.randint(0, 60), 60)
-            checks += 1
-            if f(core.scalar_mul(alpha, a)) != core.scalar_mul(alpha, f(a)):
-                witness = ("scalar", str(alpha), core.format_element(a))
-                return Verdict("fail", [{"check": witness}], {"checks": checks}, seed)
-    return Verdict("pass", [], {"checks": checks}, seed)
+        scalar_rng = seeded(seed + 1, samples)
+        draws = (
+            (random_element(scalar_rng, rep.source), Fraction(scalar_rng.randint(0, 60), 60))
+            for _ in range(samples)
+        )
+        scalars = (
+            (position, {"check": ("scalar", str(alpha), core.format_element(a))})
+            for position, (a, alpha) in enumerate(draws)
+            if f(core.scalar_mul(alpha, a)) != core.scalar_mul(alpha, f(a))
+        )
+        stages.append(("checks", samples, scalars))
+    return sweep(stages, seed)

@@ -31,7 +31,7 @@ from .axioms import random_element, seeded
 from .core import Algebra, Chang, Element, FunctionAlgebra
 from .errors import InputError
 from .rationals import ONE, ZERO, require_unit
-from .verdict import Verdict
+from .verdict import Verdict, sweep
 
 # ---------------------------------------------------------------------------
 # Measures
@@ -192,7 +192,8 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
     from `itertools.product`, with rho read from an n x n table of state
     values at the compiled distances; others over ``samples`` seeded
     pairs, then as many seeded triples, with rho computed on their
-    encoded payloads by `core.payload_ops`.
+    encoded payloads by `core.payload_ops`: two `verdict.sweep` stages,
+    so a failing pair reports 0 ``triples``.
     """
     algebra = s.algebra
     if core.is_finite(algebra):
@@ -214,19 +215,26 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         pairs = [draw(2) for _ in range(samples)]
         triples = [draw(3) for _ in range(samples)]
         sizes = samples, samples
-    counts = {"pairs": sizes[0]}
     positive = True  # rho(a, b) > 0 at every swept pair a != b
-    for a, b in pairs:
-        distance = metric(a, b)
-        if distance != metric(b, a) or metric(a, a) != ZERO:
-            return Verdict("fail", [{"pair": [element(a), element(b)]}], counts, seed)
-        positive = positive and (a == b or distance > ZERO)
-    counts["triples"] = sizes[1]
-    for a, b, c in triples:
-        if metric(a, c) > metric(a, b) + metric(b, c):
-            witness = [element(a), element(b), element(c)]
-            return Verdict("fail", [{"triple": witness}], counts, seed)
-    faithful = is_faithful(s)
+
+    def pair_failures():
+        nonlocal positive
+        for position, (a, b) in enumerate(pairs):
+            distance = metric(a, b)
+            if distance != metric(b, a) or metric(a, a) != ZERO:
+                yield position, {"pair": [element(a), element(b)]}
+            positive = positive and (a == b or distance > ZERO)
+
+    def triple_failures(metric):  # a parameter, not a cell: it is read 3n^3 times
+        for position, (a, b, c) in enumerate(triples):
+            if metric(a, c) > metric(a, b) + metric(b, c):
+                yield position, {"triple": [element(a), element(b), element(c)]}
+
+    stages = [("pairs", sizes[0], pair_failures()), ("triples", sizes[1], triple_failures(metric))]
+    verdict = sweep(stages, seed)
+    if not verdict.passed:
+        return verdict
+    counts, faithful = verdict.metrics, is_faithful(s)
     if faithful.passed:
         separating = positive
     else:
@@ -310,16 +318,20 @@ def verify_quotient(s: State) -> Verdict:
     infinite carriers it holds by construction and is not swept.
     """
     quotient = state_quotient(s.algebra, s)
-    checks = 0
-    for a in core.sweep_elements(s.algebra) or ():
-        checks += 1
-        if eval_state(quotient.state, quotient.project(a)) != eval_state(s, a):
-            return Verdict("fail", [{"element": a}], {"checks": checks})
+    elements = core.sweep_elements(s.algebra) or []
+    failures = (
+        (position, {"element": a})
+        for position, a in enumerate(elements)
+        if eval_state(quotient.state, quotient.project(a)) != eval_state(s, a)
+    )
+    verdict = sweep([("checks", len(elements), failures)])
+    if not verdict.passed:
+        return verdict
     faithful = is_faithful(quotient.state).passed
     return Verdict(
         "pass" if faithful else "fail",
         [] if faithful else [{"quotient": "state is not faithful"}],
-        {"checks": checks, "complete": quotient.complete},
+        {**verdict.metrics, "complete": quotient.complete},
         None,
         {"algebra": quotient.algebra},
     )

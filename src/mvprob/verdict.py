@@ -1,9 +1,9 @@
-"""The one report type every checker returns."""
+"""The one report type every checker returns, and `sweep`, which runs a verifier's stages."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -26,3 +26,22 @@ class Verdict:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+
+def sweep(stages: list[tuple[str, int, Iterable]], seed: Optional[int] = None) -> Verdict:
+    """Run ``stages`` in order; the first failure ends the sweep.
+
+    A stage is ``(counter, size, failures)``: ``size`` cases, known before
+    the first, and ``failures`` lazily yields ``(position, witness)`` for
+    each failing case of the verifier's own loop, so this function works
+    per stage, never per case.  Every counter is reported from 0; a stage adds
+    its size when it passes and position + 1 when it fails (-1 fails before
+    the first case), and stages may share a counter.
+    """
+    counts = dict.fromkeys((counter for counter, _, _ in stages), 0)
+    for counter, size, failures in stages:
+        for position, witness in failures:
+            counts[counter] += position + 1
+            return Verdict("fail", [witness], counts, seed)
+        counts[counter] += size
+    return Verdict("pass", [], counts, seed)

@@ -33,6 +33,18 @@ def report_of(result):
     return json.loads(result.stdout)
 
 
+# a command line that reaches each handler on the fixture
+HANDLER_ARGV = {
+    "check-axioms": ("check-axioms", DOC, "chain3"),
+    "embed": ("--seed", "5", "embed", DOC, "F", "s"),
+    "holder": ("holder", DOC, "s", "f1", "f2", "--p", "2", "--q", "2"),
+    "moments": ("moments", DOC, "check", "leb"),
+    "product": ("product", DOC, "build", "mu", "nu"),
+    "spectra": ("spectra", DOC, "ideals", "B"),
+    "state": ("state", DOC, "eval", "s", "f1"),
+}
+
+
 class TestExitCodes:
     def test_pass_is_zero(self):
         result = run("check-axioms", DOC, "chain3", "--level", "MV")
@@ -65,6 +77,21 @@ class TestExitCodes:
     def test_usage_error_is_two(self):
         result = run("check-axioms")
         assert result.returncode == 2
+
+    def test_every_handler_has_a_command_line(self):
+        assert set(HANDLER_ARGV) == set(cli._HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(HANDLER_ARGV))
+    def test_an_internal_error_is_three_with_no_report(self, command, monkeypatch, capsys):
+        def crash(doc, args):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setitem(cli._HANDLERS, command, crash)
+        assert cli.main(list(HANDLER_ARGV[command])) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: ZeroDivisionError('planted') at test_cli.py:")
+        assert err.count("\n") == 1
 
     def test_sampling_without_seed_is_two(self):
         result = run("check-axioms", DOC, "U", "--level", "fMV", "--mode", "sample")
@@ -271,6 +298,14 @@ class TestCommandBehaviour:
         result = run("moments", DOC, "check", "leb", "--out", str(out))
         assert result.returncode == 0
         assert out.read_text() == result.stdout
+
+    def test_an_unwritable_out_leaves_stdout_empty(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        result = run("--out", str(out), "state", DOC, "eval", "s", "f1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert result.stderr.count("\n") == 1 and not out.exists()
 
     def test_rationals_never_decimal(self):
         result = run("moments", DOC, "of-measure", "grid", "--order", "4")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mvprob as mv
 import element_reference as reference
 from mvprob import core, states
-from mvprob.axioms import Sample, check_axioms
+from mvprob.axioms import check_axioms
 from mvprob.core import ChangPair, random_element
 from mvprob.errors import InputError
 from mvprob.rationals import random_unit, require_unit
@@ -451,7 +451,7 @@ def test_the_sweeps_check_the_library_arithmetic(monkeypatch):
     monkeypatch.setattr(core._IntOps, "neg", wrong)
     assert mv.neg(u("1/3")) == u("1/7")
     assert mv.neg(u("1/4")) == u("3/4")
-    report = check_axioms(U, "fMV", Sample(200, 0))
+    report = check_axioms(U, "fMV", samples=200, seed=0)
     assert not report.passed
     assert report.witnesses == [{"axiom": "involution", "elements": ["1/3"]}]
     metric = states.verify_metric(states.identity_state(U), 200, 0)

@@ -338,7 +338,8 @@ class TestVerifyMetric:
         assert verdict.verdict == "fail"
         triple = [mv.element(CH2, v) for v in ("0", "1/2", "1")]
         assert verdict.witnesses == [{"triple": triple}]
-        assert verdict.metrics == {"pairs": 9, "triples": 27}
+        # every pair passed; (0, 1/2, 1) is the 6th triple in enumeration order
+        assert verdict.metrics == {"pairs": 9, "triples": 6}
 
     def test_sampling_needs_a_seed(self):
         s = mv.identity_state(U)

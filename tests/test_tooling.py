@@ -29,7 +29,7 @@ def test_golden_reports_hold_under_optimized_python():
     # `python -O` drops assert statements and `__debug__` blocks from the
     # library; pytest still rewrites the asserts of the test modules
     # themselves.  The exact-analysis and bilinear differential classes run
-    # there too.
+    # there too, and so do `verdict.sweep` and its planted defects.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     analysis_tests = str(ROOT / "tests" / "test_analysis.py")
@@ -40,7 +40,8 @@ def test_golden_reports_hold_under_optimized_python():
          f"{analysis_tests}::TestPhaseOneAgainstFractionPivoting",
          f"{analysis_tests}::TestDeltaTableAgainstFractionRecursion",
          f"{analysis_tests}::TestPlantedSignDefects",
-         f"{independence_tests}::TestCheckBilinearAgainstSummablePairs"],
+         f"{independence_tests}::TestCheckBilinearAgainstSummablePairs",
+         str(ROOT / "tests" / "test_sweep.py")],
         capture_output=True, text=True, env=env, cwd=ROOT,
     )
     assert result.returncode == 0, result.stdout + result.stderr
@@ -139,6 +140,32 @@ def test_only_states_builds_a_state(module):
     assert lines == [], f"{module} calls {STATE_CONSTRUCTOR} at lines {lines}"
 
 
+def _increments(tree: ast.AST) -> list[int]:
+    """Lines of the ``x += 1`` statements in ``tree``, in order."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+        and isinstance(node.value, ast.Constant) and node.value.value == 1
+    )
+
+
+def test_the_gate_finds_a_counter():
+    source = "checks = 0\nfor _ in cases:\n    checks += 1\nself.n += 1\nm += 2\nk = k + 1\n"
+    tree = ast.parse(source)
+    assert _increments(tree) == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "verdict.py")
+)
+def test_only_verdict_sweep_counts(module):
+    # a verifier hands `verdict.sweep` its stages, whose sizes and failure
+    # positions are the counts; a counter of its own would be a second rule
+    lines = _increments(ast.parse((PACKAGE / module).read_text()))
+    assert lines == [], f"{module} counts its own checks at lines {lines}"
+
+
 # core gives each carrier its shape; every other module reads the shape
 # and names no carrier class but Chang in an isinstance test of a carrier
 SHAPE_CLASSES = {"FiniteChain", "StandardUnit"}
@@ -175,9 +202,9 @@ def test_only_core_tests_for_the_interval_or_a_chain(module):
 
 # the public namespace; a name leaves it only with the code behind it
 PUBLIC_NAMES = [
-    "Algebra", "BilinearMap", "Chang", "ChangPair", "DiscreteMeasure", "Element", "Exhaustive",
+    "Algebra", "BilinearMap", "Chang", "ChangPair", "DiscreteMeasure", "Element",
     "FiniteChain", "FunctionAlgebra", "Ideal", "InputError", "MeasureRepresentation",
-    "MomentSequence", "ProductSpace", "Sample", "StandardUnit", "State", "TableAlgebra",
+    "MomentSequence", "ProductSpace", "StandardUnit", "State", "TableAlgebra",
     "UnsupportedCarrierError", "Verdict", "analysis", "axioms", "beta", "beta_bilinear",
     "bilinear_map", "chang", "chang_state", "check_axioms", "check_bilinear", "check_hausdorff",
     "core", "dist", "element", "embed_l1", "errors", "eval_state", "extend_bilinear_divisible",
@@ -264,7 +291,7 @@ def test_the_precision_default_is_the_analysis_constant():
 class TestNamespace:
     def test_all_is_the_pinned_public_namespace(self):
         assert sorted(mvprob.__all__) == PUBLIC_NAMES
-        assert len(PUBLIC_NAMES) == 90
+        assert len(PUBLIC_NAMES) == 88
 
     def test_every_name_resolves(self):
         for name in PUBLIC_NAMES:
