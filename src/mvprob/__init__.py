@@ -10,7 +10,11 @@ Everything computes in exact rational arithmetic.
 The namespace is lazy (PEP 562): ``import mvprob`` loads no submodule,
 and a public name imports its defining module on first access.  Without
 a bytecode cache every process compiles each module it imports, so
-loading only what is used keeps a CLI command's start-up short.
+loading only what is used keeps a CLI command's start-up short.  For the
+same reason no module imports `dataclasses`, which loads `inspect`: the
+records derive from the private `core._Record`, and a command loads from
+the standard library only what the modules import by name (`argparse`,
+`json`, `fractions`, `random`, `re`, `pathlib`, `typing` and a few more).
 """
 
 import importlib

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import core, states
-from .core import Element
+from .core import Element, _Record
 from .errors import InputError
 from .rationals import DEFAULT_PRECISION, ONE, ZERO, format_rational, parse_rational, require_unit
 from .states import DiscreteMeasure, State
@@ -50,8 +49,7 @@ MAX_ORDER = 512
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(_Record):
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:

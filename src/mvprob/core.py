@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence, Union
@@ -37,19 +36,72 @@ from .errors import InputError, UnsupportedCarrierError
 from .rationals import ONE, ZERO, format_rational, parse_unit, random_unit, require_unit
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_RECORD_METHODS = """\
+def __init__(self{params}):
+    pass{sets}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+"""
+
+
+class _Record:
+    """A frozen record, as ``@dataclass(frozen=True)`` made one, without the cost of
+    `dataclasses` in every CLI process: importing it loads `inspect`.
+
+    The fields are the subclass's own annotations, in order, and its class-level
+    values are their defaults; ``__init__`` sets them with ``object.__setattr__``
+    (writing ``__dict__`` would give up CPython's inline attribute layout), then
+    calls ``__post_init__`` if the class has one.  Records are equal only within
+    one class, hash as their field tuple and repr as the dataclass did.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        sets = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+        if hasattr(cls, "__post_init__"):
+            sets += "\n    self.__post_init__()"
+        namespace = {"_set": object.__setattr__, "_cls": cls}
+        exec(_RECORD_METHODS.format(
+            params="".join(f", {f}=_cls.{f}" if f in cls.__dict__ else f", {f}" for f in fields),
+            sets=sets,
+            mine="".join(f"self.{f}, " for f in fields),
+            theirs="".join(f"other.{f}, " for f in fields),
+        ), namespace)
+        for method in ("__init__", "__eq__", "__hash__"):
+            setattr(cls, method, namespace[method])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Carriers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardUnit:
+class StandardUnit(_Record):
     """The rational unit interval [0, 1]."""
 
     shape = (None, None)
 
 
-@dataclass(frozen=True)
-class FiniteChain:
+class FiniteChain(_Record):
     """The (n+1)-element chain {0, 1/n, ..., n/n}."""
 
     n: int
@@ -63,8 +115,7 @@ class FiniteChain:
         return None, self.n
 
 
-@dataclass(frozen=True)
-class FunctionAlgebra:
+class FunctionAlgebra(_Record):
     """Functions from named atoms into a value carrier, pointwise ops."""
 
     atoms: tuple[str, ...]
@@ -83,8 +134,7 @@ class FunctionAlgebra:
         return len(self.atoms), self.value.shape[1]
 
 
-@dataclass(frozen=True)
-class Chang:
+class Chang(_Record):
     """Lower elements k*eps and upper elements 1 - k*eps."""
 
 
@@ -95,8 +145,7 @@ LOWER = "lower"
 UPPER = "upper"
 
 
-@dataclass(frozen=True)
-class ChangPair:
+class ChangPair(_Record):
     """Chang payload: ``lower k`` is k*eps, ``upper k`` is 1 - k*eps."""
 
     side: str
@@ -129,8 +178,7 @@ def _divisible(carrier: Carrier) -> bool:
     return not isinstance(carrier, Chang) and _shape(carrier)[1] is None
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(_Record):
     """A carrier together with its signature flags."""
 
     carrier: Carrier
@@ -204,8 +252,7 @@ def _coerce_payload(carrier: Carrier, raw) -> Payload:
     return values
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(_Record):
     """A carrier-tagged value; building one checks the payload (ops skip it: `_trusted`)."""
 
     algebra: Algebra
@@ -263,7 +310,7 @@ def random_element(rng: Random, algebra: Algebra) -> Element:
     carrier = algebra.carrier
     if isinstance(carrier, Chang):
         side = LOWER if rng.random() < 0.5 else UPPER
-        return _trusted(algebra, ChangPair(side, rng.randint(0, CHANG_SAMPLE_BOUND)))
+        return _trusted(algebra, _pair(side, rng.randint(0, CHANG_SAMPLE_BOUND)))
     atoms, n = _shape(carrier)
     draw = (lambda: random_unit(rng)) if n is None else (lambda: Fraction(rng.randint(0, n), n))
     if atoms is None:
@@ -379,9 +426,11 @@ class _IntOps(_TermOps):
 
 
 def _pair(side: str, k: int) -> ChangPair:
-    """A Chang op result, valid by construction, built unchecked as `_trusted` builds elements."""
+    """A Chang op result or draw, valid by construction, built unchecked as `_trusted`
+    builds elements."""
     pair = object.__new__(ChangPair)
-    pair.__dict__.update(side=side, k=k)
+    object.__setattr__(pair, "side", side)
+    object.__setattr__(pair, "k", k)
     return pair
 
 
@@ -500,8 +549,7 @@ def enumerate_carrier(algebra: Algebra) -> list[Element]:
     return [_trusted(algebra, p) for p in payloads]
 
 
-@dataclass(frozen=True)
-class TableAlgebra(_TermOps):
+class TableAlgebra(_Record, _TermOps):
     """A finite algebra as operation tables on indices, derived ops inherited.
 
     `compile_table` builds one from a carrier; a document may give one

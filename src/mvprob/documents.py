@@ -9,12 +9,13 @@ resolved at load time.  Commands read documents and never write one;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from . import core, states
-from .core import Algebra, Chang, ChangPair, Element, FiniteChain, FunctionAlgebra, StandardUnit
+from .core import (
+    Algebra, Chang, ChangPair, Element, FiniteChain, FunctionAlgebra, StandardUnit, _Record,
+)
 from .errors import InputError
 from .rationals import parse_unit
 from .states import DiscreteMeasure, State
@@ -24,8 +25,7 @@ FORMAT_VERSION = "1"
 AlgebraLike = Union[Algebra, core.TableAlgebra]
 
 
-@dataclass(frozen=True)
-class BilinearSpec:
+class BilinearSpec(_Record):
     """Declarative bilinear map; commands resolve it against live states."""
 
     kind: str  # "beta" | "state-product" | "left-scaling" | "table"
@@ -36,15 +36,14 @@ class BilinearSpec:
     entries: tuple[tuple[tuple[core.Payload, core.Payload], core.Payload], ...] = ()
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(_Record):
     version: str
-    algebras: dict[str, AlgebraLike] = field(default_factory=dict)
-    elements: dict[str, Element] = field(default_factory=dict)
-    measures: dict[str, DiscreteMeasure] = field(default_factory=dict)
-    states: dict[str, State] = field(default_factory=dict)
-    moments: dict[str, tuple[Fraction, ...]] = field(default_factory=dict)
-    bilinear: dict[str, BilinearSpec] = field(default_factory=dict)
+    algebras: dict[str, AlgebraLike]
+    elements: dict[str, Element]
+    measures: dict[str, DiscreteMeasure]
+    states: dict[str, State]
+    moments: dict[str, tuple[Fraction, ...]]
+    bilinear: dict[str, BilinearSpec]
 
 
 # ---------------------------------------------------------------------------

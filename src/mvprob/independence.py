@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import core, representation, states
 from .axioms import random_element, seeded
-from .core import Algebra, Element
+from .core import Algebra, Element, _Record
 from .errors import InputError
 from .rationals import ONE, ZERO, random_unit
 from .representation import MeasureRepresentation
@@ -47,8 +46,7 @@ def _pair_atoms(xs: tuple[str, ...], ys: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sources)
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(_Record):
     """Two measures and their product, held once as ``state``: its algebra is the
     function algebra on the lexicographic pair atoms, its measure the weights w_x * w_y."""
 
@@ -134,8 +132,7 @@ def verify_independence(left: State, right: State) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BilinearMap:
+class BilinearMap(_Record):
     """A bilinear table on a pair of finite domains.
 
     ``table[i][j]`` is the value at the left domain's element of rank i
@@ -326,8 +323,7 @@ def left_scaling_bilinear(rep_a: MeasureRepresentation, right: State) -> Bilinea
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtomLinearMap:
+class AtomLinearMap(_Record):
     """A rational-linear map off a function algebra, given on atom indicators.
 
     ``images[x]`` is the image of the indicator of atom x, so applying

@@ -12,13 +12,12 @@ source signature has them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import core, states
 from .axioms import random_element, seeded
-from .core import Algebra, Chang, Element
+from .core import Algebra, Chang, Element, _Record
 from .errors import InputError
 from .states import DiscreteMeasure, State
 from .verdict import Verdict, sweep
@@ -28,8 +27,7 @@ from .verdict import Verdict, sweep
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeasureRepresentation:
+class MeasureRepresentation(_Record):
     """The pipeline's steps, and the sources of the target's atom indicators."""
 
     source: Algebra

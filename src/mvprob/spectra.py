@@ -22,11 +22,10 @@ carriers as well: they are semisimple, so it is {0}, the empty support.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import core
-from .core import Algebra, Chang, Element
+from .core import Algebra, Chang, Element, _Record
 from .errors import InputError, UnsupportedCarrierError
 from .rationals import ONE, ZERO
 from .verdict import Verdict
@@ -40,8 +39,7 @@ CHANG_RADICAL = "chang_radical"
 CHANG_ALL = "chang_all"
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(_Record):
     """A verified ideal: the atom indices it may be nonzero at, or a Chang tag."""
 
     algebra: Algebra
@@ -161,8 +159,7 @@ def verify_semisimple(algebra: Algebra) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(_Record):
     algebra: Algebra
     project: Callable[[Element], Element]
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import core, spectra
 from .axioms import random_element, seeded
-from .core import Algebra, Chang, Element, FunctionAlgebra
+from .core import Algebra, Chang, Element, FunctionAlgebra, _Record
 from .errors import InputError
 from .rationals import ONE, ZERO, require_unit
 from .verdict import Verdict, sweep
@@ -38,8 +37,7 @@ from .verdict import Verdict, sweep
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_Record):
     """A normalized weight vector over named atoms."""
 
     atoms: tuple[str, ...]
@@ -66,8 +64,7 @@ def measure(atoms, weights) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class State:
+class State(_Record):
     """Integration against ``measure`` on `core.divisible_ambient`'s atoms; ``None`` on Chang."""
 
     algebra: Algebra
@@ -269,8 +266,7 @@ def extend_state_divisible(s: State) -> State:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StateQuotient:
+class StateQuotient(_Record):
     algebra: Algebra
     state: State
     project: Callable[[Element], Element]

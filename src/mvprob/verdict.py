@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
+from .core import _Record
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(_Record):
     """The outcome of one verification or construction.
 
     ``verdict`` is pass, fail, infeasible or inconclusive; a failure

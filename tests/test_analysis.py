@@ -1,8 +1,10 @@
 """Difference tables, the moment condition, reconstruction, LP, inequalities."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvprob as mv
-from mvprob import analysis
+from mvprob import analysis, cli, core
 from mvprob.errors import InputError
 from mvprob.rationals import ONE, ZERO
 
@@ -683,3 +685,34 @@ class TestHolder:
         a = mv.element(chain, "1/2")
         with pytest.raises(InputError):
             analysis.holder_check(s, a, a, F(2), F(2))
+
+
+class TestHolderPlantedDefects:
+    """A defect planted in the step a `fail` branch guards reaches the CLI as exit 1."""
+
+    DOC = str(Path(__file__).parent / "fixtures" / "basic.json")
+
+    def fail_witness(self, argv, capsys):
+        code = cli.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1 and report["verdict"] == "fail"
+        return report["witnesses"]
+
+    def test_exact_mode_fails_on_a_defective_product(self, monkeypatch, capsys):
+        # a.b read as the unit: s(a.b)^2 = 1 exceeds s(a^2) * s(b^2) = 1/4 * 1/2
+        prod = core.prod
+        monkeypatch.setattr(
+            core, "prod", lambda x, y: core.one(x.algebra) if x != y else prod(x, y)
+        )
+        argv = ["holder", self.DOC, "s", "f1", "f2", "--p", "2", "--q", "2"]
+        assert self.fail_witness(argv, capsys) == [{"lhs": "1", "rhs_high": "1/8"}]
+
+    def test_interval_mode_fails_on_a_defective_root(self, monkeypatch, capsys):
+        # halved root enclosures put the whole right side below s(a.b) = 1/4
+        root_bounds = analysis._root_bounds
+        monkeypatch.setattr(
+            analysis, "_root_bounds",
+            lambda y, n, bits: tuple(v / 2 for v in root_bounds(y, n, bits)),
+        )
+        argv = ["--precision", "8", "holder", self.DOC, "s", "f1", "f2", "--p", "3", "--q", "3/2"]
+        assert self.fail_witness(argv, capsys) == [{"lhs": "1/4", "rhs_high": "6579/131072"}]

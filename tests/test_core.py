@@ -1,8 +1,11 @@
 """Operation semantics on every carrier, checked against independent oracles."""
 
+import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 import mvprob as mv
 import element_reference as reference
-from mvprob import core, states
+from mvprob import core, documents, states
 from mvprob.axioms import check_axioms
 from mvprob.core import ChangPair, random_element
 from mvprob.errors import InputError
@@ -514,3 +517,132 @@ def test_encoded_payloads_are_canonical_and_match_the_reference(case):
         assert canonical(result)
         assert ops.decode(result) == expected.payload
         assert result == ops.encode(expected.payload)
+
+
+# ---------------------------------------------------------------------------
+# Records: the frozen-record base keeps what `@dataclass(frozen=True)` gave
+# ---------------------------------------------------------------------------
+
+
+BOOL2 = mv.function_algebra(("x", "y"), mv.FiniteChain(1))
+
+
+def record_samples():
+    """One record of each of the 21 record classes, from the library's own builders."""
+    raw = json.loads((Path(__file__).parent / "fixtures" / "basic.json").read_text())
+    doc = documents.parse_document(raw)
+    s_b, s_chain = doc.states["sB"], doc.states["schain"]
+    table = core.compile_table(mv.finite_chain(2))
+    gamma = mv.state_product_bilinear(s_b, s_chain)
+    samples = [
+        mv.StandardUnit(), mv.FiniteChain(3), mv.function_algebra(("x", "y")).carrier,
+        mv.Chang(), ChangPair("upper", 2), mv.finite_chain(1), doc.elements["f1"], table,
+        doc.measures["mu"], doc.states["s"], mv.state_quotient(BOOL2, s_b),
+        mv.product_space(doc.measures["mu"], doc.measures["nu"]), gamma,
+        mv.extend_bilinear_divisible(gamma), doc.bilinear["gbeta"], doc,
+        mv.radical(mv.chang()), mv.quotient(BOOL2, mv.ideal(BOOL2, [(F(0), F(0)), (F(1), F(0))])),
+        mv.moment_sequence(["1", "1/2"]), mv.embed_l1(BOOL2, s_b),
+        mv.Verdict("pass", [], {"checks": 1}),
+    ]
+    for record in samples:
+        yield pytest.param(record, id=type(record).__name__)
+
+
+RECORDS = list(record_samples())
+
+
+def field_names(record) -> list[str]:
+    return list(vars(type(record)).get("__annotations__", {}))
+
+
+def dataclass_twin(record):
+    """The record rebuilt as the frozen dataclass it used to be: same name, fields, values."""
+    names = field_names(record)
+    twin = dataclasses.make_dataclass(type(record).__qualname__, names, frozen=True)
+    return twin(*(getattr(record, name) for name in names))
+
+
+def test_every_record_class_has_a_sample():
+    classes = {type(p.values[0]) for p in RECORDS}
+    assert len(classes) == len(RECORDS) == 21
+    assert all(isinstance(p.values[0], core._Record) for p in RECORDS)
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_a_record_hashes_and_reprs_as_its_dataclass(record):
+    # hash and repr keep set and dict order, `compile_table` keys and stderr text
+    twin = dataclass_twin(record)
+    assert repr(record) == repr(twin)
+    values = tuple(getattr(record, name) for name in field_names(record))
+    try:
+        expected = hash(values)
+    except TypeError:  # a dict or list field: the dataclass was unhashable too
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) == expected
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_a_record_equals_only_records_of_its_class(record):
+    names = field_names(record)
+    values = [getattr(record, name) for name in names]
+    assert type(record)(*values) == record
+    assert type(record)(**dict(zip(names, values))) == record
+    sibling = type("Sibling", (core._Record,), {"__annotations__": dict.fromkeys(names, "object")})
+    assert sibling(*values) != record and record != sibling(*values)
+    assert record != dataclass_twin(record)
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_a_record_refuses_assignment_and_deletion(record):
+    for name in field_names(record) + ["unknown"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+def test_records_of_different_classes_with_equal_fields_differ():
+    assert mv.StandardUnit() != mv.Chang() and mv.StandardUnit() == mv.StandardUnit()
+    assert len({mv.StandardUnit(), mv.Chang(), mv.StandardUnit()}) == 2
+
+
+def test_a_record_repr_reaches_the_error_text():
+    with pytest.raises(InputError) as excinfo:
+        mv.Algebra(mv.FiniteChain(3), internal_product=True)
+    assert str(excinfo.value) == "carrier FiniteChain(n=3) does not close under products"
+
+
+def test_records_take_keywords_and_defaults():
+    assert mv.Algebra(mv.FiniteChain(1), internal_product=True) == mv.Algebra(
+        mv.FiniteChain(1), True, False
+    )
+    table = core.compile_table(mv.finite_chain(1))
+    rebuilt = mv.TableAlgebra(
+        table.names, table.oplus_table, table.neg_table, prod_table=table.prod_table
+    )
+    assert rebuilt == table and rebuilt.zero == 0
+    assert mv.TableAlgebra(("0", "1"), ((0, 1), (1, 1)), (1, 0)).prod_table is None
+    with pytest.raises(TypeError):
+        mv.Algebra()
+    with pytest.raises(TypeError):
+        mv.Algebra(mv.Chang(), nonsense=True)
+
+
+def test_a_state_caches_its_encoded_weights():
+    s = states.measure_state(mv.function_algebra(("x", "y")), mv.measure(("x", "y"), (F(1, 3), F(2, 3))))
+    assert "encoded_weights" not in vars(s)
+    assert s.encoded_weights is s.encoded_weights == ((1, 2), 3)
+    assert "encoded_weights" in vars(s)
+
+
+def test_seeded_chang_draws_are_built_unchecked(monkeypatch):
+    checks = []
+    check = ChangPair.__post_init__
+    monkeypatch.setattr(ChangPair, "__post_init__", lambda pair: checks.append(check(pair)))
+    rng = Random(3)
+    draws = [random_element(rng, C) for _ in range(500)]
+    assert checks == [] and {d.payload.side for d in draws} == {"lower", "upper"}
+    ChangPair("lower", 1)
+    assert checks == [None]  # the counter sees a checked build

@@ -1,6 +1,5 @@
 """Product couplings, bounded bilinear maps, extensions, factorization."""
 
-import dataclasses
 import itertools
 from fractions import Fraction as F
 from random import Random
@@ -193,8 +192,13 @@ class TestBilinearChecks:
         skew = mv.measure_state(space.state.algebra, mv.measure(atoms, weights))
         gamma = unchecked_map(s_a, s_b, skew, lambda a, b: mv.beta(space, rep_a, rep_b, a, b))
         assert mv.check_bilinear(gamma).passed
-        assert not mv.check_bilinear(dataclasses.replace(gamma, bound=1)).passed
-        assert mv.check_bilinear(dataclasses.replace(gamma, bound=2)).passed
+        assert not mv.check_bilinear(with_bound(gamma, 1)).passed
+        assert mv.check_bilinear(with_bound(gamma, 2)).passed
+
+
+def with_bound(gamma, bound):
+    """``gamma`` with the claimed constant K replaced by ``bound``."""
+    return mv.BilinearMap(gamma.left, gamma.right, gamma.codomain, gamma.table, bound)
 
 
 def planted_table(left, right, fn, cell=None, value=None):
@@ -237,7 +241,7 @@ def planted_defects():
 
 @pytest.mark.parametrize("gamma, bound, checks, witness", list(planted_defects()))
 def test_planted_defect_is_found_at_its_pinned_check(gamma, bound, checks, witness):
-    report = mv.check_bilinear(dataclasses.replace(gamma, bound=bound))
+    report = mv.check_bilinear(with_bound(gamma, bound))
     assert not report.passed
     assert report.metrics == {"checks": checks}
     assert report.witnesses == [{"check": witness}]
@@ -343,7 +347,7 @@ def planted(gamma, cell, bound=None):
     value = rows[cell // width][cell % width]
     zero = mv.zero(value.algebra)
     rows[cell // width][cell % width] = mv.one(value.algebra) if value == zero else zero
-    return dataclasses.replace(gamma, table=tuple(map(tuple, rows)), bound=bound)
+    return mv.BilinearMap(gamma.left, gamma.right, gamma.codomain, tuple(map(tuple, rows)), bound)
 
 
 class TestCheckBilinearAgainstSummablePairs:
@@ -365,13 +369,13 @@ class TestCheckBilinearAgainstSummablePairs:
         ]
         for gamma in maps:
             for bound in (gamma.bound, None, 0):
-                self.agree(dataclasses.replace(gamma, bound=bound))
+                self.agree(with_bound(gamma, bound))
         atoms = space.state.measure.atoms
         skew = mv.measure_state(
             space.state.algebra, mv.measure(atoms, (F(1),) + (F(0),) * (len(atoms) - 1))
         )
         for bound in (None, 1, 2):  # K = 1 is too small for the uniform coupling
-            self.agree(dataclasses.replace(maps[0], codomain=skew, bound=bound))
+            self.agree(mv.BilinearMap(maps[0].left, maps[0].right, skew, maps[0].table, bound))
 
     @pytest.mark.parametrize("left", GATE_DOMAINS)
     @pytest.mark.parametrize("right", GATE_DOMAINS)
@@ -402,7 +406,7 @@ class TestCheckBilinearAgainstSummablePairs:
         gamma = atom_image_table(s_a, s_b, state, step(na, nb), Random(seed))
         size = len(gamma.table) * len(gamma.table[0])
         if cell is None:
-            self.agree(dataclasses.replace(gamma, bound=bound))
+            self.agree(with_bound(gamma, bound))
         else:
             self.agree(planted(gamma, cell % size, bound))
 
@@ -565,9 +569,7 @@ class TestLipschitz:
         # gives weight 0, so elements at pseudo-distance 0 are sent far apart
         dirac = mv.measure_state(BOOL2, mv.measure(("x", "y"), (F(1), F(0))))
         s1 = chain_state(mv.finite_chain(1))
-        gamma = dataclasses.replace(
-            planted_table(dirac, s1, lambda a, b: a.payload[1] * b.payload), bound=1
-        )
+        gamma = with_bound(planted_table(dirac, s1, lambda a, b: a.payload[1] * b.payload), 1)
         assert not mv.check_bilinear(gamma).passed
         quadruples, violations = lipschitz_violations(gamma)
         assert quadruples == 64 and violations

@@ -234,16 +234,14 @@ def _python(code: str) -> subprocess.CompletedProcess:
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The mvprob modules a fresh interpreter holds after running ``code``."""
-    result = _python(
-        code + "\nimport sys\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mvprob'))"
-    )
+    """The modules a fresh interpreter holds after running ``code``, stdlib ones included."""
+    result = _python(code + "\nimport sys\nprint(sorted(sys.modules))")
     assert result.returncode == 0, result.stderr
     return set(ast.literal_eval(result.stdout.splitlines()[-1]))
 
 
 def _cli_loads(*argv: str) -> set[str]:
+    """The modules a command loads: mvprob's by their submodule name, the rest by theirs."""
     code = (
         "import contextlib, io\n"
         "from mvprob import cli\n"
@@ -256,7 +254,38 @@ def _cli_loads(*argv: str) -> set[str]:
 
 
 def test_importing_the_package_loads_no_submodule():
-    assert _loaded_after("import mvprob") == {"mvprob"}
+    loaded = _loaded_after("import mvprob")
+    assert {name for name in loaded if name.split(".")[0] == "mvprob"} == {"mvprob"}
+
+
+def test_no_module_imports_dataclasses():
+    # `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, about 10 ms of
+    # every command's start; the records derive from `core._Record` instead
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-axioms", FIXTURE, "chain3", "--level", "MV"),
+        ("state", FIXTURE, "eval", "s", "f1"),
+        ("spectra", FIXTURE, "ideals", "B"),
+        ("embed", FIXTURE, "C", "sc"),
+        ("moments", FIXTURE, "check", "leb"),
+        ("holder", FIXTURE, "s", "f1", "f2", "--p", "2", "--q", "2"),
+        ("--seed", "5", "product", FIXTURE, "factorize", "sB", "schain", "gbeta"),
+    ],
+    ids=["check-axioms", "state", "spectra", "embed", "moments", "holder", "product"],
+)
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    loaded = _cli_loads(*argv)
+    assert "cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 
 
 @pytest.mark.parametrize(
