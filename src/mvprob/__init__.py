@@ -10,8 +10,10 @@ Everything computes in exact rational arithmetic.
 The namespace is lazy (PEP 562): ``import mvprob`` loads no submodule,
 and a public name imports its defining module on first access.  Without
 a bytecode cache every process compiles each module it imports, so
-loading only what is used keeps a CLI command's start-up short.  For the
-same reason no module imports `dataclasses`, which loads `inspect`: the
+loading only what is used keeps a CLI command's start-up short: the CLI
+imports a checker module (`axioms`, `spectra`, `analysis`, ...) in the
+handler that runs it, and `states` imports `spectra` only to build a
+quotient.  For the same reason no module imports `dataclasses`, which loads `inspect`: the
 records derive from the private `core._Record`, and a command loads from
 the standard library only what the modules import by name (`argparse`,
 `json`, `fractions`, `random`, `re`, `pathlib`, `typing` and a few more).

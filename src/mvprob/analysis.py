@@ -196,12 +196,17 @@ def hausdorff_reconstruct(m: MomentSequence, grid: int) -> DiscreteMeasure:
 
 
 def verify_reconstruction(m: MomentSequence, grid: int) -> Verdict:
-    """Reconstruct on the grid and check the zeroth and first moments survive."""
-    mu = hausdorff_reconstruct(m, grid)
-    recovered = moments_of_measure(mu, min(m.order, 1))
-    ok = recovered.values[0] == m.values[0] and (
-        m.order == 0 or recovered.values[1] == m.values[1]
-    )
+    """Reconstruct on the grid and check the zeroth and first moments survive.
+
+    The check runs on integers, the masses' numerators n_j over their lcm
+    d: the sum of n_j is d * m0 = d and the sum of j * n_j is grid * d * m1
+    (a grid of at least 1 reads m1).  No moment is recomputed in `Fraction`s.
+    """
+    mu, m1 = hausdorff_reconstruct(m, grid), m.values[1]
+    d = math.lcm(*[w.denominator for w in mu.weights])
+    numerators = [w.numerator * (d // w.denominator) for w in mu.weights]
+    first = sum(map(operator.mul, range(grid + 1), numerators))
+    ok = sum(numerators) == d and first * m1.denominator == grid * d * m1.numerator
     witnesses = [] if ok else [{"moment": "first moments not preserved"}]
     return Verdict("pass" if ok else "fail", witnesses, {"grid": grid}, None, mu)
 
@@ -317,9 +322,14 @@ def moment_fit_lp(m: MomentSequence, grid: int) -> Verdict:
     solution, certificate = _phase_one(columns, rhs, common)
     if solution is None:
         return Verdict("infeasible", [{"certificate": certificate}], {"grid": grid})
-    mu = grid_measure([Fraction(j, grid) for j in range(grid + 1)], solution)
-    if moments_of_measure(mu, m.order).values != m.values:
+    # A w = b on the integer system: the weights' numerators over their lcm d
+    d = math.lcm(*[w.denominator for w in solution])
+    numerators = [w.numerator * (d // w.denominator) for w in solution]
+    if any(x < 0 for x in numerators) or any(
+        sum(map(operator.mul, row, numerators)) != d * b for row, b in zip(zip(*columns), rhs)
+    ):
         raise AssertionError("the fitted measure has the given moments")
+    mu = grid_measure([Fraction(j, grid) for j in range(grid + 1)], solution)
     return Verdict("pass", [], {"grid": grid}, None, mu)
 
 

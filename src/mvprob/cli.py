@@ -21,15 +21,17 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-# every command needs this closure (documents pulls in states, spectra and
-# axioms); a handler imports what only it runs, so a process compiles no
-# module its command does not use
-from . import axioms, core, documents, spectra, states
-from .core import Algebra, Element, TableAlgebra
+# every command needs this closure (documents pulls in states); a handler
+# imports what only it runs, so a process compiles no module its command
+# does not use
+from . import core, documents, states
+from .core import LEVELS, Algebra, Element, TableAlgebra
 from .errors import InputError
 from .rationals import DEFAULT_PRECISION, format_rational, parse_rational
 from .states import DiscreteMeasure
 from .verdict import Verdict
+
+DEFAULT_SAMPLE_COUNT = 10_000  # draws of `check-axioms --mode sample`
 
 
 def _json_form(value):
@@ -40,10 +42,12 @@ def _json_form(value):
         return format_rational(value)
     if isinstance(value, DiscreteMeasure):
         return {"atoms": value.atoms, "weights": value.weights}
-    if isinstance(value, spectra.Ideal):
-        return spectra.listing(value)
     if isinstance(value, Algebra):
         return documents.serialize_algebra(value)
+    from . import spectra  # loaded already if the verdict holds an Ideal
+
+    if isinstance(value, spectra.Ideal):
+        return spectra.listing(value)
     raise TypeError(f"a report cannot hold a {type(value).__name__}")
 
 
@@ -122,6 +126,8 @@ def _bilinear_constructor(doc: documents.Document, name: str, left: str, right: 
 
 
 def _cmd_check_axioms(doc: documents.Document, args) -> Verdict:
+    from . import axioms
+
     target = _named(doc.algebras, args.algebra, "algebra")
     samples = args.count if args.mode == "sample" else None
     return axioms.check_axioms(target, args.level, samples, args.seed)
@@ -142,6 +148,8 @@ def _cmd_state(doc: documents.Document, args) -> Verdict:
 
 
 def _cmd_spectra(doc: documents.Document, args) -> Verdict:
+    from . import spectra
+
     algebra = _named(doc.algebras, args.algebra, "algebra")
     if isinstance(algebra, TableAlgebra):
         raise InputError("spectra commands need a carrier algebra, not a table")
@@ -259,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-axioms", help="verify algebra laws", parents=[globals_parser])
     p.add_argument("doc")
     p.add_argument("algebra")
-    p.add_argument("--level", choices=axioms.LEVELS, default="MV")
+    p.add_argument("--level", choices=LEVELS, default="MV")
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--count", type=int, default=axioms.DEFAULT_SAMPLE_COUNT)
+    p.add_argument("--count", type=int, default=DEFAULT_SAMPLE_COUNT)
 
     p = sub.add_parser("state", help="state evaluation and verification", parents=[globals_parser])
     p.add_argument("doc")

@@ -19,8 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import core, representation, states
-from .axioms import random_element, seeded
-from .core import Algebra, Element, _Record
+from .core import Algebra, Element, _Record, random_element, seeded
 from .errors import InputError
 from .rationals import ONE, ZERO, random_unit
 from .representation import MeasureRepresentation

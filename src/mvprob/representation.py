@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import core, states
-from .axioms import random_element, seeded
-from .core import Algebra, Chang, Element, _Record
+from .core import Algebra, Chang, Element, _Record, random_element, seeded
 from .errors import InputError
 from .states import DiscreteMeasure, State
 from .verdict import Verdict, sweep

@@ -25,9 +25,8 @@ import operator
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import core, spectra
-from .axioms import random_element, seeded
-from .core import Algebra, Chang, Element, FunctionAlgebra, _Record
+from . import core
+from .core import Algebra, Chang, Element, FunctionAlgebra, _Record, random_element, seeded
 from .errors import InputError
 from .rationals import ONE, ZERO, require_unit
 from .verdict import Verdict, sweep
@@ -295,14 +294,16 @@ def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
     if s.algebra != algebra:
         raise InputError("state does not live on the given algebra")
     if s.measure is None:
-        weights = (ONE,)
-        result = spectra.quotient(algebra, spectra.radical(algebra))  # onto the 1-chain
+        weights, null = (ONE,), None  # the radical, onto the 1-chain
     else:
         weights = s.measure.weights
         null = frozenset(x for x, w in enumerate(weights) if w == ZERO)
         if not null:
             return identity_quotient(algebra, s)
-        result = spectra.quotient(algebra, spectra.Ideal(algebra, null))
+    from . import spectra  # only a quotient that collapses something loads it
+
+    ideal = spectra.radical(algebra) if null is None else spectra.Ideal(algebra, null)
+    result = spectra.quotient(algebra, ideal)
     target = result.algebra
     return StateQuotient(target, _on_ambient(target, [w for w in weights if w]), result.project)
 

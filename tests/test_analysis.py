@@ -716,3 +716,62 @@ class TestHolderPlantedDefects:
         )
         argv = ["--precision", "8", "holder", self.DOC, "s", "f1", "f2", "--p", "3", "--q", "3/2"]
         assert self.fail_witness(argv, capsys) == [{"lhs": "1/4", "rhs_high": "6579/131072"}]
+
+
+class TestMomentPlantedDefects:
+    """A defect planted in the step a moment re-check guards reaches the CLI."""
+
+    DOC = str(Path(__file__).parent / "fixtures" / "basic.json")
+
+    def test_a_wrong_fitted_measure_is_an_internal_error(self, monkeypatch, capsys):
+        # mass 1/12 moved from 0 to 1/2: still a probability vector, wrong moments
+        phase_one = analysis._phase_one
+
+        def perturbed(columns, rhs, common):
+            solution, certificate = phase_one(columns, rhs, common)
+            assert solution == [F(1, 6), F(2, 3), F(1, 6)]
+            return [solution[0] - F(1, 12), solution[1] + F(1, 12), solution[2]], certificate
+
+        monkeypatch.setattr(analysis, "_phase_one", perturbed)
+        code = cli.main(["moments", self.DOC, "fit", "leb", "--grid", "2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: AssertionError('the fitted measure has the given moments')")
+        assert err.count("\n") == 1
+
+    def test_a_reconstruction_that_moves_the_mean_fails(self, monkeypatch, capsys):
+        # mass 1/12 moved from 0 to 1/2: m0 survives, m1 reads 13/24
+        reconstruct = analysis.hausdorff_reconstruct
+
+        def shifted(m, grid):
+            weights = list(reconstruct(m, grid).weights)
+            assert weights == [F(1, 3)] * 3
+            weights[0] -= F(1, 12)
+            weights[1] += F(1, 12)
+            return analysis.grid_measure([F(j, grid) for j in range(grid + 1)], weights)
+
+        monkeypatch.setattr(analysis, "hausdorff_reconstruct", shifted)
+        code = cli.main(["moments", self.DOC, "reconstruct", "leb", "--grid", "2"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1 and report["verdict"] == "fail"
+        assert report["witnesses"] == [{"moment": "first moments not preserved"}]
+        assert report["result"]["weights"] == ["1/4", "5/12", "1/3"]
+
+    def test_measure_moments_that_break_the_condition_fail(self, monkeypatch, capsys):
+        # m2 = 3/4 above m1 = 1/2: the first differences change sign
+        monkeypatch.setattr(
+            analysis, "moments_of_measure",
+            lambda mu, order: analysis.moment_sequence(["1", "1/2", "3/4"]),
+        )
+        code = cli.main(["moments", self.DOC, "of-measure", "grid", "--order", "2"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1 and report["verdict"] == "fail"
+        assert report["witnesses"] == [{"reason": "sign"}]
+
+    @pytest.mark.parametrize("grid", [1, 2, 3])
+    def test_the_integer_check_agrees_with_the_fraction_moments(self, grid):
+        # the reference: m0 and m1 of the reconstruction recomputed in Fractions
+        m = lebesgue_moments(3)
+        mu = analysis.hausdorff_reconstruct(m, grid)
+        assert analysis.moments_of_measure(mu, 1).values == m.values[:2]
+        assert analysis.verify_reconstruction(m, grid).passed

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvprob import analysis, axioms, cli, spectra
+from mvprob import analysis, cli, core, spectra
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOC = str(FIXTURES / "basic.json")
@@ -369,11 +369,11 @@ class TestInputBoundary:
         "argv",
         [
             ("--seed", "1", "check-axioms", DOC, "U", "--level", "MV", "--mode", "sample",
-             "--count", str(axioms.MAX_SAMPLES + 1)),
-            ("--seed", "1", "state", DOC, "metric", "s", "--samples", str(axioms.MAX_SAMPLES + 1)),
-            ("--seed", "1", "embed", DOC, "F", "s", "--samples", str(axioms.MAX_SAMPLES + 1)),
+             "--count", str(core.MAX_SAMPLES + 1)),
+            ("--seed", "1", "state", DOC, "metric", "s", "--samples", str(core.MAX_SAMPLES + 1)),
+            ("--seed", "1", "embed", DOC, "F", "s", "--samples", str(core.MAX_SAMPLES + 1)),
             ("--seed", "1", "product", DOC, "factorize", "sB", "schain", "gbeta",
-             "--samples", str(axioms.MAX_SAMPLES + 1)),
+             "--samples", str(core.MAX_SAMPLES + 1)),
         ],
         ids=["check-axioms", "state-metric", "embed", "product-factorize"],
     )
@@ -381,7 +381,7 @@ class TestInputBoundary:
         result = run(*argv)
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr == f"error: sample count must be at most {axioms.MAX_SAMPLES}\n"
+        assert result.stderr == f"error: sample count must be at most {core.MAX_SAMPLES}\n"
 
     def test_moment_order_above_its_budget_is_an_input_error(self):
         result = run("moments", DOC, "of-measure", "grid", "--order", str(analysis.MAX_ORDER + 1))

@@ -1,7 +1,9 @@
 """Product couplings, bounded bilinear maps, extensions, factorization."""
 
 import itertools
+import json
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import mvprob as mv
 from element_reference import summable_pairs
-from mvprob import independence
+from mvprob import cli, independence
 from mvprob.axioms import random_element
 from mvprob.errors import InputError
 from mvprob.rationals import ONE
@@ -642,3 +644,13 @@ class TestFactorization:
         rep_c = mv.embed_l1(space.state.algebra, space.state)
         with pytest.raises(InputError):
             mv.factorize(gamma, space, rep_a, rep_b, rep_c)
+
+
+def test_a_product_whose_marginals_differ_fails(monkeypatch, capsys):
+    # a defect planted in the marginal sums reaches `product build` as exit 1
+    monkeypatch.setattr(independence, "marginals", lambda space: (space.right, space.left))
+    doc = str(Path(__file__).parent / "fixtures" / "basic.json")
+    code = cli.main(["product", doc, "build", "mu", "nu"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["witnesses"] == [{"marginals": "do not match the factors"}]

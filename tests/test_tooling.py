@@ -288,26 +288,46 @@ def test_no_command_loads_dataclasses_or_inspect(argv):
     assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 
 
+# every command loads these; a handler imports what only it runs
+SHARED_CLOSURE = {"cli", "core", "documents", "errors", "rationals", "states", "verdict"}
+
+
+def _submodules(loaded: set[str]) -> set[str]:
+    return loaded & {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, added",
     [
-        ("state", FIXTURE, "eval", "s", "f1"),
-        ("state", FIXTURE, "metric", "schain"),
-        ("spectra", FIXTURE, "ideals", "B"),
-        ("check-axioms", FIXTURE, "chain3", "--level", "MV"),
+        (("state", FIXTURE, "eval", "s", "f1"), set()),
+        (("state", FIXTURE, "faithful", "s"), set()),
+        (("state", FIXTURE, "metric", "schain"), set()),
+        (("state", FIXTURE, "quotient", "s"), set()),  # faithful: nothing to collapse
+        (("state", FIXTURE, "quotient", "sdirac"), {"spectra"}),
+        (("check-axioms", FIXTURE, "chain3", "--level", "MV"), {"axioms"}),
+        (("spectra", FIXTURE, "ideals", "B"), {"spectra"}),
+        (("moments", FIXTURE, "check", "leb"), {"analysis"}),
+        (("holder", FIXTURE, "s", "f1", "f2", "--p", "2", "--q", "2"), {"analysis"}),
+        (("embed", FIXTURE, "C", "sc"), {"representation", "spectra"}),
+        (("embed", FIXTURE, "F", "sdirac", "--seed", "1"), {"representation", "spectra"}),
+        (("--seed", "5", "product", FIXTURE, "factorize", "sB", "schain", "gbeta"),
+         {"independence", "representation"}),  # faithful states: no quotient is built
     ],
-    ids=["state-eval", "state-metric", "spectra-ideals", "check-axioms"],
+    ids=[
+        "state-eval", "state-faithful", "state-metric", "state-quotient-faithful",
+        "state-quotient", "check-axioms", "spectra-ideals", "moments", "holder", "embed-chang",
+        "embed-null-atom", "product",
+    ],
 )
-def test_core_commands_load_no_analysis_layer(argv):
-    loaded = _cli_loads(*argv)
-    assert "cli" in loaded and "documents" in loaded
-    assert not loaded & {"analysis", "independence", "representation"}, sorted(loaded)
+def test_a_command_loads_the_shared_closure_and_what_its_handler_runs(argv, added):
+    assert _submodules(_cli_loads(*argv)) == SHARED_CLOSURE | added
 
 
-def test_a_moments_command_loads_analysis_alone():
-    loaded = _cli_loads("moments", FIXTURE, "check", "leb")
-    assert "analysis" in loaded
-    assert not loaded & {"independence", "representation"}, sorted(loaded)
+def test_the_document_layer_loads_no_checker():
+    loaded = _loaded_after("from mvprob import documents")
+    assert {name for name in loaded if name.startswith("mvprob.")} == {
+        f"mvprob.{name}" for name in SHARED_CLOSURE - {"cli"}
+    }
 
 
 def test_the_precision_default_is_the_analysis_constant():
