@@ -22,7 +22,9 @@ from typing import Iterator, Sequence
 from . import core, states
 from .core import Element, _Record
 from .errors import InputError
-from .rationals import DEFAULT_PRECISION, ONE, ZERO, format_rational, parse_rational, require_unit
+from .rationals import (
+    DEFAULT_PRECISION, ONE, ZERO, format_rational, over_lcm, parse_rational, require_unit
+)
 from .states import DiscreteMeasure, State
 from .verdict import Verdict
 
@@ -89,8 +91,7 @@ def _delta_rows(m: MomentSequence) -> Iterator[list[int]]:
     r-th differences at k = 0, ..., order - r.  Only the current row is
     kept: a caller that stops early never builds the rest of the table.
     """
-    d = m.denominator
-    row = [v.numerator * (d // v.denominator) for v in m.values]
+    row = list(over_lcm(m.values)[0])
     while row:
         yield row
         row = list(map(operator.sub, row[1:], row))
@@ -203,8 +204,7 @@ def verify_reconstruction(m: MomentSequence, grid: int) -> Verdict:
     (a grid of at least 1 reads m1).  No moment is recomputed in `Fraction`s.
     """
     mu, m1 = hausdorff_reconstruct(m, grid), m.values[1]
-    d = math.lcm(*[w.denominator for w in mu.weights])
-    numerators = [w.numerator * (d // w.denominator) for w in mu.weights]
+    numerators, d = over_lcm(mu.weights)
     first = sum(map(operator.mul, range(grid + 1), numerators))
     ok = sum(numerators) == d and first * m1.denominator == grid * d * m1.numerator
     witnesses = [] if ok else [{"moment": "first moments not preserved"}]
@@ -293,8 +293,7 @@ def _phase_one(columns: list[list[int]], rhs: list[int], common: int):
                 solution[var] = Fraction(body[i][-1], d)
         return solution, None
     yvec = tuple(ONE - Fraction(o, d) for o in obj[:rows])
-    scale = math.lcm(*[y.denominator for y in yvec])
-    ys = [y.numerator * (scale // y.denominator) for y in yvec]
+    ys = over_lcm(yvec)[0]
     if sum(map(operator.mul, ys, rhs)) <= 0:
         raise AssertionError("a Farkas certificate has y.b > 0")
     if any(sum(map(operator.mul, ys, a)) > 0 for a in columns):
@@ -323,8 +322,7 @@ def moment_fit_lp(m: MomentSequence, grid: int) -> Verdict:
     if solution is None:
         return Verdict("infeasible", [{"certificate": certificate}], {"grid": grid})
     # A w = b on the integer system: the weights' numerators over their lcm d
-    d = math.lcm(*[w.denominator for w in solution])
-    numerators = [w.numerator * (d // w.denominator) for w in solution]
+    numerators, d = over_lcm(solution)
     if any(x < 0 for x in numerators) or any(
         sum(map(operator.mul, row, numerators)) != d * b for row, b in zip(zip(*columns), rhs)
     ):

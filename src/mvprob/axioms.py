@@ -19,7 +19,7 @@ from random import Random
 from typing import Optional, Union
 
 from . import core
-from .core import LEVELS, Algebra, Element, TableAlgebra, seeded
+from .core import LEVELS, Algebra, TableAlgebra, seeded
 from .errors import InputError
 from .rationals import ZERO, format_rational, random_unit
 from .verdict import Verdict, sweep
@@ -28,9 +28,9 @@ AxiomTarget = Union[Algebra, TableAlgebra]
 
 
 # defined here, not re-exported, so a per-module trace counts these draws under axioms
-def random_element(rng: Random, algebra: Algebra) -> Element:
-    """One seeded draw of an axiom sweep; `core.random_element` builds it."""
-    return core.random_element(rng, algebra)
+def random_element(rng: Random, ops):
+    """One seeded draw of an axiom sweep: the encoded payload of the op set's ``draw``."""
+    return ops.draw(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def check_axioms(
     else:
         ops = core.payload_ops(target)
         describe = lambda x: core.format_payload(ops.decode(x))
-        draw = lambda rng: ops.encode(random_element(rng, target).payload)
+        draw = lambda rng: random_element(rng, ops)
 
     if samples is None:
         seed, elements = None, range(len(target.names))

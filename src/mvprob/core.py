@@ -13,10 +13,11 @@ Every carrier but Chang has a `Shape` (atoms, levels): the atom count, ``None``
 for one-value payloads, and the n of the n-chain's levels, ``None`` for rational
 values.  Code reads it to tell carriers apart; only Chang is told by its type.
 
-Payloads have two op sets (`payload_ops`): one for Chang pairs, and one for
-the `Fraction` values of the other carriers, encoded as integers over one
-denominator.  Each has ``encode``, ``decode``, truncated addition, the
-involution, and the product and scalar action where they exist; the derived
+Payloads have three op sets (`payload_ops`), all on plain integers: a value of
+the interval or a chain is a coprime pair ``(x, d)``, a function a tuple of
+those pairs mapped over its atoms, and a Chang pair ``(0, k)`` or ``(1, k)``.
+Each has ``encode``, ``decode``, an encoded seeded ``draw``, truncated addition,
+the involution, and the product and scalar action where they exist; the derived
 ops are term definitions, written once for the op sets and `TableAlgebra`.
 The `Element` ops, sampled sweeps and `compile_table` all compute through them.
 All values are exact rationals and every operation is a pure function on
@@ -33,7 +34,7 @@ from random import Random
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, UnsupportedCarrierError
-from .rationals import ONE, ZERO, format_rational, parse_unit, random_unit, require_unit
+from .rationals import MAX_DRAW_DENOMINATOR, ONE, ZERO, format_rational, parse_unit, require_unit
 
 # ---------------------------------------------------------------------------
 # Records
@@ -304,7 +305,7 @@ def indicator(algebra: Algebra, atom: str) -> Element:
 
 
 CHANG_SAMPLE_BOUND = 40  # draws take lower(k) and upper(k) for k up to this
-# draws per sampled sweep; 10,000 fMV draws on [0, 1] take 2.1-2.4 s on one core of a 2-vCPU Xeon
+# draws per sampled sweep; 10,000 fMV draws on [0, 1] take 0.6-0.7 s on one core of a 2-vCPU Xeon
 MAX_SAMPLES = 100_000
 
 
@@ -323,19 +324,9 @@ def seeded(seed: Optional[int], samples: int) -> Random:
 
 
 def random_element(rng: Random, algebra: Algebra) -> Element:
-    """A seeded draw: a `random_unit` or a uniform chain level per atom, or a Chang index.
-
-    Every value lies in the carrier by construction, so it is built unchecked.
-    """
-    carrier = algebra.carrier
-    if isinstance(carrier, Chang):
-        side = LOWER if rng.random() < 0.5 else UPPER
-        return _trusted(algebra, _pair(side, rng.randint(0, CHANG_SAMPLE_BOUND)))
-    atoms, n = _shape(carrier)
-    draw = (lambda: random_unit(rng)) if n is None else (lambda: Fraction(rng.randint(0, n), n))
-    if atoms is None:
-        return _trusted(algebra, draw())
-    return _trusted(algebra, tuple(draw() for _ in range(atoms)))
+    """A seeded draw: the op set's encoded ``draw``, decoded and built unchecked."""
+    ops = payload_ops(algebra)
+    return _trusted(algebra, ops.decode(ops.draw(rng)))
 
 
 def lower(algebra: Algebra, k: int) -> Element:
@@ -390,86 +381,110 @@ class _TermOps:
         return self.oplus(self.neg(a), b) == self.one
 
 
-Encoded = tuple[tuple[int, ...], int]
+def _lowest(x: int, d: int) -> tuple[int, int]:
+    g = math.gcd(x, d)
+    return x // g, d // g
 
 
-def _reduced(numerators: tuple[int, ...], d: int) -> Encoded:
-    g = math.gcd(d, *numerators)
-    return (numerators, d) if g == 1 else (tuple([x // g for x in numerators]), d // g)
+class _ValueOps(_TermOps):
+    """One-value payloads of the interval or a chain, encoded as coprime ``(x, d)``:
+    integers 0 <= x <= d with gcd(x, d) == 1, so equal values have equal encodings."""
 
+    zero, one = (0, 1), (1, 1)
 
-class _IntOps(_TermOps):
-    """`Fraction` payloads of the interval, the chains and function algebras over them,
-    encoded as ``(numerators, d)``: integers 0 <= x <= d with gcd(d, *numerators) == 1,
-    so equal values have equal encodings.  A unit value is a 1-tuple."""
+    def __init__(self, levels: Optional[int]):
+        self.levels = levels
 
-    def __init__(self, atoms: Optional[int], levels: Optional[int]):  # a `Shape`
-        self.unit, self.levels = atoms is None, levels
-        self.zero, self.one = ((0,) * (atoms or 1), 1), ((1,) * (atoms or 1), 1)
+    def encode(self, value: Fraction) -> tuple[int, int]:
+        return value.numerator, value.denominator
 
-    def encode(self, payload: Payload) -> Encoded:
-        if self.unit:
-            return (payload.numerator,), payload.denominator
-        d = math.lcm(*[v.denominator for v in payload])
-        return tuple([v.numerator * (d // v.denominator) for v in payload]), d
-
-    def decode(self, encoded: Encoded) -> Payload:
-        xs, d = encoded
-        return Fraction(xs[0], d) if self.unit else tuple([Fraction(x, d) for x in xs])
+    def decode(self, encoded) -> Fraction:
+        return Fraction(*encoded)
 
     def oplus(self, a, b):
-        (xs, d), (ys, e) = a, b
-        if d != e:
-            m = math.lcm(d, e)
-            xs, ys, d = [x * (m // d) for x in xs], [y * (m // e) for y in ys], m
-        return _reduced(tuple([min(x + y, d) for x, y in zip(xs, ys)]), d)
+        (x, d), (y, e) = a, b
+        s, m = x * e + y * d, d * e
+        return (1, 1) if s >= m else _lowest(s, m)
 
     def neg(self, a):
-        xs, d = a
-        return tuple([d - x for x in xs]), d
+        return a[1] - a[0], a[1]
 
     def prod(self, a, b):
-        (xs, d), (ys, e) = a, b
-        return _reduced(tuple([x * y for x, y in zip(xs, ys)]), d * e)
+        return _lowest(a[0] * b[0], a[1] * b[1])
 
     def scalar(self, alpha, a):
-        xs, d = a
-        return _reduced(tuple([alpha.numerator * x for x in xs]), alpha.denominator * d)
+        return _lowest(alpha.numerator * a[0], alpha.denominator * a[1])
 
-    def index(self, encoded: Encoded) -> int:
-        """The `rank` of an encoded chain-valued payload: its level digits are x * (n // d)."""
-        (xs, d), n = encoded, self.levels
-        step, position = n // d, 0
-        for x in xs:
-            position = position * (n + 1) + x * step
+    def index(self, encoded) -> int:
+        """The chain level of ``encoded``: x * (n // d)."""
+        return encoded[0] * (self.levels // encoded[1])
+
+    def draw(self, rng: Random):
+        """`random_unit`'s draw, or a uniform chain level, encoded; the same rng calls."""
+        if self.levels is None:
+            q = rng.randint(1, MAX_DRAW_DENOMINATOR)
+            return _lowest(rng.randint(0, q), q)
+        return _lowest(rng.randint(0, self.levels), self.levels)
+
+
+def _mapped(op: str):
+    return lambda self, *payloads: tuple(map(getattr(self.value, op), *payloads))
+
+
+class _PointwiseOps(_TermOps):
+    """Function-algebra payloads: a tuple of `_ValueOps` encodings, one per atom.
+    Every op maps the value op over the atoms; the plain maps are set after the class."""
+
+    def __init__(self, value: _ValueOps, atoms: int):
+        self.value, self.atoms = value, atoms
+        self.zero, self.one = (value.zero,) * atoms, (value.one,) * atoms
+
+    def scalar(self, alpha, a):
+        return tuple([self.value.scalar(alpha, v) for v in a])
+
+    def index(self, encoded) -> int:
+        """The `rank` of a chain-valued payload: its atoms' levels x * (n // d) in mixed
+        radix n + 1."""
+        position, n = 0, self.value.levels
+        for x, d in encoded:
+            position = position * (n + 1) + x * (n // d)
         return position
 
+    def draw(self, rng: Random):
+        return tuple([self.value.draw(rng) for _ in range(self.atoms)])
 
-def _pair(side: str, k: int) -> ChangPair:
-    """A Chang op result or draw, valid by construction, built unchecked as `_trusted`
-    builds elements."""
-    pair = object.__new__(ChangPair)
-    object.__setattr__(pair, "side", side)
-    object.__setattr__(pair, "k", k)
-    return pair
+
+for _op in ("encode", "decode", "oplus", "neg", "prod", "odot", "join", "meet", "dist"):
+    setattr(_PointwiseOps, _op, _mapped(_op))
 
 
 class _ChangOps(_TermOps):
-    zero, one = ChangPair(LOWER, 0), ChangPair(UPPER, 0)
+    """Chang payloads encoded as ``(0, k)`` for lower(k) and ``(1, k)`` for upper(k)."""
+
+    zero, one = (0, 0), (1, 0)
+
+    def encode(self, pair: ChangPair) -> tuple[int, int]:
+        return (0 if pair.side == LOWER else 1), pair.k
+
+    def decode(self, encoded) -> ChangPair:
+        """The `ChangPair`, valid by construction, built unchecked as `_trusted` builds elements."""
+        pair = object.__new__(ChangPair)
+        object.__setattr__(pair, "side", UPPER if encoded[0] else LOWER)
+        object.__setattr__(pair, "k", encoded[1])
+        return pair
 
     def oplus(self, x, y):
         # truncated sum in the lexicographic group Z x Z with unit (1, 0)
-        if x.side == LOWER and y.side == LOWER:
-            return _pair(LOWER, x.k + y.k)
-        if x.side == UPPER and y.side == UPPER:
-            return self.one
-        low, up = (x, y) if x.side == LOWER else (y, x)
-        return _pair(UPPER, max(up.k - low.k, 0))
+        (s, k), (t, j) = x, y
+        if s == t:
+            return (1, 0) if s else (0, k + j)
+        return 1, max(j - k if t else k - j, 0)
 
     def neg(self, x):
-        return _pair(UPPER if x.side == LOWER else LOWER, x.k)
+        return 1 - x[0], x[1]
 
-    encode = decode = staticmethod(lambda payload: payload)  # a pair is its own encoding
+    def draw(self, rng: Random):
+        return (0 if rng.random() < 0.5 else 1), rng.randint(0, CHANG_SAMPLE_BOUND)
 
 
 _CHANG_OPS = _ChangOps()
@@ -482,7 +497,8 @@ def payload_ops(algebra: Algebra) -> _TermOps:
     carrier = algebra.carrier
     if isinstance(carrier, Chang):
         return _CHANG_OPS
-    return _IntOps(*_shape(carrier))
+    atoms, levels = _shape(carrier)
+    return _ValueOps(levels) if atoms is None else _PointwiseOps(_ValueOps(levels), atoms)
 
 
 def _same_algebra(a: Element, b: Element) -> Algebra:

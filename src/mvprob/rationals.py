@@ -8,6 +8,7 @@ helpers add parsing, range checks, and bounded random sampling.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -64,6 +65,12 @@ def format_rational(value: Fraction) -> str:
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
         raise InputError(f"cannot render a rational with a term of more than {limit} digits") from exc
+
+
+def over_lcm(values) -> tuple[tuple[int, ...], int]:
+    """The numerators of ``values`` over d, the lcm of their denominators, and d."""
+    d = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
 
 def random_unit(rng: Random) -> Fraction:

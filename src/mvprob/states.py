@@ -7,9 +7,11 @@ lexicographic coordinate, which has no measure.  A measure, the identity
 on the interval or a chain, and a value table on a finite carrier all
 give such weights; a table is checked when constructed to be linear in
 its atom weights at every element, and invalid tables are rejected,
-never repaired.  One evaluator, a dot product on payloads encoded by
-`core.payload_ops`, gives every value: `eval_state` encodes after its
-algebra check; the sampled metric sweep calls it on encoded distances.
+never repaired.  One evaluator gives every value: a payload encoded by
+`core.payload_ops` holds one coprime pair (x, e) per atom, and the value is
+the integer sum of w * x / e over the product of the e, w the weights'
+numerators over their lcm.  `eval_state` encodes after its algebra check;
+the sampled metric sweep calls it on encoded distances.
 
 The quotient operation collapses pairs at pseudo-distance zero.  A
 genuine metric completion can leave the rational carrier, so instead of
@@ -21,14 +23,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import core
-from .core import Algebra, Chang, Element, FunctionAlgebra, _Record, random_element, seeded
+from .core import Algebra, Chang, Element, FunctionAlgebra, _Record, seeded
 from .errors import InputError
-from .rationals import ONE, ZERO, require_unit
+from .rationals import ONE, ZERO, over_lcm, require_unit
 from .verdict import Verdict, sweep
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,8 @@ class DiscreteMeasure(_Record):
             raise InputError("duplicate atoms in measure")
         for w in self.weights:
             require_unit(w)
-        if sum(self.weights) != ONE:
+        numerators, d = over_lcm(self.weights)
+        if sum(numerators) != d:
             raise InputError(f"weights sum to {sum(self.weights)}, not 1")
 
 
@@ -70,9 +72,9 @@ class State(_Record):
     measure: Optional[DiscreteMeasure]
 
     @functools.cached_property
-    def encoded_weights(self) -> core.Encoded:
-        """The weights as an ambient payload encoded: integers over one denominator."""
-        return core.payload_ops(core.divisible_ambient(self.algebra)).encode(self.measure.weights)
+    def encoded_weights(self) -> tuple[tuple[int, ...], int]:
+        """The weights' numerators over their lcm, and that lcm."""
+        return over_lcm(self.measure.weights)
 
 
 def _on_ambient(algebra: Algebra, weights) -> State:
@@ -143,10 +145,14 @@ def table_state(algebra: Algebra, values: dict) -> State:
 
 def _evaluate(s: State, p) -> Fraction:
     """The state's value at an encoded payload of its algebra, which the caller vouches for."""
-    if s.measure is None:  # Chang's first coordinate
-        return ZERO if p.side == core.LOWER else ONE
-    (xs, d), (weights, common) = p, s.encoded_weights
-    return Fraction(sum(map(operator.mul, weights, xs)), common * d)
+    if s.measure is None:  # Chang's first coordinate, at (side, k)
+        return ONE if p[0] else ZERO
+    if type(p[0]) is int:  # one value (x, d): the identity state, weight 1 on x0
+        return Fraction(*p)
+    (weights, common), total, d = s.encoded_weights, 0, 1
+    for w, (x, e) in zip(weights, p):  # total / d = sum of w * x / e, d the product of the e
+        total, d = total * e + w * x * d, d * e
+    return Fraction(total, common * d)
 
 
 def eval_state(s: State, a: Element) -> Fraction:
@@ -207,7 +213,7 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         ops = core.payload_ops(algebra)
         metric = lambda a, b: _evaluate(s, ops.dist(a, b))
         element = lambda p: Element(algebra, ops.decode(p))
-        draw = lambda k: tuple(ops.encode(random_element(rng, algebra).payload) for _ in range(k))
+        draw = lambda k: tuple(ops.draw(rng) for _ in range(k))
         pairs = [draw(2) for _ in range(samples)]
         triples = [draw(3) for _ in range(samples)]
         sizes = samples, samples

@@ -409,49 +409,77 @@ def differential_algebras():
     for k in (1, 3):
         atoms = tuple(f"x{i}" for i in range(k))
         yield pytest.param(mv.function_algebra(atoms), id=f"{k}xstandard")
-    yield pytest.param(C, id="chang-slice")
+    yield pytest.param(C, id="chang")
 
 
-@pytest.mark.parametrize("algebra", list(differential_algebras()))
-def test_payload_and_element_ops_match_the_reference(algebra):
-    ops = core.payload_ops(algebra)
-    assert (ops.decode(ops.zero), ops.decode(ops.one)) == (
-        reference.zero(algebra).payload, reference.one(algebra).payload
-    )
-    assert (mv.zero(algebra), mv.one(algebra)) == (reference.zero(algebra), reference.one(algebra))
-    binary = ["oplus", "odot", "join", "meet", "dist"]
-    binary += ["prod"] if algebra.internal_product else []
-    chang_slice = core.sweep_elements(algebra) if algebra == C else None
-    rng = Random(13)
-    for _ in range(300):
-        if chang_slice:
-            a, b = rng.choice(chang_slice), rng.choice(chang_slice)
-        else:
-            a, b = random_element(rng, algebra), random_element(rng, algebra)
-        x, y = ops.encode(a.payload), ops.encode(b.payload)
-        for name in binary:
-            expected = getattr(reference, name)(a, b)
-            assert ops.decode(getattr(ops, name)(x, y)) == expected.payload, name
-            assert getattr(mv, name)(a, b) == expected, name
-        expected = reference.neg(a)
-        assert ops.decode(ops.neg(x)) == expected.payload
-        assert mv.neg(a) == expected
-        assert mv.leq(a, b) == (reference.oplus(reference.neg(a), b) == reference.one(algebra))
-        summable = reference.oplus(reference.neg(a), reference.neg(b)) == reference.one(algebra)
-        assert mv.partial_add(a, b) == (reference.oplus(a, b) if summable else None)
-        if algebra.scalar_action:
-            alpha = random_unit(rng)
-            expected = reference.scalar_mul(alpha, a)
-            assert ops.decode(ops.scalar(alpha, x)) == expected.payload
-            assert mv.scalar_mul(alpha, a) == expected
+def canonical(encoded):
+    """A coprime pair (x, d) with 0 <= x <= d, or a tuple of them, one per atom."""
+    if type(encoded) is not tuple:
+        return False
+    if type(encoded[0]) is tuple:
+        return all(canonical(v) for v in encoded)
+    x, d = encoded
+    return type(x) is int and type(d) is int and 0 <= x <= d and math.gcd(x, d) == 1
+
+
+def canonical_in(algebra, encoded):
+    if isinstance(algebra.carrier, mv.Chang):  # (0, k) for lower(k), (1, k) for upper(k)
+        return type(encoded) is tuple and encoded[0] in (0, 1) and type(encoded[1]) is int
+    return canonical(encoded)
+
+
+class TestOpSetsAgainstReference:
+    """Each op set and the `Element` ops on every shape, Chang included, against the
+    `element_reference` arithmetic: every op, `leq` and `partial_add`, with each
+    encoding canonical and equal to the encoding of the reference payload."""
+
+    @pytest.mark.parametrize("algebra", list(differential_algebras()))
+    def test_payload_and_element_ops_match_the_reference(self, algebra):
+        ops, r = core.payload_ops(algebra), reference
+
+        def agrees(encoded, expected):
+            return (
+                canonical_in(algebra, encoded)
+                and ops.decode(encoded) == expected.payload
+                and ops.encode(expected.payload) == encoded
+            )
+
+        assert agrees(ops.zero, r.zero(algebra)) and agrees(ops.one, r.one(algebra))
+        assert (mv.zero(algebra), mv.one(algebra)) == (r.zero(algebra), r.one(algebra))
+        binary = ["oplus", "odot", "join", "meet", "dist"]
+        binary += ["prod"] if algebra.internal_product else []
+        chang_slice = core.sweep_elements(algebra) if algebra == C else None
+        rng = Random(13)
+        for _ in range(300):
+            if chang_slice:
+                a, b = rng.choice(chang_slice), rng.choice(chang_slice)
+            else:
+                a, b = random_element(rng, algebra), random_element(rng, algebra)
+            x, y = ops.encode(a.payload), ops.encode(b.payload)
+            assert agrees(x, a) and agrees(y, b)
+            for name in binary:
+                expected = getattr(r, name)(a, b)
+                assert agrees(getattr(ops, name)(x, y), expected), name
+                assert getattr(mv, name)(a, b) == expected, name
+            expected = r.neg(a)
+            assert agrees(ops.neg(x), expected)
+            assert mv.neg(a) == expected
+            assert ops.leq(x, y) == mv.leq(a, b) == (r.oplus(r.neg(a), b) == r.one(algebra))
+            summable = r.oplus(r.neg(a), r.neg(b)) == r.one(algebra)
+            assert mv.partial_add(a, b) == (r.oplus(a, b) if summable else None)
+            if algebra.scalar_action:
+                alpha = random_unit(rng)
+                expected = r.scalar_mul(alpha, a)
+                assert agrees(ops.scalar(alpha, x), expected)
+                assert mv.scalar_mul(alpha, a) == expected
 
 
 def test_the_sweeps_check_the_library_arithmetic(monkeypatch):
     # a unit-interval involution wrong at 1/3 alone: the Element op, the
     # sampled law sweep and the sampled metric sweep all see it
-    neg = core._IntOps.neg
-    wrong = lambda self, a: ((1,), 7) if a == ((1,), 3) else neg(self, a)
-    monkeypatch.setattr(core._IntOps, "neg", wrong)
+    neg = core._ValueOps.neg
+    wrong = lambda self, a: (1, 7) if a == (1, 3) else neg(self, a)
+    monkeypatch.setattr(core._ValueOps, "neg", wrong)
     assert mv.neg(u("1/3")) == u("1/7")
     assert mv.neg(u("1/4")) == u("3/4")
     report = check_axioms(U, "fMV", samples=200, seed=0)
@@ -468,15 +496,6 @@ def test_the_sweeps_check_the_library_arithmetic(monkeypatch):
 # ---------------------------------------------------------------------------
 
 wide_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
-
-
-def canonical(encoded):
-    xs, d = encoded
-    return (
-        type(xs) is tuple and type(d) is int and d >= 1
-        and all(type(x) is int and 0 <= x <= d for x in xs)
-        and math.gcd(d, *xs) == 1
-    )
 
 
 @st.composite
@@ -517,6 +536,40 @@ def test_encoded_payloads_are_canonical_and_match_the_reference(case):
         assert canonical(result)
         assert ops.decode(result) == expected.payload
         assert result == ops.encode(expected.payload)
+
+
+def parent_draw(rng, algebra):
+    """The payload `core.random_element` drew before draws were encoded: per atom a
+    rational with a uniform denominator up to 60 and a uniform numerator, or a
+    uniform chain level; on Chang a fair side, then an index up to 40."""
+    if isinstance(algebra.carrier, mv.Chang):
+        side = "lower" if rng.random() < 0.5 else "upper"
+        return ChangPair(side, rng.randint(0, 40))
+    atoms, n = algebra.carrier.shape
+
+    def value():
+        if n is not None:
+            return F(rng.randint(0, n), n)
+        q = rng.randint(1, 60)
+        return F(rng.randint(0, q), q)
+
+    return value() if atoms is None else tuple(value() for _ in range(atoms))
+
+
+@pytest.mark.parametrize("algebra", list(differential_algebras()))
+def test_encoded_draws_replay_the_fraction_draws(algebra):
+    # every seeded report depends on these draws and on the rng state they leave
+    ops = core.payload_ops(algebra)
+    for seed in range(20):
+        new, old = Random(seed), Random(seed)
+        for _ in range(25):
+            assert ops.draw(new) == ops.encode(parent_draw(old, algebra))
+        assert new.random() == old.random()
+        new, old = Random(seed), Random(seed)
+        assert [random_element(new, algebra).payload for _ in range(5)] == [
+            parent_draw(old, algebra) for _ in range(5)
+        ]
+        assert new.random() == old.random()
 
 
 # ---------------------------------------------------------------------------

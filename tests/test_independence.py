@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mvprob as mv
 from element_reference import summable_pairs
 from mvprob import cli, independence
-from mvprob.axioms import random_element
+from mvprob.core import random_element
 from mvprob.errors import InputError
 from mvprob.rationals import ONE
 

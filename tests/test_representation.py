@@ -11,7 +11,7 @@ import pytest
 
 import mvprob as mv
 from mvprob import representation
-from mvprob.axioms import random_element
+from mvprob.core import random_element
 from mvprob.documents import parse_document
 from mvprob.errors import InputError
 

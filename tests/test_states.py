@@ -635,12 +635,11 @@ def reference_rule_value(algebra, rule, p):
     kind, data = rule
     ops = mv.core.payload_ops(algebra)
     if kind == "measure":
-        (xs, d), (weights, common) = p, ops.encode(data.weights)
-        return F(sum([w * x for w, x in zip(weights, xs)]), common * d)
+        return sum(w * F(x, d) for w, (x, d) in zip(data.weights, p))
     if kind == "identity":
-        return F(p[0][0], p[1])
+        return F(*p)
     if kind == "first-coordinate":
-        return F(0) if p.side == mv.core.LOWER else F(1)
+        return F(0) if p[0] == 0 else F(1)
     return data[ops.index(p)][1]
 
 

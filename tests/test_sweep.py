@@ -169,10 +169,10 @@ class TestPlantedLaws:
 # ---------------------------------------------------------------------------
 
 
-def script_draws(monkeypatch, module, draws):
-    """Make ``module``'s seeded draws return ``draws`` in order."""
-    it = iter(draws)
-    monkeypatch.setattr(module, "random_element", lambda rng, algebra: next(it))
+def script_draws(monkeypatch, draws):
+    """Make the seeded draws of one-value op sets return the encodings of ``draws`` in order."""
+    it = iter([core.payload_ops(U).encode(d.payload) for d in draws])
+    monkeypatch.setattr(core._ValueOps, "draw", lambda self, rng: next(it))
 
 
 def u(text):
@@ -189,7 +189,7 @@ class TestPlantedMetric:
         zero, p, q = u("0"), u("1/3"), u("1/2")
         pairs = [(p, q) if i == k else (zero, zero) for i in range(1, self.samples + 1)]
         draws = [x for pair in pairs for x in pair] + [zero] * (3 * self.samples)
-        script_draws(monkeypatch, states, draws)
+        script_draws(monkeypatch, draws)
         payload_ops = core.payload_ops
         ops = payload_ops(U)
         planted = (ops.encode(p.payload), ops.encode(q.payload))
@@ -197,7 +197,9 @@ class TestPlantedMetric:
         def asymmetric(algebra):
             real = payload_ops(algebra)
             dist = lambda a, b: real.dist(a, a) if (a, b) == planted else real.dist(a, b)
-            return SimpleNamespace(dist=dist, encode=real.encode, decode=real.decode)
+            return SimpleNamespace(
+                dist=dist, encode=real.encode, decode=real.decode, draw=real.draw
+            )
 
         monkeypatch.setattr(core, "payload_ops", asymmetric)
         verdict = states.verify_metric(mv.identity_state(U), self.samples, 3)
@@ -211,7 +213,7 @@ class TestPlantedMetric:
         zero, half, one = u("0"), u("1/2"), u("1")
         triples = [(zero, half, one) if i == k else (zero,) * 3 for i in range(1, self.samples + 1)]
         draws = [zero] * (2 * self.samples) + [x for t in triples for x in t]
-        script_draws(monkeypatch, states, draws)
+        script_draws(monkeypatch, draws)
         ops = core.payload_ops(U)
         evaluate = states._evaluate
         monkeypatch.setattr(
@@ -385,10 +387,10 @@ class TestPlantedFactorization:
         rng, product = Random(self.seed), space.state.algebra
         pairs = []
         for _ in range(self.samples):
-            h = axioms.random_element(rng, product)
+            h = core.random_element(rng, product)
             room = mv.neg(h).payload
             pairs.append((h, mv.Element(product, tuple(random_unit(rng) * v for v in room))))
-        return pairs, [axioms.random_element(rng, product) for _ in range(self.samples)]
+        return pairs, [core.random_element(rng, product) for _ in range(self.samples)]
 
     def counts(self, pairs=12, linearity=0, bound=0, uniqueness=0):
         return {

@@ -28,12 +28,14 @@ def test_no_assert_statements(module):
 def test_golden_reports_hold_under_optimized_python():
     # `python -O` drops assert statements and `__debug__` blocks from the
     # library; pytest still rewrites the asserts of the test modules
-    # themselves.  The exact-analysis and bilinear differential classes run
-    # there too, and so do `verdict.sweep` and its planted defects.
+    # themselves.  The exact-analysis, bilinear and payload op-set
+    # differential classes run there too, and so do `verdict.sweep` and its
+    # planted defects.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     analysis_tests = str(ROOT / "tests" / "test_analysis.py")
     independence_tests = str(ROOT / "tests" / "test_independence.py")
+    core_tests = str(ROOT / "tests" / "test_core.py")
     result = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_golden.py"),
@@ -41,6 +43,7 @@ def test_golden_reports_hold_under_optimized_python():
          f"{analysis_tests}::TestDeltaTableAgainstFractionRecursion",
          f"{analysis_tests}::TestPlantedSignDefects",
          f"{independence_tests}::TestCheckBilinearAgainstSummablePairs",
+         f"{core_tests}::TestOpSetsAgainstReference",
          str(ROOT / "tests" / "test_sweep.py")],
         capture_output=True, text=True, env=env, cwd=ROOT,
     )
