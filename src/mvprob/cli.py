@@ -9,7 +9,8 @@ input and seed give byte-identical output.  Diagnostics go to standard
 error.  Exit codes: 0 pass, 1 failed verification (fail, infeasible, or
 inconclusive verdicts), 2 input or schema errors or an unwritable
 ``--out`` (the file is written first), 3 an internal error: one
-``internal error:`` line and no report.
+``internal error:`` line and no report.  Each call builds two parsers from
+the `_COMMANDS` table: the globals and the command, then the command's own.
 """
 
 from __future__ import annotations
@@ -241,80 +242,77 @@ def _echo(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# `--seed`, `--out` and `--precision`, accepted before or after the command
+_GLOBALS = {
+    "--seed": {"type": int, "help": "seed for sampling commands"},
+    "--out": {"help": "also write the report to this path"},
+    "--precision": {"type": int, "default": DEFAULT_PRECISION,
+                    "help": "enclosure width in bits for interval comparisons"},
+}
+
+# command: (help line, the arguments after the document with their add_argument keywords)
+_COMMANDS = {
+    "check-axioms": ("verify algebra laws", {
+        "algebra": {}, "--level": {"choices": LEVELS, "default": "MV"},
+        "--mode": {"choices": ("exhaustive", "sample"), "default": "exhaustive"},
+        "--count": {"type": int, "default": DEFAULT_SAMPLE_COUNT},
+    }),
+    "state": ("state evaluation and verification", {
+        "action": {"choices": ("eval", "faithful", "metric", "quotient")},
+        "state": {}, "element": {"nargs": "?"}, "--samples": {"type": int, "default": 1000},
+    }),
+    "spectra": ("ideals, radical, semisimplicity", {
+        "action": {"choices": ("ideals", "radical", "semisimple")}, "algebra": {},
+    }),
+    "embed": ("measure representation and integral identity", {
+        "algebra": {}, "state": {}, "--samples": {"type": int, "default": 500},
+    }),
+    "moments": ("moment sequence analysis", {
+        "action": {"choices": ("check", "of-measure", "reconstruct", "fit")},
+        "name": {}, "--order": {"type": int, "default": 4}, "--grid": {"type": int, "default": 2},
+    }),
+    "holder": ("power-mean inequality check", {
+        "state": {}, "left": {}, "right": {}, "--p": {"required": True}, "--q": {"required": True},
+    }),
+    "product": ("product spaces and factorization", {
+        "action": {"choices": ("build", "verify-independence", "factorize")},
+        "left": {}, "right": {}, "gamma": {"nargs": "?"}, "--samples": {"type": int, "default": 200},
+    }),
+}
+
+
+def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
+    """Parse ``argv`` with two parsers: the globals and the command, then the command's own.
+
+    The first parser takes the command and the rest of argv as argparse's
+    subparsers do (``nargs=PARSER``), so usage, errors and the namespace
+    are those of one parser with a subparser per command.
+    """
     parser = argparse.ArgumentParser(
         prog="mvprob",
-        description="Exact verification of many-valued algebra, state, moment, "
-        "and independence identities.",
+        description="Exact verification of many-valued algebra, state, moment, and\n"
+        "independence identities.",
+        epilog="commands:\n"
+        + "".join(f"  {name:<14}{line}\n" for name, (line, _) in _COMMANDS.items())
+        + "\n`mvprob <command> -h` lists a command's arguments.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for sampling commands")
-    parser.add_argument("--out", default=None, help="also write the report to this path")
+    for flag, spec in _GLOBALS.items():
+        parser.add_argument(flag, **spec)
     parser.add_argument(
-        "--precision",
-        type=int,
-        default=DEFAULT_PRECISION,
-        help="enclosure width in bits for interval comparisons",
+        "command", nargs=argparse.PARSER, choices=_COMMANDS, help="a command, then its arguments"
     )
-    # the same flags are accepted after the subcommand; SUPPRESS keeps a
-    # subcommand parse from clobbering a value given before it
-    globals_parser = argparse.ArgumentParser(add_help=False)
-    globals_parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    globals_parser.add_argument("--out", default=argparse.SUPPRESS)
-    globals_parser.add_argument("--precision", type=int, default=argparse.SUPPRESS)
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-axioms", help="verify algebra laws", parents=[globals_parser])
-    p.add_argument("doc")
-    p.add_argument("algebra")
-    p.add_argument("--level", choices=LEVELS, default="MV")
-    p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--count", type=int, default=DEFAULT_SAMPLE_COUNT)
-
-    p = sub.add_parser("state", help="state evaluation and verification", parents=[globals_parser])
-    p.add_argument("doc")
-    p.add_argument("action", choices=("eval", "faithful", "metric", "quotient"))
-    p.add_argument("state")
-    p.add_argument("element", nargs="?")
-    p.add_argument("--samples", type=int, default=1000)
-
-    p = sub.add_parser("spectra", help="ideals, radical, semisimplicity", parents=[globals_parser])
-    p.add_argument("doc")
-    p.add_argument("action", choices=("ideals", "radical", "semisimple"))
-    p.add_argument("algebra")
-
-    p = sub.add_parser("embed", help="measure representation and integral identity", parents=[globals_parser])
-    p.add_argument("doc")
-    p.add_argument("algebra")
-    p.add_argument("state")
-    p.add_argument("--samples", type=int, default=500)
-
-    p = sub.add_parser("moments", help="moment sequence analysis", parents=[globals_parser])
-    p.add_argument("doc")
-    p.add_argument("action", choices=("check", "of-measure", "reconstruct", "fit"))
-    p.add_argument("name")
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--grid", type=int, default=2)
-
-    p = sub.add_parser("holder", help="power-mean inequality check", parents=[globals_parser])
-    p.add_argument("doc")
-    p.add_argument("state")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-
-    p = sub.add_parser("product", help="product spaces and factorization", parents=[globals_parser])
-    p.add_argument("doc")
-    p.add_argument(
-        "action", choices=("build", "verify-independence", "factorize")
-    )
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("gamma", nargs="?")
-    p.add_argument("--samples", type=int, default=200)
-
-    return parser
+    args, extras = parser.parse_known_args(argv)
+    args.command, *rest = args.command
+    line, arguments = _COMMANDS[args.command]
+    command = argparse.ArgumentParser(prog=f"mvprob {args.command}", description=line)
+    # args holds every global already, so no default resets one given before the command
+    for name, spec in {**_GLOBALS, "doc": {}, **arguments}.items():
+        command.add_argument(name, **spec)
+    args, more = command.parse_known_args(rest, args)
+    if extras or more:
+        parser.error(f"unrecognized arguments: {' '.join(extras + more)}")
+    return args
 
 
 _HANDLERS = {
@@ -329,9 +327,8 @@ _HANDLERS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

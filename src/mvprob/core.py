@@ -232,10 +232,9 @@ def chang() -> Algebra:
 
 def _coerce_value(levels: Optional[int], raw) -> Fraction:
     if isinstance(raw, str):
-        raw = parse_unit(raw)
-    elif isinstance(raw, int):
-        raw = Fraction(raw)
-    value = require_unit(raw)
+        value = parse_unit(raw)
+    else:
+        value = require_unit(Fraction(raw) if isinstance(raw, int) else raw)
     if levels is not None and (value * levels).denominator != 1:
         raise InputError(f"{value} is not a level of the {levels}-chain")
     return value

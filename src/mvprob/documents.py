@@ -17,7 +17,7 @@ from .core import (
     Algebra, Chang, ChangPair, Element, FiniteChain, FunctionAlgebra, StandardUnit, _Record,
 )
 from .errors import InputError
-from .rationals import parse_unit
+from .rationals import parse_rational, parse_unit
 from .states import DiscreteMeasure, State
 
 FORMAT_VERSION = "1"
@@ -58,15 +58,14 @@ def parse_element_text(algebra: Algebra, text: str) -> Element:
     if isinstance(carrier, FunctionAlgebra):
         if not (text.startswith("(") and text.endswith(")")):
             raise InputError(f"function elements look like (p/q,...), got {text!r}")
-        parts = text[1:-1].split(",")
-        return core.element(algebra, [parse_unit(p) for p in parts])
+        return core.element(algebra, text[1:-1].split(","))
     if isinstance(carrier, Chang):
         for side in (core.LOWER, core.UPPER):
             index = text[len(side) + 1 : -1]
             if text == f"{side}({index})" and index.isascii() and index.isdigit():
                 return Element(algebra, ChangPair(side, int(index)))
         raise InputError(f"Chang elements look like lower(k)/upper(k), got {text!r}")
-    return core.element(algebra, parse_unit(text))
+    return core.element(algebra, text)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +178,8 @@ def _parse_element(name: str, raw: dict, algebras: dict) -> Element:
         side = _field(raw, "side", where, _TEXT)
         return Element(algebra, ChangPair(side, _field(raw, "k", where, _INTEGER)))
     if isinstance(carrier, FunctionAlgebra):
-        values = [parse_unit(v) for v in _field(raw, "values", where, _TEXTS)]
-        return core.element(algebra, values)
-    return core.element(algebra, parse_unit(_field(raw, "value", where, _TEXT)))
+        return core.element(algebra, _field(raw, "values", where, _TEXTS))
+    return core.element(algebra, _field(raw, "value", where, _TEXT))
 
 
 def _resolve_algebra(name: str, algebras: dict, where: str) -> Algebra:
@@ -196,7 +194,7 @@ def _resolve_algebra(name: str, algebras: dict, where: str) -> Algebra:
 def _parse_measure(name: str, raw: dict) -> DiscreteMeasure:
     where = f"measures.{name}"
     atoms = tuple(_field(raw, "atoms", where, _TEXTS))
-    weights = tuple(parse_unit(w) for w in _field(raw, "weights", where, _TEXTS))
+    weights = tuple(parse_rational(w) for w in _field(raw, "weights", where, _TEXTS))
     return DiscreteMeasure(atoms, weights)
 
 

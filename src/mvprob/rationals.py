@@ -3,7 +3,8 @@
 Every scalar and carrier value in the package is an exact
 `fractions.Fraction` confined to [0, 1].  Fraction keeps numerator and
 denominator coprime, so the canonical form comes for free; these
-helpers add parsing, range checks, and bounded random sampling.
+helpers add parsing (one regex match, then two ints), range checks on
+the numerator and denominator, and bounded random sampling.
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ DEFAULT_PRECISION = 64
 
 MAX_DRAW_DENOMINATOR = 60  # of a `random_unit` draw; every seeded report depends on it
 
-# integer or integer/positive-integer, nothing else (no decimals, no spaces)
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+# integer or integer/positive-integer, nothing else (no decimals, spaces, `+` or newline)
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` with q > 0."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """Parse ``p`` or ``p/q`` with q > 0: the value ``Fraction(text)`` gives, from two ints."""
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise InputError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(text)
+        return Fraction(int(match[1]), int(match[2] or 1))
     except ValueError as exc:  # a term beyond the interpreter's int/str digit limit
         raise InputError(
             f"rational literal has a term of more than {sys.get_int_max_str_digits()} digits"
@@ -48,7 +50,7 @@ def parse_unit(text: str) -> Fraction:
 def require_unit(value: Fraction) -> Fraction:
     if not isinstance(value, Fraction):
         raise InputError(f"expected an exact rational, got {type(value).__name__}")
-    if value < ZERO or value > ONE:
+    if not 0 <= value.numerator <= value.denominator:  # the denominator is positive
         raise InputError(f"value {value} outside [0, 1]")
     return value
 

@@ -44,12 +44,13 @@ class DiscreteMeasure(_Record):
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        # a document's weights arrive unchecked: a bad one is named before the shape
+        for w in self.weights:
+            require_unit(w)
         if len(self.atoms) != len(self.weights) or not self.atoms:
             raise InputError("measure needs one weight per atom")
         if len(set(self.atoms)) != len(self.atoms):
             raise InputError("duplicate atoms in measure")
-        for w in self.weights:
-            require_unit(w)
         numerators, d = over_lcm(self.weights)
         if sum(numerators) != d:
             raise InputError(f"weights sum to {sum(self.weights)}, not 1")

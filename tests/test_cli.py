@@ -559,6 +559,23 @@ class TestInputBoundary:
             f"error: rational literal has a term of more than {DIGIT_LIMIT} digits\n"
         )
 
+    @pytest.mark.parametrize("where", ["document", "argv"])
+    def test_a_literal_with_a_trailing_newline_is_an_input_error(self, where, tmp_path, capsys):
+        # a regex ending in `$` also matches before a final newline
+        if where == "document":
+            literal = "1/2\n"
+            path = tmp_path / "doc.json"
+            measure = {"atoms": ["x", "y"], "weights": [literal, "1/2"]}
+            path.write_text(json.dumps({"measures": {"m": measure}}))
+            argv = ["product", str(path), "build", "m", "m"]
+        else:
+            literal = "3\n"
+            argv = ["holder", DOC, "s", "f1", "f2", "--p", literal, "--q", "3/2"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: not a rational literal: {literal!r}\n"
+
     @pytest.mark.parametrize("order,code", [(40, 0), (50, 2)])
     def test_result_beyond_the_digit_limit_is_refused(self, order, code, tmp_path):
         # the moment m_k has a denominator of 99k + 1 digits: 3,961 at order 40, 4,951 at 50

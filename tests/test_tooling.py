@@ -336,8 +336,31 @@ def test_the_document_layer_loads_no_checker():
 def test_the_precision_default_is_the_analysis_constant():
     from mvprob import analysis, cli
 
-    args = cli.build_parser().parse_args(["state", FIXTURE, "eval", "s", "f1"])
+    args = cli._parse_args(["state", FIXTURE, "eval", "s", "f1"])
     assert args.precision == analysis.DEFAULT_PRECISION == 64
+
+
+def test_a_command_builds_two_parsers_per_call(monkeypatch, capsys):
+    # the top parser and the invoked command's, each call anew: neither the
+    # whole tree of command parsers nor a parser kept between calls
+    import argparse
+
+    from mvprob import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["state", FIXTURE, "eval", "s", "f1"]
+    assert cli.main(argv) == 0
+    assert built == ["mvprob", "mvprob state"]
+    assert cli.main(argv) == 0
+    assert len(built) == 4
+    capsys.readouterr()
 
 
 class TestNamespace:
