@@ -384,12 +384,7 @@ def _interval_pow(iv: tuple[Fraction, Fraction], exponent: Fraction, bits: int):
 
 
 def _power_state_bounds(s: State, a: Element, exponent: Fraction, bits: int):
-    if exponent.denominator == 1:
-        power = a
-        for _ in range(int(exponent) - 1):
-            power = core.prod(power, a)
-        exact = states.eval_state(s, power)
-        return exact, exact
+    """Enclose s(a^exponent) = sum_x w_x * a(x)^exponent; exact at an integer exponent."""
     weights = s.measure.weights
     lo = hi = ZERO
     for v, w in zip(core.ambient_vector(a), weights):

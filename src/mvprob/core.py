@@ -12,6 +12,8 @@ Four carriers are supported:
 Every carrier but Chang has a `Shape` (atoms, levels): the atom count, ``None``
 for one-value payloads, and the n of the n-chain's levels, ``None`` for rational
 values.  Code reads it to tell carriers apart; only Chang is told by its type.
+`element` checks a payload, or parses an element text, the one grammar of
+documents and library callers: ``element(A, format_element(e)) == e``.
 
 Payloads have three op sets (`payload_ops`), all on plain integers: a value of
 the interval or a chain is a coprime pair ``(x, d)``, a function a tuple of
@@ -34,7 +36,7 @@ from random import Random
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, UnsupportedCarrierError
-from .rationals import MAX_DRAW_DENOMINATOR, ONE, ZERO, format_rational, parse_unit, require_unit
+from .rationals import MAX_DRAW_DENOMINATOR, ONE, ZERO, format_rational, parse_rational, require_unit
 
 # ---------------------------------------------------------------------------
 # Records
@@ -232,7 +234,7 @@ def chang() -> Algebra:
 
 def _coerce_value(levels: Optional[int], raw) -> Fraction:
     if isinstance(raw, str):
-        value = parse_unit(raw)
+        value = require_unit(parse_rational(raw))
     else:
         value = require_unit(Fraction(raw) if isinstance(raw, int) else raw)
     if levels is not None and (value * levels).denominator != 1:
@@ -241,19 +243,40 @@ def _coerce_value(levels: Optional[int], raw) -> Fraction:
 
 
 def _coerce_payload(carrier: Carrier, raw) -> Payload:
+    """``raw``, a payload or the element text `format_payload` prints: ``p/q`` on the interval
+    and chains, ``(p/q,...)`` on function algebras and ``lower(k)``/``upper(k)`` on Chang."""
     if isinstance(carrier, Chang):
+        if isinstance(raw, str):
+            for side in (LOWER, UPPER):
+                index = raw[len(side) + 1 : -1]
+                if raw == f"{side}({index})" and index.isascii() and index.isdigit():
+                    return ChangPair(side, parse_rational(index).numerator)
+            raise InputError(f"Chang elements look like lower(k)/upper(k), got {raw!r}")
         if not isinstance(raw, ChangPair):
             raise InputError("Chang elements are ChangPair payloads")
         return raw
     atoms, levels = _shape(carrier)
     if atoms is None:
         return _coerce_value(levels, raw)
-    if isinstance(raw, (str, Fraction, int, ChangPair)):
+    if isinstance(raw, str):
+        if not (raw.startswith("(") and raw.endswith(")")):
+            raise InputError(f"function elements look like (p/q,...), got {raw!r}")
+        raw = raw[1:-1].split(",")
+    elif isinstance(raw, (Fraction, int, ChangPair)):
         raise InputError("function algebra elements need one value per atom")
     values = tuple(_coerce_value(levels, v) for v in raw)
     if len(values) != atoms:
         raise InputError(f"expected {atoms} values, got {len(values)}")
     return values
+
+
+def format_payload(p: Payload) -> str:
+    """The element text of ``p``, which `element` parses back to ``p``."""
+    if isinstance(p, ChangPair):
+        return f"{p.side}({p.k})"
+    if isinstance(p, tuple):
+        return "(" + ",".join(format_rational(v) for v in p) + ")"
+    return format_rational(p)
 
 
 class Element(_Record):
@@ -269,7 +292,12 @@ class Element(_Record):
 
 
 def element(algebra: Algebra, payload) -> Element:
+    """The checked element of ``payload``, a payload or its element text."""
     return Element(algebra, payload)
+
+
+def format_element(e: Element) -> str:
+    return format_payload(e.payload)
 
 
 def _trusted(algebra: Algebra, payload: Payload) -> Element:
@@ -334,18 +362,6 @@ def lower(algebra: Algebra, k: int) -> Element:
 
 def upper(algebra: Algebra, k: int) -> Element:
     return Element(algebra, ChangPair(UPPER, k))
-
-
-def format_element(e: Element) -> str:
-    return format_payload(e.payload)
-
-
-def format_payload(p: Payload) -> str:
-    if isinstance(p, ChangPair):
-        return f"{p.side}({p.k})"
-    if isinstance(p, tuple):
-        return "(" + ",".join(format_rational(v) for v in p) + ")"
-    return format_rational(p)
 
 
 def atoms_of(algebra: Algebra) -> tuple[str, ...]:

@@ -3,8 +3,12 @@ moment sequences, and bilinear-map specifications.
 
 One JSON-shaped structure serves every command.  Rational literals are
 ``p`` or ``p/q`` strings (decimals are rejected), and every reference is
-resolved at load time.  Commands read documents and never write one;
-`serialize_algebra` gives the document spec of an algebra a report holds.
+resolved at load time.  Element values and element texts (table keys and
+bilinear entries) go to `core.element` unparsed, and a table state's
+values mapping to `states.table_state`, so each literal is parsed and
+range-checked once, by the module that owns it.  Commands read documents
+and never write one; `serialize_algebra` gives the document spec of an
+algebra a report holds.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ class BilinearSpec(_Record):
     right: str
     codomain: Optional[str] = None
     bound: Optional[int] = None
-    entries: tuple[tuple[tuple[core.Payload, core.Payload], core.Payload], ...] = ()
+    entries: tuple[tuple[tuple[core.Payload, core.Payload], Element], ...] = ()
 
 
 class Document(_Record):
@@ -44,28 +48,6 @@ class Document(_Record):
     states: dict[str, State]
     moments: dict[str, tuple[Fraction, ...]]
     bilinear: dict[str, BilinearSpec]
-
-
-# ---------------------------------------------------------------------------
-# Element text: the payload grammar used by table keys and witnesses
-# ---------------------------------------------------------------------------
-
-
-def parse_element_text(algebra: Algebra, text: str) -> Element:
-    if not isinstance(text, str):
-        raise InputError(f"element texts are strings, got {text!r}")
-    carrier = algebra.carrier
-    if isinstance(carrier, FunctionAlgebra):
-        if not (text.startswith("(") and text.endswith(")")):
-            raise InputError(f"function elements look like (p/q,...), got {text!r}")
-        return core.element(algebra, text[1:-1].split(","))
-    if isinstance(carrier, Chang):
-        for side in (core.LOWER, core.UPPER):
-            index = text[len(side) + 1 : -1]
-            if text == f"{side}({index})" and index.isascii() and index.isdigit():
-                return Element(algebra, ChangPair(side, int(index)))
-        raise InputError(f"Chang elements look like lower(k)/upper(k), got {text!r}")
-    return core.element(algebra, text)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +62,7 @@ _FLAG = ("true or false", lambda v: isinstance(v, bool))
 _MAPPING = ("a mapping", lambda v: isinstance(v, dict))
 _TEXTS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
 _ROWS = ("a list of lists of strings", lambda v: isinstance(v, list) and all(map(_TEXTS[1], v)))
+_TEXT_VALUES = ("a mapping to strings", lambda v: _MAPPING[1](v) and _TEXTS[1](list(v.values())))
 _REQUIRED = object()
 
 
@@ -176,7 +159,7 @@ def _parse_element(name: str, raw: dict, algebras: dict) -> Element:
     carrier = algebra.carrier
     if isinstance(carrier, Chang):
         side = _field(raw, "side", where, _TEXT)
-        return Element(algebra, ChangPair(side, _field(raw, "k", where, _INTEGER)))
+        return core.element(algebra, ChangPair(side, _field(raw, "k", where, _INTEGER)))
     if isinstance(carrier, FunctionAlgebra):
         return core.element(algebra, _field(raw, "values", where, _TEXTS))
     return core.element(algebra, _field(raw, "value", where, _TEXT))
@@ -212,14 +195,11 @@ def _parse_state(name: str, raw: dict, algebras: dict, measures: dict) -> State:
     if rule == "first-coordinate":
         return states.chang_state(algebra)
     if rule == "table":
-        table = _keyed(
-            _field(raw, "values", where, _MAPPING),
-            where,
-            "element",
-            lambda key: parse_element_text(algebra, key).payload,
-            parse_unit,
-        )
-        return states.table_state(algebra, table)
+        values = _field(raw, "values", where, _MAPPING)
+        try:
+            return states.table_state(algebra, values)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
     raise InputError(f"{where}: unknown rule {rule!r}")
 
 
@@ -246,17 +226,15 @@ def _parse_bilinear(name: str, raw: dict, doc_states: dict, algebras: dict) -> B
                 a_text, b_text = key.split(";")
             except ValueError:
                 raise InputError(f"{where}: entry keys look like '<a>;<b>'") from None
-            return (
-                parse_element_text(left_algebra, a_text).payload,
-                parse_element_text(right_algebra, b_text).payload,
-            )
+            a, b = core.element(left_algebra, a_text), core.element(right_algebra, b_text)
+            return a.payload, b.payload
 
         entries = _keyed(
-            _field(raw, "entries", where, _MAPPING),
+            _field(raw, "entries", where, _TEXT_VALUES),
             where,
             "pair",
             pair,
-            lambda value: parse_element_text(cod_algebra, value).payload,
+            lambda value: core.element(cod_algebra, value),
         )
         return BilinearSpec(
             kind,
@@ -264,7 +242,7 @@ def _parse_bilinear(name: str, raw: dict, doc_states: dict, algebras: dict) -> B
             right,
             codomain,
             _field(raw, "bound", where, _INTEGER, None),
-            tuple(sorted(entries.items(), key=repr)),
+            tuple(sorted(entries.items(), key=lambda entry: repr(entry[0]))),
         )
     raise InputError(f"{where}: unknown kind {kind!r}")
 

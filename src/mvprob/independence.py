@@ -273,10 +273,10 @@ def table_bilinear(
     left: State,
     right: State,
     codomain: State,
-    entries: tuple[tuple[tuple[core.Payload, core.Payload], core.Payload], ...],
+    entries: tuple[tuple[tuple[core.Payload, core.Payload], Element], ...],
     bound: Optional[int],
 ) -> BilinearMap:
-    """The map given by explicit ((left, right), value) payload entries."""
+    """The map given by explicit ((left, right) payloads, value element) entries."""
     lookup = dict(entries)
 
     def fn(a: Element, b: Element) -> Element:
@@ -284,7 +284,7 @@ def table_bilinear(
             raise InputError(
                 f"bilinear table misses ({core.format_element(a)}, {core.format_element(b)})"
             )
-        return Element(codomain.algebra, lookup[(a.payload, b.payload)])
+        return lookup[(a.payload, b.payload)]
 
     return bilinear_map(left, right, codomain, fn, bound=bound)
 
@@ -337,14 +337,10 @@ class AtomLinearMap(_Record):
 def apply_atom_linear(omega: AtomLinearMap, h: Element) -> Element:
     if h.algebra != omega.domain:
         raise InputError("argument does not live on the map's domain")
-    acc = [ZERO] * len(omega.images[0])
-    for coefficient, column in zip(h.payload, omega.images):
-        if coefficient != ZERO:
-            for i, v in enumerate(column):
-                acc[i] += coefficient * v
-    if any(v > ONE for v in acc):
+    image = _combine(h.payload, omega.images)
+    if any(v > ONE for v in image):
         raise AssertionError("a linear image of a unit vector stays in the unit cube")
-    return Element(omega.codomain, tuple(acc))
+    return Element(omega.codomain, image)
 
 
 def extend_bilinear_divisible(gamma: BilinearMap) -> AtomLinearMap:

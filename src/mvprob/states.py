@@ -7,8 +7,9 @@ lexicographic coordinate, which has no measure.  A measure, the identity
 on the interval or a chain, and a value table on a finite carrier all
 give such weights; a table is checked when constructed to be linear in
 its atom weights at every element, and invalid tables are rejected,
-never repaired.  One evaluator gives every value: a payload encoded by
-`core.payload_ops` holds one coprime pair (x, e) per atom, and the value is
+never repaired; `table_state` alone parses and checks a table's keys and
+values, a document's too.  One evaluator gives every value: a payload encoded
+by `core.payload_ops` holds one coprime pair (x, e) per atom, and the value is
 the integer sum of w * x / e over the product of the e, w the weights'
 numerators over their lcm.  `eval_state` encodes after its algebra check;
 the sampled metric sweep calls it on encoded distances.
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 from . import core
 from .core import Algebra, Chang, Element, FunctionAlgebra, _Record, seeded
 from .errors import InputError
-from .rationals import ONE, ZERO, over_lcm, require_unit
+from .rationals import ONE, ZERO, over_lcm, parse_rational, require_unit
 from .verdict import Verdict, sweep
 
 # ---------------------------------------------------------------------------
@@ -109,24 +110,25 @@ def chang_state(algebra: Algebra) -> State:
 def table_state(algebra: Algebra, values: dict) -> State:
     """Build a state from an explicit table, checked for linearity at each element.
 
-    ``values`` maps payloads (or anything `element` coerces) to unit
-    rationals; every element of the finite carrier must be covered, and
-    two keys that coerce to one element are refused.  On a product of
+    The one parser and checker of a table, a document's too: ``values`` maps
+    payloads or element texts (what `core.element` coerces) to `Fraction`s or
+    rational literals in [0, 1], checked per entry: key, repeated key, value.
+    Every element of the finite carrier must be covered.  On a product of
     chains a table is additive iff s(a) = sum_x a(x) * s(1_x) at every a,
     s(1_x) read at `core.atom_indicator_elements`: a sums n * a(x) summable
     copies of (1/n) * 1_x, and such a form, weights >= 0, is additive.
     The state is those atom weights.
     """
-    if not core.is_finite(algebra):
-        raise InputError("table states need a finite carrier")
     table, spelled = {}, {}
     for raw_key, raw_value in values.items():
         key = core.element(algebra, raw_key).payload
         if key in spelled:
-            raise InputError(f"table keys {spelled[key]!r} and {raw_key!r} name the same element")
+            raise InputError(f"keys {spelled[key]!r} and {raw_key!r} name the same element")
         spelled[key] = raw_key
-        value = raw_value if isinstance(raw_value, Fraction) else Fraction(raw_value)
+        value = raw_value if isinstance(raw_value, Fraction) else parse_rational(raw_value)
         table[key] = require_unit(value)
+    if not core.is_finite(algebra):
+        raise InputError("table states need a finite carrier")
     elements = core.enumerate_carrier(algebra)
     missing = [e for e in elements if e.payload not in table]
     if missing:

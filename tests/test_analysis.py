@@ -687,6 +687,42 @@ class TestHolder:
             analysis.holder_check(s, a, a, F(2), F(2))
 
 
+def reference_power_state(s, a, exponent):
+    """s(a^k) as `holder_check` computed it at an integer exponent k: k - 1 products."""
+    power = a
+    for _ in range(int(exponent) - 1):
+        power = core.prod(power, a)
+    return mv.eval_state(s, power)
+
+
+def pmv_states():
+    """A state on each stock carrier with an internal product."""
+    yield pytest.param(mv.identity_state(mv.standard_unit()), id="standard")
+    yield pytest.param(mv.identity_state(mv.finite_chain(1)), id="chain1")
+    for atoms, value, weights in (
+        (("x",), None, (F(1),)),
+        (("x", "y", "z"), None, (F(1, 3), F(0), F(2, 3))),
+        (("x", "y"), mv.FiniteChain(1), (F(1, 2), F(1, 2))),
+        (("x", "y", "z"), mv.FiniteChain(1), (F(1, 3), F(0), F(2, 3))),
+    ):
+        algebra = mv.function_algebra(atoms, value)
+        label = f"{len(atoms)}x{'standard' if value is None else value.n}"
+        yield pytest.param(mv.measure_state(algebra, mv.measure(atoms, weights)), id=label)
+
+
+@pytest.mark.parametrize("s", list(pmv_states()))
+def test_an_integer_power_is_the_repeated_product(s):
+    # the atom-wise enclosure is exact at an integer exponent, at any precision
+    rng = Random(11)
+    pool = [core.random_element(rng, s.algebra) for _ in range(30)]
+    pool += core.sweep_elements(s.algebra) or [mv.zero(s.algebra), mv.one(s.algebra)]
+    for a in pool:
+        for k in range(2, 9):
+            exact = reference_power_state(s, a, F(k))
+            for bits in (1, 64):
+                assert analysis._power_state_bounds(s, a, F(k), bits) == (exact, exact)
+
+
 class TestHolderPlantedDefects:
     """A defect planted in the step a `fail` branch guards reaches the CLI as exit 1."""
 

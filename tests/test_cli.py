@@ -677,6 +677,32 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value", [None, True, False, 0, 1, 0.5, [], ["1"], {}, {"1": "1"}])
+    @pytest.mark.parametrize("where", ["state", "bilinear"])
+    def test_a_non_string_table_value_is_an_input_error(self, where, value, tmp_path, capsys):
+        # `states.table_state` parses a table state's values; a JSON 1 is no rational literal
+        values, entries = {"0": "0", "1": "1"}, {"0;0": "0", "0;1": "0", "1;0": "0", "1;1": "1"}
+        if where == "state":
+            values["1"] = value
+        else:
+            entries["1;1"] = value
+        doc = {
+            "algebras": {"c": {"kind": "chain", "n": 1}},
+            "states": {"t": {"algebra": "c", "rule": "table", "values": values}},
+            "bilinear": {
+                "g": {"kind": "table", "left": "t", "right": "t", "codomain": "t",
+                      "bound": 1, "entries": entries},
+            },
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["state", str(path), "faithful", "t"]) == 2
+        message = (
+            f"states.t: not a rational literal: {value!r}" if where == "state"
+            else "bilinear.g.entries must be a mapping to strings"
+        )
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 def _paths(node, prefix=()):
     yield prefix

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 from random import Random
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import mvprob as mv
 import element_reference as reference
-from mvprob import core, documents, states
+from mvprob import cli, core, documents, states
 from mvprob.axioms import check_axioms
 from mvprob.core import ChangPair, random_element
 from mvprob.errors import InputError
@@ -570,6 +571,104 @@ def test_encoded_draws_replay_the_fraction_draws(algebra):
             parent_draw(old, algebra) for _ in range(5)
         ]
         assert new.random() == old.random()
+
+
+# ---------------------------------------------------------------------------
+# Element texts: `core.element` parses what `core.format_element` prints
+# ---------------------------------------------------------------------------
+
+
+def printed_elements(algebra):
+    """A finite carrier whole; the interval and function algebras over it by
+    seeded draws; Chang by its sweep slice and by draws."""
+    if mv.core.is_finite(algebra):
+        return mv.core.enumerate_carrier(algebra)
+    rng = Random(7)
+    drawn = [random_element(rng, algebra) for _ in range(300)]
+    return drawn + (core.sweep_elements(algebra) or []) + [mv.zero(algebra), mv.one(algebra)]
+
+
+@pytest.mark.parametrize("algebra", list(differential_algebras()))
+def test_an_element_text_parses_back_to_its_element(algebra):
+    for e in printed_elements(algebra):
+        text = core.format_element(e)
+        assert core.element(algebra, text) == e, text
+        assert core.element(algebra, text).payload == e.payload
+
+
+CH2 = mv.finite_chain(2)
+FA_CHAIN = mv.function_algebra(("x", "y"), mv.FiniteChain(2))
+FA_UNIT = mv.function_algebra(("x", "y"))
+HUGE = "1" * (sys.get_int_max_str_digits() + 1)  # a term past the int/str digit limit
+
+# (algebra, text, message): every text the document grammar refuses, with its error
+MALFORMED_TEXTS = [
+    (U, "x", "not a rational literal: 'x'"),
+    (U, "", "not a rational literal: ''"),
+    (U, "1.5", "not a rational literal: '1.5'"),
+    (U, "1/2\n", "not a rational literal: '1/2\\n'"),
+    (U, " 1/2", "not a rational literal: ' 1/2'"),
+    (U, "+1", "not a rational literal: '+1'"),
+    (U, "1/0", "not a rational literal: '1/0'"),
+    (U, "3/2", "value 3/2 outside [0, 1]"),
+    (U, "-1/2", "value -1/2 outside [0, 1]"),
+    (U, "(1/2)", "not a rational literal: '(1/2)'"),
+    (U, "lower(1)", "not a rational literal: 'lower(1)'"),
+    (CH2, "1/3", "1/3 is not a level of the 2-chain"),
+    (CH2, "(1)", "not a rational literal: '(1)'"),
+    (FA_CHAIN, "1/2", "function elements look like (p/q,...), got '1/2'"),
+    (FA_CHAIN, "(1/2", "function elements look like (p/q,...), got '(1/2'"),
+    (FA_CHAIN, "1/2)", "function elements look like (p/q,...), got '1/2)'"),
+    (FA_CHAIN, "[0,1]", "function elements look like (p/q,...), got '[0,1]'"),
+    (FA_CHAIN, "lower(1)", "function elements look like (p/q,...), got 'lower(1)'"),
+    (FA_CHAIN, "()", "not a rational literal: ''"),
+    (FA_CHAIN, "(1/2,)", "not a rational literal: ''"),
+    (FA_CHAIN, "(1/2, 1/2)", "not a rational literal: ' 1/2'"),
+    (FA_CHAIN, "(0;1)", "not a rational literal: '0;1'"),
+    (FA_CHAIN, "(x,0)", "not a rational literal: 'x'"),
+    (FA_CHAIN, "(1/2)", "expected 2 values, got 1"),
+    (FA_CHAIN, "(1/2,1/2,1/2)", "expected 2 values, got 3"),
+    (FA_CHAIN, "(1/3,0)", "1/3 is not a level of the 2-chain"),
+    (FA_UNIT, "(3/2,0)", "value 3/2 outside [0, 1]"),
+    (FA_UNIT, "((1/2,0))", "not a rational literal: '(1/2'"),
+    (C, "1/2", "Chang elements look like lower(k)/upper(k), got '1/2'"),
+    (C, "lower", "Chang elements look like lower(k)/upper(k), got 'lower'"),
+    (C, "lower()", "Chang elements look like lower(k)/upper(k), got 'lower()'"),
+    (C, "lower(-1)", "Chang elements look like lower(k)/upper(k), got 'lower(-1)'"),
+    (C, "lower(+1)", "Chang elements look like lower(k)/upper(k), got 'lower(+1)'"),
+    (C, "lower(1/2)", "Chang elements look like lower(k)/upper(k), got 'lower(1/2)'"),
+    (C, "lower(x)", "Chang elements look like lower(k)/upper(k), got 'lower(x)'"),
+    (C, "Lower(1)", "Chang elements look like lower(k)/upper(k), got 'Lower(1)'"),
+    (C, "lower(1) ", "Chang elements look like lower(k)/upper(k), got 'lower(1) '"),
+    (C, "lower(1)(2)", "Chang elements look like lower(k)/upper(k), got 'lower(1)(2)'"),
+    (C, "upper(\u0663)", "Chang elements look like lower(k)/upper(k), got 'upper(\u0663)'"),
+    (C, "middle(1)", "Chang elements look like lower(k)/upper(k), got 'middle(1)'"),
+    # an index past the digit limit is an input error, never a ValueError (exit 3)
+    (C, f"upper({HUGE})", f"rational literal has a term of more than {len(HUGE) - 1} digits"),
+]
+
+LABELS = {U: "standard", CH2: "chain2", FA_CHAIN: "2x2", FA_UNIT: "2xstandard", C: "chang"}
+MALFORMED_IDS = [f"{LABELS[a]}-{t!r}"[:32] for a, t, _ in MALFORMED_TEXTS]
+
+
+@pytest.mark.parametrize("algebra,text,message", MALFORMED_TEXTS, ids=MALFORMED_IDS)
+def test_a_malformed_element_text_is_refused(algebra, text, message):
+    with pytest.raises(InputError) as caught:
+        core.element(algebra, text)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("algebra,text,message", MALFORMED_TEXTS, ids=MALFORMED_IDS)
+def test_a_malformed_table_key_exits_2_naming_its_state(algebra, text, message, tmp_path, capsys):
+    # the key is parsed before the table state refuses an infinite carrier
+    doc = {
+        "algebras": {"A": documents.serialize_algebra(algebra)},
+        "states": {"t": {"algebra": "A", "rule": "table", "values": {text: "0"}}},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["state", str(path), "faithful", "t"]) == 2
+    assert capsys.readouterr() == ("", f"error: states.t: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Document parsing and validation."""
 
+import importlib
 import json
+import pkgutil
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import mvprob as mv
-from mvprob import documents
+from mvprob import documents, rationals
 from mvprob.errors import InputError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -155,6 +157,55 @@ class TestRoundTrip:
         assert (spec.kind, spec.left, spec.right, spec.codomain, spec.bound) == (
             "table", "s1", "s1", "s1", 1
         )
+        chain = mv.finite_chain(1)
         assert dict(spec.entries) == {
-            (F(0), F(0)): F(0), (F(0), F(1)): F(0), (F(1), F(0)): F(0), (F(1), F(1)): F(1)
+            (F(0), F(0)): mv.zero(chain), (F(0), F(1)): mv.zero(chain),
+            (F(1), F(0)): mv.zero(chain), (F(1), F(1)): mv.one(chain),
         }
+
+
+# 41 literals: 2 weights, 3 element values, 6 + 12 + 4 in table-state keys and values,
+# 12 in bilinear keys and values and 2 moments; the 3 table states have 4 atom weights
+LITERALS, TABLE_ATOM_WEIGHTS = 41, 1 + 2 + 1
+COUNTED = {
+    "algebras": {
+        "c": {"kind": "chain", "n": 2},
+        "c1": {"kind": "chain", "n": 1},
+        "b": {"kind": "function", "atoms": ["x", "y"], "value": 1},
+    },
+    "measures": {"m": {"atoms": ["x", "y"], "weights": ["1/3", "2/3"]}},
+    "elements": {
+        "h": {"algebra": "c", "value": "1/2"},
+        "f": {"algebra": "b", "values": ["0", "1"]},
+    },
+    "states": {
+        "sc": {"algebra": "c", "rule": "table", "values": {"0": "0", "1/2": "1/2", "1": "1"}},
+        "sb": {
+            "algebra": "b",
+            "rule": "table",
+            "values": {"(0,0)": "0", "(0,1)": "1/4", "(1,0)": "3/4", "(1,1)": "1"},
+        },
+        "s1": {"algebra": "c1", "rule": "table", "values": {"0": "0", "1": "1"}},
+        "sm": {"algebra": "b", "rule": "measure", "measure": "m"},
+    },
+    "moments": {"q": ["1", "1/2"]},
+    "bilinear": {
+        "g": {
+            "kind": "table", "left": "s1", "right": "s1", "codomain": "s1",
+            "entries": {"0;0": "0", "0;1": "0", "1;0": "0", "1;1": "1"},
+        }
+    },
+}
+
+
+def test_parsing_range_checks_each_literal_once(monkeypatch):
+    # every module that binds `require_unit` calls the counting wrapper
+    calls, check = [], rationals.require_unit
+    counted = lambda value: calls.append(value) or check(value)
+    package = [importlib.import_module(f"mvprob.{m.name}") for m in pkgutil.iter_modules(mv.__path__)]
+    for module in package:
+        if getattr(module, "require_unit", None) is check:
+            monkeypatch.setattr(module, "require_unit", counted)
+    doc = documents.parse_document(COUNTED)
+    assert len(calls) == LITERALS + TABLE_ATOM_WEIGHTS
+    assert sorted(doc.states["sb"].measure.weights) == [F(1, 4), F(3, 4)]

@@ -58,13 +58,23 @@ def reference_coerce_payload(carrier, raw):
     if isinstance(carrier, (StandardUnit, FiniteChain)):
         return reference_coerce_value(carrier, raw)
     if isinstance(carrier, FunctionAlgebra):
-        if isinstance(raw, (str, Fraction, int, ChangPair)):
+        if isinstance(raw, str):  # the element text (p/q,...)
+            if not (raw.startswith("(") and raw.endswith(")")):
+                raise InputError(f"function elements look like (p/q,...), got {raw!r}")
+            raw = raw[1:-1].split(",")
+        if isinstance(raw, (Fraction, int, ChangPair)):
             raise InputError("function algebra elements need one value per atom")
         values = tuple(reference_coerce_value(carrier.value, v) for v in raw)
         if len(values) != len(carrier.atoms):
             raise InputError(f"expected {len(carrier.atoms)} values, got {len(values)}")
         return values
     if isinstance(carrier, Chang):
+        if isinstance(raw, str):  # the element text lower(k) or upper(k)
+            for side in ("lower", "upper"):
+                index = raw[len(side) + 1 : -1]
+                if raw == f"{side}({index})" and index.isascii() and index.isdigit():
+                    return ChangPair(side, int(index))
+            raise InputError(f"Chang elements look like lower(k)/upper(k), got {raw!r}")
         if not isinstance(raw, ChangPair):
             raise InputError("Chang elements are ChangPair payloads")
         return raw
@@ -222,7 +232,8 @@ def outcome(fn, *args):
 
 def raw_payloads() -> list:
     """Inputs for coercion, in and out of the carrier, of every payload kind."""
-    texts = ["0", "1", "1/2", "1/3", "2/3", "3/2", "-1/2", "x"]
+    texts = ["0", "1", "1/2", "1/3", "2/3", "3/2", "-1/2", "x", "(1/2)", "(0,1)", "(1/2,1/3,1)"]
+    texts += ["(1/2,x)", "()", "(1/2", "lower(2)", "upper(0)", "lower(x)", "lower(-1)", "side(1)"]
     values = [0, 1, 2, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(5, 4)]
     singles = texts + values + [ChangPair("lower", 1)]
     tuples = [(v,) * k for v in ("1/2", Fraction(1, 3), 1, Fraction(3, 2)) for k in (1, 2, 3)]

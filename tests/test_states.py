@@ -78,7 +78,7 @@ class TestTableValidation:
         # the later spelling would win silently: s(1/2) = 1/2 is linear
         table = {F(0): F(0), "1/2": F(1, 3), F(1, 2): F(1, 2), F(1): F(1)}
         with pytest.raises(
-            InputError, match=r"^table keys '1/2' and Fraction\(1, 2\) name the same element$"
+            InputError, match=r"^keys '1/2' and Fraction\(1, 2\) name the same element$"
         ):
             mv.table_state(CH2, table)
 

@@ -143,6 +143,12 @@ def test_only_states_builds_a_state(module):
     assert lines == [], f"{module} calls {STATE_CONSTRUCTOR} at lines {lines}"
 
 
+def test_documents_builds_every_element_through_core_element():
+    # one grammar: a document's element values and texts are all parsed by `core.element`
+    lines = _calls(ast.parse((PACKAGE / "documents.py").read_text()), "Element")
+    assert lines == [], f"documents.py calls Element at lines {lines}"
+
+
 def _increments(tree: ast.AST) -> list[int]:
     """Lines of the ``x += 1`` statements in ``tree``, in order."""
     return sorted(
