@@ -49,9 +49,8 @@ _EXPORTS = {
         "quotient", "radical",
     ),
     "states": (
-        "DiscreteMeasure", "State", "chang_state", "eval_state", "extend_state_divisible",
-        "identity_state", "is_faithful", "measure", "measure_state", "rho", "state_quotient",
-        "table_state",
+        "DiscreteMeasure", "State", "chang_state", "eval_state", "identity_state", "is_faithful",
+        "measure", "measure_state", "rho", "state_quotient", "table_state",
     ),
     "verdict": ("Verdict",),
 }

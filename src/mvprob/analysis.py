@@ -143,10 +143,14 @@ def grid_measure(points: Sequence[Fraction], weights: Sequence[Fraction]) -> Dis
 
 
 def grid_points(mu: DiscreteMeasure) -> tuple[Fraction, ...]:
-    points = tuple(parse_rational(atom) for atom in mu.atoms)
-    for p in points:
-        require_unit(p)
-    return points
+    """The points of [0, 1] that the measure's atoms name."""
+    points = []
+    for atom in mu.atoms:
+        try:
+            points.append(require_unit(parse_rational(atom)))
+        except InputError:
+            raise InputError(f"measure atoms must name rationals in [0, 1], got {atom!r}") from None
+    return tuple(points)
 
 
 def moments_of_measure(mu: DiscreteMeasure, order: int) -> MomentSequence:

@@ -135,6 +135,8 @@ def _cmd_check_axioms(doc: documents.Document, args) -> Verdict:
 
 
 def _cmd_state(doc: documents.Document, args) -> Verdict:
+    if args.action != "eval" and args.element is not None:
+        raise InputError(f"state {args.action} takes no element name")
     s = _named(doc.states, args.state, "state")
     if args.action == "eval":
         if args.element is None:
@@ -198,6 +200,8 @@ def _cmd_holder(doc: documents.Document, args) -> Verdict:
 def _cmd_product(doc: documents.Document, args) -> Verdict:
     from . import independence
 
+    if args.action != "factorize" and args.gamma is not None:
+        raise InputError(f"product {args.action} takes no bilinear map name")
     if args.action == "build":
         mu_a = _named(doc.measures, args.left, "measure")
         mu_b = _named(doc.measures, args.right, "measure")

@@ -698,7 +698,7 @@ def sweep_elements(algebra: Algebra) -> Optional[list[Element]]:
 
 
 # ---------------------------------------------------------------------------
-# Divisible ambient (shared by the hull and the state-extension machinery)
+# Divisible ambient (shared by states, the representation and bilinear maps)
 # ---------------------------------------------------------------------------
 
 CHAIN_HULL_ATOM = "x0"
@@ -724,9 +724,13 @@ def ambient_vector(a: Element) -> tuple[Fraction, ...]:
     raise InputError("Chang elements have no ambient vector")
 
 
-def ambient_element(a: Element) -> Element:
-    """``a`` in its `divisible_ambient`, values unchanged; ``a``'s check covers them."""
-    return _trusted(divisible_ambient(a.algebra), ambient_vector(a))
+def ambient_element(a: Element, target: Algebra, keep: Sequence[int]) -> Element:
+    """``a``'s values at the `divisible_ambient` atoms ``keep``, in ``target``, the rational
+    function algebra on them; ``a``'s check covers the values.  On Chang the one value is
+    ``a``'s class modulo the radical: 0 at lower(k), 1 at upper(k)."""
+    p = a.payload
+    vector = (ONE if p.side == UPPER else ZERO,) if isinstance(p, ChangPair) else ambient_vector(a)
+    return _trusted(target, tuple([vector[x] for x in keep]))
 
 
 def atom_indicator_elements(algebra: Algebra) -> list[Element]:

@@ -77,6 +77,14 @@ def _field(raw: dict, key: str, where: str, kind, default=_REQUIRED):
     return value
 
 
+def _located(where: str, parse, *args):
+    """``parse(*args)``, its input error prefixed with ``where``, the field it parses."""
+    try:
+        return parse(*args)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
 def _keyed(mapping: dict, where: str, what: str, parse_key, parse_value) -> dict:
     """``mapping`` with its keys and values parsed; two spellings of one key are refused."""
     spelled, parsed = {}, {}
@@ -195,11 +203,7 @@ def _parse_state(name: str, raw: dict, algebras: dict, measures: dict) -> State:
     if rule == "first-coordinate":
         return states.chang_state(algebra)
     if rule == "table":
-        values = _field(raw, "values", where, _MAPPING)
-        try:
-            return states.table_state(algebra, values)
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
+        return _located(where, states.table_state, algebra, _field(raw, "values", where, _MAPPING))
     raise InputError(f"{where}: unknown rule {rule!r}")
 
 
@@ -226,15 +230,15 @@ def _parse_bilinear(name: str, raw: dict, doc_states: dict, algebras: dict) -> B
                 a_text, b_text = key.split(";")
             except ValueError:
                 raise InputError(f"{where}: entry keys look like '<a>;<b>'") from None
-            a, b = core.element(left_algebra, a_text), core.element(right_algebra, b_text)
-            return a.payload, b.payload
+            a = _located(where, core.element, left_algebra, a_text)
+            return a.payload, _located(where, core.element, right_algebra, b_text).payload
 
         entries = _keyed(
             _field(raw, "entries", where, _TEXT_VALUES),
             where,
             "pair",
             pair,
-            lambda value: core.element(cod_algebra, value),
+            lambda value: _located(where, core.element, cod_algebra, value),
         )
         return BilinearSpec(
             kind,

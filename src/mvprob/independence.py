@@ -309,7 +309,7 @@ def left_scaling_bilinear(rep_a: MeasureRepresentation, right: State) -> Bilinea
     return bilinear_map(
         rep_a.state,
         right,
-        rep_a.quotient.state,
+        rep_a.image,
         lambda a, b: core.scalar_mul(
             states.eval_state(right, b), representation.represent(rep_a, a)
         ),
@@ -393,11 +393,7 @@ def factorize(
     if space.left != rep_a.measure or space.right != rep_b.measure:
         raise InputError("product space was built from different representations")
     images = tuple(
-        tuple(
-            representation.represent(
-                rep_c, apply_bilinear(gamma, ex, ey)
-            ).payload
-        )
+        representation.represent(rep_c, apply_bilinear(gamma, ex, ey)).payload
         for ex in rep_a.atom_elements
         for ey in rep_b.atom_elements
     )
@@ -424,7 +420,7 @@ def verify_factorization(
     same seeded sums h + h2.  A failure's witness is ``{"check": (stage, *texts)}``.
     """
     rng = seeded(seed, samples)
-    sc, product = rep_c.quotient.state, space.state.algebra
+    sc, product = rep_c.image, space.state.algebra
     lefts = core.enumerate_carrier(gamma.left.algebra)
     rights = core.enumerate_carrier(gamma.right.algebra)
     draws = []  # (h, h2) with h2 <= not h, so h + h2 is a defined partial sum
@@ -434,9 +430,7 @@ def verify_factorization(
         draws.append((h, Element(product, tuple(random_unit(rng) * v for v in room))))
     spans = [random_element(rng, product) for _ in range(samples)]
     ext = extend_bilinear_divisible(gamma)
-    alternate = tuple(
-        rep_c.quotient.project(Element(ext.codomain, image)).payload for image in ext.images
-    )
+    alternate = tuple(tuple([image[x] for x in rep_c.keep]) for image in ext.images)
     candidate = AtomLinearMap(omega.domain, omega.codomain, alternate)
     triangle = (
         (position, _witness("triangle", a, b))

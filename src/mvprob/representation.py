@@ -1,13 +1,15 @@
-"""The integral representation pipeline.
+"""The integral representation.
 
-The pipeline sends an algebra with a state through the radical quotient,
-into the divisible hull, and then through the state quotient; the result
-is a function algebra with a strictly positive measure in which the
-state is integration.  On a function algebra that measure is the one
-`states.extend_state_divisible` gives, restricted to its atoms of
-positive weight.  The map it produces is injective exactly when the
-state is faithful, and it preserves products and scalars whenever the
-source signature has them.
+The paper's proof takes the radical quotient, the divisible hull and the
+state quotient of the hull: a function algebra with a strictly positive
+measure in which the state is integration.  Here each step reads the
+state's measure.  The radical is trivial off Chang (on Chang it is the
+first coordinate's null ideal, onto the 1-chain: x0 of weight 1), the
+hull extension of a state is its atom measure, and the state quotient
+drops the atoms of weight 0.  So the map keeps an element's values at
+the atoms of positive weight.  It is injective exactly when the state is
+faithful, and it preserves products and scalars whenever the source
+signature has them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import core, states
-from .core import Algebra, Chang, Element, _Record, random_element, seeded
+from .core import Algebra, Element, _Record, random_element, seeded
 from .errors import InputError
+from .rationals import ONE
 from .states import DiscreteMeasure, State
 from .verdict import Verdict, sweep
 
@@ -27,34 +30,36 @@ from .verdict import Verdict, sweep
 
 
 class MeasureRepresentation(_Record):
-    """The pipeline's steps, and the sources of the target's atom indicators."""
+    """The map's image state and kept atoms, and the sources of the target's atom indicators."""
 
     source: Algebra
     state: State
-    radical: states.StateQuotient  # onto a semisimple algebra; the identity off Chang
-    hull: Algebra  # the divisible hull of the radical quotient
-    quotient: states.StateQuotient  # of the hull by the extended state's null ideal
+    image: State  # the strictly positive weights on the function algebra of the kept atoms
+    keep: tuple[int, ...]  # the indices of the divisible ambient's atoms of positive weight
     atom_elements: tuple[Element, ...]
-    injective: bool  # both quotients are identities
 
     @property
     def measure(self) -> DiscreteMeasure:  # strictly positive weights
-        return self.quotient.state.measure
+        return self.image.measure
 
     @property
     def target(self) -> Algebra:  # function algebra over the rational interval
-        return self.quotient.algebra
+        return self.image.algebra
+
+    @property
+    def injective(self) -> bool:  # no atom was dropped, and the source is not Chang
+        return self.image.measure == self.state.measure
 
 
 def represent(rep: MeasureRepresentation, a: Element) -> Element:
     """Apply the representation map."""
     if a.algebra != rep.source:
         raise InputError("element does not belong to the represented algebra")
-    return rep.quotient.project(core.ambient_element(rep.radical.project(a)))
+    return core.ambient_element(a, rep.target, rep.keep)
 
 
 def embed_l1(algebra: Algebra, s: State) -> MeasureRepresentation:
-    """Run the representation pipeline for ``(algebra, s)``.
+    """The representation of ``(algebra, s)``, read off the state's measure.
 
     Afterwards ``sum represent(rep, a)(x) * mu(x) == eval_state(s, a)``
     holds with zero tolerance for every element, and the map is
@@ -62,28 +67,17 @@ def embed_l1(algebra: Algebra, s: State) -> MeasureRepresentation:
     """
     if s.algebra != algebra:
         raise InputError("state does not live on the given algebra")
-    if isinstance(algebra.carrier, Chang):
-        # the null ideal of the first-coordinate state is the radical
-        radical = states.state_quotient(algebra, s)
-        sources = [core.one(algebra)]
+    if s.measure is None:  # Chang: the first coordinate's null ideal is the radical
+        atoms, weights, sources = (core.CHAIN_HULL_ATOM,), (ONE,), [core.one(algebra)]
     else:  # chains and function algebras are semisimple; no other carrier has atoms
-        radical = states.identity_quotient(algebra, s)
+        atoms, weights = s.measure.atoms, s.measure.weights
         sources = core.atom_indicator_elements(algebra)
-
-    # on the hull every state is a measure, so its quotient drops null atoms
-    extended = states.extend_state_divisible(radical.state)
-    hull = extended.algebra
-    quotient = states.state_quotient(hull, extended)
-    source_of = dict(zip(core.atoms_of(hull), sources))
-    rep = MeasureRepresentation(
-        source=algebra,
-        state=s,
-        radical=radical,
-        hull=hull,
-        quotient=quotient,
-        atom_elements=tuple(source_of[x] for x in core.atoms_of(quotient.algebra)),
-        injective=radical.algebra == algebra and quotient.algebra == hull,
+    keep = tuple(x for x, w in enumerate(weights) if w)
+    kept = tuple(atoms[x] for x in keep)
+    image = states.measure_state(
+        core.function_algebra(kept), DiscreteMeasure(kept, tuple(weights[x] for x in keep))
     )
+    rep = MeasureRepresentation(algebra, s, image, keep, tuple(sources[x] for x in keep))
     if rep.injective != states.is_faithful(s).passed:
         raise AssertionError("the representation is injective iff the state is faithful")
     return rep
@@ -91,7 +85,7 @@ def embed_l1(algebra: Algebra, s: State) -> MeasureRepresentation:
 
 def integral(rep: MeasureRepresentation, a: Element) -> Fraction:
     """Integrate the represented element against the measure: the target's state."""
-    return states.eval_state(rep.quotient.state, represent(rep, a))
+    return states.eval_state(rep.image, represent(rep, a))
 
 
 def verify_embedding(

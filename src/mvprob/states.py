@@ -2,7 +2,8 @@
 
 A state is a normalized linear functional, held as its atom measure:
 integration against the weights s(1_x) on the atoms of the divisible
-ambient (Kroupa 2006; Panti 2008), or on the Chang algebra the first
+ambient (Kroupa 2006; Panti 2008), which is also its rationally linear
+extension to that ambient, or on the Chang algebra the first
 lexicographic coordinate, which has no measure.  A measure, the identity
 on the interval or a chain, and a value table on a finite carrier all
 give such weights; a table is checked when constructed to be linear in
@@ -252,24 +253,6 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
 
 
 # ---------------------------------------------------------------------------
-# Extension to the divisible ambient
-# ---------------------------------------------------------------------------
-
-
-def extend_state_divisible(s: State) -> State:
-    """Extend a state to the rational function algebra over the carrier.
-
-    The extension is rationally linear and every hull element is
-    f = sum_x f(x) * 1_x, so it is integration against the measure
-    mu(x) = s(1_x): the state's own measure.  Restricting it along the
-    ambient embedding recovers ``s`` exactly.
-    """
-    if s.measure is None:
-        raise InputError("the Chang algebra is not semisimple; extend its quotient")
-    return State(core.divisible_ambient(s.algebra), s.measure)
-
-
-# ---------------------------------------------------------------------------
 # Quotient by the null ideal
 # ---------------------------------------------------------------------------
 
@@ -282,11 +265,6 @@ class StateQuotient(_Record):
     @property
     def complete(self) -> bool:  # the quotient is rho-complete iff its carrier is finite
         return core.is_finite(self.algebra)
-
-
-def identity_quotient(algebra: Algebra, s: State) -> StateQuotient:
-    """The quotient that collapses nothing, as of a faithful state."""
-    return StateQuotient(algebra, s, lambda a: a)
 
 
 def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
@@ -308,7 +286,7 @@ def state_quotient(algebra: Algebra, s: State) -> StateQuotient:
         weights = s.measure.weights
         null = frozenset(x for x, w in enumerate(weights) if w == ZERO)
         if not null:
-            return identity_quotient(algebra, s)
+            return StateQuotient(algebra, s, lambda a: a)  # a faithful state collapses nothing
     from . import spectra  # only a quotient that collapses something loads it
 
     ideal = spectra.radical(algebra) if null is None else spectra.Ideal(algebra, null)

@@ -368,6 +368,14 @@ class TestMomentsOfMeasure:
         with pytest.raises(InputError):
             analysis.moments_of_measure(mu, 2)
 
+    @pytest.mark.parametrize("atom", ["a", "0.5", "3/2", "-1", "1/0", ""])
+    def test_an_atom_that_names_no_point_of_the_interval_is_named(self, atom):
+        mu = mv.measure(("1/2", atom), (F(1, 2), F(1, 2)))
+        message = f"measure atoms must name rationals in [0, 1], got {atom!r}"
+        with pytest.raises(InputError) as caught:
+            analysis.moments_of_measure(mu, 2)
+        assert str(caught.value) == message
+
 
 class TestReconstruction:
     def test_worked_example(self):

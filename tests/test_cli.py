@@ -677,6 +677,57 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"0;x": "0"}, "not a rational literal: 'x'"),
+            ({"x;0": "0"}, "not a rational literal: 'x'"),
+            ({"0;1/2": "0"}, "1/2 is not a level of the 1-chain"),
+            ({"0;0": "7/3"}, "value 7/3 outside [0, 1]"),
+            ({"0;0": "(0)"}, "not a rational literal: '(0)'"),
+        ],
+    )
+    def test_a_bilinear_entry_error_names_its_map(self, entries, message, tmp_path, capsys):
+        doc = {
+            "algebras": {"c": {"kind": "chain", "n": 1}},
+            "states": {"t": {"algebra": "c", "rule": "table", "values": {"0": "0", "1": "1"}}},
+            "bilinear": {
+                "g": {"kind": "table", "left": "t", "right": "t", "codomain": "t",
+                      "bound": 1, "entries": entries},
+            },
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["state", str(path), "faithful", "t"]) == 2
+        assert capsys.readouterr() == ("", f"error: bilinear.g: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("state", DOC, "eval", "s"), "state eval needs an element name"),
+            (("state", DOC, "faithful", "s", "f1"), "state faithful takes no element name"),
+            (("state", DOC, "metric", "schain", "f1"), "state metric takes no element name"),
+            (("state", DOC, "quotient", "s", "f1"), "state quotient takes no element name"),
+            (("product", DOC, "build", "mu", "nu", "gbeta"),
+             "product build takes no bilinear map name"),
+            (("product", DOC, "verify-independence", "sB", "schain", "gbeta"),
+             "product verify-independence takes no bilinear map name"),
+            (("--seed", "1", "product", DOC, "factorize", "sB", "schain"),
+             "product factorize needs a bilinear map name"),
+        ],
+        ids=["state-eval", "state-faithful", "state-metric", "state-quotient", "product-build",
+             "product-verify-independence", "product-factorize"],
+    )
+    def test_an_action_is_refused_a_name_it_does_not_take(self, argv, message, capsys):
+        # the report echo would drop the extra name, so it never reaches one
+        assert cli.main(list(argv)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_a_measure_with_a_non_point_atom_has_no_moments(self, capsys):
+        assert cli.main(["moments", DOC, "of-measure", "mu"]) == 2
+        message = "measure atoms must name rationals in [0, 1], got 'x'"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("value", [None, True, False, 0, 1, 0.5, [], ["1"], {}, {"1": "1"}])
     @pytest.mark.parametrize("where", ["state", "bilinear"])
     def test_a_non_string_table_value_is_an_input_error(self, where, value, tmp_path, capsys):

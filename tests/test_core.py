@@ -336,17 +336,24 @@ def test_trusted_results_pass_the_boundary_check_unchanged(algebra):
             assert r == core.element(r.algebra, r.payload)
 
 
-@pytest.mark.parametrize(
-    "algebra", [p for p in stock_algebras() if not isinstance(p.values[0].carrier, mv.Chang)]
-)
+@pytest.mark.parametrize("algebra", list(stock_algebras()))
 def test_ambient_images_pass_the_boundary_check_unchanged(algebra):
-    # `represent` places images in the hull through this unchecked route
-    rng, ambient = Random(9), core.divisible_ambient(algebra)
+    # `represent` places images in the target through this unchecked route:
+    # every atom kept, and each single atom alone; Chang's one value is its
+    # class modulo the radical
+    if isinstance(algebra.carrier, mv.Chang):
+        atoms, vector = ("x0",), lambda a: (F(a.payload.side == core.UPPER),)
+    else:
+        atoms, vector = core.atoms_of(core.divisible_ambient(algebra)), core.ambient_vector
+    keeps = [tuple(range(len(atoms)))] + [(x,) for x in range(len(atoms))]
+    rng = Random(9)
     for _ in range(100):
         a = random_element(rng, algebra)
-        image = core.ambient_element(a)
-        assert image == mv.Element(ambient, core.ambient_vector(a))
-        assert type(image.payload) is tuple and all(type(v) is F for v in image.payload)
+        for keep in keeps:
+            target = mv.function_algebra([atoms[x] for x in keep])
+            image = core.ambient_element(a, target, keep)
+            assert image == mv.Element(target, tuple(vector(a)[x] for x in keep))
+            assert type(image.payload) is tuple and all(type(v) is F for v in image.payload)
 
 
 def test_enumeration_builds_its_elements_unchecked(monkeypatch):

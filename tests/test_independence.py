@@ -445,8 +445,10 @@ class TestBilinearExtension:
         s_a, s_b, rep_a, rep_b, space = coupling()
         gamma = mv.beta_bilinear(space, rep_a, rep_b)
         ext = mv.extend_bilinear_divisible(gamma)
-        extended_left = mv.extend_state_divisible(s_a)
-        extended_right = mv.extend_state_divisible(s_b)
+        # faithful states: each image state is the hull extension, on every hull atom
+        extended_left, extended_right = rep_a.image, rep_b.image
+        assert extended_left.algebra == mv.core.divisible_ambient(s_a.algebra)
+        assert extended_right.algebra == mv.core.divisible_ambient(s_b.algebra)
         cod_state = space.state
         rng = Random(33)
         for _ in range(1000):
@@ -500,7 +502,7 @@ def test_indicator_values_equal_the_scaled_basis_values(algebra):
         a.payload: sum(w * v for w, v in zip(weights, vector(a)))
         for a in mv.core.enumerate_carrier(algebra)
     })
-    assert mv.extend_state_divisible(s).measure.weights == tuple(
+    assert s.measure.weights == tuple(
         n * mv.eval_state(s, u) for u in basis
     )
 

@@ -1,4 +1,4 @@
-"""Divisible ambients, measure recovery, and the representation pipeline."""
+"""Divisible ambients, measure recovery, and the representation."""
 
 import itertools
 import json
@@ -83,8 +83,11 @@ class TestDivisibleHull:
 
 def recovered_measure(s):
     # linearity makes the weight of an atom the state of its indicator,
-    # which is the measure of the divisible extension
-    return mv.extend_state_divisible(s).measure
+    # and the state holds those weights: its divisible extension's measure
+    atoms = mv.core.atoms_of(s.algebra)
+    weights = [mv.eval_state(s, mv.indicator(s.algebra, x)) for x in atoms]
+    assert s.measure == mv.measure(atoms, weights)
+    return s.measure
 
 
 class TestMeasureRecovery:
@@ -243,7 +246,7 @@ class TestPipeline:
 
 
 def reference_representation(algebra, s):
-    """The representation by direct formulas, without the pipeline's steps.
+    """The representation by direct formulas, without `embed_l1` or `core.ambient_element`.
 
     On Chang every element goes to (0,) or (1,); on the other carriers the
     map is the ambient vector restricted to the atoms of positive weight,
@@ -287,6 +290,19 @@ def pipeline_cases():
             label = f"{n}-{weights[0]}"
             yield pytest.param(algebra, s, id=f"measure-{label}")
             yield pytest.param(algebra, table, id=f"table-{label}")
+    # infinite carriers, checked on seeded draws
+    U = mv.standard_unit()
+    yield pytest.param(U, mv.identity_state(U), id="standard")
+    atoms = ("r0", "r1", "r2")
+    algebra = mv.function_algebra(atoms)
+    s = mv.measure_state(algebra, mv.measure(atoms, (F(1, 4), F(0), F(3, 4))))
+    yield pytest.param(algebra, s, id="measure-rational-null-atom")
+    rng, atoms = Random(20), tuple(f"g{i}" for i in range(20))  # as sampled-rational's embed-G
+    raw = [rng.randint(1, 9) for _ in atoms]
+    weights = [F(w, sum(raw)) for w in raw]
+    algebra = mv.function_algebra(atoms)
+    s = mv.measure_state(algebra, mv.measure(atoms, weights))
+    yield pytest.param(algebra, s, id="measure-rational-20-atoms")
 
 
 @pytest.mark.parametrize("algebra, state", list(pipeline_cases()))
@@ -297,7 +313,11 @@ def test_pipeline_matches_the_direct_formulas(algebra, state):
     assert rep.target == expected.target
     assert rep.atom_elements == expected.atom_elements
     assert rep.injective == expected.injective
-    for a in mv.core.sweep_elements(algebra):
+    elements = mv.core.sweep_elements(algebra)
+    if elements is None:
+        rng = Random(5)
+        elements = [random_element(rng, algebra) for _ in range(200)]
+    for a in elements:
         assert mv.represent(rep, a) == expected.represent(a)
 
 

@@ -351,23 +351,26 @@ class TestVerifyMetric:
 
 
 class TestDivisibleExtension:
+    """The hull extension of a state is integration against its atom measure;
+    the representation's image state is it on the atoms of positive weight."""
+
     def test_chain_extension_is_forced(self):
-        s = chain_state(CH2)
-        extension = mv.extend_state_divisible(s)
+        extension = mv.embed_l1(CH2, chain_state(CH2)).image
         hull_element = mv.element(extension.algebra, ("1/3",))
         assert mv.eval_state(extension, hull_element) == F(1, 3)
 
     def test_restriction_recovers_state(self):
         algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(2))
         s = mv.measure_state(algebra, mv.measure(("x", "y"), (F(1, 4), F(3, 4))))
-        extension = mv.extend_state_divisible(s)
+        extension = mv.embed_l1(algebra, s).image
+        assert extension.algebra == mv.core.divisible_ambient(algebra)
         for a in mv.core.enumerate_carrier(algebra):
             assert mv.eval_state(extension, in_ambient(a)) == mv.eval_state(s, a)
 
     def test_rational_homogeneity(self):
         algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(2))
         s = mv.measure_state(algebra, mv.measure(("x", "y"), (F(1, 4), F(3, 4))))
-        extension = mv.extend_state_divisible(s)
+        extension = mv.embed_l1(algebra, s).image
         for a in mv.core.enumerate_carrier(algebra):
             image = in_ambient(a)
             for alpha in (F(1, 2), F(2, 3), F(1, 5)):
@@ -376,19 +379,25 @@ class TestDivisibleExtension:
                 ) == alpha * mv.eval_state(s, a)
 
     def test_zero_maps_to_zero(self):
-        extension = mv.extend_state_divisible(chain_state(CH2))
+        extension = mv.embed_l1(CH2, chain_state(CH2)).image
         assert mv.eval_state(extension, mv.zero(extension.algebra)) == 0
 
-    def test_faithfulness_is_preserved(self):
+    def test_the_image_drops_exactly_the_null_atoms(self):
         algebra = mv.function_algebra(("x", "y"), mv.FiniteChain(1))
         faithful = mv.measure_state(algebra, mv.measure(("x", "y"), (F(1, 2), F(1, 2))))
-        assert mv.is_faithful(mv.extend_state_divisible(faithful)).passed
+        rep = mv.embed_l1(algebra, faithful)
+        assert rep.injective and rep.image.measure == faithful.measure
         degenerate = mv.measure_state(algebra, mv.measure(("x", "y"), (F(1), F(0))))
-        assert not mv.is_faithful(mv.extend_state_divisible(degenerate)).passed
+        rep = mv.embed_l1(algebra, degenerate)
+        assert not rep.injective and rep.keep == (0,)
+        assert rep.image.measure == mv.measure(("x",), (F(1),))
+        assert mv.is_faithful(rep.image).passed
 
-    def test_chang_rejected(self):
+    def test_chang_extends_its_radical_quotient(self):
         with pytest.raises(InputError):
-            mv.extend_state_divisible(mv.chang_state(C))
+            mv.core.divisible_ambient(C)
+        rep = mv.embed_l1(C, mv.chang_state(C))
+        assert rep.image.measure == mv.measure(("x0",), (F(1),)) and rep.keep == (0,)
 
 
 class TestStateQuotient:
@@ -507,7 +516,7 @@ def reference_measure_quotient(s):
     mu, carrier = s.measure, s.algebra.carrier
     keep = tuple(i for i, w in enumerate(mu.weights) if w != 0)
     if len(keep) == len(mu.atoms):
-        return mv.states.identity_quotient(s.algebra, s)
+        return mv.states.StateQuotient(s.algebra, s, lambda a: a)
     atoms = tuple(mu.atoms[i] for i in keep)
     target = mv.function_algebra(atoms, carrier.value)
     restricted = mv.states.DiscreteMeasure(atoms, tuple(mu.weights[i] for i in keep))
@@ -524,7 +533,7 @@ def reference_table_quotient(s):
     table = [(a, mv.eval_state(s, a)) for a in mv.core.enumerate_carrier(algebra)]
     null = mv.spectra.ideal(algebra, [a.payload for a, v in table if v == 0])
     if not null.support:
-        return mv.states.identity_quotient(algebra, s)
+        return mv.states.StateQuotient(algebra, s, lambda a: a)
     result = mv.spectra.quotient(algebra, null)
     values = {}
     for a, value in table:

@@ -264,7 +264,8 @@ class TestPlantedQuotient:
 
     def test_a_quotient_state_that_is_not_faithful(self, monkeypatch):
         s = mv.measure_state(BOOL2, mv.measure(("x", "y"), (ONE, ZERO)))
-        monkeypatch.setattr(states, "state_quotient", states.identity_quotient)
+        identity = lambda algebra, s: states.StateQuotient(algebra, s, lambda a: a)
+        monkeypatch.setattr(states, "state_quotient", identity)
         verdict = states.verify_quotient(s)
         assert verdict.witnesses == [{"quotient": "state is not faithful"}]
         assert verdict.metrics == {"checks": 4, "complete": True}
@@ -426,7 +427,7 @@ class TestPlantedFactorization:
     @pytest.mark.parametrize("where", [FIRST, LAST])
     def test_bound(self, where, monkeypatch):
         args = self.setup()
-        sc = args[-1].quotient.state
+        sc = args[-1].image
         k = 1 if where == FIRST else self.samples
         planted = nth_call(k, states.eval_state, lambda s, x: 2, lambda s, x: s is sc)
         monkeypatch.setattr(states, "eval_state", planted)

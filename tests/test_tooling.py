@@ -217,7 +217,7 @@ PUBLIC_NAMES = [
     "UnsupportedCarrierError", "Verdict", "analysis", "axioms", "beta", "beta_bilinear",
     "bilinear_map", "chang", "chang_state", "check_axioms", "check_bilinear", "check_hausdorff",
     "core", "dist", "element", "embed_l1", "errors", "eval_state", "extend_bilinear_divisible",
-    "extend_state_divisible", "factorize", "finite_chain", "function_algebra", "grid_measure",
+    "factorize", "finite_chain", "function_algebra", "grid_measure",
     "hausdorff_reconstruct", "holder_check", "ideal", "ideal_contains", "ideals", "identity_state",
     "independence", "indicator", "integral", "is_faithful", "is_semisimple", "join",
     "left_scaling_bilinear", "leq", "lower", "maximal_ideals", "measure", "measure_state", "meet",
@@ -317,8 +317,8 @@ def _submodules(loaded: set[str]) -> set[str]:
         (("spectra", FIXTURE, "ideals", "B"), {"spectra"}),
         (("moments", FIXTURE, "check", "leb"), {"analysis"}),
         (("holder", FIXTURE, "s", "f1", "f2", "--p", "2", "--q", "2"), {"analysis"}),
-        (("embed", FIXTURE, "C", "sc"), {"representation", "spectra"}),
-        (("embed", FIXTURE, "F", "sdirac", "--seed", "1"), {"representation", "spectra"}),
+        (("embed", FIXTURE, "C", "sc"), {"representation"}),  # the measure is read, not built
+        (("embed", FIXTURE, "F", "sdirac", "--seed", "1"), {"representation"}),
         (("--seed", "5", "product", FIXTURE, "factorize", "sB", "schain", "gbeta"),
          {"independence", "representation"}),  # faithful states: no quotient is built
     ],
@@ -330,6 +330,31 @@ def _submodules(loaded: set[str]) -> set[str]:
 )
 def test_a_command_loads_the_shared_closure_and_what_its_handler_runs(argv, added):
     assert _submodules(_cli_loads(*argv)) == SHARED_CLOSURE | added
+
+
+def test_representing_an_element_builds_no_algebra(monkeypatch):
+    # `embed_l1` builds the target once; mapping an element only indexes its
+    # values, also for a state with a null atom
+    from mvprob import core, representation, states
+
+    algebra = core.function_algebra(("x", "y", "z"))
+    s = states.measure_state(algebra, states.measure(("x", "y", "z"), ("1/3", "0", "2/3")))
+    function_algebra, embed_l1, calls = core.function_algebra, representation.embed_l1, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function_algebra(*args, **kwargs)
+
+    def embedded(algebra, s):
+        rep = embed_l1(algebra, s)
+        calls.clear()
+        return rep
+
+    monkeypatch.setattr(core, "function_algebra", counting)
+    monkeypatch.setattr(representation, "embed_l1", embedded)
+    verdict = representation.verify_embedding(algebra, s, samples=50, seed=3)
+    assert verdict.passed and verdict.metrics["injective"] is False
+    assert calls == []
 
 
 def test_the_document_layer_loads_no_checker():
@@ -372,7 +397,7 @@ def test_a_command_builds_two_parsers_per_call(monkeypatch, capsys):
 class TestNamespace:
     def test_all_is_the_pinned_public_namespace(self):
         assert sorted(mvprob.__all__) == PUBLIC_NAMES
-        assert len(PUBLIC_NAMES) == 88
+        assert len(PUBLIC_NAMES) == 87
 
     def test_every_name_resolves(self):
         for name in PUBLIC_NAMES:
