@@ -36,9 +36,9 @@ MAX_FIT_GRID = 64
 MAX_PRECISION = 4096
 MAX_EXPONENT = 64  # largest numerator or denominator of the exponents p and q
 # Highest moment order; a sequence holds at most MAX_ORDER + 1 values.  It
-# bounds the length of a sequence, not its cost: moments past the
-# integer-string digit limit are refused before the O(order^2) difference
-# rows (order 512 on 999999999/10^9 and 1/3: m_454).  On those atoms the
+# bounds the length of a sequence, not its cost: an order whose moments may
+# pass the integer-string digit limit is refused before any moment is
+# computed (from 454 on 999999999/10^9 and 1/3).  On those atoms the
 # sign scan takes 0.04-0.06 s at order 300 (the CLI command 0.32-0.42 s;
 # 4.4-5.0 s with Fraction rows) and 0.17-0.22 s at order 453, on one
 # 2-vCPU Xeon core.  It holds one row, not the table: a traced peak of
@@ -166,10 +166,13 @@ def moments_of_measure(mu: DiscreteMeasure, order: int) -> MomentSequence:
 
 
 def verify_measure_moments(mu: DiscreteMeasure, order: int) -> Verdict:
-    """The moments of ``mu`` up to ``order``, checked against the moment condition."""
+    """The moments of ``mu`` up to ``order``, checked against the moment condition.  An
+    order whose bound L_w * L_p^order on the rendered terms (L_w, L_p: the lcms of the
+    weight and atom denominators) passes the digit limit is refused before any moment."""
+    if 0 <= order <= MAX_ORDER:  # `moments_of_measure` refuses the other orders
+        l_w, l_p = (math.lcm(*[v.denominator for v in vs]) for vs in (mu.weights, grid_points(mu)))
+        format_rational(l_w * l_p**order)  # a bound past the int/str digit limit: InputError
     m = moments_of_measure(mu, order)
-    for value in m.values:  # the report renders each: refuse before the O(order^2) scan
-        format_rational(value)
     check = check_hausdorff(m)
     witnesses = [{"reason": w["reason"]} for w in check.witnesses]
     return Verdict(check.verdict, witnesses, {"order": order}, None, {"moments": m.values})

@@ -135,8 +135,6 @@ def _cmd_check_axioms(doc: documents.Document, args) -> Verdict:
 
 
 def _cmd_state(doc: documents.Document, args) -> Verdict:
-    if args.action != "eval" and args.element is not None:
-        raise InputError(f"state {args.action} takes no element name")
     s = _named(doc.states, args.state, "state")
     if args.action == "eval":
         if args.element is None:
@@ -200,8 +198,6 @@ def _cmd_holder(doc: documents.Document, args) -> Verdict:
 def _cmd_product(doc: documents.Document, args) -> Verdict:
     from . import independence
 
-    if args.action != "factorize" and args.gamma is not None:
-        raise InputError(f"product {args.action} takes no bilinear map name")
     if args.action == "build":
         mu_a = _named(doc.measures, args.left, "measure")
         mu_b = _named(doc.measures, args.right, "measure")
@@ -216,29 +212,32 @@ def _cmd_product(doc: documents.Document, args) -> Verdict:
     return independence.verify_universal_factorization(s_a, s_b, construct, args.samples, args.seed)
 
 
+# command: {argument: (its selector, the choices of the selector that read it)}
+_READ_ONLY_BY = {
+    "check-axioms": {"--count": ("mode", ("sample",))},
+    "state": {"element": ("action", ("eval",)), "--samples": ("action", ("metric",))},
+    "moments": {"--order": ("action", ("of-measure",)),
+                "--grid": ("action", ("reconstruct", "fit"))},
+    "product": {"gamma": ("action", ("factorize",)), "--samples": ("action", ("factorize",))},
+}
+
+
 def _echo(args) -> str:
-    """The command as the report echoes it: no document path, no global flags."""
-    if args.command == "check-axioms":
-        count = f" --count {args.count}" if args.mode == "sample" else ""
-        words = f"{args.algebra} --level {args.level} --mode {args.mode}{count}"
-    elif args.command == "state":
-        element = f" {args.element}" if args.action == "eval" else ""
-        words = f"{args.action} {args.state}{element}"
-    elif args.command == "spectra":
-        words = f"{args.action} {args.algebra}"
-    elif args.command == "embed":
-        words = f"{args.algebra} {args.state}"
-    elif args.command == "moments":
-        flag = {"of-measure": f" --order {args.order}", "check": ""}.get(
-            args.action, f" --grid {args.grid}"
-        )
-        words = f"{args.action} {args.name}{flag}"
-    elif args.command == "holder":
-        words = f"{args.state} {args.left} {args.right} --p {args.p} --q {args.q}"
-    else:
-        gamma = f" {args.gamma}" if args.action == "factorize" else ""
-        words = f"{args.action} {args.left} {args.right}{gamma}"
-    return f"{args.command} {words}"
+    """The command as the report echoes it: no document path, no global flag, no sample
+    count, and only the arguments that the chosen action (or mode) reads, in their order.
+    An argument it does not read is refused unless at its default: the echo drops it."""
+    words, only_by = [args.command], _READ_ONLY_BY.get(args.command, {})
+    for name, spec in _COMMANDS[args.command][1].items():
+        value = getattr(args, name.lstrip("-"))
+        selector, readers = only_by.get(name, ("command", [args.command]))
+        read = getattr(args, selector) in readers
+        if not read and value != spec.get("default"):
+            what = {"element": "element name", "gamma": "bilinear map name"}.get(name, name)
+            chosen = args.action if hasattr(args, "action") else f"--mode {args.mode}"
+            raise InputError(f"{args.command} {chosen} takes no {what}")
+        if read and name != "--samples":
+            words += [name, value] if name.startswith("--") else [value]
+    return " ".join(map(str, words))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +335,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        command = _echo(args)  # refuses an argument the echo would drop
         doc = _load_document(args.doc)
         verdict = _HANDLERS[args.command](doc, args)
-        text = render_report(_echo(args), verdict)
+        text = render_report(command, verdict)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

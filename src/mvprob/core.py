@@ -198,6 +198,16 @@ class Algebra(_Record):
         if self.scalar_action and not _divisible(self.carrier):
             raise InputError(f"carrier {self.carrier} is not divisible")
 
+    @functools.cached_property
+    def ops(self) -> _TermOps:
+        """The op set of the payloads, with its encoded ``zero`` and ``one``, built once.
+        Its ``prod`` and ``scalar`` exist where the carrier can have them: the flags say
+        whether the signature does."""
+        if isinstance(self.carrier, Chang):
+            return _CHANG_OPS
+        atoms, levels = _shape(self.carrier)
+        return _ValueOps(levels) if atoms is None else _PointwiseOps(_ValueOps(levels), atoms)
+
 
 def standard_unit() -> Algebra:
     return Algebra(StandardUnit(), internal_product=True, scalar_action=True)
@@ -237,7 +247,7 @@ def _coerce_value(levels: Optional[int], raw) -> Fraction:
         value = require_unit(parse_rational(raw))
     else:
         value = require_unit(Fraction(raw) if isinstance(raw, int) else raw)
-    if levels is not None and (value * levels).denominator != 1:
+    if levels is not None and levels % value.denominator:  # value * levels is no integer
         raise InputError(f"{value} is not a level of the {levels}-chain")
     return value
 
@@ -264,7 +274,7 @@ def _coerce_payload(carrier: Carrier, raw) -> Payload:
         raw = raw[1:-1].split(",")
     elif isinstance(raw, (Fraction, int, ChangPair)):
         raise InputError("function algebra elements need one value per atom")
-    values = tuple(_coerce_value(levels, v) for v in raw)
+    values = tuple([_coerce_value(levels, v) for v in raw])
     if len(values) != atoms:
         raise InputError(f"expected {atoms} values, got {len(values)}")
     return values
@@ -506,14 +516,8 @@ _CHANG_OPS = _ChangOps()
 
 
 def payload_ops(algebra: Algebra) -> _TermOps:
-    """The op set of ``algebra``'s payloads, with its encoded ``zero`` and ``one``; a
-    sweep chooses it once.  Its ``prod`` and ``scalar`` exist where the carrier can
-    have them: the `Algebra` flags say whether the signature does."""
-    carrier = algebra.carrier
-    if isinstance(carrier, Chang):
-        return _CHANG_OPS
-    atoms, levels = _shape(carrier)
-    return _ValueOps(levels) if atoms is None else _PointwiseOps(_ValueOps(levels), atoms)
+    """The op set of ``algebra``'s payloads, built once per `Algebra`: its ``ops``."""
+    return algebra.ops
 
 
 def _same_algebra(a: Element, b: Element) -> Algebra:

@@ -85,18 +85,6 @@ def _located(where: str, parse, *args):
         raise InputError(f"{where}: {exc}") from None
 
 
-def _keyed(mapping: dict, where: str, what: str, parse_key, parse_value) -> dict:
-    """``mapping`` with its keys and values parsed; two spellings of one key are refused."""
-    spelled, parsed = {}, {}
-    for text, value in mapping.items():
-        key = parse_key(text)
-        if key in spelled:
-            raise InputError(f"{where}: keys {spelled[key]!r} and {text!r} name the same {what}")
-        spelled[key] = text
-        parsed[key] = parse_value(value)
-    return parsed
-
-
 def _section(raw: dict, key: str, kind=_MAPPING) -> dict:
     """A document section: a mapping from names to values of ``kind``."""
     section = _field(raw, key, "document", _MAPPING, {})
@@ -229,16 +217,13 @@ def _parse_bilinear(name: str, raw: dict, doc_states: dict, algebras: dict) -> B
             try:
                 a_text, b_text = key.split(";")
             except ValueError:
-                raise InputError(f"{where}: entry keys look like '<a>;<b>'") from None
-            a = _located(where, core.element, left_algebra, a_text)
-            return a.payload, _located(where, core.element, right_algebra, b_text).payload
+                raise InputError("entry keys look like '<a>;<b>'") from None
+            a = core.element(left_algebra, a_text)
+            return a.payload, core.element(right_algebra, b_text).payload
 
-        entries = _keyed(
-            _field(raw, "entries", where, _TEXT_VALUES),
-            where,
-            "pair",
-            pair,
-            lambda value: _located(where, core.element, cod_algebra, value),
+        entries = _located(
+            where, states.keyed, _field(raw, "entries", where, _TEXT_VALUES), "pair", pair,
+            lambda value: core.element(cod_algebra, value),
         )
         return BilinearSpec(
             kind,

@@ -14,14 +14,13 @@ pairing by a linear map determined on atom indicators.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import core, representation, states
 from .core import Algebra, Element, _Record, random_element, seeded
 from .errors import InputError
-from .rationals import ONE, ZERO, random_unit
+from .rationals import ONE, ZERO, as_pair, over_lcm, random_unit, weighted_sum
 from .representation import MeasureRepresentation
 from .states import DiscreteMeasure, State
 from .verdict import Verdict, sweep
@@ -88,7 +87,7 @@ def tensor(space: ProductSpace, f: Element, g: Element) -> Element:
         raise InputError("left factor does not live on the left component space")
     if core.atoms_of(g.algebra) != space.right.atoms:
         raise InputError("right factor does not live on the right component space")
-    values = tuple(vx * vy for vx in f.payload for vy in g.payload)
+    values = tuple([vx * vy for vx in f.payload for vy in g.payload])
     return Element(space.state.algebra, values)
 
 
@@ -108,20 +107,20 @@ def beta(
 
 
 def verify_independence(left: State, right: State) -> Verdict:
-    """Check s(beta(a, b)) = s_A(a) * s_B(b) for every pair of two finite algebras."""
+    """Check s(beta(a, b)) = s_A(a) * s_B(b) for every pair of two finite algebras, in
+    rank order: s_A and s_B are evaluated once per element, s once per pair."""
     for s in (left, right):
         if not core.is_finite(s.algebra):
             raise InputError("the exhaustive independence sweep needs finite algebras")
     rep_a = representation.embed_l1(left.algebra, left)
     rep_b = representation.embed_l1(right.algebra, right)
     space = product_space(rep_a.measure, rep_b.measure)
-    lefts = core.enumerate_carrier(left.algebra)
-    rights = core.enumerate_carrier(right.algebra)
+    lefts = [(a, states.eval_state(left, a)) for a in core.enumerate_carrier(left.algebra)]
+    rights = [(b, states.eval_state(right, b)) for b in core.enumerate_carrier(right.algebra)]
     failures = (
         (position, {"pair": [a, b]})
-        for position, (a, b) in enumerate(itertools.product(lefts, rights))
-        if states.eval_state(space.state, beta(space, rep_a, rep_b, a, b))
-        != states.eval_state(left, a) * states.eval_state(right, b)
+        for position, ((a, sa), (b, sb)) in enumerate(itertools.product(lefts, rights))
+        if states.eval_state(space.state, beta(space, rep_a, rep_b, a, b)) != sa * sb
     )
     return sweep([("identities_checked", len(lefts) * len(rights), failures)])
 
@@ -200,8 +199,11 @@ def _atom_images(gamma: BilinearMap) -> tuple[tuple[tuple[Fraction, ...], ...], 
 
 
 def _combine(coefficients, vectors) -> tuple[Fraction, ...]:
-    """sum_k coefficients[k] * vectors[k], coordinatewise."""
-    return tuple(sum(map(operator.mul, coefficients, column), ZERO) for column in zip(*vectors))
+    """sum_k coefficients[k] * vectors[k], coordinatewise, by `rationals.weighted_sum`
+    with the coefficients' numerators over their lcm as the weights."""
+    weights, common = over_lcm(coefficients)
+    sums = (weighted_sum(weights, map(as_pair, column)) for column in zip(*vectors))
+    return tuple([Fraction(total, common * d) for total, d in sums])
 
 
 def _witness(check: str, *elements: Element) -> dict:
@@ -218,7 +220,8 @@ def check_bilinear(gamma: BilinearMap) -> Verdict:
     every defined partial sum.  Two `verdict.sweep` stages, both counted
     as ``checks``, take the pairs in rank order: linearity, then the
     bound.  A failure's witness is ``{"check": (law, *element texts)}``
-    with the arguments in (left, right) order.
+    with the arguments in (left, right) order.  Each sum is `_combine`'s,
+    on integers.
     """
     lefts = core.enumerate_carrier(gamma.left.algebra)
     rights = core.enumerate_carrier(gamma.right.algebra)
@@ -337,10 +340,7 @@ class AtomLinearMap(_Record):
 def apply_atom_linear(omega: AtomLinearMap, h: Element) -> Element:
     if h.algebra != omega.domain:
         raise InputError("argument does not live on the map's domain")
-    image = _combine(h.payload, omega.images)
-    if any(v > ONE for v in image):
-        raise AssertionError("a linear image of a unit vector stays in the unit cube")
-    return Element(omega.codomain, image)
+    return Element(omega.codomain, _combine(h.payload, omega.images))
 
 
 def extend_bilinear_divisible(gamma: BilinearMap) -> AtomLinearMap:

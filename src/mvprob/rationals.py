@@ -10,6 +10,7 @@ the numerator and denominator, and bounded random sampling.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -73,6 +74,18 @@ def over_lcm(values) -> tuple[tuple[int, ...], int]:
     """The numerators of ``values`` over d, the lcm of their denominators, and d."""
     d = math.lcm(*[v.denominator for v in values])
     return tuple([v.numerator * (d // v.denominator) for v in values]), d
+
+
+as_pair = operator.attrgetter("numerator", "denominator")  # x / e as `weighted_sum`'s (x, e)
+
+
+def weighted_sum(weights, pairs) -> tuple[int, int]:
+    """(t, d) with t / d the sum of w * x / e over the integers ``weights`` and the
+    ``pairs`` (x, e), e > 0, and d the product of the e: no `Fraction` on the way."""
+    total, d = 0, 1
+    for w, (x, e) in zip(weights, pairs):
+        total, d = total * e + w * x * d, d * e
+    return total, d
 
 
 def random_unit(rng: Random) -> Fraction:

@@ -11,9 +11,10 @@ its atom weights at every element, and invalid tables are rejected,
 never repaired; `table_state` alone parses and checks a table's keys and
 values, a document's too.  One evaluator gives every value: a payload encoded
 by `core.payload_ops` holds one coprime pair (x, e) per atom, and the value is
-the integer sum of w * x / e over the product of the e, w the weights'
-numerators over their lcm.  `eval_state` encodes after its algebra check;
-the sampled metric sweep calls it on encoded distances.
+`rationals.weighted_sum` of w * x / e, w the weights' numerators over their lcm;
+it also checks a table's linearity.  `eval_state` encodes after its algebra
+check; the sampled metric sweep calls it on encoded distances, and the finite
+one reads rho from an integer matrix of the elements' values.
 
 The quotient operation collapses pairs at pseudo-distance zero.  A
 genuine metric completion can leave the rational carrier, so instead of
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import core
 from .core import Algebra, Chang, Element, FunctionAlgebra, _Record, seeded
 from .errors import InputError
-from .rationals import ONE, ZERO, over_lcm, parse_rational, require_unit
+from .rationals import ONE, ZERO, over_lcm, parse_rational, require_unit, weighted_sum
 from .verdict import Verdict, sweep
 
 # ---------------------------------------------------------------------------
@@ -108,6 +110,18 @@ def chang_state(algebra: Algebra) -> State:
     return State(algebra, None)
 
 
+def keyed(mapping: dict, what: str, parse_key, parse_value) -> dict:
+    """``mapping`` with each key, then each value parsed; two spellings of one key are refused."""
+    spelled, parsed = {}, {}
+    for text, value in mapping.items():
+        key = parse_key(text)
+        if key in spelled:
+            raise InputError(f"keys {spelled[key]!r} and {text!r} name the same {what}")
+        spelled[key] = text
+        parsed[key] = parse_value(value)
+    return parsed
+
+
 def table_state(algebra: Algebra, values: dict) -> State:
     """Build a state from an explicit table, checked for linearity at each element.
 
@@ -118,31 +132,30 @@ def table_state(algebra: Algebra, values: dict) -> State:
     chains a table is additive iff s(a) = sum_x a(x) * s(1_x) at every a,
     s(1_x) read at `core.atom_indicator_elements`: a sums n * a(x) summable
     copies of (1/n) * 1_x, and such a form, weights >= 0, is additive.
-    The state is those atom weights.
-    """
-    table, spelled = {}, {}
-    for raw_key, raw_value in values.items():
-        key = core.element(algebra, raw_key).payload
-        if key in spelled:
-            raise InputError(f"keys {spelled[key]!r} and {raw_key!r} name the same element")
-        spelled[key] = raw_key
-        value = raw_value if isinstance(raw_value, Fraction) else parse_rational(raw_value)
-        table[key] = require_unit(value)
+    The state is those atom weights.  Keys are held encoded, so no `Fraction`
+    is hashed, and each sum is `rationals.weighted_sum` of an encoded payload."""
+    ops = core.payload_ops(algebra)
+    table = keyed(
+        values, "element", lambda key: ops.encode(core.element(algebra, key).payload),
+        lambda value: require_unit(value if isinstance(value, Fraction) else parse_rational(value)),
+    )
     if not core.is_finite(algebra):
         raise InputError("table states need a finite carrier")
     elements = core.enumerate_carrier(algebra)
-    missing = [e for e in elements if e.payload not in table]
+    encoded = [ops.encode(e.payload) for e in elements]
+    missing = [e for e, p in zip(elements, encoded) if p not in table]
     if missing:
         raise InputError(f"table misses {core.format_element(missing[0])}")
-    if table[core.one(algebra).payload] != ONE:
+    if table[ops.one] != ONE:
         raise InputError("a state must send 1 to 1")
-    weights = [table[u.payload] for u in core.atom_indicator_elements(algebra)]
-    for e in elements:
-        linear = sum(v * w for v, w in zip(core.ambient_vector(e), weights))
-        if table[e.payload] != linear:
+    weights = [table[ops.encode(u.payload)] for u in core.atom_indicator_elements(algebra)]
+    numerators, common = over_lcm(weights)
+    for e, p in zip(elements, encoded):
+        total, d = weighted_sum(numerators, p if type(p[0]) is tuple else (p,))  # a chain: one pair
+        if table[p].numerator * common * d != total * table[p].denominator:
             raise InputError(
                 f"table is not linear at {core.format_element(e)}: it gives "
-                f"{table[e.payload]}, the atom weights give {linear}"
+                f"{table[p]}, the atom weights give {Fraction(total, common * d)}"
             )
     return _on_ambient(algebra, weights)
 
@@ -153,9 +166,8 @@ def _evaluate(s: State, p) -> Fraction:
         return ONE if p[0] else ZERO
     if type(p[0]) is int:  # one value (x, d): the identity state, weight 1 on x0
         return Fraction(*p)
-    (weights, common), total, d = s.encoded_weights, 0, 1
-    for w, (x, e) in zip(weights, p):  # total / d = sum of w * x / e, d the product of the e
-        total, d = total * e + w * x * d, d * e
+    weights, common = s.encoded_weights
+    total, d = weighted_sum(weights, p)
     return Fraction(total, common * d)
 
 
@@ -191,25 +203,37 @@ def rho(s: State, a: Element, b: Element) -> Fraction:
     return eval_state(s, core.dist(a, b))
 
 
+def _triangle_failures(matrix, element):
+    """The triples with rho(a, c) > rho(a, b) + rho(b, c) on rho's integer ``matrix``: for each
+    (a, b) max_c rho(a, c) - rho(b, c) against rho(a, b), and the failing c only after a hit."""
+    n = len(matrix)
+    for a, row_a in enumerate(matrix):
+        for b, (rab, row_b) in enumerate(zip(row_a, matrix)):
+            if max(map(operator.sub, row_a, row_b)) > rab:
+                for c, (x, y) in enumerate(zip(row_a, row_b)):
+                    if x > rab + y:
+                        yield (a * n + b) * n + c, {"triple": [element(a), element(b), element(c)]}
+
+
 def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict:
     """Check that ``rho`` is a pseudo-metric that separates iff ``s`` is faithful.
 
-    Finite carriers are swept over every pair and triple, drawn lazily
-    from `itertools.product`, with rho read from an n x n table of state
-    values at the compiled distances; others over ``samples`` seeded
-    pairs, then as many seeded triples, with rho computed on their
-    encoded payloads by `core.payload_ops`: two `verdict.sweep` stages,
-    so a failing pair reports 0 ``triples``.
+    Finite carriers are swept over every pair and, by (a, b) rows, every
+    triple, with rho read from an n x n integer matrix: the state values over
+    their lcm at the compiled distances.  Others are swept over ``samples``
+    seeded pairs, then as many seeded triples, with rho computed on their
+    encoded payloads by `core.payload_ops`.  Two `verdict.sweep` stages, so a
+    failing pair reports 0 ``triples``.
     """
     algebra = s.algebra
     if core.is_finite(algebra):
         pool = core.enumerate_carrier(algebra)
         table, indices = core.compile_table(algebra), range(len(pool))
-        values = [eval_state(s, a) for a in pool]
+        values, _ = over_lcm([eval_state(s, a) for a in pool])  # rho on one denominator
         matrix = [[values[table.dist(a, b)] for b in indices] for a in indices]
         metric, element = (lambda a, b: matrix[a][b]), pool.__getitem__
         pairs = itertools.product(indices, repeat=2)
-        triples = itertools.product(indices, repeat=3)
+        triangle = _triangle_failures(matrix, element)
         sizes = len(pool) ** 2, len(pool) ** 3
         seed = None
     else:
@@ -219,7 +243,11 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         element = lambda p: Element(algebra, ops.decode(p))
         draw = lambda k: tuple(ops.draw(rng) for _ in range(k))
         pairs = [draw(2) for _ in range(samples)]
-        triples = [draw(3) for _ in range(samples)]
+        triangle = (
+            (position, {"triple": [element(a), element(b), element(c)]})
+            for position, (a, b, c) in enumerate([draw(3) for _ in range(samples)])
+            if metric(a, c) > metric(a, b) + metric(b, c)
+        )
         sizes = samples, samples
     positive = True  # rho(a, b) > 0 at every swept pair a != b
 
@@ -231,12 +259,7 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
                 yield position, {"pair": [element(a), element(b)]}
             positive = positive and (a == b or distance > ZERO)
 
-    def triple_failures(metric):  # a parameter, not a cell: it is read 3n^3 times
-        for position, (a, b, c) in enumerate(triples):
-            if metric(a, c) > metric(a, b) + metric(b, c):
-                yield position, {"triple": [element(a), element(b), element(c)]}
-
-    stages = [("pairs", sizes[0], pair_failures()), ("triples", sizes[1], triple_failures(metric))]
+    stages = [("pairs", sizes[0], pair_failures()), ("triples", sizes[1], triangle)]
     verdict = sweep(stages, seed)
     if not verdict.passed:
         return verdict

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -272,6 +273,18 @@ class TestOneRowAtATime:
         assert mu.weights == (F(1, 5),) * 5
         # the full scan of the moment check, then the anti-diagonal's rows
         assert built == [*range(21, 0, -1), *range(21, 16, -1)]
+
+    def test_the_digit_budget_refuses_the_first_order_past_the_limit(self, monkeypatch):
+        # L_w * L_p^k = 2 * (3 * 10^9)^k has 4,294 digits at k = 453 and 4,303 at 454;
+        # there the bound is tight, and the report's refusal comes before any moment is computed
+        measure = analysis.grid_measure([F(999999999, 10**9), F(1, 3)], [F(1, 2), F(1, 2)])
+        limit = sys.get_int_max_str_digits()
+        m = analysis.moments_of_measure(measure, 453)
+        assert max(len(str(v.denominator)) for v in m.values) == 4294 <= limit
+        assert analysis.verify_measure_moments(measure, 453).passed
+        monkeypatch.setattr(analysis, "ZERO", None)  # a moment's sum starts from it: TypeError
+        with pytest.raises(InputError, match=f"more than {limit} digits"):
+            analysis.verify_measure_moments(measure, 454)
 
     def test_the_moment_check_holds_one_row(self):
         # the atoms 999999999/10^9 and 1/3: the denominator of m_k has about 9.5 k digits

@@ -723,6 +723,33 @@ class TestInputBoundary:
         assert cli.main(list(argv)) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("state", DOC, "faithful", "s", "--samples", "7"),
+             "state faithful takes no --samples"),
+            (("moments", DOC, "check", "leb", "--order", "9", "--grid", "5"),
+             "moments check takes no --order"),
+            (("moments", DOC, "fit", "leb", "--order", "9"), "moments fit takes no --order"),
+            (("moments", DOC, "of-measure", "grid", "--grid", "3"),
+             "moments of-measure takes no --grid"),
+            (("product", DOC, "build", "mu", "nu", "--samples", "3"),
+             "product build takes no --samples"),
+            (("check-axioms", DOC, "chain3", "--count", "5"),
+             "check-axioms --mode exhaustive takes no --count"),
+        ],
+        ids=["state-faithful", "moments-check", "moments-fit", "moments-of-measure",
+             "product-build", "check-axioms-exhaustive"],
+    )
+    def test_an_action_is_refused_a_flag_it_does_not_read(self, argv, message, capsys):
+        # the report echo would drop the flag, so a report would not show it was ignored
+        assert cli.main(list(argv)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_an_unread_flag_at_its_default_is_accepted(self, capsys):
+        assert cli.main(["state", DOC, "faithful", "s", "--samples", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "state faithful s"
+
     def test_a_measure_with_a_non_point_atom_has_no_moments(self, capsys):
         assert cli.main(["moments", DOC, "of-measure", "mu"]) == 2
         message = "measure atoms must name rationals in [0, 1], got 'x'"
