@@ -105,20 +105,16 @@ def _bilinear_constructor(doc: documents.Document, name: str, left: str, right: 
             f"bilinear map {name!r} is declared on ({spec.left}, {spec.right}), "
             f"not on ({left}, {right})"
         )
-    if spec.kind == "beta":
-        return independence.beta_bilinear
-    if spec.kind == "state-product":
-        return lambda space, rep_a, rep_b: independence.state_product_bilinear(
-            rep_a.state, rep_b.state
-        )
-    if spec.kind == "left-scaling":
-        return lambda space, rep_a, rep_b: independence.left_scaling_bilinear(
-            rep_a, rep_b.state
-        )
-    codomain = doc.states[spec.codomain]
-    return lambda space, rep_a, rep_b: independence.table_bilinear(
-        rep_a.state, rep_b.state, codomain, spec.entries, spec.bound
-    )
+    if spec.kind == "table":
+        if spec.bound is None:  # refused before its n_A x n_B table is built
+            raise InputError("factorization needs a bounded map")
+        codomain = doc.states[spec.codomain]
+        return lambda space: independence.table_bilinear(space, codomain, spec.entries, spec.bound)
+    return {
+        "beta": independence.beta_bilinear,
+        "state-product": independence.state_product_bilinear,
+        "left-scaling": independence.left_scaling_bilinear,
+    }[spec.kind]
 
 
 # ---------------------------------------------------------------------------

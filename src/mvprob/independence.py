@@ -1,14 +1,14 @@
 """Product spaces, bilinear maps, and the universal factorization.
 
-Two represented algebras are coupled through the product of their
-measures: the pairing sends (f, g) to the pointwise product function on
-atom pairs, and integrating a pairing against the product measure
-factors into the product of the integrals, which is the independence
-identity.  Every hull element is f = sum_x f(x) * 1_x, so a bilinear
-map is checked against its values at pairs of atom indicators, and a
-bounded one extends through them to the divisible hulls, as a linear map
-off the pair atoms.  Bounded bilinear maps factor uniquely through the
-pairing by a linear map determined on atom indicators.
+A product space holds two states' representations and the product of
+their measures, and every pairing reads both from it: the pairing sends
+(f, g) to the pointwise product function on atom pairs, and integrating
+a pairing against the product measure factors into the product of the
+integrals, which is the independence identity.  Every hull element is
+f = sum_x f(x) * 1_x, so a bilinear map is checked against its values at
+pairs of atom indicators, and a bounded one extends through them to the
+divisible hulls, as a linear map off the pair atoms.  Bounded bilinear
+maps factor uniquely through the pairing by a linear map fixed on atom indicators.
 """
 
 from __future__ import annotations
@@ -30,79 +30,73 @@ from .verdict import Verdict, sweep
 # ---------------------------------------------------------------------------
 
 
-def pair_atom(x: str, y: str) -> str:
-    return f"({x},{y})"
-
-
 def _pair_atoms(xs: tuple[str, ...], ys: tuple[str, ...]) -> tuple[str, ...]:
     """The atoms (x,y) of a product, lexicographic; two pairs spelled alike are refused."""
     sources: dict[str, tuple[str, str]] = {}
     for pair in ((x, y) for x in xs for y in ys):
-        atom = pair_atom(*pair)
+        atom = f"({pair[0]},{pair[1]})"
         if sources.setdefault(atom, pair) != pair:
             raise InputError(f"pair atoms {sources[atom]} and {pair} are both spelled {atom!r}")
     return tuple(sources)
 
 
 class ProductSpace(_Record):
-    """Two measures and their product, held once as ``state``: its algebra is the
-    function algebra on the lexicographic pair atoms, its measure the weights w_x * w_y."""
+    """The representations of two states and their product, held once as ``state``: the
+    function algebra on the pairs of kept atoms, lexicographic, with the weights w_x * w_y."""
 
-    left: DiscreteMeasure
-    right: DiscreteMeasure
+    left: MeasureRepresentation
+    right: MeasureRepresentation
     state: State
 
 
-def product_space(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure) -> ProductSpace:
+def product_measure(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure) -> DiscreteMeasure:
     atoms = _pair_atoms(mu_a.atoms, mu_b.atoms)
-    weights = tuple(wx * wy for wx in mu_a.weights for wy in mu_b.weights)
-    lam = DiscreteMeasure(atoms, weights)
-    return ProductSpace(mu_a, mu_b, states.measure_state(core.function_algebra(atoms), lam))
+    return DiscreteMeasure(atoms, tuple(wx * wy for wx in mu_a.weights for wy in mu_b.weights))
 
 
-def marginals(space: ProductSpace) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """Recompute both marginals of the product measure from scratch: its row and column sums."""
-    nb, weights = len(space.right.atoms), space.state.measure.weights
+def product_space(left: State, right: State) -> ProductSpace:
+    """Represent both states (`representation.embed_l1`) and couple their measures."""
+    rep_a = representation.embed_l1(left.algebra, left)
+    rep_b = representation.embed_l1(right.algebra, right)
+    lam = product_measure(rep_a.measure, rep_b.measure)
+    return ProductSpace(rep_a, rep_b, states.measure_state(core.function_algebra(lam.atoms), lam))
+
+
+def marginals(lam: DiscreteMeasure, xs: tuple[str, ...], ys: tuple[str, ...]):
+    """Recompute the marginals of ``lam`` on ``xs`` and ``ys``: its row and column sums."""
+    nb, weights = len(ys), lam.weights
     left = tuple(sum(weights[i : i + nb], ZERO) for i in range(0, len(weights), nb))
     right = tuple(sum(weights[j::nb], ZERO) for j in range(nb))
-    return DiscreteMeasure(space.left.atoms, left), DiscreteMeasure(space.right.atoms, right)
+    return DiscreteMeasure(xs, left), DiscreteMeasure(ys, right)
 
 
 def verify_marginals(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure) -> Verdict:
-    """Build the product measure and check that its marginals are the factors."""
-    space = product_space(mu_a, mu_b)
-    ok = marginals(space) == (mu_a, mu_b)
+    """Build the product measure, atoms of weight 0 kept; check its marginals are the factors."""
+    lam = product_measure(mu_a, mu_b)
+    ok = marginals(lam, mu_a.atoms, mu_b.atoms) == (mu_a, mu_b)
     return Verdict(
         "pass" if ok else "fail",
         [] if ok else [{"marginals": "do not match the factors"}],
-        {"atoms": len(space.state.measure.atoms)},
+        {"atoms": len(lam.atoms)},
         None,
-        space.state.measure,
+        lam,
     )
 
 
 def tensor(space: ProductSpace, f: Element, g: Element) -> Element:
     """The pairing (f, g) -> f(x) * g(y) on atom pairs."""
-    if core.atoms_of(f.algebra) != space.left.atoms:
+    if core.atoms_of(f.algebra) != space.left.measure.atoms:
         raise InputError("left factor does not live on the left component space")
-    if core.atoms_of(g.algebra) != space.right.atoms:
+    if core.atoms_of(g.algebra) != space.right.measure.atoms:
         raise InputError("right factor does not live on the right component space")
     values = tuple([vx * vy for vx in f.payload for vy in g.payload])
     return Element(space.state.algebra, values)
 
 
-def beta(
-    space: ProductSpace,
-    rep_a: MeasureRepresentation,
-    rep_b: MeasureRepresentation,
-    a: Element,
-    b: Element,
-) -> Element:
-    """Pair two source elements through their representations."""
-    if space.left != rep_a.measure or space.right != rep_b.measure:
-        raise InputError("product space was built from different representations")
+def beta(space: ProductSpace, a: Element, b: Element) -> Element:
+    """Pair two source elements through the space's representations."""
     return tensor(
-        space, representation.represent(rep_a, a), representation.represent(rep_b, b)
+        space, representation.represent(space.left, a), representation.represent(space.right, b)
     )
 
 
@@ -112,15 +106,13 @@ def verify_independence(left: State, right: State) -> Verdict:
     for s in (left, right):
         if not core.is_finite(s.algebra):
             raise InputError("the exhaustive independence sweep needs finite algebras")
-    rep_a = representation.embed_l1(left.algebra, left)
-    rep_b = representation.embed_l1(right.algebra, right)
-    space = product_space(rep_a.measure, rep_b.measure)
+    space = product_space(left, right)
     lefts = [(a, states.eval_state(left, a)) for a in core.enumerate_carrier(left.algebra)]
     rights = [(b, states.eval_state(right, b)) for b in core.enumerate_carrier(right.algebra)]
     failures = (
         (position, {"pair": [a, b]})
         for position, ((a, sa), (b, sb)) in enumerate(itertools.product(lefts, rights))
-        if states.eval_state(space.state, beta(space, rep_a, rep_b, a, b)) != sa * sb
+        if states.eval_state(space.state, beta(space, a, b)) != sa * sb
     )
     return sweep([("identities_checked", len(lefts) * len(rights), failures)])
 
@@ -257,24 +249,15 @@ def check_bilinear(gamma: BilinearMap) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def beta_bilinear(
-    space: ProductSpace,
-    rep_a: MeasureRepresentation,
-    rep_b: MeasureRepresentation,
-) -> BilinearMap:
+def beta_bilinear(space: ProductSpace) -> BilinearMap:
     """The pairing itself, as a bilinear map into the product algebra."""
     return bilinear_map(
-        rep_a.state,
-        rep_b.state,
-        space.state,
-        lambda a, b: beta(space, rep_a, rep_b, a, b),
-        bound=1,
+        space.left.state, space.right.state, space.state, lambda a, b: beta(space, a, b), bound=1
     )
 
 
 def table_bilinear(
-    left: State,
-    right: State,
+    space: ProductSpace,
     codomain: State,
     entries: tuple[tuple[tuple[core.Payload, core.Payload], Element], ...],
     bound: Optional[int],
@@ -289,11 +272,12 @@ def table_bilinear(
             )
         return lookup[(a.payload, b.payload)]
 
-    return bilinear_map(left, right, codomain, fn, bound=bound)
+    return bilinear_map(space.left.state, space.right.state, codomain, fn, bound=bound)
 
 
-def state_product_bilinear(left: State, right: State) -> BilinearMap:
+def state_product_bilinear(space: ProductSpace) -> BilinearMap:
     """(a, b) -> the constant s_A(a) * s_B(b) on a one-atom algebra."""
+    left, right = space.left.state, space.right.state
     target = core.function_algebra(("pt",))
     cod = states.measure_state(target, DiscreteMeasure(("pt",), (ONE,)))
     return bilinear_map(
@@ -307,8 +291,9 @@ def state_product_bilinear(left: State, right: State) -> BilinearMap:
     )
 
 
-def left_scaling_bilinear(rep_a: MeasureRepresentation, right: State) -> BilinearMap:
+def left_scaling_bilinear(space: ProductSpace) -> BilinearMap:
     """(a, b) -> s_B(b) scaled copy of the represented left element."""
+    rep_a, right = space.left, space.right.state
     return bilinear_map(
         rep_a.state,
         right,
@@ -369,15 +354,13 @@ def extend_bilinear_divisible(gamma: BilinearMap) -> AtomLinearMap:
 
 
 def factorize(
-    gamma: BilinearMap,
-    space: ProductSpace,
-    rep_a: MeasureRepresentation,
-    rep_b: MeasureRepresentation,
-    rep_c: MeasureRepresentation,
+    gamma: BilinearMap, space: ProductSpace, rep_c: MeasureRepresentation
 ) -> AtomLinearMap:
     """The linear map omega off ``space.state.algebra`` completing the pairing triangle.
 
-    On the indicator of an atom pair omega takes the represented value
+    The space's representations must be of gamma's domain states and
+    ``rep_c`` of its codomain state, all three faithful.  On the
+    indicator of an atom pair omega takes the represented value
     of gamma at the indicator sources; rational linearity then
     determines it on the whole product algebra, and composing with the
     pairing recovers gamma exactly.  The bound omega must keep is
@@ -385,17 +368,15 @@ def factorize(
     """
     if gamma.bound is None:
         raise InputError("factorization needs a bounded map")
-    for rep, s in ((rep_a, gamma.left), (rep_b, gamma.right), (rep_c, gamma.codomain)):
+    for rep, s in ((space.left, gamma.left), (space.right, gamma.right), (rep_c, gamma.codomain)):
         if rep.state != s:
             raise InputError("representations must be built from the map's states")
         if not rep.injective:
             raise InputError("factorization needs faithful states")
-    if space.left != rep_a.measure or space.right != rep_b.measure:
-        raise InputError("product space was built from different representations")
     images = tuple(
         representation.represent(rep_c, apply_bilinear(gamma, ex, ey)).payload
-        for ex in rep_a.atom_elements
-        for ey in rep_b.atom_elements
+        for ex in space.left.atom_elements
+        for ey in space.right.atom_elements
     )
     return AtomLinearMap(space.state.algebra, rep_c.target, images)
 
@@ -404,13 +385,11 @@ def verify_factorization(
     omega: AtomLinearMap,
     space: ProductSpace,
     gamma: BilinearMap,
-    rep_a: MeasureRepresentation,
-    rep_b: MeasureRepresentation,
     rep_c: MeasureRepresentation,
     samples: int = 200,
     seed: int = 0,
 ) -> Verdict:
-    """Certify ``omega = factorize(gamma, space, ...)``: triangle, linearity, bound, uniqueness.
+    """Certify ``omega = factorize(gamma, space, rep_c)``: triangle, linearity, bound, uniqueness.
 
     The bound is gamma's.  Uniqueness is certified on the rational span:
     an independently constructed candidate (through the divisible
@@ -435,7 +414,7 @@ def verify_factorization(
     triangle = (
         (position, _witness("triangle", a, b))
         for position, (a, b) in enumerate(itertools.product(lefts, rights))
-        if apply_atom_linear(omega, beta(space, rep_a, rep_b, a, b))
+        if apply_atom_linear(omega, beta(space, a, b))
         != representation.represent(rep_c, apply_bilinear(gamma, a, b))
     )
     nonlinear = (
@@ -474,22 +453,22 @@ def verify_factorization(
 def verify_universal_factorization(
     left: State,
     right: State,
-    make_gamma: Callable[[ProductSpace, MeasureRepresentation, MeasureRepresentation], BilinearMap],
+    make_gamma: Callable[[ProductSpace], BilinearMap],
     samples: int,
     seed: int,
 ) -> Verdict:
     """Factor a bounded bilinear map through the pairing and certify it.
 
-    ``make_gamma`` builds the map on ``left`` and ``right`` from their
-    product space and representations, which the pairing itself needs.
-    A missing seed or an out-of-range ``samples`` is refused before any
-    of that work.
+    ``make_gamma`` builds the map from the product space of ``left`` and
+    ``right``, which represents each state once.  A missing seed or an
+    out-of-range ``samples`` is refused before any of that work, and a
+    state that is not faithful before the map's table is built.
     """
     seeded(seed, samples)
-    rep_a = representation.embed_l1(left.algebra, left)
-    rep_b = representation.embed_l1(right.algebra, right)
-    space = product_space(rep_a.measure, rep_b.measure)
-    gamma = make_gamma(space, rep_a, rep_b)
+    space = product_space(left, right)
+    if not (space.left.injective and space.right.injective):
+        raise InputError("factorization needs faithful states")
+    gamma = make_gamma(space)
     rep_c = representation.embed_l1(gamma.codomain.algebra, gamma.codomain)
-    omega = factorize(gamma, space, rep_a, rep_b, rep_c)
-    return verify_factorization(omega, space, gamma, rep_a, rep_b, rep_c, samples, seed)
+    omega = factorize(gamma, space, rep_c)
+    return verify_factorization(omega, space, gamma, rep_c, samples, seed)

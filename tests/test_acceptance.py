@@ -290,12 +290,11 @@ def test_criterion_7_independence_identity():
             return chain_state(algebra)
 
         s_a, s_b = state_for(left), state_for(right)
-        rep_a, rep_b = mv.embed_l1(left, s_a), mv.embed_l1(right, s_b)
-        space = mv.product_space(rep_a.measure, rep_b.measure)
+        space = mv.product_space(s_a, s_b)
         for a in mv.core.enumerate_carrier(left):
             for b in mv.core.enumerate_carrier(right):
                 pairs_total += 1
-                paired = mv.beta(space, rep_a, rep_b, a, b)
+                paired = mv.beta(space, a, b)
                 if mv.eval_state(space.state, paired) != mv.eval_state(
                     s_a, a
                 ) * mv.eval_state(s_b, b):
@@ -310,20 +309,17 @@ def test_criterion_8_factorization():
     ch2 = mv.finite_chain(2)
     s_a = mv.measure_state(bool2, mv.measure(("x", "y"), (F(1, 4), F(3, 4))))
     s_b = chain_state(ch2)
-    rep_a, rep_b = mv.embed_l1(bool2, s_a), mv.embed_l1(ch2, s_b)
-    space = mv.product_space(rep_a.measure, rep_b.measure)
+    space = mv.product_space(s_a, s_b)
     gammas = [
-        ("beta", mv.beta_bilinear(space, rep_a, rep_b)),
-        ("state-product", mv.state_product_bilinear(s_a, s_b)),
-        ("left-scaling", mv.left_scaling_bilinear(rep_a, s_b)),
+        ("beta", mv.beta_bilinear(space)),
+        ("state-product", mv.state_product_bilinear(space)),
+        ("left-scaling", mv.left_scaling_bilinear(space)),
     ]
     pairs = list(itertools.product(mv.core.enumerate_carrier(bool2), mv.core.enumerate_carrier(ch2)))
     for name, gamma in gammas:
         rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
-        omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
-        report = mv.verify_factorization(
-            omega, space, gamma, rep_a, rep_b, rep_c, samples=150, seed=808
-        )
+        omega = mv.factorize(gamma, space, rep_c)
+        report = mv.verify_factorization(omega, space, gamma, rep_c, samples=150, seed=808)
         if not report.passed:
             failures.append(f"{name}: {report.witnesses}")
         # continuity: rho_C(gamma(a, b), gamma(a2, b2)) <= min(K * min(rho_A + rho_B, 1), 1)

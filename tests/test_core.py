@@ -692,12 +692,13 @@ def record_samples():
     doc = documents.parse_document(raw)
     s_b, s_chain = doc.states["sB"], doc.states["schain"]
     table = core.compile_table(mv.finite_chain(2))
-    gamma = mv.state_product_bilinear(s_b, s_chain)
+    space = mv.product_space(s_b, s_chain)
+    gamma = mv.state_product_bilinear(space)
     samples = [
         mv.StandardUnit(), mv.FiniteChain(3), mv.function_algebra(("x", "y")).carrier,
         mv.Chang(), ChangPair("upper", 2), mv.finite_chain(1), doc.elements["f1"], table,
         doc.measures["mu"], doc.states["s"], mv.state_quotient(BOOL2, s_b),
-        mv.product_space(doc.measures["mu"], doc.measures["nu"]), gamma,
+        space, gamma,
         mv.extend_bilinear_divisible(gamma), doc.bilinear["gbeta"], doc,
         mv.radical(mv.chang()), mv.quotient(BOOL2, mv.ideal(BOOL2, [(F(0), F(0)), (F(1), F(0))])),
         mv.moment_sequence(["1", "1/2"]), mv.embed_l1(BOOL2, s_b),

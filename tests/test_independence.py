@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mvprob as mv
 from element_reference import summable_pairs
-from mvprob import cli, independence
+from mvprob import cli, independence, representation
 from mvprob.core import random_element
 from mvprob.errors import InputError
 from mvprob.rationals import ONE
@@ -44,38 +44,39 @@ def unchecked_map(left, right, codomain, fn, bound=None):
 def coupling(weights_a=(F(1, 2), F(1, 2))):
     s_a = mv.measure_state(BOOL2, mv.measure(("x", "y"), weights_a))
     s_b = chain_state(CH2)
-    rep_a = mv.embed_l1(BOOL2, s_a)
-    rep_b = mv.embed_l1(CH2, s_b)
-    space = mv.product_space(rep_a.measure, rep_b.measure)
-    return s_a, s_b, rep_a, rep_b, space
+    return s_a, s_b, mv.product_space(s_a, s_b)
 
 
 class TestProductSpace:
     def test_weights_multiply(self):
         mu = mv.measure(("x", "y"), (F(1, 2), F(1, 2)))
         nu = mv.measure(("p", "q"), (F(1, 3), F(2, 3)))
-        space = mv.product_space(mu, nu)
-        assert space.state.measure.atoms == ("(x,p)", "(x,q)", "(y,p)", "(y,q)")
-        assert space.state.measure.weights == (F(1, 6), F(1, 3), F(1, 6), F(1, 3))
-        assert space.state.algebra == mv.function_algebra(space.state.measure.atoms)
+        lam = independence.product_measure(mu, nu)
+        assert lam.atoms == ("(x,p)", "(x,q)", "(y,p)", "(y,q)")
+        assert lam.weights == (F(1, 6), F(1, 3), F(1, 6), F(1, 3))
+        space = mv.product_space(
+            mv.measure_state(mv.function_algebra(mu.atoms), mu),
+            mv.measure_state(mv.function_algebra(nu.atoms), nu),
+        )
+        assert space.state.measure == lam
+        assert space.state.algebra == mv.function_algebra(lam.atoms)
 
     def test_marginals_recover_the_factors(self):
         mu = mv.measure(("x", "y"), (F(1, 4), F(3, 4)))
         nu = mv.measure(("p", "q", "r"), (F(1, 2), F(1, 3), F(1, 6)))
-        space = mv.product_space(mu, nu)
-        left, right = independence.marginals(space)
+        lam = independence.product_measure(mu, nu)
+        left, right = independence.marginals(lam, mu.atoms, nu.atoms)
         assert left == mu and right == nu
 
     def test_point_mass_factor_copies_the_other_side(self):
         mu = mv.measure(("x", "y"), (F(1, 4), F(3, 4)))
         point = mv.measure(("p",), (F(1),))
-        space = mv.product_space(mu, point)
-        assert space.state.measure.weights == mu.weights
+        assert independence.product_measure(mu, point).weights == mu.weights
 
     def test_uniform_times_uniform(self):
         uniform2 = mv.measure(("a", "b"), (F(1, 2), F(1, 2)))
-        space = mv.product_space(uniform2, uniform2)
-        assert space.state.measure.weights == tuple([F(1, 4)] * 4)
+        lam = independence.product_measure(uniform2, uniform2)
+        assert lam.weights == tuple([F(1, 4)] * 4)
 
 
 class TestTensor:
@@ -83,9 +84,11 @@ class TestTensor:
     NU = mv.measure(("p", "q"), (F(1, 3), F(2, 3)))
 
     def setup_method(self):
-        self.space = mv.product_space(self.MU, self.NU)
         self.left = mv.function_algebra(("x", "y"))
         self.right = mv.function_algebra(("p", "q"))
+        self.space = mv.product_space(
+            mv.measure_state(self.left, self.MU), mv.measure_state(self.right, self.NU)
+        )
 
     def test_pointwise_products(self):
         f = mv.element(self.left, ("1", "0"))
@@ -127,18 +130,18 @@ class TestTensor:
 
 class TestIndependenceIdentity:
     def test_exhaustive_pairs(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
+        s_a, s_b, space = coupling()
         for a in mv.core.enumerate_carrier(BOOL2):
             for b in mv.core.enumerate_carrier(CH2):
-                paired = mv.beta(space, rep_a, rep_b, a, b)
+                paired = mv.beta(space, a, b)
                 assert mv.eval_state(space.state, paired) == mv.eval_state(
                     s_a, a
                 ) * mv.eval_state(s_b, b)
 
     def test_unit_marginal(self):
-        s_a, _, rep_a, rep_b, space = coupling()
+        s_a, _, space = coupling()
         for a in mv.core.enumerate_carrier(BOOL2):
-            paired = mv.beta(space, rep_a, rep_b, a, mv.one(CH2))
+            paired = mv.beta(space, a, mv.one(CH2))
             assert mv.eval_state(space.state, paired) == mv.eval_state(s_a, a)
 
     def test_verify_independence_counts_every_pair(self):
@@ -162,15 +165,15 @@ class TestIndependenceIdentity:
 
 class TestBilinearChecks:
     def test_beta_is_bilinear_with_bound_one(self):
-        _, _, rep_a, rep_b, space = coupling()
-        gamma = mv.beta_bilinear(space, rep_a, rep_b)
+        _, _, space = coupling()
+        gamma = mv.beta_bilinear(space)
         assert gamma.bound == 1
         report = mv.check_bilinear(gamma)
         assert report.passed
 
     def test_state_product_is_bilinear(self):
-        s_a, s_b, *_ = coupling()
-        gamma = mv.state_product_bilinear(s_a, s_b)
+        *_, space = coupling()
+        gamma = mv.state_product_bilinear(space)
         assert gamma.bound == 1 and mv.check_bilinear(gamma).passed
 
     def test_join_fixture_fails_additivity(self):
@@ -188,11 +191,11 @@ class TestBilinearChecks:
     def test_understated_bound_fails(self):
         # same pairing, but integrated against a lopsided state: the
         # claimed K = 1 is too small, K = 2 is enough
-        s_a, s_b, rep_a, rep_b, space = coupling()
+        s_a, s_b, space = coupling()
         atoms = space.state.measure.atoms
         weights = (F(1),) + (F(0),) * (len(atoms) - 1)
         skew = mv.measure_state(space.state.algebra, mv.measure(atoms, weights))
-        gamma = unchecked_map(s_a, s_b, skew, lambda a, b: mv.beta(space, rep_a, rep_b, a, b))
+        gamma = unchecked_map(s_a, s_b, skew, lambda a, b: mv.beta(space, a, b))
         assert mv.check_bilinear(gamma).passed
         assert not mv.check_bilinear(with_bound(gamma, 1)).passed
         assert mv.check_bilinear(with_bound(gamma, 2)).passed
@@ -363,11 +366,11 @@ class TestCheckBilinearAgainstSummablePairs:
 
     @pytest.mark.parametrize("weights", [(F(1, 2), F(1, 2)), (F(1), F(0))], ids=["uniform", "dirac"])
     def test_every_built_in_map_on_the_coupling(self, weights):
-        s_a, s_b, rep_a, rep_b, space = coupling(weights)
+        s_a, s_b, space = coupling(weights)
         maps = [
-            mv.beta_bilinear(space, rep_a, rep_b),
-            mv.state_product_bilinear(s_a, s_b),
-            mv.left_scaling_bilinear(rep_a, s_b),
+            mv.beta_bilinear(space),
+            mv.state_product_bilinear(space),
+            mv.left_scaling_bilinear(space),
         ]
         for gamma in maps:
             for bound in (gamma.bound, None, 0):
@@ -421,8 +424,8 @@ def apply_extension(ext, f, g):
 
 class TestBilinearExtension:
     def test_degenerate_decomposition_restricts_to_the_map(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        gamma = mv.beta_bilinear(space, rep_a, rep_b)
+        s_a, s_b, space = coupling()
+        gamma = mv.beta_bilinear(space)
         ext = mv.extend_bilinear_divisible(gamma)
         for a in mv.core.enumerate_carrier(BOOL2):
             for b in mv.core.enumerate_carrier(CH2):
@@ -442,11 +445,11 @@ class TestBilinearExtension:
         assert apply_extension(ext, half, half).payload == (F(1, 4),)
 
     def test_bound_preserved_on_random_hull_pairs(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        gamma = mv.beta_bilinear(space, rep_a, rep_b)
+        s_a, s_b, space = coupling()
+        gamma = mv.beta_bilinear(space)
         ext = mv.extend_bilinear_divisible(gamma)
         # faithful states: each image state is the hull extension, on every hull atom
-        extended_left, extended_right = rep_a.image, rep_b.image
+        extended_left, extended_right = space.left.image, space.right.image
         assert extended_left.algebra == mv.core.divisible_ambient(s_a.algebra)
         assert extended_right.algebra == mv.core.divisible_ambient(s_b.algebra)
         cod_state = space.state
@@ -465,10 +468,10 @@ class TestBilinearExtension:
             assert level <= cap
 
     def test_unbounded_rejected(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
+        s_a, s_b, space = coupling()
         gamma = mv.bilinear_map(
             s_a, s_b, space.state,
-            lambda a, b: mv.beta(space, rep_a, rep_b, a, b),
+            lambda a, b: mv.beta(space, a, b),
             bound=None,
         )
         with pytest.raises(InputError):
@@ -545,8 +548,8 @@ def lipschitz_violations(gamma):
 
 class TestLipschitz:
     def test_equal_arguments_give_zero(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        gamma = mv.beta_bilinear(space, rep_a, rep_b)
+        s_a, s_b, space = coupling()
+        gamma = mv.beta_bilinear(space)
         a = mv.element(BOOL2, ("1", "0"))
         b = mv.element(CH2, "1/2")
         assert mv.states.rho(
@@ -557,16 +560,16 @@ class TestLipschitz:
 
     # each fixture map has (4 * 3) ** 2 quadruples
     def test_beta_quadruples(self):
-        _, _, rep_a, rep_b, space = coupling()
-        assert lipschitz_violations(mv.beta_bilinear(space, rep_a, rep_b)) == (144, [])
+        _, _, space = coupling()
+        assert lipschitz_violations(mv.beta_bilinear(space)) == (144, [])
 
     def test_state_product_quadruples(self):
-        s_a, s_b, *_ = coupling()
-        assert lipschitz_violations(mv.state_product_bilinear(s_a, s_b)) == (144, [])
+        *_, space = coupling()
+        assert lipschitz_violations(mv.state_product_bilinear(space)) == (144, [])
 
     def test_left_scaling_quadruples(self):
-        _, s_b, rep_a, *_ = coupling()
-        assert lipschitz_violations(mv.left_scaling_bilinear(rep_a, s_b)) == (144, [])
+        *_, space = coupling()
+        assert lipschitz_violations(mv.left_scaling_bilinear(space)) == (144, [])
 
     def test_an_unbounded_map_breaks_the_estimate(self):
         # linear in each slot, but it charges the atom the left state
@@ -583,46 +586,32 @@ class TestLipschitz:
 
 class TestFactorization:
     def gammas(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        yield "beta", mv.beta_bilinear(space, rep_a, rep_b), rep_a, rep_b, space
-        yield (
-            "state-product",
-            mv.state_product_bilinear(s_a, s_b),
-            rep_a,
-            rep_b,
-            space,
-        )
-        yield (
-            "left-scaling",
-            mv.left_scaling_bilinear(rep_a, s_b),
-            rep_a,
-            rep_b,
-            space,
-        )
+        *_, space = coupling()
+        yield "beta", mv.beta_bilinear(space), space
+        yield "state-product", mv.state_product_bilinear(space), space
+        yield "left-scaling", mv.left_scaling_bilinear(space), space
 
     def test_triangle_and_uniqueness_for_three_fixtures(self):
-        for name, gamma, rep_a, rep_b, space in self.gammas():
+        for name, gamma, space in self.gammas():
             rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
-            omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
-            report = mv.verify_factorization(
-                omega, space, gamma, rep_a, rep_b, rep_c, samples=120, seed=5
-            )
+            omega = mv.factorize(gamma, space, rep_c)
+            report = mv.verify_factorization(omega, space, gamma, rep_c, samples=120, seed=5)
             assert report.passed, name
 
     def test_pairing_factors_through_the_identity(self):
-        _, _, rep_a, rep_b, space = coupling()
-        gamma = mv.beta_bilinear(space, rep_a, rep_b)
+        _, _, space = coupling()
+        gamma = mv.beta_bilinear(space)
         rep_c = mv.embed_l1(space.state.algebra, space.state)
-        omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
+        omega = mv.factorize(gamma, space, rep_c)
         size = len(space.state.measure.atoms)
         for i, image in enumerate(omega.images):
             assert image == tuple(ONE if j == i else F(0) for j in range(size))
 
     def test_state_product_factors_through_integration(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        gamma = mv.state_product_bilinear(s_a, s_b)
+        s_a, s_b, space = coupling()
+        gamma = mv.state_product_bilinear(space)
         rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
-        omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
+        omega = mv.factorize(gamma, space, rep_c)
         rng = Random(14)
         for _ in range(200):
             h = random_element(rng, space.state.algebra)
@@ -630,29 +619,80 @@ class TestFactorization:
             assert value.payload == (mv.eval_state(space.state, h),)
 
     def test_non_faithful_states_rejected(self):
-        s_a, s_b, rep_a, rep_b, space = coupling(weights_a=(F(1), F(0)))
-        gamma = mv.state_product_bilinear(s_a, s_b)
+        s_a, s_b, space = coupling(weights_a=(F(1), F(0)))
+        gamma = mv.state_product_bilinear(space)
         rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
         with pytest.raises(InputError):
-            mv.factorize(gamma, space, rep_a, rep_b, rep_c)
+            mv.factorize(gamma, space, rep_c)
 
     def test_unbounded_rejected(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
+        s_a, s_b, space = coupling()
         gamma = mv.bilinear_map(
             s_a, s_b, space.state,
-            lambda a, b: mv.beta(space, rep_a, rep_b, a, b),
+            lambda a, b: mv.beta(space, a, b),
             bound=None,
         )
         rep_c = mv.embed_l1(space.state.algebra, space.state)
         with pytest.raises(InputError):
-            mv.factorize(gamma, space, rep_a, rep_b, rep_c)
+            mv.factorize(gamma, space, rep_c)
 
 
 def test_a_product_whose_marginals_differ_fails(monkeypatch, capsys):
     # a defect planted in the marginal sums reaches `product build` as exit 1
-    monkeypatch.setattr(independence, "marginals", lambda space: (space.right, space.left))
+    marginals = independence.marginals
+    monkeypatch.setattr(independence, "marginals", lambda lam, xs, ys: marginals(lam, xs, ys)[::-1])
     doc = str(Path(__file__).parent / "fixtures" / "basic.json")
     code = cli.main(["product", doc, "build", "mu", "nu"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["verdict"] == "fail"
     assert report["witnesses"] == [{"marginals": "do not match the factors"}]
+
+
+@pytest.mark.parametrize(
+    "name, left, right, message",
+    [
+        ("gdirac", "sBdirac", "schain", "factorization needs faithful states"),
+        ("gtable", "t1", "t1", "factorization needs a bounded map"),
+    ],
+    ids=["non-faithful", "unbounded"],
+)
+def test_factorize_refuses_before_the_table_is_built(
+    name, left, right, message, tmp_path, monkeypatch, capsys
+):
+    # each map is bilinear, so only the refusal stops it; it comes before
+    # `bilinear_map` materializes the n_A x n_B table and sweeps it
+    raw = json.loads((Path(__file__).parent / "fixtures" / "basic.json").read_text())
+    raw["algebras"]["c1"] = {"kind": "chain", "n": 1}
+    raw["states"]["sBdirac"] = {"algebra": "B", "rule": "measure", "measure": "dirac"}
+    raw["states"]["t1"] = {"algebra": "c1", "rule": "table", "values": {"0": "0", "1": "1"}}
+    raw["bilinear"]["gdirac"] = {"kind": "beta", "left": "sBdirac", "right": "schain"}
+    raw["bilinear"]["gtable"] = {
+        "kind": "table", "left": "t1", "right": "t1", "codomain": "t1",
+        "entries": {"0;0": "0", "0;1": "0", "1;0": "0", "1;1": "1"},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    calls = []
+    check_bilinear = independence.check_bilinear
+    monkeypatch.setattr(
+        independence, "check_bilinear", lambda gamma: calls.append(gamma) or check_bilinear(gamma)
+    )
+    code = cli.main(["--seed", "1", "product", str(path), "factorize", left, right, name])
+    assert (code, capsys.readouterr(), len(calls)) == (2, ("", f"error: {message}\n"), 0)
+
+
+def test_each_state_is_represented_once(monkeypatch):
+    # a representation rebuilt per pair or per stage would multiply these counts
+    s_a, s_b, _ = coupling()
+    calls = []
+    embed_l1 = representation.embed_l1
+    monkeypatch.setattr(
+        representation, "embed_l1", lambda algebra, s: calls.append(s) or embed_l1(algebra, s)
+    )
+    assert independence.verify_independence(s_a, s_b).passed
+    assert calls == [s_a, s_b]
+    calls.clear()
+    verdict = independence.verify_universal_factorization(
+        s_a, s_b, mv.state_product_bilinear, samples=4, seed=1
+    )
+    assert verdict.passed and len(calls) == 3 and calls[:2] == [s_a, s_b]  # then the codomain

@@ -284,8 +284,7 @@ class TestPlantedQuotient:
 def coupling():
     s_a = mv.measure_state(BOOL2, mv.measure(("x", "y"), (F(1, 2), F(1, 2))))
     s_b = chain_state(CH2)
-    rep_a, rep_b = mv.embed_l1(BOOL2, s_a), mv.embed_l1(CH2, s_b)
-    return s_a, s_b, rep_a, rep_b, mv.product_space(rep_a.measure, rep_b.measure)
+    return s_a, s_b, mv.product_space(s_a, s_b)
 
 
 def pair_at(where):
@@ -298,8 +297,7 @@ def plant_beta(monkeypatch, target):
     beta = independence.beta
     monkeypatch.setattr(
         independence, "beta",
-        lambda space, ra, rb, a, b: mv.neg(beta(space, ra, rb, a, b))
-        if (a, b) == target else beta(space, ra, rb, a, b),
+        lambda space, a, b: mv.neg(beta(space, a, b)) if (a, b) == target else beta(space, a, b),
     )
 
 
@@ -321,8 +319,8 @@ class TestPlantedIndependence:
 class TestPlantedBilinear:
     @pytest.mark.parametrize("where", [FIRST, LAST])
     def test_linearity(self, where):
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        gamma = mv.beta_bilinear(space, rep_a, rep_b)
+        s_a, s_b, space = coupling()
+        gamma = mv.beta_bilinear(space)
         (a, b), k = pair_at(where)
         i, j = divmod(k - 1, 3)
         value = gamma.table[i][j]
@@ -337,8 +335,8 @@ class TestPlantedBilinear:
 
     @pytest.mark.parametrize("where", [FIRST, LAST])
     def test_bound(self, where, monkeypatch):
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        gamma = mv.beta_bilinear(space, rep_a, rep_b)
+        s_a, s_b, space = coupling()
+        gamma = mv.beta_bilinear(space)
         (a, b), k = pair_at(where)
         i, j = divmod(k - 1, 3)
         eval_state = states.eval_state
@@ -353,15 +351,15 @@ class TestPlantedBilinear:
     @pytest.mark.parametrize("cut", ["row", "entry"])
     def test_a_table_of_the_wrong_shape_is_refused(self, cut):
         # zip would check only the cells present, and the stage sizes would overstate them
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        table = mv.beta_bilinear(space, rep_a, rep_b).table
+        s_a, s_b, space = coupling()
+        table = mv.beta_bilinear(space).table
         table = table[:-1] if cut == "row" else table[:-1] + (table[-1][:-1],)
         with pytest.raises(InputError, match="needs 4 rows of 3 values"):
             mv.check_bilinear(mv.BilinearMap(s_a, s_b, space.state, table, 1))
 
     def test_a_bound_below_one_fails_before_the_first_pair(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        gamma = mv.beta_bilinear(space, rep_a, rep_b)
+        s_a, s_b, space = coupling()
+        gamma = mv.beta_bilinear(space)
         verdict = mv.check_bilinear(mv.BilinearMap(s_a, s_b, space.state, gamma.table, 0))
         assert verdict.witnesses == [{"check": ("bound", "0")}]
         assert verdict.metrics == {"checks": 12}
@@ -371,16 +369,14 @@ class TestPlantedFactorization:
     samples, seed = 6, 4
 
     def setup(self):
-        s_a, s_b, rep_a, rep_b, space = coupling()
-        gamma = mv.state_product_bilinear(s_a, s_b)
+        s_a, s_b, space = coupling()
+        gamma = mv.state_product_bilinear(space)
         rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
-        omega = mv.factorize(gamma, space, rep_a, rep_b, rep_c)
-        return omega, space, gamma, rep_a, rep_b, rep_c
+        omega = mv.factorize(gamma, space, rep_c)
+        return omega, space, gamma, rep_c
 
-    def verify(self, omega, space, gamma, rep_a, rep_b, rep_c):
-        return mv.verify_factorization(
-            omega, space, gamma, rep_a, rep_b, rep_c, self.samples, self.seed
-        )
+    def verify(self, omega, space, gamma, rep_c):
+        return mv.verify_factorization(omega, space, gamma, rep_c, self.samples, self.seed)
 
     def draws(self, space):
         """The seeded draws in their documented order: each h and its h2 <= not h,

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import re
 import shlex
@@ -607,3 +608,15 @@ def test_readme_cli_examples_run_on_the_fixture(capsys):
         code = cli.main(argv)
         assert code in (0, 1), (line, capsys.readouterr().err)
 
+
+
+def test_readme_document_sketch_factorizes(tmp_path, capsys):
+    # the sketch's bilinear map is declared on two finite states, so `product factorize` runs
+    from mvprob import cli, documents
+
+    (block,) = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    ((name, spec),) = documents.parse_document(json.loads(block)).bilinear.items()
+    path = tmp_path / "doc.json"
+    path.write_text(block)
+    argv = ["--seed", "5", "product", str(path), "factorize", spec.left, spec.right, name]
+    assert cli.main(argv) == 0, capsys.readouterr().err
