@@ -9,10 +9,13 @@ f = sum_x f(x) * 1_x, so a bilinear map is checked against its values at
 pairs of atom indicators, and a bounded one extends through them to the
 divisible hulls, as a linear map off the pair atoms.  Bounded bilinear
 maps factor uniquely through the pairing by a linear map fixed on atom indicators.
+One integer kernel, `_pairing`, pairs values encoded once per element: `beta` builds
+its result as an `Element`, and the sweeps compare its integer sums, building none.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Callable, Optional
@@ -83,14 +86,28 @@ def verify_marginals(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure) -> Verdict:
     )
 
 
+def _encoded(vector) -> tuple[tuple[int, int], ...]:
+    """Rational values as the coprime pairs (x, d) that `_pairing` reads."""
+    return tuple(map(as_pair, vector))
+
+
+def _represented(rep: MeasureRepresentation, a: Element) -> tuple[tuple[int, int], ...]:
+    return _encoded(representation.represent(rep, a).payload)
+
+
+def _pairing(u, v) -> list[tuple[int, int]]:
+    """The pair-atom values (x * y, d * e) of encoded u and v, lexicographic, unreduced."""
+    return [(x * y, d * e) for x, d in u for y, e in v]
+
+
 def tensor(space: ProductSpace, f: Element, g: Element) -> Element:
-    """The pairing (f, g) -> f(x) * g(y) on atom pairs."""
+    """The pairing (f, g) -> f(x) * g(y) on atom pairs: `_pairing`, through `Element`."""
     if core.atoms_of(f.algebra) != space.left.measure.atoms:
         raise InputError("left factor does not live on the left component space")
     if core.atoms_of(g.algebra) != space.right.measure.atoms:
         raise InputError("right factor does not live on the right component space")
-    values = tuple([vx * vy for vx in f.payload for vy in g.payload])
-    return Element(space.state.algebra, values)
+    pairs = _pairing(_encoded(f.payload), _encoded(g.payload))
+    return Element(space.state.algebra, tuple([Fraction(x, d) for x, d in pairs]))
 
 
 def beta(space: ProductSpace, a: Element, b: Element) -> Element:
@@ -102,17 +119,21 @@ def beta(space: ProductSpace, a: Element, b: Element) -> Element:
 
 def verify_independence(left: State, right: State) -> Verdict:
     """Check s(beta(a, b)) = s_A(a) * s_B(b) for every pair of two finite algebras, in
-    rank order: s_A and s_B are evaluated once per element, s once per pair."""
+    rank order: s_A and s_B are evaluated once per element, and s(beta(a, b)) is the
+    `_pairing` of a and b summed by the product weights (`_combines_to`, one column)."""
     for s in (left, right):
         if not core.is_finite(s.algebra):
             raise InputError("the exhaustive independence sweep needs finite algebras")
     space = product_space(left, right)
-    lefts = [(a, states.eval_state(left, a)) for a in core.enumerate_carrier(left.algebra)]
-    rights = [(b, states.eval_state(right, b)) for b in core.enumerate_carrier(right.algebra)]
+    lefts, rights = (
+        [(a, _represented(rep, a), states.eval_state(rep.state, a))
+         for a in core.enumerate_carrier(rep.source)]
+        for rep in (space.left, space.right)
+    )
     failures = (
         (position, {"pair": [a, b]})
-        for position, ((a, sa), (b, sb)) in enumerate(itertools.product(lefts, rights))
-        if states.eval_state(space.state, beta(space, a, b)) != sa * sb
+        for position, ((a, u, sa), (b, v, sb)) in enumerate(itertools.product(lefts, rights))
+        if not _combines_to((space.state.encoded_weights,), _pairing(u, v), (sa * sb,))
     )
     return sweep([("identities_checked", len(lefts) * len(rights), failures)])
 
@@ -180,22 +201,28 @@ def bilinear_map(
     return gamma
 
 
-def _atom_images(gamma: BilinearMap) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """The ambient vectors of gamma(1_x, 1_y), read at `core.atom_indicator_elements`:
-    one row per left atom x, one entry per right atom y."""
+def _atom_images(gamma: BilinearMap) -> tuple[tuple[Fraction, ...], ...]:
+    """The ambient vectors of gamma(1_x, 1_y), read at `core.atom_indicator_elements`,
+    over the atom pairs (x, y) in lexicographic order."""
     rights = core.atom_indicator_elements(gamma.right.algebra)
     return tuple(
-        tuple(core.ambient_vector(apply_bilinear(gamma, ex, ey)) for ey in rights)
-        for ex in core.atom_indicator_elements(gamma.left.algebra)
+        core.ambient_vector(apply_bilinear(gamma, ex, ey))
+        for ex in core.atom_indicator_elements(gamma.left.algebra) for ey in rights
     )
 
 
-def _combine(coefficients, vectors) -> tuple[Fraction, ...]:
-    """sum_k coefficients[k] * vectors[k], coordinatewise, by `rationals.weighted_sum`
-    with the coefficients' numerators over their lcm as the weights."""
-    weights, common = over_lcm(coefficients)
-    sums = (weighted_sum(weights, map(as_pair, column)) for column in zip(*vectors))
-    return tuple([Fraction(total, common * d) for total, d in sums])
+def _columns(images) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """At each codomain atom, the images' values there over their lcm, and that lcm."""
+    return tuple([over_lcm(column) for column in zip(*images)])
+
+
+def _combines_to(columns, pairs, vector) -> bool:
+    """Whether ``vector`` is sum_k pairs[k] * images[k], the images read at their `_columns`
+    and the encoded ``pairs`` summed by `weighted_sum`, compared by cross-multiplication."""
+    sums = (weighted_sum(weights, pairs) + (common,) for weights, common in columns)
+    return len(columns) == len(vector) and all(
+        t * v.denominator == v.numerator * c * d for (t, d, c), v in zip(sums, vector)
+    )
 
 
 def _witness(check: str, *elements: Element) -> dict:
@@ -212,22 +239,23 @@ def check_bilinear(gamma: BilinearMap) -> Verdict:
     every defined partial sum.  Two `verdict.sweep` stages, both counted
     as ``checks``, take the pairs in rank order: linearity, then the
     bound.  A failure's witness is ``{"check": (law, *element texts)}``
-    with the arguments in (left, right) order.  Each sum is `_combine`'s,
-    on integers.
+    with the arguments in (left, right) order.  Linearity sums the
+    `_pairing` of a and b by the atom-pair images' integer `_columns`.
     """
     lefts = core.enumerate_carrier(gamma.left.algebra)
     rights = core.enumerate_carrier(gamma.right.algebra)
     bound, width = gamma.bound, len(rights)
     if len(gamma.table) != len(lefts) or any(len(row) != width for row in gamma.table):
         raise InputError(f"a bilinear table needs {len(lefts)} rows of {width} values")
-    columns = list(zip(*_atom_images(gamma)))  # gamma(1_x, 1_y) over x, for each y
+    columns = _columns(_atom_images(gamma))
 
     def nonlinear():
+        vs = [_encoded(core.ambient_vector(b)) for b in rights]
         for i, (a, row) in enumerate(zip(lefts, gamma.table)):
-            at_a = [_combine(core.ambient_vector(a), column) for column in columns]  # gamma(a, 1_y)
-            for j, (b, value) in enumerate(zip(rights, row)):
-                if core.ambient_vector(value) != _combine(core.ambient_vector(b), at_a):
-                    yield i * width + j, _witness("linearity", a, b)
+            u = _encoded(core.ambient_vector(a))
+            for j, (v, value) in enumerate(zip(vs, row)):
+                if not _combines_to(columns, _pairing(u, v), core.ambient_vector(value)):
+                    yield i * width + j, _witness("linearity", a, rights[j])
 
     def over_bound():
         right_levels = [states.eval_state(gamma.right, b) for b in rights]
@@ -314,18 +342,25 @@ class AtomLinearMap(_Record):
     """A rational-linear map off a function algebra, given on atom indicators.
 
     ``images[x]`` is the image of the indicator of atom x, so applying
-    the map is one rational combination: f = sum_x f(x) * 1_x.
+    the map is one rational combination: f = sum_x f(x) * 1_x, summed
+    on the images' integer ``columns``, held once.
     """
 
     domain: Algebra
     codomain: Algebra
     images: tuple[tuple[Fraction, ...], ...]
 
+    @functools.cached_property
+    def columns(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return _columns(self.images)
+
 
 def apply_atom_linear(omega: AtomLinearMap, h: Element) -> Element:
     if h.algebra != omega.domain:
         raise InputError("argument does not live on the map's domain")
-    return Element(omega.codomain, _combine(h.payload, omega.images))
+    pairs = _encoded(h.payload)
+    sums = [(weighted_sum(weights, pairs), common) for weights, common in omega.columns]
+    return Element(omega.codomain, tuple([Fraction(t, c * d) for (t, d), c in sums]))
 
 
 def extend_bilinear_divisible(gamma: BilinearMap) -> AtomLinearMap:
@@ -344,8 +379,8 @@ def extend_bilinear_divisible(gamma: BilinearMap) -> AtomLinearMap:
     left = core.divisible_ambient(gamma.left.algebra)
     right = core.divisible_ambient(gamma.right.algebra)
     domain = core.function_algebra(_pair_atoms(core.atoms_of(left), core.atoms_of(right)))
-    images = tuple(image for row in _atom_images(gamma) for image in row)
-    return AtomLinearMap(domain, core.divisible_ambient(gamma.codomain.algebra), images)
+    codomain = core.divisible_ambient(gamma.codomain.algebra)
+    return AtomLinearMap(domain, codomain, _atom_images(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +426,7 @@ def verify_factorization(
 ) -> Verdict:
     """Certify ``omega = factorize(gamma, space, rep_c)``: triangle, linearity, bound, uniqueness.
 
+    The triangle sums the `_pairing` of each pair by omega's ``columns``.
     The bound is gamma's.  Uniqueness is certified on the rational span:
     an independently constructed candidate (through the divisible
     extension of gamma, a different computation route) must agree on
@@ -411,12 +447,18 @@ def verify_factorization(
     ext = extend_bilinear_divisible(gamma)
     alternate = tuple(tuple([image[x] for x in rep_c.keep]) for image in ext.images)
     candidate = AtomLinearMap(omega.domain, omega.codomain, alternate)
-    triangle = (
-        (position, _witness("triangle", a, b))
-        for position, (a, b) in enumerate(itertools.product(lefts, rights))
-        if apply_atom_linear(omega, beta(space, a, b))
-        != representation.represent(rep_c, apply_bilinear(gamma, a, b))
-    )
+
+    def triangle():
+        if (omega.domain, omega.codomain) != (product, rep_c.target):
+            raise InputError("omega must map the product algebra to rep_c's target")
+        vs = [_represented(space.right, b) for b in rights]
+        for i, a in enumerate(lefts):
+            u, row = _represented(space.left, a), gamma.table[i]
+            for j, v in enumerate(vs):
+                image = representation.represent(rep_c, row[j]).payload
+                if not _combines_to(omega.columns, _pairing(u, v), image):
+                    yield i * len(vs) + j, _witness("triangle", a, rights[j])
+
     nonlinear = (
         (position, _witness("linearity", h, h2))
         for position, (h, h2) in enumerate(draws)
@@ -441,7 +483,7 @@ def verify_factorization(
         if apply_atom_linear(omega, h) != apply_atom_linear(candidate, h)
     )
     stages = [
-        ("pairs_checked", len(lefts) * len(rights), triangle),
+        ("pairs_checked", len(lefts) * len(rights), triangle()),
         ("linearity_checks", samples, nonlinear),
         ("bound_checks", samples, over_bound),
         ("uniqueness_checks", len(omega.images), disagreements),

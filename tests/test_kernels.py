@@ -1,25 +1,28 @@
 """The integer kernels of the exhaustive sweeps against their per-case references.
 
 Associativity runs by rows of the compiled tables (`axioms._associativity_failures`),
-the metric triangle on one integer matrix (`states._triangle_failures`), and the
+the metric triangle on one integer matrix (`states._triangle_failures`), the
 linear combinations of states, table states and bilinear maps through
-`rationals.weighted_sum`.  Each kernel is compared here with the per-case code it
-replaced, kept below as a test-local reference: the same verdict, check count and
-witness on every stock carrier, and on defects planted at the first, a middle and
-the last triple.  Work counts pin that no kernel falls back to per-case work.
+`rationals.weighted_sum`, and the product layer's pairing kernel
+(`independence._pairing`) in the independence sweep, the factorization triangle
+and a bilinear table's linearity.  Each kernel is compared here with the per-case
+code it replaced, kept below as a test-local reference: the same verdict, check
+count and witness on every stock carrier, and on defects planted at the first, a
+middle and the last case.  Work counts pin that no kernel falls back to per-case work.
 """
 
 import itertools
 import sys
 from fractions import Fraction as F
+from random import Random
 from types import SimpleNamespace
 
 import pytest
 
 import mvprob as mv
-from mvprob import axioms, core, independence, states
+from mvprob import axioms, core, independence, representation, states
 from mvprob.errors import InputError
-from mvprob.rationals import ZERO
+from mvprob.rationals import ONE, ZERO
 from mvprob.verdict import Verdict, sweep
 
 
@@ -324,7 +327,8 @@ def count_calls(monkeypatch, module, name):
 
 
 def reference_combine(coefficients, vectors):
-    """`independence._combine` before the integer kernel: `Fraction` products and sums."""
+    """The combination sum_k coefficients[k] * vectors[k] before the integer kernel:
+    `Fraction` products and sums."""
     columns = zip(*vectors)
     return tuple(sum((c * v for c, v in zip(coefficients, column)), ZERO) for column in columns)
 
@@ -332,10 +336,16 @@ def reference_combine(coefficients, vectors):
 class TestLinearCombinations:
     @pytest.mark.parametrize("width", [0, 1, 3])
     def test_combine_matches_fraction_arithmetic(self, width):
+        # the vectors are read at their integer columns, the coefficients encoded
         coefficients = (F(1, 2), F(2, 3), F(0), F(1))
         vectors = [tuple(F(i + j, i + j + 3) for j in range(width)) for i in range(4)]
         expected = reference_combine(coefficients, vectors)
-        assert independence._combine(coefficients, vectors) == expected
+        columns, pairs = independence._columns(vectors), independence._encoded(coefficients)
+        assert independence._combines_to(columns, pairs, expected)
+        for k in range(width):  # a value off at any one atom, or a missing one, is no match
+            off = expected[:k] + (expected[k] + F(1, 7),) + expected[k + 1:]
+            assert not independence._combines_to(columns, pairs, off)
+            assert not independence._combines_to(columns, pairs, expected[:k])
 
     @pytest.mark.parametrize(
         "algebra, table, message",
@@ -365,7 +375,7 @@ class TestLinearCombinations:
         calls = count_calls(monkeypatch, states, "eval_state")
         verdict = independence.verify_independence(left, right)
         assert verdict.passed and verdict.metrics == {"identities_checked": 9 * 4}
-        assert calls == [9 + 4 + 9 * 4]
+        assert calls == [9 + 4]  # each pair is summed on integers, never evaluated
 
     @pytest.mark.parametrize(
         "images, message",
@@ -388,3 +398,285 @@ class TestLinearCombinations:
         omega = independence.AtomLinearMap(domain, codomain, ((F(1, 2), F(1, 3)), (F(1, 4), F(0))))
         image = independence.apply_atom_linear(omega, mv.element(domain, ("1/2", "1")))
         assert image == mv.element(codomain, ("1/2", "1/6"))
+
+
+# ---------------------------------------------------------------------------
+# The product layer's pairing kernel
+# ---------------------------------------------------------------------------
+
+
+def stock_factor_states():
+    """A state on each stock finite factor: chains 1-6 under the identity, and Boolean
+    algebras on 1-4 atoms and 2 and 3 atoms over the 2- to 4-chain under a faithful
+    measure and, from 2 atoms on, one whose first atom is null."""
+    for n in range(1, 7):
+        yield f"chain{n}", states.identity_state(mv.finite_chain(n))
+    shapes = [(k, 1) for k in range(1, 5)] + [(k, n) for k in (2, 3) for n in range(2, 5)]
+    for k, n in shapes:
+        atoms = tuple(f"x{i}" for i in range(k))
+        algebra = mv.function_algebra(atoms, mv.FiniteChain(n))
+        name = f"boolean{k}" if n == 1 else f"{k}x{n}"
+        weights = [F(i + 1, k * (k + 1) // 2) for i in range(k)]
+        yield name, mv.measure_state(algebra, mv.measure(atoms, weights))
+        if k > 1:
+            null = [F(0)] + [F(1, k - 1)] * (k - 1)
+            yield f"{name}-null", mv.measure_state(algebra, mv.measure(atoms, null))
+
+
+FACTORS = dict(stock_factor_states())
+RIGHTS = {name: s for name, s in FACTORS.items() if size(s.algebra) <= 16}  # pairs up to 125 x 16
+
+
+def faithful(s):
+    return states.is_faithful(s).passed
+
+
+def reference_tensor(space, f, g):
+    """`independence.tensor` before the kernel: `Fraction` products, through `Element`."""
+    return mv.Element(space.state.algebra, tuple([x * y for x in f.payload for y in g.payload]))
+
+
+def reference_beta(space, a, b):
+    left, right = representation.represent(space.left, a), representation.represent(space.right, b)
+    return reference_tensor(space, left, right)
+
+
+def reference_independence(left, right, beta=reference_beta):
+    """`verify_independence` before the kernel: s evaluated at `beta` per pair."""
+    space = mv.product_space(left, right)
+    lefts = [(a, states.eval_state(left, a)) for a in core.enumerate_carrier(left.algebra)]
+    rights = [(b, states.eval_state(right, b)) for b in core.enumerate_carrier(right.algebra)]
+    failures = (
+        (position, {"pair": [a, b]})
+        for position, ((a, sa), (b, sb)) in enumerate(itertools.product(lefts, rights))
+        if states.eval_state(space.state, beta(space, a, b)) != sa * sb
+    )
+    return sweep([("identities_checked", len(lefts) * len(rights), failures)])
+
+
+def reference_apply_atom_linear(omega, h):
+    """`apply_atom_linear` before the held columns: the `Fraction` combination of its images."""
+    return mv.Element(omega.codomain, reference_combine(h.payload, omega.images))
+
+
+def texts(*elements):
+    return tuple(core.format_element(e) for e in elements)
+
+
+def reference_triangle(omega, space, gamma, rep_c):
+    """The triangle stage of `verify_factorization` before the kernel: omega applied to the
+    pairing of each pair against the represented table value, as `Element`s."""
+    lefts = core.enumerate_carrier(gamma.left.algebra)
+    rights = core.enumerate_carrier(gamma.right.algebra)
+    failures = (
+        (position, {"check": ("triangle", *texts(a, b))})
+        for position, (a, b) in enumerate(itertools.product(lefts, rights))
+        if reference_apply_atom_linear(omega, reference_beta(space, a, b))
+        != representation.represent(rep_c, independence.apply_bilinear(gamma, a, b))
+    )
+    return sweep([("pairs_checked", len(lefts) * len(rights), failures)])
+
+
+def reference_check_bilinear(gamma):
+    """`check_bilinear` before the kernel: linearity by `Fraction` combinations of the
+    atom images, gamma(a, 1_y) once per a; the bound stage as it is."""
+    vector = core.ambient_vector
+    lefts = core.enumerate_carrier(gamma.left.algebra)
+    rights = core.enumerate_carrier(gamma.right.algebra)
+    images = [
+        [vector(independence.apply_bilinear(gamma, ex, ey))
+         for ey in core.atom_indicator_elements(gamma.right.algebra)]
+        for ex in core.atom_indicator_elements(gamma.left.algebra)
+    ]
+    columns, width = list(zip(*images)), len(rights)
+
+    def nonlinear():
+        for i, (a, row) in enumerate(zip(lefts, gamma.table)):
+            at_a = [reference_combine(vector(a), column) for column in columns]
+            for j, (b, value) in enumerate(zip(rights, row)):
+                if vector(value) != reference_combine(vector(b), at_a):
+                    yield i * width + j, {"check": ("linearity", *texts(a, b))}
+
+    def over_bound():
+        for i, (a, row) in enumerate(zip(lefts, gamma.table)):
+            sa = states.eval_state(gamma.left, a)
+            for j, (b, value) in enumerate(zip(rights, row)):
+                sb = states.eval_state(gamma.right, b)
+                if states.eval_state(gamma.codomain, value) > min(gamma.bound * sa * sb, ONE):
+                    yield i * width + j, {"check": ("bound", *texts(a, b))}
+
+    stages = [("checks", len(lefts) * width, nonlinear())]
+    if gamma.bound is not None:
+        stages.append(("checks", len(lefts) * width, over_bound()))
+    return sweep(stages)
+
+
+def factorization(gamma, space):
+    rep_c = mv.embed_l1(gamma.codomain.algebra, gamma.codomain)
+    return mv.factorize(gamma, space, rep_c), rep_c
+
+
+def same_triangle(omega, space, gamma, rep_c) -> bool:
+    """Whether `verify_factorization`'s triangle stage agrees with the reference: verdict,
+    witness and pair count (one draw, so the later stages stay cheap)."""
+    verdict = mv.verify_factorization(omega, space, gamma, rep_c, samples=1, seed=0)
+    reference = reference_triangle(omega, space, gamma, rep_c)
+    return (verdict.verdict, verdict.witnesses, verdict.metrics["pairs_checked"]) == (
+        reference.verdict, reference.witnesses, reference.metrics["pairs_checked"]
+    )
+
+
+def replaced(gamma, i, j):
+    """``gamma`` with its table value at rank (i, j) replaced by its negation, unvalidated."""
+    table = [list(row) for row in gamma.table]
+    table[i][j] = mv.neg(table[i][j])
+    return mv.BilinearMap(gamma.left, gamma.right, gamma.codomain,
+                          tuple(map(tuple, table)), gamma.bound)
+
+
+def plant_pairing(monkeypatch, space, a, b):
+    """Negate `independence._pairing` at the pair (a, b), and return the reference `beta`
+    planted the same way."""
+    at = (independence._represented(space.left, a), independence._represented(space.right, b))
+    pairing = independence._pairing
+    monkeypatch.setattr(
+        independence, "_pairing",
+        lambda u, v: [(d - x, d) for x, d in pairing(u, v)] if (u, v) == at else pairing(u, v),
+    )
+
+    def planted_beta(sp, x, y):
+        paired = reference_beta(sp, x, y)
+        return mv.neg(paired) if (x, y) == (a, b) else paired
+
+    return planted_beta
+
+
+# the planted coupling: 2 atoms over the 2-chain (9 elements) by the 3-chain (4); no planted
+# pair is an atom-indicator pair, so the atom images, and omega, stay those of beta
+PLANT_LEFT, PLANT_RIGHT = FACTORS["2x2"], FACTORS["chain3"]
+PLANTED_PAIRS = {"first": (0, 0), "middle": (4, 1), "last": (8, 3)}
+
+
+class TestPairingKernel:
+    @pytest.mark.parametrize("left", sorted(FACTORS))
+    def test_beta_is_the_kernel_pairing_decoded(self, left):
+        # a fault in the kernel, or in beta's Element wrapper, breaks one of the two equalities
+        for right in RIGHTS.values():
+            space = mv.product_space(FACTORS[left], right)
+            for a in core.enumerate_carrier(space.left.source):
+                u = independence._represented(space.left, a)
+                for b in core.enumerate_carrier(space.right.source):
+                    v = independence._represented(space.right, b)
+                    decoded = tuple(F(x, d) for x, d in independence._pairing(u, v))
+                    paired = mv.beta(space, a, b)
+                    assert paired.payload == decoded
+                    assert paired == reference_beta(space, a, b)
+
+    @pytest.mark.parametrize("left", sorted(FACTORS))
+    def test_independence_matches_the_reference(self, left):
+        for right in RIGHTS.values():
+            verdict = independence.verify_independence(FACTORS[left], right)
+            assert verdict.passed
+            assert same_verdict(verdict, reference_independence(FACTORS[left], right))
+
+    @pytest.mark.parametrize("left", sorted(n for n, s in FACTORS.items() if faithful(s)))
+    def test_the_triangle_matches_the_reference(self, left):
+        # beta's table on every pair; the two maps into other codomains up to 16 x 16
+        for right in filter(faithful, RIGHTS.values()):
+            space = mv.product_space(FACTORS[left], right)
+            gammas = [mv.beta_bilinear(space)]
+            if size(space.left.source) <= 16:
+                gammas += [mv.state_product_bilinear(space), mv.left_scaling_bilinear(space)]
+            for gamma in gammas:
+                omega, rep_c = factorization(gamma, space)
+                assert same_triangle(omega, space, gamma, rep_c)
+
+    @pytest.mark.parametrize("left", sorted(FACTORS))
+    def test_check_bilinear_matches_the_reference(self, left):
+        for right in RIGHTS.values():
+            space = mv.product_space(FACTORS[left], right)
+            gammas = [mv.beta_bilinear(space)]
+            if size(space.left.source) <= 16:
+                gammas += [mv.state_product_bilinear(space), mv.left_scaling_bilinear(space)]
+            for gamma in gammas:
+                verdict = mv.check_bilinear(gamma)
+                assert verdict.passed and same_verdict(verdict, reference_check_bilinear(gamma))
+
+    @pytest.mark.parametrize("left", ["2x2", "3x2", "boolean4"])
+    def test_apply_atom_linear_matches_the_reference(self, left):
+        rng = Random(7)
+        for right in filter(faithful, RIGHTS.values()):
+            space = mv.product_space(FACTORS[left], right)
+            gamma = mv.beta_bilinear(space)
+            omega, _ = factorization(gamma, space)
+            for linear in (omega, mv.extend_bilinear_divisible(gamma)):
+                for _ in range(5):
+                    h = core.random_element(rng, linear.domain)
+                    expected = reference_apply_atom_linear(linear, h)
+                    assert independence.apply_atom_linear(linear, h) == expected
+
+    @pytest.mark.parametrize("where", sorted(PLANTED_PAIRS))
+    def test_a_planted_independence_failure(self, where, monkeypatch):
+        i, j = PLANTED_PAIRS[where]
+        space = mv.product_space(PLANT_LEFT, PLANT_RIGHT)
+        a = core.enumerate_carrier(PLANT_LEFT.algebra)[i]
+        b = core.enumerate_carrier(PLANT_RIGHT.algebra)[j]
+        planted_beta = plant_pairing(monkeypatch, space, a, b)
+        verdict = independence.verify_independence(PLANT_LEFT, PLANT_RIGHT)
+        assert verdict.witnesses == [{"pair": [a, b]}]
+        assert verdict.metrics == {"identities_checked": i * 4 + j + 1}
+        reference = reference_independence(PLANT_LEFT, PLANT_RIGHT, planted_beta)
+        assert same_verdict(verdict, reference)
+
+    @pytest.mark.parametrize("where", sorted(PLANTED_PAIRS))
+    def test_a_planted_triangle_failure(self, where):
+        i, j = PLANTED_PAIRS[where]
+        space = mv.product_space(PLANT_LEFT, PLANT_RIGHT)
+        gamma = replaced(mv.beta_bilinear(space), i, j)
+        omega, rep_c = factorization(gamma, space)
+        assert omega == factorization(mv.beta_bilinear(space), space)[0]
+        verdict = mv.verify_factorization(omega, space, gamma, rep_c, samples=1, seed=0)
+        a = core.enumerate_carrier(PLANT_LEFT.algebra)[i]
+        b = core.enumerate_carrier(PLANT_RIGHT.algebra)[j]
+        assert verdict.witnesses == [{"check": ("triangle", *texts(a, b))}]
+        assert verdict.metrics["pairs_checked"] == i * 4 + j + 1
+        assert same_triangle(omega, space, gamma, rep_c)
+
+    @pytest.mark.parametrize("where", sorted(PLANTED_PAIRS))
+    def test_a_planted_linearity_failure(self, where):
+        i, j = PLANTED_PAIRS[where]
+        space = mv.product_space(PLANT_LEFT, PLANT_RIGHT)
+        gamma = replaced(mv.beta_bilinear(space), i, j)
+        verdict = mv.check_bilinear(gamma)
+        a = core.enumerate_carrier(PLANT_LEFT.algebra)[i]
+        b = core.enumerate_carrier(PLANT_RIGHT.algebra)[j]
+        assert verdict.witnesses == [{"check": ("linearity", *texts(a, b))}]
+        assert verdict.metrics == {"checks": i * 4 + j + 1}
+        assert same_verdict(verdict, reference_check_bilinear(gamma))
+
+    @pytest.mark.parametrize("side", ["domain", "codomain"])
+    def test_an_omega_off_other_algebras_is_refused(self, side):
+        # the triangle reads omega's columns only, so it checks omega's algebras first
+        space = mv.product_space(PLANT_LEFT, PLANT_RIGHT)
+        gamma = mv.beta_bilinear(space)
+        omega, rep_c = factorization(gamma, space)
+        algebra = omega.domain if side == "domain" else omega.codomain
+        renamed = mv.function_algebra(tuple(f"z{i}" for i in range(len(algebra.carrier.atoms))))
+        domain, codomain = (renamed, omega.codomain) if side == "domain" else (omega.domain, renamed)
+        moved = independence.AtomLinearMap(domain, codomain, omega.images)
+        with pytest.raises(InputError, match="^omega must map the product algebra to rep_c's target$"):
+            mv.verify_factorization(moved, space, gamma, rep_c, samples=1, seed=0)
+
+    def test_no_element_is_built_per_pair(self, monkeypatch):
+        # on 16 x 5 elements, 80 pairs: the independence sweep and the triangle build
+        # O(n_A + n_B) checked elements (the triangle's one draw builds a few)
+        left, right = FACTORS["2x3"], FACTORS["chain4"]
+        space = mv.product_space(left, right)
+        gamma = mv.state_product_bilinear(space)
+        omega, rep_c = factorization(gamma, space)
+        calls = count_calls(monkeypatch, core, "_coerce_payload")
+        assert independence.verify_independence(left, right).passed
+        assert calls[0] <= 16 + 5
+        calls[0] = 0
+        assert mv.verify_factorization(omega, space, gamma, rep_c, samples=1, seed=0).passed
+        assert calls[0] <= 16 + 5

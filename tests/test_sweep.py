@@ -294,10 +294,13 @@ def pair_at(where):
 
 
 def plant_beta(monkeypatch, target):
-    beta = independence.beta
+    """Negate the pairing kernel at the pair ``target``: `beta` and both sweeps call it."""
+    *_, space = coupling()
+    at = tuple(map(independence._represented, (space.left, space.right), target))
+    pairing = independence._pairing
     monkeypatch.setattr(
-        independence, "beta",
-        lambda space, a, b: mv.neg(beta(space, a, b)) if (a, b) == target else beta(space, a, b),
+        independence, "_pairing",
+        lambda u, v: [(d - x, d) for x, d in pairing(u, v)] if (u, v) == at else pairing(u, v),
     )
 
 
@@ -309,8 +312,10 @@ class TestPlantedIndependence:
     @pytest.mark.parametrize("where", [FIRST, LAST])
     def test_identity(self, where, monkeypatch):
         (a, b), k = pair_at(where)
+        s_a, s_b, space = coupling()
+        paired = mv.beta(space, a, b)
         plant_beta(monkeypatch, (a, b))
-        s_a, s_b, *_ = coupling()
+        assert mv.beta(space, a, b) == mv.neg(paired)
         verdict = independence.verify_independence(s_a, s_b)
         assert verdict.witnesses == [{"pair": [a, b]}]
         assert verdict.metrics == {"identities_checked": k}
