@@ -22,7 +22,7 @@ from typing import Optional, Union
 from . import core
 from .core import LEVELS, Algebra, TableAlgebra, seeded
 from .errors import InputError
-from .rationals import ZERO, format_rational, random_unit
+from .rationals import ZERO, _below, format_rational, random_unit
 from .verdict import Verdict, sweep
 
 AxiomTarget = Union[Algebra, TableAlgebra]
@@ -244,7 +244,7 @@ def check_axioms(
         target = core.compile_table(target)
     if isinstance(target, TableAlgebra):
         ops, describe = target, target.names.__getitem__
-        draw = lambda rng: rng.randrange(len(target.names))
+        draw = lambda rng: _below(rng, len(target.names))
     else:
         ops = core.payload_ops(target)
         describe = lambda x: core.format_payload(ops.decode(x))

@@ -192,8 +192,6 @@ def bilinear_map(
     table = tuple(
         tuple(fn(a, b) for b in rights) for a in core.enumerate_carrier(left.algebra)
     )
-    if any(value.algebra != codomain.algebra for row in table for value in row):
-        raise InputError("bilinear values must land in the codomain algebra")
     gamma = BilinearMap(left, right, codomain, table, bound)
     report = check_bilinear(gamma)
     if not report.passed:
@@ -240,13 +238,17 @@ def check_bilinear(gamma: BilinearMap) -> Verdict:
     as ``checks``, take the pairs in rank order: linearity, then the
     bound.  A failure's witness is ``{"check": (law, *element texts)}``
     with the arguments in (left, right) order.  Linearity sums the
-    `_pairing` of a and b by the atom-pair images' integer `_columns`.
+    `_pairing` of a and b by the atom-pair images' integer `_columns`; the
+    bound compares the `states._evaluate` pairs of s_A(a) and s_B(b), read
+    once per element, and of each value by cross-multiplication.
     """
     lefts = core.enumerate_carrier(gamma.left.algebra)
     rights = core.enumerate_carrier(gamma.right.algebra)
     bound, width = gamma.bound, len(rights)
     if len(gamma.table) != len(lefts) or any(len(row) != width for row in gamma.table):
         raise InputError(f"a bilinear table needs {len(lefts)} rows of {width} values")
+    if any(value.algebra != gamma.codomain.algebra for row in gamma.table for value in row):
+        raise InputError("bilinear values must land in the codomain algebra")
     columns = _columns(_atom_images(gamma))
 
     def nonlinear():
@@ -257,13 +259,16 @@ def check_bilinear(gamma: BilinearMap) -> Verdict:
                 if not _combines_to(columns, _pairing(u, v), core.ambient_vector(value)):
                     yield i * width + j, _witness("linearity", a, rights[j])
 
-    def over_bound():
-        right_levels = [states.eval_state(gamma.right, b) for b in rights]
-        for i, (a, row) in enumerate(zip(lefts, gamma.table)):
-            sa = states.eval_state(gamma.left, a)
-            for j, (b, sb, value) in enumerate(zip(rights, right_levels, row)):
-                if states.eval_state(gamma.codomain, value) > min(bound * sa * sb, ONE):
-                    yield i * width + j, _witness("bound", a, b)
+    def levels(s, elements):
+        encode = core.payload_ops(s.algebra).encode
+        return [states._evaluate(s, encode(e.payload)) for e in elements]
+
+    def over_bound():  # value t / f > min(bound * x / d * y / e, 1)
+        right_levels = levels(gamma.right, rights)
+        for i, (a, (x, d), row) in enumerate(zip(lefts, levels(gamma.left, lefts), gamma.table)):
+            for j, ((y, e), (t, f)) in enumerate(zip(right_levels, levels(gamma.codomain, row))):
+                if t > f or t * d * e > bound * x * y * f:
+                    yield i * width + j, _witness("bound", a, rights[j])
 
     stages = [("checks", len(lefts) * width, nonlinear())]
     if bound is not None:

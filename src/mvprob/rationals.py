@@ -4,7 +4,8 @@ Every scalar and carrier value in the package is an exact
 `fractions.Fraction` confined to [0, 1].  Fraction keeps numerator and
 denominator coprime, so the canonical form comes for free; these
 helpers add parsing (one regex match, then two ints), range checks on
-the numerator and denominator, and bounded random sampling.
+the numerator and denominator, and bounded random sampling: every seeded
+draw of the package is `_below`, ``Random.randrange`` without its frames.
 """
 
 from __future__ import annotations
@@ -88,7 +89,17 @@ def weighted_sum(weights, pairs) -> tuple[int, int]:
     return total, d
 
 
+def _below(rng: Random, n: int) -> int:
+    """``rng.randrange(n)`` for n > 0, draw for draw: CPython's getrandbits rejection loop,
+    so ``lo + _below(rng, hi - lo + 1)`` is ``rng.randint(lo, hi)``."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_unit(rng: Random) -> Fraction:
     """Random rational in [0, 1] with denominator at most `MAX_DRAW_DENOMINATOR`."""
-    q = rng.randint(1, MAX_DRAW_DENOMINATOR)
-    return Fraction(rng.randint(0, q), q)
+    q = 1 + _below(rng, MAX_DRAW_DENOMINATOR)
+    return Fraction(_below(rng, q + 1), q)

@@ -20,7 +20,7 @@ from typing import Optional
 from . import core, states
 from .core import Algebra, Element, _Record, random_element, seeded
 from .errors import InputError
-from .rationals import ONE
+from .rationals import ONE, _below
 from .states import DiscreteMeasure, State
 from .verdict import Verdict, sweep
 
@@ -164,7 +164,7 @@ def verify_morphism_extras(
     if level == "fMV":
         scalar_rng = seeded(seed + 1, samples)
         draws = (
-            (random_element(scalar_rng, rep.source), Fraction(scalar_rng.randint(0, 60), 60))
+            (random_element(scalar_rng, rep.source), Fraction(_below(scalar_rng, 61), 60))
             for _ in range(samples)
         )
         scalars = (

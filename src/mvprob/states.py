@@ -9,12 +9,12 @@ on the interval or a chain, and a value table on a finite carrier all
 give such weights; a table is checked when constructed to be linear in
 its atom weights at every element, and invalid tables are rejected,
 never repaired; `table_state` alone parses and checks a table's keys and
-values, a document's too.  One evaluator gives every value: a payload encoded
-by `core.payload_ops` holds one coprime pair (x, e) per atom, and the value is
-`rationals.weighted_sum` of w * x / e, w the weights' numerators over their lcm;
-it also checks a table's linearity.  `eval_state` encodes after its algebra
-check; the sampled metric sweep calls it on encoded distances, and the finite
-one reads rho from an integer matrix of the elements' values.
+values, a document's too.  One evaluator, `_evaluate`, gives every value as
+integers (t, d): a payload encoded by `core.payload_ops` holds one coprime pair
+(x, e) per atom, and t / d is `rationals.weighted_sum` of w * x / e, w the
+weights' numerators over their lcm, the sum that checks a table's linearity.
+`eval_state` returns the `Fraction` t / d; the sampled metric sweep compares
+pairs by cross-multiplication, and the finite one reads an integer matrix.
 
 The quotient operation collapses pairs at pseudo-distance zero.  A
 genuine metric completion can leave the rational carrier, so instead of
@@ -160,21 +160,21 @@ def table_state(algebra: Algebra, values: dict) -> State:
     return _on_ambient(algebra, weights)
 
 
-def _evaluate(s: State, p) -> Fraction:
-    """The state's value at an encoded payload of its algebra, which the caller vouches for."""
-    if s.measure is None:  # Chang's first coordinate, at (side, k)
-        return ONE if p[0] else ZERO
+def _evaluate(s: State, p) -> tuple[int, int]:
+    """(t, d), d > 0, with t / d the state's value at an encoded payload the caller vouches for."""
+    if s.measure is None:  # Chang's first coordinate, at (side, k): 1 on upper(k)
+        return p[0], 1
     if type(p[0]) is int:  # one value (x, d): the identity state, weight 1 on x0
-        return Fraction(*p)
+        return p
     weights, common = s.encoded_weights
     total, d = weighted_sum(weights, p)
-    return Fraction(total, common * d)
+    return total, common * d
 
 
 def eval_state(s: State, a: Element) -> Fraction:
     if a.algebra != s.algebra:
         raise InputError("element does not belong to the state's algebra")
-    return _evaluate(s, core.payload_ops(s.algebra).encode(a.payload))
+    return Fraction(*_evaluate(s, core.payload_ops(s.algebra).encode(a.payload)))
 
 
 def _unfaithful(witness: Element) -> Verdict:
@@ -221,9 +221,9 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
     Finite carriers are swept over every pair and, by (a, b) rows, every
     triple, with rho read from an n x n integer matrix: the state values over
     their lcm at the compiled distances.  Others are swept over ``samples``
-    seeded pairs, then as many seeded triples, with rho computed on their
-    encoded payloads by `core.payload_ops`.  Two `verdict.sweep` stages, so a
-    failing pair reports 0 ``triples``.
+    seeded pairs, then as many seeded triples, with rho the `_evaluate` pair
+    of their encoded distance, compared by cross-multiplication (the finite
+    rho is (x, 1)).  Two `verdict.sweep` stages, so a failing pair reports 0 ``triples``.
     """
     algebra = s.algebra
     if core.is_finite(algebra):
@@ -231,7 +231,7 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         table, indices = core.compile_table(algebra), range(len(pool))
         values, _ = over_lcm([eval_state(s, a) for a in pool])  # rho on one denominator
         matrix = [[values[table.dist(a, b)] for b in indices] for a in indices]
-        metric, element = (lambda a, b: matrix[a][b]), pool.__getitem__
+        metric, element = (lambda a, b: (matrix[a][b], 1)), pool.__getitem__
         pairs = itertools.product(indices, repeat=2)
         triangle = _triangle_failures(matrix, element)
         sizes = len(pool) ** 2, len(pool) ** 3
@@ -243,10 +243,11 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         element = lambda p: Element(algebra, ops.decode(p))
         draw = lambda k: tuple(ops.draw(rng) for _ in range(k))
         pairs = [draw(2) for _ in range(samples)]
-        triangle = (
+        triangle = (  # rho(a, c) = x / d > y / e + z / f
             (position, {"triple": [element(a), element(b), element(c)]})
             for position, (a, b, c) in enumerate([draw(3) for _ in range(samples)])
-            if metric(a, c) > metric(a, b) + metric(b, c)
+            for (x, d), (y, e), (z, f) in [(metric(a, c), metric(a, b), metric(b, c))]
+            if x * e * f > (y * f + z * e) * d
         )
         sizes = samples, samples
     positive = True  # rho(a, b) > 0 at every swept pair a != b
@@ -254,10 +255,10 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
     def pair_failures():
         nonlocal positive
         for position, (a, b) in enumerate(pairs):
-            distance = metric(a, b)
-            if distance != metric(b, a) or metric(a, a) != ZERO:
+            (x, d), (y, e) = metric(a, b), metric(b, a)
+            if x * e != y * d or metric(a, a)[0]:
                 yield position, {"pair": [element(a), element(b)]}
-            positive = positive and (a == b or distance > ZERO)
+            positive = positive and (a == b or x > 0)
 
     stages = [("pairs", sizes[0], pair_failures()), ("triples", sizes[1], triangle)]
     verdict = sweep(stages, seed)

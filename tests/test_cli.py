@@ -383,6 +383,26 @@ class TestInputBoundary:
         assert result.stdout == ""
         assert result.stderr == f"error: sample count must be at most {core.MAX_SAMPLES}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-axioms", DOC, "U", "--level", "fMV", "--mode", "sample"),
+            ("state", DOC, "metric", "s", "--samples", "5"),
+            ("embed", DOC, "F", "s", "--samples", "5"),
+            ("product", DOC, "factorize", "sB", "schain", "gbeta", "--samples", "5"),
+        ],
+        ids=["check-axioms", "state-metric", "embed", "product-factorize"],
+    )
+    def test_a_negative_seed_is_an_input_error_before_any_draw(self, argv, monkeypatch, capsys):
+        # Random(-s) draws what Random(s) draws: two report seeds, one sweep
+        def no_generator(seed):
+            raise AssertionError("a generator was made before the seed was checked")
+
+        monkeypatch.setattr(core, "Random", no_generator)
+        assert cli.main(["--seed", "-5", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must be non-negative\n"
+
     def test_moment_order_above_its_budget_is_an_input_error(self):
         result = run("moments", DOC, "of-measure", "grid", "--order", str(analysis.MAX_ORDER + 1))
         assert result.returncode == 2

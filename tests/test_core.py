@@ -496,6 +496,18 @@ def test_the_sweeps_check_the_library_arithmetic(monkeypatch):
     metric = states.verify_metric(states.identity_state(U), 200, 0)
     assert not metric.passed
     assert metric.witnesses == [{"pair": [u("2/3"), u("31/33")]}]
+    # a rational function algebra whose op set is built after the plant binds the
+    # planted value op once, and its sweeps see it at one atom's value
+    pair = mv.function_algebra(("x", "y"))
+    f = lambda *values: mv.element(pair, values)
+    assert mv.neg(f("1/3", "1/2")) == f("1/7", "1/2")
+    report = check_axioms(pair, "fMV", samples=200, seed=0)
+    assert report.witnesses == [{"axiom": "involution", "elements": ["(2/29,1/3)"]}]
+    assert report.metrics == {"checks": 606}
+    s = mv.measure_state(pair, mv.measure(("x", "y"), (F(1, 3), F(2, 3))))
+    metric = states.verify_metric(s, 200, 0)
+    assert metric.witnesses == [{"pair": [f("7/30", "2/3"), f("1", "25/49")]}]
+    assert metric.metrics == {"pairs": 190, "triples": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 Associativity runs by rows of the compiled tables (`axioms._associativity_failures`),
 the metric triangle on one integer matrix (`states._triangle_failures`), the
+sampled metric on the integer pairs of `states._evaluate`, the
 linear combinations of states, table states and bilinear maps through
 `rationals.weighted_sum`, and the product layer's pairing kernel
 (`independence._pairing`) in the independence sweep, the factorization triangle
@@ -307,6 +308,91 @@ class TestTriangleOnIntegers:
         calls = count_calls(monkeypatch, states, "eval_state")
         assert states.verify_metric(state, 0).passed
         assert calls == [16]
+
+
+# ---------------------------------------------------------------------------
+# The sampled metric on integer pairs
+# ---------------------------------------------------------------------------
+
+
+def reference_sampled_metric(s: states.State, samples: int, seed: int) -> Verdict:
+    """The sampled branch of `states.verify_metric` before the pair form: rho a `Fraction`
+    per encoded distance, compared as `Fraction`s."""
+    algebra = s.algebra
+    rng = core.seeded(seed, samples)
+    ops = core.payload_ops(algebra)
+    element = lambda p: mv.Element(algebra, ops.decode(p))
+    metric = lambda a, b: F(*states._evaluate(s, ops.dist(a, b)))
+    draw = lambda k: tuple(ops.draw(rng) for _ in range(k))
+    pairs = [draw(2) for _ in range(samples)]
+    triples = [draw(3) for _ in range(samples)]
+    positive = True
+
+    def pair_failures():
+        nonlocal positive
+        for position, (a, b) in enumerate(pairs):
+            distance = metric(a, b)
+            if distance != metric(b, a) or metric(a, a) != ZERO:
+                yield position, {"pair": [element(a), element(b)]}
+            positive = positive and (a == b or distance > ZERO)
+
+    triangle = (
+        (position, {"triple": [element(a), element(b), element(c)]})
+        for position, (a, b, c) in enumerate(triples)
+        if metric(a, c) > metric(a, b) + metric(b, c)
+    )
+    verdict = sweep([("pairs", samples, pair_failures()), ("triples", samples, triangle)], seed)
+    if not verdict.passed:
+        return verdict
+    counts, faithful = verdict.metrics, states.is_faithful(s)
+    if faithful.passed:
+        separating = positive
+    else:
+        separating = states.rho(s, faithful.witnesses[0]["element"], core.zero(algebra)) > ZERO
+    if separating != faithful.passed:
+        return Verdict("fail", [{"separation": "does not match faithfulness"}], counts, seed)
+    counts.update(faithful=faithful.passed, separates=separating)
+    return Verdict("pass", [], counts, seed)
+
+
+def sampled_states():
+    """Builders of the states the sampled metric sweeps: the identity on the interval,
+    faithful and null-atom measure states on rational function algebras of 1-4 atoms,
+    and Chang's first coordinate.  Each builds its algebra when called, so a planted
+    value op reaches the op set."""
+    yield pytest.param(lambda: states.identity_state(mv.standard_unit()), id="U")
+    for k in range(1, 5):
+        atoms = tuple(f"x{i}" for i in range(k))
+        weights = {"faithful": [F(i + 1, k * (k + 1) // 2) for i in range(k)]}
+        if k > 1:
+            weights["null"] = [F(0)] + [F(1, k - 1)] * (k - 1)
+        for kind, ws in weights.items():
+            build = lambda atoms=atoms, ws=ws: mv.measure_state(
+                mv.function_algebra(atoms), mv.measure(atoms, ws)
+            )
+            yield pytest.param(build, id=f"{k}-atoms-{kind}")
+    yield pytest.param(lambda: states.chang_state(mv.chang()), id="chang")
+
+
+class TestSampledMetricOnPairs:
+    @pytest.mark.parametrize("build", list(sampled_states()))
+    @pytest.mark.parametrize("planted", [False, True], ids=["stock", "planted-neg"])
+    def test_the_pair_form_matches_the_fraction_loop(self, build, planted, monkeypatch):
+        # the planted involution, wrong at 1/3 alone, makes some sweeps fail with a witness
+        if planted:
+            neg = core._ValueOps.neg
+            monkeypatch.setattr(
+                core._ValueOps, "neg", lambda self, a: (1, 7) if a == (1, 3) else neg(self, a)
+            )
+        state = build()
+        verdicts = []
+        for seed in range(20):
+            for samples in (1, 7, 300):
+                verdict = states.verify_metric(state, samples, seed)
+                assert same_verdict(verdict, reference_sampled_metric(state, samples, seed))
+                verdicts.append(verdict.passed)
+        # every stock sweep passes; some planted ones fail wherever the value ops run
+        assert all(verdicts) == (not planted or isinstance(state.algebra.carrier, mv.Chang))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from mvprob.errors import InputError
-from mvprob.rationals import parse_rational, parse_unit, require_unit
+from mvprob.rationals import _below, parse_rational, parse_unit, random_unit, require_unit
 
 DIGIT_LIMIT = sys.get_int_max_str_digits()  # CPython's int/str conversion limit
 
@@ -78,3 +78,29 @@ def test_a_value_off_the_unit_interval_is_refused(value):
     with pytest.raises(InputError) as caught:
         require_unit(value)
     assert str(caught.value) == f"value {value} outside [0, 1]"
+
+
+# every n the sweeps draw below (the denominators up to 60, the numerators up to 61, the
+# Chang index up to 41, table sizes) and the edges of the getrandbits width up to 2**70 + 1
+BELOW = list(range(1, 131)) + [m for k in range(1, 71) for m in (2**k - 1, 2**k, 2**k + 1)]
+
+
+def test_below_draws_what_randrange_and_randint_draw():
+    # the same stream draw for draw, interleaved with random() as the Chang draw is,
+    # so every later draw of a sweep sees the same generator state
+    for seed in range(100):
+        kernel, reference = Random(seed), Random(seed)
+        for n in BELOW:
+            assert _below(kernel, n) == reference.randrange(n)
+            assert kernel.random() == reference.random()
+            assert 5 + _below(kernel, n) == reference.randint(5, 5 + n - 1)
+        assert kernel.getstate() == reference.getstate()
+
+
+def test_random_unit_draws_what_randint_drew():
+    for seed in range(20):
+        kernel, reference = Random(seed), Random(seed)
+        for _ in range(200):
+            q = reference.randint(1, 60)
+            assert random_unit(kernel) == Fraction(reference.randint(0, q), q)
+        assert kernel.getstate() == reference.getstate()

@@ -393,6 +393,14 @@ class TestMorphismExtras:
         assert not report.passed and report.witnesses
 
     @pytest.mark.parametrize("level", ["PMV", "fMV"])
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_a_negative_seed_is_refused(self, level, seed):
+        # seed -1 would give the scalars Random(0), seed 0's product generator
+        rep = mv.embed_l1(FA, mv.measure_state(FA, mv.measure(("x", "y"), (F(1, 2), F(1, 2)))))
+        with pytest.raises(InputError, match="^seed must be non-negative$"):
+            mv.verify_morphism_extras(rep, level, samples=10, seed=seed)
+
+    @pytest.mark.parametrize("level", ["PMV", "fMV"])
     @pytest.mark.parametrize("samples", [0, -2])
     def test_sampled_sweep_refuses_a_non_positive_count(self, level, samples, monkeypatch):
         # a constant map preserves products and scalars; with no draws,

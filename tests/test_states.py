@@ -329,8 +329,8 @@ class TestVerifyMetric:
         }
 
     def test_unchecked_table_breaks_the_triangle(self, monkeypatch):
-        # planted past table_state's linearity check: s(1/2) = 0 but s(1) = 1
-        values = {F(0): F(0), F(1, 2): F(0), F(1): F(1)}
+        # planted past table_state's linearity check: s(1/2) = 0 but s(1) = 1, as (t, d) pairs
+        values = {F(0): (0, 1), F(1, 2): (0, 1), F(1): (1, 1)}
         s = chain_state(CH2)
         ops = mv.core.payload_ops(CH2)
         monkeypatch.setattr(mv.states, "_evaluate", lambda state, p: values[ops.decode(p)])

@@ -208,7 +208,7 @@ class TestPlantedMetric:
 
     @pytest.mark.parametrize("where", [FIRST, LAST])
     def test_triple(self, where, monkeypatch):
-        # rho read as 0 at distance 1/2 breaks the triangle at (0, 1/2, 1) only
+        # rho read as the pair (0, 1) at distance 1/2 breaks the triangle at (0, 1/2, 1) only
         k = 1 if where == FIRST else self.samples
         zero, half, one = u("0"), u("1/2"), u("1")
         triples = [(zero, half, one) if i == k else (zero,) * 3 for i in range(1, self.samples + 1)]
@@ -218,7 +218,7 @@ class TestPlantedMetric:
         evaluate = states._evaluate
         monkeypatch.setattr(
             states, "_evaluate",
-            lambda s, p: ZERO if ops.decode(p) == F(1, 2) else evaluate(s, p),
+            lambda s, p: (0, 1) if ops.decode(p) == F(1, 2) else evaluate(s, p),
         )
         verdict = states.verify_metric(mv.identity_state(U), self.samples, 3)
         assert verdict.witnesses == [{"triple": [zero, half, one]}]
@@ -344,12 +344,28 @@ class TestPlantedBilinear:
         gamma = mv.beta_bilinear(space)
         (a, b), k = pair_at(where)
         i, j = divmod(k - 1, 3)
-        eval_state = states.eval_state
+        planted = core.payload_ops(gamma.codomain.algebra).encode(gamma.table[i][j].payload)
+        evaluate = states._evaluate
         monkeypatch.setattr(
-            states, "eval_state",
-            lambda s, x: 2 if s is gamma.codomain and x == gamma.table[i][j] else eval_state(s, x),
+            states, "_evaluate",
+            lambda s, p: (2, 1) if s is gamma.codomain and p == planted else evaluate(s, p),
         )
         verdict = mv.check_bilinear(gamma)
+        assert verdict.witnesses == [{"check": ("bound", *texts(a, b))}]
+        assert verdict.metrics == {"checks": 12 + k}
+
+    def test_the_bound_is_capped_at_one(self, monkeypatch):
+        # K = 2 at (1, 1): 3/2 stays under K * s_A(1) * s_B(1) = 2 but breaks min(2, 1) = 1
+        s_a, s_b, space = coupling()
+        gamma = mv.beta_bilinear(space)
+        (a, b), k = pair_at(LAST)
+        planted = core.payload_ops(gamma.codomain.algebra).encode(gamma.table[-1][-1].payload)
+        evaluate = states._evaluate
+        monkeypatch.setattr(
+            states, "_evaluate",
+            lambda s, p: (3, 2) if s is gamma.codomain and p == planted else evaluate(s, p),
+        )
+        verdict = mv.check_bilinear(mv.BilinearMap(s_a, s_b, space.state, gamma.table, 2))
         assert verdict.witnesses == [{"check": ("bound", *texts(a, b))}]
         assert verdict.metrics == {"checks": 12 + k}
 

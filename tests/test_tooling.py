@@ -210,6 +210,19 @@ def test_only_core_tests_for_the_interval_or_a_chain(module):
     assert lines == [], f"{module} tests a carrier's class at lines {lines}"
 
 
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_draw_goes_through_the_kernel(module):
+    # `rationals._below` draws what randint and randrange draw, without their two frames
+    tree = ast.parse((PACKAGE / module).read_text())
+    lines = sorted(_calls(tree, "randint") + _calls(tree, "randrange"))
+    assert lines == [], f"{module} calls randint or randrange at lines {lines}"
+
+
+def test_the_gate_finds_a_randint_or_randrange_call():
+    tree = ast.parse("rng.randint(0, 5)\nq = randrange(3)\nrng.random()\n")
+    assert sorted(_calls(tree, "randint") + _calls(tree, "randrange")) == [1, 2]
+
+
 # the public namespace; a name leaves it only with the code behind it
 PUBLIC_NAMES = [
     "Algebra", "BilinearMap", "Chang", "ChangPair", "DiscreteMeasure", "Element",
