@@ -375,10 +375,6 @@ def pow_bounds(x: Fraction, exponent: Fraction, bits: int = DEFAULT_PRECISION):
     return _root_bounds(powered, exponent.denominator, bits)
 
 
-def _interval_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
-    return a[0] * b[0], a[1] * b[1]  # all quantities nonnegative here
-
-
 def _interval_pow(iv: tuple[Fraction, Fraction], exponent: Fraction, bits: int):
     lo, _ = pow_bounds(iv[0], exponent, bits)
     _, hi = pow_bounds(min(iv[1], ONE), exponent, bits)
@@ -441,11 +437,9 @@ def holder_check(
         verdict = "pass" if lhs * lhs <= sa * sb else "fail"
         return _holder_verdict(verdict, "exact", precision, lhs, sa * sb, sa * sb)
 
-    sa_iv = _power_state_bounds(s, a, p, precision)
-    sb_iv = _power_state_bounds(s, b, q, precision)
-    rhs = _interval_mul(
-        _interval_pow(sa_iv, 1 / p, precision), _interval_pow(sb_iv, 1 / q, precision)
-    )
+    lo_a, hi_a = _interval_pow(_power_state_bounds(s, a, p, precision), 1 / p, precision)
+    lo_b, hi_b = _interval_pow(_power_state_bounds(s, b, q, precision), 1 / q, precision)
+    rhs = lo_a * lo_b, hi_a * hi_b  # all quantities nonnegative here
     if lhs <= rhs[0]:
         verdict = "pass"
     elif lhs > rhs[1]:

@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from random import Random
 from typing import Optional, Union
 
 from . import core
 from .core import LEVELS, Algebra, TableAlgebra, seeded
 from .errors import InputError
-from .rationals import ZERO, _below, format_rational, random_unit
+from .rationals import _below, format_rational
 from .verdict import Verdict, sweep
 
 AxiomTarget = Union[Algebra, TableAlgebra]
+_UNIT = core._ValueOps(None)  # the interval's op set: its draw is `random_unit`'s, as (x, d)
 
 
 # defined here, not re-exported, so a per-module trace counts these draws under axioms
@@ -40,7 +40,8 @@ def random_element(rng: Random, ops):
 #
 # Each law is (name, arity, scalar arity, predicate); predicates receive
 # the op set (a table or a payload op set), the element tuple (indices or
-# encoded payloads), and the scalar tuple (`Fraction`s).
+# encoded payloads), and the scalar tuple: integer pairs (x, d) for x/d in [0, 1],
+# combined in integers, never through the op set, and reduced by ``scalar``.
 
 
 def _law_assoc(ops, e, _):
@@ -76,15 +77,17 @@ def _law_characteristic(ops, e, _):
 
 def _law_pmv1(ops, e, _):
     c, a, b = e
-    lhs = ops.prod(c, ops.odot(a, ops.neg(ops.meet(a, b))))
-    rhs = ops.odot(ops.prod(c, a), ops.neg(ops.prod(c, ops.meet(a, b))))
+    m = ops.meet(a, b)
+    lhs = ops.prod(c, ops.odot(a, ops.neg(m)))
+    rhs = ops.odot(ops.prod(c, a), ops.neg(ops.prod(c, m)))
     return lhs == rhs
 
 
 def _law_pmv2(ops, e, _):
     c, a, b = e
-    lhs = ops.prod(ops.odot(a, ops.neg(ops.meet(a, b))), c)
-    rhs = ops.odot(ops.prod(a, c), ops.neg(ops.prod(ops.meet(a, b), c)))
+    m = ops.meet(a, b)
+    lhs = ops.prod(ops.odot(a, ops.neg(m)), c)
+    rhs = ops.odot(ops.prod(a, c), ops.neg(ops.prod(m, c)))
     return lhs == rhs
 
 
@@ -113,21 +116,21 @@ def _law_rmv1(ops, e, s):
 
 def _law_rmv2(ops, e, s):
     (a,) = e
-    alpha, beta = s
-    lhs = ops.scalar(max(ZERO, alpha - beta), a)
+    alpha, beta = (x, d), (y, f) = s
+    lhs = ops.scalar((max(0, x * f - y * d), d * f), a)  # alpha - beta, truncated at 0
     rhs = ops.odot(ops.scalar(alpha, a), ops.neg(ops.scalar(beta, a)))
     return lhs == rhs
 
 
 def _law_rmv3(ops, e, s):
     (a,) = e
-    alpha, beta = s
-    return ops.scalar(alpha, ops.scalar(beta, a)) == ops.scalar(alpha * beta, a)
+    alpha, beta = (x, d), (y, f) = s
+    return ops.scalar(alpha, ops.scalar(beta, a)) == ops.scalar((x * y, d * f), a)
 
 
 def _law_rmv4(ops, e, _):
     (a,) = e
-    return ops.scalar(Fraction(1), a) == a
+    return ops.scalar((1, 1), a) == a
 
 
 def _law_compat(ops, e, s):
@@ -201,7 +204,7 @@ def _failures(ops, name, law, cases, describe):
     """(position, witness) of each case in ``cases`` that breaks ``law``, lazily."""
     for position, (elems, scalars) in enumerate(cases):
         if not law(ops, elems, scalars):
-            witness = [describe(x) for x in elems] + [format_rational(s) for s in scalars]
+            witness = [*map(describe, elems), *(format_rational(_UNIT.decode(s)) for s in scalars)]
             yield position, {"axiom": name, "elements": witness}
 
 
@@ -232,9 +235,11 @@ def check_axioms(
     carriers only, no seed) on the operation tables, compiled by
     `core.compile_table` for a finite algebra; otherwise ``samples``
     seeded random tuples are drawn, which is also the only way to
-    quantify over scalars.  The first violated law is reported with the
-    element texts (then scalars) that broke it.  Exhaustive associativity,
-    of ``oplus`` and of the product, runs by rows with the per-triple counts.
+    quantify over scalars: a case draws three elements, then two scalars,
+    `random_unit`'s draws as the interval's encoded pairs (x, d).  The first
+    violated law is reported with the element texts (then the scalars x/d)
+    that broke it.  Exhaustive associativity, of ``oplus`` and of the
+    product, runs by rows with the per-triple counts.
     """
     laws = _laws_for(level, target)
     # only infinite carriers have scalars, so this also refuses scalar levels
@@ -260,7 +265,7 @@ def check_axioms(
     else:
         rng = seeded(seed, samples)
         pool = [
-            (tuple(draw(rng) for _ in range(3)), (random_unit(rng), random_unit(rng)))
+            (tuple(draw(rng) for _ in range(3)), (_UNIT.draw(rng), _UNIT.draw(rng)))
             for _ in range(samples)
         ]
 

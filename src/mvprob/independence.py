@@ -100,14 +100,18 @@ def _pairing(u, v) -> list[tuple[int, int]]:
     return [(x * y, d * e) for x, d in u for y, e in v]
 
 
+def _paired(space: ProductSpace, u, v) -> Element:
+    """The `_pairing` of encoded u and v as a checked `Element` of the product algebra."""
+    return Element(space.state.algebra, tuple([Fraction(x, d) for x, d in _pairing(u, v)]))
+
+
 def tensor(space: ProductSpace, f: Element, g: Element) -> Element:
-    """The pairing (f, g) -> f(x) * g(y) on atom pairs: `_pairing`, through `Element`."""
+    """The pairing (f, g) -> f(x) * g(y) on atom pairs: `_paired`."""
     if core.atoms_of(f.algebra) != space.left.measure.atoms:
         raise InputError("left factor does not live on the left component space")
     if core.atoms_of(g.algebra) != space.right.measure.atoms:
         raise InputError("right factor does not live on the right component space")
-    pairs = _pairing(_encoded(f.payload), _encoded(g.payload))
-    return Element(space.state.algebra, tuple([Fraction(x, d) for x, d in pairs]))
+    return _paired(space, _encoded(f.payload), _encoded(g.payload))
 
 
 def beta(space: ProductSpace, a: Element, b: Element) -> Element:
@@ -180,6 +184,12 @@ def bilinear_map(
     broken is a `BilinearMap` built directly, which `check_bilinear`
     then judges.
     """
+    rows = lambda lefts, rights: tuple(tuple(fn(a, b) for b in rights) for a in lefts)
+    return _validated_map(left, right, codomain, rows, bound)
+
+
+def _validated_map(left: State, right: State, codomain: State, rows, bound) -> BilinearMap:
+    """The table ``rows(lefts, rights)`` of the finite domains, refused unless checked bilinear."""
     for s in (left, right):
         if not core.is_finite(s.algebra):
             raise InputError("bilinear tables need finite domains")
@@ -188,11 +198,8 @@ def bilinear_map(
             "a bilinear map's codomain needs a state with an atom measure; "
             "Chang's first coordinate has none"
         )
-    rights = core.enumerate_carrier(right.algebra)
-    table = tuple(
-        tuple(fn(a, b) for b in rights) for a in core.enumerate_carrier(left.algebra)
-    )
-    gamma = BilinearMap(left, right, codomain, table, bound)
+    lefts, rights = core.enumerate_carrier(left.algebra), core.enumerate_carrier(right.algebra)
+    gamma = BilinearMap(left, right, codomain, rows(lefts, rights), bound)
     report = check_bilinear(gamma)
     if not report.passed:
         raise InputError(f"not bilinear: {report.witnesses[0]['check']}")
@@ -283,10 +290,14 @@ def check_bilinear(gamma: BilinearMap) -> Verdict:
 
 
 def beta_bilinear(space: ProductSpace) -> BilinearMap:
-    """The pairing itself, as a bilinear map into the product algebra."""
-    return bilinear_map(
-        space.left.state, space.right.state, space.state, lambda a, b: beta(space, a, b), bound=1
-    )
+    """The pairing itself as a bilinear map: `beta`, each element represented once."""
+
+    def rows(lefts, rights):
+        vs = [_represented(space.right, b) for b in rights]
+        us = (_represented(space.left, a) for a in lefts)
+        return tuple(tuple([_paired(space, u, v) for v in vs]) for u in us)
+
+    return _validated_map(space.left.state, space.right.state, space.state, rows, bound=1)
 
 
 def table_bilinear(

@@ -141,9 +141,6 @@ def verify_morphism_extras(
     if level == "fMV" and not rep.source.scalar_action:
         raise InputError("fMV check needs a scalar action on the source")
 
-    def f(a: Element) -> Element:
-        return represent(rep, a)
-
     if core.is_finite(rep.source):  # no finite carrier has a scalar action
         pool = core.enumerate_carrier(rep.source)
         pairs = [(a, b) for a in pool for b in pool]
@@ -158,7 +155,7 @@ def verify_morphism_extras(
     products = (
         (position, {"check": ("product", core.format_element(a), core.format_element(b))})
         for position, (a, b) in enumerate(pairs)
-        if f(core.prod(a, b)) != core.prod(f(a), f(b))
+        if represent(rep, core.prod(a, b)) != core.prod(represent(rep, a), represent(rep, b))
     )
     stages = [("checks", len(pairs), products)]
     if level == "fMV":
@@ -170,7 +167,8 @@ def verify_morphism_extras(
         scalars = (
             (position, {"check": ("scalar", str(alpha), core.format_element(a))})
             for position, (a, alpha) in enumerate(draws)
-            if f(core.scalar_mul(alpha, a)) != core.scalar_mul(alpha, f(a))
+            if represent(rep, core.scalar_mul(alpha, a))
+            != core.scalar_mul(alpha, represent(rep, a))
         )
         stages.append(("checks", samples, scalars))
     return sweep(stages, seed)

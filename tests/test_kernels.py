@@ -5,8 +5,9 @@ the metric triangle on one integer matrix (`states._triangle_failures`), the
 sampled metric on the integer pairs of `states._evaluate`, the
 linear combinations of states, table states and bilinear maps through
 `rationals.weighted_sum`, and the product layer's pairing kernel
-(`independence._pairing`) in the independence sweep, the factorization triangle
-and a bilinear table's linearity.  Each kernel is compared here with the per-case
+(`independence._pairing`) in the independence sweep, the factorization triangle,
+a bilinear table's linearity and `beta_bilinear`'s table, and the sampled law
+sweeps on integer scalar pairs.  Each kernel is compared here with the per-case
 code it replaced, kept below as a test-local reference: the same verdict, check
 count and witness on every stock carrier, and on defects planted at the first, a
 middle and the last case.  Work counts pin that no kernel falls back to per-case work.
@@ -23,7 +24,7 @@ import pytest
 import mvprob as mv
 from mvprob import axioms, core, independence, representation, states
 from mvprob.errors import InputError
-from mvprob.rationals import ONE, ZERO
+from mvprob.rationals import ONE, ZERO, format_rational, random_unit
 from mvprob.verdict import Verdict, sweep
 
 
@@ -766,3 +767,192 @@ class TestPairingKernel:
         calls[0] = 0
         assert mv.verify_factorization(omega, space, gamma, rep_c, samples=1, seed=0).passed
         assert calls[0] <= 16 + 5
+
+
+# ---------------------------------------------------------------------------
+# The sampled law sweeps on integer scalars
+# ---------------------------------------------------------------------------
+#
+# The laws as they were with `Fraction` scalars: the scalar arithmetic in
+# `Fraction`s, each scalar encoded only where the op set takes it, and each PMV
+# law's meet computed twice.
+
+
+def encoded(alpha):
+    return alpha.numerator, alpha.denominator
+
+
+def reference_rmv1(ops, e, s):
+    a, b = e
+    (alpha,) = s
+    lhs = ops.scalar(encoded(alpha), ops.odot(a, ops.neg(b)))
+    rhs = ops.odot(ops.scalar(encoded(alpha), a), ops.neg(ops.scalar(encoded(alpha), b)))
+    return lhs == rhs
+
+
+def reference_rmv2(ops, e, s):
+    (a,) = e
+    alpha, beta = s
+    lhs = ops.scalar(encoded(max(ZERO, alpha - beta)), a)
+    rhs = ops.odot(ops.scalar(encoded(alpha), a), ops.neg(ops.scalar(encoded(beta), a)))
+    return lhs == rhs
+
+
+def reference_rmv3(ops, e, s):
+    (a,) = e
+    alpha, beta = s
+    inner = ops.scalar(encoded(alpha), ops.scalar(encoded(beta), a))
+    return inner == ops.scalar(encoded(alpha * beta), a)
+
+
+def reference_rmv4(ops, e, _):
+    (a,) = e
+    return ops.scalar(encoded(F(1)), a) == a
+
+
+def reference_compat(ops, e, s):
+    a, b = e
+    (alpha,) = s
+    scaled = ops.scalar(encoded(alpha), ops.prod(a, b))
+    return scaled == ops.prod(ops.scalar(encoded(alpha), a), b) and scaled == ops.prod(
+        a, ops.scalar(encoded(alpha), b)
+    )
+
+
+def reference_pmv1(ops, e, _):
+    c, a, b = e
+    lhs = ops.prod(c, ops.odot(a, ops.neg(ops.meet(a, b))))
+    rhs = ops.odot(ops.prod(c, a), ops.neg(ops.prod(c, ops.meet(a, b))))
+    return lhs == rhs
+
+
+def reference_pmv2(ops, e, _):
+    c, a, b = e
+    lhs = ops.prod(ops.odot(a, ops.neg(ops.meet(a, b))), c)
+    rhs = ops.odot(ops.prod(a, c), ops.neg(ops.prod(ops.meet(a, b), c)))
+    return lhs == rhs
+
+
+REFERENCE_LAWS = {
+    "product-left-distribution": reference_pmv1,
+    "product-right-distribution": reference_pmv2,
+    "scalar-odot-homogeneity": reference_rmv1,
+    "scalar-difference": reference_rmv2,
+    "scalar-composition": reference_rmv3,
+    "scalar-unit": reference_rmv4,
+    "scalar-product-compatibility": reference_compat,
+}
+
+
+def reference_law_failures(ops, name, law, arity, scalar_arity, pool):
+    describe = lambda x: core.format_payload(ops.decode(x))
+    for position, (elems, scalars) in enumerate(pool):
+        elems, scalars = elems[:arity], scalars[:scalar_arity]
+        if not law(ops, elems, scalars):
+            witness = [describe(x) for x in elems] + [format_rational(s) for s in scalars]
+            yield position, {"axiom": name, "elements": witness}
+
+
+def reference_sampled_axioms(target, level, samples, seed):
+    """The sampled branch of `check_axioms` with a `random_unit` pool of `Fraction` scalars."""
+    ops = core.payload_ops(target)
+    rng = core.seeded(seed, samples)
+    pool = [
+        (tuple(ops.draw(rng) for _ in range(3)), (random_unit(rng), random_unit(rng)))
+        for _ in range(samples)
+    ]
+    stages = [
+        ("checks", samples,
+         reference_law_failures(ops, name, REFERENCE_LAWS.get(name, law), arity, scalars, pool))
+        for name, arity, scalars, law in axioms._laws_for(level, target)
+    ]
+    return sweep(stages, seed)
+
+
+def scalar_algebras():
+    """The divisible carriers of the scalar laws: the interval and rational function
+    algebras of 1-3 atoms, each built when called, after any plant."""
+    yield pytest.param(mv.standard_unit, id="U")
+    for k in range(1, 4):
+        yield pytest.param(
+            lambda k=k: mv.function_algebra(tuple(f"x{i}" for i in range(k))), id=f"{k}-atoms"
+        )
+
+
+class TestScalarPairs:
+    @pytest.mark.parametrize("build", list(scalar_algebras()))
+    @pytest.mark.parametrize("level", ["RMV", "fMV"])
+    @pytest.mark.parametrize("planted", [False, True], ids=["stock", "planted-scalar"])
+    def test_the_pair_laws_match_the_fraction_laws(self, build, level, planted, monkeypatch):
+        # the planted action, wrong at alpha = 1/2 alone (in any encoding), makes some sweeps fail
+        if planted:
+            scalar = core._ValueOps.scalar
+            monkeypatch.setattr(
+                core._ValueOps, "scalar",
+                lambda self, alpha, a: scalar(self, (1, 3) if F(*alpha) == F(1, 2) else alpha, a),
+            )
+        algebra = build()
+        verdicts = []
+        for seed in range(20):
+            for samples in (1, 7, 300):
+                verdict = mv.check_axioms(algebra, level, samples, seed)
+                reference = reference_sampled_axioms(algebra, level, samples, seed)
+                assert same_verdict(verdict, reference), (seed, samples)
+                verdicts.append(verdict.passed)
+        assert all(verdicts) != planted
+
+    @pytest.mark.parametrize("atoms", [None, 3], ids=["U", "3-atoms"])
+    def test_a_sweep_draws_no_fraction_scalar(self, atoms, monkeypatch):
+        algebra = mv.standard_unit() if atoms is None else mv.function_algebra(("x", "y", "z"))
+        draws = [
+            count_calls(monkeypatch, module, "random_unit")
+            for name, module in list(sys.modules.items())
+            if name.startswith("mvprob") and hasattr(module, "random_unit")
+        ]
+        scalar, seen = core._ValueOps.scalar, []
+
+        def recording(self, alpha, a):
+            seen.append(alpha)
+            return scalar(self, alpha, a)
+
+        monkeypatch.setattr(core._ValueOps, "scalar", recording)
+        verdict = mv.check_axioms(algebra, "fMV", 300, 0)
+        assert verdict.passed and verdict.metrics == {"checks": 15 * 300}
+        assert draws and all(calls == [0] for calls in draws)
+        assert len(seen) >= 300 * (1 if atoms is None else 3)
+        assert all(
+            type(alpha) is tuple and len(alpha) == 2 and all(type(v) is int for v in alpha)
+            for alpha in seen
+        )
+
+
+# ---------------------------------------------------------------------------
+# The pairing as a bilinear table
+# ---------------------------------------------------------------------------
+
+
+SMALL_FACTORS = {
+    (left, right): (FACTORS[left], FACTORS[right])
+    for left in sorted(FACTORS) for right in sorted(FACTORS)
+    if size(FACTORS[left].algebra) <= 16 and size(FACTORS[right].algebra) <= 5
+}
+
+
+class TestBetaTable:
+    @pytest.mark.parametrize("pair", sorted(SMALL_FACTORS), ids="-by-".join)
+    def test_the_table_is_the_per_pair_beta(self, pair):
+        space = mv.product_space(*SMALL_FACTORS[pair])
+        per_pair = mv.bilinear_map(
+            space.left.state, space.right.state, space.state,
+            lambda a, b: mv.beta(space, a, b), bound=1,
+        )
+        gamma = mv.beta_bilinear(space)
+        assert gamma == per_pair
+        assert all(v.payload == w.payload for r, s in zip(gamma.table, per_pair.table)
+                   for v, w in zip(r, s))
+
+    def test_each_element_is_represented_once(self, monkeypatch):
+        space = mv.product_space(FACTORS["2x3"], FACTORS["chain4"])
+        calls = count_calls(monkeypatch, representation, "represent")
+        assert mv.beta_bilinear(space).bound == 1
+        assert calls == [16 + 5]

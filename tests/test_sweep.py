@@ -154,7 +154,7 @@ class TestPlantedLaws:
         ((elems, scalars),) = seen
         ops = core.payload_ops(U)
         texts = [core.format_payload(ops.decode(x)) for x in elems]
-        texts += [format_rational(s) for s in scalars]
+        texts += [format_rational(F(x, d)) for x, d in scalars]  # scalars are pairs (x, d)
         assert verdict.witnesses == [{"axiom": name, "elements": texts}]
         assert verdict.metrics == {"checks": index * SAMPLES + at}
         assert verdict.seed == 5

@@ -438,6 +438,8 @@ class TestNamespace:
 
 # public functions that no src code calls, each with the reason it stays
 LIBRARY_ONLY = {
+    "beta": "the pairing of two source elements on Elements; beta_bilinear and the product "
+    "sweeps pair the represented values through independence._pairing",
     "ideal": "checks that given members form an ideal; commands build ideals from supports",
     "ideal_contains": "membership in an ideal given by its atom support; reports list members",
     "join": "the lattice join of the signature on Elements; sweeps run core.payload_ops",
