@@ -3,11 +3,12 @@
 Everything here is exact.  The forward differences of a sequence are
 integers over one denominator, the lcm of its sequence's, built one row
 at a time: the moment condition is read off each row's integer signs,
-and a reconstruction mass is one integer over it.  The
-feasibility search is a phase-one simplex pivoting on integers over one
-common denominator (Bland's rule, so it terminates) that holds only the
-artificial block of its tableau.  Fractional powers are handled by
-outward rational enclosures, from integer n-th roots, rather than floats.
+and a reconstruction mass is one integer over it.  The feasibility search
+is a phase-one simplex (Bland's rule, so it terminates) that pivots
+fraction-free on integers from the unit determinant of its artificial
+basis and holds only that block of its tableau.  Fractional powers are
+outward dyadic enclosures from exact integer n-th roots (a float only
+seeds Newton's iteration), a state's power one integer sum over them.
 A comparison that cannot be decided at the requested enclosure width is
 reported as inconclusive, never guessed.
 """
@@ -30,9 +31,9 @@ from .verdict import Verdict
 
 MAX_FIT_MOMENTS = 6  # highest moment index the feasibility search accepts
 MAX_FIT_GRID = 64
-# Enclosure bits per root.  A root's integers have about n * bits bits, so its
-# cost grows with both budgets: at 4096 bits and an exponent term of 64, one
-# root takes up to half a second, about what one 4096-step bisection cost.
+# Enclosure bits per root.  A root's integers have about n * bits bits, so its cost grows
+# with both budgets: at 4096 bits and an exponent term of 64, one root takes 60-75 ms on
+# one 2-vCPU Xeon core (0.06-0.19 s with Newton from a power of two).
 MAX_PRECISION = 4096
 MAX_EXPONENT = 64  # largest numerator or denominator of the exponents p and q
 # Highest moment order; a sequence holds at most MAX_ORDER + 1 values.  It
@@ -154,10 +155,14 @@ def grid_points(mu: DiscreteMeasure) -> tuple[Fraction, ...]:
 
 
 def moments_of_measure(mu: DiscreteMeasure, order: int) -> MomentSequence:
-    """Power moments of a grid measure, exactly, up to `MAX_ORDER`."""
+    """Power moments of a grid measure, exactly, up to `MAX_ORDER`.  An order whose bound
+    L_w * L_p^order on the moments' terms (L_w, L_p: the lcms of the weight and atom
+    denominators) passes the int/str digit limit is refused before any moment."""
     if not 0 <= order <= MAX_ORDER:
         raise InputError(f"order must be between 0 and {MAX_ORDER}")
     points = grid_points(mu)
+    l_w, l_p = (math.lcm(*[v.denominator for v in vs]) for vs in (mu.weights, points))
+    format_rational(l_w * l_p**order)  # a bound past the digit limit: InputError
     values = tuple(
         sum((p**k * w for p, w in zip(points, mu.weights)), ZERO)
         for k in range(order + 1)
@@ -166,12 +171,8 @@ def moments_of_measure(mu: DiscreteMeasure, order: int) -> MomentSequence:
 
 
 def verify_measure_moments(mu: DiscreteMeasure, order: int) -> Verdict:
-    """The moments of ``mu`` up to ``order``, checked against the moment condition.  An
-    order whose bound L_w * L_p^order on the rendered terms (L_w, L_p: the lcms of the
-    weight and atom denominators) passes the digit limit is refused before any moment."""
-    if 0 <= order <= MAX_ORDER:  # `moments_of_measure` refuses the other orders
-        l_w, l_p = (math.lcm(*[v.denominator for v in vs]) for vs in (mu.weights, grid_points(mu)))
-        format_rational(l_w * l_p**order)  # a bound past the int/str digit limit: InputError
+    """The moments of ``mu`` up to ``order``, checked against the moment condition; an
+    order that `moments_of_measure` refuses is refused before any moment."""
     m = moments_of_measure(mu, order)
     check = check_hausdorff(m)
     witnesses = [{"reason": w["reason"]} for w in check.witnesses]
@@ -223,49 +224,46 @@ def verify_reconstruction(m: MomentSequence, grid: int) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _phase_one(columns: list[list[int]], rhs: list[int], common: int):
+def _phase_one(columns: list[list[int]], rhs: list[int]):
     """Minimize the artificial total for A w = b, w >= 0 (all b >= 0).
 
-    The system comes as integers: the columns of common * A and common * b,
-    for a positive common denominator of A and b.  Returns ``(solution,
-    None)`` on feasibility or ``(None, y)`` with a verified Farkas
-    certificate: y.A <= 0 componentwise and y.b > 0.
+    The system comes as integers: the columns of c * A and c * b, for a
+    positive common denominator c of A and b.  Returns ``(solution, None)``
+    on feasibility or ``(None, y)`` with a verified Farkas certificate:
+    y.A <= 0 componentwise and y.b > 0.
 
-    The tableau [B^-1 A | B^-1 | B^-1 b], objective row last, is integers
-    M over one positive d and pivots fraction-free (Bareiss 1968): each
-    update divides exactly by the previous pivot.  d starts at
-    common**rows, the determinant of the initial basis of the integer
-    system common**rows * [A | I | b], so every entry of M is a minor of
-    that system with its cost row and the divisions are exact (from
-    d = common they are not).
+    The tableau [B^-1 cA | B^-1 | B^-1 cb], objective row last, is integers M
+    over one positive d and pivots fraction-free (Bareiss 1968): each update
+    divides exactly by the previous pivot.  The initial basis is I, so d starts
+    at 1 and every entry of M is a minor of [cA | I | cb] with its cost row.
+    That system is c * [A | I/c | b]: next to [A | I | b] only the artificial
+    columns are scaled, all by 1/c, which scales every reduced cost by c and the
+    ratios of an entering column by one positive factor.  So the signs, the
+    ties, Bland's pivots (Bland 1977), the solution and y are those of A w = b.
 
-    Bland's rule (Bland 1977) needs only the artificial block d * B^-1,
-    the rhs and the objective row: (rows + 1)**2 integers.  Structural
-    column j of M is that block times common * A_j, divided exactly by
-    common, and its objective entry is the same sum with the weights
-    obj_k - d, obj_k the objective row's artificial entries.  The columns
-    are priced in index order up to the first negative entry and only the
-    entering column is formed, so the pivots are those of the full tableau.
+    Bland's rule needs only the artificial block d * B^-1, the rhs and the
+    objective row: (rows + 1)**2 integers.  Structural column j of M is that
+    block times cA_j, and its objective entry, the price Bland's rule reads,
+    is the same sum with the weights obj_k - d, obj_k the objective row's
+    artificial entries.  The columns are priced in index order up to the
+    first negative price and only the entering column is formed, so the
+    pivots are those of the full tableau.
     """
-    rows, cols = len(rhs), len(columns)
-    d = common**rows
-    # [artificial block | rhs] per row, then the objective row: the costs,
-    # 1 on each artificial, priced out
-    lift = d // common  # from common * b to d * b
-    tableau = [[d if k == i else 0 for k in range(rows)] + [b * lift] for i, b in enumerate(rhs)]
-    tableau.append([0] * rows + [-sum(rhs) * lift])
+    rows, cols, d = len(rhs), len(columns), 1
+    # [artificial block | rhs] per row, then the objective row: cost 1 per artificial, priced out
+    tableau = [[int(k == i) for k in range(rows)] + [b] for i, b in enumerate(rhs)]
+    tableau.append([0] * rows + [-sum(rhs)])
     body, obj = tableau[:rows], tableau[rows]
     basis = list(range(cols, cols + rows))
 
     while True:
         weights = [o - d for o in obj[:rows]]
-        entering = next(
-            (j for j, a in enumerate(columns) if sum(map(operator.mul, weights, a)) < 0), None
-        )
+        prices = (sum(map(operator.mul, weights, a)) for a in columns)
+        entering, price = next(((j, c) for j, c in enumerate(prices) if c < 0), (None, None))
         if entering is not None:
             a = columns[entering]
-            column = [sum(map(operator.mul, row, a)) // common for row in body]
-            column.append(sum(map(operator.mul, weights, a)) // common)
+            column = [sum(map(operator.mul, row, a)) for row in body]
+            column.append(price)
         else:
             k = next((k for k in range(rows) if obj[k] < 0), None)
             if k is None:
@@ -325,7 +323,7 @@ def moment_fit_lp(m: MomentSequence, grid: int) -> Verdict:
     scales = [common // grid**k for k in range(m.order + 1)]
     columns = [[common] + [j**k * s for k, s in enumerate(scales)] for j in range(grid + 1)]
     rhs = [common] + [v.numerator * (common // v.denominator) for v in m.values]
-    solution, certificate = _phase_one(columns, rhs, common)
+    solution, certificate = _phase_one(columns, rhs)
     if solution is None:
         return Verdict("infeasible", [{"certificate": certificate}], {"grid": grid})
     # A w = b on the integer system: the weights' numerators over their lcm d
@@ -343,23 +341,30 @@ def moment_fit_lp(m: MomentSequence, grid: int) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _root_bounds(y: Fraction, n: int, bits: int) -> tuple[Fraction, Fraction]:
-    """The dyadic interval [r, r + 1] / 2**bits that holds the n-th root of y.
-
-    r is the integer floor root of y * 2**(n*bits), found by Newton's
-    iteration from a power of two at or above it; the iterate falls
-    until it reaches r.  For y in (0, 1) the interval keeps its width
-    even when the root is dyadic, so lo**n <= y < hi**n.
-    """
-    if y in (ZERO, ONE):
-        return y, y
-    target = (y.numerator << (n * bits)) // y.denominator
-    root = 1 << -(-target.bit_length() // n)
-    while root:  # only a zero target takes the iterate to 0
+def _floor_root(target: int, n: int) -> int:
+    """floor(target ** (1/n)) for target >= 0 and n >= 2: `math.isqrt` at n = 2, else one
+    Newton step from the float root of the leading bits, which lands at or above the floor
+    root from any positive start (AM-GM; the floor of the sum is the sum of floors over n),
+    and then Newton's iterate falls to the floor root."""
+    if n == 2 or target < 2:  # 0 and 1 are their own roots
+        return math.isqrt(target)
+    shift = max(0, -(-(target.bit_length() - 960) // n))  # at most 960 bits in a float
+    root = int(float(target >> n * shift) ** (1 / n) * 2**50) << shift >> 50
+    root = ((n - 1) * root + target // root ** (n - 1)) // n
+    while True:
         below = ((n - 1) * root + target // root ** (n - 1)) // n
         if below >= root:
-            break
+            return root
         root = below
+
+
+def _root_bounds(y: Fraction, n: int, bits: int) -> tuple[Fraction, Fraction]:
+    """The dyadic interval [r, r + 1] / 2**bits that holds the n-th root of y, r the
+    `_floor_root` of y * 2**(n*bits), floored: for y in (0, 1) it keeps its width even when
+    the root is dyadic, so lo**n <= y < hi**n, and 0 and 1 are their own roots."""
+    if y in (ZERO, ONE):
+        return y, y
+    root = _floor_root((y.numerator << (n * bits)) // y.denominator, n)
     return Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits)
 
 
@@ -371,8 +376,7 @@ def pow_bounds(x: Fraction, exponent: Fraction, bits: int = DEFAULT_PRECISION):
     if exponent.denominator == 1:
         exact = x ** int(exponent)
         return exact, exact
-    powered = x**exponent.numerator
-    return _root_bounds(powered, exponent.denominator, bits)
+    return _root_bounds(x**exponent.numerator, exponent.denominator, bits)
 
 
 def _interval_pow(iv: tuple[Fraction, Fraction], exponent: Fraction, bits: int):
@@ -387,14 +391,24 @@ def _interval_pow(iv: tuple[Fraction, Fraction], exponent: Fraction, bits: int):
 
 
 def _power_state_bounds(s: State, a: Element, exponent: Fraction, bits: int):
-    """Enclose s(a^exponent) = sum_x w_x * a(x)^exponent; exact at an integer exponent."""
-    weights = s.measure.weights
-    lo = hi = ZERO
-    for v, w in zip(core.ambient_vector(a), weights):
-        b_lo, b_hi = pow_bounds(v, exponent, bits)
-        lo += w * b_lo
-        hi += w * b_hi
-    return lo, hi
+    """Enclose s(a^exponent) = sum_x w_x * a(x)^exponent; exact at an integer exponent.  At
+    k / n, with weights w_x / L and values x / e, it is [sum w_x * r_x, sum w_x * (r_x + 1)]
+    / (L * 2**bits), r_x the floor root of x^k * 2**(n*bits) / e^k, floored; at the values 0
+    and 1, r_x is 0 or 2**bits with no + 1, as `_root_bounds` keeps them exact."""
+    k, n = exponent.numerator, exponent.denominator
+    powers = [(v.numerator**k, v.denominator**k) for v in core.ambient_vector(a)]
+    if n == 1:
+        exact = Fraction(*states._evaluate(s, powers))
+        return exact, exact
+    weights, common = s.encoded_weights
+    low = width = 0
+    for w, (x, e) in zip(weights, powers):
+        if 0 < x < e:
+            low += w * _floor_root((x << n * bits) // e, n)
+            width += w
+        else:  # 0 and 1: r_x is x * 2**bits
+            low += (w * x) << bits
+    return Fraction(low, common << bits), Fraction(low + width, common << bits)
 
 
 def holder_check(
@@ -426,9 +440,7 @@ def holder_check(
     if p < 1 or q < 1 or Fraction(1, 1) / p + Fraction(1, 1) / q != ONE:
         raise InputError("exponents must be conjugate: 1/p + 1/q = 1 with p, q >= 1")
     if max(p.numerator, p.denominator, q.numerator, q.denominator) > MAX_EXPONENT:
-        raise InputError(
-            f"exponent numerators and denominators must be at most {MAX_EXPONENT}"
-        )
+        raise InputError(f"exponent numerators and denominators must be at most {MAX_EXPONENT}")
 
     lhs = states.eval_state(s, core.prod(a, b))
     if p == 2 and q == 2:

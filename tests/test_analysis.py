@@ -54,6 +54,18 @@ def bisection_root_bounds(y, n, bits):
     return lo, hi
 
 
+def newton_floor_root(target, n):
+    """Reference for `analysis._floor_root`: Newton's iteration from a power of two at or
+    above the floor root, falling until it reaches it."""
+    root = 1 << -(-target.bit_length() // n)
+    while root:  # only a zero target takes the iterate to 0
+        below = ((n - 1) * root + target // root ** (n - 1)) // n
+        if below >= root:
+            break
+        root = below
+    return root
+
+
 def fraction_phase_one(matrix, rhs, pivots=None):
     """Reference for `analysis._phase_one`: the same Bland pivots on the full
     tableau of fractions.  ``pivots``, if given, collects the entering columns."""
@@ -100,11 +112,11 @@ def fraction_phase_one(matrix, rhs, pivots=None):
 
 
 def integer_system(matrix, rhs):
-    """The arguments of `analysis._phase_one`: the columns of common * matrix,
-    common * rhs and common, the lcm of every denominator."""
+    """The arguments of `analysis._phase_one`: the columns of common * matrix and
+    common * rhs, with common the lcm of every denominator."""
     common = math.lcm(*(v.denominator for v in rhs), *(v.denominator for r in matrix for v in r))
     columns = [[int(row[j] * common) for row in matrix] for j in range(len(matrix[0]))]
-    return columns, [int(b * common) for b in rhs], common
+    return columns, [int(b * common) for b in rhs]
 
 
 def fraction_delta_rows(values):
@@ -285,6 +297,12 @@ class TestOneRowAtATime:
         monkeypatch.setattr(analysis, "ZERO", None)  # a moment's sum starts from it: TypeError
         with pytest.raises(InputError, match=f"more than {limit} digits"):
             analysis.verify_measure_moments(measure, 454)
+
+    def test_the_library_moments_have_the_same_digit_budget(self, monkeypatch):
+        measure = analysis.grid_measure([F(999999999, 10**9), F(1, 3)], [F(1, 2), F(1, 2)])
+        monkeypatch.setattr(analysis, "ZERO", None)  # a moment's sum starts from it: TypeError
+        with pytest.raises(InputError, match=f"more than {sys.get_int_max_str_digits()} digits"):
+            analysis.moments_of_measure(measure, 454)
 
     def test_the_moment_check_holds_one_row(self):
         # the atoms 999999999/10^9 and 1/3: the denominator of m_k has about 9.5 k digits
@@ -608,6 +626,30 @@ class TestRootAgainstBisection:
         self.assert_enclosure(F(num, den), n, bits)
 
 
+class TestFloorRootAgainstNewton:
+    """The float-started integer root against Newton from a power of two and `math.isqrt`."""
+
+    def assert_root(self, target, n):
+        root = analysis._floor_root(target, n)
+        assert root == newton_floor_root(target, n)
+        assert root**n <= target < (root + 1) ** n
+        if n == 2:
+            assert root == math.isqrt(target)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, 31, 63, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 2**26 + 1, 3**300, 2**4096 - 1])
+    def test_powers_and_their_neighbours(self, k, n):
+        for target in (0, 1, 2, k**n - 1, k**n, k**n + 1):
+            self.assert_root(target, n)
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_seeded_targets(self, seed):
+        # targets up to 64 * 4,096 bits: a root at 4,096 bits with an exponent term of 64
+        rng = Random(seed)
+        n = rng.randint(2, 64)
+        self.assert_root(rng.getrandbits(rng.randint(1, n * 4096)), n)
+
+
 class TestPowerBounds:
     @settings(max_examples=200)
     @given(
@@ -744,6 +786,56 @@ def test_an_integer_power_is_the_repeated_product(s):
                 assert analysis._power_state_bounds(s, a, F(k), bits) == (exact, exact)
 
 
+def reference_power_state_bounds(s, a, exponent, bits):
+    """`analysis._power_state_bounds` at a fractional exponent k / n as it was: each
+    atom's enclosure [r, r + 1] / 2**bits of its power's n-th root, 0 and 1 exact,
+    summed by the weights in `Fraction`s."""
+    k, n = exponent.numerator, exponent.denominator
+    lo = hi = ZERO
+    for v, w in zip(core.ambient_vector(a), s.measure.weights):
+        y = v**k
+        if y in (ZERO, ONE):
+            b_lo = b_hi = y
+        else:
+            root = newton_floor_root((y.numerator << (n * bits)) // y.denominator, n)
+            b_lo, b_hi = F(root, 1 << bits), F(root + 1, 1 << bits)
+        lo += w * b_lo
+        hi += w * b_hi
+    return lo, hi
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 1024])
+@pytest.mark.parametrize("s", list(pmv_states()))
+def test_a_fractional_power_is_one_dyadic_sum(s, bits):
+    rng = Random(13)
+    pool = [core.random_element(rng, s.algebra) for _ in range(10)]
+    pool += core.sweep_elements(s.algebra) or [mv.zero(s.algebra), mv.one(s.algebra)]
+    for a in pool:
+        for exponent in (F(3, 2), F(5, 3), F(7, 4), F(1, 5), F(17, 16)):
+            expected = reference_power_state_bounds(s, a, exponent, bits)
+            assert analysis._power_state_bounds(s, a, exponent, bits) == expected
+
+
+@pytest.mark.parametrize("atoms", [2, 3, 6])
+def test_a_holder_check_takes_two_roots_per_atom_and_four_outer_ones(monkeypatch, atoms):
+    # no value 0 or 1: every atom's power at p and at q needs a root; the outer
+    # enclosures of s(a^p)^(1/p) and s(b^q)^(1/q) take two `pow_bounds` each
+    names = tuple(f"x{i}" for i in range(atoms))
+    algebra = mv.function_algebra(names)
+    s = mv.measure_state(algebra, mv.measure(names, [F(1, atoms)] * atoms))
+    a = mv.element(algebra, [F(i + 1, atoms + 1) for i in range(atoms)])
+    b = mv.element(algebra, [F(1, i + 2) for i in range(atoms)])
+    calls = []
+    for name in ("_floor_root", "pow_bounds"):
+        counted = getattr(analysis, name)
+        monkeypatch.setattr(
+            analysis, name, lambda *args, f=counted, name=name: calls.append(name) or f(*args)
+        )
+    assert analysis.holder_check(s, a, b, F(5, 2), F(5, 3)).passed
+    assert calls.count("_floor_root") == 2 * atoms + 4
+    assert calls.count("pow_bounds") == 4
+
+
 class TestHolderPlantedDefects:
     """A defect planted in the step a `fail` branch guards reaches the CLI as exit 1."""
 
@@ -765,14 +857,12 @@ class TestHolderPlantedDefects:
         assert self.fail_witness(argv, capsys) == [{"lhs": "1", "rhs_high": "1/8"}]
 
     def test_interval_mode_fails_on_a_defective_root(self, monkeypatch, capsys):
-        # halved root enclosures put the whole right side below s(a.b) = 1/4
-        root_bounds = analysis._root_bounds
-        monkeypatch.setattr(
-            analysis, "_root_bounds",
-            lambda y, n, bits: tuple(v / 2 for v in root_bounds(y, n, bits)),
-        )
+        # halved floor roots reach every atom and outer enclosure; here f2's values 0
+        # and 1 stay exact, and the outer roots put the right side below s(a.b) = 1/4
+        floor_root = analysis._floor_root
+        monkeypatch.setattr(analysis, "_floor_root", lambda target, n: floor_root(target, n) // 2)
         argv = ["--precision", "8", "holder", self.DOC, "s", "f1", "f2", "--p", "3", "--q", "3/2"]
-        assert self.fail_witness(argv, capsys) == [{"lhs": "1/4", "rhs_high": "6579/131072"}]
+        assert self.fail_witness(argv, capsys) == [{"lhs": "1/4", "rhs_high": "5265/65536"}]
 
 
 class TestMomentPlantedDefects:
@@ -784,8 +874,8 @@ class TestMomentPlantedDefects:
         # mass 1/12 moved from 0 to 1/2: still a probability vector, wrong moments
         phase_one = analysis._phase_one
 
-        def perturbed(columns, rhs, common):
-            solution, certificate = phase_one(columns, rhs, common)
+        def perturbed(columns, rhs):
+            solution, certificate = phase_one(columns, rhs)
             assert solution == [F(1, 6), F(2, 3), F(1, 6)]
             return [solution[0] - F(1, 12), solution[1] + F(1, 12), solution[2]], certificate
 
