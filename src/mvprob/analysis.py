@@ -394,19 +394,20 @@ def _power_state_bounds(s: State, a: Element, exponent: Fraction, bits: int):
     """Enclose s(a^exponent) = sum_x w_x * a(x)^exponent; exact at an integer exponent.  At
     k / n, with weights w_x / L and values x / e, it is [sum w_x * r_x, sum w_x * (r_x + 1)]
     / (L * 2**bits), r_x the floor root of x^k * 2**(n*bits) / e^k, floored; at the values 0
-    and 1, r_x is 0 or 2**bits with no + 1, as `_root_bounds` keeps them exact."""
+    and 1, r_x is 0 or 2**bits with no + 1, as `_root_bounds` keeps them exact, and an atom
+    of weight 0 adds nothing and takes no root."""
     k, n = exponent.numerator, exponent.denominator
-    powers = [(v.numerator**k, v.denominator**k) for v in core.ambient_vector(a)]
+    powers = [(x**k, d**k) for x, d in core.ambient_pairs(a)]
     if n == 1:
         exact = Fraction(*states._evaluate(s, powers))
         return exact, exact
     weights, common = s.encoded_weights
     low = width = 0
     for w, (x, e) in zip(weights, powers):
-        if 0 < x < e:
+        if w and 0 < x < e:
             low += w * _floor_root((x << n * bits) // e, n)
             width += w
-        else:  # 0 and 1: r_x is x * 2**bits
+        else:  # 0 and 1: r_x is x * 2**bits; weight 0: no term
             low += (w * x) << bits
     return Fraction(low, common << bits), Fraction(low + width, common << bits)
 

@@ -4,7 +4,7 @@ The laws are written once against a value set plus the primitive
 operations.  Exhaustive sweeps run on operation tables, so a finite
 carrier is first compiled by `core.compile_table` and runs through the
 same code as the explicit-table fixtures, associativity by table rows;
-sampled sweeps of an algebra run on the encoded payloads of its draws,
+sampled sweeps of an algebra run on its draws' codes, the form an `Element` holds,
 through `core.payload_ops`, the arithmetic of the `Element` ops.  Corrupted operation tables are how
 negative controls enter: enumeration or sampling finds a witness tuple
 naming the violated law.  Each law is one `verdict.sweep` stage under
@@ -30,7 +30,7 @@ _UNIT = core._ValueOps(None)  # the interval's op set: its draw is `random_unit`
 
 # defined here, not re-exported, so a per-module trace counts these draws under axioms
 def random_element(rng: Random, ops):
-    """One seeded draw of an axiom sweep: the encoded payload of the op set's ``draw``."""
+    """One seeded draw of an axiom sweep: the code of the op set's ``draw``."""
     return ops.draw(rng)
 
 
@@ -40,7 +40,7 @@ def random_element(rng: Random, ops):
 #
 # Each law is (name, arity, scalar arity, predicate); predicates receive
 # the op set (a table or a payload op set), the element tuple (indices or
-# encoded payloads), and the scalar tuple: integer pairs (x, d) for x/d in [0, 1],
+# codes), and the scalar tuple: integer pairs (x, d) for x/d in [0, 1],
 # combined in integers, never through the op set, and reduced by ``scalar``.
 
 

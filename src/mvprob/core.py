@@ -21,7 +21,8 @@ those pairs mapped over its atoms, and a Chang pair ``(0, k)`` or ``(1, k)``.
 Each has ``encode``, ``decode``, an encoded seeded ``draw``, truncated addition,
 the involution, and the product and scalar action where they exist; the derived
 ops are term definitions, written once for the op sets and `TableAlgebra`.
-The `Element` ops, sampled sweeps and `compile_table` all compute through them.
+An `Element` holds its value as that encoding, its ``code``, which the `Element`
+ops, `compile_table` and every sweep read; only this module encodes.
 All values are exact rationals and every operation is a pure function on
 immutable data: elements can be shared freely between threads.
 """
@@ -37,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import InputError, UnsupportedCarrierError
 from .rationals import (
-    MAX_DRAW_DENOMINATOR, ONE, ZERO, _below, as_pair, format_rational, parse_rational, require_unit,
+    MAX_DRAW_DENOMINATOR, _below, as_pair, format_rational, parse_rational, require_unit,
 )
 
 # ---------------------------------------------------------------------------
@@ -292,15 +293,19 @@ def format_payload(p: Payload) -> str:
 
 
 class Element(_Record):
-    """A carrier-tagged value; building one checks the payload (ops skip it: `_trusted`)."""
+    """A carrier-tagged value as its op set's ``code``: ``Element(algebra, raw)`` checks a
+    payload or element text ``raw`` and encodes it once (ops skip both: `_trusted`)."""
 
     algebra: Algebra
-    payload: Payload
+    code: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "payload", _coerce_payload(self.algebra.carrier, self.payload)
-        )
+        raw = _coerce_payload(self.algebra.carrier, self.code)
+        object.__setattr__(self, "code", self.algebra.ops.encode(raw))
+
+    @property
+    def payload(self) -> Payload:  # the value as `Fraction`s, or a `ChangPair` on Chang
+        return self.algebra.ops.decode(self.code)
 
 
 def element(algebra: Algebra, payload) -> Element:
@@ -312,35 +317,34 @@ def format_element(e: Element) -> str:
     return format_payload(e.payload)
 
 
-def _trusted(algebra: Algebra, payload: Payload) -> Element:
-    """An element whose payload lies in the carrier by construction, unchecked.
+def _trusted(algebra: Algebra, code) -> Element:
+    """An element whose code lies in the carrier by construction, unchecked.
 
-    Only op results, constants, seeded draws, a finite carrier's
-    enumeration and the ambient images of checked elements come through
-    here: the ops keep [0, 1] and the chain levels.  Values from outside
-    go through `Element`, which checks them.
+    Equality and hashing compare codes, so a code must be canonical, as `Element`
+    encodes: coprime (x, d) with 0 <= x <= d per value, and (0, k) or (1, k), k >= 0,
+    on Chang.  Only op results, constants, seeded draws, a finite carrier's
+    enumeration and the ambient images of checked elements come through here, all
+    canonical in [0, 1] and the chain levels; values from outside go through `Element`.
     """
     e = object.__new__(Element)
     object.__setattr__(e, "algebra", algebra)
-    object.__setattr__(e, "payload", payload)
+    object.__setattr__(e, "code", code)
     return e
 
 
 def zero(algebra: Algebra) -> Element:
-    ops = payload_ops(algebra)
-    return _trusted(algebra, ops.decode(ops.zero))
+    return _trusted(algebra, algebra.ops.zero)
 
 
 def one(algebra: Algebra) -> Element:
-    ops = payload_ops(algebra)
-    return _trusted(algebra, ops.decode(ops.one))
+    return _trusted(algebra, algebra.ops.one)
 
 
 def indicator(algebra: Algebra, atom: str) -> Element:
     atoms = atoms_of(algebra)
     if atom not in atoms:
         raise InputError(f"unknown atom {atom!r}")
-    return _trusted(algebra, tuple(ONE if a == atom else ZERO for a in atoms))
+    return _trusted(algebra, tuple((1, 1) if a == atom else (0, 1) for a in atoms))
 
 
 CHANG_SAMPLE_BOUND = 40  # draws take lower(k) and upper(k) for k up to this
@@ -365,9 +369,8 @@ def seeded(seed: Optional[int], samples: int) -> Random:
 
 
 def random_element(rng: Random, algebra: Algebra) -> Element:
-    """A seeded draw: the op set's encoded ``draw``, decoded and built unchecked."""
-    ops = payload_ops(algebra)
-    return _trusted(algebra, ops.decode(ops.draw(rng)))
+    """A seeded draw: the op set's encoded ``draw``, built unchecked."""
+    return _trusted(algebra, algebra.ops.draw(rng))
 
 
 def lower(algebra: Algebra, k: int) -> Element:
@@ -528,69 +531,62 @@ def payload_ops(algebra: Algebra) -> _TermOps:
     return algebra.ops
 
 
-def _same_algebra(a: Element, b: Element) -> Algebra:
+def _ops(a: Element, b: Element) -> _TermOps:
+    """The op set of the one algebra of ``a`` and ``b``; the `Element` ops build their
+    results from its codes unchecked."""
     if a.algebra != b.algebra:
         raise InputError(
             f"carrier mismatch: {a.algebra.carrier} vs {b.algebra.carrier}"
         )
-    return a.algebra
-
-
-def _apply(algebra: Algebra, op: str, *payloads: Payload) -> Element:
-    """The op set's ``op`` on ``payloads``: each is encoded once, the result decoded once."""
-    ops = payload_ops(algebra)
-    return _trusted(algebra, ops.decode(getattr(ops, op)(*map(ops.encode, payloads))))
+    return a.algebra.ops
 
 
 def oplus(a: Element, b: Element) -> Element:
-    return _apply(_same_algebra(a, b), "oplus", a.payload, b.payload)
+    return _trusted(a.algebra, _ops(a, b).oplus(a.code, b.code))
 
 
 def neg(a: Element) -> Element:
-    return _apply(a.algebra, "neg", a.payload)
+    return _trusted(a.algebra, a.algebra.ops.neg(a.code))
 
 
 def odot(a: Element, b: Element) -> Element:
-    return _apply(_same_algebra(a, b), "odot", a.payload, b.payload)
+    return _trusted(a.algebra, _ops(a, b).odot(a.code, b.code))
 
 
 def leq(a: Element, b: Element) -> bool:
-    ops = payload_ops(_same_algebra(a, b))
-    return ops.leq(ops.encode(a.payload), ops.encode(b.payload))
+    return _ops(a, b).leq(a.code, b.code)
 
 
 def join(a: Element, b: Element) -> Element:
-    return _apply(_same_algebra(a, b), "join", a.payload, b.payload)
+    return _trusted(a.algebra, _ops(a, b).join(a.code, b.code))
 
 
 def meet(a: Element, b: Element) -> Element:
-    return _apply(_same_algebra(a, b), "meet", a.payload, b.payload)
+    return _trusted(a.algebra, _ops(a, b).meet(a.code, b.code))
 
 
 def dist(a: Element, b: Element) -> Element:
-    return _apply(_same_algebra(a, b), "dist", a.payload, b.payload)
+    return _trusted(a.algebra, _ops(a, b).dist(a.code, b.code))
 
 
 def partial_add(a: Element, b: Element) -> Optional[Element]:
     """Truncation-free sum; ``None`` marks the undefined case a > b*."""
-    ops = payload_ops(_same_algebra(a, b))
-    x, y = ops.encode(a.payload), ops.encode(b.payload)
-    return _trusted(a.algebra, ops.decode(ops.oplus(x, y))) if ops.leq(x, ops.neg(y)) else None
+    ops, x, y = _ops(a, b), a.code, b.code
+    return _trusted(a.algebra, ops.oplus(x, y)) if ops.leq(x, ops.neg(y)) else None
 
 
 def scalar_mul(alpha: Fraction, a: Element) -> Element:
     if not a.algebra.scalar_action:
         raise InputError("algebra has no scalar action")
     alpha = require_unit(alpha if isinstance(alpha, Fraction) else Fraction(alpha))
-    ops = payload_ops(a.algebra)
-    return _trusted(a.algebra, ops.decode(ops.scalar(as_pair(alpha), ops.encode(a.payload))))
+    return _trusted(a.algebra, a.algebra.ops.scalar(as_pair(alpha), a.code))
 
 
 def prod(a: Element, b: Element) -> Element:
-    algebra = _same_algebra(a, b)
-    if not algebra.internal_product:
+    ops = _ops(a, b)
+    if not a.algebra.internal_product:
         raise InputError("algebra has no internal product")
-    return _apply(algebra, "prod", a.payload, b.payload)
+    return _trusted(a.algebra, ops.prod(a.code, b.code))
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +599,13 @@ def is_finite(algebra: Algebra) -> bool:
 
 
 def enumerate_carrier(algebra: Algebra) -> list[Element]:
-    """All elements of a finite carrier, in lexicographic payload order, built unchecked."""
+    """All elements of a finite carrier in lexicographic order, unchecked: reduced levels k/n."""
     if not is_finite(algebra):
         raise UnsupportedCarrierError(f"carrier {algebra.carrier} is not finite")
     atoms, n = algebra.carrier.shape
-    levels = [Fraction(k, n) for k in range(n + 1)]
-    payloads = levels if atoms is None else itertools.product(levels, repeat=atoms)
-    return [_trusted(algebra, p) for p in payloads]
+    levels = [(k // gcd(k, n), n // gcd(k, n)) for k in range(n + 1)]
+    codes = levels if atoms is None else itertools.product(levels, repeat=atoms)
+    return [_trusted(algebra, c) for c in codes]
 
 
 class TableAlgebra(_Record, _TermOps):
@@ -655,36 +651,34 @@ class TableAlgebra(_Record, _TermOps):
         return self.prod_table[a][b]
 
 
-def rank(algebra: Algebra, payload: Payload) -> int:
-    """The position of ``payload`` in `enumerate_carrier`, by mixed radix."""
-    if not is_finite(algebra):
-        raise UnsupportedCarrierError(f"carrier {algebra.carrier} is not finite")
-    ops = payload_ops(algebra)
-    return ops.index(ops.encode(payload))
+def rank(e: Element) -> int:
+    """The position of ``e`` in `enumerate_carrier`, by mixed radix."""
+    if not is_finite(e.algebra):
+        raise UnsupportedCarrierError(f"carrier {e.algebra.carrier} is not finite")
+    return e.algebra.ops.index(e.code)
 
 
 @functools.lru_cache(maxsize=8)
 def compile_table(algebra: Algebra) -> TableAlgebra:
     """The tables of a finite algebra: index i is ``enumerate_carrier(algebra)[i]``.
 
-    Every entry is the index of a `payload_ops` result on the payloads
-    encoded once, the arithmetic of the `Element` ops, so a sweep over the
-    tables still checks it; building them costs n^2 integer payload ops.
+    Every entry is the index of a `payload_ops` result on the elements'
+    codes, the arithmetic of the `Element` ops, so a sweep over the tables
+    still checks it; building them costs n^2 integer payload ops.
     The last few builds are kept, keyed on the frozen algebra value (the
     tables are immutable), so later sweeps of a carrier in one process
     reuse its build.
     """
-    payloads = [e.payload for e in enumerate_carrier(algebra)]
-    ops = payload_ops(algebra)
-    encoded, index = [ops.encode(p) for p in payloads], ops.index
+    elements, ops = enumerate_carrier(algebra), algebra.ops
+    codes, index = [e.code for e in elements], ops.index
 
     def table(op) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple([index(op(a, b)) for b in encoded]) for a in encoded)
+        return tuple(tuple([index(op(a, b)) for b in codes]) for a in codes)
 
     return TableAlgebra(
-        tuple(map(format_payload, payloads)),
+        tuple(map(format_element, elements)),
         table(ops.oplus),
-        tuple(index(ops.neg(a)) for a in encoded),
+        tuple(index(ops.neg(a)) for a in codes),
         prod_table=table(ops.prod) if algebra.internal_product else None,
     )
 
@@ -727,22 +721,26 @@ def divisible_ambient(algebra: Algebra) -> Algebra:
     return function_algebra(algebra.carrier.atoms)
 
 
-def ambient_vector(a: Element) -> tuple[Fraction, ...]:
-    p = a.payload
-    if isinstance(p, tuple):
-        return p
-    if isinstance(p, Fraction):
-        return (p,)
-    raise InputError("Chang elements have no ambient vector")
+def ambient_pairs(a: Element) -> tuple[tuple[int, int], ...]:
+    """``a``'s values at the `divisible_ambient` atoms, as its coprime pairs (x, d).  On Chang
+    the one value is ``a``'s class modulo the radical: 0 at lower(k), 1 at upper(k)."""
+    code = a.code
+    if isinstance(a.algebra.carrier, Chang):
+        return ((code[0], 1),)
+    return code if type(code[0]) is tuple else (code,)
+
+
+def ambient_vector(a: Element) -> tuple[Fraction, ...]:  # `ambient_pairs` as `Fraction`s
+    return tuple([Fraction(x, d) for x, d in ambient_pairs(a)])
 
 
 def ambient_element(a: Element, target: Algebra, keep: Sequence[int]) -> Element:
-    """``a``'s values at the `divisible_ambient` atoms ``keep``, in ``target``, the rational
-    function algebra on them; ``a``'s check covers the values.  On Chang the one value is
-    ``a``'s class modulo the radical: 0 at lower(k), 1 at upper(k)."""
-    p = a.payload
-    vector = (ONE if p.side == UPPER else ZERO,) if isinstance(p, ChangPair) else ambient_vector(a)
-    return _trusted(target, tuple([vector[x] for x in keep]))
+    """``a``'s values at the `divisible_ambient` atoms ``keep``, in ``target``: the rational
+    function algebra on them, or, for a quotient, one holding ``a``'s values, a chain when one
+    atom is kept.  ``a``'s check covers the values."""
+    pairs = ambient_pairs(a)
+    code = tuple([pairs[x] for x in keep])
+    return _trusted(target, code if _shape(target.carrier)[0] else code[0])
 
 
 def atom_indicator_elements(algebra: Algebra) -> list[Element]:

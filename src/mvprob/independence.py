@@ -9,8 +9,9 @@ f = sum_x f(x) * 1_x, so a bilinear map is checked against its values at
 pairs of atom indicators, and a bounded one extends through them to the
 divisible hulls, as a linear map off the pair atoms.  Bounded bilinear
 maps factor uniquely through the pairing by a linear map fixed on atom indicators.
-One integer kernel, `_pairing`, pairs values encoded once per element: `beta` builds
-its result as an `Element`, and the sweeps compare its integer sums, building none.
+One integer kernel, `_pairing`, pairs the coprime pairs (x, d) of two elements' codes:
+`beta` builds its result as an `Element`, and the sweeps compare its integer sums,
+building none.
 """
 
 from __future__ import annotations
@@ -86,22 +87,17 @@ def verify_marginals(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure) -> Verdict:
     )
 
 
-def _encoded(vector) -> tuple[tuple[int, int], ...]:
-    """Rational values as the coprime pairs (x, d) that `_pairing` reads."""
-    return tuple(map(as_pair, vector))
-
-
 def _represented(rep: MeasureRepresentation, a: Element) -> tuple[tuple[int, int], ...]:
-    return _encoded(representation.represent(rep, a).payload)
+    return representation.represent(rep, a).code
 
 
 def _pairing(u, v) -> list[tuple[int, int]]:
-    """The pair-atom values (x * y, d * e) of encoded u and v, lexicographic, unreduced."""
+    """The pair-atom values (x * y, d * e) of codes u and v, lexicographic, unreduced."""
     return [(x * y, d * e) for x, d in u for y, e in v]
 
 
 def _paired(space: ProductSpace, u, v) -> Element:
-    """The `_pairing` of encoded u and v as a checked `Element` of the product algebra."""
+    """The `_pairing` of codes u and v as a checked `Element` of the product algebra."""
     return Element(space.state.algebra, tuple([Fraction(x, d) for x, d in _pairing(u, v)]))
 
 
@@ -111,7 +107,7 @@ def tensor(space: ProductSpace, f: Element, g: Element) -> Element:
         raise InputError("left factor does not live on the left component space")
     if core.atoms_of(g.algebra) != space.right.measure.atoms:
         raise InputError("right factor does not live on the right component space")
-    return _paired(space, _encoded(f.payload), _encoded(g.payload))
+    return _paired(space, f.code, g.code)
 
 
 def beta(space: ProductSpace, a: Element, b: Element) -> Element:
@@ -137,7 +133,7 @@ def verify_independence(left: State, right: State) -> Verdict:
     failures = (
         (position, {"pair": [a, b]})
         for position, ((a, u, sa), (b, v, sb)) in enumerate(itertools.product(lefts, rights))
-        if not _combines_to((space.state.encoded_weights,), _pairing(u, v), (sa * sb,))
+        if not _combines_to((space.state.encoded_weights,), _pairing(u, v), (as_pair(sa * sb),))
     )
     return sweep([("identities_checked", len(lefts) * len(rights), failures)])
 
@@ -166,8 +162,7 @@ class BilinearMap(_Record):
 def apply_bilinear(gamma: BilinearMap, a: Element, b: Element) -> Element:
     if a.algebra != gamma.left.algebra or b.algebra != gamma.right.algebra:
         raise InputError("arguments do not match the bilinear map's domains")
-    row = gamma.table[core.rank(a.algebra, a.payload)]
-    return row[core.rank(b.algebra, b.payload)]
+    return gamma.table[core.rank(a)][core.rank(b)]
 
 
 def bilinear_map(
@@ -222,11 +217,12 @@ def _columns(images) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def _combines_to(columns, pairs, vector) -> bool:
-    """Whether ``vector`` is sum_k pairs[k] * images[k], the images read at their `_columns`
-    and the encoded ``pairs`` summed by `weighted_sum`, compared by cross-multiplication."""
+    """Whether ``vector``, as pairs (x, e), is sum_k pairs[k] * images[k], the images read
+    at their `_columns` and the (x, d) ``pairs`` summed by `weighted_sum`, compared by
+    cross-multiplication."""
     sums = (weighted_sum(weights, pairs) + (common,) for weights, common in columns)
     return len(columns) == len(vector) and all(
-        t * v.denominator == v.numerator * c * d for (t, d, c), v in zip(sums, vector)
+        t * e == x * c * d for (t, d, c), (x, e) in zip(sums, vector)
     )
 
 
@@ -259,16 +255,15 @@ def check_bilinear(gamma: BilinearMap) -> Verdict:
     columns = _columns(_atom_images(gamma))
 
     def nonlinear():
-        vs = [_encoded(core.ambient_vector(b)) for b in rights]
+        vs = [core.ambient_pairs(b) for b in rights]
         for i, (a, row) in enumerate(zip(lefts, gamma.table)):
-            u = _encoded(core.ambient_vector(a))
+            u = core.ambient_pairs(a)
             for j, (v, value) in enumerate(zip(vs, row)):
-                if not _combines_to(columns, _pairing(u, v), core.ambient_vector(value)):
+                if not _combines_to(columns, _pairing(u, v), core.ambient_pairs(value)):
                     yield i * width + j, _witness("linearity", a, rights[j])
 
     def levels(s, elements):
-        encode = core.payload_ops(s.algebra).encode
-        return [states._evaluate(s, encode(e.payload)) for e in elements]
+        return [states._evaluate(s, e.code) for e in elements]
 
     def over_bound():  # value t / f > min(bound * x / d * y / e, 1)
         right_levels = levels(gamma.right, rights)
@@ -306,15 +301,17 @@ def table_bilinear(
     entries: tuple[tuple[tuple[core.Payload, core.Payload], Element], ...],
     bound: Optional[int],
 ) -> BilinearMap:
-    """The map given by explicit ((left, right) payloads, value element) entries."""
-    lookup = dict(entries)
+    """The map given by explicit ((left, right) payloads, value element) entries, looked up
+    by the arguments' codes."""
+    left, right = space.left.state.algebra, space.right.state.algebra
+    lookup = {(Element(left, a).code, Element(right, b).code): v for (a, b), v in entries}
 
     def fn(a: Element, b: Element) -> Element:
-        if (a.payload, b.payload) not in lookup:
+        if (a.code, b.code) not in lookup:
             raise InputError(
                 f"bilinear table misses ({core.format_element(a)}, {core.format_element(b)})"
             )
-        return lookup[(a.payload, b.payload)]
+        return lookup[(a.code, b.code)]
 
     return bilinear_map(space.left.state, space.right.state, codomain, fn, bound=bound)
 
@@ -374,8 +371,7 @@ class AtomLinearMap(_Record):
 def apply_atom_linear(omega: AtomLinearMap, h: Element) -> Element:
     if h.algebra != omega.domain:
         raise InputError("argument does not live on the map's domain")
-    pairs = _encoded(h.payload)
-    sums = [(weighted_sum(weights, pairs), common) for weights, common in omega.columns]
+    sums = [(weighted_sum(weights, h.code), common) for weights, common in omega.columns]
     return Element(omega.codomain, tuple([Fraction(t, c * d) for (t, d), c in sums]))
 
 
@@ -471,7 +467,7 @@ def verify_factorization(
         for i, a in enumerate(lefts):
             u, row = _represented(space.left, a), gamma.table[i]
             for j, v in enumerate(vs):
-                image = representation.represent(rep_c, row[j]).payload
+                image = representation.represent(rep_c, row[j]).code
                 if not _combines_to(omega.columns, _pairing(u, v), image):
                     yield i * len(vs) + j, _witness("triangle", a, rights[j])
 

@@ -27,7 +27,7 @@ from typing import Callable, Union
 from . import core
 from .core import Algebra, Chang, Element, _Record
 from .errors import InputError, UnsupportedCarrierError
-from .rationals import ONE, ZERO
+from .rationals import ZERO
 from .verdict import Verdict
 
 # member texts that listing every ideal, (n+2)^k of them, may render;
@@ -46,9 +46,8 @@ class Ideal(_Record):
     support: Union[frozenset, str]
 
 
-def _support(payload: core.Payload) -> frozenset:
-    values = payload if isinstance(payload, tuple) else (payload,)
-    return frozenset(x for x, v in enumerate(values) if v != ZERO)
+def _support(e: Element) -> frozenset:
+    return frozenset(x for x, (v, _) in enumerate(core.ambient_pairs(e)) if v)
 
 
 def ideal(algebra: Algebra, payloads) -> Ideal:
@@ -62,8 +61,8 @@ def ideal(algebra: Algebra, payloads) -> Ideal:
     if not core.is_finite(algebra):
         raise UnsupportedCarrierError(FINITE_ONLY)
     n = algebra.carrier.shape[1]
-    members = frozenset(core.element(algebra, p).payload for p in payloads)
-    if core.zero(algebra).payload not in members:
+    members = frozenset(core.element(algebra, p) for p in payloads)
+    if core.zero(algebra) not in members:
         raise InputError("an ideal must contain 0")
     support = frozenset().union(*map(_support, members))
     generated = (n + 1) ** len(support)
@@ -79,12 +78,12 @@ def ideal_contains(i: Ideal, e: Element) -> bool:
     if e.algebra != i.algebra:
         raise InputError("element does not belong to the ideal's algebra")
     if i.support == CHANG_RADICAL:
-        return e.payload.side == core.LOWER
+        return e.code[0] == 0  # lower(k)
     if i.support == CHANG_ALL:
         return True
     if not i.support:
         return e == core.zero(e.algebra)
-    return _support(e.payload) <= i.support
+    return _support(e) <= i.support
 
 
 def listing(i: Ideal) -> Union[str, list[str]]:
@@ -169,37 +168,33 @@ def quotient(algebra: Algebra, i: Ideal) -> QuotientResult:
 
     A support S keeps the atoms off S.  The quotient of a chain-valued
     function algebra that keeps one atom is that atom's n-chain; a
-    rational-valued one stays a function algebra.
+    rational-valued one stays a function algebra.  Chang's radical
+    quotient is the 1-chain of the classes modulo the radical.  The
+    projection keeps an element's values at the kept atoms, its code's
+    pairs (`core.ambient_element`).
     """
     if i.algebra != algebra:
         raise InputError("ideal does not belong to the algebra")
-    if i.support == CHANG_RADICAL:
-        target = core.finite_chain(1)
-
-        def project(a: Element) -> Element:
-            return Element(target, ZERO if a.payload.side == core.LOWER else ONE)
-
-        return QuotientResult(target, project)
     if i.support == CHANG_ALL:
         raise InputError("cannot quotient by the improper ideal")
     if not i.support:
         return QuotientResult(algebra, lambda a: a)
-    carrier = algebra.carrier
-    atoms, levels = carrier.shape  # a chain or the rational interval is one atom
-    keep = tuple(x for x in range(atoms or 1) if x not in i.support)
-    if not keep:
-        raise InputError("cannot quotient by the improper ideal")
-
-    if len(keep) == 1 and levels is not None:
-        target = core.finite_chain(levels)
-
-        def project(a: Element) -> Element:
-            return Element(target, a.payload[keep[0]])
-
+    if i.support == CHANG_RADICAL:
+        target, keep = core.finite_chain(1), (0,)
     else:
-        target = core.function_algebra(tuple(carrier.atoms[x] for x in keep), carrier.value)
+        carrier = algebra.carrier
+        atoms, levels = carrier.shape  # a chain or the rational interval is one atom
+        keep = tuple(x for x in range(atoms or 1) if x not in i.support)
+        if not keep:
+            raise InputError("cannot quotient by the improper ideal")
+        if len(keep) == 1 and levels is not None:
+            target = core.finite_chain(levels)
+        else:
+            target = core.function_algebra(tuple(carrier.atoms[x] for x in keep), carrier.value)
 
-        def project(a: Element) -> Element:
-            return Element(target, tuple(a.payload[x] for x in keep))
+    def project(a: Element) -> Element:
+        if a.algebra != algebra:
+            raise InputError("element does not belong to the quotiented algebra")
+        return core.ambient_element(a, target, keep)
 
     return QuotientResult(target, project)

@@ -10,8 +10,8 @@ give such weights; a table is checked when constructed to be linear in
 its atom weights at every element, and invalid tables are rejected,
 never repaired; `table_state` alone parses and checks a table's keys and
 values, a document's too.  One evaluator, `_evaluate`, gives every value as
-integers (t, d): a payload encoded by `core.payload_ops` holds one coprime pair
-(x, e) per atom, and t / d is `rationals.weighted_sum` of w * x / e, w the
+integers (t, d): an element's code holds one coprime pair (x, e) per atom
+(`core.payload_ops`), and t / d is `rationals.weighted_sum` of w * x / e, w the
 weights' numerators over their lcm, the sum that checks a table's linearity.
 `eval_state` returns the `Fraction` t / d; the sampled metric sweep compares
 pairs by cross-multiplication, and the finite one reads an integer matrix.
@@ -132,36 +132,34 @@ def table_state(algebra: Algebra, values: dict) -> State:
     chains a table is additive iff s(a) = sum_x a(x) * s(1_x) at every a,
     s(1_x) read at `core.atom_indicator_elements`: a sums n * a(x) summable
     copies of (1/n) * 1_x, and such a form, weights >= 0, is additive.
-    The state is those atom weights.  Keys are held encoded, so no `Fraction`
-    is hashed, and each sum is `rationals.weighted_sum` of an encoded payload."""
-    ops = core.payload_ops(algebra)
+    The state is those atom weights.  Keys are held as element codes, so no
+    `Fraction` is hashed, and each sum is `rationals.weighted_sum` of a code."""
     table = keyed(
-        values, "element", lambda key: ops.encode(core.element(algebra, key).payload),
+        values, "element", lambda key: core.element(algebra, key).code,
         lambda value: require_unit(value if isinstance(value, Fraction) else parse_rational(value)),
     )
     if not core.is_finite(algebra):
         raise InputError("table states need a finite carrier")
     elements = core.enumerate_carrier(algebra)
-    encoded = [ops.encode(e.payload) for e in elements]
-    missing = [e for e, p in zip(elements, encoded) if p not in table]
+    missing = [e for e in elements if e.code not in table]
     if missing:
         raise InputError(f"table misses {core.format_element(missing[0])}")
-    if table[ops.one] != ONE:
+    if table[algebra.ops.one] != ONE:
         raise InputError("a state must send 1 to 1")
-    weights = [table[ops.encode(u.payload)] for u in core.atom_indicator_elements(algebra)]
+    weights = [table[u.code] for u in core.atom_indicator_elements(algebra)]
     numerators, common = over_lcm(weights)
-    for e, p in zip(elements, encoded):
-        total, d = weighted_sum(numerators, p if type(p[0]) is tuple else (p,))  # a chain: one pair
-        if table[p].numerator * common * d != total * table[p].denominator:
+    for e in elements:
+        total, d = weighted_sum(numerators, core.ambient_pairs(e))
+        if table[e.code].numerator * common * d != total * table[e.code].denominator:
             raise InputError(
                 f"table is not linear at {core.format_element(e)}: it gives "
-                f"{table[p]}, the atom weights give {Fraction(total, common * d)}"
+                f"{table[e.code]}, the atom weights give {Fraction(total, common * d)}"
             )
     return _on_ambient(algebra, weights)
 
 
 def _evaluate(s: State, p) -> tuple[int, int]:
-    """(t, d), d > 0, with t / d the state's value at an encoded payload the caller vouches for."""
+    """(t, d), d > 0, with t / d the state's value at an element code the caller vouches for."""
     if s.measure is None:  # Chang's first coordinate, at (side, k): 1 on upper(k)
         return p[0], 1
     if type(p[0]) is int:  # one value (x, d): the identity state, weight 1 on x0
@@ -174,7 +172,7 @@ def _evaluate(s: State, p) -> tuple[int, int]:
 def eval_state(s: State, a: Element) -> Fraction:
     if a.algebra != s.algebra:
         raise InputError("element does not belong to the state's algebra")
-    return Fraction(*_evaluate(s, core.payload_ops(s.algebra).encode(a.payload)))
+    return Fraction(*_evaluate(s, a.code))
 
 
 def _unfaithful(witness: Element) -> Verdict:

@@ -836,6 +836,21 @@ def test_a_holder_check_takes_two_roots_per_atom_and_four_outer_ones(monkeypatch
     assert calls.count("pow_bounds") == 4
 
 
+@pytest.mark.parametrize("bits", [1, 64, 1024])
+def test_an_atom_of_weight_zero_takes_no_root(monkeypatch, bits):
+    # its term vanishes, so of three atoms strictly inside (0, 1) two take a root
+    atoms = ("x", "y", "z")
+    algebra = mv.function_algebra(atoms)
+    s = mv.measure_state(algebra, mv.measure(atoms, (F(1, 3), F(0), F(2, 3))))
+    a = mv.element(algebra, "(1/2,1/3,1/4)")
+    calls, floor_root = [], analysis._floor_root
+    counted = lambda *args: calls.append(args) or floor_root(*args)
+    monkeypatch.setattr(analysis, "_floor_root", counted)
+    bounds = analysis._power_state_bounds(s, a, F(3, 2), bits)
+    assert len(calls) == 2
+    assert bounds == reference_power_state_bounds(s, a, F(3, 2), bits)
+
+
 class TestHolderPlantedDefects:
     """A defect planted in the step a `fail` branch guards reaches the CLI as exit 1."""
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import mvprob as mv
 import element_reference as reference
-from mvprob import cli, core, documents, states
+from mvprob import cli, core, documents, independence, spectra, states
 from mvprob.axioms import check_axioms
 from mvprob.core import ChangPair, random_element
 from mvprob.errors import InputError
@@ -482,6 +482,89 @@ class TestOpSetsAgainstReference:
                 assert mv.scalar_mul(alpha, a) == expected
 
 
+# ---------------------------------------------------------------------------
+# Every route to an Element stores a canonical code: equality and hashing
+# compare codes, so a pair left unreduced would make equal values differ
+# ---------------------------------------------------------------------------
+
+
+def assert_canonical(e):
+    assert canonical_in(e.algebra, e.code), e
+    assert e.code == e.algebra.ops.encode(e.payload), e
+    assert mv.element(e.algebra, core.format_element(e)) == e
+
+
+def stock_state(algebra):
+    """The state of each stock carrier; with two atoms or more the last has weight 0."""
+    if isinstance(algebra.carrier, mv.Chang):
+        return mv.chang_state(algebra)
+    if not isinstance(algebra.carrier, mv.FunctionAlgebra):
+        return mv.identity_state(algebra)
+    atoms = algebra.carrier.atoms
+    weights = [F(1, len(atoms) - 1)] * (len(atoms) - 1) + [F(0)] if len(atoms) > 1 else [F(1)]
+    return mv.measure_state(algebra, mv.measure(atoms, weights))
+
+
+def stock_quotients(algebra):
+    """The projections onto every quotient by a proper ideal."""
+    if isinstance(algebra.carrier, mv.Chang):
+        return [spectra.quotient(algebra, spectra.radical(algebra)).project]
+    atoms = algebra.carrier.shape[0] or 1
+    return [
+        spectra.quotient(algebra, spectra.Ideal(algebra, frozenset(support))).project
+        for size in range(atoms)
+        for support in itertools.combinations(range(atoms), size)
+    ]
+
+
+def checked_inputs(e):
+    """The raw forms the checked constructor takes for ``e``'s value: its payload, its
+    text, and on the interval and chains an unreduced text and the ints 0 and 1."""
+    yield e.payload
+    yield core.format_element(e)
+    if isinstance(e.payload, F):
+        yield f"{2 * e.payload.numerator}/{2 * e.payload.denominator}"
+        if e.payload in (0, 1):
+            yield int(e.payload)
+    elif isinstance(e.payload, tuple):
+        yield [str(v) if x % 2 else v for x, v in enumerate(e.payload)]
+
+
+@pytest.mark.parametrize("algebra", list(stock_algebras()))
+def test_every_route_to_an_element_stores_a_canonical_code(algebra):
+    rng = Random(21)
+    pool = core.sweep_elements(algebra) or [random_element(rng, algebra) for _ in range(40)]
+    built = list(pool)
+    if core.is_finite(algebra):
+        built += core.enumerate_carrier(algebra)
+    built += [mv.Element(algebra, raw) for e in pool for raw in checked_inputs(e)]
+    for _ in range(40):
+        built += trusted_results(algebra, rng)  # the draws, every op, zero, one, indicators
+        a, b = random_element(rng, algebra), random_element(rng, algebra)
+        built += [r for r in (mv.partial_add(a, b), mv.partial_add(a, mv.neg(a))) if r]
+    rep = mv.embed_l1(algebra, stock_state(algebra))
+    images = [mv.represent(rep, e) for e in built]
+    k = len(rep.keep)
+    omega = independence.AtomLinearMap(  # f -> (mean of f, f at the first kept atom)
+        rep.target, mv.function_algebra(("p", "q")),
+        tuple((F(1, k), F(x == 0)) for x in range(k)),
+    )
+    linear = [independence.apply_atom_linear(omega, h) for h in images]
+    projected = [project(e) for project in stock_quotients(algebra) for e in pool]
+    for e in built + images + linear + projected:
+        assert_canonical(e)
+
+
+def test_the_canonical_code_check_sees_an_unreduced_pair(monkeypatch):
+    # an enumeration that left 2/4 as (2, 4) would compare unequal to the checked 1/2
+    assert_canonical(core.enumerate_carrier(mv.finite_chain(4))[2])
+    monkeypatch.setattr(core, "gcd", lambda x, d: 1)
+    half = core.enumerate_carrier(mv.finite_chain(4))[2]
+    assert half.code == (2, 4) and half != mv.element(mv.finite_chain(4), "1/2")
+    with pytest.raises(AssertionError):
+        assert_canonical(half)
+
+
 def test_the_sweeps_check_the_library_arithmetic(monkeypatch):
     # a unit-interval involution wrong at 1/3 alone: the Element op, the
     # sampled law sweep and the sampled metric sweep all see it
@@ -760,8 +843,9 @@ def test_a_record_hashes_and_reprs_as_its_dataclass(record):
 def test_a_record_equals_only_records_of_its_class(record):
     names = field_names(record)
     values = [getattr(record, name) for name in names]
-    assert type(record)(*values) == record
-    assert type(record)(**dict(zip(names, values))) == record
+    built = [record.algebra, record.payload] if type(record) is mv.Element else values
+    assert type(record)(*built) == record
+    assert type(record)(**dict(zip(names, built))) == record
     sibling = type("Sibling", (core._Record,), {"__annotations__": dict.fromkeys(names, "object")})
     assert sibling(*values) != record and record != sibling(*values)
     assert record != dataclass_twin(record)

@@ -24,7 +24,7 @@ import pytest
 import mvprob as mv
 from mvprob import axioms, core, independence, representation, states
 from mvprob.errors import InputError
-from mvprob.rationals import ONE, ZERO, format_rational, random_unit
+from mvprob.rationals import ONE, ZERO, as_pair, format_rational, random_unit
 from mvprob.verdict import Verdict, sweep
 
 
@@ -423,16 +423,17 @@ def reference_combine(coefficients, vectors):
 class TestLinearCombinations:
     @pytest.mark.parametrize("width", [0, 1, 3])
     def test_combine_matches_fraction_arithmetic(self, width):
-        # the vectors are read at their integer columns, the coefficients encoded
+        # the vectors are read at their integer columns, the coefficients and targets as pairs
         coefficients = (F(1, 2), F(2, 3), F(0), F(1))
         vectors = [tuple(F(i + j, i + j + 3) for j in range(width)) for i in range(4)]
         expected = reference_combine(coefficients, vectors)
-        columns, pairs = independence._columns(vectors), independence._encoded(coefficients)
-        assert independence._combines_to(columns, pairs, expected)
+        encode = lambda values: tuple(map(as_pair, values))
+        columns, pairs = independence._columns(vectors), encode(coefficients)
+        assert independence._combines_to(columns, pairs, encode(expected))
         for k in range(width):  # a value off at any one atom, or a missing one, is no match
             off = expected[:k] + (expected[k] + F(1, 7),) + expected[k + 1:]
-            assert not independence._combines_to(columns, pairs, off)
-            assert not independence._combines_to(columns, pairs, expected[:k])
+            assert not independence._combines_to(columns, pairs, encode(off))
+            assert not independence._combines_to(columns, pairs, encode(expected[:k]))
 
     @pytest.mark.parametrize(
         "algebra, table, message",

@@ -277,7 +277,7 @@ def test_enumeration_order_and_rank_are_the_class_branches(algebra):
         assert found is expected is UnsupportedCarrierError
         return
     assert [e.payload for e in found] == expected
-    assert [core.rank(algebra, p) for p in expected] == list(range(len(expected)))
+    assert [core.rank(mv.Element(algebra, p)) for p in expected] == list(range(len(expected)))
 
 
 @pytest.mark.parametrize("algebra", STOCK)

@@ -202,6 +202,17 @@ class TestQuotient:
             )
             assert result.project(mv.neg(a)) == mv.neg(result.project(a))
 
+    def test_projection_refuses_a_foreign_element(self):
+        # the projection builds its image from the element's code unchecked, so an
+        # element of another algebra (here a rational 1/3 for a 2-chain) is refused
+        algebra = mv.function_algebra(("a", "b"), mv.FiniteChain(2))
+        result = mv.quotient(algebra, mv.Ideal(algebra, frozenset({0})))
+        foreign = mv.element(mv.function_algebra(("a", "b")), ("1/2", "1/3"))
+        with pytest.raises(InputError, match="does not belong to the quotiented algebra"):
+            result.project(foreign)
+        with pytest.raises(InputError, match="does not belong to the quotiented algebra"):
+            mv.quotient(C, mv.radical(C)).project(mv.element(mv.finite_chain(1), "1"))
+
     def test_kernel_matches_the_ideal(self):
         algebra = BOOL2
         members = [(F(0), F(0)), (F(1), F(0))]

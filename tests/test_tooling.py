@@ -144,6 +144,24 @@ def test_only_states_builds_a_state(module):
     assert lines == [], f"{module} calls {STATE_CONSTRUCTOR} at lines {lines}"
 
 
+ENCODER = "encode"  # an op set's payload-to-code map
+
+
+def test_the_gate_finds_an_encode_call():
+    source = "ops.encode(p)\ncore.payload_ops(a).encode(p)\nencode(p)\nops.encode\ne.code\n"
+    assert _calls(ast.parse(source), ENCODER) == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "core.py")
+)
+def test_only_core_encodes(module):
+    # an Element holds its code, which every op and sweep reads; the checked
+    # constructor in core encodes once, so no sweep round-trips a payload
+    lines = _calls(ast.parse((PACKAGE / module).read_text()), ENCODER)
+    assert lines == [], f"{module} calls {ENCODER} at lines {lines}"
+
+
 def test_documents_builds_every_element_through_core_element():
     # one grammar: a document's element values and texts are all parsed by `core.element`
     lines = _calls(ast.parse((PACKAGE / "documents.py").read_text()), "Element")
