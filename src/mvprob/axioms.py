@@ -5,7 +5,8 @@ operations.  Exhaustive sweeps run on operation tables, so a finite
 carrier is first compiled by `core.compile_table` and runs through the
 same code as the explicit-table fixtures, associativity by table rows;
 sampled sweeps of an algebra run on its draws' codes, the form an `Element` holds,
-through `core.payload_ops`, the arithmetic of the `Element` ops.  Corrupted operation tables are how
+through ``algebra.ops``, the arithmetic of the `Element` ops, whose ``text``
+names a witness.  Corrupted operation tables are how
 negative controls enter: enumeration or sampling finds a witness tuple
 naming the violated law.  Each law is one `verdict.sweep` stage under
 the one counter ``checks``.
@@ -21,7 +22,7 @@ from typing import Optional, Union
 from . import core
 from .core import LEVELS, Algebra, TableAlgebra, seeded
 from .errors import InputError
-from .rationals import _below, format_rational
+from .rationals import _below
 from .verdict import Verdict, sweep
 
 AxiomTarget = Union[Algebra, TableAlgebra]
@@ -39,7 +40,7 @@ def random_element(rng: Random, ops):
 # ---------------------------------------------------------------------------
 #
 # Each law is (name, arity, scalar arity, predicate); predicates receive
-# the op set (a table or a payload op set), the element tuple (indices or
+# the op set (a table or an algebra's op set), the element tuple (indices or
 # codes), and the scalar tuple: integer pairs (x, d) for x/d in [0, 1],
 # combined in integers, never through the op set, and reduced by ``scalar``.
 
@@ -204,7 +205,7 @@ def _failures(ops, name, law, cases, describe):
     """(position, witness) of each case in ``cases`` that breaks ``law``, lazily."""
     for position, (elems, scalars) in enumerate(cases):
         if not law(ops, elems, scalars):
-            witness = [*map(describe, elems), *(format_rational(_UNIT.decode(s)) for s in scalars)]
+            witness = [*map(describe, elems), *map(_UNIT.text, scalars)]
             yield position, {"axiom": name, "elements": witness}
 
 
@@ -251,8 +252,7 @@ def check_axioms(
         ops, describe = target, target.names.__getitem__
         draw = lambda rng: _below(rng, len(target.names))
     else:
-        ops = core.payload_ops(target)
-        describe = lambda x: core.format_payload(ops.decode(x))
+        ops, describe = target.ops, target.ops.text
         draw = lambda rng: random_element(rng, ops)
 
     if samples is None:

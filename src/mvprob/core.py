@@ -15,14 +15,16 @@ values.  Code reads it to tell carriers apart; only Chang is told by its type.
 `element` checks a payload, or parses an element text, the one grammar of
 documents and library callers: ``element(A, format_element(e)) == e``.
 
-Payloads have three op sets (`payload_ops`), all on plain integers: a value of
-the interval or a chain is a coprime pair ``(x, d)``, a function a tuple of
-those pairs mapped over its atoms, and a Chang pair ``(0, k)`` or ``(1, k)``.
-Each has ``encode``, ``decode``, an encoded seeded ``draw``, truncated addition,
+An algebra has one of three op sets (``algebra.ops``), all on plain integer
+codes: a value of the interval or a chain is a coprime pair ``(x, d)``, a
+function a tuple of those pairs mapped over its atoms, and a Chang pair
+``(0, k)`` or ``(1, k)``.  Each has ``text``, the element text of a code,
+``decode`` to `Fraction`s or a `ChangPair`, a seeded ``draw``, truncated addition,
 the involution, and the product and scalar action where they exist; the derived
 ops are term definitions, written once for the op sets and `TableAlgebra`.
-An `Element` holds its value as that encoding, its ``code``, which the `Element`
-ops, `compile_table` and every sweep read; only this module encodes.
+An `Element` holds its value as its code, which the checked constructor parses
+to once and the `Element` ops, `compile_table` and every sweep read; only this
+module decodes.
 All values are exact rationals and every operation is a pure function on
 immutable data: elements can be shared freely between threads.
 """
@@ -203,7 +205,7 @@ class Algebra(_Record):
 
     @functools.cached_property
     def ops(self) -> _TermOps:
-        """The op set of the payloads, with its encoded ``zero`` and ``one``, built once.
+        """The op set of the codes, with its ``zero`` and ``one`` codes, built once.
         Its ``prod`` and ``scalar`` exist where the carrier can have them: the flags say
         whether the signature does."""
         if isinstance(self.carrier, Chang):
@@ -245,29 +247,30 @@ def chang() -> Algebra:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_value(levels: Optional[int], raw) -> Fraction:
+def _coerce_value(levels: Optional[int], raw) -> tuple[int, int]:
     if isinstance(raw, str):
         value = require_unit(parse_rational(raw))
     else:
         value = require_unit(Fraction(raw) if isinstance(raw, int) else raw)
     if levels is not None and levels % value.denominator:  # value * levels is no integer
         raise InputError(f"{value} is not a level of the {levels}-chain")
-    return value
+    return as_pair(value)
 
 
-def _coerce_payload(carrier: Carrier, raw) -> Payload:
-    """``raw``, a payload or the element text `format_payload` prints: ``p/q`` on the interval
-    and chains, ``(p/q,...)`` on function algebras and ``lower(k)``/``upper(k)`` on Chang."""
+def _coerce(carrier: Carrier, raw) -> tuple:
+    """The code of ``raw``, a payload or the element text an op set's ``text`` prints: ``p/q``
+    on the interval and chains, ``(p/q,...)`` on function algebras and ``lower(k)``/``upper(k)``
+    on Chang."""
     if isinstance(carrier, Chang):
         if isinstance(raw, str):
-            for side in (LOWER, UPPER):
+            for code, side in enumerate((LOWER, UPPER)):
                 index = raw[len(side) + 1 : -1]
                 if raw == f"{side}({index})" and index.isascii() and index.isdigit():
-                    return ChangPair(side, parse_rational(index).numerator)
+                    return code, parse_rational(index).numerator
             raise InputError(f"Chang elements look like lower(k)/upper(k), got {raw!r}")
         if not isinstance(raw, ChangPair):
             raise InputError("Chang elements are ChangPair payloads")
-        return raw
+        return (0 if raw.side == LOWER else 1), raw.k
     atoms, levels = _shape(carrier)
     if atoms is None:
         return _coerce_value(levels, raw)
@@ -283,25 +286,15 @@ def _coerce_payload(carrier: Carrier, raw) -> Payload:
     return values
 
 
-def format_payload(p: Payload) -> str:
-    """The element text of ``p``, which `element` parses back to ``p``."""
-    if isinstance(p, ChangPair):
-        return f"{p.side}({p.k})"
-    if isinstance(p, tuple):
-        return "(" + ",".join(format_rational(v) for v in p) + ")"
-    return format_rational(p)
-
-
 class Element(_Record):
     """A carrier-tagged value as its op set's ``code``: ``Element(algebra, raw)`` checks a
-    payload or element text ``raw`` and encodes it once (ops skip both: `_trusted`)."""
+    payload or element text ``raw`` and stores its code (ops skip the check: `_trusted`)."""
 
     algebra: Algebra
     code: tuple
 
     def __post_init__(self) -> None:
-        raw = _coerce_payload(self.algebra.carrier, self.code)
-        object.__setattr__(self, "code", self.algebra.ops.encode(raw))
+        object.__setattr__(self, "code", _coerce(self.algebra.carrier, self.code))
 
     @property
     def payload(self) -> Payload:  # the value as `Fraction`s, or a `ChangPair` on Chang
@@ -314,14 +307,14 @@ def element(algebra: Algebra, payload) -> Element:
 
 
 def format_element(e: Element) -> str:
-    return format_payload(e.payload)
+    return e.algebra.ops.text(e.code)
 
 
 def _trusted(algebra: Algebra, code) -> Element:
     """An element whose code lies in the carrier by construction, unchecked.
 
     Equality and hashing compare codes, so a code must be canonical, as `Element`
-    encodes: coprime (x, d) with 0 <= x <= d per value, and (0, k) or (1, k), k >= 0,
+    stores it: coprime (x, d) with 0 <= x <= d per value, and (0, k) or (1, k), k >= 0,
     on Chang.  Only op results, constants, seeded draws, a finite carrier's
     enumeration and the ambient images of checked elements come through here, all
     canonical in [0, 1] and the chain levels; values from outside go through `Element`.
@@ -369,7 +362,7 @@ def seeded(seed: Optional[int], samples: int) -> Random:
 
 
 def random_element(rng: Random, algebra: Algebra) -> Element:
-    """A seeded draw: the op set's encoded ``draw``, built unchecked."""
+    """A seeded draw: the op set's ``draw``, a code, built unchecked."""
     return _trusted(algebra, algebra.ops.draw(rng))
 
 
@@ -388,14 +381,14 @@ def atoms_of(algebra: Algebra) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Payload op sets and the Element operations that call them
+# Op sets and the Element operations that call them
 # ---------------------------------------------------------------------------
 
 
 class _TermOps:
     """The derived operations by their term definitions over ``oplus`` and
     ``neg`` (Cignoli, D'Ottaviano and Mundici 2000), written once: the
-    payload op sets and `TableAlgebra` inherit them."""
+    op sets and `TableAlgebra` inherit them."""
 
     def odot(self, a, b):
         return self.neg(self.oplus(self.neg(a), self.neg(b)))
@@ -414,17 +407,19 @@ class _TermOps:
 
 
 class _ValueOps(_TermOps):
-    """One-value payloads of the interval or a chain, encoded as coprime ``(x, d)``:
-    integers 0 <= x <= d with gcd(x, d) == 1, so equal values have equal encodings."""
+    """One-value codes of the interval or a chain, coprime ``(x, d)``: integers
+    0 <= x <= d with gcd(x, d) == 1, so equal values have equal codes."""
 
     zero, one = (0, 1), (1, 1)
-    encode = staticmethod(as_pair)  # a `Fraction`'s (numerator, denominator)
 
     def __init__(self, levels: Optional[int]):
         self.levels = levels
 
-    def decode(self, encoded) -> Fraction:
-        return Fraction(*encoded)
+    def text(self, code) -> str:  # ``x`` or ``x/d``
+        return format_rational(*code)
+
+    def decode(self, code) -> Fraction:
+        return Fraction(*code)
 
     def oplus(self, a, b):
         (x, d), (y, e) = a, b
@@ -448,12 +443,12 @@ class _ValueOps(_TermOps):
         g = gcd(x, d)
         return x // g, d // g
 
-    def index(self, encoded) -> int:
-        """The chain level of ``encoded``: x * (n // d)."""
-        return encoded[0] * (self.levels // encoded[1])
+    def index(self, code) -> int:
+        """The chain level of ``code``: x * (n // d)."""
+        return code[0] * (self.levels // code[1])
 
     def draw(self, rng: Random):
-        """`random_unit`'s draw, or a uniform chain level, encoded; the same `_below` calls."""
+        """`random_unit`'s draw, or a uniform chain level, as a code; the same `_below` calls."""
         d = self.levels or 1 + _below(rng, MAX_DRAW_DENOMINATOR)
         x = _below(rng, d + 1)
         g = gcd(x, d)
@@ -469,24 +464,27 @@ def _map2(op, a, b):
 
 
 class _PointwiseOps(_TermOps):
-    """Function-algebra payloads: a tuple of `_ValueOps` encodings, one per atom.
+    """Function-algebra codes: a tuple of `_ValueOps` codes, one per atom.
     Every op maps the value op over the atoms; the maps, by arity, bind the value ops once, here."""
 
     def __init__(self, value: _ValueOps, atoms: int):
         self.value, self.atoms = value, atoms
         self.zero, self.one = (value.zero,) * atoms, (value.one,) * atoms
-        for op in ("encode", "decode", "neg", "oplus", "prod", "odot", "join", "meet", "dist"):
-            mapped = _map1 if op in ("encode", "decode", "neg") else _map2
+        for op in ("decode", "neg", "oplus", "prod", "odot", "join", "meet", "dist"):
+            mapped = _map1 if op in ("decode", "neg") else _map2
             setattr(self, op, functools.partial(mapped, getattr(value, op)))
+
+    def text(self, code) -> str:
+        return "(" + ",".join(map(self.value.text, code)) + ")"
 
     def scalar(self, alpha, a):
         return tuple([self.value.scalar(alpha, v) for v in a])
 
-    def index(self, encoded) -> int:
-        """The `rank` of a chain-valued payload: its atoms' levels x * (n // d) in mixed
+    def index(self, code) -> int:
+        """The `rank` of a chain-valued code: its atoms' levels x * (n // d) in mixed
         radix n + 1."""
         position, n = 0, self.value.levels
-        for x, d in encoded:
+        for x, d in code:
             position = position * (n + 1) + x * (n // d)
         return position
 
@@ -495,19 +493,15 @@ class _PointwiseOps(_TermOps):
 
 
 class _ChangOps(_TermOps):
-    """Chang payloads encoded as ``(0, k)`` for lower(k) and ``(1, k)`` for upper(k)."""
+    """Chang codes: ``(0, k)`` for lower(k) and ``(1, k)`` for upper(k)."""
 
     zero, one = (0, 0), (1, 0)
 
-    def encode(self, pair: ChangPair) -> tuple[int, int]:
-        return (0 if pair.side == LOWER else 1), pair.k
+    def text(self, code) -> str:
+        return f"{UPPER if code[0] else LOWER}({code[1]})"
 
-    def decode(self, encoded) -> ChangPair:
-        """The `ChangPair`, valid by construction, built unchecked as `_trusted` builds elements."""
-        pair = object.__new__(ChangPair)
-        object.__setattr__(pair, "side", UPPER if encoded[0] else LOWER)
-        object.__setattr__(pair, "k", encoded[1])
-        return pair
+    def decode(self, code) -> ChangPair:
+        return ChangPair(UPPER if code[0] else LOWER, code[1])
 
     def oplus(self, x, y):
         # truncated sum in the lexicographic group Z x Z with unit (1, 0)
@@ -524,11 +518,6 @@ class _ChangOps(_TermOps):
 
 
 _CHANG_OPS = _ChangOps()
-
-
-def payload_ops(algebra: Algebra) -> _TermOps:
-    """The op set of ``algebra``'s payloads, built once per `Algebra`: its ``ops``."""
-    return algebra.ops
 
 
 def _ops(a: Element, b: Element) -> _TermOps:
@@ -662,9 +651,9 @@ def rank(e: Element) -> int:
 def compile_table(algebra: Algebra) -> TableAlgebra:
     """The tables of a finite algebra: index i is ``enumerate_carrier(algebra)[i]``.
 
-    Every entry is the index of a `payload_ops` result on the elements'
+    Every entry is the index of an ``algebra.ops`` result on the elements'
     codes, the arithmetic of the `Element` ops, so a sweep over the tables
-    still checks it; building them costs n^2 integer payload ops.
+    still checks it; building them costs n^2 integer code ops.
     The last few builds are kept, keyed on the frozen algebra value (the
     tables are immutable), so later sweeps of a carrier in one process
     reuse its build.
@@ -676,7 +665,7 @@ def compile_table(algebra: Algebra) -> TableAlgebra:
         return tuple(tuple([index(op(a, b)) for b in codes]) for a in codes)
 
     return TableAlgebra(
-        tuple(map(format_element, elements)),
+        tuple(map(ops.text, codes)),
         table(ops.oplus),
         tuple(index(ops.neg(a)) for a in codes),
         prod_table=table(ops.prod) if algebra.internal_product else None,

@@ -37,7 +37,7 @@ class BilinearSpec(_Record):
     right: str
     codomain: Optional[str] = None
     bound: Optional[int] = None
-    entries: tuple[tuple[tuple[core.Payload, core.Payload], Element], ...] = ()
+    entries: tuple[tuple[tuple[tuple, tuple], Element], ...] = ()  # by the arguments' codes
 
 
 class Document(_Record):
@@ -213,13 +213,13 @@ def _parse_bilinear(name: str, raw: dict, doc_states: dict, algebras: dict) -> B
         right_algebra = doc_states[right].algebra
         cod_algebra = doc_states[codomain].algebra
 
-        def pair(key: str) -> tuple[core.Payload, core.Payload]:
+        def pair(key: str) -> tuple[tuple, tuple]:
             try:
                 a_text, b_text = key.split(";")
             except ValueError:
                 raise InputError("entry keys look like '<a>;<b>'") from None
             a = core.element(left_algebra, a_text)
-            return a.payload, core.element(right_algebra, b_text).payload
+            return a.code, core.element(right_algebra, b_text).code
 
         entries = _located(
             where, states.keyed, _field(raw, "entries", where, _TEXT_VALUES), "pair", pair,
@@ -231,7 +231,7 @@ def _parse_bilinear(name: str, raw: dict, doc_states: dict, algebras: dict) -> B
             right,
             codomain,
             _field(raw, "bound", where, _INTEGER, None),
-            tuple(sorted(entries.items(), key=lambda entry: repr(entry[0]))),
+            tuple(sorted(entries.items(), key=lambda entry: entry[0])),
         )
     raise InputError(f"{where}: unknown kind {kind!r}")
 

@@ -298,13 +298,12 @@ def beta_bilinear(space: ProductSpace) -> BilinearMap:
 def table_bilinear(
     space: ProductSpace,
     codomain: State,
-    entries: tuple[tuple[tuple[core.Payload, core.Payload], Element], ...],
+    entries: tuple[tuple[tuple[tuple, tuple], Element], ...],
     bound: Optional[int],
 ) -> BilinearMap:
-    """The map given by explicit ((left, right) payloads, value element) entries, looked up
-    by the arguments' codes."""
-    left, right = space.left.state.algebra, space.right.state.algebra
-    lookup = {(Element(left, a).code, Element(right, b).code): v for (a, b), v in entries}
+    """The map given by explicit ((left, right) codes, value element) entries, as
+    `documents` parses them: an argument pair is looked up by its codes."""
+    lookup = dict(entries)
 
     def fn(a: Element, b: Element) -> Element:
         if (a.code, b.code) not in lookup:
@@ -421,7 +420,7 @@ def factorize(
         if not rep.injective:
             raise InputError("factorization needs faithful states")
     images = tuple(
-        representation.represent(rep_c, apply_bilinear(gamma, ex, ey)).payload
+        core.ambient_vector(representation.represent(rep_c, apply_bilinear(gamma, ex, ey)))
         for ex in space.left.atom_elements
         for ey in space.right.atom_elements
     )
@@ -453,7 +452,7 @@ def verify_factorization(
     draws = []  # (h, h2) with h2 <= not h, so h + h2 is a defined partial sum
     for _ in range(samples):
         h = random_element(rng, product)
-        room = core.neg(h).payload
+        room = core.ambient_vector(core.neg(h))
         draws.append((h, Element(product, tuple(random_unit(rng) * v for v in room))))
     spans = [random_element(rng, product) for _ in range(samples)]
     ext = extend_bilinear_divisible(gamma)

@@ -57,15 +57,16 @@ def require_unit(value: Fraction) -> Fraction:
     return value
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as ``p`` or ``p/q``, never as a decimal.
+def format_rational(value, d: int = 1) -> str:
+    """Render a `Fraction` ``value``, or the coprime integers value / d, d > 0, as ``p`` or
+    ``p/q``, never as a decimal.
 
     A term beyond the interpreter's int/str digit limit is refused as an
     input error: the parameters that made it, such as a moment order,
     must be lowered.
     """
     try:
-        return str(value)
+        return str(value) if d == 1 else f"{value}/{d}"
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
         raise InputError(f"cannot render a rational with a term of more than {limit} digits") from exc

@@ -27,7 +27,6 @@ from typing import Callable, Union
 from . import core
 from .core import Algebra, Chang, Element, _Record
 from .errors import InputError, UnsupportedCarrierError
-from .rationals import ZERO
 from .verdict import Verdict
 
 # member texts that listing every ideal, (n+2)^k of them, may render;
@@ -94,10 +93,10 @@ def listing(i: Ideal) -> Union[str, list[str]]:
     if not i.support:
         return [core.format_element(core.zero(algebra))]
     atoms, n = algebra.carrier.shape
-    members = levels = [e.payload for e in core.enumerate_carrier(core.finite_chain(n))]
+    members = levels = [e.code for e in core.enumerate_carrier(core.finite_chain(n))]
     if atoms is not None:  # on a chain the support is its one atom: every level
-        members = itertools.product(*[levels if x in i.support else [ZERO] for x in range(atoms)])
-    return sorted(map(core.format_payload, members))
+        members = itertools.product(*[levels if x in i.support else [(0, 1)] for x in range(atoms)])
+    return sorted(map(algebra.ops.text, members))
 
 
 def _supports(k: int, size: int) -> list[frozenset]:

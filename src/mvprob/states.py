@@ -11,7 +11,7 @@ its atom weights at every element, and invalid tables are rejected,
 never repaired; `table_state` alone parses and checks a table's keys and
 values, a document's too.  One evaluator, `_evaluate`, gives every value as
 integers (t, d): an element's code holds one coprime pair (x, e) per atom
-(`core.payload_ops`), and t / d is `rationals.weighted_sum` of w * x / e, w the
+(``algebra.ops``), and t / d is `rationals.weighted_sum` of w * x / e, w the
 weights' numerators over their lcm, the sum that checks a table's linearity.
 `eval_state` returns the `Fraction` t / d; the sampled metric sweep compares
 pairs by cross-multiplication, and the finite one reads an integer matrix.
@@ -236,9 +236,9 @@ def verify_metric(s: State, samples: int, seed: Optional[int] = None) -> Verdict
         seed = None
     else:
         rng = seeded(seed, samples)
-        ops = core.payload_ops(algebra)
+        ops = algebra.ops
         metric = lambda a, b: _evaluate(s, ops.dist(a, b))
-        element = lambda p: Element(algebra, ops.decode(p))
+        element = lambda p: Element(algebra, ops.text(p))
         draw = lambda k: tuple(ops.draw(rng) for _ in range(k))
         pairs = [draw(2) for _ in range(samples)]
         triangle = (  # rho(a, c) = x / d > y / e + z / f

@@ -3,7 +3,7 @@
 Each primitive dispatches on its payload's type and builds its result
 through the checked `mvprob.element`; each derived operation is its term
 definition (Cignoli, D'Ottaviano and Mundici 2000) over these
-primitives.  Nothing here calls `core.payload_ops`, so the op sets, the
+primitives.  Nothing here calls an op set (`algebra.ops`), so the op sets, the
 public `Element` ops and the compiled tables are checked against an
 arithmetic they do not share.  `summable_pairs` reads a compiled table,
 for the summable-pair sweeps the table-state and bilinear checks ran

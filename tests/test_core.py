@@ -323,7 +323,7 @@ def test_trusted_results_pass_the_boundary_check_unchanged(algebra):
     for _ in range(150):
         for r in trusted_results(algebra, rng):
             assert r.algebra is algebra
-            assert core._coerce_payload(algebra.carrier, r.payload) == r.payload
+            assert core._coerce(algebra.carrier, r.payload) == r.code
             if isinstance(algebra.carrier, mv.Chang):
                 # op results are built unchecked too: the checked build agrees
                 assert type(r.payload) is ChangPair and type(r.payload.k) is int
@@ -373,7 +373,7 @@ def test_enumeration_builds_its_elements_unchecked(monkeypatch):
     monkeypatch.undo()
     for a in pool + core.enumerate_carrier(mv.finite_chain(5)):
         assert a == mv.Element(a.algebra, a.payload)
-        assert core._coerce_payload(a.algebra.carrier, a.payload) == a.payload
+        assert core._coerce(a.algebra.carrier, a.payload) == a.code
 
 
 CHAIN2 = mv.finite_chain(2)
@@ -430,6 +430,16 @@ def canonical(encoded):
     return type(x) is int and type(d) is int and 0 <= x <= d and math.gcd(x, d) == 1
 
 
+def encode(payload):
+    """The code of a payload, read off its `Fraction`s: (numerator, denominator) per value,
+    and (0, k) for lower(k), (1, k) for upper(k) on Chang."""
+    if isinstance(payload, ChangPair):
+        return (0 if payload.side == "lower" else 1), payload.k
+    if isinstance(payload, tuple):
+        return tuple(map(encode, payload))
+    return payload.numerator, payload.denominator
+
+
 def canonical_in(algebra, encoded):
     if isinstance(algebra.carrier, mv.Chang):  # (0, k) for lower(k), (1, k) for upper(k)
         return type(encoded) is tuple and encoded[0] in (0, 1) and type(encoded[1]) is int
@@ -443,13 +453,13 @@ class TestOpSetsAgainstReference:
 
     @pytest.mark.parametrize("algebra", list(differential_algebras()))
     def test_payload_and_element_ops_match_the_reference(self, algebra):
-        ops, r = core.payload_ops(algebra), reference
+        ops, r = algebra.ops, reference
 
         def agrees(encoded, expected):
             return (
                 canonical_in(algebra, encoded)
                 and ops.decode(encoded) == expected.payload
-                and ops.encode(expected.payload) == encoded
+                and encode(expected.payload) == encoded
             )
 
         assert agrees(ops.zero, r.zero(algebra)) and agrees(ops.one, r.one(algebra))
@@ -463,7 +473,7 @@ class TestOpSetsAgainstReference:
                 a, b = rng.choice(chang_slice), rng.choice(chang_slice)
             else:
                 a, b = random_element(rng, algebra), random_element(rng, algebra)
-            x, y = ops.encode(a.payload), ops.encode(b.payload)
+            x, y = encode(a.payload), encode(b.payload)
             assert agrees(x, a) and agrees(y, b)
             for name in binary:
                 expected = getattr(r, name)(a, b)
@@ -490,7 +500,7 @@ class TestOpSetsAgainstReference:
 
 def assert_canonical(e):
     assert canonical_in(e.algebra, e.code), e
-    assert e.code == e.algebra.ops.encode(e.payload), e
+    assert e.code == encode(e.payload), e
     assert mv.element(e.algebra, core.format_element(e)) == e
 
 
@@ -519,15 +529,21 @@ def stock_quotients(algebra):
 
 def checked_inputs(e):
     """The raw forms the checked constructor takes for ``e``'s value: its payload, its
-    text, and on the interval and chains an unreduced text and the ints 0 and 1."""
+    text, unreduced texts (``2/4``, ``0/3``, ``00``, ``lower(007)``) and on the interval
+    and chains the ints 0 and 1."""
     yield e.payload
     yield core.format_element(e)
     if isinstance(e.payload, F):
         yield f"{2 * e.payload.numerator}/{2 * e.payload.denominator}"
         if e.payload in (0, 1):
             yield int(e.payload)
+        if e.payload == 0:
+            yield from ("0/3", "00")
     elif isinstance(e.payload, tuple):
         yield [str(v) if x % 2 else v for x, v in enumerate(e.payload)]
+        yield "(" + ",".join(f"{2 * v.numerator}/{2 * v.denominator}" for v in e.payload) + ")"
+    else:
+        yield f"{e.payload.side}(00{e.payload.k})"
 
 
 @pytest.mark.parametrize("algebra", list(stock_algebras()))
@@ -615,12 +631,13 @@ def encoded_case(draw):
 @given(encoded_case())
 def test_encoded_payloads_are_canonical_and_match_the_reference(case):
     algebra, payloads, (alpha, beta) = case
-    ops = core.payload_ops(algebra)
-    x, y, z = encoded = [ops.encode(p) for p in payloads]
+    ops = algebra.ops
+    x, y, z = encoded = [encode(p) for p in payloads]
     for p, e in zip(payloads, encoded):
-        assert canonical(e) and ops.decode(e) == p and ops.encode(ops.decode(e)) == e
+        assert canonical(e) and ops.decode(e) == p and encode(ops.decode(e)) == e
     assert canonical(ops.zero) and canonical(ops.one)
     a, b, c = (mv.element(algebra, p) for p in payloads)
+    assert [a.code, b.code, c.code] == encoded
     r = reference
     ea, eb = (alpha.numerator, alpha.denominator), (beta.numerator, beta.denominator)
     cases = [
@@ -639,7 +656,7 @@ def test_encoded_payloads_are_canonical_and_match_the_reference(case):
     for result, expected in cases:
         assert canonical(result)
         assert ops.decode(result) == expected.payload
-        assert result == ops.encode(expected.payload)
+        assert result == encode(expected.payload)
 
 
 def parent_draw(rng, algebra):
@@ -663,11 +680,11 @@ def parent_draw(rng, algebra):
 @pytest.mark.parametrize("algebra", list(differential_algebras()))
 def test_encoded_draws_replay_the_fraction_draws(algebra):
     # every seeded report depends on these draws and on the rng state they leave
-    ops = core.payload_ops(algebra)
+    ops = algebra.ops
     for seed in range(20):
         new, old = Random(seed), Random(seed)
         for _ in range(25):
-            assert ops.draw(new) == ops.encode(parent_draw(old, algebra))
+            assert ops.draw(new) == encode(parent_draw(old, algebra))
         assert new.random() == old.random()
         new, old = Random(seed), Random(seed)
         assert [random_element(new, algebra).payload for _ in range(5)] == [
@@ -900,6 +917,6 @@ def test_seeded_chang_draws_are_built_unchecked(monkeypatch):
     monkeypatch.setattr(ChangPair, "__post_init__", lambda pair: checks.append(check(pair)))
     rng = Random(3)
     draws = [random_element(rng, C) for _ in range(500)]
-    assert checks == [] and {d.payload.side for d in draws} == {"lower", "upper"}
+    assert checks == [] and {d.code[0] for d in draws} == {0, 1}
     ChangPair("lower", 1)
     assert checks == [None]  # the counter sees a checked build

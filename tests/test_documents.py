@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mvprob as mv
-from mvprob import documents, rationals
+from mvprob import core, documents, independence, rationals
 from mvprob.errors import InputError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -158,10 +158,33 @@ class TestRoundTrip:
             "table", "s1", "s1", "s1", 1
         )
         chain = mv.finite_chain(1)
-        assert dict(spec.entries) == {
-            (F(0), F(0)): mv.zero(chain), (F(0), F(1)): mv.zero(chain),
-            (F(1), F(0)): mv.zero(chain), (F(1), F(1)): mv.one(chain),
+        assert dict(spec.entries) == {  # keyed by the arguments' codes
+            ((0, 1), (0, 1)): mv.zero(chain), ((0, 1), (1, 1)): mv.zero(chain),
+            ((1, 1), (0, 1)): mv.zero(chain), ((1, 1), (1, 1)): mv.one(chain),
         }
+
+    def test_a_table_map_checks_each_key_element_and_value_once(self, monkeypatch):
+        # 9 entries on the 2-chain: 18 key elements and 9 values, none checked again
+        # when the map is built from the parsed entries
+        calls, coerce = [], core._coerce
+        monkeypatch.setattr(core, "_coerce", lambda *args: calls.append(args) or coerce(*args))
+        levels = ("0", "2/4", "1")
+        raw = {
+            "algebras": {"c": {"kind": "chain", "n": 2}},
+            "states": {"s": {"algebra": "c", "rule": "identity"}},
+            "bilinear": {
+                "g": {
+                    "kind": "table", "left": "s", "right": "s", "codomain": "s", "bound": 1,
+                    "entries": {f"{a};{b}": "0" for a in levels for b in levels},
+                }
+            },
+        }
+        doc = documents.parse_document(raw)
+        s, spec = doc.states["s"], doc.bilinear["g"]
+        space = mv.product_space(s, s)
+        gamma = independence.table_bilinear(space, s, spec.entries, spec.bound)
+        assert len(calls) == 18 + 9
+        assert gamma.table == ((mv.zero(s.algebra),) * 3,) * 3
 
 
 # 41 literals: 2 weights, 3 element values, 6 + 12 + 4 in table-state keys and values,

@@ -321,7 +321,7 @@ def reference_sampled_metric(s: states.State, samples: int, seed: int) -> Verdic
     per encoded distance, compared as `Fraction`s."""
     algebra = s.algebra
     rng = core.seeded(seed, samples)
-    ops = core.payload_ops(algebra)
+    ops = algebra.ops
     element = lambda p: mv.Element(algebra, ops.decode(p))
     metric = lambda a, b: F(*states._evaluate(s, ops.dist(a, b)))
     draw = lambda k: tuple(ops.draw(rng) for _ in range(k))
@@ -762,7 +762,7 @@ class TestPairingKernel:
         space = mv.product_space(left, right)
         gamma = mv.state_product_bilinear(space)
         omega, rep_c = factorization(gamma, space)
-        calls = count_calls(monkeypatch, core, "_coerce_payload")
+        calls = count_calls(monkeypatch, core, "_coerce")
         assert independence.verify_independence(left, right).passed
         assert calls[0] <= 16 + 5
         calls[0] = 0
@@ -846,7 +846,7 @@ REFERENCE_LAWS = {
 
 
 def reference_law_failures(ops, name, law, arity, scalar_arity, pool):
-    describe = lambda x: core.format_payload(ops.decode(x))
+    describe = ops.text
     for position, (elems, scalars) in enumerate(pool):
         elems, scalars = elems[:arity], scalars[:scalar_arity]
         if not law(ops, elems, scalars):
@@ -856,7 +856,7 @@ def reference_law_failures(ops, name, law, arity, scalar_arity, pool):
 
 def reference_sampled_axioms(target, level, samples, seed):
     """The sampled branch of `check_axioms` with a `random_unit` pool of `Fraction` scalars."""
-    ops = core.payload_ops(target)
+    ops = target.ops
     rng = core.seeded(seed, samples)
     pool = [
         (tuple(ops.draw(rng) for _ in range(3)), (random_unit(rng), random_unit(rng)))

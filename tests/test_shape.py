@@ -9,6 +9,7 @@ the same flags, refusals, draws, ideals and quotients.
 """
 
 import itertools
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -156,6 +157,15 @@ def reference_supports(algebra) -> list:
     ]
 
 
+def render(payload) -> str:
+    """The element text of a payload, from its `Fraction`s or its `ChangPair`."""
+    if isinstance(payload, ChangPair):
+        return f"{payload.side}({payload.k})"
+    if isinstance(payload, tuple):
+        return "(" + ",".join(map(str, payload)) + ")"
+    return str(payload)
+
+
 def reference_listing(algebra, support):
     if isinstance(support, str):
         return support
@@ -164,9 +174,9 @@ def reference_listing(algebra, support):
     k, n = reference_ideal_shape(algebra)
     levels = [Fraction(j, n) for j in range(n + 1)]
     if isinstance(algebra.carrier, FiniteChain):
-        return sorted(map(core.format_payload, levels))
+        return sorted(map(render, levels))
     choices = [levels if x in support else [ZERO] for x in range(k)]
-    return sorted(map(core.format_payload, itertools.product(*choices)))
+    return sorted(map(render, itertools.product(*choices)))
 
 
 def reference_quotient(algebra, support):
@@ -290,6 +300,45 @@ def test_coercion_accepts_and_refuses_as_the_class_branches(algebra):
     ]
     assert results == expected
     assert {kind for (kind, _), _ in results} >= {"ok", "InputError"}
+
+
+LONG = "1" * 5000  # a term past the default int/str digit limit of 4,300
+LIMIT = f"rational literal has a term of more than {sys.get_int_max_str_digits()} digits"
+U, C, CHAIN3 = mv.standard_unit(), mv.chang(), mv.finite_chain(3)
+FA2 = mv.function_algebra(("x", "y"))
+
+
+@pytest.mark.parametrize("algebra, raw, message", [
+    (U, "3/2", "value 3/2 outside [0, 1]"),
+    (U, "-1/2", "value -1/2 outside [0, 1]"),
+    (U, "1/0", "not a rational literal: '1/0'"),
+    (U, "x", "not a rational literal: 'x'"),
+    (U, 0.5, "expected an exact rational, got float"),
+    (CHAIN3, "1/2", "1/2 is not a level of the 3-chain"),
+    (U, LONG, LIMIT),
+    (C, f"lower({LONG})", LIMIT),
+    (FA2, "(1/2,1/3", "function elements look like (p/q,...), got '(1/2,1/3'"),
+    (FA2, "(1/2)", "expected 2 values, got 1"),
+    (FA2, ("1/2",) * 3, "expected 2 values, got 3"),
+    (C, Fraction(1, 2), "Chang elements are ChangPair payloads"),
+])
+def test_a_bad_input_keeps_its_message(algebra, raw, message):
+    with pytest.raises(InputError) as excinfo:
+        mv.Element(algebra, raw)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("algebra", STOCK)
+def test_a_code_prints_its_fraction_text(algebra):
+    # every element of a finite carrier, else 200 seeded draws
+    rng = Random(35)
+    pool = core.sweep_elements(algebra) if core.is_finite(algebra) else [
+        core.random_element(rng, algebra) for _ in range(200)
+    ]
+    for e in pool:
+        text = algebra.ops.text(e.code)
+        assert text == render(e.payload) == core.format_element(e)
+        assert mv.element(algebra, text) == e
 
 
 def test_an_unknown_carrier_is_refused():

@@ -332,7 +332,7 @@ class TestVerifyMetric:
         # planted past table_state's linearity check: s(1/2) = 0 but s(1) = 1, as (t, d) pairs
         values = {F(0): (0, 1), F(1, 2): (0, 1), F(1): (1, 1)}
         s = chain_state(CH2)
-        ops = mv.core.payload_ops(CH2)
+        ops = CH2.ops
         monkeypatch.setattr(mv.states, "_evaluate", lambda state, p: values[ops.decode(p)])
         verdict = mv.states.verify_metric(s, samples=0)
         assert verdict.verdict == "fail"
@@ -642,7 +642,7 @@ def reference_rule_value(algebra, rule, p):
     or ("table", values), values[rank] being (payload, s(payload)).
     """
     kind, data = rule
-    ops = mv.core.payload_ops(algebra)
+    ops = algebra.ops
     if kind == "measure":
         return sum(w * F(x, d) for w, (x, d) in zip(data.weights, p))
     if kind == "identity":
@@ -709,9 +709,9 @@ def test_evaluation_gate_size():
     "s, rule, pool", [c[1:] for c in EVALUATION], ids=[c[0] for c in EVALUATION]
 )
 def test_evaluation_matches_the_four_rules(s, rule, pool):
-    ops = mv.core.payload_ops(s.algebra)
     for a in pool:
-        assert mv.eval_state(s, a) == reference_rule_value(s.algebra, rule, ops.encode(a.payload)), a
+        code = mv.element(s.algebra, a.payload).code
+        assert mv.eval_state(s, a) == reference_rule_value(s.algebra, rule, code), a
 
 
 def reference_table_witness(s):

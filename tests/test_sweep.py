@@ -152,8 +152,7 @@ class TestPlantedLaws:
         name, _ = plant_law(monkeypatch, U, "fMV", index, at, seen)
         verdict = mv.check_axioms(U, "fMV", SAMPLES, 5)
         ((elems, scalars),) = seen
-        ops = core.payload_ops(U)
-        texts = [core.format_payload(ops.decode(x)) for x in elems]
+        texts = [format_rational(U.ops.decode(x)) for x in elems]
         texts += [format_rational(F(x, d)) for x, d in scalars]  # scalars are pairs (x, d)
         assert verdict.witnesses == [{"axiom": name, "elements": texts}]
         assert verdict.metrics == {"checks": index * SAMPLES + at}
@@ -170,8 +169,8 @@ class TestPlantedLaws:
 
 
 def script_draws(monkeypatch, draws):
-    """Make the seeded draws of one-value op sets return the encodings of ``draws`` in order."""
-    it = iter([core.payload_ops(U).encode(d.payload) for d in draws])
+    """Make the seeded draws of one-value op sets return the codes of ``draws`` in order."""
+    it = iter([d.code for d in draws])
     monkeypatch.setattr(core._ValueOps, "draw", lambda self, rng: next(it))
 
 
@@ -190,18 +189,11 @@ class TestPlantedMetric:
         pairs = [(p, q) if i == k else (zero, zero) for i in range(1, self.samples + 1)]
         draws = [x for pair in pairs for x in pair] + [zero] * (3 * self.samples)
         script_draws(monkeypatch, draws)
-        payload_ops = core.payload_ops
-        ops = payload_ops(U)
-        planted = (ops.encode(p.payload), ops.encode(q.payload))
-
-        def asymmetric(algebra):
-            real = payload_ops(algebra)
-            dist = lambda a, b: real.dist(a, a) if (a, b) == planted else real.dist(a, b)
-            return SimpleNamespace(
-                dist=dist, encode=real.encode, decode=real.decode, draw=real.draw
-            )
-
-        monkeypatch.setattr(core, "payload_ops", asymmetric)
+        planted, dist = (p.code, q.code), core._ValueOps.dist
+        monkeypatch.setattr(
+            core._ValueOps, "dist",
+            lambda self, a, b: dist(self, a, a) if (a, b) == planted else dist(self, a, b),
+        )
         verdict = states.verify_metric(mv.identity_state(U), self.samples, 3)
         assert verdict.witnesses == [{"pair": [p, q]}]
         assert verdict.metrics == {"pairs": k, "triples": 0} and verdict.seed == 3
@@ -214,7 +206,7 @@ class TestPlantedMetric:
         triples = [(zero, half, one) if i == k else (zero,) * 3 for i in range(1, self.samples + 1)]
         draws = [zero] * (2 * self.samples) + [x for t in triples for x in t]
         script_draws(monkeypatch, draws)
-        ops = core.payload_ops(U)
+        ops = U.ops
         evaluate = states._evaluate
         monkeypatch.setattr(
             states, "_evaluate",
@@ -344,7 +336,7 @@ class TestPlantedBilinear:
         gamma = mv.beta_bilinear(space)
         (a, b), k = pair_at(where)
         i, j = divmod(k - 1, 3)
-        planted = core.payload_ops(gamma.codomain.algebra).encode(gamma.table[i][j].payload)
+        planted = gamma.table[i][j].code
         evaluate = states._evaluate
         monkeypatch.setattr(
             states, "_evaluate",
@@ -359,7 +351,7 @@ class TestPlantedBilinear:
         s_a, s_b, space = coupling()
         gamma = mv.beta_bilinear(space)
         (a, b), k = pair_at(LAST)
-        planted = core.payload_ops(gamma.codomain.algebra).encode(gamma.table[-1][-1].payload)
+        planted = gamma.table[-1][-1].code
         evaluate = states._evaluate
         monkeypatch.setattr(
             states, "_evaluate",

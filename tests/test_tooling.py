@@ -144,22 +144,28 @@ def test_only_states_builds_a_state(module):
     assert lines == [], f"{module} calls {STATE_CONSTRUCTOR} at lines {lines}"
 
 
-ENCODER = "encode"  # an op set's payload-to-code map
+DECODER = "decode"  # an op set's code-to-payload map, which `Element.payload` reads
 
 
-def test_the_gate_finds_an_encode_call():
-    source = "ops.encode(p)\ncore.payload_ops(a).encode(p)\nencode(p)\nops.encode\ne.code\n"
-    assert _calls(ast.parse(source), ENCODER) == [1, 2, 3]
+def _decodes(tree: ast.AST) -> list[int]:
+    """Lines of the ``decode`` calls and the ``.payload`` reads in ``tree``."""
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    return sorted(_calls(tree, DECODER) + [n.lineno for n in reads if n.attr == "payload"])
+
+
+def test_the_gate_finds_a_decode_call_and_a_payload_read():
+    source = "ops.decode(c)\ne.payload\ndecode(c)\nops.decode\npayload = {}\ne.code\n"
+    assert _decodes(ast.parse(source)) == [1, 2, 3]
 
 
 @pytest.mark.parametrize(
     "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "core.py")
 )
-def test_only_core_encodes(module):
-    # an Element holds its code, which every op and sweep reads; the checked
-    # constructor in core encodes once, so no sweep round-trips a payload
-    lines = _calls(ast.parse((PACKAGE / module).read_text()), ENCODER)
-    assert lines == [], f"{module} calls {ENCODER} at lines {lines}"
+def test_only_core_decodes(module):
+    # an Element holds its code, which every op and sweep reads and its op set
+    # renders; a value's Fraction form is for library callers only
+    lines = _decodes(ast.parse((PACKAGE / module).read_text()))
+    assert lines == [], f"{module} decodes a code at lines {lines}"
 
 
 def test_documents_builds_every_element_through_core_element():
@@ -460,12 +466,12 @@ LIBRARY_ONLY = {
     "sweeps pair the represented values through independence._pairing",
     "ideal": "checks that given members form an ideal; commands build ideals from supports",
     "ideal_contains": "membership in an ideal given by its atom support; reports list members",
-    "join": "the lattice join of the signature on Elements; sweeps run core.payload_ops",
+    "join": "the lattice join of the signature on Elements; sweeps run the op set's codes",
     "leq": "the order of the signature on Elements; partial_add and the sweeps compare "
-    "encoded payloads through core.payload_ops",
-    "meet": "the lattice meet of the signature on Elements; sweeps run core.payload_ops",
+    "codes through the op set",
+    "meet": "the lattice meet of the signature on Elements; sweeps run the op set's codes",
     "moment_sequence": "parses Python values into a MomentSequence; documents build it directly",
-    "odot": "the truncated product of the signature on Elements; sweeps run core.payload_ops",
+    "odot": "the truncated product of the signature on Elements; sweeps run the op set's codes",
     "standard_unit": "builds the rational interval for library callers; documents name it",
     "verify_morphism_extras": "the fMV half of the main theorem, before its CLI route exists",
 }
